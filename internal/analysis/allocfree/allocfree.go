@@ -88,6 +88,13 @@ var allowedStdFuncs = map[string]bool{
 	"log/slog.Int64":    true,
 	"log/slog.Uint64":   true,
 	"log/slog.Float64":  true,
+	// Append-style formatters write into the caller's slice through
+	// stack scratch space: the module's amortized append idiom, with
+	// no allocation of their own.
+	"strconv.AppendInt":                        true,
+	"strconv.AppendUint":                       true,
+	"strconv.AppendFloat":                      true,
+	"(*encoding/base64.Encoding).AppendEncode": true,
 }
 
 // allowedGenericStd are generic std functions matched by prefix of

@@ -1,0 +1,113 @@
+package wire
+
+import (
+	"bytes"
+	"net"
+	"testing"
+
+	"repro/internal/broker"
+	"repro/internal/geometry"
+)
+
+// benchEvent is the frame the ledger's wire workload carries: a
+// nine-dimensional point and a 128-byte payload.
+func benchEvent() *Message {
+	return &Message{
+		Type:    TypeEvent,
+		Point:   []float64{101.25, 37.5, 9.99, 1200, 0.125, 64, 3.75, 88.8, 5},
+		Payload: bytes.Repeat([]byte{0xa5}, 128),
+		Seq:     123_456,
+		TraceID: 0x9e3779b97f4a7c15,
+		SubID:   17,
+	}
+}
+
+func BenchmarkEventEncode(b *testing.B) {
+	m := benchEvent()
+	buf, err := appendFrame(nil, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = appendFrame(buf[:0], m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEventDecode(b *testing.B) {
+	frame, err := appendFrame(nil, benchEvent())
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := frame[4:]
+	var m Message
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decodeBody(body, &m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if m.Seq != 123_456 {
+		b.Fatalf("decoded %+v", m)
+	}
+}
+
+// BenchmarkFanout32 is one publication through a loopback server to 32
+// of one connection's 64 subscriptions, closed on receipt: the next
+// publish is sent when all 32 event frames have arrived.
+func BenchmarkFanout32(b *testing.B) {
+	br := broker.New(broker.Options{})
+	defer br.Close()
+	s := NewServer(br)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = s.Serve(ln) }()
+	defer s.Close()
+
+	sub, err := Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sub.Close()
+	pub, err := Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pub.Close()
+	// Even subscriptions cover the published point, odd ones do not.
+	for i := 0; i < 64; i++ {
+		r := geometry.NewRect(0, 10)
+		if i%2 == 1 {
+			r = geometry.NewRect(20, 30)
+		}
+		if _, err := sub.Subscribe(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	payload := bytes.Repeat([]byte{0xa5}, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := pub.Publish(geometry.Point{5}, payload)
+		if err != nil || n != 32 {
+			b.Fatalf("publish: n=%d err=%v", n, err)
+		}
+		for k := 0; k < n; k++ {
+			if _, open := <-sub.Events(); !open {
+				b.Fatal("subscriber connection closed")
+			}
+		}
+	}
+	b.StopTimer()
+	if d := sub.Dropped(); d != 0 {
+		b.Fatalf("client dropped %d events", d)
+	}
+}

@@ -123,9 +123,10 @@ func (c *Client) noteRecv(traceID uint64) {
 func (c *Client) readLoop() {
 	defer close(c.readDone)
 	defer close(c.events)
+	fr := newFrameReader(c.conn)
+	m := new(Message) // reused for every frame; a reply is copied out before it is handed over
 	for {
-		m, err := ReadMessage(c.conn)
-		if err != nil {
+		if err := fr.read(m); err != nil {
 			c.readErr = err
 			return
 		}
@@ -155,8 +156,9 @@ func (c *Client) readLoop() {
 					int64(m.SubID), int64(len(m.Payload)), 1, firstArg)
 			}
 		case TypeOK, TypeError:
+			reply := *m
 			select {
-			case c.replies <- m:
+			case c.replies <- &reply:
 			default:
 				// Unsolicited reply; drop it rather than deadlock.
 			}

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -306,6 +307,15 @@ func startDurableBroker(t *testing.T) (*broker.Broker, string) {
 // every live event racing the 400-record replay would overflow and be
 // silently dropped before the pump went live.
 func TestReplayLiveBoundaryLossless(t *testing.T) {
+	// The publisher below runs in-process and never yields, and the
+	// test's own reader is as busy: the pump needs a third CPU to take
+	// each event off the 1-slot buffer before the next two arrive. With
+	// fewer the broker's overflow policy drops them before any wire code
+	// runs (DESIGN.md §16, "The replay/live boundary"); the staged test
+	// below checks the same property without that dependence.
+	if runtime.NumCPU() < 4 {
+		t.Skip("needs 4 CPUs: publisher, reader and pump must run at once")
+	}
 	b, addr := startDurableBroker(t)
 	pub := func(from, to int) error {
 		for i := from; i <= to; i++ {
@@ -356,6 +366,98 @@ func TestReplayLiveBoundaryLossless(t *testing.T) {
 	}
 	if err := <-pubErr; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayLiveBoundaryLosslessStaged is TestReplayLiveBoundaryLossless
+// with the race staged rather than left to the scheduler, so it holds on
+// any machine. The server's
+// socket writes are held at a gate, so the replay — more history than a
+// connection may queue — is certainly still streaming while every live
+// event is published. Each live publish waits for the pump to have taken
+// the one before: a 1-slot buffer never overflows against a pump that
+// drains it, and never empties against one that waits for the replay to
+// end.
+func TestReplayLiveBoundaryLosslessStaged(t *testing.T) {
+	log, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New(broker.Options{Log: log})
+	s := NewServer(b)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := &gatedListener{Listener: inner, conns: make(chan *gatedConn, 1)}
+	go func() { _ = s.Serve(gl) }()
+	t.Cleanup(func() {
+		s.Close()
+		b.Close()
+		log.Close()
+	})
+
+	const history, live = 400, 400
+	for i := 1; i <= history; i++ {
+		if _, err := b.Publish(geometry.Point{float64(i%10 + 1)}, make([]byte, 1024)); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
+	release := (<-gl.conns).shut()
+	req := &Message{Type: TypeSubscribe, FromOffset: 1, Buffer: 1,
+		Rects: []Rect{RectToWire(geometry.NewRect(0, 100))}}
+	if err := WriteMessage(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the replay to start and back up behind the gate", 5*time.Second, func() bool {
+		conns := serverConns(s)
+		if len(conns) != 1 {
+			return false
+		}
+		q, _ := conns[0].queued()
+		return q > 0
+	})
+
+	for i := history + 1; i <= history+live; i++ {
+		for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+			if subs := b.LagReport().Subs; len(subs) == 1 && subs[0].Buffered == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("event %d still buffered: the pump is not draining the subscription during the replay", i-1)
+			}
+		}
+		if _, err := b.Publish(geometry.Point{float64(i%10 + 1)}, []byte(fmt.Sprintf("e%d", i))); err != nil {
+			t.Fatalf("publish %d: %v", i, err)
+		}
+	}
+	release()
+
+	seen := make(map[uint64]bool)
+	last := uint64(0)
+	for len(seen) < history+live {
+		m, err := ReadMessage(conn)
+		if err != nil {
+			t.Fatalf("read after %d events: %v", len(seen), err)
+		}
+		if m.Type != TypeEvent { // the subscribe OK
+			continue
+		}
+		if seen[m.Seq] {
+			t.Fatalf("Seq %d delivered twice", m.Seq)
+		}
+		if m.Seq <= last {
+			t.Fatalf("Seq %d after %d: out of order", m.Seq, last)
+		}
+		seen[m.Seq] = true
+		last = m.Seq
 	}
 }
 

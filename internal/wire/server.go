@@ -22,9 +22,10 @@ import (
 // peers. The zero value disables every deadline, matching the behavior
 // of a bare NewServer.
 type ServerOptions struct {
-	// WriteTimeout bounds each frame write. A connection whose peer
-	// cannot absorb a frame within it is evicted, so one stalled reader
-	// cannot wedge its event pump forever. Zero disables.
+	// WriteTimeout bounds each socket write, which carries a batch of
+	// one or more queued frames. A connection whose peer cannot absorb a
+	// batch within it is evicted, so one stalled reader cannot wedge its
+	// event pumps forever. Zero disables.
 	WriteTimeout time.Duration
 	// IdleTimeout evicts connections that send nothing for this long.
 	// The server pings idle peers (see PingInterval); a live client
@@ -220,15 +221,15 @@ func (s *Server) markClosed() (net.Listener, []*connState) {
 	return s.ln, conns
 }
 
-// connState tracks one connection's subscriptions, serialises writes and
-// owns the goroutines (event pumps, pinger) attached to the connection.
+// connState tracks one connection's subscriptions and owns the
+// goroutines (writer, event pumps, pinger) attached to the connection.
 type connState struct {
 	id      int64
 	conn    net.Conn
 	opts    ServerOptions
 	tel     *wireTel
 	lastSeq atomic.Uint64 // highest Seq written to the peer (see noteSent)
-	writeMu sync.Mutex
+	out     outQueue      // frames awaiting the writer goroutine (writer.go)
 	subsMu  sync.Mutex
 	subs    map[int]*broker.Subscription
 	done    chan struct{}
@@ -253,7 +254,7 @@ func (cs *connState) startPump() bool {
 }
 
 func newConnState(conn net.Conn, opts ServerOptions) *connState {
-	return &connState{
+	cs := &connState{
 		id:       connIDs.Add(1),
 		conn:     conn,
 		opts:     opts,
@@ -261,6 +262,8 @@ func newConnState(conn net.Conn, opts ServerOptions) *connState {
 		done:     make(chan struct{}),
 		draining: make(chan struct{}),
 	}
+	cs.out.init()
+	return cs
 }
 
 // noteSent advances the connection's delivered high-water mark. Event
@@ -301,40 +304,10 @@ func (cs *connState) drainSubs() []*broker.Subscription {
 	return out
 }
 
-// write sends one frame under the write deadline. A failed or timed-out
-// write poisons the stream, so the connection is closed (evicted); the
-// read loop observes the close and tears the connection down.
-func (cs *connState) write(m *Message) error {
-	cs.writeMu.Lock()
-	defer cs.writeMu.Unlock()
-	if cs.opts.WriteTimeout > 0 {
-		_ = cs.conn.SetWriteDeadline(time.Now().Add(cs.opts.WriteTimeout))
-	}
-	var t0 time.Time
-	if cs.tel != nil {
-		t0 = time.Now()
-	}
-	//pubsub:allow locksafe -- frame write under writeMu is bounded by WriteTimeout; it is the serialization point
-	err := WriteMessage(cs.conn, m)
-	if cs.tel != nil {
-		d := time.Since(t0)
-		cs.tel.writeLatency.ObserveDuration(d)
-		if err == nil {
-			cs.tel.framesOut.Inc()
-			if m.Type == TypeEvent {
-				cs.tel.stageWrite.ObserveExemplar(d.Seconds(), m.TraceID)
-			}
-		}
-	}
-	if err != nil {
-		_ = cs.conn.Close()
-	}
-	return err
-}
-
 // drain cancels the connection's subscriptions — closing their channels,
-// which lets each event pump flush the buffered backlog to the peer and
-// exit — waits for the pumps, then closes the connection.
+// which lets each event pump queue its buffered backlog and exit — waits
+// for the pumps, has the writer flush what they queued, then closes the
+// connection.
 func (cs *connState) drain() {
 	cs.pumpMu.Lock()
 	if !cs.stopping {
@@ -348,10 +321,12 @@ func (cs *connState) drain() {
 		sub.Cancel()
 	}
 	cs.pumps.Wait()
+	cs.stopWriter()
 	_ = cs.conn.Close()
 }
 
 func (s *Server) handle(cs *connState) {
+	go cs.writeLoop()
 	if cs.opts.PingInterval > 0 && cs.startPump() {
 		go func() {
 			defer cs.pumps.Done()
@@ -378,6 +353,7 @@ func (s *Server) handle(cs *connState) {
 		}
 		_ = cs.conn.Close()
 		cs.pumps.Wait()
+		cs.stopWriter()
 		s.mu.Lock()
 		delete(s.conns, cs)
 		s.mu.Unlock()
@@ -386,11 +362,13 @@ func (s *Server) handle(cs *connState) {
 		}
 	}()
 
+	fr := newFrameReader(cs.conn)
+	m := new(Message)
 	for {
 		if cs.opts.IdleTimeout > 0 {
 			_ = cs.conn.SetReadDeadline(time.Now().Add(cs.opts.IdleTimeout))
 		}
-		m, err := ReadMessage(cs.conn)
+		err := fr.read(m)
 		if err != nil {
 			// Disconnect: clean EOF, idle timeout or otherwise. A deadline
 			// expiry means the peer missed every keepalive ping in the
@@ -422,7 +400,9 @@ func (s *Server) handle(cs *connState) {
 		default:
 			err = cs.write(&Message{Type: TypeError, Error: fmt.Sprintf("unknown message type %q", m.Type)})
 		}
-		if err != nil {
+		// A reply that could not be framed is lost, but the stream is
+		// intact: only a socket failure ends the connection.
+		if err != nil && !errors.Is(err, errEncode) {
 			return
 		}
 	}
@@ -521,21 +501,18 @@ func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 // can interleave with the handler's replay frames.
 func (s *Server) pumpSub(cs *connState, sub *broker.Subscription, ready <-chan uint64, abort <-chan struct{}) {
 	defer cs.pumps.Done()
+	msg := &Message{Type: TypeEvent, SubID: sub.ID()} // reused: write copies it into the frame
 	writeEvent := func(ev broker.Event) bool {
-		msg := &Message{
-			Type:    TypeEvent,
-			Point:   ev.Point,
-			Payload: ev.Payload,
-			Seq:     ev.Seq,
-			TraceID: ev.TraceID,
-			SubID:   sub.ID(),
+		msg.Point, msg.Payload, msg.Seq, msg.TraceID = ev.Point, ev.Payload, ev.Seq, ev.TraceID
+		err := cs.write(msg)
+		if err == nil || errors.Is(err, errEncode) {
+			// An event that cannot be framed (a NaN coordinate or an
+			// oversized payload published in-process) is skipped; the
+			// connection and the subscription carry on.
+			return true
 		}
-		if err := cs.write(msg); err != nil {
-			sub.Cancel()
-			return false
-		}
-		cs.noteSent(ev.Seq)
-		return true
+		sub.Cancel()
+		return false
 	}
 
 	// Backlog mode: accumulate until the handler signals.
@@ -605,9 +582,10 @@ accumulate:
 // matches one of the rects (every record when rects is empty) as an
 // event frame, returning how many were streamed. A read error
 // mid-replay is reported to the peer; a write error is
-// connection-fatal.
+// connection-fatal; a record that cannot be framed is skipped.
 func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rect, subID int) (int, error) {
 	count := 0
+	msg := &Message{Type: TypeEvent, SubID: subID}
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -628,18 +606,13 @@ func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rec
 				continue
 			}
 		}
-		msg := &Message{
-			Type:    TypeEvent,
-			Point:   rec.Point,
-			Payload: rec.Payload,
-			Seq:     rec.Offset,
-			TraceID: rec.TraceID,
-			SubID:   subID,
-		}
+		msg.Point, msg.Payload, msg.Seq, msg.TraceID = rec.Point, rec.Payload, rec.Offset, rec.TraceID
 		if err := cs.write(msg); err != nil {
+			if errors.Is(err, errEncode) {
+				continue
+			}
 			return count, err
 		}
-		cs.noteSent(rec.Offset)
 		count++
 	}
 }
@@ -682,6 +655,14 @@ func (s *Server) handlePublish(cs *connState, m *Message) error {
 	if len(m.Point) > wal.MaxPointDims {
 		return cs.write(&Message{Type: TypeError, TraceID: m.TraceID,
 			Error: fmt.Sprintf("publish point has %d dimensions (max %d)", len(m.Point), wal.MaxPointDims)})
+	}
+	// The event frames this publish fans out into add seq and sub_id to
+	// it and re-render the point, so a publish that just fits MaxFrame
+	// could yield events that do not. Refuse it here, to the publisher,
+	// rather than discover it in every matching subscriber's pump.
+	if bound := eventFrameBound(len(m.Point), len(m.Payload)); bound > MaxFrame {
+		return cs.write(&Message{Type: TypeError, TraceID: m.TraceID,
+			Error: fmt.Sprintf("publish too large: its event frame could reach %d bytes (max %d)", bound, MaxFrame)})
 	}
 	// Wire publications are always traced: keep the client's id, or
 	// assign one at ingest for old clients that did not send the field.

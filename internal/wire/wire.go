@@ -9,8 +9,11 @@
 package wire
 
 import (
+	"bufio"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -126,24 +129,81 @@ type Message struct {
 	Error string `json:"error,omitempty"`
 }
 
-// WriteMessage frames and writes one message.
+// eventOverhead bounds everything in an event frame that is neither a
+// coordinate nor payload: the length prefix, the fixed keys and
+// punctuation (about 60 bytes), and seq, trace_id and sub_id at 20
+// digits each.
+const eventOverhead = 160
+
+// eventFrameBound is an upper bound on the size of the event frame that
+// carries a point of dims coordinates and a payload of n bytes. A
+// float64 renders in at most 24 bytes, plus its comma.
+func eventFrameBound(dims, n int) int {
+	return eventOverhead + 25*dims + base64.StdEncoding.EncodedLen(n)
+}
+
+// errEncode marks a message that could not be framed — not
+// representable in JSON, or larger than MaxFrame. It says nothing about
+// the connection, which stays usable.
+var errEncode = errors.New("wire: encoding message")
+
+// appendFrame appends m's frame — length prefix, then body — to dst.
+// Event messages take the reflection-free encoder, everything else (and
+// any event it declines) goes through json.Marshal; the bytes are the
+// same either way. On error, which always wraps errEncode, dst is
+// returned at its original length.
+func appendFrame(dst []byte, m *Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst, ok := appendEventBody(dst, m)
+	if !ok {
+		body, err := json.Marshal(m)
+		if err != nil {
+			return dst[:start], fmt.Errorf("%w: %v", errEncode, err)
+		}
+		dst = append(dst[:start+4], body...)
+	}
+	n := len(dst) - start - 4
+	if n > MaxFrame {
+		return dst[:start], fmt.Errorf("%w: message of %d bytes exceeds frame limit", errEncode, n)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
+}
+
+// WriteMessage frames one message and writes it with a single Write.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
+	// Sized for an event or a small control frame; anything else grows.
+	frame, err := appendFrame(make([]byte, 0, eventFrameBound(len(m.Point), len(m.Payload))), m)
 	if err != nil {
-		return fmt.Errorf("wire: encoding message: %w", err)
+		return err
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: message of %d bytes exceeds frame limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: writing frame body: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
+}
+
+// decodeBody decodes one frame body into m, overwriting it.
+func decodeBody(body []byte, m *Message) error {
+	*m = Message{}
+	if decodeEventBody(body, m) {
+		return nil
+	}
+	*m = Message{} // the fast path may have filled some fields before declining
+	if err := json.Unmarshal(body, m); err != nil {
+		return fmt.Errorf("wire: decoding message: %w", err)
+	}
+	return nil
+}
+
+// frameLen decodes and checks a frame's 4-byte length prefix.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxFrame {
+		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	return int(n), nil
 }
 
 // ReadMessage reads one framed message.
@@ -152,17 +212,81 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
+		return nil, fmt.Errorf("wire: reading frame body: %w", midFrame(err))
 	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("wire: decoding message: %w", err)
+	m := new(Message)
+	if err := decodeBody(body, m); err != nil {
+		return nil, err
 	}
-	return &m, nil
+	return m, nil
+}
+
+// maxKeptBuf is the largest body buffer a connection's reader keeps for
+// reuse; one oversized frame must not pin a megabyte.
+const maxKeptBuf = 64 << 10
+
+// frameReader is a connection's read side: a small fixed bufio.Reader,
+// so a burst of frames costs one Read, and frames that fit its window
+// are decoded in place. Larger frames go through a body buffer that is
+// reused while it stays under maxKeptBuf.
+type frameReader struct {
+	br   *bufio.Reader
+	body []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 4096)}
+}
+
+// midFrame turns the io.EOF that a short Peek reports, or a ReadFull
+// that got nothing, into io.ErrUnexpectedEOF: the stream ended inside a
+// frame, which is not the clean shutdown io.EOF stands for.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// read decodes the next frame into m, overwriting it. Nothing in m
+// aliases the reader's buffers.
+func (fr *frameReader) read(m *Message) error {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 {
+			return midFrame(err) // cut inside the length prefix
+		}
+		return err // io.EOF between frames is a clean shutdown
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return err
+	}
+	_, _ = fr.br.Discard(4) // cannot fail: Peek just buffered them
+	if n <= fr.br.Size() {
+		body, err := fr.br.Peek(n)
+		if err != nil {
+			return fmt.Errorf("wire: reading frame body: %w", midFrame(err))
+		}
+		err = decodeBody(body, m)
+		_, _ = fr.br.Discard(n)
+		return err
+	}
+	if cap(fr.body) < n {
+		fr.body = make([]byte, n)
+	}
+	body := fr.body[:n]
+	if n > maxKeptBuf {
+		fr.body = nil
+	}
+	if _, err := io.ReadFull(fr.br, body); err != nil {
+		return fmt.Errorf("wire: reading frame body: %w", midFrame(err))
+	}
+	return decodeBody(body, m)
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -74,6 +76,52 @@ func TestReadMessageRejectsBadJSON(t *testing.T) {
 	buf.WriteString("{{{")
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Error("bad JSON accepted")
+	}
+}
+
+// TestTruncatedStreamIsNotCleanEOF: only a stream that ends between
+// frames reads as io.EOF, the clean shutdown; one cut anywhere inside a
+// frame — the length prefix included — is io.ErrUnexpectedEOF, from
+// ReadMessage and from the connection reader alike.
+func TestTruncatedStreamIsNotCleanEOF(t *testing.T) {
+	var frame bytes.Buffer
+	if err := WriteMessage(&frame, &Message{Type: TypeEvent, Point: []float64{1}, Payload: bytes.Repeat([]byte("x"), 8192), Seq: 7}); err != nil {
+		t.Fatal(err)
+	}
+	whole := frame.Bytes() // larger than the reader's window: the body-buffer path
+	small := []byte{0, 0, 0, 2, '{', '}'}
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"empty stream", nil, io.EOF},
+		{"one header byte", small[:1], io.ErrUnexpectedEOF},
+		{"three header bytes", small[:3], io.ErrUnexpectedEOF},
+		{"header only", small[:4], io.ErrUnexpectedEOF},
+		{"half a small body", small[:5], io.ErrUnexpectedEOF},
+		{"half a large body", whole[:len(whole)/2], io.ErrUnexpectedEOF},
+		{"whole frame", small, nil},
+	}
+	for _, tc := range cases {
+		_, err := ReadMessage(bytes.NewReader(tc.data))
+		frErr := newFrameReader(bytes.NewReader(tc.data)).read(new(Message))
+		for who, got := range map[string]error{"ReadMessage": err, "frameReader": frErr} {
+			if tc.want == io.EOF && got != io.EOF {
+				t.Errorf("%s, %s: %v, want a bare io.EOF", tc.name, who, got)
+			}
+			if !errors.Is(got, tc.want) {
+				t.Errorf("%s, %s: %v, want %v", tc.name, who, got, tc.want)
+			}
+		}
+	}
+	// After a whole frame the stream ends cleanly.
+	fr := newFrameReader(bytes.NewReader(small))
+	if err := fr.read(new(Message)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.read(new(Message)); err != io.EOF {
+		t.Errorf("end of stream after a whole frame: %v, want io.EOF", err)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# check.sh — the full local gate, mirroring the five CI jobs.
+# check.sh — the full local gate, mirroring the CI jobs.
 #
 # Usage: ./scripts/check.sh
 #
@@ -9,7 +9,8 @@
 #   3. race tests       go test -race ./...
 #   4. invariant tests  go test -tags=invariants over the index/geometry packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
-#   6. bench guard      publish benchmark + zero-alloc gate (BENCH_4.json)
+#   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
+#   7. ledger smoke     bench/ harness tests + a 1-second wire workload through its oracle
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,12 @@ echo "==> metrics endpoint smoke"
 ./scripts/metrics_smoke.sh
 
 echo "==> publish benchmark guard"
-./scripts/bench_guard.sh
+scratch="$(mktemp -d)"
+trap 'rm -rf "${scratch}"' EXIT
+./scripts/bench_guard.sh "${scratch}/bench_guard.json"
+
+echo "==> performance ledger: harness tests + wire smoke"
+(cd bench && go test ./...)
+bash bench/run.sh --workload wire --seed 1 --seconds 1 --trace 0
 
 echo "==> all checks passed"
