@@ -330,50 +330,6 @@ func BenchmarkPublishParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkPublishSharded times the sharded broker's publish fan-out
-// across shard counts and fan-out modes on the paper's testbed.
-func BenchmarkPublishSharded(b *testing.B) {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{}, experiment.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := workload.MustStockPublications(9)
-	rng := rand.New(rand.NewSource(5))
-	events := make([]pubsub.Point, 1024)
-	for i := range events {
-		events[i] = model.Sample(rng)
-	}
-	for _, mode := range []struct {
-		name   string
-		shards int
-		fanout pubsub.FanoutMode
-	}{
-		{name: "shards=1", shards: 1},
-		{name: "shards=4/sequential", shards: 4, fanout: pubsub.FanoutSequential},
-		{name: "shards=4/parallel", shards: 4, fanout: pubsub.FanoutParallel},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			br := pubsub.NewBroker(pubsub.BrokerOptions{
-				DefaultBuffer: 1, Shards: mode.shards, Fanout: mode.fanout,
-			})
-			defer br.Close()
-			for _, s := range tb.Subs {
-				if _, err := br.Subscribe(s.Rect); err != nil {
-					b.Fatal(err)
-				}
-			}
-			settleRebuild(b, br)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := br.Publish(events[i%len(events)], nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func float64Name(f float64) string {
 	switch f {
 	case 0.1:

@@ -66,27 +66,6 @@ const (
 	IndexDynamic = broker.IndexDynamic
 )
 
-// FanoutMode selects how a sharded broker's Publish visits its
-// subscription shards.
-type FanoutMode = broker.FanoutMode
-
-// Fan-out modes.
-const (
-	// FanoutAuto goes parallel only once the broker is large enough for
-	// the worker hand-off to pay for itself (the default).
-	FanoutAuto = broker.FanoutAuto
-	// FanoutSequential always walks shards on the publisher goroutine.
-	FanoutSequential = broker.FanoutSequential
-	// FanoutParallel always uses the per-shard worker set.
-	FanoutParallel = broker.FanoutParallel
-)
-
-// ParseFanoutMode converts a mode name ("auto", "sequential",
-// "parallel") to the mode.
-func ParseFanoutMode(s string) (FanoutMode, error) {
-	return broker.ParseFanoutMode(s)
-}
-
 // ShardStat is one subscription shard's introspection snapshot; see
 // Broker.ShardStats and IndexReport.
 type ShardStat = broker.ShardStat

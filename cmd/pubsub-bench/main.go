@@ -268,8 +268,7 @@ type stageMicros struct {
 
 // runWaterfallPhase replays the bench workload through an instrumented
 // twin broker and returns the per-stage latency decomposition in
-// pipeline order. The broker-side enqueue stage is reported as
-// "deliver" — in-process, the subscriber-channel hand-off is delivery.
+// pipeline order.
 func runWaterfallPhase(tb *experiment.Testbed, events []pubsub.Point, pubs int) ([]stageMicros, error) {
 	reg := pubsub.NewMetricsRegistry()
 	br := pubsub.NewBroker(pubsub.BrokerOptions{DefaultBuffer: 1, Metrics: reg})
@@ -292,12 +291,8 @@ func runWaterfallPhase(tb *experiment.Testbed, events []pubsub.Point, pubs int) 
 	}
 	var out []stageMicros
 	for _, st := range telemetry.StageReport(reg) {
-		name := st.Stage
-		if name == telemetry.StageEnqueue {
-			name = "deliver"
-		}
 		out = append(out, stageMicros{
-			Stage:     name,
+			Stage:     st.Stage,
 			Count:     st.Count,
 			P50Micros: st.P50 * 1e6,
 			P99Micros: st.P99 * 1e6,

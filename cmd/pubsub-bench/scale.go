@@ -20,7 +20,6 @@ import (
 type scaleCell struct {
 	Subscriptions int     `json:"subscriptions"`
 	Shards        int     `json:"shards"`
-	Fanout        string  `json:"fanout"`
 	SubscribeMs   float64 `json:"subscribe_ms"`
 	// RebuildSettleMs is how long after the subscribe burst the
 	// per-shard rebuilders took to fold every overlay into packed bases
@@ -36,8 +35,8 @@ type scaleCell struct {
 
 // scaleSummary is the machine-readable shape written by -json for the
 // scale experiment (BENCH_9.json). GOMAXPROCS is recorded because the
-// parallel fan-out's win is a function of available cores: on a
-// single-core runner the N=GOMAXPROCS column degenerates to 1 shard.
+// shard workers' win is a function of available cores: on a single-core
+// runner none are started and the N=GOMAXPROCS column is 1 shard.
 type scaleSummary struct {
 	Experiment string      `json:"experiment"`
 	Seed       int64       `json:"seed"`
@@ -67,7 +66,7 @@ func scaleSettled(br *pubsub.Broker) bool {
 // runScaleCell measures one cell: subscribe burst, rebuild settle,
 // then a time-boxed steady-state publish loop.
 func runScaleCell(subs []workload.PlacedSubscription, shards, pubs int, budget time.Duration, events []pubsub.Point) (scaleCell, error) {
-	cell := scaleCell{Subscriptions: len(subs), Shards: shards, Fanout: pubsub.FanoutAuto.String()}
+	cell := scaleCell{Subscriptions: len(subs), Shards: shards}
 	br := pubsub.NewBroker(pubsub.BrokerOptions{DefaultBuffer: 1, Shards: shards})
 	defer br.Close()
 

@@ -80,7 +80,6 @@ func run(args []string) error {
 		statsInt = fs.Duration("stats", 0, "log broker stats at this interval (0 disables)")
 
 		shards       = fs.Int("shards", 0, "subscription shards, each with its own index and rebuilder (0 selects GOMAXPROCS, 1 disables sharding)")
-		fanout       = fs.String("fanout", "auto", "how Publish visits the shards: auto, sequential or parallel")
 		slowLag      = fs.Uint64("slow-sub-lag", 4096, "flag subscriptions this many events behind the head as slow (0 disables)")
 		overflow     = fs.String("overflow", "drop-newest", "default overflow policy: drop-newest, drop-oldest, block or cancel-slow")
 		blockTimeout = fs.Duration("block-timeout", 50*time.Millisecond, "bounded wait of the block overflow policy")
@@ -111,10 +110,6 @@ func run(args []string) error {
 		return fmt.Errorf("bad -events %d: capacity must be positive", *events)
 	}
 	policy, err := broker.ParseOverflowPolicy(*overflow)
-	if err != nil {
-		return err
-	}
-	fanoutMode, err := broker.ParseFanoutMode(*fanout)
 	if err != nil {
 		return err
 	}
@@ -206,7 +201,6 @@ func run(args []string) error {
 		BlockTimeout:     *blockTimeout,
 		SlowLagThreshold: *slowLag,
 		Shards:           *shards,
-		Fanout:           fanoutMode,
 		Metrics:          reg,
 		Tracer:           tracer,
 		Recorder:         rec,
@@ -216,7 +210,7 @@ func run(args []string) error {
 	})
 	defer b.Close()
 	b.RegisterHealth(hr)
-	logger.Info("broker ready", "shards", b.NumShards(), "fanout", fanoutMode.String())
+	logger.Info("broker ready", "shards", b.NumShards())
 	// New installs the first index snapshot synchronously, so matching
 	// is ready the moment it returns.
 	hr.PassGate("snapshot")

@@ -18,6 +18,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -187,11 +188,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 disables sharding (the pre-shard
 	// single-snapshot broker); IndexDynamic always runs unsharded.
 	Shards int
-	// Fanout selects how Publish visits the shards: sequentially on
-	// the publisher goroutine, via the per-shard worker set, or (the
-	// zero value) automatically — parallel only once the broker is
-	// large enough for the hand-off to pay for itself.
-	Fanout FanoutMode
 	// SLO, when non-nil, receives every publication's end-to-end
 	// publish latency (and every overflow drop as a bad event) for
 	// multi-window burn-rate evaluation. Nil disables the feed at zero
@@ -291,23 +287,12 @@ type snapshot struct {
 	multiRect bool
 }
 
-// pubScratch is pooled per-publish working memory: matched slot ids,
-// the collected target subscriptions, and the sequential path's event
-// prep (pooled because the prep's mutex would otherwise make a
-// stack-allocated prep escape on every publish).
-type pubScratch struct {
-	ids     []int
-	targets []*Subscription
-	prep    eventPrep
-}
-
 // Broker routes published events to matching subscribers. Create one with
 // New. All methods are safe for concurrent use.
 type Broker struct {
 	opts Options
 
 	mu        sync.RWMutex
-	closed    bool
 	nextID    int
 	subs      map[int]*Subscription
 	multiRect bool           // some subscription holds several rectangles (IndexDynamic dedup)
@@ -319,25 +304,22 @@ type Broker struct {
 	// order: b.mu before any shard.mu.
 	shards []*shard
 
-	// closedFlag mirrors closed for paths that must not take b.mu (the
-	// per-shard rebuilders).
-	closedFlag atomic.Bool
-	// liveRects counts live subscription rectangles across all shards;
-	// FanoutAuto reads it per publish to decide when parallel fan-out
-	// pays.
+	// closed is set once, by Close, under mu: mutators check it under
+	// mu, the publish path and the per-shard rebuilders read it without.
+	closed atomic.Bool
+	// liveRects counts live subscription rectangles across all shards.
+	// A publication's shards are offered to the shard workers once it
+	// reaches offerMin: autoParallelMinRects when New started workers
+	// (several shards and several CPUs), out of reach otherwise.
 	liveRects atomic.Int64
-	// procs is runtime.GOMAXPROCS at creation; fanReady is true when
-	// the per-shard worker set was started.
-	procs    int
-	fanReady bool
+	offerMin  int64
 
 	// stop ends the background goroutines (per-shard rebuilders and
-	// fan-out workers); wg waits for all of them in Close.
+	// shard workers); wg waits for all of them in Close.
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	scratch sync.Pool // *pubScratch
-	jobs    sync.Pool // *fanJob (parallel fan-out)
+	ctxs sync.Pool // *pubCtx
 
 	tel    *brokerTel
 	tracer *telemetry.Tracer
@@ -356,8 +338,8 @@ type Broker struct {
 	dropped   atomic.Uint64
 	evicted   atomic.Uint64
 	rebuilds  atomic.Uint64
-	highWater atomic.Int64
-	lastDrop  atomic.Int64 // unix nanos of most recent drop
+	highWater atomic.Uint64
+	lastDrop  atomic.Int64 // recorder-clock nanos of most recent drop
 	// head is the highest sequence number assigned to any publication —
 	// the WAL offset in durable mode, the Seq counter otherwise. Lag
 	// reporting reads it without touching the WAL mutex.
@@ -379,7 +361,8 @@ func New(opts Options) *Broker {
 		log:    opts.Log,
 		slo:    opts.SLO,
 		stop:   make(chan struct{}),
-		procs:  runtime.GOMAXPROCS(0),
+		// No workers, no offers, until startWorkers says otherwise.
+		offerMin: math.MaxInt64,
 	}
 	if b.rec == nil {
 		b.rec = telemetry.Default()
@@ -390,27 +373,20 @@ func New(opts Options) *Broker {
 		// resuming subscriber lags behind.
 		b.head.Store(b.log.NextOffset() - 1)
 	}
-	b.scratch.New = func() any { return &pubScratch{} }
-	b.jobs.New = func() any { return &fanJob{done: make(chan struct{}, 1)} }
 	b.shards = make([]*shard, b.opts.Shards)
 	for i := range b.shards {
 		b.shards[i] = newShard(b, i)
 	}
-	// The worker set exists only when parallel fan-out is reachable:
-	// forced on, or auto with the CPUs to exploit it. go statements
-	// allocate, so workers start here (cold), never from the publish
-	// path.
-	if len(b.shards) > 1 &&
-		(b.opts.Fanout == FanoutParallel || (b.opts.Fanout == FanoutAuto && b.procs > 1)) {
-		for i := 1; i < len(b.shards); i++ {
-			sh := b.shards[i]
-			sh.fanCh = make(chan *fanJob)
-			b.wg.Add(1)
-			go b.fanWorker(sh)
-		}
-		b.fanReady = true
+	b.ctxs.New = func() any {
+		return &pubCtx{res: make([]shardResult, len(b.shards)), done: make(chan struct{}, 1)}
 	}
 	b.tel = newBrokerTel(b, opts.Metrics)
+	// The auto rule, first two thirds: workers can only pay with several
+	// shards to spread and several CPUs to spread them over. The last
+	// third, the population, is checked per publication.
+	if len(b.shards) > 1 && runtime.GOMAXPROCS(0) > 1 {
+		b.startWorkers(autoParallelMinRects)
+	}
 	return b
 }
 
@@ -428,8 +404,8 @@ type Subscription struct {
 	sendMu       sync.Mutex // serialises deliveries with channel close
 	closed       bool       // guarded by sendMu; true once ch is closed
 	dropCt       atomic.Uint64
-	highWater    atomic.Int64
-	lastDrop     atomic.Int64 // unix nanos
+	highWater    atomic.Uint64
+	lastDrop     atomic.Int64 // recorder-clock nanos
 	evicting     atomic.Bool
 	// deliveredSeq is the highest Seq successfully enqueued on ch (the
 	// broker head at creation before the first delivery); the gap to
@@ -477,73 +453,81 @@ func (s *Subscription) Stats() SubStats {
 		Evicted:   s.evicting.Load(),
 	}
 	if ns := s.lastDrop.Load(); ns != 0 {
-		st.LastDrop = time.Unix(0, ns)
+		st.LastDrop = s.b.rec.WallTime(ns)
 	}
 	return st
 }
 
-// noteDepth records the buffer depth after a successful send, updating
-// the subscription and broker high-water marks.
-func (s *Subscription) noteDepth() {
-	depth := int64(len(s.ch))
+// raise lifts a to v unless it is already there or beyond: the
+// monotonic max for marks that concurrent publishers advance out of
+// order.
+func raise(a *atomic.Uint64, v uint64) {
 	for {
-		cur := s.highWater.Load()
-		if depth <= cur || s.highWater.CompareAndSwap(cur, depth) {
-			break
-		}
-	}
-	for {
-		cur := s.b.highWater.Load()
-		if depth <= cur || s.b.highWater.CompareAndSwap(cur, depth) {
-			break
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
 }
 
-// noteDelivered records a successful enqueue: it advances the
-// subscription's delivered offset (monotonically — concurrent
-// publishers may land out of order), stamps the delivery time, and
-// clears a standing slow flag now that the subscription is keeping up.
-// nowNS is the recorder-clock time the caller already read for its
-// publish record, so the success path adds no clock read.
-func (s *Subscription) noteDelivered(seq uint64, nowNS int64) {
-	for {
-		cur := s.deliveredSeq.Load()
-		if seq <= cur || s.deliveredSeq.CompareAndSwap(cur, seq) {
-			break
-		}
-	}
+// sent books a successful enqueue of ev: it advances the subscription's
+// delivered offset (monotonically — concurrent publishers may land out
+// of order), stamps the delivery time, clears a standing slow flag now
+// that the subscription is keeping up, and raises the subscription and
+// broker high-water marks. nowNS is the publication's entry stamp on
+// the recorder clock, so the success path adds no clock read. Always
+// returns true, deliver's verdict for the event.
+func (s *Subscription) sent(ev *Event, nowNS int64, detail bool) bool {
+	b := s.b
+	raise(&s.deliveredSeq, ev.Seq)
 	s.deliveredAtNS.Store(nowNS)
 	if s.slow.Load() && s.slow.CompareAndSwap(true, false) {
-		s.b.slowSubs.Add(-1)
-		s.b.rec.Record(telemetry.KindSlowSub, 0, seq,
+		b.slowSubs.Add(-1)
+		b.rec.Record(telemetry.KindSlowSub, 0, ev.Seq,
 			int64(s.id), 0, 0, int64(s.dropCt.Load()))
 	}
+	depth := uint64(len(s.ch))
+	raise(&s.highWater, depth)
+	raise(&b.highWater, depth)
+	if detail {
+		b.rec.Record(telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(depth), 0, 0)
+	}
+	return true
 }
 
-// noteDrop records one overflow loss on this subscription and, when
-// slow-subscriber detection is on, flags the subscription once its lag
-// behind the broker head crosses the threshold.
-func (s *Subscription) noteDrop() {
-	now := time.Now().UnixNano()
+// lost books one overflow loss on this subscription (ev itself, or an
+// older event evicted to make room for it) and, when slow-subscriber
+// detection is on, flags the subscription once its lag behind the
+// broker head crosses the threshold. Always returns false, deliver's
+// verdict for a dropped event.
+func (s *Subscription) lost(ev *Event, nowNS int64, detail bool) bool {
+	b := s.b
 	s.dropCt.Add(1)
-	s.lastDrop.Store(now)
-	s.b.dropped.Add(1)
-	s.b.lastDrop.Store(now)
-	s.b.tel.drop(s.policy)
+	s.lastDrop.Store(nowNS)
+	b.dropped.Add(1)
+	b.lastDrop.Store(nowNS)
+	if b.tel != nil {
+		b.tel.drops[s.policy].Inc()
+	}
 	// A dropped delivery consumes SLO error budget unconditionally.
-	s.b.slo.ObserveBad()
-	if thr := s.b.opts.SlowLagThreshold; thr > 0 {
-		head := s.b.head.Load()
+	b.slo.ObserveBad()
+	if thr := b.opts.SlowLagThreshold; thr > 0 {
+		head := b.head.Load()
 		seen := s.deliveredSeq.Load()
 		if head > seen && head-seen >= thr && s.slow.CompareAndSwap(false, true) {
-			s.b.slowSubs.Add(1)
-			s.b.slowTransitions.Add(1)
-			s.b.tel.slowTransition()
-			s.b.rec.Record(telemetry.KindSlowSub, 0, head,
+			b.slowSubs.Add(1)
+			b.slowTransitions.Add(1)
+			if b.tel != nil {
+				b.tel.slowSubsTotal.Inc()
+			}
+			b.rec.Record(telemetry.KindSlowSub, 0, head,
 				int64(s.id), int64(head-seen), 1, int64(s.dropCt.Load()))
 		}
 	}
+	if detail {
+		b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
+	}
+	return false
 }
 
 // closeCh closes the event channel, serialised against in-flight
@@ -662,7 +646,7 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
+	if b.closed.Load() {
 		return nil, fmt.Errorf("broker: closed")
 	}
 	buffer := opts.Buffer
@@ -748,445 +732,6 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	return s, nil
 }
 
-// putScratch returns per-publish scratch to the pool with its slices
-// reset to zero length (capacity retained). Target pointers are kept in
-// the pooled backing array until the next publish overwrites them —
-// acceptable retention for steady-state zero-alloc publishing.
-func (b *Broker) putScratch(sc *pubScratch) {
-	sc.ids = sc.ids[:0]
-	sc.targets = sc.targets[:0]
-	// Drop the prep's references to caller-owned memory (publish point
-	// and payload) before pooling.
-	sc.prep.reset(nil, nil)
-	b.scratch.Put(sc)
-}
-
-// eventPrep defers the per-publish allocations (point clone, payload
-// clone) until the first delivery actually needs them. A publish whose
-// matches all hit full DropNewest buffers — or match nothing — allocates
-// nothing at all. One prep may be shared by several delivering
-// goroutines under parallel fan-out: the clones are created once under
-// mu and published through the done flag (atomic release/acquire), so
-// every delivery of one publication shares the same point/payload
-// clones.
-type eventPrep struct {
-	src     geometry.Point
-	payload []byte
-	point   geometry.Point
-	cloned  []byte
-	done    atomic.Bool
-	mu      sync.Mutex
-}
-
-// reset rearms the prep for a new publication (or clears its caller
-// references before pooling). Field-wise on purpose: the struct holds
-// a mutex and must never be copied.
-func (pr *eventPrep) reset(p geometry.Point, payload []byte) {
-	pr.src = p
-	pr.payload = payload
-	pr.point = nil
-	pr.cloned = nil
-	pr.done.Store(false)
-}
-
-// materialize fills ev's Point and Payload from the prep, cloning the
-// publication's point and payload on the first call.
-//
-//pubsub:hotpath
-func (pr *eventPrep) materialize(ev *Event) {
-	if !pr.done.Load() {
-		pr.clone()
-	}
-	ev.Point = pr.point
-	ev.Payload = pr.cloned
-}
-
-// clone creates the shared point/payload clones, once per publication.
-//
-//pubsub:coldpath -- lazy materialization: clones happen only when a delivery is actually attempted, off the zero-alloc match path
-func (pr *eventPrep) clone() {
-	pr.mu.Lock()
-	if !pr.done.Load() {
-		pr.point = pr.src.Clone()
-		if pr.payload != nil {
-			pr.cloned = append([]byte(nil), pr.payload...)
-		}
-		pr.done.Store(true)
-	}
-	pr.mu.Unlock()
-}
-
-// Publish routes an event to every matching live subscriber. It returns
-// the number of subscriber channels the event was delivered to (dropped
-// deliveries are excluded). The payload is cloned once per publish, so
-// the caller may reuse its buffer immediately; subscribers of one
-// publication share the clone and must treat it as read-only.
-//
-// Under IndexRebuild, Publish takes no lock: it matches against the
-// immutable snapshot installed by the most recent mutation and uses
-// pooled scratch, so the steady-state publish path performs no heap
-// allocation. A Publish racing Close may load the final snapshot and
-// then find every subscription already closed; that case is reported as
-// errClosed (the sequence counter may still have advanced — Seq values
-// are unique and ordered, not dense).
-//
-//pubsub:hotpath
-func (b *Broker) Publish(p geometry.Point, payload []byte) (int, error) {
-	return b.PublishTraced(p, payload, 0)
-}
-
-// PublishTraced is Publish with an explicit trace id correlating the
-// publication across processes. A zero id (the Publish path) makes the
-// broker assign a fresh one at ingest; either way the id travels on the
-// delivered Event and on every flight-recorder record.
-//
-// The flight recorder always gets one compact publish record (fanout,
-// deliveries, latency). Per-stage detail records — match effort,
-// dispatch decision, per-subscriber deliver/drop — are written only for
-// traced publications: those arriving with an explicit (wire-assigned)
-// id, or sampled by the tracer. In-process untraced publishes therefore
-// stay within the zero-alloc, low-overhead hot-path budget.
-//
-//pubsub:hotpath
-func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64) (int, error) {
-	// Telemetry is designed to vanish when disabled: tel is nil, span is
-	// nil, and no time.Now fires — the uninstrumented path is identical
-	// to the pre-telemetry broker. The always-on flight recorder adds
-	// only monotonic clock reads and atomic stores.
-	tel := b.tel
-	rec := b.rec
-	detail := traceID != 0
-	if traceID == 0 {
-		traceID = telemetry.NewTraceID()
-	}
-	span := b.tracer.StartWith("publish", traceID)
-	detail = detail || span != nil
-	instrumented := tel != nil || span != nil || detail || b.slo != nil
-	r0 := rec.Now()
-	var t0 time.Time
-	if instrumented {
-		t0 = time.Now()
-	}
-
-	// Durable path: append — and, policy permitting, fsync — before any
-	// matching. The append must happen before the snapshot load below: a
-	// subscriber registered before some reader observed NextOffset() == N
-	// had its snapshot published before that observation, so every
-	// publication with offset >= N loads a snapshot containing it and is
-	// delivered live, while offsets < N fall inside the reader's replay
-	// range — no gap between replay and live fanout. A failed append
-	// refuses the publication outright: never acked, never delivered.
-	var walOff uint64
-	if b.log != nil {
-		off, err := b.log.Append(traceID, p, payload)
-		if err != nil {
-			return 0, err
-		}
-		walOff = off
-	}
-
-	// Large sharded brokers fan the point out to the per-shard worker
-	// set; the parallel path assigns Seq before matching and merges the
-	// per-shard results, see publishParallel.
-	if b.opts.Index != IndexDynamic && b.parallelFanoutNow() {
-		return b.publishParallel(p, payload, traceID, detail, instrumented, span, r0, t0, walOff)
-	}
-
-	sc := b.scratch.Get().(*pubScratch)
-	sc.ids = sc.ids[:0]
-	sc.targets = sc.targets[:0]
-	var qs match.QueryStats
-	group := 0 // candidate subscriptions the decision chose among
-
-	// Waterfall boundary: everything before this point (WAL append,
-	// scratch setup) is the ingest stage. Stage histograms exist only
-	// when metrics are on, so the extra clock read is gated with them.
-	var tIngest time.Time
-	if tel != nil {
-		tIngest = time.Now()
-	}
-
-	if b.opts.Index == IndexDynamic {
-		// The dynamic tree is mutated in place by Subscribe/Cancel, so
-		// this strategy keeps the read lock; only IndexRebuild gets the
-		// lock-free snapshot path.
-		b.mu.RLock()
-		if b.closed {
-			b.mu.RUnlock()
-			b.putScratch(sc)
-			return 0, errClosed
-		}
-		multiRect := b.multiRect
-		group = len(b.subs)
-		if b.dyn != nil {
-			if instrumented {
-				var ds rtree.QueryStats
-				sc.ids, ds = b.dyn.PointQueryAppendStats(p, sc.ids)
-				qs.Add(match.QueryStats{NodesVisited: ds.NodesVisited, LeavesVisited: ds.LeavesVisited, EntriesTested: ds.EntriesTested, Matched: ds.ResultsMatched})
-			} else {
-				sc.ids = b.dyn.PointQueryAppend(p, sc.ids)
-			}
-		}
-		for _, id := range sc.ids {
-			if s, live := b.subs[id]; live {
-				sc.targets = append(sc.targets, s)
-			}
-		}
-		b.mu.RUnlock()
-		// Deduplicate only when some subscription holds several
-		// rectangles; with single-rect subscriptions every target is
-		// distinct already. (The snapshot path dedups per shard inside
-		// matchSnapshot.)
-		if multiRect && len(sc.targets) > 1 {
-			sc.targets = dedupTargets(sc.targets, 0)
-		}
-	} else {
-		// Sequential shard visit: with one shard this is exactly the
-		// pre-shard single-snapshot path; with several it walks them on
-		// the publisher goroutine. Per-shard dedup inside matchSnapshot
-		// is complete dedup (a subscription's rectangles never straddle
-		// shards), so the merge is pure concatenation.
-		closedShards := 0
-		for _, sh := range b.shards {
-			snap := sh.snap.Load()
-			if snap == nil {
-				closedShards++
-				continue
-			}
-			if tel != nil {
-				// Per-shard attribution: the recorder clock brackets each
-				// shard's walk so the imbalance gauge and the per-shard
-				// match histograms see where publish cost concentrates.
-				m0 := rec.Now()
-				group += matchSnapshot(snap, p, sc, instrumented, &qs)
-				d := rec.Now() - m0
-				sh.matchNS.Add(d)
-				sh.matchCount.Add(1)
-				tel.shardMatch[sh.idx].Observe(float64(d) / 1e9)
-			} else {
-				group += matchSnapshot(snap, p, sc, instrumented, &qs)
-			}
-		}
-		if closedShards == len(b.shards) {
-			b.putScratch(sc)
-			return 0, errClosed
-		}
-	}
-	targets := sc.targets
-
-	// The match-phase clock split is surfaced only on detail records, so
-	// the untraced hot path pays two clock reads total (r0, rEnd).
-	var rMatch int64
-	if detail {
-		rMatch = rec.Now()
-	}
-	var tMatch time.Time
-	if instrumented {
-		tMatch = time.Now()
-		if tel != nil {
-			tel.matchLatency.Observe(tMatch.Sub(t0).Seconds())
-			tel.observeQuery(qs.NodesVisited, qs.LeavesVisited, qs.EntriesTested)
-			tel.stageIngest.ObserveExemplar(tIngest.Sub(t0).Seconds(), traceID)
-			tel.stageMatch.ObserveExemplar(tMatch.Sub(tIngest).Seconds(), traceID)
-		}
-		span.Stage("match", tMatch.Sub(t0))
-	}
-
-	seq := walOff
-	if b.log == nil {
-		seq = b.seq.Add(1)
-	}
-	// Advance the lag head monotonically; concurrent publishers may
-	// reach this line out of seq order.
-	for {
-		cur := b.head.Load()
-		if seq <= cur || b.head.CompareAndSwap(cur, seq) {
-			break
-		}
-	}
-	ev := Event{Seq: seq, TraceID: traceID}
-	if detail {
-		rec.Record(telemetry.KindMatch, traceID, ev.Seq,
-			int64(qs.NodesVisited), int64(qs.EntriesTested), int64(qs.LeavesVisited), int64(len(targets)))
-		// The in-broker delivery decision: every matching subscriber gets
-		// its own channel send (unicast fanout; method 0 = none matched).
-		method := int64(0)
-		if len(targets) > 0 {
-			method = 1
-		}
-		ratioPPM := int64(0)
-		if group > 0 {
-			ratioPPM = int64(len(targets)) * 1_000_000 / int64(group)
-		}
-		rec.Record(telemetry.KindDecision, traceID, ev.Seq,
-			method, int64(len(targets)), int64(group), ratioPPM)
-	}
-	sc.prep.reset(p, payload)
-	delivered := 0
-	for _, s := range targets {
-		if b.deliver(s, &ev, &sc.prep, detail, r0) {
-			delivered++
-		}
-	}
-	b.delivered.Add(uint64(delivered))
-
-	rEnd := rec.Now()
-	matchNS := int64(0) // 0 on untraced publishes: the split was not read
-	if detail {
-		matchNS = rMatch - r0
-	}
-	rec.RecordAt(rEnd, telemetry.KindPublish, traceID, ev.Seq,
-		int64(len(targets)), int64(delivered), matchNS, rEnd-r0)
-	if instrumented {
-		now := time.Now()
-		if tel != nil {
-			tel.published.Inc()
-			tel.delivered.Add(uint64(delivered))
-			tel.fanout.Observe(float64(len(targets)))
-			tel.publishLatency.ObserveExemplar(now.Sub(t0).Seconds(), traceID)
-			tel.stageEnqueue.ObserveExemplar(now.Sub(tMatch).Seconds(), traceID)
-		}
-		b.slo.Observe(now.Sub(t0).Seconds())
-		b.selprof.notePoint(p)
-		span.Stage("deliver", now.Sub(tMatch))
-		span.Uint64("seq", ev.Seq)
-		span.Int("fanout", len(targets))
-		span.Int("delivered", delivered)
-		span.Int("nodes_visited", qs.NodesVisited)
-		span.Int("entries_tested", qs.EntriesTested)
-		span.End()
-	}
-	b.putScratch(sc)
-	if delivered == 0 && b.opts.Index != IndexDynamic && b.allShardsClosed() {
-		// Close swapped the snapshots out from under us after we loaded
-		// them: every delivery hit a closed subscription. Report the
-		// broker closed rather than a silent zero-delivery success.
-		return 0, errClosed
-	}
-	return delivered, nil
-}
-
-// deliver sends ev to one subscription, applying its overflow policy
-// when the buffer is full. It runs outside b.mu; s.sendMu excludes a
-// concurrent channel close (closeCh), and the closed check skips
-// subscriptions cancelled after the publisher snapshotted its targets.
-// The event's point/payload clones are materialized lazily, only when a
-// send is actually attempted. detail enables per-subscriber flight
-// records (traced publications only, so a saturated untraced publish
-// writes nothing here).
-//
-//pubsub:commit -- hands the event to subscriber queues; after this the publication is observable
-func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool, nowNS int64) bool {
-	if s.evicting.Load() {
-		return false // CancelSlow eviction pending
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.closed {
-		return false
-	}
-	if s.policy == DropNewest && len(s.ch) == cap(s.ch) {
-		// Fast drop before cloning anything: a saturated DropNewest
-		// subscriber costs the publisher no allocation.
-		s.noteDrop()
-		if detail {
-			b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
-		}
-		return false
-	}
-	pr.materialize(ev)
-	select {
-	case s.ch <- *ev:
-		s.noteDelivered(ev.Seq, nowNS)
-		s.noteDepth()
-		if detail {
-			b.rec.Record(telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(len(s.ch)), 0, 0)
-		}
-		return true
-	default:
-	}
-	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; b.mu is not held
-	return b.deliverOverflow(s, ev, detail, nowNS)
-}
-
-// deliverOverflow applies the subscription's overflow policy after a
-// failed non-blocking send: evict-and-retry for DropOldest, a bounded
-// wait for Block, eviction for CancelSlow, and a counted drop for
-// DropNewest. The caller holds s.sendMu.
-//
-//pubsub:coldpath -- runs only when a subscriber buffer is full; the steady-state fast path is the non-blocking send in deliver
-func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS int64) bool {
-	switch s.policy {
-	case DropOldest:
-		// Evict buffered events until the new one fits. sendMu keeps
-		// other publishers out, but the consumer drains concurrently;
-		// every iteration either sends or removes one event, so the
-		// loop terminates.
-		for {
-			select {
-			case <-s.ch:
-				s.noteDrop()
-				if detail {
-					b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
-				}
-			default:
-			}
-			select {
-			case s.ch <- *ev:
-				s.noteDelivered(ev.Seq, nowNS)
-				s.noteDepth()
-				if detail {
-					b.rec.Record(telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(len(s.ch)), 0, 0)
-				}
-				return true
-			default:
-			}
-		}
-	case Block:
-		t := time.NewTimer(s.blockTimeout)
-		defer t.Stop()
-		select {
-		case s.ch <- *ev:
-			s.noteDelivered(ev.Seq, nowNS)
-			s.noteDepth()
-			if detail {
-				b.rec.Record(telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(len(s.ch)), 0, 0)
-			}
-			return true
-		case <-t.C:
-			s.noteDrop()
-			if detail {
-				b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
-			}
-			return false
-		}
-	case CancelSlow:
-		s.noteDrop()
-		if detail {
-			b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
-		}
-		if s.evicting.CompareAndSwap(false, true) {
-			b.evicted.Add(1)
-			if b.tel != nil {
-				b.tel.evicted.Inc()
-			}
-			// Evictions are rare and diagnostic gold: record them even
-			// for untraced publications.
-			b.rec.Record(telemetry.KindEvict, ev.TraceID, ev.Seq, int64(s.id), 0, 0, 0)
-			// Cancel closes the channel via closeCh, which needs the
-			// sendMu we hold; evict from a fresh goroutine.
-			go s.Cancel()
-		}
-		return false
-	default: // DropNewest
-		s.noteDrop()
-		if detail {
-			b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
-		}
-		return false
-	}
-}
-
 // Stats returns a snapshot of broker counters.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
@@ -1220,7 +765,7 @@ func (b *Broker) Stats() Stats {
 		QueueHighWater: int(b.highWater.Load()),
 	}
 	if ns := b.lastDrop.Load(); ns != 0 {
-		st.LastDrop = time.Unix(0, ns)
+		st.LastDrop = b.rec.WallTime(ns)
 	}
 	return st
 }
@@ -1231,16 +776,15 @@ func (b *Broker) Log() *wal.Log { return b.log }
 
 // Close shuts the broker down: all subscription channels are closed and
 // further Publish/Subscribe calls fail. It waits for the background
-// goroutines (per-shard rebuilders and fan-out workers, if started) to
+// goroutines (per-shard rebuilders and shard workers, if started) to
 // exit. It is idempotent.
 func (b *Broker) Close() {
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return
 	}
-	b.closed = true
-	b.closedFlag.Store(true)
+	b.closed.Store(true)
 	close(b.stop)
 	for id, s := range b.subs {
 		s.closeCh()
@@ -1261,7 +805,7 @@ func (b *Broker) Close() {
 	b.liveRects.Store(0)
 	b.mu.Unlock()
 	// Outside the lock: rebuildShard re-acquires sh.mu before touching
-	// state and bails out on closedFlag; fan-out workers drain their
+	// state and bails out on closed; shard workers finish their
 	// in-flight job (whose shard snapshots are now nil) and exit on
 	// the closed stop channel.
 	b.wg.Wait()

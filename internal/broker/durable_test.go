@@ -1,11 +1,18 @@
 package broker
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"strings"
 	"testing"
 
+	"repro/internal/faultnet"
 	"repro/internal/geometry"
+	"repro/internal/health"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -129,6 +136,77 @@ func TestDurableAppendFailureRefusesPublish(t *testing.T) {
 	case ev := <-sub.Events():
 		t.Fatalf("undurable event %q was delivered", ev.Payload)
 	default:
+	}
+}
+
+// TestClosedDurableBrokerDoesNotAppend: a publication refused because
+// the broker is closed must leave no trace in the log — otherwise a
+// later replay delivers an event whose publisher was told it failed.
+func TestClosedDurableBrokerDoesNotAppend(t *testing.T) {
+	log := openLog(t, t.TempDir(), wal.Options{Sync: wal.SyncAlways})
+	b := New(Options{Log: log})
+	b.Close()
+	before := log.NextOffset()
+	if _, err := b.Publish(geometry.Point{1}, []byte("late")); !errors.Is(err, errClosed) {
+		t.Fatalf("Publish on a closed broker = %v, want errClosed", err)
+	}
+	if after := log.NextOffset(); after != before {
+		t.Fatalf("refused publication moved the log offset %d -> %d", before, after)
+	}
+	if st := b.Stats(); st.Published != 0 {
+		t.Fatalf("Stats.Published = %d after a refused publication, want 0", st.Published)
+	}
+}
+
+// TestRefusedPublishIsObserved: a publication the log refuses still
+// closes its trace — a sampled span with an error attribute, a publish
+// record flagged delivered = -1 — and burns SLO budget; one refused by
+// a closed broker is observed too but is no SLO event.
+func TestRefusedPublishIsObserved(t *testing.T) {
+	var buf bytes.Buffer
+	tr := telemetry.NewTracer(slog.New(slog.NewJSONHandler(&buf, nil)), 1)
+	rec := telemetry.NewRecorder(1024)
+	slo := health.NewSLO(health.SLOOptions{ObjectiveSeconds: 10})
+	d := faultnet.NewDisk(faultnet.DiskOptions{FailWriteAfter: 2})
+	log := openLog(t, t.TempDir(), wal.Options{
+		Sync:        wal.SyncNever,
+		OpenSegment: func(path string) (wal.File, error) { return d.Create(path) },
+	})
+	b := New(Options{Log: log, Tracer: tr, Recorder: rec, SLO: slo})
+	defer b.Close()
+
+	if _, err := b.Publish(geometry.Point{1}, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	_, err := b.Publish(geometry.Point{1}, []byte("doomed"))
+	if !errors.Is(err, faultnet.ErrInjectedWrite) {
+		t.Fatalf("Publish over a failing disk = %v, want ErrInjectedWrite", err)
+	}
+	if out := buf.String(); !strings.Contains(out, `"msg":"publish"`) || !strings.Contains(out, `"error":`) {
+		t.Fatalf("refused publish logged no span with an error attribute: %q", out)
+	}
+	pubs := rec.SnapshotFilter(0, telemetry.KindPublish, 0)
+	if len(pubs) != 2 || pubs[1].Args[1] != -1 {
+		t.Fatalf("publish records = %+v, want the second flagged delivered=-1", pubs)
+	}
+	if st := slo.Status(); st.SlowTotal != 2 || st.SlowBad != 1 {
+		t.Fatalf("SLO saw total=%d bad=%d, want 2 and 1", st.SlowTotal, st.SlowBad)
+	}
+
+	b.Close()
+	buf.Reset()
+	if _, err := b.Publish(geometry.Point{1}, nil); !errors.Is(err, errClosed) {
+		t.Fatalf("Publish on a closed broker = %v, want errClosed", err)
+	}
+	if out := buf.String(); !strings.Contains(out, `"error":"broker: closed"`) {
+		t.Fatalf("closed-broker refusal logged no span with the error: %q", out)
+	}
+	if got := len(rec.SnapshotFilter(0, telemetry.KindPublish, 0)); got != 3 {
+		t.Fatalf("%d publish records after three publications", got)
+	}
+	if st := slo.Status(); st.SlowTotal != 2 || st.SlowBad != 1 {
+		t.Fatalf("closed-broker refusal reached the SLO: total=%d bad=%d", st.SlowTotal, st.SlowBad)
 	}
 }
 

@@ -157,12 +157,10 @@ type IndexReport struct {
 	// SecondsSinceRebuild is the age of the most recent rebuild
 	// install on any shard (broker creation before the first).
 	SecondsSinceRebuild float64 `json:"seconds_since_rebuild"`
-	// ShardCount is how many subscription shards the broker runs;
-	// Fanout is the configured fan-out mode. Shards carries one
-	// per-shard breakdown entry (omitted for the unsharded broker,
-	// whose whole state is the top-level view).
+	// ShardCount is how many subscription shards the broker runs.
+	// Shards carries one per-shard breakdown entry (omitted for the
+	// unsharded broker, whose whole state is the top-level view).
 	ShardCount int         `json:"shard_count"`
-	Fanout     string      `json:"fanout,omitempty"`
 	Shards     []ShardStat `json:"shards,omitempty"`
 	// Shape describes the largest shard's packed base matcher tree
 	// (zero before the first rebuild).
@@ -209,13 +207,11 @@ func (b *Broker) IndexReport() IndexReport {
 		Subscriptions: len(b.subs),
 		Rebuilds:      b.rebuilds.Load(),
 		ShardCount:    len(b.shards),
-		Fanout:        b.opts.Fanout.String(),
 	}
 	var base match.Matcher
 	var lastRebuildNS int64
 	if b.opts.Index == IndexDynamic {
 		rep.Strategy = "dynamic"
-		rep.Fanout = ""
 		if b.dyn != nil {
 			rep.Rectangles = b.dyn.Len()
 			st := b.dyn.Stats()
@@ -360,10 +356,9 @@ func coveringScan(rects []geometry.Rect) (duplicates, covering int) {
 func (b *Broker) RegisterHealth(hr *health.Registry) {
 	hr.Register("broker", func() (health.State, string) {
 		b.mu.RLock()
-		closed := b.closed
 		subs := len(b.subs)
 		b.mu.RUnlock()
-		if closed {
+		if b.closed.Load() {
 			return health.Unhealthy, "broker closed"
 		}
 		if slow := b.slowSubs.Load(); slow > 0 {
@@ -372,14 +367,10 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 		return health.Healthy, fmt.Sprintf("%d subscription(s), head %d", subs, b.head.Load())
 	})
 	hr.Register("rebuilder", func() (health.State, string) {
-		b.mu.RLock()
-		closed := b.closed
-		dynamic := b.opts.Index == IndexDynamic
-		b.mu.RUnlock()
-		if closed {
+		if b.closed.Load() {
 			return health.Unhealthy, "broker closed"
 		}
-		if dynamic {
+		if b.opts.Index == IndexDynamic {
 			return health.Healthy, "dynamic index: no rebuilder"
 		}
 		// Any one shard stuck past the StaleWindow degrades the broker:

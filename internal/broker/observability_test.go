@@ -27,13 +27,12 @@ func TestExemplarRecordingUnderParallelFanout(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	slo := health.NewSLO(health.SLOOptions{ObjectiveSeconds: 10}) // generous: nothing bad, just exercised
-	b := New(Options{
+	b := withWorkers(New(Options{
 		Shards:     4,
-		Fanout:     FanoutParallel,
 		MinOverlay: 4,
 		Metrics:    reg,
 		SLO:        slo,
-	})
+	}))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -1,0 +1,614 @@
+package broker
+
+import (
+	"errors"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/geometry"
+	"repro/internal/match"
+	"repro/internal/rtree"
+	"repro/internal/telemetry"
+)
+
+// autoParallelMinRects is the live-rectangle population from which a
+// publication's shards are offered to the shard workers. Below it the
+// per-publish hand-off costs more than the matching it overlaps; the
+// value comes from the BenchmarkPublishSharded table in DESIGN.md §14.
+const autoParallelMinRects = 32768
+
+// matchScratch is one goroutine's reusable matching memory: matched
+// slot ids and the subscriptions they resolve to, for one shard at a
+// time. The publisher's lives in its pooled pubCtx; each shard worker
+// owns one for its lifetime.
+type matchScratch struct {
+	ids     []int
+	targets []*Subscription
+}
+
+// shardResult is what one shard's match+enqueue step reports. Each
+// pubCtx slot is written by exactly one goroutine (the publisher or
+// that shard's worker) and read by the publisher after the hand-off
+// barrier, so the merge is a plain loop.
+type shardResult struct {
+	targets   int // matched subscriptions
+	delivered int // successful channel sends
+	matchNS   int64
+	enqueueNS int64
+	qs        match.QueryStats
+}
+
+func (r *shardResult) add(o *shardResult) {
+	r.targets += o.targets
+	r.delivered += o.delivered
+	r.matchNS += o.matchNS
+	r.enqueueNS += o.enqueueNS
+	r.qs.Add(o.qs)
+}
+
+// pubCtx is the pooled per-publication context the staged pipeline
+// threads through: ingest → per-shard match then enqueue → observe.
+// Every clock value in it is a reading of the recorder's monotonic
+// clock; an unmetered publication reads it twice (t0 and observe's
+// end stamp).
+type pubCtx struct {
+	ev      Event     // TraceID, and Seq once ingest assigned it
+	prep    eventPrep // the publication's point and payload, cloned lazily
+	span    *telemetry.Span
+	detail  bool  // traced: write per-stage and per-subscriber flight records
+	metered bool  // stamp stages and collect query stats (detail, metrics or SLO on)
+	err     error // why the publication was refused, if it was
+
+	t0      int64 // publish entry
+	tIngest int64 // ingest done, fan-out begins (metered only)
+
+	sc  matchScratch  // the publisher goroutine's scratch
+	res []shardResult // one slot per shard
+	sum shardResult   // res merged
+
+	// Hand-off barrier: handed counts the shards a worker accepted; each
+	// worker adds 1 to pending when done and the publisher subtracts
+	// handed, so whoever brings it back to 0 came last. A worker that
+	// came last wakes the publisher through done (capacity 1, so the
+	// worker never blocks). Untouched when nothing was handed off.
+	handed  int
+	pending atomic.Int32
+	done    chan struct{}
+}
+
+// eventPrep defers the per-publish allocations (point clone, payload
+// clone) until the first delivery actually needs them. A publish whose
+// matches all hit full DropNewest buffers — or match nothing — allocates
+// nothing at all. One prep may be shared by several delivering
+// goroutines when shard workers take part: the clones are created once
+// under mu and published through the done flag (atomic release/acquire),
+// so every delivery of one publication shares the same point/payload
+// clones.
+type eventPrep struct {
+	src     geometry.Point
+	payload []byte
+	point   geometry.Point
+	cloned  []byte
+	done    atomic.Bool
+	mu      sync.Mutex
+}
+
+// reset rearms the prep for a new publication (or clears its caller
+// references before pooling). Field-wise on purpose: the struct holds
+// a mutex and must never be copied.
+func (pr *eventPrep) reset(p geometry.Point, payload []byte) {
+	pr.src = p
+	pr.payload = payload
+	pr.point = nil
+	pr.cloned = nil
+	pr.done.Store(false)
+}
+
+// materialize fills ev's Point and Payload from the prep, cloning the
+// publication's point and payload on the first call.
+//
+//pubsub:hotpath
+func (pr *eventPrep) materialize(ev *Event) {
+	if !pr.done.Load() {
+		pr.clone()
+	}
+	ev.Point = pr.point
+	ev.Payload = pr.cloned
+}
+
+// clone creates the shared point/payload clones, once per publication.
+//
+//pubsub:coldpath -- lazy materialization: clones happen only when a delivery is actually attempted, off the zero-alloc match path
+func (pr *eventPrep) clone() {
+	pr.mu.Lock()
+	if !pr.done.Load() {
+		pr.point = pr.src.Clone()
+		if pr.payload != nil {
+			pr.cloned = append([]byte(nil), pr.payload...)
+		}
+		pr.done.Store(true)
+	}
+	pr.mu.Unlock()
+}
+
+// Publish routes an event to every matching live subscriber. It returns
+// the number of subscriber channels the event was delivered to (dropped
+// deliveries are excluded). The payload is cloned once per publish, so
+// the caller may reuse its buffer immediately; subscribers of one
+// publication share the clone and must treat it as read-only.
+//
+// Under IndexRebuild, Publish takes no lock: it matches against the
+// immutable snapshots installed by the most recent mutations and uses a
+// pooled context, so the steady-state publish path performs no heap
+// allocation. A closed broker refuses the publication before it is
+// logged or numbered. A Publish racing Close may pass that check and
+// then find every subscription already closed; it is reported as
+// errClosed too, though its Seq (and WAL record) exist — Seq values are
+// unique and ordered, not dense.
+//
+//pubsub:hotpath
+func (b *Broker) Publish(p geometry.Point, payload []byte) (int, error) {
+	return b.PublishTraced(p, payload, 0)
+}
+
+// PublishTraced is Publish with an explicit trace id correlating the
+// publication across processes. A zero id (the Publish path) makes the
+// broker assign a fresh one at ingest; either way the id travels on the
+// delivered Event and on every flight-recorder record.
+//
+// The flight recorder always gets one compact publish record (fanout,
+// deliveries, latency) — also for a refused publication. Per-stage
+// detail records — match effort, dispatch decision, per-subscriber
+// deliver/drop — are written only for traced publications: those
+// arriving with an explicit (wire-assigned) id, or sampled by the
+// tracer. In-process untraced publishes therefore stay within the
+// zero-alloc, low-overhead hot-path budget.
+//
+//pubsub:hotpath
+func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64) (int, error) {
+	pc := b.ctxs.Get().(*pubCtx)
+	pc.detail = traceID != 0
+	if traceID == 0 {
+		traceID = telemetry.NewTraceID()
+	}
+	pc.span = b.tracer.StartWith("publish", traceID)
+	pc.detail = pc.detail || pc.span != nil
+	// Telemetry vanishes when disabled: with no registry, no SLO and no
+	// trace, metered is false and the pipeline reads no stage clock and
+	// collects no traversal stats.
+	pc.metered = pc.detail || b.tel != nil || b.slo != nil
+	pc.ev = Event{TraceID: traceID}
+	pc.prep.reset(p, payload)
+	pc.sum, pc.handed = shardResult{}, 0
+	pc.t0 = b.rec.Now()
+
+	b.publish(pc)
+
+	delivered, err := pc.sum.delivered, pc.err
+	// Nothing caller-owned (point, payload) may outlive the call in the
+	// pool.
+	pc.prep.reset(nil, nil)
+	pc.span, pc.err = nil, nil
+	b.ctxs.Put(pc)
+	return delivered, err
+}
+
+// publish is the whole pipeline for one publication. Each shard's
+// match-then-enqueue step (runShard) runs on the publisher goroutine
+// unless the broker is large enough for the hand-off to pay and that
+// shard's worker is idle to take it; a busy worker costs nothing, the
+// publisher just does the shard itself. Every exit, refusals included,
+// passes through observe.
+//
+//pubsub:hotpath
+func (b *Broker) publish(pc *pubCtx) {
+	err := b.ingest(pc)
+	if err == nil {
+		if pc.metered {
+			pc.tIngest = b.rec.Now()
+		}
+		offer := b.liveRects.Load() >= b.offerMin
+		for _, sh := range b.shards[1:] {
+			if offer {
+				select {
+				case sh.work <- pc:
+					pc.handed++
+					continue
+				default: // worker busy with another publication
+				}
+			}
+			b.runShard(pc, sh, &pc.sc)
+		}
+		b.runShard(pc, b.shards[0], &pc.sc)
+		if pc.handed > 0 && pc.pending.Add(int32(-pc.handed)) != 0 {
+			<-pc.done
+		}
+		for i := range pc.res {
+			pc.sum.add(&pc.res[i])
+		}
+		b.delivered.Add(uint64(pc.sum.delivered))
+		if pc.sum.delivered == 0 && b.closed.Load() {
+			// Close ran after ingest let us in: whatever we matched was
+			// already closed. Say so rather than report a silent
+			// zero-delivery success.
+			err = errClosed
+		}
+	}
+	pc.err = err
+	b.observe(pc)
+}
+
+// ingest admits one publication: refuse it if the broker is closed,
+// make it durable if a log is configured, give it its sequence number
+// and advance the lag head.
+//
+// The append must precede every snapshot load: a subscriber registered
+// before some reader observed NextOffset() == N had its snapshot
+// published before that observation, so every publication with offset
+// >= N loads a snapshot containing it and is delivered live, while
+// offsets < N fall inside the reader's replay range — no gap between
+// replay and live fanout. A failed append refuses the publication
+// outright: never acked, never delivered.
+//
+//pubsub:hotpath
+func (b *Broker) ingest(pc *pubCtx) error {
+	if b.closed.Load() {
+		return errClosed
+	}
+	var seq uint64
+	if b.log != nil {
+		off, err := b.log.Append(pc.ev.TraceID, pc.prep.src, pc.prep.payload)
+		if err != nil {
+			return err
+		}
+		seq = off
+	} else {
+		seq = b.seq.Add(1)
+	}
+	// Concurrent publishers may arrive here out of seq order; the head
+	// only moves forward.
+	raise(&b.head, seq)
+	pc.ev.Seq = seq
+	return nil
+}
+
+// runShard is one shard's share of a publication: match the point
+// against the shard's index, enqueue the event on every matched
+// subscription, and leave the counts and stage times in the shard's
+// result slot. sc belongs to the calling goroutine. Under IndexDynamic
+// the single nominal shard's match step is the broker-wide dynamic
+// tree instead of a snapshot.
+//
+//pubsub:hotpath
+func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
+	var r shardResult
+	var now int64
+	if pc.metered {
+		now = b.rec.Now()
+	}
+	sc.targets = sc.targets[:0]
+	if b.opts.Index == IndexDynamic {
+		b.matchDynamic(pc.prep.src, sc, pc.metered, &r.qs)
+	} else if snap := sh.snap.Load(); snap != nil { // nil once Close swapped it out
+		matchSnapshot(snap, pc.prep.src, sc, pc.metered, &r.qs)
+	}
+	r.targets = len(sc.targets)
+	if pc.metered {
+		t := b.rec.Now()
+		r.matchNS, now = t-now, t
+	}
+	// materialize writes the clones into the Event it is handed, so each
+	// goroutine delivers from its own copy.
+	ev := pc.ev
+	for _, s := range sc.targets {
+		if b.deliver(s, &ev, &pc.prep, pc.detail, pc.t0) {
+			r.delivered++
+		}
+	}
+	if pc.metered {
+		r.enqueueNS = b.rec.Now() - now
+	}
+	pc.res[sh.idx] = r
+}
+
+// shardWorker is one shard's goroutine: it takes the publications the
+// publisher offers it and runs its shard's step for them. Started by
+// startWorkers, stopped by Close.
+//
+//pubsub:hotpath
+func (b *Broker) shardWorker(sh *shard) {
+	defer b.wg.Done()
+	var sc matchScratch
+	for {
+		select {
+		case <-b.stop:
+			return
+		case pc := <-sh.work:
+			b.runShard(pc, sh, &sc)
+			if pc.pending.Add(1) == 0 {
+				pc.done <- struct{}{}
+			}
+		}
+	}
+}
+
+// startWorkers starts a worker for every shard but the first (the
+// publisher always keeps one for itself) and arms the population
+// threshold from which publications are offered to them. go statements
+// allocate, so this runs from New, never from the publish path. New
+// calls it when the auto rule can ever hold; package tests call it to
+// reach the worker path on any machine at any population.
+func (b *Broker) startWorkers(minRects int64) {
+	for _, sh := range b.shards[1:] {
+		sh.work = make(chan *pubCtx)
+		b.wg.Add(1)
+		go b.shardWorker(sh)
+	}
+	b.offerMin = minRects
+}
+
+// matchSnapshot matches p against one shard snapshot, leaving the
+// matched subscriptions in sc.targets. A subscription's rectangles
+// never straddle shards, so the per-shard dedup below is complete
+// dedup.
+//
+//pubsub:hotpath
+func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, stats bool, qs *match.QueryStats) {
+	sc.ids = sc.ids[:0]
+	if snap.base != nil {
+		if sm, ok := snap.base.(match.StatsMatcher); ok && stats {
+			var bs match.QueryStats
+			sc.ids, bs = sm.MatchAppendStats(p, sc.ids)
+			qs.Add(bs)
+		} else {
+			sc.ids = snap.base.MatchAppend(p, sc.ids)
+		}
+	}
+	for _, slot := range sc.ids {
+		sc.targets = append(sc.targets, snap.slots[slot])
+	}
+	for i := range snap.overlay {
+		e := &snap.overlay[i]
+		if e.rect.Contains(p) {
+			sc.targets = append(sc.targets, e.sub)
+			if stats {
+				qs.Matched++
+			}
+		}
+	}
+	if stats {
+		qs.EntriesTested += len(snap.overlay)
+	}
+	// Deduplicate only when some subscription in this shard holds
+	// several rectangles; otherwise every target is distinct already.
+	if snap.multiRect && len(sc.targets) > 1 {
+		sc.targets = dedupTargets(sc.targets)
+	}
+}
+
+// matchDynamic is the IndexDynamic match step: the dynamic tree is
+// mutated in place by Subscribe/Cancel, so the query and the id→
+// subscription resolution run under the broker's read lock.
+//
+//pubsub:hotpath
+func (b *Broker) matchDynamic(p geometry.Point, sc *matchScratch, stats bool, qs *match.QueryStats) {
+	sc.ids = sc.ids[:0]
+	b.mu.RLock()
+	if b.dyn != nil {
+		if stats {
+			var ds rtree.QueryStats
+			sc.ids, ds = b.dyn.PointQueryAppendStats(p, sc.ids)
+			qs.Add(match.QueryStats{NodesVisited: ds.NodesVisited, LeavesVisited: ds.LeavesVisited, EntriesTested: ds.EntriesTested, Matched: ds.ResultsMatched})
+		} else {
+			sc.ids = b.dyn.PointQueryAppend(p, sc.ids)
+		}
+	}
+	for _, id := range sc.ids {
+		if s, live := b.subs[id]; live {
+			sc.targets = append(sc.targets, s)
+		}
+	}
+	multiRect := b.multiRect
+	b.mu.RUnlock()
+	if multiRect && len(sc.targets) > 1 {
+		sc.targets = dedupTargets(sc.targets)
+	}
+}
+
+// dedupTargets sorts targets by subscription id and compacts exact
+// duplicates in place, returning the shortened slice.
+//
+//pubsub:hotpath
+func dedupTargets(targets []*Subscription) []*Subscription {
+	slices.SortFunc(targets, func(x, y *Subscription) int { return x.id - y.id })
+	w := 1
+	for i := 1; i < len(targets); i++ {
+		if targets[i] != targets[w-1] {
+			targets[w] = targets[i]
+			w++
+		}
+	}
+	return targets[:w]
+}
+
+// observe is the one place a publication is reported: the flight
+// recorder, the metric histograms with their trace-id exemplars, the
+// SLO feed, the selectivity profile and the sampled span all read the
+// same context, so every arrangement of shards and workers reports the
+// same stages with the same meaning. The match and enqueue stages are
+// time summed over shards; with workers their sum can exceed the total.
+//
+// A refused publication still closes its trace (publish record with
+// delivered = -1, span with an error attribute) and burns SLO budget
+// when the log refused it; a closed broker is not a service failure.
+//
+//pubsub:hotpath
+func (b *Broker) observe(pc *pubCtx) {
+	rec, sum := b.rec, &pc.sum
+	tid, seq := pc.ev.TraceID, pc.ev.Seq
+	tEnd := rec.Now()
+	total := tEnd - pc.t0
+	delivered := int64(sum.delivered)
+	if pc.err != nil {
+		delivered = -1
+	} else if pc.detail {
+		// Stamped where the stage they describe began, so a trace's
+		// timeline reads match, decision, deliveries, publish on every
+		// path although all three are written here.
+		rec.RecordAt(pc.tIngest, telemetry.KindMatch, tid, seq,
+			int64(sum.qs.NodesVisited), int64(sum.qs.EntriesTested), int64(sum.qs.LeavesVisited), int64(sum.targets))
+		// The in-broker delivery decision: every matching subscriber gets
+		// its own channel send (unicast fanout; method 0 = none matched),
+		// chosen among the live rectangles.
+		method, ratioPPM, group := int64(0), int64(0), b.liveRects.Load()
+		if sum.targets > 0 {
+			method = 1
+		}
+		if group > 0 {
+			ratioPPM = int64(sum.targets) * 1_000_000 / group
+		}
+		rec.RecordAt(pc.tIngest, telemetry.KindDecision, tid, seq,
+			method, int64(sum.targets), group, ratioPPM)
+	}
+	rec.RecordAt(tEnd, telemetry.KindPublish, tid, seq,
+		int64(sum.targets), delivered, sum.matchNS, total)
+	if !pc.metered {
+		return
+	}
+	span := pc.span
+	if pc.err != nil {
+		b.observeRefused(pc)
+	} else {
+		ingestNS := pc.tIngest - pc.t0
+		if tel := b.tel; tel != nil {
+			tel.published.Inc()
+			tel.delivered.Add(uint64(sum.delivered))
+			tel.fanout.Observe(float64(sum.targets))
+			tel.nodesVisited.Observe(float64(sum.qs.NodesVisited))
+			tel.leavesVisited.Observe(float64(sum.qs.LeavesVisited))
+			tel.entriesTested.Observe(float64(sum.qs.EntriesTested))
+			tel.publishLatency.ObserveExemplar(time.Duration(total).Seconds(), tid)
+			tel.stageIngest.ObserveExemplar(time.Duration(ingestNS).Seconds(), tid)
+			tel.stageMatch.ObserveExemplar(time.Duration(sum.matchNS).Seconds(), tid)
+			tel.stageEnqueue.ObserveExemplar(time.Duration(sum.enqueueNS).Seconds(), tid)
+			if pc.handed > 0 {
+				tel.workerFanouts.Inc()
+			}
+			// Per-shard attribution: where publish cost concentrates.
+			for i := range pc.res {
+				ns := pc.res[i].matchNS
+				b.shards[i].matchNS.Add(ns)
+				tel.shardMatch[i].ObserveDuration(time.Duration(ns))
+			}
+		}
+		b.slo.Observe(time.Duration(total).Seconds())
+		b.selprof.notePoint(pc.prep.src)
+		span.Stage(telemetry.StageIngest, time.Duration(ingestNS))
+		span.Stage(telemetry.StageMatch, time.Duration(sum.matchNS))
+		span.Stage(telemetry.StageEnqueue, time.Duration(sum.enqueueNS))
+		span.Uint64("seq", seq)
+		span.Int("fanout", sum.targets)
+		span.Int("delivered", sum.delivered)
+		span.Int("nodes_visited", sum.qs.NodesVisited)
+		span.Int("entries_tested", sum.qs.EntriesTested)
+	}
+	span.End()
+}
+
+// observeRefused reports why a publication was refused: to the SLO when
+// the log failed it, and on its span.
+//
+//pubsub:coldpath -- refusals only: the log failed the append or the broker is closed
+func (b *Broker) observeRefused(pc *pubCtx) {
+	if !errors.Is(pc.err, errClosed) {
+		b.slo.ObserveBad()
+	}
+	pc.span.Str("error", pc.err.Error())
+}
+
+// deliver sends ev to one subscription, applying its overflow policy
+// when the buffer is full. It runs outside b.mu; s.sendMu excludes a
+// concurrent channel close (closeCh), and the closed check skips
+// subscriptions cancelled after the publisher snapshotted its targets.
+// The event's point/payload clones are materialized lazily, only when a
+// send is actually attempted. detail enables per-subscriber flight
+// records (traced publications only, so a saturated untraced publish
+// writes nothing here). nowNS is the publication's entry stamp, the
+// time both outcomes are booked at, so neither reads a clock.
+//
+//pubsub:commit -- hands the event to subscriber queues; after this the publication is observable
+func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool, nowNS int64) bool {
+	if s.evicting.Load() {
+		return false // CancelSlow eviction pending
+	}
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	if s.closed {
+		return false
+	}
+	if s.policy == DropNewest && len(s.ch) == cap(s.ch) {
+		// Fast drop before cloning anything: a saturated DropNewest
+		// subscriber costs the publisher no allocation.
+		return s.lost(ev, nowNS, detail)
+	}
+	pr.materialize(ev)
+	select {
+	case s.ch <- *ev:
+		return s.sent(ev, nowNS, detail)
+	default:
+	}
+	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; b.mu is not held
+	return b.deliverOverflow(s, ev, detail, nowNS)
+}
+
+// deliverOverflow applies the subscription's overflow policy after a
+// failed non-blocking send: evict-and-retry for DropOldest, a bounded
+// wait for Block, eviction for CancelSlow; whatever does not get the
+// event in ends as a counted drop. The caller holds s.sendMu.
+//
+//pubsub:coldpath -- runs only when a subscriber buffer is full; the steady-state fast path is the non-blocking send in deliver
+func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS int64) bool {
+	switch s.policy {
+	case DropOldest:
+		// Evict buffered events until the new one fits. sendMu keeps
+		// other publishers out, but the consumer drains concurrently;
+		// every iteration either sends or removes one event, so the
+		// loop terminates.
+		for {
+			select {
+			case <-s.ch:
+				s.lost(ev, nowNS, detail)
+			default:
+			}
+			select {
+			case s.ch <- *ev:
+				return s.sent(ev, nowNS, detail)
+			default:
+			}
+		}
+	case Block:
+		t := time.NewTimer(s.blockTimeout)
+		defer t.Stop()
+		select {
+		case s.ch <- *ev:
+			return s.sent(ev, nowNS, detail)
+		case <-t.C:
+		}
+	case CancelSlow:
+		if s.evicting.CompareAndSwap(false, true) {
+			b.evicted.Add(1)
+			if b.tel != nil {
+				b.tel.evicted.Inc()
+			}
+			// Evictions are rare and diagnostic gold: record them even
+			// for untraced publications.
+			b.rec.Record(telemetry.KindEvict, ev.TraceID, ev.Seq, int64(s.id), 0, 0, 0)
+			// Cancel closes the channel via closeCh, which needs the
+			// sendMu we hold; evict from a fresh goroutine.
+			go s.Cancel()
+		}
+	}
+	return s.lost(ev, nowNS, detail)
+}

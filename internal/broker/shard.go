@@ -46,11 +46,11 @@ type shard struct {
 	b   *Broker
 	idx int
 
-	// fanCh hands publications to this shard's dedicated fan-out
-	// worker; nil when the broker runs without workers (single shard,
-	// or sequential fan-out). Unbuffered: a successful send guarantees
-	// the worker processes exactly that job.
-	fanCh chan *fanJob
+	// work hands publications to this shard's worker; nil when the
+	// broker runs without workers (and always for shard 0, which the
+	// publisher keeps). Unbuffered: a successful send means the worker
+	// has taken exactly that publication.
+	work chan *pubCtx
 
 	mu        sync.Mutex
 	subs      map[int]*Subscription
@@ -81,10 +81,9 @@ type shard struct {
 	lastRebuildNS atomic.Int64
 
 	// Cumulative match cost attributed to this shard (recorder-clock
-	// nanoseconds and walk count), accumulated per publish when metrics
-	// are on. The imbalance gauge reads max/mean across shards.
-	matchNS    atomic.Int64
-	matchCount atomic.Int64
+	// nanoseconds), accumulated per publish when metrics are on. The
+	// imbalance gauge reads max/mean across shards.
+	matchNS atomic.Int64
 }
 
 func newShard(b *Broker, idx int) *shard {
@@ -161,7 +160,7 @@ func (b *Broker) shardRebuildLoop(sh *shard) {
 // new base.
 func (b *Broker) rebuildShard(sh *shard) {
 	sh.mu.Lock()
-	if b.closedFlag.Load() {
+	if b.closed.Load() {
 		sh.mu.Unlock()
 		return
 	}
@@ -182,7 +181,7 @@ func (b *Broker) rebuildShard(sh *shard) {
 		sh.overlay = nil
 		sh.publishSnapshotLocked()
 		sh.mu.Unlock()
-		sh.finishRebuild(0, 0, b.rec.Now(), time.Time{})
+		sh.finishRebuild(0, 0, b.rec.Now())
 		return
 	}
 	cut := sh.maxID
@@ -201,10 +200,6 @@ func (b *Broker) rebuildShard(sh *shard) {
 	sh.mu.Unlock()
 
 	r0 := b.rec.Now()
-	var t0 time.Time
-	if b.tel != nil {
-		t0 = time.Now()
-	}
 	idx, err := match.New(entries, b.opts.Matcher)
 	if err != nil {
 		// Mixed dimensionalities across subscriptions make a tree index
@@ -214,7 +209,7 @@ func (b *Broker) rebuildShard(sh *shard) {
 
 	sh.mu.Lock()
 	sh.rebuilding = false
-	if b.closedFlag.Load() {
+	if b.closed.Load() {
 		sh.mu.Unlock()
 		return
 	}
@@ -236,7 +231,7 @@ func (b *Broker) rebuildShard(sh *shard) {
 	again := sh.rebuildDueLocked()
 	sh.mu.Unlock()
 
-	sh.finishRebuild(len(entries), overlayLeft, r0, t0)
+	sh.finishRebuild(len(entries), overlayLeft, r0)
 	if again {
 		select {
 		case sh.rebuildCh <- struct{}{}:
@@ -247,20 +242,20 @@ func (b *Broker) rebuildShard(sh *shard) {
 
 // finishRebuild bumps the shard and broker rebuild counters and writes
 // the rebuild flight record (the record's seq field carries the shard
-// index — rebuilds have no publication sequence).
-func (sh *shard) finishRebuild(entries, overlayLeft int, r0 int64, t0 time.Time) {
+// index — rebuilds have no publication sequence). r0 is when the build
+// began on the recorder clock, the broker's only clock.
+func (sh *shard) finishRebuild(entries, overlayLeft int, r0 int64) {
 	b := sh.b
 	sh.rebuilds.Add(1)
 	total := b.rebuilds.Add(1)
-	sh.lastRebuildNS.Store(b.rec.Now())
-	b.rec.Record(telemetry.KindRebuild, 0, uint64(sh.idx),
-		int64(entries), int64(overlayLeft), b.rec.Now()-r0, int64(total))
+	now := b.rec.Now()
+	sh.lastRebuildNS.Store(now)
+	b.rec.RecordAt(now, telemetry.KindRebuild, 0, uint64(sh.idx),
+		int64(entries), int64(overlayLeft), now-r0, int64(total))
 	if b.tel != nil {
 		b.tel.rebuilds.Inc()
-		b.tel.shardRebuild(sh.idx)
-		if !t0.IsZero() {
-			b.tel.rebuildLatency.ObserveDuration(time.Since(t0))
-		}
+		b.tel.shardRebuilds[sh.idx].Inc()
+		b.tel.rebuildLatency.ObserveDuration(time.Duration(now - r0))
 	}
 }
 

@@ -1,14 +1,21 @@
 package broker
 
 import (
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/geometry"
 	"repro/internal/invariant"
+	"repro/internal/telemetry"
+	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // TestShardIndexStableAndBalanced checks the id→shard mapping: stable,
@@ -76,21 +83,37 @@ func TestShardedSubscriptionPlacement(t *testing.T) {
 	}
 }
 
-// shardEquivCase is one broker configuration under the equivalence
-// test.
-type shardEquivCase struct {
-	name string
-	opts Options
+// withWorkers forces every publication of b through the shard workers,
+// whatever the machine and the population: it starts them if New's
+// auto rule did not and drops the offer threshold to zero. Call it
+// before the first publish.
+func withWorkers(b *Broker) *Broker {
+	if len(b.shards) > 1 && b.shards[1].work == nil {
+		b.startWorkers(0)
+	}
+	b.offerMin = 0
+	return b
 }
 
-// TestShardedMatchingEquivalence proves sharded matching ≡ single-shard
-// ≡ brute-force oracle on a randomized workload with multi-rectangle
-// subscriptions, churn (cancellations mid-stream), and rebuilds in
-// flight (MinOverlay is tiny). Every publish's delivered count is
-// checked against the oracle, and afterwards every subscriber's
-// received multiset is too. Building with -tags=invariants scales the
+// inlineOnly keeps every shard on the publisher goroutine even where
+// the auto rule would offer them to workers.
+func inlineOnly(b *Broker) *Broker {
+	b.offerMin = math.MaxInt64
+	return b
+}
+
+// TestPublishArrangementsEquivalence runs one randomized workload —
+// multi-rectangle subscriptions, cancellations mid-stream, rebuilds in
+// flight (MinOverlay is tiny) — through every arrangement of the
+// publish pipeline: one shard, four shards run by the publisher, four
+// shards offered to workers, and the dynamic index, each in memory and
+// over a durable log. Every arrangement must deliver exactly what the
+// brute-force oracle says, and must be observed the same way: the
+// same stage labels, a match time on traced publishes, one publish
+// record per publication, and no allocation on an untraced
+// steady-state publish. Building with -tags=invariants scales the
 // workload up.
-func TestShardedMatchingEquivalence(t *testing.T) {
+func TestPublishArrangementsEquivalence(t *testing.T) {
 	subsN, pointsN := 60, 200
 	if invariant.Enabled {
 		subsN, pointsN = 150, 500
@@ -129,87 +152,178 @@ func TestShardedMatchingEquivalence(t *testing.T) {
 		return false
 	}
 
-	cases := []shardEquivCase{
-		{"single-shard", Options{Shards: 1, MinOverlay: 4}},
-		{"4-shards-sequential", Options{Shards: 4, MinOverlay: 4, Fanout: FanoutSequential}},
-		{"4-shards-parallel", Options{Shards: 4, MinOverlay: 4, Fanout: FanoutParallel}},
-		{"7-shards-auto", Options{Shards: 7, MinOverlay: 4}},
+	arrangements := []struct {
+		name    string
+		opts    Options
+		workers bool
+	}{
+		{"1-shard", Options{Shards: 1, MinOverlay: 4}, false},
+		{"4-shards-inline", Options{Shards: 4, MinOverlay: 4}, false},
+		{"4-shards-workers", Options{Shards: 4, MinOverlay: 4}, true},
+		{"dynamic", Options{Index: IndexDynamic}, false},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := New(tc.opts)
-			defer b.Close()
-			subs := make([]*Subscription, subsN)
-			for i, spec := range specs {
-				s, err := b.SubscribeWith(SubscribeOptions{Buffer: pointsN + 1}, spec.rects...)
-				if err != nil {
+	for _, arr := range arrangements {
+		for _, durable := range []bool{false, true} {
+			name := arr.name + "/memory"
+			if durable {
+				name = arr.name + "/durable"
+			}
+			t.Run(name, func(t *testing.T) {
+				reg := telemetry.NewRegistry()
+				rec := telemetry.NewRecorder(1 << 14)
+				opts := arr.opts
+				opts.Metrics, opts.Recorder = reg, rec
+				if durable {
+					opts.Log = openLog(t, t.TempDir(), wal.Options{Sync: wal.SyncNever})
+				}
+				b := New(opts)
+				defer b.Close()
+				if arr.workers {
+					withWorkers(b)
+				} else {
+					inlineOnly(b)
+				}
+				published := 0
+				publish := func(p geometry.Point, trace uint64) int {
+					t.Helper()
+					n, err := b.PublishTraced(p, nil, trace)
+					if err != nil {
+						t.Fatal(err)
+					}
+					published++
+					return n
+				}
+
+				subs := make([]*Subscription, subsN)
+				for i, spec := range specs {
+					s, err := b.SubscribeWith(SubscribeOptions{Buffer: pointsN + 1}, spec.rects...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs[i] = s
+				}
+				// One saturated subscriber off to the side, outside the
+				// oracle's space: the steady-state publish below matches
+				// it and drops, the allocation-free path that matters.
+				side := geometry.Point{205, 205}
+				if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, geometry.NewRect(200, 210, 200, 210)); err != nil {
 					t.Fatal(err)
 				}
-				subs[i] = s
-			}
-			for pi := 0; pi < phase1; pi++ {
-				want := 0
-				for i := range specs {
-					if matches(i, points[pi]) {
-						want++
+				if n := publish(side, 0); n != 1 {
+					t.Fatalf("fill publish delivered to %d, want 1", n)
+				}
+				if arr.workers {
+					// Freshly started workers take offers only once they
+					// are parked on their channel; wait for the first
+					// hand-off so the rest of the test really runs there.
+					deadline := time.Now().Add(5 * time.Second)
+					for reg.CounterValue("pubsub_broker_parallel_fanouts_total") == 0 {
+						if time.Now().After(deadline) {
+							t.Fatal("no shard worker ever took an offer")
+						}
+						publish(side, 0)
+						runtime.Gosched()
 					}
 				}
-				got, err := b.Publish(points[pi], nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("phase1 point %d delivered to %d subs, oracle says %d", pi, got, want)
-				}
-			}
-			for i := range subs {
-				if cancelled(i) {
-					subs[i].Cancel()
-				}
-			}
-			for pi := phase1; pi < pointsN; pi++ {
-				want := 0
-				for i := range specs {
-					if !cancelled(i) && matches(i, points[pi]) {
-						want++
+
+				for pi := 0; pi < phase1; pi++ {
+					want := 0
+					for i := range specs {
+						if matches(i, points[pi]) {
+							want++
+						}
+					}
+					if got := publish(points[pi], 0); got != want {
+						t.Fatalf("phase1 point %d delivered to %d subs, oracle says %d", pi, got, want)
 					}
 				}
-				got, err := b.Publish(points[pi], nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("phase2 point %d delivered to %d subs, oracle says %d", pi, got, want)
-				}
-			}
-			b.Close()
-			// Drain every subscriber and compare its received multiset
-			// against the oracle; distinct random points mean exact-value
-			// keys are unambiguous.
-			for i, s := range subs {
-				got := map[[2]float64]int{}
-				for ev := range s.Events() {
-					got[[2]float64{ev.Point[0], ev.Point[1]}]++
-				}
-				want := map[[2]float64]int{}
-				for pi, p := range points {
-					if pi >= phase1 && cancelled(i) {
-						continue
-					}
-					if matches(i, p) {
-						want[[2]float64{p[0], p[1]}]++
+				for i := range subs {
+					if cancelled(i) {
+						subs[i].Cancel()
 					}
 				}
-				if len(got) != len(want) {
-					t.Fatalf("sub %d received %d distinct points, want %d", i, len(got), len(want))
-				}
-				for k, n := range want {
-					if got[k] != n {
-						t.Fatalf("sub %d received point %v %d times, want %d (dup = dedup failure)", i, k, got[k], n)
+				for pi := phase1; pi < pointsN; pi++ {
+					want := 0
+					for i := range specs {
+						if !cancelled(i) && matches(i, points[pi]) {
+							want++
+						}
+					}
+					if got := publish(points[pi], 0); got != want {
+						t.Fatalf("phase2 point %d delivered to %d subs, oracle says %d", pi, got, want)
 					}
 				}
-			}
-		})
+
+				// Observed the same way everywhere. A traced publish
+				// carries a match time...
+				trace := telemetry.NewTraceID()
+				publish(side, trace)
+				pubs := rec.SnapshotFilter(trace, telemetry.KindPublish, 0)
+				if len(pubs) != 1 || pubs[0].Args[2] <= 0 {
+					t.Fatalf("traced publish records = %+v, want one with match_ns > 0", pubs)
+				}
+				all := rec.SnapshotFilter(trace, telemetry.KindNone, 0)
+				if last := all[len(all)-1].Kind; last != telemetry.KindPublish {
+					t.Fatalf("trace ends with a %v record, want publish", last)
+				}
+				// ...every publication wrote exactly one publish record...
+				if got := len(rec.SnapshotFilter(0, telemetry.KindPublish, 0)); got != published {
+					t.Fatalf("%d publish records for %d publications", got, published)
+				}
+				// ...the stage family holds the three broker stages and
+				// nothing else, each sampled once per publication...
+				stages := map[string]uint64{}
+				for _, st := range telemetry.StageReport(reg) {
+					stages[st.Stage] = st.Count
+				}
+				wantStages := map[string]uint64{
+					telemetry.StageIngest:  uint64(published),
+					telemetry.StageMatch:   uint64(published),
+					telemetry.StageEnqueue: uint64(published),
+				}
+				if !maps.Equal(stages, wantStages) {
+					t.Fatalf("stage samples = %v, want %v", stages, wantStages)
+				}
+				// ...the worker counter tells the arrangements apart...
+				if viaWorkers := reg.CounterValue("pubsub_broker_parallel_fanouts_total"); (viaWorkers > 0) != arr.workers {
+					t.Fatalf("%g publications went through workers, arrangement says workers=%v", viaWorkers, arr.workers)
+				}
+				// ...and an untraced steady-state publish allocates nothing.
+				if !raceEnabled {
+					if allocs := testing.AllocsPerRun(200, func() { publish(side, 0) }); allocs != 0 {
+						t.Errorf("steady-state publish allocates %.1f times per op, want 0", allocs)
+					}
+				}
+
+				b.Close()
+				// Drain every subscriber and compare its received multiset
+				// against the oracle; distinct random points mean exact-value
+				// keys are unambiguous.
+				for i, s := range subs {
+					got := map[[2]float64]int{}
+					for ev := range s.Events() {
+						got[[2]float64{ev.Point[0], ev.Point[1]}]++
+					}
+					want := map[[2]float64]int{}
+					for pi, p := range points {
+						if pi >= phase1 && cancelled(i) {
+							continue
+						}
+						if matches(i, p) {
+							want[[2]float64{p[0], p[1]}]++
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("sub %d received %d distinct points, want %d", i, len(got), len(want))
+					}
+					for k, n := range want {
+						if got[k] != n {
+							t.Fatalf("sub %d received point %v %d times, want %d (dup = dedup failure)", i, k, got[k], n)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -335,12 +449,12 @@ func TestShardRectangleAccountingUnderChurn(t *testing.T) {
 }
 
 // TestCloseDuringMultiShardRebuild closes the broker while every
-// shard's rebuilder (and the parallel fan-out worker set) is live, and
-// checks nothing leaks.
+// shard's rebuilder (and the shard workers) is live, and checks nothing
+// leaks.
 func TestCloseDuringMultiShardRebuild(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
-		b := New(Options{Shards: 4, MinOverlay: 1, Fanout: FanoutParallel})
+		b := withWorkers(New(Options{Shards: 4, MinOverlay: 1}))
 		for i := 0; i < 200; i++ {
 			if _, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+2))); err != nil {
 				t.Fatal(err)
@@ -363,15 +477,15 @@ func TestCloseDuringMultiShardRebuild(t *testing.T) {
 }
 
 // TestParallelFanoutRaceStress drives concurrent publishers through
-// the parallel worker set while per-shard rebuilds and cross-shard
-// churn race them. Run with -race; sizes shrink under the detector's
+// the shard workers while per-shard rebuilds and cross-shard churn race
+// them. Run with -race; sizes shrink under the detector's
 // overhead.
 func TestParallelFanoutRaceStress(t *testing.T) {
 	pubs, churnOps := 3000, 1500
 	if raceEnabled {
 		pubs, churnOps = 600, 300
 	}
-	b := New(Options{Shards: 4, MinOverlay: 2, Fanout: FanoutParallel, SlowLagThreshold: 8})
+	b := withWorkers(New(Options{Shards: 4, MinOverlay: 2, SlowLagThreshold: 8}))
 	defer b.Close()
 	for i := 0; i < 128; i++ {
 		if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 2},
@@ -432,49 +546,66 @@ func TestParallelFanoutRaceStress(t *testing.T) {
 	}
 }
 
-// TestPublishZeroAllocShardedParallel is the sharded twin of
-// TestPublishZeroAllocSteadyState: steady-state publishing through the
-// parallel fan-out worker set (4 shards, pools warm, all DropNewest
-// buffers saturated) performs zero heap allocations.
-func TestPublishZeroAllocShardedParallel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates")
+// BenchmarkPublishSharded times a steady-state publish on the paper's
+// subscription model at four populations, for one shard and for four
+// shards run by the publisher alone or offered to the shard workers.
+// Run it with -cpu 2 or more: it is where autoParallelMinRects comes
+// from (DESIGN.md §14 has the table).
+func BenchmarkPublishSharded(b *testing.B) {
+	model := workload.MustStockPublications(9)
+	rng := rand.New(rand.NewSource(5))
+	events := make([]geometry.Point, 1024)
+	for i := range events {
+		events[i] = model.Sample(rng)
 	}
-	b := New(Options{Shards: 4, MinOverlay: 4, Fanout: FanoutParallel})
-	defer b.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, geometry.NewRect(40, 60)); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{1000, 10000, 32768, 100000} {
+		cfg := workload.DefaultSubscriptionConfig()
+		cfg.Count = size
+		tb, err := experiment.NewTestbed(experiment.TestbedConfig{Subscriptions: &cfg}, experiment.DefaultSeed)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	// With 100 uniform subscriptions every one of the 4 shards crosses
-	// MinOverlay, so all 4 fold their overlays.
-	waitRebuilds(t, b, 4)
-	p := geometry.Point{50}
-	payload := []byte("tick")
-	if n, err := b.Publish(p, payload); err != nil || n != 100 {
-		t.Fatalf("fill publish: n=%d err=%v", n, err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := b.Publish(p, payload); err != nil {
-			t.Fatal(err)
+		for _, mode := range []struct {
+			name    string
+			shards  int
+			arrange func(*Broker) *Broker
+		}{
+			{"shards=1", 1, inlineOnly},
+			{"shards=4/inline", 4, inlineOnly},
+			{"shards=4/workers", 4, withWorkers},
+		} {
+			// Built once per row, not once per calibration round of b.Run.
+			br := mode.arrange(New(Options{DefaultBuffer: 1, Shards: mode.shards}))
+			for _, s := range tb.Subs {
+				if _, err := br.Subscribe(s.Rect); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Time the packed indexes, not overlay scans: wait until every
+			// shard's rebuilder has folded the subscribe burst and idles.
+			for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(time.Millisecond) {
+				busy := false
+				for _, sh := range br.shards {
+					sh.mu.Lock()
+					busy = busy || sh.rebuilding || sh.rebuildDueLocked()
+					sh.mu.Unlock()
+				}
+				if !busy {
+					break
+				}
+				if time.Now().After(deadline) {
+					b.Fatal("index rebuilds did not settle")
+				}
+			}
+			b.Run(fmt.Sprintf("rects=%d/%s", size, mode.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := br.Publish(events[i%len(events)], nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			br.Close()
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state sharded Publish allocates %.1f times per op, want 0", allocs)
-	}
-}
-
-// TestFanoutModeParse round-trips the mode names used by pubsubd's
-// -fanout flag.
-func TestFanoutModeParse(t *testing.T) {
-	for _, m := range []FanoutMode{FanoutAuto, FanoutSequential, FanoutParallel} {
-		got, err := ParseFanoutMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseFanoutMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseFanoutMode("bogus"); err == nil {
-		t.Fatal("bogus mode should not parse")
 	}
 }

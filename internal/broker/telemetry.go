@@ -7,12 +7,11 @@ import (
 )
 
 // brokerTel bundles the broker's metric handles. A nil *brokerTel is
-// the disabled state: every record method no-ops after a single nil
-// check, so an uninstrumented broker pays nothing on the publish path
-// (no time.Now calls, no atomics beyond its own Stats counters).
+// the disabled state: every site that records checks for it first, so
+// an uninstrumented broker pays nothing on the publish path (no extra
+// clock reads, no atomics beyond its own Stats counters).
 type brokerTel struct {
 	publishLatency *telemetry.Histogram
-	matchLatency   *telemetry.Histogram
 	fanout         *telemetry.Histogram
 	published      *telemetry.Counter
 	delivered      *telemetry.Counter
@@ -25,17 +24,15 @@ type brokerTel struct {
 	entriesTested  *telemetry.Histogram
 	slowSubsTotal  *telemetry.Counter
 	// shardRebuilds counts rebuilds per shard (label "shard");
-	// parallelFanouts counts publications routed through the parallel
-	// worker set rather than the sequential shard walk.
-	shardRebuilds   []*telemetry.Counter
-	parallelFanouts *telemetry.Counter
+	// workerFanouts counts publications of which a shard worker took at
+	// least one shard off the publisher.
+	shardRebuilds []*telemetry.Counter
+	workerFanouts *telemetry.Counter
 	// Waterfall stage samples (shared pubsub_stage_seconds family; the
-	// wire layer registers the write/client_recv stages). The parallel
-	// fan-out path observes stageFanout instead of stageMatch +
-	// stageEnqueue, whose phases it fuses across shards.
+	// wire layer registers the write/client_recv stages). match and
+	// enqueue are time summed over shards.
 	stageIngest  *telemetry.Histogram
 	stageMatch   *telemetry.Histogram
-	stageFanout  *telemetry.Histogram
 	stageEnqueue *telemetry.Histogram
 	// shardMatch is the per-shard match-cost histogram (label "shard"),
 	// the attribution data the spatial-split rule needs.
@@ -53,8 +50,6 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 	t := &brokerTel{
 		publishLatency: reg.Histogram("pubsub_broker_publish_seconds",
 			"End-to-end Publish latency: match plus deliver.", telemetry.LatencyBuckets()),
-		matchLatency: reg.Histogram("pubsub_broker_match_seconds",
-			"Index match phase latency per publication.", telemetry.LatencyBuckets()),
 		fanout: reg.Histogram("pubsub_broker_fanout_size",
 			"Matching subscriptions per publication. Counts matches in the publisher's index snapshot, so subscriptions cancelled since the last rebuild are included until the next rebuild prunes them; delivered_total counts live deliveries only.", telemetry.CountBuckets()),
 		published: reg.Counter("pubsub_broker_published_total",
@@ -131,11 +126,10 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 	reg.GaugeFunc("pubsub_broker_shards",
 		"Subscription shards the broker runs (1 means unsharded).",
 		func() float64 { return float64(len(b.shards)) })
-	t.parallelFanouts = reg.Counter("pubsub_broker_parallel_fanouts_total",
-		"Publications fanned out via the per-shard worker set (the rest walked shards sequentially on the publisher goroutine).")
+	t.workerFanouts = reg.Counter("pubsub_broker_parallel_fanouts_total",
+		"Publications of which a shard worker took at least one shard (the rest ran every shard on the publisher goroutine).")
 	t.stageIngest = telemetry.StageHistogram(reg, telemetry.StageIngest)
 	t.stageMatch = telemetry.StageHistogram(reg, telemetry.StageMatch)
-	t.stageFanout = telemetry.StageHistogram(reg, telemetry.StageFanout)
 	t.stageEnqueue = telemetry.StageHistogram(reg, telemetry.StageEnqueue)
 	t.shardRebuilds = make([]*telemetry.Counter, len(b.shards))
 	t.shardMatch = make([]*telemetry.Histogram, len(b.shards))
@@ -160,67 +154,17 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 	return t
 }
 
-// shardImbalance is max/mean of cumulative per-shard match cost. A
-// single-shard broker (or one with no instrumented publishes yet)
-// reads 0.
+// shardImbalance is max/mean of cumulative per-shard match cost; 0
+// until a metered publish has been observed.
 func (b *Broker) shardImbalance() float64 {
 	var total, maxNS int64
-	counted := 0
 	for _, sh := range b.shards {
 		ns := sh.matchNS.Load()
 		total += ns
-		if ns > maxNS {
-			maxNS = ns
-		}
-		counted++
+		maxNS = max(maxNS, ns)
 	}
-	if counted == 0 || total == 0 {
+	if total == 0 {
 		return 0
 	}
-	mean := float64(total) / float64(counted)
-	return float64(maxNS) / mean
-}
-
-// shardRebuild counts one rebuild on the given shard.
-func (t *brokerTel) shardRebuild(idx int) {
-	if t == nil || idx >= len(t.shardRebuilds) {
-		return
-	}
-	t.shardRebuilds[idx].Inc()
-}
-
-// parallelFanout counts one publication routed through the worker set.
-func (t *brokerTel) parallelFanout() {
-	if t == nil {
-		return
-	}
-	t.parallelFanouts.Inc()
-}
-
-// slowTransition counts one healthy-to-slow flip.
-func (t *brokerTel) slowTransition() {
-	if t == nil {
-		return
-	}
-	t.slowSubsTotal.Inc()
-}
-
-// drop records one overflow loss under the given policy.
-func (t *brokerTel) drop(p OverflowPolicy) {
-	if t == nil {
-		return
-	}
-	if int(p) >= 0 && int(p) < len(t.drops) {
-		t.drops[p].Inc()
-	}
-}
-
-// observeQuery records one point query's traversal effort.
-func (t *brokerTel) observeQuery(nodes, leaves, entries int) {
-	if t == nil {
-		return
-	}
-	t.nodesVisited.Observe(float64(nodes))
-	t.leavesVisited.Observe(float64(leaves))
-	t.entriesTested.Observe(float64(entries))
+	return float64(maxNS) * float64(len(b.shards)) / float64(total)
 }

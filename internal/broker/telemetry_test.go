@@ -44,9 +44,6 @@ func TestBrokerMetrics(t *testing.T) {
 	if h := reg.Histogram1("pubsub_broker_publish_seconds"); h.Count != 3 {
 		t.Errorf("publish latency count = %d, want 3", h.Count)
 	}
-	if h := reg.Histogram1("pubsub_broker_match_seconds"); h.Count != 3 {
-		t.Errorf("match latency count = %d, want 3", h.Count)
-	}
 	if h := reg.Histogram1("pubsub_broker_fanout_size"); h.Count != 3 || h.Sum != 2 {
 		t.Errorf("fanout count=%d sum=%g, want 3 and 2", h.Count, h.Sum)
 	}
@@ -117,7 +114,7 @@ func TestBrokerTracerEmitsSpans(t *testing.T) {
 		t.Fatalf("traces = %d, want 1", tr.Traces())
 	}
 	out := buf.String()
-	for _, want := range []string{`"msg":"publish"`, `"fanout":1`, `"stages"`, `"match"`, `"deliver"`} {
+	for _, want := range []string{`"msg":"publish"`, `"fanout":1`, `"stages"`, `"ingest"`, `"match"`, `"enqueue"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %s in: %s", want, out)
 		}

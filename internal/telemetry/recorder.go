@@ -21,7 +21,8 @@ const (
 	// KindNone marks an empty slot; it is never recorded.
 	KindNone RecordKind = iota
 	// KindPublish summarises one broker publication: fanout, deliveries
-	// and latency. Recorded for every publish, traced or not.
+	// and latency. Recorded for every publish, traced or not; a
+	// publication the broker refused carries delivered = -1.
 	KindPublish
 	// KindIngest marks a publish frame arriving at the wire server.
 	KindIngest
@@ -266,6 +267,16 @@ func (r *Recorder) Now() int64 {
 	return time.Since(r.epoch).Nanoseconds()
 }
 
+// WallTime renders a Now reading as wall-clock time, so callers on a
+// hot path can keep the cheap monotonic stamp and convert only when
+// someone looks.
+func (r *Recorder) WallTime(ns int64) time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return r.epochWall.Add(time.Duration(ns))
+}
+
 // Record appends one record. It is wait-free, allocation-free and safe
 // on a nil receiver; under wrap the oldest record in the writer's shard
 // is overwritten.
@@ -367,7 +378,7 @@ func (r *Recorder) SnapshotFilter(traceID uint64, kind RecordKind, limit int) []
 			if kind != KindNone && rec.Kind != kind {
 				continue
 			}
-			rec.Time = r.epochWall.Add(time.Duration(ts))
+			rec.Time = r.WallTime(ts)
 			out = append(out, rec)
 		}
 	}

@@ -4,30 +4,38 @@ import "sort"
 
 // StageFamily is the shared histogram family for the publication
 // latency waterfall. Every pipeline stage — broker-side (ingest,
-// match, fanout, enqueue) and wire-side (write, client_recv) —
-// registers one labelled sample in this family so a single scrape
-// (or /debug/slo) shows the whole p99 decomposition side by side.
+// match, enqueue) and wire-side (write, client_recv) — registers one
+// labelled sample in this family so a single scrape (or /debug/slo)
+// shows the whole p99 decomposition side by side.
 const StageFamily = "pubsub_stage_seconds"
 
 // Waterfall stage label values, ordered by pipeline position. The
 // order is what pubsub-cli slo and pubsub-bench print; keep new
 // stages in pipeline order.
 var StageOrder = []string{
-	StageIngest,     // publish entry → match start (WAL append, seq setup)
-	StageMatch,      // index walk across shards (sequential fanout)
-	StageFanout,     // parallel fan-out: job offer → all shards done (match+enqueue fused)
-	StageEnqueue,    // subscriber queue handoff (sequential fanout)
+	StageIngest,     // publish entry → fan-out start (closed check, WAL append, seq)
+	StageMatch,      // index walks, summed over shards
+	StageEnqueue,    // subscriber queue hand-offs, summed over shards
 	StageWrite,      // one event frame onto a client socket
 	StageClientRecv, // client: own publish → event received (loopback only)
 }
 
+// The broker's three stages mean the same on every path — one shard or
+// many, shards run by the publisher or by shard workers, packed or
+// dynamic index, durable or not. Because match and enqueue are sums of
+// per-shard times, with workers they can add up to more than the
+// publication's wall-clock latency.
 const (
 	StageIngest     = "ingest"
 	StageMatch      = "match"
-	StageFanout     = "fanout"
 	StageEnqueue    = "enqueue"
 	StageWrite      = "write"
 	StageClientRecv = "client_recv"
+
+	// StageFanout is retired: it was the worker path's fused
+	// match+enqueue stage and nothing emits it any more. The name stays
+	// because the performance ledger still asks for it (and reads 0).
+	StageFanout = "fanout"
 )
 
 // StageHistogram registers (or fetches) the waterfall sample for one

@@ -111,7 +111,7 @@ func (s *Span) SetTraceID(id uint64) {
 	s.traceID = id
 }
 
-// Stage records one named stage duration (e.g. "match", "deliver").
+// Stage records one named stage duration (e.g. "match", "enqueue").
 func (s *Span) Stage(name string, d time.Duration) {
 	if s == nil {
 		return

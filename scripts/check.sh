@@ -6,11 +6,11 @@
 # Runs, in order:
 #   1. build            go build ./...
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
-#   3. race tests       go test -race ./...
+#   3. race tests       go test -race ./...  (+ the broker at -cpu 1,2)
 #   4. invariant tests  go test -tags=invariants over the index/geometry packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
-#   7. ledger smoke     bench/ harness tests + a 1-second wire workload through its oracle
+#   7. ledger smoke     bench/ harness tests + 1-second stock, durable and wire workloads through its oracle
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +23,7 @@ go run ./cmd/pubsub-vet ./...
 
 echo "==> tests (race)"
 go test -race ./...
+go test -race -cpu 1,2 ./internal/broker/
 
 echo "==> structural invariants (-tags=invariants)"
 go test -tags=invariants ./internal/stree/... ./internal/rtree/... ./internal/geometry/...
@@ -35,8 +36,10 @@ scratch="$(mktemp -d)"
 trap 'rm -rf "${scratch}"' EXIT
 ./scripts/bench_guard.sh "${scratch}/bench_guard.json"
 
-echo "==> performance ledger: harness tests + wire smoke"
+echo "==> performance ledger: harness tests + workload smokes"
 (cd bench && go test ./...)
-bash bench/run.sh --workload wire --seed 1 --seconds 1 --trace 0
+for w in stock durable wire; do
+  bash bench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0
+done
 
 echo "==> all checks passed"
