@@ -355,30 +355,26 @@ func intName(m int) string {
 }
 
 // BenchmarkBrokerChurn measures subscribe+cancel cycles against a
-// populated broker for both index strategies.
+// populated broker.
 func BenchmarkBrokerChurn(b *testing.B) {
-	for _, strat := range []pubsub.BrokerIndexStrategy{pubsub.IndexRebuild, pubsub.IndexDynamic} {
-		b.Run(strat.String(), func(b *testing.B) {
-			br := pubsub.NewBroker(pubsub.BrokerOptions{Index: strat})
-			defer br.Close()
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < 1000; i++ {
-				lo := rng.Float64() * 90
-				if _, err := br.Subscribe(pubsub.NewRect(lo, lo+10)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := rng.Float64() * 90
-				s, err := br.Subscribe(pubsub.NewRect(lo, lo+10))
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Cancel()
-			}
-		})
+	br := pubsub.NewBroker(pubsub.BrokerOptions{})
+	defer br.Close()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		lo := rng.Float64() * 90
+		if _, err := br.Subscribe(pubsub.NewRect(lo, lo+10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := rng.Float64() * 90
+		s, err := br.Subscribe(pubsub.NewRect(lo, lo+10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Cancel()
 	}
 }
 

@@ -53,19 +53,6 @@ type Event = broker.Event
 // BrokerStats is a snapshot of broker counters.
 type BrokerStats = broker.Stats
 
-// BrokerIndexStrategy selects how the broker maintains its index under
-// churn.
-type BrokerIndexStrategy = broker.IndexStrategy
-
-// Broker index strategies.
-const (
-	// IndexRebuild folds new subscriptions into periodically repacked
-	// indexes (the default).
-	IndexRebuild = broker.IndexRebuild
-	// IndexDynamic maintains a dynamic R-tree updated in place.
-	IndexDynamic = broker.IndexDynamic
-)
-
 // ShardStat is one subscription shard's introspection snapshot; see
 // Broker.ShardStats and IndexReport.
 type ShardStat = broker.ShardStat

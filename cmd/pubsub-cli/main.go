@@ -414,8 +414,12 @@ func runTop(addr string, interval time.Duration, iterations int, w io.Writer) er
 		if idxErr != nil {
 			fmt.Fprintf(w, "index: unreachable (%v)\n", idxErr)
 		} else {
+			tree := idx.Shape.Algorithm
+			if tree == "" {
+				tree = "overlay only" // nothing packed before the first rebuild
+			}
 			fmt.Fprintf(w, "index: %s  subs=%d rects=%d overlay=%d stale=%d rebuilds=%d (last %.1fs ago)\n",
-				idx.Strategy, idx.Subscriptions, idx.Rectangles, idx.OverlayLen,
+				tree, idx.Subscriptions, idx.Rectangles, idx.OverlayLen,
 				idx.Stale, idx.Rebuilds, idx.SecondsSinceRebuild)
 		}
 		fmt.Fprintln(w)

@@ -344,10 +344,10 @@ func debugServer(t *testing.T) *httptest.Server {
 		]
 	}`)
 	serve("/debug/index", `{
-		"strategy": "rebuild", "subscriptions": 2, "rectangles": 2,
+		"subscriptions": 2, "rectangles": 2,
 		"base_len": 2, "overlay_len": 0, "stale": 0, "multi_rect": false,
 		"rebuilds": 1, "seconds_since_rebuild": 0.5,
-		"shape": {}, "sampled_rects": 2,
+		"shape": {"algorithm": "s-tree", "entries": 2}, "sampled_rects": 2,
 		"duplicate_pairs": 0, "covering_pairs": 0
 	}`)
 	srv := httptest.NewServer(mux)
@@ -395,7 +395,7 @@ func TestRunTop(t *testing.T) {
 	for _, want := range []string{
 		"health: healthy",
 		"wal: healthy (next offset 42",
-		"index: rebuild  subs=2 rects=2",
+		"index: s-tree  subs=2 rects=2",
 		"head=42 (durable)",
 	} {
 		if !strings.Contains(out, want) {

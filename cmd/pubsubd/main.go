@@ -17,7 +17,7 @@
 // broker runs fully in-memory as before.
 //
 // With -metrics-addr set the daemon serves Prometheus text exposition on
-// /metrics, expvar-style JSON on /debug/vars, the flight-recorder dump
+// /metrics (expvar-style JSON with ?format=json), the flight-recorder dump
 // on /debug/events (JSON; filter with ?trace=<hex id>, ?kind=<name>,
 // ?limit=<n>), health probes on /healthz (liveness: 503 only when a
 // component — broker, WAL fail-stop latch, rebuilder, wire server — is
@@ -94,11 +94,10 @@ func run(args []string) error {
 		segmentBytes   = fs.Int64("segment-bytes", 0, "rotate log segments at this size (0 selects 64MiB)")
 		retentionBytes = fs.Int64("retention-bytes", 0, "delete oldest sealed segments beyond this total (0 keeps everything)")
 
-		sloP99      = fs.Duration("slo-delivery-p99", 0, "delivery-latency SLO objective: publishes slower end-to-end than this (and drops) consume the 1% error budget; multi-window burn rates feed /healthz and /debug/slo (0 disables)")
-		sloWindow   = fs.Duration("slo-window", time.Hour, "long burn-rate window for -slo-delivery-p99 (fast window is 1/12th of it)")
-		indexSample = fs.Int("index-sample", 512, "rectangle sample cap for /debug/index duplicate/covering scans (and the selectivity fallback)")
+		sloP99    = fs.Duration("slo-delivery-p99", 0, "delivery-latency SLO objective: publishes slower end-to-end than this (and drops) consume the 1% error budget; multi-window burn rates feed /healthz and /debug/slo (0 disables)")
+		sloWindow = fs.Duration("slo-window", time.Hour, "long burn-rate window for -slo-delivery-p99 (fast window is 1/12th of it)")
 
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/events and /debug/pprof on this address (empty disables)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/events and /debug/pprof on this address (empty disables)")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
 		traceSample = fs.Int("trace-sample", 0, "log every Nth publication as a structured trace event (0 disables)")
 		events      = fs.Int("events", telemetry.DefaultRecorderCapacity, "flight recorder capacity in records of 64 bytes (minimum 512)")
@@ -115,9 +114,6 @@ func run(args []string) error {
 	}
 	if *shards < 0 {
 		return fmt.Errorf("bad -shards %d: must be >= 0", *shards)
-	}
-	if *indexSample <= 0 {
-		return fmt.Errorf("bad -index-sample %d: must be positive", *indexSample)
 	}
 	if *sloP99 < 0 {
 		return fmt.Errorf("bad -slo-delivery-p99 %s: must be >= 0", *sloP99)
@@ -206,7 +202,6 @@ func run(args []string) error {
 		Recorder:         rec,
 		Log:              log,
 		SLO:              slo,
-		IndexSampleCap:   *indexSample,
 	})
 	defer b.Close()
 	b.RegisterHealth(hr)
@@ -242,7 +237,6 @@ func run(args []string) error {
 	if reg != nil {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", telemetry.Handler(reg))
-		mux.Handle("/debug/vars", telemetry.JSONHandler(reg))
 		mux.Handle("/debug/events", telemetry.EventsHandler(rec))
 		mux.Handle("/healthz", health.LivenessHandler(hr))
 		mux.Handle("/readyz", health.ReadinessHandler(hr))

@@ -8,11 +8,11 @@
 // overlay that is periodically folded into a rebuilt S-tree, so both
 // subscribe and publish stay fast under churn.
 //
-// Under the default rebuild strategy the publish path is lock-free and
-// allocation-free in steady state: Publish matches against an immutable
-// snapshot (base index + overlay) read through an atomic pointer, and
-// index rebuilds run on a background goroutine that swaps a fresh
-// snapshot in when done. See DESIGN.md for the snapshot semantics.
+// The publish path is lock-free and allocation-free in steady state:
+// Publish matches against an immutable snapshot (base index + overlay)
+// read through an atomic pointer, and index rebuilds run on a background
+// goroutine that swaps a fresh snapshot in when done. See DESIGN.md for
+// the snapshot semantics.
 package broker
 
 import (
@@ -27,7 +27,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/health"
 	"repro/internal/match"
-	"repro/internal/rtree"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
@@ -46,34 +45,6 @@ type Event struct {
 	// the flight recorder, span logs and remote peers. Assigned at
 	// ingest (PublishTraced's argument, or broker-generated); never 0.
 	TraceID uint64
-}
-
-// IndexStrategy selects how the broker maintains its matching index
-// under subscription churn.
-type IndexStrategy int
-
-const (
-	// IndexRebuild (the default) keeps new subscriptions in a linear
-	// overlay and periodically folds them into a freshly packed index.
-	// Queries stay as fast as the packed structure allows; churn pays an
-	// amortised rebuild.
-	IndexRebuild IndexStrategy = iota
-	// IndexDynamic maintains a Guttman-style dynamic R-tree updated in
-	// place on every subscribe/cancel. Churn is cheap and immediate; the
-	// tree is looser than a packed one.
-	IndexDynamic
-)
-
-// String returns the strategy's display name.
-func (s IndexStrategy) String() string {
-	switch s {
-	case IndexRebuild:
-		return "rebuild"
-	case IndexDynamic:
-		return "dynamic"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
 }
 
 // OverflowPolicy selects what Publish does when a subscription's buffer
@@ -131,13 +102,11 @@ type Options struct {
 	// Subscribe. Zero selects 16.
 	DefaultBuffer int
 	// MinOverlay is the overlay size that always triggers an index
-	// rebuild when exceeded (IndexRebuild strategy only). Zero selects
-	// 64.
+	// rebuild when exceeded. Zero selects 64.
 	MinOverlay int
-	// Matcher tunes the rebuilt index (algorithm, branch factor, skew).
+	// Matcher chooses and tunes the index a rebuild packs (algorithm,
+	// branch factor, skew). The zero value is the paper's S-tree.
 	Matcher match.Options
-	// Index selects the maintenance strategy.
-	Index IndexStrategy
 	// Overflow is the default overflow policy for subscriptions that do
 	// not choose their own via SubscribeWith.
 	Overflow OverflowPolicy
@@ -180,22 +149,18 @@ type Options struct {
 	// unfolded before the broker's health check reports Degraded. Zero
 	// selects 10s.
 	StaleWindow time.Duration
-	// Shards partitions the subscription space (IndexRebuild strategy
-	// only) into per-core slices, each with its own snapshot and
-	// background rebuilder, so rebuild cost and snapshot size scale
-	// with subs/Shards instead of total subscriptions. Subscriptions
-	// are assigned by hash of their id. Zero selects
-	// runtime.GOMAXPROCS(0); 1 disables sharding (the pre-shard
-	// single-snapshot broker); IndexDynamic always runs unsharded.
+	// Shards partitions the subscription space into per-core slices,
+	// each with its own snapshot and background rebuilder, so rebuild
+	// cost and snapshot size scale with subs/Shards instead of total
+	// subscriptions. Subscriptions are assigned by hash of their id.
+	// Zero selects runtime.GOMAXPROCS(0); 1 disables sharding (the
+	// pre-shard single-snapshot broker).
 	Shards int
 	// SLO, when non-nil, receives every publication's end-to-end
 	// publish latency (and every overflow drop as a bad event) for
 	// multi-window burn-rate evaluation. Nil disables the feed at zero
 	// cost on the publish path.
 	SLO *health.SLO
-	// IndexSampleCap caps the rectangle sample behind IndexReport's
-	// fallback selectivity and covering scans. Zero selects 512.
-	IndexSampleCap int
 }
 
 func (o Options) withDefaults() Options {
@@ -219,14 +184,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Shards > maxShards {
 		o.Shards = maxShards
-	}
-	if o.Index == IndexDynamic {
-		// The dynamic tree is a single in-place structure under b.mu;
-		// sharding applies to the snapshot strategy only.
-		o.Shards = 1
-	}
-	if o.IndexSampleCap == 0 {
-		o.IndexSampleCap = introspectSampleCap
 	}
 	return o
 }
@@ -292,16 +249,14 @@ type snapshot struct {
 type Broker struct {
 	opts Options
 
-	mu        sync.RWMutex
-	nextID    int
-	subs      map[int]*Subscription
-	multiRect bool           // some subscription holds several rectangles (IndexDynamic dedup)
-	dyn       *rtree.Dynamic // IndexDynamic strategy: in-place tree
+	mu     sync.RWMutex
+	nextID int
+	subs   map[int]*Subscription
 
-	// shards partition the subscription space under IndexRebuild; each
-	// holds its own immutable snapshot and background rebuilder. The
-	// slice is immutable after New (always at least one shard). Lock
-	// order: b.mu before any shard.mu.
+	// shards partition the subscription space; each holds its own
+	// immutable snapshot and background rebuilder. The slice is immutable
+	// after New (always at least one shard). Lock order: b.mu before any
+	// shard.mu.
 	shards []*shard
 
 	// closed is set once, by Close, under mu: mutators check it under
@@ -397,7 +352,7 @@ type Subscription struct {
 	rects        []geometry.Rect
 	ch           chan Event
 	b            *Broker
-	shard        *shard // owning shard (nil under IndexDynamic)
+	shard        *shard // owning shard
 	policy       OverflowPolicy
 	blockTimeout time.Duration
 	once         sync.Once
@@ -495,11 +450,11 @@ func (s *Subscription) sent(ev *Event, nowNS int64, detail bool) bool {
 	return true
 }
 
-// lost books one overflow loss on this subscription (ev itself, or an
-// older event evicted to make room for it) and, when slow-subscriber
-// detection is on, flags the subscription once its lag behind the
-// broker head crosses the threshold. Always returns false, deliver's
-// verdict for a dropped event.
+// lost books the overflow loss of ev on this subscription (the incoming
+// event, or an older one evicted to make room for it) and, when
+// slow-subscriber detection is on, flags the subscription once its lag
+// behind the broker head crosses the threshold. Always returns false,
+// deliver's verdict for a dropped event.
 func (s *Subscription) lost(ev *Event, nowNS int64, detail bool) bool {
 	b := s.b
 	s.dropCt.Add(1)
@@ -555,13 +510,6 @@ func (s *Subscription) Cancel() {
 		b.liveRects.Add(-int64(len(s.rects)))
 		for _, r := range s.rects {
 			b.selprof.removeRect(r)
-		}
-		if b.opts.Index == IndexDynamic {
-			for _, r := range s.rects {
-				b.dyn.Delete(s.id, r)
-			}
-			s.closeCh()
-			return
 		}
 		sh := s.shard
 		sh.mu.Lock()
@@ -675,36 +623,6 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	s.deliveredAtNS.Store(b.rec.Now())
 	b.nextID++
 	b.subs[s.id] = s
-	if b.opts.Index == IndexDynamic {
-		// Dedup happens broker-wide on the dynamic path, so the flag is
-		// broker-wide too.
-		if len(owned) > 1 {
-			b.multiRect = true
-		}
-		if b.dyn == nil {
-			d, err := rtree.NewDynamic(b.opts.Matcher.BranchFactor)
-			if err != nil {
-				delete(b.subs, s.id)
-				return nil, fmt.Errorf("broker: %w", err)
-			}
-			b.dyn = d
-		}
-		for i, r := range owned {
-			if err := b.dyn.Insert(rtree.Entry{Rect: r, ID: s.id}); err != nil {
-				// Roll back the partial insertion.
-				for _, rr := range owned[:i] {
-					b.dyn.Delete(s.id, rr)
-				}
-				delete(b.subs, s.id)
-				return nil, fmt.Errorf("broker: %w", err)
-			}
-		}
-		b.liveRects.Add(int64(len(owned)))
-		for _, r := range owned {
-			b.selprof.addRect(r)
-		}
-		return s, nil
-	}
 	sh := b.shards[shardIndex(s.id, len(b.shards))]
 	s.shard = sh
 	sh.mu.Lock()
@@ -737,16 +655,10 @@ func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	rects := 0
-	if b.opts.Index == IndexDynamic {
-		if b.dyn != nil {
-			rects = b.dyn.Len()
-		}
-	} else {
-		for _, sh := range b.shards {
-			sh.mu.Lock()
-			rects += sh.rectanglesLocked()
-			sh.mu.Unlock()
-		}
+	for _, sh := range b.shards {
+		sh.mu.Lock()
+		rects += sh.rectanglesLocked()
+		sh.mu.Unlock()
 	}
 	published := b.seq.Load()
 	if b.log != nil {
@@ -801,7 +713,6 @@ func (b *Broker) Close() {
 		sh.snap.Store(nil)
 		sh.mu.Unlock()
 	}
-	b.dyn = nil
 	b.liveRects.Store(0)
 	b.mu.Unlock()
 	// Outside the lock: rebuildShard re-acquires sh.mu before touching

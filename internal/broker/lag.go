@@ -142,9 +142,8 @@ type DimSelectivity struct {
 // bounded sample — the inputs the sharding and aggregation roadmap
 // items consume.
 type IndexReport struct {
-	Strategy      string `json:"strategy"`
-	Subscriptions int    `json:"subscriptions"`
-	Rectangles    int    `json:"rectangles"`
+	Subscriptions int `json:"subscriptions"`
+	Rectangles    int `json:"rectangles"`
 	// Base/Overlay/Stale describe the compiled snapshots summed across
 	// all shards: rectangles in the packed base indexes (including
 	// stale ones), rectangles still in the linear overlays awaiting a
@@ -169,7 +168,7 @@ type IndexReport struct {
 	// rectangles; empty when there are none.
 	Dims []DimSelectivity `json:"dims,omitempty"`
 	// SampledRects is how many rectangles the duplicate/covering scans
-	// looked at (capped by Options.IndexSampleCap).
+	// looked at (at most 512).
 	SampledRects int `json:"sampled_rects"`
 	// SelectivitySource says where Dims came from: "streaming" (the
 	// live per-dimension profile fed by Subscribe/Cancel and real
@@ -187,15 +186,14 @@ type IndexReport struct {
 	CoveringPairs  int `json:"covering_pairs"`
 }
 
-// introspectSampleCap is the default bound on the O(n²)
-// duplicate/covering scan (and the selectivity fallback scan). 512
-// rectangles is ~131k pair comparisons, well under a millisecond.
-// Override with Options.IndexSampleCap / pubsubd -index-sample.
+// introspectSampleCap bounds the O(n²) duplicate/covering scan (and the
+// selectivity fallback scan). 512 rectangles is ~131k pair comparisons,
+// well under a millisecond.
 const introspectSampleCap = 512
 
 // IndexReport snapshots the matching-index shape and the live
 // rectangle population's selectivity. It holds the broker lock in read
-// mode while copying out up to Options.IndexSampleCap rectangles and
+// mode while copying out up to introspectSampleCap rectangles and
 // runs the quadratic scans after releasing it. Per-dimension
 // selectivity prefers the streaming profile (exact over the live
 // population, plus real-traffic envelope coverage) and falls back to
@@ -203,59 +201,44 @@ const introspectSampleCap = 512
 func (b *Broker) IndexReport() IndexReport {
 	b.mu.RLock()
 	rep := IndexReport{
-		Strategy:      "rebuild",
 		Subscriptions: len(b.subs),
 		Rebuilds:      b.rebuilds.Load(),
 		ShardCount:    len(b.shards),
 	}
 	var base match.Matcher
 	var lastRebuildNS int64
-	if b.opts.Index == IndexDynamic {
-		rep.Strategy = "dynamic"
-		if b.dyn != nil {
-			rep.Rectangles = b.dyn.Len()
-			st := b.dyn.Stats()
-			rep.Shape = match.Shape{
-				Algorithm: "dynamic-rtree", Entries: b.dyn.Len(),
-				Nodes: st.Nodes, Leaves: st.Leaves, Height: st.Height, MaxBranch: st.MaxBranch,
-			}
+	// Aggregate the per-shard snapshots into the whole-broker view;
+	// Shape describes the largest shard's packed base. Lock order:
+	// b.mu (held) before each sh.mu.
+	biggest := -1
+	for _, sh := range b.shards {
+		sh.mu.Lock()
+		rep.BaseLen += sh.baseLen
+		rep.OverlayLen += len(sh.overlay)
+		rep.Stale += sh.stale
+		rep.Rectangles += sh.rectanglesLocked()
+		if sh.multiRect {
+			rep.MultiRect = true
 		}
-		lastRebuildNS = b.shards[0].lastRebuildNS.Load()
-	} else {
-		// Aggregate the per-shard snapshots into the whole-broker view;
-		// Shape describes the largest shard's packed base. Lock order:
-		// b.mu (held) before each sh.mu.
-		biggest := -1
-		for _, sh := range b.shards {
-			sh.mu.Lock()
-			rep.BaseLen += sh.baseLen
-			rep.OverlayLen += len(sh.overlay)
-			rep.Stale += sh.stale
-			rep.Rectangles += sh.rectanglesLocked()
-			if sh.multiRect {
-				rep.MultiRect = true
-			}
-			if sh.baseLen > biggest {
-				biggest = sh.baseLen
-				base = sh.base
-			}
-			sh.mu.Unlock()
-			if ns := sh.lastRebuildNS.Load(); ns > lastRebuildNS {
-				lastRebuildNS = ns
-			}
+		if sh.baseLen > biggest {
+			biggest = sh.baseLen
+			base = sh.base
 		}
-		if len(b.shards) > 1 {
-			rep.Shards = b.ShardStats()
+		sh.mu.Unlock()
+		if ns := sh.lastRebuildNS.Load(); ns > lastRebuildNS {
+			lastRebuildNS = ns
 		}
 	}
-	sampleCap := b.opts.IndexSampleCap
-	sample := make([]geometry.Rect, 0, min(len(b.subs)*2, sampleCap))
+	if len(b.shards) > 1 {
+		rep.Shards = b.ShardStats()
+	}
+	sample := make([]geometry.Rect, 0, min(len(b.subs)*2, introspectSampleCap))
 	for _, s := range b.subs {
-		if len(sample) == sampleCap {
+		if len(sample) == introspectSampleCap {
 			break
 		}
 		for _, r := range s.rects {
-			if len(sample) == sampleCap {
+			if len(sample) == introspectSampleCap {
 				break
 			}
 			sample = append(sample, r)
@@ -369,9 +352,6 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 	hr.Register("rebuilder", func() (health.State, string) {
 		if b.closed.Load() {
 			return health.Unhealthy, "broker closed"
-		}
-		if b.opts.Index == IndexDynamic {
-			return health.Healthy, "dynamic index: no rebuilder"
 		}
 		// Any one shard stuck past the StaleWindow degrades the broker:
 		// its slice of the subscription population is paying linear

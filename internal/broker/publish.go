@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/match"
-	"repro/internal/rtree"
 	"repro/internal/telemetry"
 )
 
@@ -139,14 +138,14 @@ func (pr *eventPrep) clone() {
 // the caller may reuse its buffer immediately; subscribers of one
 // publication share the clone and must treat it as read-only.
 //
-// Under IndexRebuild, Publish takes no lock: it matches against the
-// immutable snapshots installed by the most recent mutations and uses a
-// pooled context, so the steady-state publish path performs no heap
-// allocation. A closed broker refuses the publication before it is
-// logged or numbered. A Publish racing Close may pass that check and
-// then find every subscription already closed; it is reported as
-// errClosed too, though its Seq (and WAL record) exist — Seq values are
-// unique and ordered, not dense.
+// Publish takes no lock: it matches against the immutable snapshots
+// installed by the most recent mutations and uses a pooled context, so
+// the steady-state publish path performs no heap allocation. A closed
+// broker refuses the publication before it is logged or numbered. A
+// Publish racing Close may pass that check and then find every
+// subscription already closed; it is reported as errClosed too, though
+// its Seq (and WAL record) exist — Seq values are unique and ordered,
+// not dense.
 //
 //pubsub:hotpath
 func (b *Broker) Publish(p geometry.Point, payload []byte) (int, error) {
@@ -277,9 +276,7 @@ func (b *Broker) ingest(pc *pubCtx) error {
 // runShard is one shard's share of a publication: match the point
 // against the shard's index, enqueue the event on every matched
 // subscription, and leave the counts and stage times in the shard's
-// result slot. sc belongs to the calling goroutine. Under IndexDynamic
-// the single nominal shard's match step is the broker-wide dynamic
-// tree instead of a snapshot.
+// result slot. sc belongs to the calling goroutine.
 //
 //pubsub:hotpath
 func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
@@ -289,9 +286,7 @@ func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
 		now = b.rec.Now()
 	}
 	sc.targets = sc.targets[:0]
-	if b.opts.Index == IndexDynamic {
-		b.matchDynamic(pc.prep.src, sc, pc.metered, &r.qs)
-	} else if snap := sh.snap.Load(); snap != nil { // nil once Close swapped it out
+	if snap := sh.snap.Load(); snap != nil { // nil once Close swapped it out
 		matchSnapshot(snap, pc.prep.src, sc, pc.metered, &r.qs)
 	}
 	r.targets = len(sc.targets)
@@ -384,35 +379,6 @@ func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, stats boo
 	// Deduplicate only when some subscription in this shard holds
 	// several rectangles; otherwise every target is distinct already.
 	if snap.multiRect && len(sc.targets) > 1 {
-		sc.targets = dedupTargets(sc.targets)
-	}
-}
-
-// matchDynamic is the IndexDynamic match step: the dynamic tree is
-// mutated in place by Subscribe/Cancel, so the query and the id→
-// subscription resolution run under the broker's read lock.
-//
-//pubsub:hotpath
-func (b *Broker) matchDynamic(p geometry.Point, sc *matchScratch, stats bool, qs *match.QueryStats) {
-	sc.ids = sc.ids[:0]
-	b.mu.RLock()
-	if b.dyn != nil {
-		if stats {
-			var ds rtree.QueryStats
-			sc.ids, ds = b.dyn.PointQueryAppendStats(p, sc.ids)
-			qs.Add(match.QueryStats{NodesVisited: ds.NodesVisited, LeavesVisited: ds.LeavesVisited, EntriesTested: ds.EntriesTested, Matched: ds.ResultsMatched})
-		} else {
-			sc.ids = b.dyn.PointQueryAppend(p, sc.ids)
-		}
-	}
-	for _, id := range sc.ids {
-		if s, live := b.subs[id]; live {
-			sc.targets = append(sc.targets, s)
-		}
-	}
-	multiRect := b.multiRect
-	b.mu.RUnlock()
-	if multiRect && len(sc.targets) > 1 {
 		sc.targets = dedupTargets(sc.targets)
 	}
 }
@@ -529,7 +495,7 @@ func (b *Broker) observeRefused(pc *pubCtx) {
 }
 
 // deliver sends ev to one subscription, applying its overflow policy
-// when the buffer is full. It runs outside b.mu; s.sendMu excludes a
+// when the buffer is full. It takes no broker lock; s.sendMu excludes a
 // concurrent channel close (closeCh), and the closed check skips
 // subscriptions cancelled after the publisher snapshotted its targets.
 // The event's point/payload clones are materialized lazily, only when a
@@ -559,7 +525,7 @@ func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool,
 		return s.sent(ev, nowNS, detail)
 	default:
 	}
-	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; b.mu is not held
+	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; no broker lock is held
 	return b.deliverOverflow(s, ev, detail, nowNS)
 }
 
@@ -578,8 +544,10 @@ func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS 
 		// loop terminates.
 		for {
 			select {
-			case <-s.ch:
-				s.lost(ev, nowNS, detail)
+			case old := <-s.ch:
+				// The loss belongs to the evicted event, not to the
+				// incoming one, which is about to be queued.
+				s.lost(&old, nowNS, detail)
 			default:
 			}
 			select {

@@ -33,12 +33,12 @@ func shardIndex(id, n int) int {
 	return int(x % uint64(n))
 }
 
-// shard is one slice of the subscription space under the IndexRebuild
-// strategy: the PR-4 snapshot/overlay/rebuilder machinery replicated so
-// rebuild cost and snapshot size scale with subs/N instead of total
-// subs. All of a subscription's rectangles live in exactly one shard
-// (shardIndex of its id), so per-shard target deduplication is complete
-// deduplication and the cross-shard merge is pure concatenation.
+// shard is one slice of the subscription space: the PR-4
+// snapshot/overlay/rebuilder machinery replicated so rebuild cost and
+// snapshot size scale with subs/N instead of total subs. All of a
+// subscription's rectangles live in exactly one shard (shardIndex of
+// its id), so per-shard target deduplication is complete deduplication
+// and the cross-shard merge is pure concatenation.
 //
 // Lock order: b.mu before sh.mu. The publish path takes neither — it
 // reads sh.snap; the rebuilder takes only sh.mu.
@@ -306,9 +306,7 @@ func (sh *shard) snapshotStat() ShardStat {
 	return st
 }
 
-// ShardStats returns one stat per shard. Under IndexDynamic the broker
-// has a single nominal shard whose counts are zero (the dynamic tree is
-// not sharded); use IndexReport for the dynamic tree's shape.
+// ShardStats returns one stat per shard.
 func (b *Broker) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(b.shards))
 	for i, sh := range b.shards {
@@ -317,6 +315,5 @@ func (b *Broker) ShardStats() []ShardStat {
 	return out
 }
 
-// NumShards returns how many subscription shards the broker runs
-// (always 1 under IndexDynamic).
+// NumShards returns how many subscription shards the broker runs.
 func (b *Broker) NumShards() int { return len(b.shards) }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/geometry"
 	"repro/internal/invariant"
+	"repro/internal/match"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -105,9 +106,11 @@ func inlineOnly(b *Broker) *Broker {
 // TestPublishArrangementsEquivalence runs one randomized workload —
 // multi-rectangle subscriptions, cancellations mid-stream, rebuilds in
 // flight (MinOverlay is tiny) — through every arrangement of the
-// publish pipeline: one shard, four shards run by the publisher, four
-// shards offered to workers, and the dynamic index, each in memory and
-// over a durable log. Every arrangement must deliver exactly what the
+// publish pipeline: one shard under each tree a rebuild can pack
+// (Options.Matcher is the only seam that chooses it; the zero value,
+// the S-tree, is the plain one-shard broker), four shards run by the
+// publisher and four shards offered to workers, each in memory and over
+// a durable log. Every arrangement must deliver exactly what the
 // brute-force oracle says, and must be observed the same way: the
 // same stage labels, a match time on traced publishes, one publish
 // record per publication, and no allocation on an untraced
@@ -152,16 +155,23 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 		return false
 	}
 
-	arrangements := []struct {
+	type arrangement struct {
 		name    string
 		opts    Options
 		workers bool
-	}{
-		{"1-shard", Options{Shards: 1, MinOverlay: 4}, false},
-		{"4-shards-inline", Options{Shards: 4, MinOverlay: 4}, false},
-		{"4-shards-workers", Options{Shards: 4, MinOverlay: 4}, true},
-		{"dynamic", Options{Index: IndexDynamic}, false},
 	}
+	var arrangements []arrangement
+	for _, alg := range []match.Algorithm{match.AlgSTree, match.AlgHilbertRTree, match.AlgDynamicRTree, match.AlgBruteForce} {
+		arrangements = append(arrangements, arrangement{
+			"1-shard-" + alg.String(),
+			Options{Shards: 1, MinOverlay: 4, Matcher: match.Options{Algorithm: alg}},
+			false,
+		})
+	}
+	arrangements = append(arrangements,
+		arrangement{"4-shards-inline", Options{Shards: 4, MinOverlay: 4}, false},
+		arrangement{"4-shards-workers", Options{Shards: 4, MinOverlay: 4}, true},
+	)
 	for _, arr := range arrangements {
 		for _, durable := range []bool{false, true} {
 			name := arr.name + "/memory"
@@ -287,6 +297,12 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 				// ...the worker counter tells the arrangements apart...
 				if viaWorkers := reg.CounterValue("pubsub_broker_parallel_fanouts_total"); (viaWorkers > 0) != arr.workers {
 					t.Fatalf("%g publications went through workers, arrangement says workers=%v", viaWorkers, arr.workers)
+				}
+				// ...the index introspection names the tree the rebuilds
+				// packed...
+				waitRebuilds(t, b, 1)
+				if got, want := b.IndexReport().Shape.Algorithm, arr.opts.Matcher.Algorithm.String(); got != want {
+					t.Fatalf("IndexReport names the tree %q, want %q", got, want)
 				}
 				// ...and an untraced steady-state publish allocates nothing.
 				if !raceEnabled {

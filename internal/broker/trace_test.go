@@ -111,3 +111,42 @@ func TestTracedPublishRecordsDrop(t *testing.T) {
 		t.Fatalf("drop policy = %d, want drop-newest", drops[0].Args[1])
 	}
 }
+
+// Under DropOldest the event that is lost is the one evicted from the
+// queue, not the incoming one: the drop record must sit on the evicted
+// publication's trace, and the incoming publication's trace must show a
+// clean delivery.
+func TestDropOldestBooksEvictionAgainstEvictedEvent(t *testing.T) {
+	rec := telemetry.NewRecorder(1024)
+	b := New(Options{Recorder: rec, DefaultBuffer: 1, Overflow: DropOldest})
+	defer b.Close()
+	s, err := b.Subscribe(geometry.NewRect(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := telemetry.NewTraceID(), telemetry.NewTraceID()
+	for _, trace := range []uint64{t1, t2} {
+		if n, err := b.PublishTraced(geometry.Point{3}, nil, trace); err != nil || n != 1 {
+			t.Fatalf("publish delivered to %d, err %v; want 1, nil", n, err)
+		}
+	}
+	queued := <-s.Events()
+	if queued.TraceID != t2 || queued.Seq != 2 {
+		t.Fatalf("queued event trace=%x seq=%d, want the second publication", queued.TraceID, queued.Seq)
+	}
+	drops := rec.SnapshotFilter(t1, telemetry.KindDrop, 0)
+	if len(drops) != 1 || drops[0].Seq != 1 || int(drops[0].Args[0]) != s.ID() || OverflowPolicy(drops[0].Args[1]) != DropOldest {
+		t.Fatalf("drop records on the evicted trace = %+v, want one: seq 1, sub %d, drop-oldest", drops, s.ID())
+	}
+	if drops := rec.SnapshotFilter(t2, telemetry.KindDrop, 0); len(drops) != 0 {
+		t.Fatalf("the delivered publication's trace carries drop records: %+v", drops)
+	}
+	for _, trace := range []uint64{t1, t2} {
+		if got := len(rec.SnapshotFilter(trace, telemetry.KindDeliver, 0)); got != 1 {
+			t.Fatalf("trace %x has %d deliver records, want 1", trace, got)
+		}
+	}
+	if got := s.Dropped(); got != 1 {
+		t.Fatalf("subscription dropped = %d, want 1", got)
+	}
+}

@@ -217,7 +217,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if wantsJSON(req) {
-			serveJSON(r, w)
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			_ = r.WriteJSON(w)
 			return
 		}
 		if wantsOpenMetrics(req) {
@@ -228,19 +229,6 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteProm(w)
 	})
-}
-
-// JSONHandler always serves the expvar-style JSON rendering. Mount it
-// at /debug/vars for expvar-style consumers.
-func JSONHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		serveJSON(r, w)
-	})
-}
-
-func serveJSON(r *Registry, w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = r.WriteJSON(w)
 }
 
 func wantsJSON(req *http.Request) bool {

@@ -46,10 +46,6 @@ func TestHandlerJSONOptIn(t *testing.T) {
 	req.Header.Set("Accept", "application/json")
 	h.ServeHTTP(rec, req)
 	assertJSONBody(t, rec)
-
-	rec = httptest.NewRecorder()
-	JSONHandler(newTestRegistry()).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	assertJSONBody(t, rec)
 }
 
 // TestPromExpositionConformance checks the invariants Prometheus

@@ -34,10 +34,6 @@ func NewPublicationTracer(logger *slog.Logger, sampleEvery int) *PublicationTrac
 // preferring application/json get the JSON view instead.
 func MetricsHandler(r *MetricsRegistry) http.Handler { return telemetry.Handler(r) }
 
-// MetricsJSONHandler serves a registry as expvar-style JSON
-// unconditionally, for a /debug/vars-shaped endpoint.
-func MetricsJSONHandler(r *MetricsRegistry) http.Handler { return telemetry.JSONHandler(r) }
-
 // FlightRecorder is an always-on, fixed-memory diagnostic ring buffer:
 // every broker publish, traced per-stage detail (ingest, match,
 // dispatch decision, deliver/drop), eviction, index rebuild, keepalive

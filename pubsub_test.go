@@ -289,9 +289,7 @@ func TestMetricsFacade(t *testing.T) {
 		t.Errorf("prometheus view missing publish counter:\n%.400s", body)
 	}
 
-	jsrv := httptest.NewServer(pubsub.MetricsJSONHandler(reg))
-	defer jsrv.Close()
-	jresp, err := http.Get(jsrv.URL)
+	jresp, err := http.Get(srv.URL + "?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 #   4. invariant tests  go test -tags=invariants over the index/geometry packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
-#   7. ledger smoke     bench/ harness tests + 1-second stock, durable and wire workloads through its oracle
+#   7. ledger smoke     bench/ harness tests + 1-second stock, churn, durable and wire workloads through its oracle
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +38,7 @@ trap 'rm -rf "${scratch}"' EXIT
 
 echo "==> performance ledger: harness tests + workload smokes"
 (cd bench && go test ./...)
-for w in stock durable wire; do
+for w in stock churn durable wire; do
   bash bench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0
 done
 

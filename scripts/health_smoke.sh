@@ -92,7 +92,7 @@ curl -fsS "http://$METRICS/debug/index" \
   | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
-assert d["strategy"], d
+assert d["shard_count"] >= 1, d
 assert d["subscriptions"] >= 1, d
 ' || { echo "FAIL: /debug/index malformed" >&2; exit 1; }
 

@@ -3,8 +3,8 @@
 #
 # Boots pubsubd with -metrics-addr and an armed delivery SLO, scrapes
 # /metrics, asserts the exposition is well-formed and carries the
-# broker/index/dispatch/wire families, checks /debug/vars parses as
-# JSON, then walks the exemplar loop an operator would: publish a
+# broker/index/dispatch/wire families, checks /metrics?format=json parses
+# as JSON, then walks the exemplar loop an operator would: publish a
 # traced event, scrape the OpenMetrics exposition, pull a trace-id
 # exemplar off a pubsub_stage_seconds bucket line, and resolve it to a
 # correlated flight-recorder timeline with pubsub-cli trace. Also
@@ -32,7 +32,7 @@ trap cleanup EXIT
 go build -o "$BIN" ./cmd/pubsubd
 go build -o "$CLI" ./cmd/pubsub-cli
 "$BIN" -addr "$ADDR" -metrics-addr "$METRICS" -log-level warn \
-  -slo-delivery-p99 5ms -slo-window 1m -index-sample 64 &
+  -slo-delivery-p99 5ms -slo-window 1m &
 PID=$!
 
 for _ in $(seq 1 50); do
@@ -62,9 +62,9 @@ if grep -vE '^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9eE.+-]+|)$' <<<"$SCR
   exit 1
 fi
 
-curl -fsS "http://$METRICS/debug/vars" \
+curl -fsS "http://$METRICS/metrics?format=json" \
   | python3 -c 'import json,sys; json.load(sys.stdin)' \
-  || { echo "FAIL: /debug/vars is not valid JSON" >&2; exit 1; }
+  || { echo "FAIL: /metrics?format=json is not valid JSON" >&2; exit 1; }
 
 # Exemplar loop: publish a traced event over the wire, then pull its
 # trace id back out of the OpenMetrics exposition's stage buckets.
