@@ -95,6 +95,7 @@ var allowedStdFuncs = map[string]bool{
 	"strconv.AppendUint":                       true,
 	"strconv.AppendFloat":                      true,
 	"(*encoding/base64.Encoding).AppendEncode": true,
+	"(encoding/binary.bigEndian).PutUint32":    true, // four stores into the caller's slice
 }
 
 // allowedGenericStd are generic std functions matched by prefix of

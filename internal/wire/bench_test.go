@@ -38,6 +38,30 @@ func BenchmarkEventEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEventEncodeGrouped is what a grouping connection's queue does
+// for one publication matching 32 of its subscriptions: one frame
+// encoded, 31 ids added in place.
+func BenchmarkEventEncodeGrouped(b *testing.B) {
+	m := benchEvent()
+	m.SubID, m.SubIDs = 0, []int{17}
+	buf, err := appendFrame(nil, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf = append(buf, make([]byte, 31*(1+maxIDLen))...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = appendFrame(buf[:0], m); err != nil {
+			b.Fatal(err)
+		}
+		for id := 18; id < 49; id++ {
+			buf, _ = extendEventFrame(buf, 0, id)
+		}
+	}
+	b.SetBytes(int64(len(buf)))
+}
+
 func BenchmarkEventDecode(b *testing.B) {
 	frame, err := appendFrame(nil, benchEvent())
 	if err != nil {

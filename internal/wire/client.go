@@ -133,27 +133,15 @@ func (c *Client) readLoop() {
 		switch m.Type {
 		case TypeEvent:
 			c.noteRecv(m.TraceID)
+			// A grouped frame is its publication once for every id it
+			// lists, in order; the events share Point and Payload, which
+			// subscribers only read, as they do in-process.
 			ev := broker.Event{Point: geometry.Point(m.Point), Payload: m.Payload, Seq: m.Seq, TraceID: m.TraceID}
-			select {
-			case c.events <- ev:
-				c.opts.Recorder.Record(telemetry.KindClientRecv, m.TraceID, m.Seq,
-					int64(m.SubID), int64(len(m.Payload)), 0, 0)
-			default:
-				c.droppedMu.Lock()
-				c.dropped++
-				first := !c.hasDropped
-				if first {
-					c.firstDropped, c.hasDropped = m.Seq, true
-				}
-				c.droppedMu.Unlock()
-				// first_drop marks the drop that opened the current loss
-				// window: the Seq a resume replay must refetch from.
-				firstArg := int64(0)
-				if first {
-					firstArg = 1
-				}
-				c.opts.Recorder.Record(telemetry.KindClientRecv, m.TraceID, m.Seq,
-					int64(m.SubID), int64(len(m.Payload)), 1, firstArg)
+			if len(m.SubIDs) == 0 {
+				c.deliver(ev, m.SubID)
+			}
+			for _, id := range m.SubIDs {
+				c.deliver(ev, id)
 			}
 		case TypeOK, TypeError:
 			reply := *m
@@ -170,6 +158,32 @@ func (c *Client) readLoop() {
 			_ = WriteMessage(c.conn, &Message{Type: TypePong})
 			c.writeMu.Unlock()
 		}
+	}
+}
+
+// deliver hands one subscription's copy of an event to Events(), or
+// books it as dropped when the buffer is full.
+func (c *Client) deliver(ev broker.Event, subID int) {
+	select {
+	case c.events <- ev:
+		c.opts.Recorder.Record(telemetry.KindClientRecv, ev.TraceID, ev.Seq,
+			int64(subID), int64(len(ev.Payload)), 0, 0)
+	default:
+		c.droppedMu.Lock()
+		c.dropped++
+		first := !c.hasDropped
+		if first {
+			c.firstDropped, c.hasDropped = ev.Seq, true
+		}
+		c.droppedMu.Unlock()
+		// first_drop marks the drop that opened the current loss
+		// window: the Seq a resume replay must refetch from.
+		firstArg := int64(0)
+		if first {
+			firstArg = 1
+		}
+		c.opts.Recorder.Record(telemetry.KindClientRecv, ev.TraceID, ev.Seq,
+			int64(subID), int64(len(ev.Payload)), 1, firstArg)
 	}
 }
 
@@ -213,13 +227,15 @@ func (c *Client) Subscribe(rects ...geometry.Rect) (int, error) {
 // fanout with no gap or duplicate at the boundary. Replayed and live
 // events alike arrive on Events(); replays larger than the client's
 // event buffer must be drained concurrently or they count as Dropped.
-// A zero from is never sent on the wire, keeping the frame
-// byte-identical to a pre-offset client's.
+// A zero from is never sent on the wire. Every subscribe announces the
+// group capability (Message.Group): a server that knows it sends one
+// event frame per publication for all of this client's matching
+// subscriptions, any other server ignores the key.
 func (c *Client) SubscribeFrom(from uint64, rects ...geometry.Rect) (int, error) {
 	if len(rects) == 0 {
 		return 0, fmt.Errorf("wire: subscription needs at least one rectangle")
 	}
-	req := &Message{Type: TypeSubscribe, Rects: make([]Rect, len(rects)), FromOffset: from}
+	req := &Message{Type: TypeSubscribe, Rects: make([]Rect, len(rects)), FromOffset: from, Group: true}
 	for i, r := range rects {
 		req.Rects[i] = RectToWire(r)
 	}

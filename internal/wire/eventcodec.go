@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"math"
 	"strconv"
 )
@@ -22,7 +23,7 @@ import (
 //
 //pubsub:hotpath
 func appendEventBody(dst []byte, m *Message) (out []byte, ok bool) {
-	if m.Type != TypeEvent || len(m.Rects) != 0 || m.Buffer != 0 || m.FromOffset != 0 ||
+	if m.Type != TypeEvent || len(m.Rects) != 0 || m.Buffer != 0 || m.FromOffset != 0 || m.Group ||
 		m.Delivered != 0 || m.Error != "" {
 		return dst, false
 	}
@@ -57,7 +58,35 @@ func appendEventBody(dst []byte, m *Message) (out []byte, ok bool) {
 		dst = append(dst, `,"sub_id":`...)
 		dst = strconv.AppendInt(dst, int64(m.SubID), 10)
 	}
+	if len(m.SubIDs) > 0 {
+		dst = append(dst, `,"sub_ids":[`...)
+		for i, id := range m.SubIDs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(id), 10)
+		}
+		dst = append(dst, ']')
+	}
 	return append(dst, '}'), true
+}
+
+// extendEventFrame adds id to the sub_ids list that ends the event frame
+// occupying frame[start:], in place: the closing "]}" becomes ",<id>]}"
+// and the length prefix follows. The result is the frame appendFrame
+// yields for the same message with id appended to SubIDs. It declines,
+// leaving frame as it was, when the longer body could cross MaxFrame.
+//
+//pubsub:hotpath
+func extendEventFrame(frame []byte, start, id int) ([]byte, bool) {
+	if len(frame)-start-4+1+maxIDLen > MaxFrame {
+		return frame, false
+	}
+	frame = append(frame[:len(frame)-2], ',')
+	frame = strconv.AppendInt(frame, int64(id), 10)
+	frame = append(frame, "]}"...)
+	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4))
+	return frame, true
 }
 
 // appendJSONFloat formats a finite float64 exactly as encoding/json
@@ -151,20 +180,47 @@ func decodeEventBody(body []byte, m *Message) bool {
 		}
 	}
 	if r, ok := bytes.CutPrefix(rest, []byte(`,"sub_id":`)); ok {
-		neg := len(r) > 0 && r[0] == '-'
-		if neg {
-			r = r[1:]
-		}
-		var u uint64
-		if u, rest, ok = cutUint(r); !ok || u > math.MaxInt {
+		if m.SubID, rest, ok = cutInt(r); !ok {
 			return false
 		}
-		m.SubID = int(u)
-		if neg {
-			m.SubID = -m.SubID
+	}
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"sub_ids":[`)); ok {
+		end := bytes.IndexByte(r, ']')
+		if end <= 0 {
+			return false // unterminated, or an empty list (json yields a non-nil empty slice)
 		}
+		m.SubIDs = make([]int, 0, bytes.Count(r[:end], []byte{','})+1)
+		for {
+			var id int
+			if id, r, ok = cutInt(r); !ok {
+				return false
+			}
+			m.SubIDs = append(m.SubIDs, id)
+			if r[0] == ']' { // cutInt stops at a non-digit, and r still holds the ']' found above
+				break
+			}
+			if r[0] != ',' {
+				return false
+			}
+			r = r[1:]
+		}
+		rest = r[1:]
 	}
 	return len(rest) == 1 && rest[0] == '}'
+}
+
+// cutInt parses a leading JSON integer literal that fits an int: an
+// optional minus sign, then what cutUint accepts.
+func cutInt(b []byte) (v int, rest []byte, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	u, rest, ok := cutUint(b)
+	if neg {
+		return int(-u), rest, ok && u <= -math.MinInt
+	}
+	return int(u), rest, ok && u <= math.MaxInt
 }
 
 // cutUint parses a leading JSON non-negative integer literal (no sign,

@@ -97,6 +97,19 @@ func TestEventEncodeMatchesJSON(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no cases ran")
 	}
+	// The grouped layout: sub_ids as the last key.
+	for _, ids := range [][]int{{}, {1}, {17, 3}, {-1, 0, math.MaxInt, math.MinInt}} {
+		for _, m := range []*Message{
+			{Type: TypeEvent, SubIDs: ids},
+			{Type: TypeEvent, Point: []float64{100, 37.25}, Payload: []byte("tick"), Seq: 9, TraceID: 1, SubIDs: ids},
+			{Type: TypeEvent, Point: []float64{1}, Seq: 9, SubID: 4, SubIDs: ids},
+		} {
+			checkEncode(t, m)
+			if _, ok := appendEventBody(nil, m); !ok {
+				t.Fatalf("fast encoder declined a grouped event: %+v", m)
+			}
+		}
+	}
 }
 
 // The allocfree analyzer takes strconv's and base64's append-style
@@ -126,6 +139,7 @@ func TestEventEncodeDeclines(t *testing.T) {
 		{Type: TypeEvent, Point: []float64{1}, Error: "x"},
 		{Type: TypeEvent, Point: []float64{1}, Buffer: 4},
 		{Type: TypeEvent, Point: []float64{1}, FromOffset: 9},
+		{Type: TypeEvent, Point: []float64{1}, Group: true},
 		{Type: TypeEvent, Point: []float64{1}, Rects: []Rect{{{Lo: &lo}}}},
 	} {
 		if _, ok := appendEventBody(nil, m); ok {
@@ -166,6 +180,9 @@ func TestEventDecodeCanonical(t *testing.T) {
 		{Type: TypeEvent, Point: []float64{100, 37.25}, Payload: []byte("tick"), Seq: 123456, TraceID: math.MaxUint64, SubID: 17},
 		{Type: TypeEvent, Payload: []byte{0}, SubID: -4},
 		{Type: TypeEvent, Point: []float64{5}, Seq: 1},
+		{Type: TypeEvent, SubIDs: []int{7}},
+		{Type: TypeEvent, Point: []float64{5}, Payload: []byte("tick"), Seq: 1, TraceID: 2, SubIDs: []int{3, -4, 0, math.MaxInt}},
+		{Type: TypeEvent, Seq: 1, SubID: 3, SubIDs: []int{4, 5}},
 	} {
 		body, err := json.Marshal(m)
 		if err != nil {
@@ -227,6 +244,27 @@ func TestEventDecodeDeclines(t *testing.T) {
 		`{"type":"event","sub_id":-}`,
 		`{"type":"event","sub_id":--1}`,
 		`{"type":"event","sub_id":1`,
+		`{"type":"event","sub_ids":[]}`, // json yields a non-nil empty slice
+		`{"type":"event","sub_ids":null}`,
+		`{"type":"event","sub_ids":[1,]}`,
+		`{"type":"event","sub_ids":[,1]}`,
+		`{"type":"event","sub_ids":[1,,2]}`,
+		`{"type":"event","sub_ids":[1 ,2]}`,
+		`{"type":"event","sub_ids":[1, 2]}`,
+		`{"type":"event","sub_ids":[01]}`,
+		`{"type":"event","sub_ids":[1.0]}`,
+		`{"type":"event","sub_ids":[1e1]}`,
+		`{"type":"event","sub_ids":[-]}`,
+		`{"type":"event","sub_ids":["1"]}`,
+		`{"type":"event","sub_ids":[[1]]}`,
+		`{"type":"event","sub_ids":[9223372036854775808]}`,
+		`{"type":"event","sub_ids":[1}`,
+		`{"type":"event","sub_ids":[1]`,
+		`{"type":"event","sub_ids":[1]]}`,
+		`{"type":"event","sub_ids":1}`,
+		`{"type":"event","sub_ids":[1],"sub_ids":[2]}`, // duplicate key
+		`{"type":"event","sub_ids":[1],"sub_id":2}`,    // reordered keys
+		`{"type":"event","sub_ids":[1],"seq":2}`,       // reordered keys
 	} {
 		if checkDecode(t, []byte(body)) {
 			t.Errorf("fast decoder accepted the non-canonical body %s", body)
@@ -237,6 +275,7 @@ func TestEventDecodeDeclines(t *testing.T) {
 	for _, body := range []string{
 		`{"type":"event","seq":0}`,
 		`{"type":"event","sub_id":-0}`,
+		`{"type":"event","sub_ids":[-0,0]}`,
 		`{"type":"event","point":[1E2,1e+2,-0.0,1.50]}`,
 		`{"type":"event","payload":""}`,
 		`{"type":"event","payload":"dGljaw"}`,   // missing padding
@@ -283,6 +322,9 @@ func FuzzEventDecode(f *testing.F) {
 	f.Add([]byte("{\"type\":\"event\",\"payload\":\"dGlj\naw==\"}"))
 	f.Add([]byte(`{"type":"event","point":[1e999]}`))
 	f.Add([]byte(`{"type":"event","sub_id":-0}`))
+	f.Add([]byte(`{"type":"event","point":[5],"payload":"dGljaw==","seq":7,"trace_id":9,"sub_ids":[3,1,-2]}`))
+	f.Add([]byte(`{"type":"event","sub_ids":[1,]}`))
+	f.Add([]byte(`{"type":"event","sub_ids":[]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body)
 	})

@@ -413,6 +413,11 @@ func (s *Server) handle(cs *connState) {
 // connection-level failure; protocol errors are reported to the peer
 // instead.
 func (s *Server) handleSubscribe(cs *connState, m *Message) error {
+	if m.Group {
+		cs.out.mu.Lock()
+		cs.out.group = true
+		cs.out.mu.Unlock()
+	}
 	rects := make([]geometry.Rect, 0, len(m.Rects))
 	for _, w := range m.Rects {
 		r, err := WireToRect(w)
@@ -504,7 +509,7 @@ func (s *Server) pumpSub(cs *connState, sub *broker.Subscription, ready <-chan u
 	msg := &Message{Type: TypeEvent, SubID: sub.ID()} // reused: write copies it into the frame
 	writeEvent := func(ev broker.Event) bool {
 		msg.Point, msg.Payload, msg.Seq, msg.TraceID = ev.Point, ev.Payload, ev.Seq, ev.TraceID
-		err := cs.write(msg)
+		err := cs.writeSubEvent(msg)
 		if err == nil || errors.Is(err, errEncode) {
 			// An event that cannot be framed (a NaN coordinate or an
 			// oversized payload published in-process) is skipped; the
@@ -607,7 +612,9 @@ func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rec
 			}
 		}
 		msg.Point, msg.Payload, msg.Seq, msg.TraceID = rec.Point, rec.Payload, rec.Offset, rec.TraceID
-		if err := cs.write(msg); err != nil {
+		// rects is empty only for a pure replay, whose frames are for no
+		// subscription.
+		if err := cs.enqueue(msg, len(rects) > 0); err != nil {
 			if errors.Is(err, errEncode) {
 				continue
 			}
@@ -645,7 +652,7 @@ func (s *Server) handleUnsubscribe(cs *connState, m *Message) error {
 
 func (s *Server) handlePublish(cs *connState, m *Message) error {
 	if len(m.Point) == 0 {
-		return cs.write(&Message{Type: TypeError, Error: "publish needs a point"})
+		return cs.write(&Message{Type: TypeError, TraceID: m.TraceID, Error: "publish needs a point"})
 	}
 	// Bound dimensionality here, not just in the durable log: a 1 MiB
 	// frame can carry ~130k dimensions, far past what wal.Append — and
@@ -659,7 +666,9 @@ func (s *Server) handlePublish(cs *connState, m *Message) error {
 	// The event frames this publish fans out into add seq and sub_id to
 	// it and re-render the point, so a publish that just fits MaxFrame
 	// could yield events that do not. Refuse it here, to the publisher,
-	// rather than discover it in every matching subscriber's pump.
+	// rather than discover it in every matching subscriber's pump. (The
+	// bound covers one id; a grouped frame that has no room for another
+	// is followed by a second frame.)
 	if bound := eventFrameBound(len(m.Point), len(m.Payload)); bound > MaxFrame {
 		return cs.write(&Message{Type: TypeError, TraceID: m.TraceID,
 			Error: fmt.Sprintf("publish too large: its event frame could reach %d bytes (max %d)", bound, MaxFrame)})

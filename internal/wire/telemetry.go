@@ -16,6 +16,7 @@ type wireTel struct {
 	bytesOut        *telemetry.Counter
 	framesIn        *telemetry.Counter
 	framesOut       *telemetry.Counter
+	eventsOut       *telemetry.Counter
 	writeLatency    *telemetry.Histogram
 	keepaliveMisses *telemetry.Counter
 	// stageWrite is the waterfall's subscriber-socket-write stage
@@ -42,6 +43,8 @@ func newWireTel(reg *telemetry.Registry) *wireTel {
 			"Frames read from peers."),
 		framesOut: reg.Counter("pubsub_wire_frames_written_total",
 			"Frames written to peers."),
+		eventsOut: reg.Counter("pubsub_wire_events_written_total",
+			"Event deliveries written to peers: one per event frame, or per subscription id of a grouped frame."),
 		writeLatency: reg.Histogram("pubsub_wire_write_seconds",
 			"Frame write latency, including any deadline wait.", telemetry.LatencyBuckets()),
 		keepaliveMisses: reg.Counter("pubsub_wire_keepalive_misses_total",

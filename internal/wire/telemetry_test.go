@@ -89,6 +89,43 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
+// A grouped frame is one frame, one write-latency sample and one write
+// stage sample, and as many event deliveries as it lists ids.
+func TestServerMetricsCountGroupedFrameOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cs, gc, peer := pipeConn(t, true)
+	cs.tel = newWireTel(reg) // the idle writer reads it only after the first frame's wake-up
+
+	release := holdWriter(t, cs, gc)
+	for sub := 0; sub < 5; sub++ {
+		if err := cs.writeSubEvent(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, TraceID: 9, SubID: sub}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cs.write(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 2}); err != nil { // plain: a pure replay's
+		t.Fatal(err)
+	}
+	release()
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < 3; i++ { // the ping, the grouped frame, the plain one
+		if _, err := ReadMessage(peer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the batch to be counted", 2*time.Second, func() bool {
+		return reg.CounterValue("pubsub_wire_frames_written_total") == 3
+	})
+	if got := reg.CounterValue("pubsub_wire_events_written_total"); got != 6 {
+		t.Errorf("events written = %g, want 6", got)
+	}
+	if got := reg.Histogram1("pubsub_wire_write_seconds").Count; got != 3 {
+		t.Errorf("write latency samples = %d, want 3", got)
+	}
+	if got := cs.tel.stageWrite.Count(); got != 2 {
+		t.Errorf("write stage samples = %d, want 2 (one per event frame)", got)
+	}
+}
+
 func TestServerKeepaliveMissMetric(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := broker.New(broker.Options{})

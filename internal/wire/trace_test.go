@@ -13,7 +13,8 @@ import (
 // One wire-crossing publication must yield a correlated trace across
 // both processes' recorders: client-publish on the sending side;
 // ingest, match, decision, deliver and the publish summary on the
-// server; client-recv on the receiving side — all under the trace id
+// server; client-recv on the receiving side, one per subscription
+// however many frames carried them — all under the trace id
 // PublishTraced returned.
 func TestWireTraceRoundTrip(t *testing.T) {
 	serverRec := telemetry.NewRecorder(1024)
@@ -39,28 +40,35 @@ func TestWireTraceRoundTrip(t *testing.T) {
 	}
 	defer pub.Close()
 
-	if _, err := sub.Subscribe(geometry.NewRect(0, 10, 0, 10)); err != nil {
-		t.Fatal(err)
+	subIDs := make(map[int64]bool)
+	for i := 0; i < 2; i++ {
+		id, err := sub.Subscribe(geometry.NewRect(0, 10, 0, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subIDs[int64(id)] = true
 	}
 	n, trace, err := pub.PublishTraced(geometry.Point{5, 5}, []byte("tick"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("delivered = %d, want 1", n)
+	if n != 2 {
+		t.Fatalf("delivered = %d, want 2", n)
 	}
 	if trace == 0 {
 		t.Fatal("PublishTraced returned a zero trace id")
 	}
 
-	// The event crossing back carries the same trace id.
-	select {
-	case ev := <-sub.Events():
-		if ev.TraceID != trace {
-			t.Fatalf("event trace = %x, want %x", ev.TraceID, trace)
+	// The events crossing back carry the same trace id.
+	for i := 0; i < 2; i++ {
+		select {
+		case ev := <-sub.Events():
+			if ev.TraceID != trace {
+				t.Fatalf("event trace = %x, want %x", ev.TraceID, trace)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("no event within deadline")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event within deadline")
 	}
 
 	// Server-side chain, correlated under the client's id.
@@ -76,8 +84,12 @@ func TestWireTraceRoundTrip(t *testing.T) {
 		got[r.Kind]++
 	}
 	for _, k := range wantServer {
-		if got[k] != 1 {
-			t.Errorf("server records for trace: %s = %d, want 1 (all: %v)", k, got[k], got)
+		want := 1
+		if k == telemetry.KindDeliver {
+			want = 2
+		}
+		if got[k] != want {
+			t.Errorf("server records for trace: %s = %d, want %d (all: %v)", k, got[k], want, got)
 		}
 	}
 
@@ -88,14 +100,19 @@ func TestWireTraceRoundTrip(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if recs := clientRec.SnapshotFilter(trace, telemetry.KindClientRecv, 0); len(recs) == 1 {
-			if recs[0].Args[1] != int64(len("tick")) {
-				t.Errorf("client recv payload_bytes = %d, want %d", recs[0].Args[1], len("tick"))
+		if recs := clientRec.SnapshotFilter(trace, telemetry.KindClientRecv, 0); len(recs) == 2 {
+			for _, r := range recs {
+				if r.Args[1] != int64(len("tick")) || !subIDs[r.Args[0]] {
+					t.Errorf("client recv record %+v, want %d payload bytes for one of %v", r, len("tick"), subIDs)
+				}
+			}
+			if recs[0].Args[0] == recs[1].Args[0] {
+				t.Errorf("both client recv records name subscription %d", recs[0].Args[0])
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no client-recv record within deadline")
+			t.Fatal("no two client-recv records within deadline")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -107,6 +107,13 @@ type Message struct {
 	// client, and an old server ignores the unknown key (the replayed
 	// history is simply not sent).
 	FromOffset uint64 `json:"from_offset,omitempty"`
+	// Group announces that the sender understands grouped event frames
+	// (SubIDs): from the first subscribe carrying it, the server may send
+	// one event frame per publication for all of the connection's
+	// matching subscriptions. Optional like FromOffset: false is omitted,
+	// an old server ignores the key and keeps sending one frame per
+	// subscription, which a grouping client reads all the same.
+	Group bool `json:"group,omitempty"`
 
 	// Publish / Event fields.
 	Point   []float64 `json:"point,omitempty"`
@@ -121,9 +128,16 @@ type Message struct {
 	// originating publication's id.
 	TraceID uint64 `json:"trace_id,omitempty"`
 
-	// OK fields.
-	SubID     int `json:"sub_id,omitempty"`
-	Delivered int `json:"delivered,omitempty"`
+	// OK fields; on an event frame SubID names the one subscription the
+	// event is for.
+	SubID int `json:"sub_id,omitempty"`
+	// SubIDs, on an event frame sent to a peer that announced Group,
+	// takes SubID's place as the frame's last key: every subscription of
+	// the connection the publication is delivered to by this frame. A
+	// publication may still arrive as several frames; no id repeats
+	// across them.
+	SubIDs    []int `json:"sub_ids,omitempty"`
+	Delivered int   `json:"delivered,omitempty"`
 
 	// Error field.
 	Error string `json:"error,omitempty"`
@@ -131,9 +145,12 @@ type Message struct {
 
 // eventOverhead bounds everything in an event frame that is neither a
 // coordinate nor payload: the length prefix, the fixed keys and
-// punctuation (about 60 bytes), and seq, trace_id and sub_id at 20
-// digits each.
+// punctuation (about 75 bytes), and seq, trace_id and one sub_id —
+// alone or as a one-element sub_ids list — at maxIDLen digits each.
 const eventOverhead = 160
+
+// maxIDLen is the longest decimal rendering of a uint64 or an int.
+const maxIDLen = 20
 
 // eventFrameBound is an upper bound on the size of the event frame that
 // carries a point of dims coordinates and a payload of n bytes. A

@@ -231,16 +231,17 @@ func TestServerRejectsBadMessages(t *testing.T) {
 		t.Errorf("reply = %+v", reply)
 	}
 
-	// Publish without a point.
-	if err := WriteMessage(conn, &Message{Type: TypePublish}); err != nil {
+	// Publish without a point: refused, with the publisher's trace id
+	// echoed like every other publish refusal.
+	if err := WriteMessage(conn, &Message{Type: TypePublish, TraceID: 77}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err = ReadMessage(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Type != TypeError {
-		t.Errorf("reply = %+v", reply)
+	if reply.Type != TypeError || reply.TraceID != 77 {
+		t.Errorf("reply = %+v, want an error carrying trace id 77", reply)
 	}
 
 	// Subscribe with a bad rectangle.

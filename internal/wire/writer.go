@@ -35,11 +35,26 @@ type outQueue struct {
 	mu        sync.Mutex
 	pending   []byte      // encoded frames the writer has not taken yet
 	metas     []frameMeta // one per frame in pending, when metrics are on
+	events    int         // event deliveries in pending: one per frame, or per id of a grouped frame
 	maxSeq    uint64      // highest event Seq in pending
 	inflight  int         // bytes of the batch the writer is writing
 	err       error       // latched: the socket failed or the writer stopped
 	space     chan struct{}
 	spaceWait bool // a producer waits on space; the writer closes and replaces it
+
+	// The connection as a multicast group: once the peer has announced
+	// group (a subscribe with the key), an event for a subscription is
+	// queued as a grouped frame, and while that frame is still the last
+	// thing in pending — tail is its offset, tailSeq and tailTrace its
+	// publication — the same publication's event for another
+	// subscription only adds its id to the frame. tailSeq is 0 when the
+	// last frame is anything else or the writer took the batch.
+	group     bool
+	tail      int
+	tailSeq   uint64
+	tailTrace uint64
+	one       Message // scratch: the grouped form of the event being queued
+	oneID     [1]int
 
 	kick     chan struct{} // pending went from empty to non-empty
 	stop     chan struct{} // closed to make the writer flush and exit
@@ -70,7 +85,16 @@ func (q *outQueue) wakeProducers() {
 // broker's overflow policy. The error is either errEncode — m could not
 // be framed, nothing was queued, the connection is unaffected — or the
 // failure that ended the connection's writer.
-func (cs *connState) write(m *Message) error {
+func (cs *connState) write(m *Message) error { return cs.enqueue(m, false) }
+
+// writeSubEvent is write for the event frame of one subscription,
+// m.SubID (zero is a subscription id like any other, which is why the
+// caller has to say): on a connection whose peer announced group it is
+// queued in the grouped layout, joining the frame the same publication
+// left at the end of the queue if there is one.
+func (cs *connState) writeSubEvent(m *Message) error { return cs.enqueue(m, true) }
+
+func (cs *connState) enqueue(m *Message, subEvent bool) error {
 	q := &cs.out
 	// An upper bound for events and for the small control frames the
 	// server sends; an error text may be escaped to six bytes a byte.
@@ -92,14 +116,42 @@ func (cs *connState) write(m *Message) error {
 		q.mu.Unlock()
 		return err
 	}
-	wasEmpty := len(q.pending) == 0
+	// An event without a Seq names no publication, so nothing could join
+	// its frame: it stays plain.
+	grouped := subEvent && q.group && m.Seq != 0
+	if grouped && m.Seq == q.tailSeq && m.TraceID == q.tailTrace {
+		var ok bool
+		if q.pending, ok = extendEventFrame(q.pending, q.tail, m.SubID); ok {
+			// The frame is already in maxSeq and metas, and pending was
+			// not empty, so the writer has its wake-up.
+			q.events++
+			q.mu.Unlock()
+			return nil
+		}
+	}
+	wasEmpty, start := len(q.pending) == 0, len(q.pending)
 	var err error
-	if q.pending, err = appendFrame(q.pending, m); err != nil {
+	if grouped {
+		q.oneID[0] = m.SubID
+		q.one = Message{Type: TypeEvent, Point: m.Point, Payload: m.Payload, Seq: m.Seq, TraceID: m.TraceID, SubIDs: q.oneID[:]}
+		q.pending, err = appendFrame(q.pending, &q.one)
+		q.one = Message{} // do not pin the payload
+	} else {
+		q.pending, err = appendFrame(q.pending, m)
+	}
+	if err != nil {
 		q.mu.Unlock()
 		return err
 	}
-	if m.Type == TypeEvent && m.Seq > q.maxSeq {
-		q.maxSeq = m.Seq
+	q.tailSeq = 0
+	if grouped {
+		q.tail, q.tailSeq, q.tailTrace = start, m.Seq, m.TraceID
+	}
+	if m.Type == TypeEvent {
+		q.events++
+		if m.Seq > q.maxSeq {
+			q.maxSeq = m.Seq
+		}
 	}
 	if cs.tel != nil {
 		q.metas = append(q.metas, frameMeta{enqueued: time.Now(), traceID: m.TraceID, event: m.Type == TypeEvent})
@@ -144,8 +196,8 @@ func (cs *connState) writeLoop() {
 			runtime.Gosched()
 			q.mu.Lock()
 		}
-		batch, metas, seq := q.pending, q.metas, q.maxSeq
-		q.pending, q.metas, q.maxSeq = spare[:0], spareMetas[:0], 0
+		batch, metas, events, seq := q.pending, q.metas, q.events, q.maxSeq
+		q.pending, q.metas, q.events, q.maxSeq, q.tailSeq = spare[:0], spareMetas[:0], 0, 0, 0
 		q.inflight = len(batch)
 		if stopping && q.err == nil {
 			// This is the last batch: a frame queued behind it would never
@@ -178,6 +230,7 @@ func (cs *connState) writeLoop() {
 		if cs.tel != nil {
 			now := time.Now()
 			cs.tel.framesOut.Add(uint64(len(metas)))
+			cs.tel.eventsOut.Add(uint64(events))
 			for _, fm := range metas {
 				d := now.Sub(fm.enqueued)
 				cs.tel.writeLatency.ObserveDuration(d)

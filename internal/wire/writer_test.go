@@ -38,8 +38,10 @@ func (cs *connState) queued() (bytes, storage int) {
 // stream, although frames are now queued and written in batches: a
 // client that has read its reply has read the whole replay.
 func TestReplyFollowsEveryReplayFrame(t *testing.T) {
-	base := runtime.NumGoroutine()
 	b, addr := startDurableBroker(t)
+	// After the broker, whose shard workers (one per CPU past the first)
+	// live until the test's cleanup: the count is about connections.
+	base := runtime.NumGoroutine()
 	const history = 500
 	for i := 1; i <= history; i++ {
 		if _, err := b.Publish(geometry.Point{float64(i%10 + 1)}, []byte(fmt.Sprintf("e%d", i))); err != nil {
