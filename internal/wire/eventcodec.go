@@ -8,26 +8,32 @@ import (
 	"strconv"
 )
 
-// The event codec is the reflection-free path for TypeEvent frames, the
-// only frame type whose count scales with fan-out. The encoder's output
-// is byte-identical to json.Marshal of the same Message, so old peers
-// and compat_test.go see no difference; the decoder accepts exactly the
-// layout the encoder (and json.Marshal) produces and declines anything
-// else, leaving it to encoding/json. Control frames never come here.
+// The fast codec is the reflection-free path for the three frame types
+// a publication costs: the publish, its ok reply, and the event frames,
+// whose count scales with fan-out. They share one key sequence — type,
+// point, payload, seq, trace_id, sub_id, sub_ids, delivered — each key
+// optional. The encoder's output is byte-identical to json.Marshal of
+// the same Message, so old peers and compat_test.go see no difference;
+// the decoder accepts exactly the layout the encoder (and json.Marshal)
+// produces and declines anything else, leaving it to encoding/json.
+// Subscribes, errors and keepalives never come here.
 
-// appendEventBody appends the JSON body of an event message to dst. It
-// declines (ok false, dst's contents past its original length
-// unspecified) when m is not a plain event — a field outside the event
-// set is populated, or a coordinate is NaN or infinite — so the caller
-// falls back to json.Marshal for the bytes or the exact error.
+// appendFastBody appends the JSON body of an event, publish or ok
+// message to dst. It declines (ok false, dst's contents past its
+// original length unspecified) when m is of another type, a field
+// outside the shared key sequence is populated, or a coordinate is NaN
+// or infinite — so the caller falls back to json.Marshal for the bytes
+// or the exact error.
 //
 //pubsub:hotpath
-func appendEventBody(dst []byte, m *Message) (out []byte, ok bool) {
-	if m.Type != TypeEvent || len(m.Rects) != 0 || m.Buffer != 0 || m.FromOffset != 0 || m.Group ||
-		m.Delivered != 0 || m.Error != "" {
+func appendFastBody(dst []byte, m *Message) (out []byte, ok bool) {
+	if (m.Type != TypeEvent && m.Type != TypePublish && m.Type != TypeOK) ||
+		len(m.Rects) != 0 || m.Buffer != 0 || m.FromOffset != 0 || m.Group || m.Error != "" {
 		return dst, false
 	}
-	dst = append(dst, `{"type":"event"`...)
+	dst = append(dst, `{"type":"`...)
+	dst = append(dst, m.Type...)
+	dst = append(dst, '"')
 	if len(m.Point) > 0 {
 		dst = append(dst, `,"point":[`...)
 		for i, f := range m.Point {
@@ -67,6 +73,10 @@ func appendEventBody(dst []byte, m *Message) (out []byte, ok bool) {
 			dst = strconv.AppendInt(dst, int64(id), 10)
 		}
 		dst = append(dst, ']')
+	}
+	if m.Delivered != 0 {
+		dst = append(dst, `,"delivered":`...)
+		dst = strconv.AppendInt(dst, int64(m.Delivered), 10)
 	}
 	return append(dst, '}'), true
 }
@@ -108,19 +118,30 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// decodeEventBody is the decoder's fast path. It fills m and reports
-// true only when body is exactly the canonical event layout — the keys
-// the encoder writes, each at most once, in its order, with no
-// whitespace, escapes or unknown keys. On false m may be partly written
-// and the caller must reset it and use json.Unmarshal, which also
-// produces the error for a malformed body. Whenever it reports true, m
-// equals what json.Unmarshal would have produced.
-func decodeEventBody(body []byte, m *Message) bool {
-	rest, ok := bytes.CutPrefix(body, []byte(`{"type":"event"`))
-	if !ok {
+// decodeFastBody is the decoder's fast path. It fills m and reports
+// true only when body is exactly the canonical layout of an event,
+// publish or ok — the keys the encoder writes, each at most once, in its
+// order, with no whitespace, escapes or unknown keys. On false m may be
+// partly written and the caller must reset it and use json.Unmarshal,
+// which also produces the error for a malformed body. Whenever it
+// reports true, m equals what json.Unmarshal would have produced.
+func decodeFastBody(body []byte, m *Message) bool {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"type":"`))
+	end := bytes.IndexByte(rest, '"')
+	if !ok || end < 0 {
 		return false
 	}
-	m.Type = TypeEvent
+	switch string(rest[:end]) {
+	case "event":
+		m.Type = TypeEvent
+	case "publish":
+		m.Type = TypePublish
+	case "ok":
+		m.Type = TypeOK
+	default:
+		return false
+	}
+	rest = rest[end+1:]
 	if r, ok := bytes.CutPrefix(rest, []byte(`,"point":[`)); ok {
 		end := bytes.IndexByte(r, ']')
 		if end <= 0 {
@@ -205,6 +226,11 @@ func decodeEventBody(body []byte, m *Message) bool {
 			r = r[1:]
 		}
 		rest = r[1:]
+	}
+	if r, ok := bytes.CutPrefix(rest, []byte(`,"delivered":`)); ok {
+		if m.Delivered, rest, ok = cutInt(r); !ok {
+			return false
+		}
 	}
 	return len(rest) == 1 && rest[0] == '}'
 }

@@ -16,7 +16,7 @@ import (
 func checkEncode(t *testing.T, m *Message) {
 	t.Helper()
 	want, wantErr := json.Marshal(m)
-	got, ok := appendEventBody(nil, m)
+	got, ok := appendFastBody(nil, m)
 	if ok {
 		if wantErr != nil {
 			t.Fatalf("fast encoder accepted %+v, json.Marshal fails: %v", m, wantErr)
@@ -50,7 +50,7 @@ func checkEncode(t *testing.T, m *Message) {
 func checkDecode(t *testing.T, body []byte) (accepted bool) {
 	t.Helper()
 	var fast Message
-	if !decodeEventBody(body, &fast) {
+	if !decodeFastBody(body, &fast) {
 		return false
 	}
 	var want Message
@@ -87,7 +87,7 @@ func TestEventEncodeMatchesJSON(t *testing.T) {
 			for i, id := range ids {
 				m := &Message{Type: TypeEvent, Point: p, Payload: pl, Seq: id, TraceID: ids[len(ids)-1-i], SubID: subs[i]}
 				checkEncode(t, m)
-				if _, ok := appendEventBody(nil, m); !ok {
+				if _, ok := appendFastBody(nil, m); !ok {
 					t.Fatalf("fast encoder declined a plain event: %+v", m)
 				}
 				n++
@@ -97,6 +97,21 @@ func TestEventEncodeMatchesJSON(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no cases ran")
 	}
+	// Publishes and their replies share the layout.
+	for _, m := range []*Message{
+		{Type: TypePublish}, {Type: TypeOK},
+		{Type: TypePublish, Point: []float64{100, 37.25}, Payload: []byte("tick"), TraceID: math.MaxUint64},
+		{Type: TypePublish, Point: []float64{1e21}, Seq: 3},
+		{Type: TypeOK, SubID: 17}, {Type: TypeOK, SubID: -1, Delivered: math.MinInt},
+		{Type: TypeOK, TraceID: 9, Delivered: 32},
+		{Type: TypeOK, Point: []float64{1}, Payload: []byte("x"), Seq: 1, TraceID: 2, SubID: 3, SubIDs: []int{4}, Delivered: math.MaxInt},
+		{Type: TypeEvent, Point: []float64{1}, Delivered: 2},
+	} {
+		checkEncode(t, m)
+		if _, ok := appendFastBody(nil, m); !ok {
+			t.Fatalf("fast encoder declined %+v", m)
+		}
+	}
 	// The grouped layout: sub_ids as the last key.
 	for _, ids := range [][]int{{}, {1}, {17, 3}, {-1, 0, math.MaxInt, math.MinInt}} {
 		for _, m := range []*Message{
@@ -105,7 +120,7 @@ func TestEventEncodeMatchesJSON(t *testing.T) {
 			{Type: TypeEvent, Point: []float64{1}, Seq: 9, SubID: 4, SubIDs: ids},
 		} {
 			checkEncode(t, m)
-			if _, ok := appendEventBody(nil, m); !ok {
+			if _, ok := appendFastBody(nil, m); !ok {
 				t.Fatalf("fast encoder declined a grouped event: %+v", m)
 			}
 		}
@@ -120,30 +135,31 @@ func TestEventEncodeAllocatesNothing(t *testing.T) {
 	m := benchEvent()
 	buf := make([]byte, 0, eventFrameBound(len(m.Point), len(m.Payload)))
 	allocs := testing.AllocsPerRun(100, func() {
-		out, ok := appendEventBody(buf, m)
+		out, ok := appendFastBody(buf, m)
 		if !ok || len(out) == 0 || &out[0] != &buf[:1][0] {
 			t.Fatal("encoder declined, or left the caller's buffer")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("appendEventBody: %g allocs per frame into a pre-sized buffer, want 0", allocs)
+		t.Errorf("appendFastBody: %g allocs per frame into a pre-sized buffer, want 0", allocs)
 	}
 }
 
 func TestEventEncodeDeclines(t *testing.T) {
 	lo := 1.0
 	for _, m := range []*Message{
-		{Type: TypePublish, Point: []float64{1}},
-		{Type: TypeOK, SubID: 3},
-		{Type: TypeEvent, Point: []float64{1}, Delivered: 2},
+		{Type: TypeSubscribe}, {Type: TypeUnsubscribe, SubID: 3}, {Type: TypePing}, {Type: TypePong},
+		{Type: TypeError, Error: "x"}, {Type: "bogus"}, {Type: ""}, {Type: `ok"`},
+		{Type: TypeOK, SubID: 3, Error: "x"},
+		{Type: TypePublish, Point: []float64{1}, Buffer: 4},
 		{Type: TypeEvent, Point: []float64{1}, Error: "x"},
 		{Type: TypeEvent, Point: []float64{1}, Buffer: 4},
 		{Type: TypeEvent, Point: []float64{1}, FromOffset: 9},
 		{Type: TypeEvent, Point: []float64{1}, Group: true},
 		{Type: TypeEvent, Point: []float64{1}, Rects: []Rect{{{Lo: &lo}}}},
 	} {
-		if _, ok := appendEventBody(nil, m); ok {
-			t.Errorf("fast encoder accepted a message with non-event fields: %+v", m)
+		if _, ok := appendFastBody(nil, m); ok {
+			t.Errorf("fast encoder accepted a message outside its layout: %+v", m)
 		}
 		checkEncode(t, m) // and the frame still equals json.Marshal's
 	}
@@ -158,7 +174,7 @@ func TestEventEncodeNonFinite(t *testing.T) {
 		if wantErr == nil {
 			t.Fatalf("json.Marshal accepted %v", f)
 		}
-		if _, ok := appendEventBody(nil, m); ok {
+		if _, ok := appendFastBody(nil, m); ok {
 			t.Errorf("fast encoder accepted %v", f)
 		}
 		var buf bytes.Buffer
@@ -183,6 +199,10 @@ func TestEventDecodeCanonical(t *testing.T) {
 		{Type: TypeEvent, SubIDs: []int{7}},
 		{Type: TypeEvent, Point: []float64{5}, Payload: []byte("tick"), Seq: 1, TraceID: 2, SubIDs: []int{3, -4, 0, math.MaxInt}},
 		{Type: TypeEvent, Seq: 1, SubID: 3, SubIDs: []int{4, 5}},
+		{Type: TypePublish}, {Type: TypeOK},
+		{Type: TypePublish, Point: []float64{100, 37.25}, Payload: []byte("tick"), TraceID: math.MaxUint64},
+		{Type: TypeOK, SubID: 17}, {Type: TypeOK, TraceID: 9, Delivered: 32},
+		{Type: TypeOK, SubID: -1, Delivered: -5},
 	} {
 		body, err := json.Marshal(m)
 		if err != nil {
@@ -197,8 +217,17 @@ func TestEventDecodeCanonical(t *testing.T) {
 func TestEventDecodeDeclines(t *testing.T) {
 	for _, body := range []string{
 		``, `{}`, `{"type":"event"`, `{"type":"event"}x`, `{"type":"event"} `,
-		`{"type":"ok","sub_id":1}`,
-		`{"type":"publish","point":[1]}`,
+		`{"type":"subscribe"}`, `{"type":"error","error":"x"}`, `{"type":"ping"}`, `{"type":""}`,
+		`{"type":"ok"`, `{"type":"ok`, `{"type":"oke"}`, `{"type":"o\u006b"}`, `{"type":"OK"}`,
+		`{"type":"ok","error":"x"}`,
+		`{"type":"ok","delivered":1,"sub_id":1}`, // reordered keys
+		`{"type":"ok","delivered":1,"delivered":2}`,
+		`{"type":"ok","delivered":1.0}`,
+		`{"type":"ok","delivered":9223372036854775808}`,
+		`{"type":"ok","delivered":}`,
+		`{"type":"ok","delivered":1,}`,
+		`{"type":"publish","rects":[],"point":[1]}`,
+		`{"type":"publish","point":[1],"buffer":4}`,
 		`{"seq":1,"type":"event"}`,                           // reordered keys
 		`{"type":"event","seq":1,"point":[1]}`,               // reordered keys
 		`{"type":"event", "seq":1}`,                          // whitespace
@@ -291,8 +320,16 @@ func FuzzEventEncode(f *testing.F) {
 	f.Add(1e-7, 4.9406564584124654e-324, []byte{}, uint64(math.MaxUint64), uint64(1), -3, 1)
 	f.Add(math.NaN(), math.Inf(-1), []byte{0xff}, uint64(1), uint64(1), 1, 2)
 	f.Add(0.0, 0.0, []byte("x"), uint64(1), uint64(2), 3, 0)
+	f.Add(5.0, 5.0, []byte("tick"), uint64(0), uint64(99), 0, 2|1<<2)
+	f.Add(0.0, 0.0, []byte(nil), uint64(32), uint64(99), 0, 2<<2)
 	f.Fuzz(func(t *testing.T, a, b float64, payload []byte, seq, traceID uint64, subID, dims int) {
 		m := &Message{Type: TypeEvent, Payload: payload, Seq: seq, TraceID: traceID, SubID: subID}
+		switch dims >> 2 & 3 { // the publish and ok layouts too
+		case 1:
+			m.Type = TypePublish
+		case 2:
+			m.Type, m.Delivered = TypeOK, subID^int(seq)
+		}
 		switch dims & 3 {
 		case 1:
 			m.Point = []float64{a}
@@ -303,9 +340,46 @@ func FuzzEventEncode(f *testing.F) {
 		}
 		checkEncode(t, m)
 		// What it encodes, both decoders read back alike.
-		if body, ok := appendEventBody(nil, m); ok && !checkDecode(t, body) {
+		if body, ok := appendFastBody(nil, m); ok && !checkDecode(t, body) {
 			t.Fatalf("fast decoder declined the fast encoder's output %s", body)
 		}
+	})
+}
+
+// FuzzPublishDecode and FuzzOKDecode hold the decoder to the same
+// contract from the other two layouts' corners of the input space.
+func FuzzPublishDecode(f *testing.F) {
+	for _, m := range []*Message{
+		{Type: TypePublish},
+		{Type: TypePublish, Point: []float64{100, 37.25}, Payload: []byte("tick"), TraceID: 1 << 60},
+		{Type: TypePublish, Point: []float64{-0.5, 1e21}, Seq: 4},
+	} {
+		body, _ := json.Marshal(m)
+		f.Add(body)
+	}
+	f.Add([]byte(`{"type":"publish","point":[1],"buffer":4}`))
+	f.Add([]byte(`{"type":"publish","point":[1e999],"trace_id":1}`))
+	f.Add([]byte(`{"type":"publish","payload":"dGlj\naw=="}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body)
+	})
+}
+
+func FuzzOKDecode(f *testing.F) {
+	for _, m := range []*Message{
+		{Type: TypeOK},
+		{Type: TypeOK, SubID: 17},
+		{Type: TypeOK, TraceID: 1 << 60, Delivered: 32},
+		{Type: TypeOK, SubID: -4, Delivered: -1},
+	} {
+		body, _ := json.Marshal(m)
+		f.Add(body)
+	}
+	f.Add([]byte(`{"type":"ok","delivered":1,"sub_id":1}`))
+	f.Add([]byte(`{"type":"ok","delivered":01}`))
+	f.Add([]byte(`{"type":"ok","error":"x"}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body)
 	})
 }
 

@@ -165,14 +165,14 @@ func eventFrameBound(dims, n int) int {
 var errEncode = errors.New("wire: encoding message")
 
 // appendFrame appends m's frame — length prefix, then body — to dst.
-// Event messages take the reflection-free encoder, everything else (and
-// any event it declines) goes through json.Marshal; the bytes are the
-// same either way. On error, which always wraps errEncode, dst is
-// returned at its original length.
+// Event, publish and ok messages take the reflection-free encoder,
+// everything else (and any message it declines) goes through
+// json.Marshal; the bytes are the same either way. On error, which
+// always wraps errEncode, dst is returned at its original length.
 func appendFrame(dst []byte, m *Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst, ok := appendEventBody(dst, m)
+	dst, ok := appendFastBody(dst, m)
 	if !ok {
 		body, err := json.Marshal(m)
 		if err != nil {
@@ -204,7 +204,7 @@ func WriteMessage(w io.Writer, m *Message) error {
 // decodeBody decodes one frame body into m, overwriting it.
 func decodeBody(body []byte, m *Message) error {
 	*m = Message{}
-	if decodeEventBody(body, m) {
+	if decodeFastBody(body, m) {
 		return nil
 	}
 	*m = Message{} // the fast path may have filled some fields before declining
