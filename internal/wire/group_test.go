@@ -328,7 +328,7 @@ func TestGroupEndsWhenWriterTakesBatch(t *testing.T) {
 	cs, _, peer := pipeConn(t, true)
 	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for sub := 1; sub <= 3; sub++ {
-		if err := cs.writeSubEvent(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, SubID: sub}); err != nil {
+		if err := cs.enqueue(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, SubID: sub}, true); err != nil {
 			t.Fatal(err)
 		}
 		// net.Pipe is synchronous: once the frame is read, the writer has

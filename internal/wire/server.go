@@ -509,7 +509,7 @@ func (s *Server) pumpSub(cs *connState, sub *broker.Subscription, ready <-chan u
 	msg := &Message{Type: TypeEvent, SubID: sub.ID()} // reused: write copies it into the frame
 	writeEvent := func(ev broker.Event) bool {
 		msg.Point, msg.Payload, msg.Seq, msg.TraceID = ev.Point, ev.Payload, ev.Seq, ev.TraceID
-		err := cs.writeSubEvent(msg)
+		err := cs.enqueue(msg, true)
 		if err == nil || errors.Is(err, errEncode) {
 			// An event that cannot be framed (a NaN coordinate or an
 			// oversized payload published in-process) is skipped; the

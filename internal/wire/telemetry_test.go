@@ -98,7 +98,7 @@ func TestServerMetricsCountGroupedFrameOnce(t *testing.T) {
 
 	release := holdWriter(t, cs, gc)
 	for sub := 0; sub < 5; sub++ {
-		if err := cs.writeSubEvent(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, TraceID: 9, SubID: sub}); err != nil {
+		if err := cs.enqueue(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, TraceID: 9, SubID: sub}, true); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -87,13 +87,12 @@ func (q *outQueue) wakeProducers() {
 // failure that ended the connection's writer.
 func (cs *connState) write(m *Message) error { return cs.enqueue(m, false) }
 
-// writeSubEvent is write for the event frame of one subscription,
-// m.SubID (zero is a subscription id like any other, which is why the
-// caller has to say): on a connection whose peer announced group it is
-// queued in the grouped layout, joining the frame the same publication
-// left at the end of the queue if there is one.
-func (cs *connState) writeSubEvent(m *Message) error { return cs.enqueue(m, true) }
-
+// enqueue is write, with subEvent saying that m is the event frame of
+// one subscription, m.SubID (zero is a subscription id like any other,
+// which is why the caller has to say): on a connection whose peer
+// announced group such a frame is queued in the grouped layout, joining
+// the frame the same publication left at the end of the queue if there
+// is one.
 func (cs *connState) enqueue(m *Message, subEvent bool) error {
 	q := &cs.out
 	// An upper bound for events and for the small control frames the
