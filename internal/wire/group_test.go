@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
@@ -371,7 +372,7 @@ func (p *rawPeer) send(m *Message) {
 func (p *rawPeer) recv() (*Message, []byte) {
 	p.t.Helper()
 	var hdr [4]byte
-	if _, err := readFull(p.conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(p.conn, hdr[:]); err != nil {
 		p.t.Fatalf("reading a frame: %v", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -379,7 +380,7 @@ func (p *rawPeer) recv() (*Message, []byte) {
 		p.t.Fatalf("frame of %d bytes exceeds MaxFrame", n)
 	}
 	body := make([]byte, n)
-	if _, err := readFull(p.conn, body); err != nil {
+	if _, err := io.ReadFull(p.conn, body); err != nil {
 		p.t.Fatalf("reading a frame body: %v", err)
 	}
 	m := new(Message)
@@ -387,18 +388,6 @@ func (p *rawPeer) recv() (*Message, []byte) {
 		p.t.Fatalf("decoding %s: %v", body, err)
 	}
 	return m, body
-}
-
-func readFull(c net.Conn, b []byte) (int, error) {
-	n := 0
-	for n < len(b) {
-		k, err := c.Read(b[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // request sends req and returns its OK reply, handing every event frame
@@ -594,6 +583,18 @@ type parentMessage struct {
 	Error      string    `json:"error,omitempty"`
 }
 
+// writeParent frames m as a peer built at the parent commit would.
+func writeParent(w io.Writer, m *parentMessage) error {
+	body, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	_, err = w.Write(append(hdr[:], body...))
+	return err
+}
+
 // sameAsParent fails unless body is byte for byte what the parent
 // commit's encoder produced for the message it carries.
 func sameAsParent(t *testing.T, body []byte) *parentMessage {
@@ -625,13 +626,7 @@ func TestPlainPeerFramesUnchangedBesideGroupingClient(t *testing.T) {
 		}
 		plain := dialRaw(t, addr)
 		send := func(m *parentMessage) {
-			body, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-			if _, err := plain.conn.Write(append(hdr[:], body...)); err != nil {
+			if err := writeParent(plain.conn, m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -721,22 +716,19 @@ func TestGroupingClientAgainstPlainServer(t *testing.T) {
 	_ = server.SetDeadline(time.Now().Add(5 * time.Second))
 
 	reply := func(m *parentMessage) {
-		body, _ := json.Marshal(m)
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-		if _, err := server.Write(append(hdr[:], body...)); err != nil {
+		if err := writeParent(server, m); err != nil {
 			t.Error(err)
 		}
 	}
 	go func() { // the old server
 		for id := 1; id <= 2; id++ {
 			var hdr [4]byte
-			if _, err := readFull(server, hdr[:]); err != nil {
+			if _, err := io.ReadFull(server, hdr[:]); err != nil {
 				t.Error(err)
 				return
 			}
 			body := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-			if _, err := readFull(server, body); err != nil {
+			if _, err := io.ReadFull(server, body); err != nil {
 				t.Error(err)
 				return
 			}

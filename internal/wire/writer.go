@@ -128,7 +128,7 @@ func (cs *connState) enqueue(m *Message, subEvent bool) error {
 			return nil
 		}
 	}
-	wasEmpty, start := len(q.pending) == 0, len(q.pending)
+	start := len(q.pending)
 	var err error
 	if grouped {
 		q.oneID[0] = m.SubID
@@ -156,7 +156,7 @@ func (cs *connState) enqueue(m *Message, subEvent bool) error {
 		q.metas = append(q.metas, frameMeta{enqueued: time.Now(), traceID: m.TraceID, event: m.Type == TypeEvent})
 	}
 	q.mu.Unlock()
-	if wasEmpty {
+	if start == 0 { // pending went from empty to non-empty
 		select {
 		case q.kick <- struct{}{}:
 		default: // a wake-up is already pending
