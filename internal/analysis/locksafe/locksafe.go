@@ -26,6 +26,11 @@
 // lock set: a goroutine does not hold its creator's locks. A deferred
 // Unlock keeps the lock held to the end of the function, as at runtime.
 //
+// A function whose name ends in "Locked" is, by the repository's
+// convention, only called with its owner's lock held: it is analyzed
+// with that lock held from entry, so what blocks inside it is flagged
+// (or waived) once, in place, and not again at each of its callers.
+//
 // Intentional, bounded waits under a lock are annotated with
 // //pubsub:allow locksafe -- reason.
 package locksafe
@@ -109,8 +114,12 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	// Fixpoint: seed with directly blocking functions, then propagate
-	// through same-package calls until stable.
+	// through same-package calls until stable. A *Locked function is
+	// judged in place and never classified.
 	for obj, fd := range c.decls {
+		if callerHolds(obj) {
+			continue
+		}
 		if why := c.directlyBlocking(fd.Body); why != "" {
 			c.blockingFns[obj] = why
 		}
@@ -118,7 +127,7 @@ func run(pass *analysis.Pass) (any, error) {
 	for changed := true; changed; {
 		changed = false
 		for obj, fd := range c.decls {
-			if _, done := c.blockingFns[obj]; done {
+			if _, done := c.blockingFns[obj]; done || callerHolds(obj) {
 				continue
 			}
 			if callee, why := c.callsBlockingFn(fd.Body); callee != nil {
@@ -128,11 +137,19 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	for _, fd := range c.decls {
-		c.checkFunc(fd.Body)
+	for obj, fd := range c.decls {
+		entry := lockSet{}
+		if callerHolds(obj) {
+			entry["the caller's lock"] = fd.Pos()
+		}
+		c.checkFunc(fd.Body, entry)
 	}
 	return nil, nil
 }
+
+// callerHolds reports whether fn is named as running under a lock its
+// caller took.
+func callerHolds(fn *types.Func) bool { return strings.HasSuffix(fn.Name(), "Locked") }
 
 // lockSet tracks which mutexes are held, keyed by the printed receiver
 // expression (an approximation that works for the field- and
@@ -141,9 +158,9 @@ type lockSet map[string]token.Pos
 
 // flow is the must-hold dataflow problem: a lock is in the state only
 // if it is held on every path, so join is set intersection.
-func (c *checker) flow() *analysis.Flow[lockSet] {
+func (c *checker) flow(entry lockSet) *analysis.Flow[lockSet] {
 	return &analysis.Flow[lockSet]{
-		Entry:    lockSet{},
+		Entry:    entry,
 		Transfer: c.transfer,
 		Join:     intersect,
 		Equal: func(a, b lockSet) bool {
@@ -167,14 +184,14 @@ func (c *checker) flow() *analysis.Flow[lockSet] {
 	}
 }
 
-// checkFunc solves the lock-set dataflow over one function body and
-// replays each reached block to flag blocking operations under a lock.
-// Function literals encountered during the replay recurse here with
-// their own empty entry set.
-func (c *checker) checkFunc(body *ast.BlockStmt) {
+// checkFunc solves the lock-set dataflow over one function body, entered
+// with the locks in entry held, and replays each reached block to flag
+// blocking operations under a lock. Function literals encountered
+// during the replay recurse here with their own empty entry set.
+func (c *checker) checkFunc(body *ast.BlockStmt, entry lockSet) {
 	comm := commStmts(body)
 	g := analysis.BuildCFG(body)
-	f := c.flow()
+	f := c.flow(entry)
 	sol := analysis.Solve(g, f)
 	for _, b := range g.Blocks {
 		if !sol.Reached[b.Index] {
@@ -232,7 +249,7 @@ func (c *checker) scanNode(n ast.Node, held lockSet, comm map[ast.Node]bool) {
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.FuncLit:
-				c.checkFunc(m.Body)
+				c.checkFunc(m.Body, lockSet{})
 				return false
 			case *ast.CallExpr:
 				c.call(m, held)
@@ -278,7 +295,7 @@ func (c *checker) scanGeneric(n ast.Node, held lockSet) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
-			c.checkFunc(m.Body)
+			c.checkFunc(m.Body, lockSet{})
 			return false
 		case *ast.SendStmt:
 			c.flagIfHeld(m.Pos(), "channel send", held)
@@ -454,7 +471,7 @@ func (c *checker) callsBlockingFn(body *ast.BlockStmt) (*types.Func, string) {
 func (c *checker) funcLitsIn(call *ast.CallExpr) {
 	ast.Inspect(call, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			c.checkFunc(lit.Body)
+			c.checkFunc(lit.Body, lockSet{})
 			return false
 		}
 		return true

@@ -172,3 +172,21 @@ func (p *pump) spawnsWorkerUnderLock() {
 	p.spawnBlockingWorker() // spawner is classified non-blocking: no diagnostic
 	p.mu.Unlock()
 }
+
+// A *Locked function runs under a lock its caller took: what blocks in
+// it is flagged there, once, and not again at the callers that hold the
+// lock — nor do they become blocking themselves.
+func (p *pump) flushLocked() error {
+	_, err := p.conn.Write([]byte("batch")) // want `locksafe: Write on interface value \(potential network I/O\) while the caller's lock is held`
+	return err
+}
+
+func (p *pump) syncLocked() error {
+	return p.flushLocked() // judged inside flushLocked: no diagnostic
+}
+
+func (p *pump) callsLockedHelperUnderLock() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.syncLocked() // the caller's lock is this one: no diagnostic
+}

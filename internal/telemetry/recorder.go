@@ -51,7 +51,9 @@ const (
 	// KindWALAppend is one publication appended to the durable log; its
 	// Seq is the log-assigned offset.
 	KindWALAppend
-	// KindWALSync is one fsync of the durable log's active segment.
+	// KindWALSync is one fsync of the durable log's active segment: the
+	// records and bytes it made durable, and the time the batch write
+	// and the fsync took together.
 	KindWALSync
 	// KindWALRecover is a durable-log boot recovery: segments scanned,
 	// records accepted, torn-tail bytes truncated.
@@ -106,7 +108,7 @@ var kindArgs = [numKinds][4]string{
 	KindClientPublish: {"point_dims", "payload_bytes", "", ""},
 	KindClientRecv:    {"sub", "payload_bytes", "dropped", "first_drop"},
 	KindWALAppend:     {"bytes", "synced", "append_ns", ""},
-	KindWALSync:       {"pending", "sync_ns", "", ""},
+	KindWALSync:       {"records", "sync_ns", "bytes", ""},
 	KindWALRecover:    {"segments", "records", "truncated_bytes", "recover_ns"},
 	KindWALReplay:     {"from", "end", "", ""},
 	KindSlowSub:       {"sub", "lag", "slow", "dropped"},

@@ -154,23 +154,35 @@ func TestWriteErrorIsFailStop(t *testing.T) {
 }
 
 // TestIntervalSyncFailureSurfacesOnAppend: under -fsync interval the
-// background syncer hits the error; the next append must report it
-// rather than keep acking undurable publications.
+// background syncer hits the error — on the fsync or on the batch write
+// before it; the next append must report it rather than keep acking
+// undurable publications.
 func TestIntervalSyncFailureSurfacesOnAppend(t *testing.T) {
-	d := faultnet.NewDisk(faultnet.DiskOptions{FailSyncAfter: 1})
-	l := mustOpen(t, t.TempDir(), faultOpts(d, Options{Sync: SyncEvery, SyncInterval: time.Millisecond}))
-	appendN(t, l, 1)
-	deadline := 2000
-	for i := 0; ; i++ {
-		if _, err := l.Append(1, nil, nil); err != nil {
-			if !errors.Is(err, faultnet.ErrInjectedSync) {
-				t.Fatalf("append = %v, want ErrInjectedSync", err)
+	for _, tc := range []struct {
+		name string
+		disk faultnet.DiskOptions
+		want error
+	}{
+		{"fsync", faultnet.DiskOptions{FailSyncAfter: 1}, faultnet.ErrInjectedSync},
+		{"batch write", faultnet.DiskOptions{FailWriteAfter: 1}, faultnet.ErrInjectedWrite},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := faultnet.NewDisk(tc.disk)
+			l := mustOpen(t, t.TempDir(), faultOpts(d, Options{Sync: SyncEvery, SyncInterval: time.Millisecond}))
+			appendN(t, l, 1)
+			deadline := 2000
+			for i := 0; ; i++ {
+				if _, err := l.Append(1, nil, nil); err != nil {
+					if !errors.Is(err, tc.want) {
+						t.Fatalf("append = %v, want %v", err, tc.want)
+					}
+					break
+				}
+				if i >= deadline {
+					t.Fatal("background sync failure never surfaced on Append")
+				}
+				time.Sleep(time.Millisecond)
 			}
-			break
-		}
-		if i >= deadline {
-			t.Fatal("background sync failure never surfaced on Append")
-		}
-		time.Sleep(time.Millisecond)
+		})
 	}
 }

@@ -11,7 +11,9 @@ import (
 // Reader streams a half-open offset range of the log, oldest first.
 // Create one with Log.ReadFrom. A Reader is not safe for concurrent
 // use, but reads run without blocking appends: the range is fixed at
-// creation and every record inside it was fully written before then.
+// creation and every record inside it was fully written before then
+// (ReadFrom writes the pending batch out under the lock hold that
+// fixes the range).
 type Reader struct {
 	log  *Log
 	next uint64 // next offset to return
@@ -32,12 +34,18 @@ type segmentRef struct {
 // not included, so callers can replay history and then switch to live
 // delivery without duplicates by resuming at End. A from below the
 // oldest retained offset is clamped to it; a from beyond the end
-// yields an immediately-exhausted reader.
+// yields an immediately-exhausted reader. A reader whose own flush
+// fails is refused; the log has then fail-stopped and later readers see
+// the prefix that did reach the segment files.
 func (l *Log) ReadFrom(from uint64) (*Reader, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil, ErrClosed
+	}
+	if err := l.flushLocked(); err != nil {
+		l.mu.Unlock()
+		return nil, err
 	}
 	if from < l.first {
 		from = l.first

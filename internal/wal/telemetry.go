@@ -11,6 +11,8 @@ type walTel struct {
 	appends          *telemetry.Counter
 	appendedBytes    *telemetry.Counter
 	appendLatency    *telemetry.Histogram
+	flushes          *telemetry.Counter
+	flushedBytes     *telemetry.Counter
 	syncs            *telemetry.Counter
 	syncLatency      *telemetry.Histogram
 	rotations        *telemetry.Counter
@@ -34,11 +36,15 @@ func newWALTel(l *Log, reg *telemetry.Registry) *walTel {
 		appendedBytes: reg.Counter("pubsub_wal_appended_bytes_total",
 			"Bytes appended to the publication log."),
 		appendLatency: reg.Histogram("pubsub_wal_append_seconds",
-			"Log append latency including the fsync under the always policy.", telemetry.LatencyBuckets()),
+			"Log append latency including the write under the never policy, the write and fsync under always.", telemetry.LatencyBuckets()),
+		flushes: reg.Counter("pubsub_wal_flushes_total",
+			"Batch writes issued against the active segment; appends per flush is records per write."),
+		flushedBytes: reg.Counter("pubsub_wal_flushed_bytes_total",
+			"Bytes handed to the operating system by batch writes."),
 		syncs: reg.Counter("pubsub_wal_syncs_total",
 			"fsyncs issued against the active segment."),
 		syncLatency: reg.Histogram("pubsub_wal_sync_seconds",
-			"fsync latency on the active segment.", telemetry.LatencyBuckets()),
+			"fsync latency on the active segment, including the batch write before it.", telemetry.LatencyBuckets()),
 		rotations: reg.Counter("pubsub_wal_segment_rotations_total",
 			"Active segment rotations."),
 		retentionDeletes: reg.Counter("pubsub_wal_segments_deleted_total",

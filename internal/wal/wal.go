@@ -23,15 +23,19 @@ var ErrClosed = errors.New("wal: closed")
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs every append before it returns. An acknowledged
-	// publication survives any crash; appends pay the fsync.
+	// SyncAlways writes and fsyncs every append before it returns. An
+	// acknowledged publication survives any crash; appends pay the fsync.
 	SyncAlways SyncPolicy = iota
-	// SyncEvery fsyncs on a background interval. A crash loses at most
-	// one sync window of acknowledged publications.
+	// SyncEvery is group commit: appends collect in memory and a
+	// background interval writes the batch with one write(2) and fsyncs
+	// it. Any crash — of the process, not only of the machine — loses at
+	// most one sync window of acknowledged publications, always from the
+	// tail: what recovers is a gap-free prefix of what was acknowledged.
 	SyncEvery
-	// SyncNever leaves syncing to the operating system. A process crash
-	// loses nothing (the OS holds the pages); a machine crash may lose
-	// everything since the last OS writeback.
+	// SyncNever writes every append through to the operating system
+	// before it returns and never fsyncs. A process crash loses nothing
+	// (the OS holds the pages); a machine crash may lose everything since
+	// the last OS writeback.
 	SyncNever
 )
 
@@ -97,6 +101,12 @@ type Options struct {
 	// recovery and replay read segments directly.
 	OpenSegment func(path string) (File, error)
 }
+
+// flushThreshold bounds the pending batch under SyncEvery: an append
+// that fills it past this many bytes writes the batch out itself rather
+// than wait for the syncer, so the log buffers at most this much plus
+// one record and about one 1 KiB append in 250 pays a write.
+const flushThreshold = 256 << 10
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
@@ -173,14 +183,21 @@ type Log struct {
 	mu     sync.Mutex
 	segs   []*segment
 	active File
-	//pubsub:commit -- readers treat offsets below next as durable, acknowledged history
+	//pubsub:commit -- readers treat offsets below next as acknowledged history, in a segment file by the time their range is fixed
 	next      uint64 // next offset to assign
 	first     uint64 // oldest retained offset (== next when empty)
-	dirty     int    // records appended since the last sync
 	failed    error  // sticky fail-stop error
 	closed    bool
-	buf       []byte // append scratch, reused under mu
 	recovered RecoveryStats
+
+	// The batch: records encoded but not yet handed to the OS. They are
+	// already counted in the active segment's size and records and, once
+	// acknowledged, in next; flushLocked writes them with one Write.
+	// Allocated by the first append, reused afterwards.
+	pending     []byte
+	pendingRecs uint64
+	dirty       int   // records appended since the last fsync
+	dirtyBytes  int64 // and their bytes
 
 	syncStop chan struct{}
 	syncWG   sync.WaitGroup
@@ -345,22 +362,35 @@ func (l *Log) syncDir() {
 	}
 }
 
-// fail latches the log's fail-stop state.
+// fail latches the log's fail-stop state. Whatever is still pending will
+// never be written, so it leaves the accounting: a reader is never
+// promised an offset that is not in a segment file. (Whole records of a
+// torn batch may reappear at recovery; they extend the recovered prefix
+// without a gap.) Caller holds l.mu.
 func (l *Log) fail(err error) {
-	if l.failed == nil {
-		l.failed = err
-		if l.tel != nil {
-			l.tel.failedState.Set(1)
-		}
+	if l.failed != nil {
+		return
 	}
+	l.failed = err
+	if l.tel != nil {
+		l.tel.failedState.Set(1)
+	}
+	active := l.segs[len(l.segs)-1]
+	active.size -= int64(len(l.pending))
+	active.records -= l.pendingRecs
+	l.next = min(l.next, active.base+active.records)
+	l.pending, l.pendingRecs = nil, 0
 }
 
-// Append assigns the next offset to the record, writes it to the
-// active segment, and — under SyncAlways — fsyncs before returning. A
+// Append assigns the next offset to the record and encodes it onto the
+// pending batch; the sync policy decides when the batch is written out.
+// Under SyncAlways the record is written and fsynced, under SyncNever
+// written, before Append returns; under SyncEvery it stays in memory
+// until the batch fills, the syncer ticks, the segment rotates or a
+// reader asks for it, so the append itself costs no system call. A
 // write or sync failure latches the log into the fail-stop state and
 // the publication must not be acknowledged. rec.Offset is ignored; the
-// log assigns it. The point and payload are copied to disk, not
-// retained.
+// log assigns it. The point and payload are copied, not retained.
 //
 //pubsub:coldpath -- opt-in durability: the zero-alloc publish path enters the WAL only when a durable broker is configured
 func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, error) {
@@ -372,7 +402,7 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 	if l.closed {
 		return 0, ErrClosed
 	}
-	// Enforce the decoder's limits before anything touches disk: a
+	// Enforce the decoder's limits before anything is encoded: a
 	// record DecodeRecord would reject must never be written, or the
 	// acknowledged history becomes unrecoverable (recovery refuses
 	// corruption anywhere but the tail). An oversized record is a
@@ -381,14 +411,14 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 	if len(point) > MaxPointDims {
 		return 0, fmt.Errorf("%w: point has %d dimensions (max %d)", ErrRecordTooLarge, len(point), MaxPointDims)
 	}
-	if body := recordFixed + 8*len(point) + len(payload); body > MaxBody {
+	body := recordFixed + 8*len(point) + len(payload)
+	if body > MaxBody {
 		return 0, fmt.Errorf("%w: %d-byte body (max %d)", ErrRecordTooLarge, body, MaxBody)
 	}
-	rec := Record{Offset: l.next, TraceID: traceID, Point: point, Payload: payload}
-	l.buf = appendRecord(l.buf[:0], &rec)
+	size := int64(frameHeader + body)
 
 	active := l.segs[len(l.segs)-1]
-	if active.records > 0 && active.size+int64(len(l.buf)) > l.opts.SegmentBytes {
+	if active.records > 0 && active.size+size > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.fail(err)
 			return 0, l.failed
@@ -396,51 +426,69 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 		active = l.segs[len(l.segs)-1]
 	}
 
-	var t0 time.Time
-	if l.tel != nil {
-		t0 = time.Now()
-	}
-	r0 := l.rec.Now()
-	//pubsub:allow locksafe -- the segment write must serialise with offset assignment; l.mu is the log's append lock
-	n, err := l.active.Write(l.buf)
-	if err != nil {
-		// The prefix may be torn on disk; recovery truncates it. The
-		// offset is not acknowledged and will be reused after recovery.
-		l.fail(fmt.Errorf("wal: appending offset %d: %w", rec.Offset, err))
-		return 0, l.failed
-	}
-	synced := int64(0)
-	if l.opts.Sync == SyncAlways {
-		// Sync before publishing the new offset: if the fsync fails, the
-		// record is never acknowledged and never visible to readers, even
-		// though its bytes may sit in the torn tail.
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-		synced = 1
-	} else {
-		l.dirty++
-	}
-	active.size += int64(n)
+	t0 := l.rec.Now()
+	off := l.next
+	l.pending = appendRecord(l.pending, &Record{Offset: off, TraceID: traceID, Point: point, Payload: payload})
+	l.pendingRecs++
+	active.size += size
 	active.records++
-	l.next = rec.Offset + 1
+	l.dirty++
+	l.dirtyBytes += size
+	// Flush, and under SyncAlways fsync, before publishing the new
+	// offset: if either fails the record is never acknowledged and never
+	// visible to readers, even though its bytes may sit in a torn tail.
+	var err error
+	synced := int64(0)
+	switch {
+	case l.opts.Sync == SyncAlways:
+		err, synced = l.syncLocked(), 1
+	case l.opts.Sync == SyncNever || len(l.pending) >= flushThreshold:
+		err = l.flushLocked()
+	}
+	if err != nil {
+		return 0, err
+	}
+	l.next = off + 1
+	now := l.rec.Now()
 	if l.tel != nil {
 		l.tel.appends.Inc()
-		l.tel.appendedBytes.Add(uint64(n))
-		l.tel.appendLatency.ObserveDuration(time.Since(t0))
+		l.tel.appendedBytes.Add(uint64(size))
+		l.tel.appendLatency.ObserveDuration(time.Duration(now - t0))
 	}
-	l.rec.Record(telemetry.KindWALAppend, traceID, rec.Offset,
-		int64(n), synced, l.rec.Now()-r0, 0)
-	return rec.Offset, nil
+	l.rec.RecordAt(now, telemetry.KindWALAppend, traceID, off, size, synced, now-t0, 0)
+	return off, nil
 }
 
-// rotateLocked seals the active segment (sync + close) and starts a
-// fresh one, then applies retention. Caller holds l.mu.
+// flushLocked hands the pending batch to the operating system with one
+// Write — the only place the log writes a segment — and fail-stops the
+// log if the write fails. Caller holds l.mu.
+func (l *Log) flushLocked() error {
+	if len(l.pending) == 0 {
+		return nil
+	}
+	//pubsub:allow locksafe -- the segment write must serialise with offset assignment; l.mu is the log's append lock
+	if _, err := l.active.Write(l.pending); err != nil {
+		l.fail(fmt.Errorf("wal: writing %d record(s), %d bytes: %w", l.pendingRecs, len(l.pending), err))
+		return l.failed
+	}
+	if l.tel != nil {
+		l.tel.flushes.Inc()
+		l.tel.flushedBytes.Add(uint64(len(l.pending)))
+	}
+	l.pending, l.pendingRecs = l.pending[:0], 0
+	return nil
+}
+
+// rotateLocked seals the active segment (flush + sync + close) and
+// starts a fresh one, then applies retention. Caller holds l.mu.
 func (l *Log) rotateLocked() error {
+	if err := l.flushLocked(); err != nil {
+		return err
+	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: syncing segment before rotation: %w", err)
 	}
-	l.dirty = 0
+	l.dirty, l.dirtyBytes = 0, 0
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
@@ -483,30 +531,31 @@ func (l *Log) applyRetentionLocked() {
 	}
 }
 
-// syncLocked fsyncs the active segment, latching fail-stop on error.
-// Caller holds l.mu.
+// syncLocked flushes the pending batch and fsyncs the active segment,
+// latching fail-stop on error. Caller holds l.mu.
 func (l *Log) syncLocked() error {
-	var t0 time.Time
-	if l.tel != nil {
-		t0 = time.Now()
+	t0 := l.rec.Now()
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
-	r0 := l.rec.Now()
-	pending := l.dirty
 	if err := l.active.Sync(); err != nil {
 		l.fail(fmt.Errorf("wal: fsync: %w", err))
 		return l.failed
 	}
-	l.dirty = 0
+	recs, bytes := l.dirty, l.dirtyBytes
+	l.dirty, l.dirtyBytes = 0, 0
+	now := l.rec.Now()
 	if l.tel != nil {
 		l.tel.syncs.Inc()
-		l.tel.syncLatency.ObserveDuration(time.Since(t0))
+		l.tel.syncLatency.ObserveDuration(time.Duration(now - t0))
 	}
-	l.rec.Record(telemetry.KindWALSync, 0, l.next-1,
-		int64(pending), l.rec.Now()-r0, 0, 0)
+	active := l.segs[len(l.segs)-1]
+	l.rec.RecordAt(now, telemetry.KindWALSync, 0, active.base+active.records-1,
+		int64(recs), now-t0, bytes, 0)
 	return nil
 }
 
-// Sync flushes appended records to stable storage now, regardless of
+// Sync writes out and fsyncs every appended record now, regardless of
 // policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
@@ -541,7 +590,9 @@ func (l *Log) syncLoop() {
 }
 
 // NextOffset returns the offset the next Append will assign. Every
-// record with a smaller offset (down to FirstOffset) is fully written.
+// record with a smaller offset (down to FirstOffset) was accepted by the
+// log; under SyncEvery the newest may still be in the pending batch,
+// which ReadFrom writes out before it fixes a reader's range.
 func (l *Log) NextOffset() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -584,9 +635,9 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close stops the background syncer, flushes once more and closes the
-// active segment. Further appends fail with ErrClosed; replay readers
-// already open keep working. Idempotent.
+// Close stops the background syncer, writes out and fsyncs what is
+// pending and closes the active segment. Further appends fail with
+// ErrClosed; replay readers already open keep working. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
