@@ -823,6 +823,13 @@ func writeStats(r io.Reader, w io.Writer) error {
 		for _, line := range scalars[name] {
 			fmt.Fprintf(w, "  %s\n", line)
 		}
+		if name == "pubsub_wal_flushes_total" {
+			// The log's group-commit factor: how many appends one
+			// write(2) carried, on average since the daemon started.
+			if a, f := scalarVals["pubsub_wal_appends_total"], scalarVals[name]; len(a) == 1 && len(f) == 1 && f[0] > 0 {
+				fmt.Fprintf(w, "  records/flush = %.1f\n", a[0]/f[0])
+			}
+		}
 	}
 	return nil
 }

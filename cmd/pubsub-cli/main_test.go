@@ -164,6 +164,8 @@ func FuzzParsePoint(f *testing.F) {
 func TestRunStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("pubsub_broker_published_total", "Publications accepted.").Add(7)
+	reg.Counter("pubsub_wal_appends_total", "Records appended.").Add(480)
+	reg.Counter("pubsub_wal_flushes_total", "Batch writes.").Add(2)
 	h := reg.Histogram("pubsub_broker_publish_seconds", "Publish latency.",
 		[]float64{0.001, 0.01, 0.1})
 	for i := 0; i < 10; i++ {
@@ -182,6 +184,9 @@ func TestRunStats(t *testing.T) {
 	}
 	if !strings.Contains(out, "pubsub_broker_published_total = 7") {
 		t.Errorf("counter value missing:\n%s", out)
+	}
+	if !strings.Contains(out, "records/flush = 240.0") {
+		t.Errorf("group-commit factor missing under pubsub_wal_flushes_total:\n%s", out)
 	}
 	if !strings.Contains(out, "count=10") || !strings.Contains(out, "p99=") {
 		t.Errorf("histogram summary missing:\n%s", out)

@@ -51,7 +51,7 @@ func (r *shardResult) add(o *shardResult) {
 // threads through: ingest → per-shard match then enqueue → observe.
 // Every clock value in it is a reading of the recorder's monotonic
 // clock; an unmetered publication reads it twice (t0 and observe's
-// end stamp).
+// end stamp), durable or not.
 type pubCtx struct {
 	ev      Event     // TraceID, and Seq once ingest assigned it
 	prep    eventPrep // the publication's point and payload, cloned lazily
@@ -61,6 +61,7 @@ type pubCtx struct {
 	err     error // why the publication was refused, if it was
 
 	t0      int64 // publish entry
+	tWAL    int64 // Log.Append returned (metered and durable only; t0 otherwise)
 	tIngest int64 // ingest done, fan-out begins (metered only)
 
 	sc  matchScratch  // the publisher goroutine's scratch
@@ -182,6 +183,7 @@ func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64)
 	pc.prep.reset(p, payload)
 	pc.sum, pc.handed = shardResult{}, 0
 	pc.t0 = b.rec.Now()
+	pc.tWAL = pc.t0
 
 	b.publish(pc)
 
@@ -263,6 +265,9 @@ func (b *Broker) ingest(pc *pubCtx) error {
 			return err
 		}
 		seq = off
+		if pc.metered {
+			pc.tWAL = b.rec.Now()
+		}
 	} else {
 		seq = b.seq.Add(1)
 	}
@@ -447,7 +452,10 @@ func (b *Broker) observe(pc *pubCtx) {
 	if pc.err != nil {
 		b.observeRefused(pc)
 	} else {
-		ingestNS := pc.tIngest - pc.t0
+		// A durable broker's time up to the append's return is the wal
+		// stage (its histogram is nil without a log); ingest is what
+		// remains of the way to the fan-out.
+		walNS, ingestNS := pc.tWAL-pc.t0, pc.tIngest-pc.tWAL
 		if tel := b.tel; tel != nil {
 			tel.published.Inc()
 			tel.delivered.Add(uint64(sum.delivered))
@@ -456,6 +464,7 @@ func (b *Broker) observe(pc *pubCtx) {
 			tel.leavesVisited.Observe(float64(sum.qs.LeavesVisited))
 			tel.entriesTested.Observe(float64(sum.qs.EntriesTested))
 			tel.publishLatency.ObserveExemplar(time.Duration(total).Seconds(), tid)
+			tel.stageWAL.ObserveExemplar(time.Duration(walNS).Seconds(), tid)
 			tel.stageIngest.ObserveExemplar(time.Duration(ingestNS).Seconds(), tid)
 			tel.stageMatch.ObserveExemplar(time.Duration(sum.matchNS).Seconds(), tid)
 			tel.stageEnqueue.ObserveExemplar(time.Duration(sum.enqueueNS).Seconds(), tid)
@@ -471,6 +480,9 @@ func (b *Broker) observe(pc *pubCtx) {
 		}
 		b.slo.Observe(time.Duration(total).Seconds())
 		b.selprof.notePoint(pc.prep.src)
+		if b.log != nil {
+			span.Stage(telemetry.StageWAL, time.Duration(walNS))
+		}
 		span.Stage(telemetry.StageIngest, time.Duration(ingestNS))
 		span.Stage(telemetry.StageMatch, time.Duration(sum.matchNS))
 		span.Stage(telemetry.StageEnqueue, time.Duration(sum.enqueueNS))

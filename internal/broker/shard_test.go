@@ -280,8 +280,9 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 				if got := len(rec.SnapshotFilter(0, telemetry.KindPublish, 0)); got != published {
 					t.Fatalf("%d publish records for %d publications", got, published)
 				}
-				// ...the stage family holds the three broker stages and
-				// nothing else, each sampled once per publication...
+				// ...the stage family holds the three broker stages — and
+				// wal in front of them on a durable broker — and nothing
+				// else, each sampled once per publication...
 				stages := map[string]uint64{}
 				for _, st := range telemetry.StageReport(reg) {
 					stages[st.Stage] = st.Count
@@ -290,6 +291,9 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 					telemetry.StageIngest:  uint64(published),
 					telemetry.StageMatch:   uint64(published),
 					telemetry.StageEnqueue: uint64(published),
+				}
+				if durable {
+					wantStages[telemetry.StageWAL] = uint64(published)
 				}
 				if !maps.Equal(stages, wantStages) {
 					t.Fatalf("stage samples = %v, want %v", stages, wantStages)

@@ -30,7 +30,8 @@ type brokerTel struct {
 	workerFanouts *telemetry.Counter
 	// Waterfall stage samples (shared pubsub_stage_seconds family; the
 	// wire layer registers the write/client_recv stages). match and
-	// enqueue are time summed over shards.
+	// enqueue are time summed over shards. stageWAL is nil without a log.
+	stageWAL     *telemetry.Histogram
 	stageIngest  *telemetry.Histogram
 	stageMatch   *telemetry.Histogram
 	stageEnqueue *telemetry.Histogram
@@ -128,6 +129,9 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 		func() float64 { return float64(len(b.shards)) })
 	t.workerFanouts = reg.Counter("pubsub_broker_parallel_fanouts_total",
 		"Publications of which a shard worker took at least one shard (the rest ran every shard on the publisher goroutine).")
+	if b.log != nil {
+		t.stageWAL = telemetry.StageHistogram(reg, telemetry.StageWAL)
+	}
 	t.stageIngest = telemetry.StageHistogram(reg, telemetry.StageIngest)
 	t.stageMatch = telemetry.StageHistogram(reg, telemetry.StageMatch)
 	t.stageEnqueue = telemetry.StageHistogram(reg, telemetry.StageEnqueue)

@@ -3,7 +3,7 @@ package telemetry
 import "sort"
 
 // StageFamily is the shared histogram family for the publication
-// latency waterfall. Every pipeline stage — broker-side (ingest,
+// latency waterfall. Every pipeline stage — broker-side (wal, ingest,
 // match, enqueue) and wire-side (write, client_recv) — registers one
 // labelled sample in this family so a single scrape (or /debug/slo)
 // shows the whole p99 decomposition side by side.
@@ -13,19 +13,22 @@ const StageFamily = "pubsub_stage_seconds"
 // order is what pubsub-cli slo and pubsub-bench print; keep new
 // stages in pipeline order.
 var StageOrder = []string{
-	StageIngest,     // publish entry → fan-out start (closed check, WAL append, seq)
+	StageWAL,        // durable brokers only: publish entry → Log.Append returned
+	StageIngest,     // → fan-out start (closed check, seq, lag head; the append is the wal stage)
 	StageMatch,      // index walks, summed over shards
 	StageEnqueue,    // subscriber queue hand-offs, summed over shards
 	StageWrite,      // one event frame onto a client socket
 	StageClientRecv, // client: own publish → event received (loopback only)
 }
 
-// The broker's three stages mean the same on every path — one shard or
-// many, shards run by the publisher or by shard workers, packed or
-// dynamic index, durable or not. Because match and enqueue are sums of
-// per-shard times, with workers they can add up to more than the
-// publication's wall-clock latency.
+// The broker's stages mean the same on every path — one shard or many,
+// shards run by the publisher or by shard workers, whichever tree is
+// packed; a durable broker adds wal in front and emits the other three
+// unchanged. Because match and enqueue are sums of per-shard times,
+// with workers they can add up to more than the publication's
+// wall-clock latency.
 const (
+	StageWAL        = "wal"
 	StageIngest     = "ingest"
 	StageMatch      = "match"
 	StageEnqueue    = "enqueue"
