@@ -7,13 +7,17 @@
 //	        -metrics-addr :9090 -log-level info -trace-sample 1000
 //
 // With -data-dir set the daemon keeps a crash-safe publication log:
-// every publish is appended (and, under -fsync always, fsynced) before
-// it is acknowledged or fanned out, event sequence numbers become
-// stable log offsets that survive restarts, and subscribers may resume
-// with the wire protocol's from_offset field (pubsub-cli sub -from /
-// replay). -fsync interval trades the tail of the log on power loss
-// for throughput; -retention-bytes bounds disk use by deleting the
-// oldest sealed segments. Without -data-dir nothing changes: the
+// every publish is appended (and, under -fsync always, written and
+// fsynced) before it is acknowledged or fanned out, event sequence
+// numbers become stable log offsets that survive restarts, and
+// subscribers may resume with the wire protocol's from_offset field
+// (pubsub-cli sub -from / replay). -fsync interval is group commit: it
+// acknowledges from memory and writes and fsyncs the batch every
+// -fsync-interval, so a crash of the daemon or of the machine can lose
+// that last window of acknowledged publishes (always the tail, never a
+// gap) in exchange for throughput; -fsync never writes every publish to
+// the OS but never fsyncs; -retention-bytes bounds disk use by deleting
+// the oldest sealed segments. Without -data-dir nothing changes: the
 // broker runs fully in-memory as before.
 //
 // With -metrics-addr set the daemon serves Prometheus text exposition on
@@ -89,8 +93,8 @@ func run(args []string) error {
 		drainTO      = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain budget before hard close")
 
 		dataDir        = fs.String("data-dir", "", "directory for the durable publication log (empty runs in-memory only)")
-		fsyncPolicy    = fs.String("fsync", "always", "log fsync policy: always, interval or never")
-		fsyncInt       = fs.Duration("fsync-interval", 50*time.Millisecond, "flush cadence of the interval fsync policy")
+		fsyncPolicy    = fs.String("fsync", "always", "log fsync policy: always (write+fsync per publish), interval (group commit: a crash may lose the last -fsync-interval of acked publishes) or never (write per publish, no fsync)")
+		fsyncInt       = fs.Duration("fsync-interval", 50*time.Millisecond, "write+fsync cadence of the interval fsync policy: the most a crash can lose")
 		segmentBytes   = fs.Int64("segment-bytes", 0, "rotate log segments at this size (0 selects 64MiB)")
 		retentionBytes = fs.Int64("retention-bytes", 0, "delete oldest sealed segments beyond this total (0 keeps everything)")
 

@@ -7,6 +7,11 @@
 # returns the full acked history in offset order. Then repeats the cycle
 # to prove offsets keep rising monotonically across restarts.
 #
+# A second leg does the same under -fsync interval (group commit): after
+# two quiet sync windows everything acknowledged must replay; killed at
+# once, what replays must be a gap-free prefix of what was acknowledged,
+# and the next publish must take the offset right after it.
+#
 # Usage: ./scripts/crash_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,9 +30,10 @@ trap cleanup EXIT
 go build -o "$DIR/pubsubd" ./cmd/pubsubd
 go build -o "$DIR/pubsub-cli" ./cmd/pubsub-cli
 
+# boot [fsync policy]: start pubsubd over $DATA.
 boot() {
   "$DIR/pubsubd" -addr "$ADDR" -metrics-addr "$METRICS" -log-level warn \
-    -data-dir "$DATA" -fsync always &
+    -data-dir "$DATA" -fsync "${1:-always}" &
   PID=$!
   for _ in $(seq 1 50); do
     curl -fsS "http://$METRICS/metrics" >/dev/null 2>&1 && return 0
@@ -75,6 +81,50 @@ grep -q 'seq=6 .*"after"' <<<"$REPLAY" \
 METRICS_DUMP=$(curl -fsS "http://$METRICS/metrics")
 grep -q "pubsub_wal_next_offset 7" <<<"$METRICS_DUMP" \
   || { echo "FAIL: pubsub_wal_next_offset gauge wrong or missing" >&2; exit 1; }
+
+kill -TERM "$PID"
+wait "$PID" 2>/dev/null || true
+
+# --- -fsync interval: acknowledged from memory, written every 50ms. ---
+DATA="$DIR/data-interval"
+
+# Acknowledged and left alone for two sync windows: all of it is on disk.
+boot interval
+for i in 1 2 3 4 5; do
+  "$DIR/pubsub-cli" -addr "$ADDR" -payload "window-$i" publish "$i,$i" >/dev/null
+done
+sleep 0.2
+kill -9 "$PID"
+wait "$PID" 2>/dev/null || true
+boot interval
+REPLAY=$("$DIR/pubsub-cli" -addr "$ADDR" replay 0)
+grep -q "replayed 5 event(s)" <<<"$REPLAY" \
+  || { echo "FAIL: interval: expected all 5 events two windows after the ack" >&2; echo "$REPLAY" >&2; exit 1; }
+
+# Killed the moment the last ack returns: the tail of the window may be
+# gone, but only the tail.
+for i in $(seq 6 25); do
+  "$DIR/pubsub-cli" -addr "$ADDR" -payload "window-$i" publish "$i,$i" >/dev/null
+done
+kill -9 "$PID"
+wait "$PID" 2>/dev/null || true
+boot interval
+REPLAY=$("$DIR/pubsub-cli" -addr "$ADDR" replay 0)
+KEPT=$(sed -n 's/^replayed \([0-9]*\) event(s)$/\1/p' <<<"$REPLAY")
+echo "interval: $KEPT of 25 acknowledged events survived an immediate kill -9"
+[[ "$KEPT" -ge 5 && "$KEPT" -le 25 ]] \
+  || { echo "FAIL: interval: $KEPT events replayed, want 5..25" >&2; exit 1; }
+for i in $(seq 1 "$KEPT"); do
+  grep -q "seq=$i .*window-$i\"" <<<"$REPLAY" \
+    || { echo "FAIL: interval: offset $i missing from a $KEPT-event replay: not a prefix" >&2; exit 1; }
+done
+
+# Offsets keep rising from the recovered head: no skip, no reuse of a
+# surviving offset.
+"$DIR/pubsub-cli" -addr "$ADDR" -payload next publish "0,0" >/dev/null
+REPLAY=$("$DIR/pubsub-cli" -addr "$ADDR" replay "$((KEPT + 1))")
+grep -q "replayed 1 event(s)" <<<"$REPLAY" && grep -q "seq=$((KEPT + 1)) .*\"next\"" <<<"$REPLAY" \
+  || { echo "FAIL: interval: publish after recovery did not land at offset $((KEPT + 1))" >&2; echo "$REPLAY" >&2; exit 1; }
 
 kill -TERM "$PID"
 wait "$PID" 2>/dev/null || true
