@@ -276,6 +276,10 @@ type Broker struct {
 
 	ctxs sync.Pool // *pubCtx
 
+	// sinks holds the open sinks at their Sink.idx; a closed sink's slot
+	// is nil and reused. Guarded by mu.
+	sinks []*Sink
+
 	tel    *brokerTel
 	tracer *telemetry.Tracer
 	rec    *telemetry.Recorder
@@ -348,20 +352,25 @@ func New(opts Options) *Broker {
 // Subscription is one subscriber registration. Receive events from
 // Events(); call Cancel when done.
 type Subscription struct {
-	id           int
-	rects        []geometry.Rect
-	ch           chan Event
+	id    int
+	rects []geometry.Rect
+	ch    chan Event // nil for a subscription registered on a sink
+	// sink, when non-nil, is the shared queue this subscription is
+	// delivered through instead of ch; share is the buffer it added to
+	// the sink's capacity.
+	sink         *Sink
 	b            *Broker
 	shard        *shard // owning shard
 	policy       OverflowPolicy
 	blockTimeout time.Duration
 	once         sync.Once
 	sendMu       sync.Mutex // serialises deliveries with channel close
-	closed       bool       // guarded by sendMu; true once ch is closed
-	dropCt       atomic.Uint64
-	highWater    atomic.Uint64
-	lastDrop     atomic.Int64 // recorder-clock nanos
-	evicting     atomic.Bool
+	// closed is set once, under sendMu when there is a channel to close;
+	// the sink path, which takes no per-subscription lock, only reads it.
+	closed    atomic.Bool
+	dropCt    atomic.Uint64
+	highWater atomic.Uint64
+	lastDrop  atomic.Int64 // recorder-clock nanos
 	// deliveredSeq is the highest Seq successfully enqueued on ch (the
 	// broker head at creation before the first delivery); the gap to
 	// the broker head is the subscription's lag in events.
@@ -370,16 +379,21 @@ type Subscription struct {
 	// enqueue (creation time before the first); its age is the
 	// subscription's lag age while it is behind.
 	deliveredAtNS atomic.Int64
+	evicting      atomic.Bool
 	// slow is set while the subscription sits past the broker's
 	// SlowLagThreshold, flipped by drops and cleared by deliveries.
-	slow atomic.Bool
+	slow  atomic.Bool
+	share int32
 }
 
 // ID returns the broker-assigned subscription identifier.
 func (s *Subscription) ID() int { return s.id }
 
 // Events returns the channel on which matching events are delivered. The
-// channel is closed by Cancel or by the broker's Close.
+// channel is closed by Cancel or by the broker's Close. A subscription
+// registered on a sink (SubscribeOptions.Sink) has no channel of its
+// own: Events returns nil, which blocks a receive forever, and its
+// events are taken from the sink.
 func (s *Subscription) Events() <-chan Event { return s.ch }
 
 // Rects returns the subscription's predicate rectangles.
@@ -398,15 +412,27 @@ func (s *Subscription) Dropped() uint64 { return s.dropCt.Load() }
 // Policy returns the subscription's overflow policy.
 func (s *Subscription) Policy() OverflowPolicy { return s.policy }
 
-// Stats returns a snapshot of the subscription's delivery counters.
+// queue reports the deliveries buffered for the subscription, the room
+// for them and the deepest the buffer has been: its channel's, or those
+// of the sink it shares.
+func (s *Subscription) queue() (buffered, capacity, highWater int) {
+	if k := s.sink; k != nil {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return k.used, k.capacity, k.highWater
+	}
+	return len(s.ch), cap(s.ch), int(s.highWater.Load())
+}
+
+// Stats returns a snapshot of the subscription's delivery counters. On
+// a sink subscription Buffered, Capacity and HighWater are the sink's,
+// in deliveries for all of its subscriptions together.
 func (s *Subscription) Stats() SubStats {
 	st := SubStats{
-		Buffered:  len(s.ch),
-		Capacity:  cap(s.ch),
-		HighWater: int(s.highWater.Load()),
-		Dropped:   s.dropCt.Load(),
-		Evicted:   s.evicting.Load(),
+		Dropped: s.dropCt.Load(),
+		Evicted: s.evicting.Load(),
 	}
+	st.Buffered, st.Capacity, st.HighWater = s.queue()
 	if ns := s.lastDrop.Load(); ns != 0 {
 		st.LastDrop = s.b.rec.WallTime(ns)
 	}
@@ -425,27 +451,28 @@ func raise(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// sent books a successful enqueue of ev: it advances the subscription's
+// sent books a successful enqueue of ev, which left depth deliveries in
+// the subscription's channel or sink: it advances the subscription's
 // delivered offset (monotonically — concurrent publishers may land out
 // of order), stamps the delivery time, clears a standing slow flag now
 // that the subscription is keeping up, and raises the subscription and
-// broker high-water marks. nowNS is the publication's entry stamp on
-// the recorder clock, so the success path adds no clock read. Always
-// returns true, deliver's verdict for the event.
-func (s *Subscription) sent(ev *Event, nowNS int64, detail bool) bool {
+// broker high-water marks. nowNS is a clock reading the publisher
+// already holds (see deliver); it is the delivery time and the stamp of
+// every record, so the success path adds no clock read. Always returns
+// true, deliver's verdict for the event.
+func (s *Subscription) sent(ev *Event, nowNS int64, depth uint64, detail bool) bool {
 	b := s.b
 	raise(&s.deliveredSeq, ev.Seq)
 	s.deliveredAtNS.Store(nowNS)
 	if s.slow.Load() && s.slow.CompareAndSwap(true, false) {
 		b.slowSubs.Add(-1)
-		b.rec.Record(telemetry.KindSlowSub, 0, ev.Seq,
+		b.rec.RecordAt(nowNS, telemetry.KindSlowSub, 0, ev.Seq,
 			int64(s.id), 0, 0, int64(s.dropCt.Load()))
 	}
-	depth := uint64(len(s.ch))
 	raise(&s.highWater, depth)
 	raise(&b.highWater, depth)
 	if detail {
-		b.rec.Record(telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(depth), 0, 0)
+		b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(depth), 0, 0)
 	}
 	return true
 }
@@ -475,23 +502,47 @@ func (s *Subscription) lost(ev *Event, nowNS int64, detail bool) bool {
 			if b.tel != nil {
 				b.tel.slowSubsTotal.Inc()
 			}
-			b.rec.Record(telemetry.KindSlowSub, 0, head,
+			b.rec.RecordAt(nowNS, telemetry.KindSlowSub, 0, head,
 				int64(s.id), int64(head-seen), 1, int64(s.dropCt.Load()))
 		}
 	}
 	if detail {
-		b.rec.Record(telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
+		b.rec.RecordAt(nowNS, telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
 	}
 	return false
 }
 
-// closeCh closes the event channel, serialised against in-flight
-// deliveries so a concurrent Publish can never send on a closed
-// channel. Callers guarantee it runs at most once (via s.once or the
-// broker's closed flag).
+// evict cancels the subscription under the CancelSlow policy, once.
+func (s *Subscription) evict(ev *Event, nowNS int64) {
+	if !s.evicting.CompareAndSwap(false, true) {
+		return
+	}
+	b := s.b
+	b.evicted.Add(1)
+	if b.tel != nil {
+		b.tel.evicted.Inc()
+	}
+	// Evictions are rare and diagnostic gold: record them even for
+	// untraced publications.
+	b.rec.RecordAt(nowNS, telemetry.KindEvict, ev.TraceID, ev.Seq, int64(s.id), 0, 0, 0)
+	// The channel path gets here holding sendMu, which Cancel's close
+	// needs: evict from a fresh goroutine.
+	go s.Cancel()
+}
+
+// closeCh ends deliveries to the subscription. Its event channel is
+// closed, serialised against in-flight deliveries so a concurrent
+// Publish can never send on a closed channel; a sink subscription hands
+// its share of the sink's capacity back instead. Callers guarantee it
+// runs at most once (via s.once or the broker's closed flag).
 func (s *Subscription) closeCh() {
+	if s.sink != nil {
+		s.closed.Store(true)
+		_ = s.sink.resize(-int(s.share), -1) // a release cannot fail
+		return
+	}
 	s.sendMu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	close(s.ch)
 	s.sendMu.Unlock()
 }
@@ -553,6 +604,13 @@ type SubscribeOptions struct {
 	// BlockTimeout bounds the Block policy's wait. Zero selects the
 	// broker's BlockTimeout.
 	BlockTimeout time.Duration
+	// Sink, when non-nil, registers the subscription on that sink of this
+	// broker: it gets no channel, its events are put into the sink
+	// together with those of the sink's other subscriptions, and Buffer is
+	// what it adds to the sink's capacity. The sink applies the broker's
+	// overflow policy and block timeout, so Overflow and BlockTimeout must
+	// be left zero.
+	Sink *Sink
 }
 
 // Subscribe registers a subscriber for the union of the given rectangles,
@@ -584,6 +642,9 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	default:
 		return nil, fmt.Errorf("broker: unknown overflow policy %d", int(opts.Overflow))
 	}
+	if k := opts.Sink; k != nil && (k.b != b || opts.Overflow != DropNewest || opts.BlockTimeout != 0) {
+		return nil, fmt.Errorf("broker: a sink subscription takes its broker's overflow policy and a sink of that broker")
+	}
 	owned := make([]geometry.Rect, len(rects))
 	for i, r := range rects {
 		if r.Empty() {
@@ -612,10 +673,17 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	s := &Subscription{
 		id:           b.nextID,
 		rects:        owned,
-		ch:           make(chan Event, buffer),
 		b:            b,
 		policy:       policy,
 		blockTimeout: blockTimeout,
+	}
+	if k := opts.Sink; k != nil {
+		if err := k.resize(buffer, 1); err != nil {
+			return nil, err
+		}
+		s.sink, s.share = k, int32(buffer)
+	} else {
+		s.ch = make(chan Event, buffer)
 	}
 	// A new subscription starts with zero lag: it is only behind events
 	// published after this point.

@@ -14,10 +14,13 @@ import (
 
 // SubLag is one subscription's consumer-lag snapshot.
 type SubLag struct {
-	ID       int    `json:"id"`
-	Policy   string `json:"policy"`
-	Buffered int    `json:"buffered"`
-	Capacity int    `json:"capacity"`
+	ID     int    `json:"id"`
+	Policy string `json:"policy"`
+	// Buffered and Capacity are the subscription's channel's, or — for a
+	// subscription registered on a sink — the sink's, in deliveries for
+	// all of its subscriptions together.
+	Buffered int `json:"buffered"`
+	Capacity int `json:"capacity"`
 	// DeliveredSeq is the highest Seq successfully enqueued on the
 	// subscription's channel (the broker head at creation before the
 	// first delivery).
@@ -92,14 +95,13 @@ func (b *Broker) LagReport() LagReport {
 		sl := SubLag{
 			ID:           s.id,
 			Policy:       s.policy.String(),
-			Buffered:     len(s.ch),
-			Capacity:     cap(s.ch),
 			DeliveredSeq: s.deliveredSeq.Load(),
 			LagEvents:    lag,
 			Dropped:      s.dropCt.Load(),
 			Slow:         s.slow.Load(),
 			Evicting:     s.evicting.Load(),
 		}
+		sl.Buffered, sl.Capacity, _ = s.queue()
 		if lag > 0 {
 			sl.LagAgeSeconds = time.Duration(ageNS).Seconds()
 		}

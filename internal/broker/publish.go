@@ -20,11 +20,15 @@ const autoParallelMinRects = 32768
 
 // matchScratch is one goroutine's reusable matching memory: matched
 // slot ids and the subscriptions they resolve to, for one shard at a
-// time. The publisher's lives in its pooled pubCtx; each shard worker
-// owns one for its lifetime.
+// time, and the targets registered on sinks, grouped by sink, for all
+// the shards the goroutine runs for one publication (sink.go). The
+// publisher's lives in its pooled pubCtx; each shard worker owns one for
+// its lifetime.
 type matchScratch struct {
 	ids     []int
 	targets []*Subscription
+	groups  []sinkGroup
+	slot    []int32 // sink index -> position in groups, see group
 }
 
 // shardResult is what one shard's match+enqueue step reports. Each
@@ -33,7 +37,12 @@ type matchScratch struct {
 // barrier, so the merge is a plain loop.
 type shardResult struct {
 	targets   int // matched subscriptions
-	delivered int // successful channel sends
+	delivered int // deliveries queued: channel sends and sink elements' ids
+	// multicast is the most subscriptions the publication reached through
+	// one sink element (0 unless some element carried two or more), group
+	// how many subscriptions that sink had.
+	multicast int
+	group     int
 	matchNS   int64
 	enqueueNS int64
 	qs        match.QueryStats
@@ -42,6 +51,9 @@ type shardResult struct {
 func (r *shardResult) add(o *shardResult) {
 	r.targets += o.targets
 	r.delivered += o.delivered
+	if o.multicast > r.multicast {
+		r.multicast, r.group = o.multicast, o.group
+	}
 	r.matchNS += o.matchNS
 	r.enqueueNS += o.enqueueNS
 	r.qs.Add(o.qs)
@@ -223,6 +235,7 @@ func (b *Broker) publish(pc *pubCtx) {
 			b.runShard(pc, sh, &pc.sc)
 		}
 		b.runShard(pc, b.shards[0], &pc.sc)
+		b.flushSinks(pc, &pc.sc, &pc.res[0])
 		if pc.handed > 0 && pc.pending.Add(int32(-pc.handed)) != 0 {
 			<-pc.done
 		}
@@ -280,8 +293,9 @@ func (b *Broker) ingest(pc *pubCtx) error {
 
 // runShard is one shard's share of a publication: match the point
 // against the shard's index, enqueue the event on every matched
-// subscription, and leave the counts and stage times in the shard's
-// result slot. sc belongs to the calling goroutine.
+// subscription that has a channel, file those registered on a sink under
+// their sink for the caller's flushSinks, and leave the counts and stage
+// times in the shard's result slot. sc belongs to the calling goroutine.
 //
 //pubsub:hotpath
 func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
@@ -300,10 +314,18 @@ func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
 		r.matchNS, now = t-now, t
 	}
 	// materialize writes the clones into the Event it is handed, so each
-	// goroutine delivers from its own copy.
+	// goroutine delivers from its own copy. Deliveries are booked at the
+	// latest reading this goroutine holds: the stage's start when stages
+	// are stamped, the publication's entry otherwise.
 	ev := pc.ev
+	stamp := pc.t0
+	if pc.metered {
+		stamp = now
+	}
 	for _, s := range sc.targets {
-		if b.deliver(s, &ev, &pc.prep, pc.detail, pc.t0) {
+		if s.sink != nil {
+			sc.group(s)
+		} else if b.deliver(s, &ev, &pc.prep, pc.detail, stamp) {
 			r.delivered++
 		}
 	}
@@ -327,6 +349,7 @@ func (b *Broker) shardWorker(sh *shard) {
 			return
 		case pc := <-sh.work:
 			b.runShard(pc, sh, &sc)
+			b.flushSinks(pc, &sc, &pc.res[sh.idx])
 			if pc.pending.Add(1) == 0 {
 				pc.done <- struct{}{}
 			}
@@ -430,18 +453,25 @@ func (b *Broker) observe(pc *pubCtx) {
 		// path although all three are written here.
 		rec.RecordAt(pc.tIngest, telemetry.KindMatch, tid, seq,
 			int64(sum.qs.NodesVisited), int64(sum.qs.EntriesTested), int64(sum.qs.LeavesVisited), int64(sum.targets))
-		// The in-broker delivery decision: every matching subscriber gets
-		// its own channel send (unicast fanout; method 0 = none matched),
-		// chosen among the live rectangles.
-		method, ratioPPM, group := int64(0), int64(0), b.liveRects.Load()
-		if sum.targets > 0 {
+		// The in-broker delivery decision, in dispatch's method values.
+		// A publication that reached two or more subscriptions through
+		// one sink element went to that sink's subscriptions, the group
+		// S_q, as one message naming the interested ones: multicast (2),
+		// reported for the largest such element. Otherwise every matching
+		// subscriber got its own channel send, chosen among the live
+		// rectangles: unicast (1), or none matched (0).
+		method, interested, group := int64(0), int64(sum.targets), b.liveRects.Load()
+		if sum.multicast > 0 {
+			method, interested, group = 2, int64(sum.multicast), int64(sum.group)
+		} else if sum.targets > 0 {
 			method = 1
 		}
+		ratioPPM := int64(0)
 		if group > 0 {
-			ratioPPM = int64(sum.targets) * 1_000_000 / group
+			ratioPPM = interested * 1_000_000 / group
 		}
 		rec.RecordAt(pc.tIngest, telemetry.KindDecision, tid, seq,
-			method, int64(sum.targets), group, ratioPPM)
+			method, interested, group, ratioPPM)
 	}
 	rec.RecordAt(tEnd, telemetry.KindPublish, tid, seq,
 		int64(sum.targets), delivered, sum.matchNS, total)
@@ -513,8 +543,9 @@ func (b *Broker) observeRefused(pc *pubCtx) {
 // The event's point/payload clones are materialized lazily, only when a
 // send is actually attempted. detail enables per-subscriber flight
 // records (traced publications only, so a saturated untraced publish
-// writes nothing here). nowNS is the publication's entry stamp, the
-// time both outcomes are booked at, so neither reads a clock.
+// writes nothing here). nowNS is a reading the caller already holds
+// (runShard's stamp); both outcomes are booked, and their records
+// stamped, at it, so neither reads a clock.
 //
 //pubsub:commit -- hands the event to subscriber queues; after this the publication is observable
 func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool, nowNS int64) bool {
@@ -523,7 +554,7 @@ func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool,
 	}
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return false
 	}
 	if s.policy == DropNewest && len(s.ch) == cap(s.ch) {
@@ -534,7 +565,7 @@ func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool,
 	pr.materialize(ev)
 	select {
 	case s.ch <- *ev:
-		return s.sent(ev, nowNS, detail)
+		return s.sent(ev, nowNS, uint64(len(s.ch)), detail)
 	default:
 	}
 	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; no broker lock is held
@@ -564,7 +595,7 @@ func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS 
 			}
 			select {
 			case s.ch <- *ev:
-				return s.sent(ev, nowNS, detail)
+				return s.sent(ev, nowNS, uint64(len(s.ch)), detail)
 			default:
 			}
 		}
@@ -573,22 +604,11 @@ func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS 
 		defer t.Stop()
 		select {
 		case s.ch <- *ev:
-			return s.sent(ev, nowNS, detail)
+			return s.sent(ev, nowNS, uint64(len(s.ch)), detail)
 		case <-t.C:
 		}
 	case CancelSlow:
-		if s.evicting.CompareAndSwap(false, true) {
-			b.evicted.Add(1)
-			if b.tel != nil {
-				b.tel.evicted.Inc()
-			}
-			// Evictions are rare and diagnostic gold: record them even
-			// for untraced publications.
-			b.rec.Record(telemetry.KindEvict, ev.TraceID, ev.Seq, int64(s.id), 0, 0, 0)
-			// Cancel closes the channel via closeCh, which needs the
-			// sendMu we hold; evict from a fresh goroutine.
-			go s.Cancel()
-		}
+		s.evict(ev, nowNS)
 	}
 	return s.lost(ev, nowNS, detail)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -110,8 +111,11 @@ func inlineOnly(b *Broker) *Broker {
 // (Options.Matcher is the only seam that chooses it; the zero value,
 // the S-tree, is the plain one-shard broker), four shards run by the
 // publisher and four shards offered to workers, each in memory and over
-// a durable log. Every arrangement must deliver exactly what the
-// brute-force oracle says, and must be observed the same way: the
+// a durable log, and each of those twice: delivered through one channel
+// per subscription, and through three sinks the subscriptions are dealt
+// onto. Every arrangement must hand every subscription exactly the
+// sequence of events the brute-force oracle says — so the same one
+// whichever way it is delivered — and must be observed the same way: the
 // same stage labels, a match time on traced publishes, one publish
 // record per publication, and no allocation on an untraced
 // steady-state publish. Building with -tags=invariants scales the
@@ -172,13 +176,17 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 		arrangement{"4-shards-inline", Options{Shards: 4, MinOverlay: 4}, false},
 		arrangement{"4-shards-workers", Options{Shards: 4, MinOverlay: 4}, true},
 	)
+	type delivery struct {
+		durable, viaSink bool
+		name             string
+	}
 	for _, arr := range arrangements {
-		for _, durable := range []bool{false, true} {
-			name := arr.name + "/memory"
-			if durable {
-				name = arr.name + "/durable"
-			}
-			t.Run(name, func(t *testing.T) {
+		for _, dl := range []delivery{
+			{false, false, "/memory"}, {true, false, "/durable"},
+			{false, true, "/memory/sink"}, {true, true, "/durable/sink"},
+		} {
+			durable, viaSink := dl.durable, dl.viaSink
+			t.Run(arr.name+dl.name, func(t *testing.T) {
 				reg := telemetry.NewRegistry()
 				rec := telemetry.NewRecorder(1 << 14)
 				opts := arr.opts
@@ -204,9 +212,22 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 					return n
 				}
 
+				// Subscription i goes on sink i%3, the side subscriber on
+				// one of its own (sinks stays nil on the channel runs, and
+				// so does every SubscribeOptions.Sink).
+				var sinks []*Sink
+				sinkFor := func(i int) *Sink {
+					if !viaSink {
+						return nil
+					}
+					for len(sinks) <= i {
+						sinks = append(sinks, b.NewSink())
+					}
+					return sinks[i]
+				}
 				subs := make([]*Subscription, subsN)
 				for i, spec := range specs {
-					s, err := b.SubscribeWith(SubscribeOptions{Buffer: pointsN + 1}, spec.rects...)
+					s, err := b.SubscribeWith(SubscribeOptions{Buffer: pointsN + 1, Sink: sinkFor(i % 3)}, spec.rects...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -216,7 +237,7 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 				// oracle's space: the steady-state publish below matches
 				// it and drops, the allocation-free path that matters.
 				side := geometry.Point{205, 205}
-				if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, geometry.NewRect(200, 210, 200, 210)); err != nil {
+				if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1, Sink: sinkFor(3)}, geometry.NewRect(200, 210, 200, 210)); err != nil {
 					t.Fatal(err)
 				}
 				if n := publish(side, 0); n != 1 {
@@ -316,30 +337,35 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 				}
 
 				b.Close()
-				// Drain every subscriber and compare its received multiset
-				// against the oracle; distinct random points mean exact-value
-				// keys are unambiguous.
-				for i, s := range subs {
-					got := map[[2]float64]int{}
+				// Drain every subscriber — its channel, or its share of its
+				// sink's elements — and compare the sequence it received
+				// against the oracle's: one publisher, so publication order.
+				got := make(map[int][]geometry.Point)
+				for _, s := range subs {
+					if viaSink {
+						continue
+					}
 					for ev := range s.Events() {
-						got[[2]float64{ev.Point[0], ev.Point[1]}]++
+						got[s.ID()] = append(got[s.ID()], ev.Point)
 					}
-					want := map[[2]float64]int{}
+				}
+				for _, k := range sinks[:min(3, len(sinks))] {
+					var d Delivery
+					for k.Next(&d) {
+						for _, id := range d.IDs {
+							got[id] = append(got[id], d.Event.Point)
+						}
+					}
+				}
+				for i, s := range subs {
+					var want []geometry.Point
 					for pi, p := range points {
-						if pi >= phase1 && cancelled(i) {
-							continue
-						}
-						if matches(i, p) {
-							want[[2]float64{p[0], p[1]}]++
+						if (pi < phase1 || !cancelled(i)) && matches(i, p) {
+							want = append(want, p)
 						}
 					}
-					if len(got) != len(want) {
-						t.Fatalf("sub %d received %d distinct points, want %d", i, len(got), len(want))
-					}
-					for k, n := range want {
-						if got[k] != n {
-							t.Fatalf("sub %d received point %v %d times, want %d (dup = dedup failure)", i, k, got[k], n)
-						}
+					if !slices.EqualFunc(got[s.ID()], want, func(a, b geometry.Point) bool { return slices.Equal(a, b) }) {
+						t.Fatalf("sub %d received %d events %v, oracle says %d %v", i, len(got[s.ID()]), got[s.ID()], len(want), want)
 					}
 				}
 			})

@@ -89,6 +89,13 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 			for _, s := range b.subs {
 				total += len(s.ch)
 			}
+			for _, k := range b.sinks {
+				if k != nil {
+					k.mu.Lock()
+					total += k.used
+					k.mu.Unlock()
+				}
+			}
 			return float64(total)
 		})
 	reg.GaugeFunc("pubsub_broker_queue_high_water",
