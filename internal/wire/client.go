@@ -135,13 +135,15 @@ func (c *Client) readLoop() {
 			c.noteRecv(m.TraceID)
 			// A grouped frame is its publication once for every id it
 			// lists, in order; the events share Point and Payload, which
-			// subscribers only read, as they do in-process.
+			// subscribers only read, as they do in-process — and their
+			// flight records one reading of the clock, the frame's arrival.
 			ev := broker.Event{Point: geometry.Point(m.Point), Payload: m.Payload, Seq: m.Seq, TraceID: m.TraceID}
+			now := c.opts.Recorder.Now()
 			if len(m.SubIDs) == 0 {
-				c.deliver(ev, m.SubID)
+				c.deliver(ev, m.SubID, now)
 			}
 			for _, id := range m.SubIDs {
-				c.deliver(ev, id)
+				c.deliver(ev, id, now)
 			}
 		case TypeOK, TypeError:
 			reply := *m
@@ -162,11 +164,12 @@ func (c *Client) readLoop() {
 }
 
 // deliver hands one subscription's copy of an event to Events(), or
-// books it as dropped when the buffer is full.
-func (c *Client) deliver(ev broker.Event, subID int) {
+// books it as dropped when the buffer is full; nowNS, the recorder-clock
+// time its frame arrived, stamps the record either way.
+func (c *Client) deliver(ev broker.Event, subID int, nowNS int64) {
 	select {
 	case c.events <- ev:
-		c.opts.Recorder.Record(telemetry.KindClientRecv, ev.TraceID, ev.Seq,
+		c.opts.Recorder.RecordAt(nowNS, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
 			int64(subID), int64(len(ev.Payload)), 0, 0)
 	default:
 		c.droppedMu.Lock()
@@ -182,7 +185,7 @@ func (c *Client) deliver(ev broker.Event, subID int) {
 		if first {
 			firstArg = 1
 		}
-		c.opts.Recorder.Record(telemetry.KindClientRecv, ev.TraceID, ev.Seq,
+		c.opts.Recorder.RecordAt(nowNS, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
 			int64(subID), int64(len(ev.Payload)), 1, firstArg)
 	}
 }

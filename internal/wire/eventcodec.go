@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/binary"
 	"math"
 	"strconv"
 )
@@ -79,24 +78,6 @@ func appendFastBody(dst []byte, m *Message) (out []byte, ok bool) {
 		dst = strconv.AppendInt(dst, int64(m.Delivered), 10)
 	}
 	return append(dst, '}'), true
-}
-
-// extendEventFrame adds id to the sub_ids list that ends the event frame
-// occupying frame[start:], in place: the closing "]}" becomes ",<id>]}"
-// and the length prefix follows. The result is the frame appendFrame
-// yields for the same message with id appended to SubIDs. It declines,
-// leaving frame as it was, when the longer body could cross MaxFrame.
-//
-//pubsub:hotpath
-func extendEventFrame(frame []byte, start, id int) ([]byte, bool) {
-	if len(frame)-start-4+1+maxIDLen > MaxFrame {
-		return frame, false
-	}
-	frame = append(frame[:len(frame)-2], ',')
-	frame = strconv.AppendInt(frame, int64(id), 10)
-	frame = append(frame, "]}"...)
-	binary.BigEndian.PutUint32(frame[start:], uint32(len(frame)-start-4))
-	return frame, true
 }
 
 // appendJSONFloat formats a finite float64 exactly as encoding/json

@@ -20,39 +20,33 @@ import (
 	"repro/internal/wal"
 )
 
-// groupedFrame builds a publication's grouped frame the way a
-// connection's queue does — a one-id frame, then one in-place extension
-// per further id — behind prefix, and checks it against the contract:
-// the bytes are what appendFrame (and so json.Marshal) yields for the
-// message with every id in SubIDs, and decoding it gives, id by id,
-// exactly the event each single-subscription frame carries.
+// groupedFrame encodes a publication's grouped frame — ev for every id
+// of ids — behind prefix, and checks it against the contract: the body
+// is what json.Marshal yields for the message with ids in SubIDs, and
+// decoding it gives, id by id, exactly the event each
+// single-subscription frame carries.
 func groupedFrame(t *testing.T, prefix []byte, ev *Message, ids []int) []byte {
 	t.Helper()
-	one := *ev
-	one.SubID, one.SubIDs = 0, ids[:1]
-	start := len(prefix)
-	buf, err := appendFrame(prefix, &one)
-	if err != nil {
-		t.Fatalf("one-id frame: %v", err)
-	}
-	for _, id := range ids[1:] {
-		var ok bool
-		if buf, ok = extendEventFrame(buf, start, id); !ok {
-			t.Fatalf("extension by %d declined at %d bytes", id, len(buf)-start)
-		}
-	}
 	all := *ev
 	all.SubID, all.SubIDs = 0, ids
-	want, err := appendFrame(nil, &all)
+	start := len(prefix)
+	buf, err := appendFrame(bytes.Clone(prefix), &all)
+	if err != nil {
+		t.Fatalf("%d-id frame: %v", len(ids), err)
+	}
+	want, err := json.Marshal(&all)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := buf[start:]
-	if !bytes.Equal(frame, want) {
-		t.Fatalf("extended frame differs from the encoded one:\n got %s\nwant %s", frame[4:], want[4:])
+	if !bytes.Equal(frame[4:], want) {
+		t.Fatalf("encoded frame differs from json.Marshal:\n got %s\nwant %s", frame[4:], want)
+	}
+	if n := int(binary.BigEndian.Uint32(frame)); n != len(want) {
+		t.Fatalf("length prefix says %d bytes, body has %d", n, len(want))
 	}
 	if !bytes.Equal(buf[:start], prefix) {
-		t.Fatal("extension touched the bytes before the frame")
+		t.Fatal("encoding touched the bytes before the frame")
 	}
 	if !checkDecode(t, frame[4:]) {
 		t.Fatalf("fast decoder declined the grouped frame %s", frame[4:])
@@ -114,7 +108,7 @@ func TestGroupedFrameEqualsSingleFrames(t *testing.T) {
 	}
 }
 
-func FuzzGroupedExtend(f *testing.F) {
+func FuzzGroupedFrame(f *testing.F) {
 	f.Add(1.5, 2.0, []byte("tick"), uint64(7), uint64(99), []byte{1, 2, 3}, 2)
 	f.Add(1e21, -0.0, []byte(nil), uint64(1), uint64(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80}, 1)
 	f.Add(0.0, 0.0, []byte{0}, uint64(math.MaxUint64), uint64(1), []byte{0}, 0)
@@ -142,61 +136,22 @@ func FuzzGroupedExtend(f *testing.F) {
 	})
 }
 
-// An extension that could take the body past MaxFrame is refused and
-// the frame is left as it was; one byte less and it goes through.
-func TestExtendRespectsMaxFrame(t *testing.T) {
-	for _, room := range []int{0, 1 + maxIDLen - 1, 1 + maxIDLen} {
-		ev := &Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, SubIDs: []int{1}}
-		base, err := appendFrame(nil, ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pad the payload so the one-id body is room bytes under the
-		// limit; base64 moves in steps of four, digits of the id do the rest.
-		left := MaxFrame - room - (len(base) - 4) - len(`,"payload":""`)
-		ev.Payload = make([]byte, left/4*3)
-		ev.SubIDs[0] = []int{1, 10, 100, 1000}[left%4]
-		frame, err := appendFrame(nil, ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(frame)-4 != MaxFrame-room {
-			t.Fatalf("built a body %d under the limit, want %d", MaxFrame-(len(frame)-4), room)
-		}
-		before := bytes.Clone(frame)
-		out, ok := extendEventFrame(frame, 0, 7)
-		if want := room >= 1+maxIDLen; ok != want {
-			t.Fatalf("room %d: extended = %v, want %v", room, ok, want)
-		}
-		if !ok && !bytes.Equal(out, before) {
-			t.Fatalf("room %d: a refused extension changed the frame", room)
-		}
-		if n := int(binary.BigEndian.Uint32(out)); n != len(out)-4 || n > MaxFrame {
-			t.Fatalf("room %d: frame claims %d bytes, holds %d (limit %d)", room, n, len(out)-4, MaxFrame)
-		}
-	}
-}
-
-// Into a queue with room, neither the one-id frame nor an extension
-// touches the heap.
-func TestGroupedExtendAllocatesNothing(t *testing.T) {
+// Into a queue with room, a 32-id frame does not touch the heap.
+func TestGroupedFrameAllocatesNothing(t *testing.T) {
 	m := benchEvent()
-	m.SubID, m.SubIDs = 0, []int{1000}
-	buf := make([]byte, 0, 32*(1+maxIDLen)+eventFrameBound(len(m.Point), len(m.Payload)))
+	m.SubID, m.SubIDs = 0, make([]int, 32)
+	for i := range m.SubIDs {
+		m.SubIDs[i] = 1000 + i
+	}
+	buf := make([]byte, 0, 32*idRoom+eventFrameBound(len(m.Point), len(m.Payload)))
 	allocs := testing.AllocsPerRun(100, func() {
 		out, err := appendFrame(buf, m)
-		for id := 1001; err == nil && id < 1032; id++ {
-			var ok bool
-			if out, ok = extendEventFrame(out, 0, id); !ok {
-				t.Fatal("extension declined")
-			}
-		}
 		if err != nil || &out[0] != &buf[:1][0] {
 			t.Fatal("encode failed, or left the caller's buffer")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("encode and 31 extensions: %g allocs, want 0", allocs)
+		t.Errorf("a 32-id frame: %g allocs, want 0", allocs)
 	}
 }
 
@@ -210,7 +165,7 @@ func pipeConn(t *testing.T, group bool) (cs *connState, gc *gatedConn, peer net.
 	close(open)
 	gc = &gatedConn{Conn: server, open: open}
 	cs = newConnState(gc, ServerOptions{})
-	cs.out.group = group
+	cs.out.group.Store(group)
 	go cs.writeLoop()
 	t.Cleanup(func() {
 		_ = server.Close()
@@ -236,111 +191,193 @@ func holdWriter(t *testing.T, cs *connState, gc *gatedConn) (release func()) {
 	return release
 }
 
-// The queue groups only what is adjacent: events of one publication for
-// different subscriptions — a replay's frame and a pump's alike — share
-// a frame while nothing else is queued between them, and any other
-// frame, a new Seq or a new trace id ends the group. Frame order is
-// enqueue order throughout.
-func TestGroupTailInvalidation(t *testing.T) {
-	ev := func(seq, trace uint64, sub int) *Message {
-		return &Message{Type: TypeEvent, Point: []float64{5}, Payload: []byte("p"), Seq: seq, TraceID: trace, SubID: sub}
-	}
-	grouped := func(seq, trace uint64, subs ...int) *Message {
-		return &Message{Type: TypeEvent, Point: []float64{5}, Payload: []byte("p"), Seq: seq, TraceID: trace, SubIDs: subs}
-	}
-	replayOnly := ev(4, 0, 0)
-	in := []*Message{
-		ev(1, 9, 1), ev(1, 9, 2), // one publication, two subscriptions
-		{Type: TypeOK, SubID: 3},
-		ev(1, 9, 3),                           // the same publication after a reply: a new frame
-		ev(2, 9, 1), ev(2, 9, 0), ev(2, 9, 3), // 0 is a subscription id like any other
-		{Type: TypePing},
-		ev(3, 9, 1),
-		ev(3, 8, 2), // same Seq, another trace id: not the same publication
-		replayOnly,  // for no subscription: stays plain, and ends the group
-		ev(4, 0, 1),
-		ev(0, 7, 1), ev(0, 7, 2), // no Seq names no publication: plain, apart
-		ev(5, 1, 2), ev(5, 1, 1),
-	}
-	want := []*Message{
-		{Type: TypePing}, // holdWriter's
-		grouped(1, 9, 1, 2),
-		{Type: TypeOK, SubID: 3},
-		grouped(1, 9, 3),
-		grouped(2, 9, 1, 0, 3),
-		{Type: TypePing},
-		grouped(3, 9, 1),
-		grouped(3, 8, 2),
-		replayOnly,
-		grouped(4, 0, 1),
-		ev(0, 7, 1), ev(0, 7, 2),
-		grouped(5, 1, 2, 1),
-	}
-	queue := func(cs *connState, m *Message) {
-		t.Helper()
-		if err := cs.enqueue(m, m.Type == TypeEvent && m != replayOnly); err != nil {
-			t.Fatal(err)
+// A list of ids that could take the frame past MaxFrame is continued in
+// another frame: every id is served once, in order, in frames within the
+// limit, as many to a frame as the bound leaves room for.
+func TestGroupedListRespectsMaxFrame(t *testing.T) {
+	ids := []int{1, 20, 300, 4000, 50000, 600000, 7}
+	for _, tc := range []struct{ room, perFrame int }{{0, 1}, {idRoom - 1, 1}, {idRoom, 2}, {5*idRoom + 3, 6}} {
+		// The largest payload whose one-id bound leaves at least tc.room
+		// bytes, then pad the point-free bound down to exactly that with
+		// the base64 step of four.
+		n := (MaxFrame - tc.room - eventFrameBound(1, 0)) / 4 * 3
+		slack := MaxFrame - eventFrameBound(1, n)
+		if slack < tc.room || slack >= tc.room+4 {
+			t.Fatalf("room %d: built a bound %d under the limit", tc.room, slack)
+		}
+		if want := 1 + slack/idRoom; want != tc.perFrame {
+			continue // base64's step moved this case into its neighbour
+		}
+		cs, _, peer := pipeConn(t, true)
+		ev := &broker.Event{Point: geometry.Point{5}, Payload: make([]byte, n), Seq: 3, TraceID: 4}
+		done := make(chan error, 1)
+		go func() { done <- cs.writeEvent(ev, slices.Clone(ids), 0) }()
+		_ = peer.SetReadDeadline(time.Now().Add(20 * time.Second))
+		var got []int
+		for len(got) < len(ids) {
+			var hdr [4]byte
+			if _, err := io.ReadFull(peer, hdr[:]); err != nil {
+				t.Fatal(err)
+			}
+			size := int(binary.BigEndian.Uint32(hdr[:]))
+			if size > MaxFrame {
+				t.Fatalf("room %d: a frame of %d bytes, limit %d", tc.room, size, MaxFrame)
+			}
+			body := make([]byte, size)
+			if _, err := io.ReadFull(peer, body); err != nil {
+				t.Fatal(err)
+			}
+			var m Message
+			if err := decodeBody(body, &m); err != nil {
+				t.Fatal(err)
+			}
+			if left := len(ids) - len(got); len(m.SubIDs) != min(tc.perFrame, left) || m.Seq != 3 || len(m.Payload) != n {
+				t.Fatalf("room %d: a frame of %d ids with %d to go, want %d a frame", tc.room, len(m.SubIDs), left, tc.perFrame)
+			}
+			got = append(got, m.SubIDs...)
+		}
+		if err := <-done; err != nil || !slices.Equal(got, ids) {
+			t.Fatalf("room %d: served %v (err %v), want %v", tc.room, got, err, ids)
 		}
 	}
-	cs, gc, peer := pipeConn(t, true)
-	release := holdWriter(t, cs, gc)
-	for _, m := range in {
-		queue(cs, m)
+}
+
+// What the connection's queue makes of events: on a grouping connection
+// one frame per writeEvent naming all its ids, on any other a frame per
+// id with the bytes appendFrame yields for it — and on both, an event
+// for no subscription (a pure replay's) as it stands, every frame in
+// call order, the deliveries counted per id.
+func TestWriteEventFraming(t *testing.T) {
+	type step struct {
+		msg *Message // a control frame or a pure replay's event, through write
+		ev  *broker.Event
+		ids []int // ev's subscriptions, through writeEvent
 	}
-	cs.out.mu.Lock()
-	events := cs.out.events
-	cs.out.mu.Unlock()
-	if events != 14 {
-		t.Errorf("queue counts %d event deliveries, want 14", events)
+	ev := func(seq, trace uint64) *broker.Event {
+		return &broker.Event{Point: geometry.Point{5}, Payload: []byte("p"), Seq: seq, TraceID: trace}
 	}
-	release()
-	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for i, w := range want {
-		got, err := ReadMessage(peer)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	frame := func(e *broker.Event) Message {
+		return Message{Type: TypeEvent, Point: e.Point, Payload: e.Payload, Seq: e.Seq, TraceID: e.TraceID}
+	}
+	replayOnly := &Message{Type: TypeEvent, Point: []float64{5}, Payload: []byte("p"), Seq: 4}
+	in := []step{
+		{ev: ev(1, 9), ids: []int{1, 2}},
+		{msg: &Message{Type: TypeOK, SubID: 3}},
+		{ev: ev(1, 9), ids: []int{3}},       // a replay's frame for one subscription
+		{ev: ev(2, 9), ids: []int{1, 0, 3}}, // 0 is a subscription id like any other
+		{msg: &Message{Type: TypePing}},
+		{msg: replayOnly},
+		{ev: ev(0, 7), ids: []int{2, 1}}, // no Seq: still an event for its subscriptions
+	}
+	run := func(group bool) (queued []byte, fromPeer []*Message) {
+		cs, gc, peer := pipeConn(t, group)
+		release := holdWriter(t, cs, gc)
+		frames := 1 // holdWriter's ping
+		for _, st := range in {
+			var err error
+			switch {
+			case st.msg != nil:
+				err = cs.write(st.msg)
+				frames++
+			default:
+				err = cs.writeEvent(st.ev, slices.Clone(st.ids), 0)
+				frames += map[bool]int{true: 1, false: len(st.ids)}[group]
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !reflect.DeepEqual(got, w) {
-			t.Fatalf("frame %d:\n got %+v\nwant %+v", i, got, w)
+		cs.out.mu.Lock()
+		queued, events := bytes.Clone(cs.out.pending), cs.out.events
+		cs.out.mu.Unlock()
+		if events != 9 {
+			t.Errorf("group=%v: queue counts %d event deliveries, want 9", group, events)
 		}
+		release()
+		_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for i := 0; i < frames; i++ {
+			m, err := ReadMessage(peer)
+			if err != nil {
+				t.Fatalf("group=%v frame %d: %v", group, i, err)
+			}
+			fromPeer = append(fromPeer, m)
+		}
+		return queued, fromPeer
 	}
 
-	// A connection whose peer never announced group gets every one of
-	// those as the frame appendFrame yields for it, byte for byte.
-	cs, gc, peer = pipeConn(t, false)
-	release = holdWriter(t, cs, gc)
-	var plain []byte
-	for _, m := range in {
-		queue(cs, m)
-		plain, _ = appendFrame(plain, m)
+	_, got := run(true)
+	want := []*Message{{Type: TypePing}}
+	for _, st := range in {
+		m := st.msg
+		if m == nil {
+			g := frame(st.ev)
+			g.SubIDs = st.ids
+			m = &g
+		}
+		want = append(want, m)
 	}
-	cs.out.mu.Lock()
-	queued := bytes.Clone(cs.out.pending)
-	cs.out.mu.Unlock()
-	release()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("grouping connection:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A connection whose peer never announced group gets, for every id,
+	// the frame appendFrame yields for its single-subscription message,
+	// byte for byte.
+	queued, _ := run(false)
+	var plain []byte
+	for _, st := range in {
+		if st.msg != nil {
+			plain, _ = appendFrame(plain, st.msg)
+			continue
+		}
+		for _, id := range st.ids {
+			m := frame(st.ev)
+			m.SubID = id
+			plain, _ = appendFrame(plain, &m)
+		}
+	}
 	if !bytes.Equal(queued, plain) {
 		t.Fatalf("plain connection queued\n%q\nwant\n%q", queued, plain)
 	}
 }
 
-// The writer taking the batch ends the group too: what is queued after
-// starts a new frame, although the publication is the same.
-func TestGroupEndsWhenWriterTakesBatch(t *testing.T) {
-	cs, _, peer := pipeConn(t, true)
+// An unsubscribe that lands between the pump finding an id registered
+// and its frame entering the queue must not let the frame out behind the
+// reply: writeEvent looks again, under the queue's lock, whenever the
+// connection's removal count has moved.
+func TestWriteEventDropsIDsRemovedSinceLookup(t *testing.T) {
+	cs, gc, peer := pipeConn(t, true)
+	for _, id := range []int{1, 2, 3} {
+		cs.subs[id] = &connSub{}
+	}
+	gen := cs.subsGen.Load() // the pump's lookup: all three registered
+	cs.subsMu.Lock()
+	delete(cs.subs, 2) // dropSub, without a broker behind it
+	cs.subsGen.Add(1)
+	cs.subsMu.Unlock()
+	release := holdWriter(t, cs, gc)
+	ev := &broker.Event{Point: geometry.Point{5}, Seq: 1}
+	if err := cs.writeEvent(ev, []int{1, 2, 3}, gen); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.writeEvent(ev, []int{2}, gen); err != nil { // nothing left: no frame at all
+		t.Fatal(err)
+	}
+	if err := cs.write(&Message{Type: TypeOK}); err != nil {
+		t.Fatal(err)
+	}
+	release()
 	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for sub := 1; sub <= 3; sub++ {
-		if err := cs.enqueue(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, SubID: sub}, true); err != nil {
-			t.Fatal(err)
-		}
-		// net.Pipe is synchronous: once the frame is read, the writer has
-		// long taken it.
-		got, err := ReadMessage(peer)
+	var got []*Message
+	for i := 0; i < 3; i++ {
+		m, err := ReadMessage(peer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []int{sub}; !slices.Equal(got.SubIDs, want) {
-			t.Fatalf("frame %d lists %v, want %v", sub, got.SubIDs, want)
-		}
+		got = append(got, m)
+	}
+	if got[1].Type != TypeEvent || !slices.Equal(got[1].SubIDs, []int{1, 3}) || got[2].Type != TypeOK {
+		t.Fatalf("frames after the ping: %+v, %+v; want one event for [1 3], then the reply", got[1], got[2])
 	}
 }
 
@@ -417,15 +454,15 @@ func (p *rawPeer) subscribe(req *Message, onEvent func(*Message, []byte)) int {
 }
 
 // One connection, 32 matching subscriptions, a stream of publications
-// with an unsubscribe in the middle: whatever way the pumps' frames fell
-// into groups (one id per frame up to all 32 — run at -cpu 1,2,4), every
-// subscription gets every publication exactly once and in order, the
-// cancelled one up to where it stopped.
+// with an unsubscribe in the middle: every publication is one frame
+// naming every subscription live at the time (the broker is below the
+// population at which shard workers would split it into several
+// elements), every subscription gets every publication exactly once and
+// in order, and the cancelled one nothing after the reply to its
+// unsubscribe.
 func TestGroupedFanoutExactlyOnce(t *testing.T) {
 	_, addr := startServer(t)
 	peer := dialRaw(t, addr)
-	// A publisher that waits for each reply leaves the pumps of one
-	// publication to meet in the queue, as live traffic does.
 	pub, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -434,8 +471,8 @@ func TestGroupedFanoutExactlyOnce(t *testing.T) {
 	const subs, pubs = 32, 2000
 	var ids []int
 	for i := 0; i < subs; i++ {
-		// A buffer that holds the whole stream: no pace of the pumps can
-		// overflow it.
+		// Buffers that hold the whole stream: no pace of the pump can
+		// overflow the sink.
 		ids = append(ids, peer.subscribe(&Message{Group: true, Buffer: pubs}, nil))
 	}
 	cancelled := ids[subs/2]
@@ -451,7 +488,7 @@ func TestGroupedFanoutExactlyOnce(t *testing.T) {
 	}()
 
 	last := make(map[int]uint64) // per subscription: the Seq it got last
-	frames, deliveries, unsubscribed := 0, 0, false
+	frames, deliveries, unsubscribed, replied := 0, 0, false, false
 	for finished := false; !finished; {
 		if frames == pubs/4 && !unsubscribed {
 			peer.send(&Message{Type: TypeUnsubscribe, SubID: cancelled})
@@ -459,10 +496,17 @@ func TestGroupedFanoutExactlyOnce(t *testing.T) {
 		}
 		m, body := peer.recv()
 		if m.Type == TypeOK && m.SubID == cancelled {
-			continue // what its pump had buffered may still follow, as ever
+			replied = true
+			continue
 		}
 		if m.Type != TypeEvent || len(m.SubIDs) == 0 {
 			t.Fatalf("a grouping peer got %s", body)
+		}
+		if replied && slices.Contains(m.SubIDs, cancelled) {
+			t.Fatalf("a frame names subscription %d after the reply to its unsubscribe: %s", cancelled, body)
+		}
+		if live := subs - len(m.SubIDs); live != 0 && !(unsubscribed && live == 1) {
+			t.Fatalf("a frame of %d ids for %d subscriptions: %s", len(m.SubIDs), subs, body)
 		}
 		frames++
 		if want := fmt.Sprintf("e%d", m.Seq-1); string(m.Payload) != want {
@@ -485,8 +529,10 @@ func TestGroupedFanoutExactlyOnce(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d deliveries in %d frames (%.1f ids a frame); the cancelled subscription got %d",
-		deliveries, frames, float64(deliveries)/float64(frames), last[cancelled])
+	if frames != pubs || !replied {
+		t.Fatalf("%d publications arrived in %d frames (unsubscribe replied: %v)", pubs, frames, replied)
+	}
+	t.Logf("%d deliveries in %d frames; the cancelled subscription got %d", deliveries, frames, last[cancelled])
 }
 
 // A publication at the frame limit matching many subscriptions of one
@@ -512,7 +558,7 @@ func TestAtLimitPublishToGroupedSubscribers(t *testing.T) {
 	defer pub.Close()
 	var cs *connState
 	for _, c := range serverConns(s) {
-		if c.out.group {
+		if c.out.group.Load() {
 			cs = c
 		}
 	}

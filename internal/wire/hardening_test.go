@@ -342,6 +342,23 @@ func TestNoGoroutineLeaksAcrossLifecycles(t *testing.T) {
 		if _, err := cli.Publish(geometry.Point{5}, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
+		// A connection's goroutines are its reader, writer, pump and
+		// pinger, however many subscriptions it holds.
+		if _, err := cli.Subscribe(geometry.NewRect(0, 10)); err != nil {
+			t.Fatal(err)
+		}
+		one := runtime.NumGoroutine()
+		for k := 0; k < 40; k++ {
+			if _, err := cli.Subscribe(geometry.NewRect(0, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cli.Publish(geometry.Point{5}, []byte("y")); err != nil {
+			t.Fatal(err)
+		}
+		if many := runtime.NumGoroutine(); many > one {
+			t.Fatalf("%d goroutines with one subscription on the connection, %d with 41", one, many)
+		}
 		if err := rc.Close(); err != nil {
 			t.Fatal(err)
 		}

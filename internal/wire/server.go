@@ -25,7 +25,7 @@ type ServerOptions struct {
 	// WriteTimeout bounds each socket write, which carries a batch of
 	// one or more queued frames. A connection whose peer cannot absorb a
 	// batch within it is evicted, so one stalled reader cannot wedge its
-	// event pumps forever. Zero disables.
+	// event pump forever. Zero disables.
 	WriteTimeout time.Duration
 	// IdleTimeout evicts connections that send nothing for this long.
 	// The server pings idle peers (see PingInterval); a live client
@@ -142,6 +142,11 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		cs := newConnState(conn, s.opts)
 		cs.tel = s.tel
+		cs.sink = s.b.NewSink()
+		cs.pumps.Add(1)
+		if cs.opts.PingInterval > 0 {
+			cs.pumps.Add(1)
+		}
 		// A fresh connection starts at zero lag against the current head,
 		// exactly like a fresh subscription.
 		cs.lastSeq.Store(s.b.Head())
@@ -156,7 +161,7 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops the listener and tears down every connection immediately,
-// discarding any events still buffered in pumps. Safe to call more than
+// discarding any events still queued for them. Safe to call more than
 // once. Use Shutdown to drain first.
 func (s *Server) Close() {
 	ln, conns := s.markClosed()
@@ -170,8 +175,8 @@ func (s *Server) Close() {
 }
 
 // Shutdown gracefully drains the server: it stops accepting, cancels
-// every subscription so their event pumps flush all buffered events to
-// the peers, then closes the connections. If ctx expires first the
+// every subscription, has each connection's pump flush everything its
+// sink holds to the peer, then closes the connections. If ctx expires first the
 // remaining connections are torn down hard and ctx.Err() is returned.
 // Safe to call more than once and concurrently with Close.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -221,8 +226,21 @@ func (s *Server) markClosed() (net.Listener, []*connState) {
 	return s.ln, conns
 }
 
+// connSub is one subscription of a connection and, for a resuming one,
+// its replay→live boundary: while the handler streams the replay the
+// pump holds the subscription's live events back in backlog (the other
+// subscriptions keep flowing); when the handler clears replaying and
+// sets skipBelow, the replay's end offset, the pump writes the backlog
+// from there on and the subscription is live. Guarded by subsMu.
+type connSub struct {
+	sub       *broker.Subscription
+	replaying bool
+	skipBelow uint64 // live events below it were streamed by the replay
+	backlog   []broker.Event
+}
+
 // connState tracks one connection's subscriptions and owns the
-// goroutines (writer, event pumps, pinger) attached to the connection.
+// goroutines (writer, event pump, pinger) attached to the connection.
 type connState struct {
 	id      int64
 	conn    net.Conn
@@ -230,27 +248,22 @@ type connState struct {
 	tel     *wireTel
 	lastSeq atomic.Uint64 // highest Seq written to the peer (see noteSent)
 	out     outQueue      // frames awaiting the writer goroutine (writer.go)
+	// sink is the one queue every subscription of the connection is
+	// delivered through; nil on a connState no server accepted.
+	sink    *broker.Sink
 	subsMu  sync.Mutex
-	subs    map[int]*broker.Subscription
-	done    chan struct{}
+	subs    map[int]*connSub
+	subsGen atomic.Uint64 // removals from subs so far (see writeEvent)
+	// kick wakes the pump when a replay has ended or been given up;
+	// capacity 1, a burst of those is one wake-up.
+	kick chan struct{}
+	done chan struct{}
 
-	pumpMu   sync.Mutex
-	stopping bool
 	draining chan struct{} // closed by drain; stops the pinger while the conn is still open
-	pumps    sync.WaitGroup
-}
-
-// startPump registers one goroutine attached to the connection. It
-// returns false once the connection is draining, so a drain's
-// pumps.Wait never races a new Add.
-func (cs *connState) startPump() bool {
-	cs.pumpMu.Lock()
-	defer cs.pumpMu.Unlock()
-	if cs.stopping {
-		return false
-	}
-	cs.pumps.Add(1)
-	return true
+	// pumps counts the pump and the pinger. Serve adds both before a drain
+	// can see the connection, so a drain's Wait never races an Add; handle
+	// starts them, and each exits at once if the drain came first.
+	pumps sync.WaitGroup
 }
 
 func newConnState(conn net.Conn, opts ServerOptions) *connState {
@@ -258,18 +271,19 @@ func newConnState(conn net.Conn, opts ServerOptions) *connState {
 		id:       connIDs.Add(1),
 		conn:     conn,
 		opts:     opts,
-		subs:     make(map[int]*broker.Subscription),
+		subs:     make(map[int]*connSub),
 		done:     make(chan struct{}),
+		kick:     make(chan struct{}, 1),
 		draining: make(chan struct{}),
 	}
 	cs.out.init()
 	return cs
 }
 
-// noteSent advances the connection's delivered high-water mark. Event
-// pumps for different subscriptions and a concurrent replay all write
-// frames, so the advance is a CAS-max: a replay streaming old offsets
-// never regresses the mark.
+// noteSent advances the connection's delivered high-water mark. The
+// pump's live frames and a concurrent replay share the queue, so the
+// advance is a CAS-max: a replay streaming old offsets never regresses
+// the mark.
 func (cs *connState) noteSent(seq uint64) {
 	for {
 		cur := cs.lastSeq.Load()
@@ -279,47 +293,52 @@ func (cs *connState) noteSent(seq uint64) {
 	}
 }
 
-func (cs *connState) addSub(sub *broker.Subscription) {
-	cs.subsMu.Lock()
-	defer cs.subsMu.Unlock()
-	cs.subs[sub.ID()] = sub
+// kickPump wakes the pump to look at the replay states again.
+func (cs *connState) kickPump() {
+	select {
+	case cs.kick <- struct{}{}:
+	default:
+	}
 }
 
-func (cs *connState) takeSub(id int) *broker.Subscription {
+// dropSub removes the subscription from the connection and cancels it,
+// reporting whether it was there. From its return on, no event frame
+// naming the subscription is queued.
+func (cs *connState) dropSub(id int) bool {
 	cs.subsMu.Lock()
-	defer cs.subsMu.Unlock()
-	sub := cs.subs[id]
+	st := cs.subs[id]
 	delete(cs.subs, id)
-	return sub
+	cs.subsGen.Add(1)
+	cs.subsMu.Unlock()
+	if st == nil {
+		return false
+	}
+	st.sub.Cancel()
+	cs.kickPump() // a draining pump may be waiting for this one's replay
+	return true
 }
 
-func (cs *connState) drainSubs() []*broker.Subscription {
+// closeSubs ends deliveries to the connection: it closes the sink and
+// cancels every subscription at the broker. They stay in subs, so what
+// the sink still holds for them is written.
+func (cs *connState) closeSubs() {
+	cs.sink.Close()
 	cs.subsMu.Lock()
 	defer cs.subsMu.Unlock()
-	out := make([]*broker.Subscription, 0, len(cs.subs))
-	for id, sub := range cs.subs {
-		out = append(out, sub)
-		delete(cs.subs, id)
+	for _, st := range cs.subs {
+		st.sub.Cancel()
 	}
-	return out
 }
 
-// drain cancels the connection's subscriptions — closing their channels,
-// which lets each event pump queue its buffered backlog and exit — waits
-// for the pumps, has the writer flush what they queued, then closes the
-// connection.
+// drain closes the connection's sink — nothing more is delivered into
+// it, and the pump exits once it has queued what the sink held — cancels
+// the subscriptions, waits for the pump, has the writer flush, then
+// closes the connection.
 func (cs *connState) drain() {
-	cs.pumpMu.Lock()
-	if !cs.stopping {
-		cs.stopping = true
-		// The pinger must exit while the connection is still open — it is
-		// one of the pumps we are about to wait for.
-		close(cs.draining)
-	}
-	cs.pumpMu.Unlock()
-	for _, sub := range cs.drainSubs() {
-		sub.Cancel()
-	}
+	// The pinger must exit while the connection is still open — it is
+	// one of the goroutines we are about to wait for.
+	close(cs.draining)
+	cs.closeSubs()
 	cs.pumps.Wait()
 	cs.stopWriter()
 	_ = cs.conn.Close()
@@ -327,7 +346,8 @@ func (cs *connState) drain() {
 
 func (s *Server) handle(cs *connState) {
 	go cs.writeLoop()
-	if cs.opts.PingInterval > 0 && cs.startPump() {
+	go cs.pump()
+	if cs.opts.PingInterval > 0 {
 		go func() {
 			defer cs.pumps.Done()
 			t := time.NewTicker(cs.opts.PingInterval)
@@ -348,9 +368,7 @@ func (s *Server) handle(cs *connState) {
 	}
 	defer func() {
 		close(cs.done)
-		for _, sub := range cs.drainSubs() {
-			sub.Cancel()
-		}
+		cs.closeSubs()
 		_ = cs.conn.Close()
 		cs.pumps.Wait()
 		cs.stopWriter()
@@ -408,15 +426,13 @@ func (s *Server) handle(cs *connState) {
 	}
 }
 
-// handleSubscribe registers the subscription, streams any requested log
-// replay, and starts the live event pump. The returned error is a
-// connection-level failure; protocol errors are reported to the peer
-// instead.
+// handleSubscribe registers the subscription on the connection's sink
+// and streams any requested log replay before it goes live. The returned
+// error is a connection-level failure; protocol errors are reported to
+// the peer instead.
 func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 	if m.Group {
-		cs.out.mu.Lock()
-		cs.out.group = true
-		cs.out.mu.Unlock()
+		cs.out.group.Store(true)
 	}
 	rects := make([]geometry.Rect, 0, len(m.Rects))
 	for _, w := range m.Rects {
@@ -439,146 +455,134 @@ func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	sub, err := s.b.SubscribeBuffered(buffer, rects...)
+	// Registered at the broker and announced to the pump in one step: the
+	// first event can be in the sink before Subscribe returns, and the
+	// pump must find the subscription — in backlog mode from its very
+	// first event if a replay comes first.
+	cs.subsMu.Lock()
+	sub, err := s.b.SubscribeWith(broker.SubscribeOptions{Buffer: buffer, Sink: cs.sink}, rects...)
+	st := &connSub{sub: sub, replaying: m.FromOffset > 0}
+	if err == nil {
+		cs.subs[sub.ID()] = st
+	}
+	cs.subsMu.Unlock()
 	if err != nil {
 		return cs.write(&Message{Type: TypeError, Error: err.Error()})
 	}
-	cs.addSub(sub)
-	if !cs.startPump() {
-		// The connection began draining between our subscribe and here;
-		// undo and let the read loop exit.
-		if undo := cs.takeSub(sub.ID()); undo != nil {
-			undo.Cancel()
-		}
-		return ErrServerClosed
-	}
 
-	// Start the pump immediately, before any replay. While the handler
-	// streams history the pump stays in backlog mode: it drains the
-	// subscription's bounded channel into a local slice instead of
-	// writing frames, so live events published during a long replay are
-	// never lost to buffer overflow — the backlog grows with the
-	// publish rate times the replay duration instead of silently
-	// dropping at a fixed depth. Once the replay finishes, ready
-	// carries the replay's end offset; the pump flushes the backlog
-	// from that offset (everything below it was just streamed) and goes
-	// live. On a failed replay, abort tells it to exit without flushing
-	// so backlog frames never interleave with the error reply.
-	ready := make(chan uint64, 1)
-	abort := make(chan struct{})
-	go s.pumpSub(cs, sub, ready, abort)
-
-	// The subscription is already registered, so the log's NextOffset
-	// here splits history exactly: every offset below the reader's End
-	// is streamed by the replay, every offset at or above it was
-	// appended after registration and therefore matched the
-	// subscription's snapshot — the pump delivers it.
-	skipBelow := uint64(0)
 	if m.FromOffset > 0 {
+		// The subscription is already registered, so the log's NextOffset
+		// here splits history exactly: every offset below the reader's End
+		// is streamed by the replay, every offset at or above it was
+		// appended after registration and therefore matched the
+		// subscription's snapshot — the pump delivers it. A failed replay
+		// removes the subscription, backlog and all, so backlog frames
+		// never interleave with the error reply.
 		r, err := s.b.Log().ReadFrom(m.FromOffset)
 		if err != nil {
-			close(abort)
-			if undo := cs.takeSub(sub.ID()); undo != nil {
-				undo.Cancel()
-			}
+			cs.dropSub(sub.ID())
 			return cs.write(&Message{Type: TypeError, Error: err.Error()})
 		}
-		skipBelow = r.End()
 		if _, err := s.streamReplay(cs, r, rects, sub.ID()); err != nil {
-			close(abort)
-			if undo := cs.takeSub(sub.ID()); undo != nil {
-				undo.Cancel()
-			}
+			cs.dropSub(sub.ID())
 			return err
 		}
+		// Live events below the replay's end were streamed; the backlog is
+		// the pump's to write, and what arrives from now on follows it.
+		cs.subsMu.Lock()
+		st.replaying, st.skipBelow = false, r.End()
+		cs.subsMu.Unlock()
+		cs.kickPump()
 	}
-	ready <- skipBelow
 	return cs.write(&Message{Type: TypeOK, SubID: sub.ID()})
 }
 
-// pumpSub pumps one subscription's events to the connection until the
-// subscription or the connection dies. It starts in backlog mode,
-// buffering events locally while the handler streams a replay; ready
-// (the replay's end offset) switches it live, abort makes it exit
-// without writing a frame. When the subscription is cancelled (drain
-// path) it still waits for the handler's verdict, then flushes —
-// buffered events survive a graceful shutdown, and nothing it writes
-// can interleave with the handler's replay frames.
-func (s *Server) pumpSub(cs *connState, sub *broker.Subscription, ready <-chan uint64, abort <-chan struct{}) {
+// pump is the connection's one event goroutine: it takes publications
+// off the connection's sink and queues their frames until the connection
+// dies or — a graceful drain — the sink is closed and empty. In a drain
+// it still waits for a replay in progress to end, so that the backlog is
+// written too: behind the replay's frames, never among them.
+func (cs *connState) pump() {
 	defer cs.pumps.Done()
-	msg := &Message{Type: TypeEvent, SubID: sub.ID()} // reused: write copies it into the frame
-	writeEvent := func(ev broker.Event) bool {
-		msg.Point, msg.Payload, msg.Seq, msg.TraceID = ev.Point, ev.Payload, ev.Seq, ev.TraceID
-		err := cs.enqueue(msg, true)
-		if err == nil || errors.Is(err, errEncode) {
-			// An event that cannot be framed (a NaN coordinate or an
-			// oversized payload published in-process) is skipped; the
-			// connection and the subscription carry on.
-			return true
-		}
-		sub.Cancel()
-		return false
-	}
-
-	// Backlog mode: accumulate until the handler signals.
-	var backlog []broker.Event
-	var skipBelow uint64
-	closed := false
-accumulate:
+	var d broker.Delivery
+	ready, closed := cs.sink.Ready(), false
 	for {
+		kicked := false
 		select {
-		case ev, open := <-sub.Events():
-			if !open {
-				closed = true
-				// Wait for the handler so the flush below never races
-				// its replay writes.
-				select {
-				case skipBelow = <-ready:
-					break accumulate
-				case <-abort:
-					return
-				case <-cs.done:
-					return
-				}
+		case _, open := <-ready:
+			if !open { // what Next still finds is all there will ever be
+				ready, closed = nil, true
 			}
-			backlog = append(backlog, ev)
-		case skipBelow = <-ready:
-			break accumulate
-		case <-abort:
-			return
+		case <-cs.kick:
+			kicked = true
 		case <-cs.done:
 			return
 		}
-	}
-	for _, ev := range backlog {
-		if ev.Seq < skipBelow {
-			// Already streamed by the replay.
-			continue
+		for cs.sink.Next(&d) {
+			if !cs.deliver(&d) {
+				return
+			}
 		}
-		if !writeEvent(ev) {
-			return
+		if kicked || closed {
+			if ok, replaying := cs.flushBacklogs(); !ok || (closed && !replaying) {
+				return
+			}
 		}
 	}
-	backlog = nil
-	if closed {
-		return
-	}
+}
 
-	// Live mode.
+// deliver queues one publication's frame for those of its ids that are
+// live on the connection: an id no longer in subs (unsubscribed) is
+// dropped, one whose replay is streaming — or whose backlog the pump has
+// yet to write — is backlogged, an event the replay already streamed is
+// skipped. It reports false when the connection's writer has failed.
+func (cs *connState) deliver(d *broker.Delivery) bool {
+	cs.subsMu.Lock()
+	gen := cs.subsGen.Load()
+	live := d.IDs[:0]
+	for _, id := range d.IDs {
+		switch st := cs.subs[id]; {
+		case st == nil || d.Event.Seq < st.skipBelow:
+		case st.replaying || len(st.backlog) > 0:
+			st.backlog = append(st.backlog, d.Event)
+		default:
+			live = append(live, id)
+		}
+	}
+	cs.subsMu.Unlock()
+	// An event that cannot be framed (a NaN coordinate or an oversized
+	// payload published in-process) is skipped; the connection carries on.
+	err := cs.writeEvent(&d.Event, live, gen)
+	return err == nil || errors.Is(err, errEncode)
+}
+
+// flushBacklogs writes the backlog of every subscription whose replay
+// has ended, and reports whether the writer still works and whether some
+// replay is still streaming.
+func (cs *connState) flushBacklogs() (ok, replaying bool) {
 	for {
-		select {
-		case ev, open := <-sub.Events():
-			if !open {
-				return
+		var d broker.Delivery
+		var backlog []broker.Event
+		cs.subsMu.Lock()
+		replaying = false
+		for id, st := range cs.subs {
+			if st.replaying {
+				replaying = true
+			} else if len(st.backlog) > 0 {
+				d.IDs, backlog, st.backlog = []int{id}, st.backlog, nil
+				break
 			}
-			if ev.Seq < skipBelow {
-				continue
+		}
+		cs.subsMu.Unlock()
+		if backlog == nil {
+			return true, replaying
+		}
+		// With its backlog taken the subscription is live: deliver skips
+		// what the replay streamed and queues the rest.
+		for _, d.Event = range backlog {
+			if !cs.deliver(&d) {
+				return false, replaying
 			}
-			if !writeEvent(ev) {
-				return
-			}
-		case <-cs.done:
-			return
 		}
 	}
 }
@@ -590,7 +594,7 @@ accumulate:
 // connection-fatal; a record that cannot be framed is skipped.
 func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rect, subID int) (int, error) {
 	count := 0
-	msg := &Message{Type: TypeEvent, SubID: subID}
+	ids := [1]int{subID}
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -611,10 +615,16 @@ func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rec
 				continue
 			}
 		}
-		msg.Point, msg.Payload, msg.Seq, msg.TraceID = rec.Point, rec.Payload, rec.Offset, rec.TraceID
+		ev := broker.Event{Point: rec.Point, Payload: rec.Payload, Seq: rec.Offset, TraceID: rec.TraceID}
 		// rects is empty only for a pure replay, whose frames are for no
-		// subscription.
-		if err := cs.enqueue(msg, len(rects) > 0); err != nil {
+		// subscription. Only this goroutine removes subscriptions, so the
+		// one being replayed to is registered: the current count says so.
+		if len(rects) > 0 {
+			err = cs.writeEvent(&ev, ids[:], cs.subsGen.Load())
+		} else {
+			err = cs.write(&Message{Type: TypeEvent, Point: ev.Point, Payload: ev.Payload, Seq: ev.Seq, TraceID: ev.TraceID})
+		}
+		if err != nil {
 			if errors.Is(err, errEncode) {
 				continue
 			}
@@ -640,13 +650,12 @@ func (s *Server) handleReplayOnly(cs *connState, from uint64) error {
 	return cs.write(&Message{Type: TypeOK, Delivered: count})
 }
 
-// handleUnsubscribe cancels one of this connection's subscriptions.
+// handleUnsubscribe cancels one of this connection's subscriptions. No
+// event frame naming it follows the reply.
 func (s *Server) handleUnsubscribe(cs *connState, m *Message) error {
-	sub := cs.takeSub(m.SubID)
-	if sub == nil {
+	if !cs.dropSub(m.SubID) {
 		return cs.write(&Message{Type: TypeError, Error: fmt.Sprintf("no subscription %d on this connection", m.SubID)})
 	}
-	sub.Cancel()
 	return cs.write(&Message{Type: TypeOK, SubID: m.SubID})
 }
 
@@ -753,6 +762,3 @@ func (s *Server) RegisterHealth(hr *health.Registry) {
 		return health.Healthy, fmt.Sprintf("%d connection(s), %d keepalive misses total", conns, misses)
 	})
 }
-
-// ErrServerClosed is returned by helpers when the server has shut down.
-var ErrServerClosed = errors.New("wire: server closed")

@@ -97,10 +97,8 @@ func TestServerMetricsCountGroupedFrameOnce(t *testing.T) {
 	cs.tel = newWireTel(reg) // the idle writer reads it only after the first frame's wake-up
 
 	release := holdWriter(t, cs, gc)
-	for sub := 0; sub < 5; sub++ {
-		if err := cs.enqueue(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 1, TraceID: 9, SubID: sub}, true); err != nil {
-			t.Fatal(err)
-		}
+	if err := cs.writeEvent(&broker.Event{Point: geometry.Point{5}, Seq: 1, TraceID: 9}, []int{0, 1, 2, 3, 4}, 0); err != nil {
+		t.Fatal(err)
 	}
 	if err := cs.write(&Message{Type: TypeEvent, Point: []float64{5}, Seq: 2}); err != nil { // plain: a pure replay's
 		t.Fatal(err)

@@ -400,6 +400,59 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
+// The reply to an unsubscribe is the last frame that concerns the
+// subscription: what the connection still held for it — here most of a
+// burst the peer had not read yet — is dropped, while the connection's
+// other subscription gets every event of the burst.
+func TestNoFrameNamesSubscriptionAfterUnsubscribeReply(t *testing.T) {
+	for _, group := range []bool{true, false} {
+		_, b, addr := startHardenedServer(t, ServerOptions{})
+		peer := dialRaw(t, addr)
+		const burst = 2000
+		gone := peer.subscribe(&Message{Group: group, Buffer: burst}, nil)
+		kept := peer.subscribe(&Message{Buffer: burst}, nil)
+		// The peer is not reading: the burst must be more than the loopback
+		// socket absorbs, so that most of it is still in the connection's
+		// queue and sink when the unsubscribe arrives.
+		payload := make([]byte, 8<<10)
+		for i := 0; i < burst; i++ {
+			if n, err := b.Publish(geometry.Point{5}, payload); err != nil || n != 2 {
+				t.Fatalf("publish %d: n=%d err=%v", i, n, err)
+			}
+		}
+		peer.send(&Message{Type: TypeUnsubscribe, SubID: gone})
+		replied, before, keptGot := false, 0, 0
+		for keptGot < burst { // the sink held the whole burst: none of it was dropped
+			m, body := peer.recv()
+			ids := m.SubIDs
+			if m.Type == TypeEvent && len(ids) == 0 {
+				ids = []int{m.SubID}
+			}
+			switch {
+			case m.Type == TypeOK && !replied && m.SubID == gone:
+				replied = true
+			case m.Type != TypeEvent:
+				t.Fatalf("unexpected %s frame of %d bytes", m.Type, len(body))
+			}
+			for _, id := range ids {
+				switch {
+				case id == kept:
+					keptGot++
+				case id == gone && replied:
+					t.Fatalf("group=%v: after the reply to its unsubscribe (and %d of its events before), the frame of Seq %d names subscription %d",
+						group, before, m.Seq, gone)
+				case id == gone:
+					before++
+				}
+			}
+		}
+		if !replied {
+			t.Fatalf("group=%v: the burst went out before the unsubscribe was handled; the test looked at nothing", group)
+		}
+		t.Logf("group=%v: %d of %d events reached the cancelled subscription before the reply", group, before, burst)
+	}
+}
+
 func TestUnsubscribeForeignIDRejected(t *testing.T) {
 	_, addr := startServer(t)
 	a, err := Dial(addr)

@@ -2,20 +2,18 @@ package wire
 
 import (
 	"net"
-	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/broker"
 )
 
 // pendingCap bounds the frame bytes a connection has accepted but not
 // yet written to its socket, queued and in flight together. A single
 // frame larger than the cap is accepted only into an empty queue.
 const pendingCap = 64 << 10
-
-// yieldBelow is the batch size under which the writer yields once
-// before flushing, so that the other pumps the same publication made
-// runnable append their frames to this batch instead of the next.
-const yieldBelow = pendingCap / 4
 
 // frameMeta is what the write-latency metrics need of one queued frame.
 // Kept only when the server has a metrics registry.
@@ -42,19 +40,11 @@ type outQueue struct {
 	space     chan struct{}
 	spaceWait bool // a producer waits on space; the writer closes and replaces it
 
-	// The connection as a multicast group: once the peer has announced
-	// group (a subscribe with the key), an event for a subscription is
-	// queued as a grouped frame, and while that frame is still the last
-	// thing in pending — tail is its offset, tailSeq and tailTrace its
-	// publication — the same publication's event for another
-	// subscription only adds its id to the frame. tailSeq is 0 when the
-	// last frame is anything else or the writer took the batch.
-	group     bool
-	tail      int
-	tailSeq   uint64
-	tailTrace uint64
-	one       Message // scratch: the grouped form of the event being queued
-	oneID     [1]int
+	// group is set once the peer has announced it (a subscribe with the
+	// key): an event for the connection's subscriptions is then one frame
+	// listing them (sub_ids), not a frame for each (sub_id).
+	group atomic.Bool
+	one   Message // scratch: the event frame being encoded; guarded by mu
 
 	kick     chan struct{} // pending went from empty to non-empty
 	stop     chan struct{} // closed to make the writer flush and exit
@@ -79,30 +69,16 @@ func (q *outQueue) wakeProducers() {
 	}
 }
 
-// write queues one frame for the writer goroutine and returns without
-// waiting for the socket. It blocks while the queue is full, which is
-// how a stalled peer backs up into its subscriptions' buffers and the
-// broker's overflow policy. The error is either errEncode — m could not
-// be framed, nothing was queued, the connection is unaffected — or the
-// failure that ended the connection's writer.
-func (cs *connState) write(m *Message) error { return cs.enqueue(m, false) }
-
-// enqueue is write, with subEvent saying that m is the event frame of
-// one subscription, m.SubID (zero is a subscription id like any other,
-// which is why the caller has to say): on a connection whose peer
-// announced group such a frame is queued in the grouped layout, joining
-// the frame the same publication left at the end of the queue if there
-// is one.
-func (cs *connState) enqueue(m *Message, subEvent bool) error {
-	q := &cs.out
-	// An upper bound for events and for the small control frames the
-	// server sends; an error text may be escaped to six bytes a byte.
-	need := eventFrameBound(len(m.Point), len(m.Payload)) + 6*len(m.Error)
+// admit waits until need more bytes may be queued — which is how a
+// stalled peer backs up into the connection's sink and the broker's
+// overflow policy — and returns with q.mu held, or with the error of a
+// writer that has failed or stopped and q.mu released.
+func (q *outQueue) admit(need int) error {
 	q.mu.Lock()
 	for q.err == nil {
 		queued := len(q.pending) + q.inflight
 		if queued == 0 || queued+need <= pendingCap {
-			break
+			return nil
 		}
 		room := q.space
 		q.spaceWait = true
@@ -110,57 +86,97 @@ func (cs *connState) enqueue(m *Message, subEvent bool) error {
 		<-room
 		q.mu.Lock()
 	}
-	if q.err != nil {
-		err := q.err
-		q.mu.Unlock()
-		return err
-	}
-	// An event without a Seq names no publication, so nothing could join
-	// its frame: it stays plain.
-	grouped := subEvent && q.group && m.Seq != 0
-	if grouped && m.Seq == q.tailSeq && m.TraceID == q.tailTrace {
-		var ok bool
-		if q.pending, ok = extendEventFrame(q.pending, q.tail, m.SubID); ok {
-			// The frame is already in maxSeq and metas, and pending was
-			// not empty, so the writer has its wake-up.
-			q.events++
-			q.mu.Unlock()
-			return nil
-		}
-	}
+	defer q.mu.Unlock()
+	return q.err
+}
+
+// frameLocked appends m's frame to the queue, counting it as events
+// deliveries, releases q.mu (which the caller's admit took) and wakes the
+// writer if the queue was empty. On errEncode nothing is queued.
+func (cs *connState) frameLocked(m *Message, events int) error {
+	q := &cs.out
 	start := len(q.pending)
 	var err error
-	if grouped {
-		q.oneID[0] = m.SubID
-		q.one = Message{Type: TypeEvent, Point: m.Point, Payload: m.Payload, Seq: m.Seq, TraceID: m.TraceID, SubIDs: q.oneID[:]}
-		q.pending, err = appendFrame(q.pending, &q.one)
-		q.one = Message{} // do not pin the payload
-	} else {
-		q.pending, err = appendFrame(q.pending, m)
-	}
-	if err != nil {
-		q.mu.Unlock()
-		return err
-	}
-	q.tailSeq = 0
-	if grouped {
-		q.tail, q.tailSeq, q.tailTrace = start, m.Seq, m.TraceID
-	}
-	if m.Type == TypeEvent {
-		q.events++
-		if m.Seq > q.maxSeq {
-			q.maxSeq = m.Seq
+	if q.pending, err = appendFrame(q.pending, m); err == nil {
+		q.events += events
+		q.maxSeq = max(q.maxSeq, m.Seq)
+		if cs.tel != nil {
+			q.metas = append(q.metas, frameMeta{enqueued: time.Now(), traceID: m.TraceID, event: events > 0})
 		}
 	}
-	if cs.tel != nil {
-		q.metas = append(q.metas, frameMeta{enqueued: time.Now(), traceID: m.TraceID, event: m.Type == TypeEvent})
-	}
+	q.one = Message{} // if m was the scratch: do not pin the payload
 	q.mu.Unlock()
-	if start == 0 { // pending went from empty to non-empty
+	if err == nil && start == 0 { // pending went from empty to non-empty
 		select {
 		case q.kick <- struct{}{}:
 		default: // a wake-up is already pending
 		}
+	}
+	return err
+}
+
+// write queues one frame for the writer goroutine and returns without
+// waiting for the socket; it blocks while the queue is full. The error is
+// either errEncode — m could not be framed, nothing was queued, the
+// connection is unaffected — or the failure that ended the connection's
+// writer. An event written this way is for no subscription (a pure
+// replay's) and framed as it stands on every connection.
+func (cs *connState) write(m *Message) error {
+	// An upper bound for events and for the small control frames the
+	// server sends; an error text may be escaped to six bytes a byte.
+	if err := cs.out.admit(eventFrameBound(len(m.Point), len(m.Payload)) + 6*len(m.Error)); err != nil {
+		return err
+	}
+	if m.Type == TypeEvent {
+		return cs.frameLocked(m, 1)
+	}
+	return cs.frameLocked(m, 0)
+}
+
+// idRoom is what one more id costs a frame: a comma and its digits.
+const idRoom = 1 + maxIDLen
+
+// writeEvent queues ev for the listed subscriptions of the connection:
+// one frame naming them all (sub_ids) if the peer announced group, a
+// frame each (sub_id) otherwise, either way the bytes json.Marshal
+// yields; a list that could take the frame past MaxFrame continues in
+// another. subsGen is the connection's removal count as the caller found
+// the ids registered: if it has moved, they are checked again (and
+// compacted) here, under the queue's lock, so that no frame naming a
+// subscription is queued behind the reply to its unsubscribe. Errors are
+// write's; after errEncode some of the ids may have been served.
+func (cs *connState) writeEvent(ev *broker.Event, ids []int, subsGen uint64) error {
+	q := &cs.out
+	bound := eventFrameBound(len(ev.Point), len(ev.Payload)) // covers one id
+	group := q.group.Load()
+	perFrame := 1
+	if group {
+		perFrame += max(0, MaxFrame-bound) / idRoom
+	}
+	for len(ids) > 0 {
+		n := min(len(ids), perFrame)
+		if err := q.admit(bound + (n-1)*idRoom); err != nil {
+			return err
+		}
+		if gen := cs.subsGen.Load(); gen != subsGen {
+			cs.subsMu.Lock()
+			subsGen, ids = gen, slices.DeleteFunc(ids, func(id int) bool { return cs.subs[id] == nil })
+			cs.subsMu.Unlock()
+			if n = min(n, len(ids)); n == 0 {
+				q.mu.Unlock()
+				return nil
+			}
+		}
+		q.one = Message{Type: TypeEvent, Point: ev.Point, Payload: ev.Payload, Seq: ev.Seq, TraceID: ev.TraceID}
+		if group {
+			q.one.SubIDs = ids[:n]
+		} else {
+			q.one.SubID = ids[0]
+		}
+		if err := cs.frameLocked(&q.one, n); err != nil {
+			return err
+		}
+		ids = ids[n:]
 	}
 	return nil
 }
@@ -187,16 +203,8 @@ func (cs *connState) writeLoop() {
 			stopping = true
 		}
 		q.mu.Lock()
-		if len(q.pending) < yieldBelow && !stopping {
-			// One publication wakes many pumps of this connection, and
-			// the first to queue a frame makes this goroutine the next
-			// to run: without the yield it would flush batches of one.
-			q.mu.Unlock()
-			runtime.Gosched()
-			q.mu.Lock()
-		}
 		batch, metas, events, seq := q.pending, q.metas, q.events, q.maxSeq
-		q.pending, q.metas, q.events, q.maxSeq, q.tailSeq = spare[:0], spareMetas[:0], 0, 0, 0
+		q.pending, q.metas, q.events, q.maxSeq = spare[:0], spareMetas[:0], 0, 0
 		q.inflight = len(batch)
 		if stopping && q.err == nil {
 			// This is the last batch: a frame queued behind it would never
