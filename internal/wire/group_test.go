@@ -279,9 +279,12 @@ func TestWriteEventFraming(t *testing.T) {
 			case st.msg != nil:
 				err = cs.write(st.msg)
 				frames++
+			case group:
+				err = cs.writeEvent(st.ev, slices.Clone(st.ids), 0)
+				frames++
 			default:
 				err = cs.writeEvent(st.ev, slices.Clone(st.ids), 0)
-				frames += map[bool]int{true: 1, false: len(st.ids)}[group]
+				frames += len(st.ids)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -330,10 +330,9 @@ func (cs *connState) closeSubs() {
 	}
 }
 
-// drain closes the connection's sink — nothing more is delivered into
-// it, and the pump exits once it has queued what the sink held — cancels
-// the subscriptions, waits for the pump, has the writer flush, then
-// closes the connection.
+// drain ends deliveries into the connection's sink, waits for the pump
+// to queue what the sink held, has the writer flush, then closes the
+// connection.
 func (cs *connState) drain() {
 	// The pinger must exit while the connection is still open — it is
 	// one of the goroutines we are about to wait for.
@@ -459,10 +458,11 @@ func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 	// first event can be in the sink before Subscribe returns, and the
 	// pump must find the subscription — in backlog mode from its very
 	// first event if a replay comes first.
+	var st *connSub
 	cs.subsMu.Lock()
 	sub, err := s.b.SubscribeWith(broker.SubscribeOptions{Buffer: buffer, Sink: cs.sink}, rects...)
-	st := &connSub{sub: sub, replaying: m.FromOffset > 0}
 	if err == nil {
+		st = &connSub{sub: sub, replaying: m.FromOffset > 0}
 		cs.subs[sub.ID()] = st
 	}
 	cs.subsMu.Unlock()
@@ -595,6 +595,7 @@ func (cs *connState) flushBacklogs() (ok, replaying bool) {
 func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rect, subID int) (int, error) {
 	count := 0
 	ids := [1]int{subID}
+	plain := &Message{Type: TypeEvent} // a pure replay's frame; write copies it out
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -615,14 +616,15 @@ func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rec
 				continue
 			}
 		}
-		ev := broker.Event{Point: rec.Point, Payload: rec.Payload, Seq: rec.Offset, TraceID: rec.TraceID}
 		// rects is empty only for a pure replay, whose frames are for no
-		// subscription. Only this goroutine removes subscriptions, so the
-		// one being replayed to is registered: the current count says so.
+		// subscription. Only this goroutine removes subscriptions: the one
+		// replayed to is registered, which the current count says.
 		if len(rects) > 0 {
+			ev := broker.Event{Point: rec.Point, Payload: rec.Payload, Seq: rec.Offset, TraceID: rec.TraceID}
 			err = cs.writeEvent(&ev, ids[:], cs.subsGen.Load())
 		} else {
-			err = cs.write(&Message{Type: TypeEvent, Point: ev.Point, Payload: ev.Payload, Seq: ev.Seq, TraceID: ev.TraceID})
+			plain.Point, plain.Payload, plain.Seq, plain.TraceID = rec.Point, rec.Payload, rec.Offset, rec.TraceID
+			err = cs.write(plain)
 		}
 		if err != nil {
 			if errors.Is(err, errEncode) {

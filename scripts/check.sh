@@ -6,8 +6,9 @@
 # Runs, in order:
 #   1. build            go build ./...
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
-#   3. race tests       go test -race ./...  (+ the broker and the WAL at -cpu 1,2, the wire at
-#                       -cpu 1,2,4, and a 10-second fuzz of the grouped event decoder)
+#   3. race tests       go test -race ./...  (+ the WAL at -cpu 1,2, the broker and the wire — sink
+#                       overflow table, connection script — at -cpu 1,2,4, and 10-second fuzzes of
+#                       the grouped event decoder and the id-list encoder)
 #   4. invariant tests  go test -tags=invariants over the index/geometry packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
@@ -24,10 +25,10 @@ go run ./cmd/pubsub-vet ./...
 
 echo "==> tests (race)"
 go test -race ./...
-go test -race -cpu 1,2 ./internal/broker/
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
-go test -race -cpu 1,2,4 ./internal/wire/
+go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
+go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 
 echo "==> structural invariants (-tags=invariants)"
 go test -tags=invariants ./internal/stree/... ./internal/rtree/... ./internal/geometry/...
