@@ -209,13 +209,13 @@ func TestReadFromWritesOutPendingRecords(t *testing.T) {
 
 // TestBatchIsBoundedByFlushThreshold: with no tick at all the pending
 // batch never reaches flushThreshold — the append that fills it writes
-// it out — so the log buffers a bounded amount and one append in a few
-// hundred pays a write.
+// it out — so the log buffers a bounded amount and one append in a
+// thousand pays a write.
 func TestBatchIsBoundedByFlushThreshold(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	l := mustOpen(t, t.TempDir(), manualTick(Options{Metrics: reg}))
 	payload := make([]byte, 1024)
-	const n = 1000
+	const n = 4000
 	for i := 0; i < n; i++ {
 		if _, err := l.Append(1, nil, payload); err != nil {
 			t.Fatal(err)
