@@ -104,6 +104,9 @@ var allowedGenericStd = []string{
 	"slices.SortFunc", // pdqsort, in place
 	"slices.Sort",     // in place (also covers SortStableFunc)
 	"slices.BinarySearch",
+	// Grows caller-owned storage: the amortized append idiom. A fresh
+	// first argument (make, a literal) is flagged where it is built.
+	"slices.Grow",
 }
 
 type checker struct {

@@ -3,7 +3,10 @@
 // the amortized append-to-caller-storage idiom must stay clean.
 package allocfree
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 type item struct {
 	id  int
@@ -20,7 +23,8 @@ type pool struct {
 //pubsub:hotpath
 func hot(p *pool, out []int) []int {
 	p.mu.Lock()
-	out = append(out, 1) // amortized append into caller storage: allowed
+	out = append(out, 1)      // amortized append into caller storage: allowed
+	out = slices.Grow(out, 8) // the same idiom: allowed
 	p.mu.Unlock()
 	allocs(p)
 	boxing(7)

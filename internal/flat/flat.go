@@ -13,9 +13,19 @@
 //	nodeBounds[(2*k+0)*n + i] = node i, dimension k, Lo
 //	nodeBounds[(2*k+1)*n + i] = node i, dimension k, Hi
 //
-// so a point-containment test touches 2*d cache-friendly strided loads
-// and the per-dimension comparisons vectorise naturally. Entry bounds use
-// the same plane layout over the entry count.
+// Entry bounds use the same plane layout over the entry count.
+//
+// Point queries. A node's children and a leaf's entries are contiguous
+// runs of every plane, so the one point walk (PointAppend, PointCount and
+// PointFunc share it) tests up to 64 of them at a time, a plane at a
+// time: the point's coordinate in dimension k is compared against a run
+// of Lo values and a run of Hi values and the outcomes are ANDed into a
+// 64-bit mask, with no branch per box. The matching ids (or child
+// indices, pushed onto the stack) are then compacted out of the run by
+// writing every one and advancing the write index by its mask bit. The
+// only branches on the data are per run and plane: each plane after the
+// first is read only from the lowest to the highest box still in the
+// mask, and a run with no box left reads no further planes.
 //
 // Queries take a caller-provided scratch stack of node indices (returned
 // for reuse; see GetStack/PutStack) and never allocate.
@@ -26,6 +36,8 @@ package flat
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/geometry"
@@ -155,33 +167,6 @@ func (t *Tree) NumEntries() int { return t.numEntries }
 // Dims reports the dimensionality the tree was built with.
 func (t *Tree) Dims() int { return t.dims }
 
-// nodeContains reports whether node i's MBR contains p under the
-// half-open (Lo, Hi] convention. len(p) must equal t.dims.
-func (t *Tree) nodeContains(i int32, p geometry.Point) bool {
-	n := t.numNodes
-	b := t.nodeBounds
-	for d := 0; d < len(p); d++ {
-		x := p[d]
-		if !(x > b[(2*d+0)*n+int(i)] && x <= b[(2*d+1)*n+int(i)]) {
-			return false
-		}
-	}
-	return true
-}
-
-// entryContains is nodeContains for leaf entry e.
-func (t *Tree) entryContains(e int32, p geometry.Point) bool {
-	n := t.numEntries
-	b := t.entryBounds
-	for d := 0; d < len(p); d++ {
-		x := p[d]
-		if !(x > b[(2*d+0)*n+int(e)] && x <= b[(2*d+1)*n+int(e)]) {
-			return false
-		}
-	}
-	return true
-}
-
 // nodeIntersects reports whether node i's MBR intersects the non-empty
 // region r, mirroring geometry.Rect.Intersects. Stored bounds are never
 // empty, so only the overlap test is needed.
@@ -225,119 +210,163 @@ func min64(a, b float64) float64 {
 	return b
 }
 
+// chunk is how many entries or children one containment mask covers.
+const chunk = 64
+
+// containMask returns a mask whose bit j is set iff box start+j of a
+// plane layout with the given stride contains p under the half-open
+// (Lo, Hi] rule, for the n ≤ chunk boxes from start, a plane at a time
+// (see the package comment). Each plane after the first is read only
+// over the span from the lowest to the highest box still in the mask.
+func containMask(planes []float64, stride, start, n int, p geometry.Point) uint64 {
+	mask := ^uint64(0) >> (chunk - n)
+	first, last := start, start+n // the span of boxes still in the mask
+	for _, x := range p {
+		lo := planes[first:last]
+		hi := planes[first+stride : last+stride]
+		var in uint64
+		for j := len(lo) - 1; j >= 0; j-- {
+			in = in<<1 | b2u(x > lo[j])&b2u(x <= hi[j])
+		}
+		if mask &= in << (first - start); mask == 0 {
+			break
+		}
+		start += 2 * stride
+		first, last = start+bits.TrailingZeros64(mask), start+chunk-bits.LeadingZeros64(mask)
+	}
+	return mask
+}
+
+// b2u compiles to a flag set, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// compact appends ids[j] to dst for every set bit j of mask. Every id is
+// written; only a match advances the write index.
+func compact(dst, ids []int, mask uint64) []int {
+	w := len(dst)
+	dst = slices.Grow(dst, len(ids))[:w+len(ids)]
+	for _, id := range ids {
+		dst[w] = id
+		w += int(mask & 1)
+		mask >>= 1
+	}
+	return dst[:w]
+}
+
+// cursor is the state of the one point-query walk behind PointAppend,
+// PointCount and PointFunc (see next).
+type cursor struct {
+	stack []int32
+	e     int32 // next entry of the current leaf not yet handed out
+	end   int32 // end of the current leaf's entry range
+}
+
+func (t *Tree) startWalk(p geometry.Point, stack []int32) cursor {
+	c := cursor{stack: stack[:0]}
+	if t.numNodes > 0 && len(p) == t.dims {
+		t.pushContaining(&c, 0, 1, p)
+	}
+	return c
+}
+
+// pushContaining pushes onto the stack, in index order, every node of
+// [cs, ce) whose MBR contains p.
+func (t *Tree) pushContaining(c *cursor, cs, ce int32, p geometry.Point) {
+	for base := cs; base < ce; base += chunk {
+		n := int(min(ce-base, chunk))
+		mask := containMask(t.nodeBounds, t.numNodes, int(base), n, p)
+		w := len(c.stack)
+		c.stack = slices.Grow(c.stack, n)[:w+n]
+		for node := base; node < base+int32(n); node++ {
+			c.stack[w] = node
+			w += int(mask & 1)
+			mask >>= 1
+		}
+		c.stack = c.stack[:w]
+	}
+}
+
+// next walks depth first over the nodes whose MBR contains p — a node's
+// children are pushed in index order, so the last is entered first — to
+// the next chunk of entries of a leaf it reached, tests it, and returns
+// the chunk's ids with the containment mask (bit j for ids[j]); more is
+// false once the walk is done. A leaf's entries all count as tested when it is entered,
+// and a chunk's matches when it is tested.
+func (t *Tree) next(c *cursor, p geometry.Point, st *Stats) (ids []int, mask uint64, more bool) {
+	for c.e == c.end {
+		if len(c.stack) == 0 {
+			return nil, 0, false
+		}
+		i := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		st.NodesVisited++
+		if cs, ce := t.childStart[i], t.childEnd[i]; cs != ce {
+			t.pushContaining(c, cs, ce, p)
+			continue
+		}
+		st.LeavesVisited++
+		c.e, c.end = t.entryStart[i], t.entryEnd[i]
+		st.EntriesTested += int(c.end - c.e)
+	}
+	start := c.e
+	c.e += min(c.end-start, chunk)
+	mask = containMask(t.entryBounds, t.numEntries, int(start), int(c.e-start), p)
+	st.Matched += bits.OnesCount64(mask)
+	return t.entryIDs[start:c.e], mask, true
+}
+
 // PointAppend appends the IDs of every entry containing p to dst and
 // returns it, along with the (possibly grown) scratch stack for reuse.
 // st must be non-nil; counters are added to, not reset.
 //
 //pubsub:hotpath
 func (t *Tree) PointAppend(p geometry.Point, dst []int, stack []int32, st *Stats) ([]int, []int32) {
-	if t.numNodes == 0 || len(p) != t.dims {
-		return dst, stack
-	}
-	stack = stack[:0]
-	if t.nodeContains(0, p) {
-		stack = append(stack, 0)
-	}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.NodesVisited++
-		cs, ce := t.childStart[i], t.childEnd[i]
-		if cs == ce {
-			st.LeavesVisited++
-			es, ee := t.entryStart[i], t.entryEnd[i]
-			st.EntriesTested += int(ee - es)
-			for e := es; e < ee; e++ {
-				if t.entryContains(e, p) {
-					st.Matched++
-					dst = append(dst, t.entryIDs[e])
-				}
-			}
-			continue
+	c := t.startWalk(p, stack)
+	for {
+		ids, mask, more := t.next(&c, p, st)
+		if !more {
+			return dst, c.stack
 		}
-		for c := cs; c < ce; c++ {
-			if t.nodeContains(c, p) {
-				stack = append(stack, c)
-			}
-		}
+		dst = compact(dst, ids, mask)
 	}
-	return dst, stack
 }
 
 // PointCount counts the entries containing p without materialising IDs.
 //
 //pubsub:hotpath
 func (t *Tree) PointCount(p geometry.Point, stack []int32, st *Stats) (int, []int32) {
-	if t.numNodes == 0 || len(p) != t.dims {
-		return 0, stack
-	}
-	count := 0
-	stack = stack[:0]
-	if t.nodeContains(0, p) {
-		stack = append(stack, 0)
-	}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.NodesVisited++
-		cs, ce := t.childStart[i], t.childEnd[i]
-		if cs == ce {
-			st.LeavesVisited++
-			es, ee := t.entryStart[i], t.entryEnd[i]
-			st.EntriesTested += int(ee - es)
-			for e := es; e < ee; e++ {
-				if t.entryContains(e, p) {
-					count++
-				}
-			}
-			continue
-		}
-		for c := cs; c < ce; c++ {
-			if t.nodeContains(c, p) {
-				stack = append(stack, c)
-			}
+	c := t.startWalk(p, stack)
+	before := st.Matched
+	for {
+		if _, _, more := t.next(&c, p, st); !more {
+			return st.Matched - before, c.stack
 		}
 	}
-	st.Matched += count
-	return count, stack
 }
 
 // PointFunc streams the IDs of entries containing p to fn; fn returning
 // false stops the walk. The scratch stack is returned for reuse.
 func (t *Tree) PointFunc(p geometry.Point, stack []int32, st *Stats, fn func(id int) bool) []int32 {
-	if t.numNodes == 0 || len(p) != t.dims {
-		return stack
-	}
-	stack = stack[:0]
-	if t.nodeContains(0, p) {
-		stack = append(stack, 0)
-	}
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.NodesVisited++
-		cs, ce := t.childStart[i], t.childEnd[i]
-		if cs == ce {
-			st.LeavesVisited++
-			es, ee := t.entryStart[i], t.entryEnd[i]
-			st.EntriesTested += int(ee - es)
-			for e := es; e < ee; e++ {
-				if t.entryContains(e, p) {
-					st.Matched++
-					if !fn(t.entryIDs[e]) {
-						return stack
-					}
-				}
-			}
-			continue
+	var buf [chunk]int
+	c := t.startWalk(p, stack)
+	for {
+		ids, mask, more := t.next(&c, p, st)
+		if !more {
+			return c.stack
 		}
-		for c := cs; c < ce; c++ {
-			if t.nodeContains(c, p) {
-				stack = append(stack, c)
+		matched := compact(buf[:0], ids, mask)
+		for k, id := range matched {
+			if !fn(id) {
+				st.Matched -= len(matched) - k - 1 // never handed to fn
+				return c.stack
 			}
 		}
 	}
-	return stack
 }
 
 // RegionFunc streams the IDs of entries intersecting r to fn; fn

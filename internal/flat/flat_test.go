@@ -89,55 +89,179 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
+// refWalk is the walk every point query must reproduce, taken over the
+// pointer tree: depth first, the children containing p entered last one
+// first (the order a stack of children pushed in index order pops them),
+// a leaf's entries in order. st counts what it visits and tests.
+func refWalk(n *refNode, p geometry.Point, st *Stats, out []int) []int {
+	st.NodesVisited++
+	if len(n.children) == 0 {
+		st.LeavesVisited++
+		st.EntriesTested += len(n.rects)
+		for i, r := range n.rects {
+			if r.Contains(p) {
+				st.Matched++
+				out = append(out, n.ids[i])
+			}
+		}
+		return out
+	}
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if c := n.children[i]; c.mbr.Contains(p) {
+			out = refWalk(c, p, st, out)
+		}
+	}
+	return out
+}
+
+// checkPoint runs PointAppend, PointCount and PointFunc at p and fails
+// unless each returns the ids of the reference walk, in its order, with
+// its Stats, and the ids are exactly those a scan of rects finds.
+func checkPoint(t *testing.T, tree *Tree, root *refNode, rects []geometry.Rect, ids []int, p geometry.Point) {
+	t.Helper()
+	var want []int
+	for i, r := range rects {
+		if r.Contains(p) {
+			want = append(want, ids[i])
+		}
+	}
+	var wantSt Stats
+	var ref []int
+	if root.mbr.Contains(p) {
+		ref = refWalk(root, p, &wantSt, nil)
+	}
+	if !equalIDs(sortedCopy(ref), sortedCopy(want)) {
+		t.Fatalf("p=%v: reference walk %v, scan %v", p, ref, want)
+	}
+
+	var st Stats
+	got, _ := tree.PointAppend(p, []int{-1}, nil, &st)
+	if got[0] != -1 || !equalIDs(got[1:], ref) || st != wantSt {
+		t.Fatalf("p=%v: PointAppend onto [-1] = %v %+v, want [-1 %v] %+v", p, got, st, ref, wantSt)
+	}
+
+	st = Stats{}
+	if count, _ := tree.PointCount(p, nil, &st); count != len(ref) || st != wantSt {
+		t.Fatalf("p=%v: PointCount = %d %+v, want %d %+v", p, count, st, len(ref), wantSt)
+	}
+
+	st = Stats{}
+	var streamed []int
+	tree.PointFunc(p, nil, &st, func(id int) bool {
+		streamed = append(streamed, id)
+		return true
+	})
+	if !equalIDs(streamed, ref) || st != wantSt {
+		t.Fatalf("p=%v: PointFunc = %v %+v, want %v %+v", p, streamed, st, ref, wantSt)
+	}
+
+	if len(ref) == 0 {
+		return
+	}
+	st = Stats{}
+	streamed = streamed[:0]
+	tree.PointFunc(p, nil, &st, func(id int) bool {
+		streamed = append(streamed, id)
+		return false
+	})
+	if !equalIDs(streamed, ref[:1]) || st.Matched != 1 {
+		t.Fatalf("p=%v: PointFunc stopped at the first id = %v, Matched %d, want %v, 1", p, streamed, st.Matched, ref[:1])
+	}
+}
+
 func TestPointQueriesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range []int{1, 2, 3} {
-		rects, ids := randomRects(rng, 300, dims)
-		tree := Build(buildRef(rects, ids, 8), dims)
-		if tree.NumEntries() != len(rects) {
-			t.Fatalf("dims=%d: flattened %d entries, want %d", dims, tree.NumEntries(), len(rects))
-		}
-		var dst []int
-		var stack []int32
-		for q := 0; q < 200; q++ {
-			p := make(geometry.Point, dims)
-			for d := range p {
-				p[d] = rng.Float64() * 120
-			}
-			var want []int
-			for i, r := range rects {
-				if r.Contains(p) {
-					want = append(want, ids[i])
+	for _, dims := range []int{1, 2, 3, 4, 8} {
+		// Fanout 100 spreads a node's children and a leaf's entries over
+		// two containment chunks.
+		for _, fanout := range []int{8, 100} {
+			rects, ids := randomRects(rng, 300, dims)
+			// One side in ten opens to ±Inf, as the paper's half-open and
+			// wildcard predicates do.
+			for _, r := range rects {
+				for d := range r {
+					switch rng.Intn(20) {
+					case 0:
+						r[d] = geometry.NewInterval(math.Inf(-1), r[d].Hi)
+					case 1:
+						r[d] = geometry.NewInterval(r[d].Lo, math.Inf(1))
+					}
 				}
 			}
-			var st Stats
-			dst = dst[:0]
-			dst, stack = tree.PointAppend(p, dst, stack, &st)
-			if got := sortedCopy(dst); !equalIDs(got, sortedCopy(want)) {
-				t.Fatalf("dims=%d q=%d: PointAppend = %v, want %v", dims, q, got, want)
+			root := buildRef(rects, ids, fanout)
+			tree := Build(root, dims)
+			if tree.NumEntries() != len(rects) {
+				t.Fatalf("dims=%d: flattened %d entries, want %d", dims, tree.NumEntries(), len(rects))
 			}
-			if st.Matched != len(want) {
-				t.Fatalf("dims=%d q=%d: stats.Matched = %d, want %d", dims, q, st.Matched, len(want))
+			for q := 0; q < 200; q++ {
+				p := make(geometry.Point, dims)
+				for d := range p {
+					p[d] = rng.Float64() * 120
+				}
+				checkPoint(t, tree, root, rects, ids, p)
 			}
-
-			var cst Stats
-			count, s2 := tree.PointCount(p, stack, &cst)
-			stack = s2
-			if count != len(want) {
-				t.Fatalf("dims=%d q=%d: PointCount = %d, want %d", dims, q, count, len(want))
-			}
-
-			var streamed []int
-			var fst Stats
-			stack = tree.PointFunc(p, stack, &fst, func(id int) bool {
-				streamed = append(streamed, id)
-				return true
-			})
-			if !equalIDs(sortedCopy(streamed), sortedCopy(want)) {
-				t.Fatalf("dims=%d q=%d: PointFunc = %v, want %v", dims, q, streamed, want)
+			// Points on stored bounds: a Lo side leaves its point out, a Hi
+			// side takes it in.
+			for q := 0; q < 200; q++ {
+				r := rects[rng.Intn(len(rects))]
+				p := make(geometry.Point, dims)
+				for d, iv := range r {
+					switch lo, hi := iv.Lo, iv.Hi; {
+					case rng.Intn(2) == 0 && !math.IsInf(lo, 0):
+						p[d] = lo
+					case !math.IsInf(hi, 0):
+						p[d] = hi
+					default:
+						p[d] = lo
+					}
+				}
+				checkPoint(t, tree, root, rects, ids, p)
 			}
 		}
 	}
+}
+
+// FuzzPointQuery checks the point queries against the reference walk and
+// a scan on trees built from the input: every bound and coordinate comes
+// from a small palette, so points land on stored bounds, sides are
+// infinite and coordinates NaN or infinite often.
+func FuzzPointQuery(f *testing.F) {
+	f.Add(uint8(4), uint8(6), []byte("\x00\x17\x25\x33\x41\x5f\x6a\x70\x88\x99\xab\xbc\xcd\xde\xef\xf0"))
+	f.Add(uint8(1), uint8(70), []byte("0123456789abcdefghijklmnopqrstuvwxyz0123456789abcdefghijklmnopqrstuvwxyz0123456789abcdefghijklmnopqrstuvwxyz"))
+	f.Fuzz(func(t *testing.T, dims, fanout uint8, data []byte) {
+		bounds := []float64{math.Inf(-1), -1, 0, 1, 2, 3, 4, math.Inf(1)}
+		coords := []float64{math.Inf(-1), -1, -0.5, 0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, math.Inf(1), math.NaN(), 0}
+		n := int(dims%8) + 1
+		var rects []geometry.Rect
+		var ids []int
+		for i := 0; i+2*n <= len(data) && len(rects) < 200; i += 2 * n {
+			r := make(geometry.Rect, n)
+			for d := range r {
+				a, b := int(data[i+2*d]%8), int(data[i+2*d+1]%8)
+				if a > b {
+					a, b = b, a
+				}
+				if a == b {
+					a, b = max(a-1, 0), max(a-1, 0)+1
+				}
+				r[d] = geometry.NewInterval(bounds[a], bounds[b])
+			}
+			rects = append(rects, r)
+			ids = append(ids, len(ids)*3)
+		}
+		if len(rects) == 0 {
+			return
+		}
+		root := buildRef(rects, ids, int(fanout%130)+2)
+		tree := Build(root, n)
+		for i := 0; i+n <= len(data) && i < 64*n; i += n {
+			p := make(geometry.Point, n)
+			for d := range p {
+				p[d] = coords[data[i+d]>>4]
+			}
+			checkPoint(t, tree, root, rects, ids, p)
+		}
+	})
 }
 
 func TestRegionQueryMatchesBruteForce(t *testing.T) {

@@ -8,11 +8,11 @@
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
 #   3. race tests       go test -race ./...  (+ the WAL at -cpu 1,2, the broker and the wire — sink
 #                       overflow table, connection script — at -cpu 1,2,4, and 10-second fuzzes of
-#                       the grouped event decoder and the id-list encoder)
-#   4. invariant tests  go test -tags=invariants over the index/geometry packages
+#                       the grouped event decoder, the id-list encoder and the flat point queries)
+#   4. invariant tests  go test -tags=invariants over the flat/index/geometry packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
-#   7. ledger smoke     bench/ harness tests + 1-second stock, churn, durable and wire workloads through its oracle
+#   7. ledger smoke     bench/ harness tests + 1-second stock, selective, churn, durable and wire workloads through its oracle
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,9 +29,10 @@ go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
+go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
 
 echo "==> structural invariants (-tags=invariants)"
-go test -tags=invariants ./internal/stree/... ./internal/rtree/... ./internal/geometry/...
+go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/geometry/...
 
 echo "==> metrics endpoint smoke"
 ./scripts/metrics_smoke.sh
@@ -43,7 +44,7 @@ trap 'rm -rf "${scratch}"' EXIT
 
 echo "==> performance ledger: harness tests + workload smokes"
 (cd bench && go test ./...)
-for w in stock churn durable wire; do
+for w in stock selective churn durable wire; do
   bash bench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0
 done
 
