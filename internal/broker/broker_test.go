@@ -194,8 +194,36 @@ func TestIndexRebuildKeepsMatchingCorrect(t *testing.T) {
 	}
 }
 
+// waitSettled blocks until no shard has a rebuild in flight, pending or
+// due, so what a test does next is what triggers the next rebuild.
+func waitSettled(t *testing.T, b *Broker) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		settled := true
+		for _, sh := range b.shards {
+			sh.mu.Lock()
+			settled = settled && !sh.rebuilding && len(sh.rebuildCh) == 0 && !sh.rebuildDueLocked()
+			sh.mu.Unlock()
+		}
+		if settled {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the rebuilders to settle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStaleRebuildOnCancels runs on one shard: spread over several, the
+// ten survivors leave each shard's overlay under MinOverlay, and a shard
+// whose subscriptions never reached its base has nothing stale either,
+// so no rebuild would be due. On one settled shard the base holds at
+// least the first 40 subscriptions, and cancelling them makes it mostly
+// stale.
 func TestStaleRebuildOnCancels(t *testing.T) {
-	b := New(Options{MinOverlay: 4})
+	b := New(Options{MinOverlay: 4, Shards: 1})
 	defer b.Close()
 	var subs []*Subscription
 	for i := 0; i < 50; i++ {
@@ -205,6 +233,7 @@ func TestStaleRebuildOnCancels(t *testing.T) {
 		}
 		subs = append(subs, s)
 	}
+	waitSettled(t, b)
 	before := b.Stats()
 	for _, s := range subs[:40] {
 		s.Cancel()

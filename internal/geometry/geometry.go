@@ -297,6 +297,46 @@ func (r Rect) ExpandInPlace(o Rect) {
 	}
 }
 
+// Extend grows r in place to cover o. Both rectangles must be non-empty
+// and share dimensionality; for such inputs r ends up bit for bit equal to
+// r.Union(o) (builtin min and max order NaN and −0 as math.Min and
+// math.Max do), with no emptiness checks and no allocation. It is the
+// running union of the S-tree's split sweep.
+func (r Rect) Extend(o Rect) {
+	if invariant.Enabled {
+		invariant.Assertf(len(r) == len(o) && !r.Empty() && !o.Empty(),
+			"geometry: Extend of %v by %v needs two non-empty rectangles of one dimensionality", r, o)
+	}
+	for i := range r {
+		r[i].Lo = min(r[i].Lo, o[i].Lo)
+		r[i].Hi = max(r[i].Hi, o[i].Hi)
+	}
+}
+
+// ClampedMeasure returns the volume and perimeter of r clipped to frame,
+// bit for bit r.Intersect(frame).Volume() and r.Intersect(frame).Perimeter()
+// (the same operations in the same order), without allocating. An empty
+// clip measures 0, 0. The inputs must share dimensionality.
+func (r Rect) ClampedMeasure(frame Rect) (volume, perimeter float64) {
+	if invariant.Enabled {
+		invariant.Assertf(len(r) == len(frame),
+			"geometry: ClampedMeasure of mismatched dimensionality %d vs %d", len(r), len(frame))
+	}
+	if len(r) == 0 {
+		return 0, 0
+	}
+	volume, sum := 1.0, 0.0
+	for i, iv := range r {
+		lo, hi := max(iv.Lo, frame[i].Lo), min(iv.Hi, frame[i].Hi)
+		if !(hi > lo) {
+			return 0, 0
+		}
+		volume *= hi - lo
+		sum += hi - lo
+	}
+	return volume, 2 * sum
+}
+
 // Volume returns the product of the side lengths — the paper's V(I) used
 // by the S-tree packing objective. Unbounded sides yield +Inf; an empty
 // rectangle has volume 0.

@@ -221,6 +221,100 @@ func TestRectExpandInPlace(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two rectangles have bit-identical bounds, so
+// −0 and +0 differ.
+func sameBits(a, b Rect) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].Lo) != math.Float64bits(b[i].Lo) ||
+			math.Float64bits(a[i].Hi) != math.Float64bits(b[i].Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeSides are intervals with every bound the S-tree packing meets:
+// ±Inf, −0 and +0, tiny and huge finite values, and empty and inverted
+// pairs (for frames and clips; Extend only ever sees non-empty ones).
+func edgeSides() []Interval {
+	negZero := math.Copysign(0, -1)
+	return []Interval{
+		FullInterval(), AtLeast(0), AtLeast(negZero), AtMost(0), AtMost(negZero),
+		AtLeast(-3), AtMost(2.5), {Lo: negZero, Hi: 0}, {Lo: 0, Hi: negZero},
+		{Lo: negZero, Hi: 1}, {Lo: -1, Hi: negZero}, {Lo: -1, Hi: 0}, {Lo: 0, Hi: 1},
+		{Lo: 1, Hi: 1}, {Lo: 2, Hi: 1}, {Lo: 5e-324, Hi: 1e-300}, {Lo: -1e308, Hi: 1e308},
+		{Lo: 0.1, Hi: 0.3}, {Lo: 7, Hi: 9}, {Lo: math.Inf(1), Hi: math.Inf(1)},
+	}
+}
+
+func TestClampedMeasureMatchesIntersect(t *testing.T) {
+	check := func(r, frame Rect) {
+		t.Helper()
+		vol, perim := r.ClampedMeasure(frame)
+		clip := r.Intersect(frame)
+		if wv, wp := clip.Volume(), clip.Perimeter(); math.Float64bits(vol) != math.Float64bits(wv) ||
+			math.Float64bits(perim) != math.Float64bits(wp) {
+			t.Fatalf("%v.ClampedMeasure(%v) = %v, %v; Intersect gives %v, %v", r, frame, vol, perim, wv, wp)
+		}
+	}
+	check(Rect{}, Rect{}) // zero-dimensional: empty, measures 0
+	sides := edgeSides()
+	for _, a := range sides {
+		for _, f := range sides {
+			check(Rect{a}, Rect{f})
+			for _, b := range sides[:6] {
+				check(Rect{a, b}, Rect{f, {Lo: -4, Hi: 4}})
+				check(Rect{b, a}, Rect{{Lo: -4, Hi: 4}, f})
+			}
+		}
+	}
+	// Disjoint from the frame on one side only.
+	check(NewRect(0, 1, 5, 6), NewRect(-1, 2, 0, 4))
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 2000; i++ {
+		dims := 1 + rng.Intn(6)
+		check(randomRect(rng, dims), randomRect(rng, dims))
+	}
+}
+
+func TestExtendMatchesUnion(t *testing.T) {
+	var sides []Interval
+	for _, iv := range edgeSides() {
+		if !iv.Empty() {
+			sides = append(sides, iv)
+		}
+	}
+	for _, a := range sides {
+		for _, b := range sides {
+			for _, c := range sides[:5] {
+				r, o := Rect{a, c}, Rect{b, c}
+				want := r.Union(o)
+				got := r.Clone()
+				got.Extend(o)
+				if !sameBits(got, want) {
+					t.Fatalf("%v.Extend(%v) = %v, Union gives %v", r, o, got, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 2000; i++ {
+		dims := 1 + rng.Intn(6)
+		r, o := randomRect(rng, dims), randomRect(rng, dims)
+		if r.Empty() || o.Empty() {
+			continue
+		}
+		want := r.Union(o)
+		r.Extend(o)
+		if !sameBits(r, want) {
+			t.Fatalf("Extend = %v, Union gives %v", r, want)
+		}
+	}
+}
+
 func TestRectLongestDim(t *testing.T) {
 	tests := []struct {
 		name string

@@ -24,6 +24,9 @@ func TestInvariantDimMismatchPanics(t *testing.T) {
 	mustPanic(t, "Intersect", func() { a.Intersect(b) })
 	mustPanic(t, "Union", func() { a.Union(b) })
 	mustPanic(t, "ExpandInPlace", func() { a.ExpandInPlace(b) })
+	mustPanic(t, "Extend", func() { a.Extend(b) })
+	mustPanic(t, "Extend by an empty rectangle", func() { a.Extend(NewRect(0, 0, 0, 1)) })
+	mustPanic(t, "ClampedMeasure", func() { a.ClampedMeasure(b) })
 }
 
 func TestInvariantMatchedDimsStillWork(t *testing.T) {

@@ -20,6 +20,15 @@
 //     with the highest leaf number), top-down in BFS order, until every
 //     node other than leaf and penultimate nodes has branch factor M.
 //
+// Cost of a build. Binarization never moves an entry: per node it runs
+// one pdqsort of pointer-free (center, index) pairs and permutes an index
+// array. One forward and one backward running union record bounding boxes
+// only at the candidate splits, which are scored by an allocation-free
+// clamped volume and perimeter. The children's MBRs are the chosen
+// prefix and suffix boxes, so only the root's bounding box is computed
+// from scratch. One builder holds all scratch, so a build allocates
+// O(nodes) times, not O(n log n).
+//
 // A publication event is matched with a point query: descend from the
 // root, pruning every subtree whose MBR does not contain the point.
 // Because subscriptions are exactly their own bounding boxes, the result
@@ -29,7 +38,7 @@ package stree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/flat"
 	"repro/internal/geometry"
@@ -160,10 +169,7 @@ func Build(entries []Entry, opts Options) (*Tree, error) {
 			return nil, fmt.Errorf("stree: entry %d has an empty rectangle", e.ID)
 		}
 	}
-	b := &builder{opts: opts, frame: finiteFrame(entries)}
-	own := make([]Entry, len(entries))
-	copy(own, entries)
-	root := b.binarize(own)
+	root := newBuilder(entries, opts).root()
 	compress(root, opts.BranchFactor)
 	t.root = root
 	t.flat = flat.Build(flatNode{root}, t.dims)
@@ -219,53 +225,170 @@ func finiteFrame(entries []Entry) geometry.Rect {
 	return frame
 }
 
+// builder holds all scratch of one Build. The entries are never moved
+// while the tree is binarized: perm is the working order (perm[k] indexes
+// src) and each node permutes only its own range of it.
 type builder struct {
 	opts  Options
+	dims  int
 	frame geometry.Rect
+	src   []Entry // the caller's entries, read only
+	out   []Entry // src in final leaf order; the leaves slice it
+	perm  []int32
+	keys  []keyed       // sort scratch, one pair per entry of the node
+	acc   geometry.Rect // running union of the split sweep
+	// pre and suf hold, dims intervals per candidate split, the MBRs of
+	// the entries before and from that split.
+	pre, suf []geometry.Interval
 }
 
-// measure returns the packing volume of r: the volume of r clamped to the
-// finite frame. This equals r.Volume() for bounded inputs and stays finite
-// (and comparable) for unbounded ones.
-func (b *builder) measure(r geometry.Rect) float64 {
-	return r.Intersect(b.frame).Volume()
+// keyed is one entry's sort key — its center on the node's split
+// dimension — and its index into src. It holds no pointer, so sorting
+// moves 16-byte values with no write barrier.
+type keyed struct {
+	key float64
+	i   int32
 }
 
-func (b *builder) measurePerimeter(r geometry.Rect) float64 {
-	return r.Intersect(b.frame).Perimeter()
+// cmpKeyed orders pairs by key alone. pdqsort only ever asks cmp < 0,
+// which holds exactly when x.key < y.key: the same question, on the same
+// sequence of ranges, as the sort.Slice less function the builder once
+// used, so ties land in the same order too.
+func cmpKeyed(x, y keyed) int {
+	switch {
+	case x.key < y.key:
+		return -1
+	case x.key > y.key:
+		return 1
+	}
+	return 0
 }
 
-// binarize implements the paper's Section 3.1 recursive sweep partition.
-func (b *builder) binarize(entries []Entry) *node {
-	mbr := geometry.BoundingBox(rectsOf(entries)...)
-	n := &node{mbr: mbr, leafObjects: len(entries)}
-	if len(entries) <= b.opts.BranchFactor {
-		n.entries = entries
+func newBuilder(entries []Entry, opts Options) *builder {
+	n, dims := len(entries), entries[0].Rect.Dims()
+	// The root has the most candidate splits; sizing pre and suf for it
+	// sizes them for every node.
+	cands := n/opts.BranchFactor + 1
+	b := &builder{
+		opts:  opts,
+		dims:  dims,
+		frame: finiteFrame(entries),
+		src:   entries,
+		out:   make([]Entry, n),
+		perm:  make([]int32, n),
+		keys:  make([]keyed, n),
+		acc:   make(geometry.Rect, dims),
+		pre:   make([]geometry.Interval, cands*dims),
+		suf:   make([]geometry.Interval, cands*dims),
+	}
+	for i := range b.perm {
+		b.perm[i] = int32(i)
+	}
+	return b
+}
+
+func (b *builder) rect(k int) geometry.Rect { return b.src[b.perm[k]].Rect }
+
+// root binarizes every entry under their bounding box.
+func (b *builder) root() *node {
+	mbr := b.src[0].Rect.Clone()
+	for _, e := range b.src[1:] {
+		mbr.Extend(e.Rect)
+	}
+	return b.binarize(0, len(b.src), mbr)
+}
+
+// binarize implements the paper's Section 3.1 recursive sweep partition
+// over perm[lo:hi], whose bounding box is mbr.
+func (b *builder) binarize(lo, hi int, mbr geometry.Rect) *node {
+	n := &node{mbr: mbr, leafObjects: hi - lo}
+	if hi-lo <= b.opts.BranchFactor {
+		for k := lo; k < hi; k++ {
+			b.out[k] = b.src[b.perm[k]]
+		}
+		n.entries = b.out[lo:hi]
 		return n
 	}
-
-	dim := mbr.LongestDim()
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Rect[dim].Center() < entries[j].Rect[dim].Center()
-	})
-
-	q := b.bestSplit(entries)
-	left := entries[:q]
-	right := entries[q:]
-	n.children = []*node{b.binarize(left), b.binarize(right)}
+	b.sortByCenter(lo, hi, mbr.LongestDim())
+	q, left, right := b.bestSplit(lo, hi)
+	n.children = []*node{b.binarize(lo, lo+q, left), b.binarize(lo+q, hi, right)}
 	return n
 }
 
-// bestSplit sweeps candidate split positions q with
-// ceil(p·N) <= q <= floor((1-p)·N), in increments of M, and returns the q
-// minimising V(I_B1)+V(I_B2); ties are broken by minimum total perimeter.
-func (b *builder) bestSplit(entries []Entry) int {
-	n := len(entries)
-	p := b.opts.Skew
-	m := b.opts.BranchFactor
+// sortByCenter orders perm[lo:hi] by the entries' centers along dim.
+func (b *builder) sortByCenter(lo, hi, dim int) {
+	keys := b.keys[:hi-lo]
+	for k := range keys {
+		i := b.perm[lo+k]
+		keys[k] = keyed{key: b.src[i].Rect[dim].Center(), i: i}
+	}
+	slices.SortFunc(keys, cmpKeyed)
+	for k, kv := range keys {
+		b.perm[lo+k] = kv.i
+	}
+}
 
-	qmin := int(math.Ceil(p * float64(n)))
-	qmax := int(math.Floor((1 - p) * float64(n)))
+// bestSplit sweeps candidate split positions q with
+// ceil(p·N) <= q <= floor((1-p)·N), in increments of M, over the sorted
+// perm[lo:hi], and returns the q minimising V(I_B1)+V(I_B2), ties broken
+// by minimum total perimeter, with the two sides' MBRs. The MBRs "can be
+// computed incrementally as the sweep progresses" (the paper): a forward
+// and a backward running union record them at the candidates only.
+// Volumes are measured clamped to the finite frame, so unbounded
+// subscriptions stay comparable.
+func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
+	n, d, m := hi-lo, b.dims, b.opts.BranchFactor
+	qmin, qmax := splitRange(n, b.opts.Skew)
+	cands := (qmax-qmin)/m + 1
+	pre, suf, acc := b.pre[:cands*d], b.suf[:cands*d], b.acc
+
+	// Forward: pre holds the MBR of the first qmin+c·M entries.
+	copy(acc, b.rect(lo))
+	for k, c := 1, 0; ; k++ {
+		if k == qmin+c*m {
+			copy(pre[c*d:], acc)
+			if c++; c == cands {
+				break
+			}
+		}
+		acc.Extend(b.rect(lo + k))
+	}
+	// Backward: suf holds the MBR of the entries from qmin+c·M on.
+	copy(acc, b.rect(hi-1))
+	for k, c := n-1, cands-1; ; k-- {
+		if k == qmin+c*m {
+			copy(suf[c*d:], acc)
+			if c--; c < 0 {
+				break
+			}
+		}
+		acc.Extend(b.rect(lo + k - 1))
+	}
+
+	best := 0
+	bestVol, bestPerim := math.Inf(1), math.Inf(1)
+	for c := 0; c < cands; c++ {
+		lv, lp := geometry.Rect(pre[c*d : (c+1)*d]).ClampedMeasure(b.frame)
+		rv, rp := geometry.Rect(suf[c*d : (c+1)*d]).ClampedMeasure(b.frame)
+		if vol, perim := lv+rv, lp+rp; vol < bestVol || (vol == bestVol && perim < bestPerim) {
+			best, bestVol, bestPerim = c, vol, perim
+		}
+	}
+	q = qmin + best*m
+	invariant.Assertf(q >= qmin && q <= qmax && q < n,
+		"stree: split point %d outside skew bounds [%d, %d], n=%d", q, qmin, qmax, n)
+	boxes := make(geometry.Rect, 2*d)
+	copy(boxes, pre[best*d:(best+1)*d])
+	copy(boxes[d:], suf[best*d:(best+1)*d])
+	return q, boxes[:d:d], boxes[d:]
+}
+
+// splitRange returns the skew-constrained candidate range [qmin, qmax]
+// for splitting n > M objects, falling back to the median split when the
+// constraint admits no position.
+func splitRange(n int, p float64) (qmin, qmax int) {
+	qmin = int(math.Ceil(p * float64(n)))
+	qmax = int(math.Floor((1 - p) * float64(n)))
 	if qmin < 1 {
 		qmin = 1
 	}
@@ -275,45 +398,7 @@ func (b *builder) bestSplit(entries []Entry) int {
 	if qmax < qmin {
 		qmin, qmax = n/2, n/2
 	}
-
-	// Prefix and suffix MBRs let each candidate split be evaluated in
-	// O(1) after O(n) preparation, exactly the incremental computation
-	// the paper notes "can be computed incrementally as the sweep
-	// progresses".
-	prefix := make([]geometry.Rect, n+1)
-	suffix := make([]geometry.Rect, n+1)
-	acc := geometry.Rect(nil)
-	for i := 0; i < n; i++ {
-		acc = acc.Union(entries[i].Rect)
-		prefix[i+1] = acc
-	}
-	acc = nil
-	for i := n - 1; i >= 0; i-- {
-		acc = acc.Union(entries[i].Rect)
-		suffix[i] = acc
-	}
-
-	bestQ := qmin
-	bestVol := math.Inf(1)
-	bestPerim := math.Inf(1)
-	for q := qmin; q <= qmax; q += m {
-		vol := b.measure(prefix[q]) + b.measure(suffix[q])
-		perim := b.measurePerimeter(prefix[q]) + b.measurePerimeter(suffix[q])
-		if vol < bestVol || (vol == bestVol && perim < bestPerim) {
-			bestQ, bestVol, bestPerim = q, vol, perim
-		}
-	}
-	invariant.Assertf(bestQ >= qmin && bestQ <= qmax && bestQ < n,
-		"stree: split point %d outside skew bounds [%d, %d], n=%d", bestQ, qmin, qmax, n)
-	return bestQ
-}
-
-func rectsOf(entries []Entry) []geometry.Rect {
-	rs := make([]geometry.Rect, len(entries))
-	for i, e := range entries {
-		rs[i] = e.Rect
-	}
-	return rs
+	return qmin, qmax
 }
 
 // compress implements the paper's Section 3.2 in two phases:
@@ -662,7 +747,10 @@ func (t *Tree) checkInvariants() error {
 				return fmt.Errorf("stree: leaf holds %d > M=%d entries", len(n.entries), m)
 			}
 			seen += len(n.entries)
-			mbr := geometry.BoundingBox(rectsOf(n.entries)...)
+			var mbr geometry.Rect
+			for _, e := range n.entries {
+				mbr = mbr.Union(e.Rect)
+			}
 			if !n.mbr.Equal(mbr) {
 				return fmt.Errorf("stree: leaf MBR %v != computed %v", n.mbr, mbr)
 			}

@@ -8,7 +8,8 @@
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
 #   3. race tests       go test -race ./...  (+ the WAL at -cpu 1,2, the broker and the wire — sink
 #                       overflow table, connection script — at -cpu 1,2,4, and 10-second fuzzes of
-#                       the grouped event decoder, the id-list encoder and the flat point queries)
+#                       the grouped event decoder, the id-list encoder, the flat point queries and
+#                       the S-tree packing against its reference builder)
 #   4. invariant tests  go test -tags=invariants over the flat/index/geometry packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
@@ -30,6 +31,7 @@ go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
+go test ./internal/stree -run '^$' -fuzz '^FuzzBuildEquivalence$' -fuzztime 10s
 
 echo "==> structural invariants (-tags=invariants)"
 go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/geometry/...
