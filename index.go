@@ -1,6 +1,8 @@
 package pubsub
 
 import (
+	"sync"
+
 	"repro/internal/match"
 )
 
@@ -53,16 +55,36 @@ func NewIndex(subs []Subscription, opts IndexOptions) (*Index, error) {
 
 // Match returns the subscriber IDs of all subscriptions containing p,
 // once per matching rectangle.
-func (ix *Index) Match(p Point) []int { return ix.m.Match(p) }
+func (ix *Index) Match(p Point) []int {
+	ids, _ := ix.m.MatchAppendStats(p, nil)
+	return ids
+}
 
 // MatchUnique returns the deduplicated subscriber IDs interested in p.
 func (ix *Index) MatchUnique(p Point) []int { return match.MatchUnique(ix.m, p) }
 
+// idBufs recycles the id buffers MatchEach streams from, so that it and
+// Count allocate nothing.
+var idBufs = sync.Pool{New: func() any { return new([]int) }}
+
 // MatchEach streams subscriber IDs to fn; return false to stop early.
-func (ix *Index) MatchEach(p Point, fn func(subscriberID int) bool) { ix.m.MatchFunc(p, fn) }
+func (ix *Index) MatchEach(p Point, fn func(subscriberID int) bool) {
+	buf := idBufs.Get().(*[]int)
+	*buf, _ = ix.m.MatchAppendStats(p, (*buf)[:0])
+	for _, id := range *buf {
+		if !fn(id) {
+			break
+		}
+	}
+	idBufs.Put(buf)
+}
 
 // Count returns the number of matching subscriptions.
-func (ix *Index) Count(p Point) int { return ix.m.Count(p) }
+func (ix *Index) Count(p Point) int {
+	n := 0
+	ix.MatchEach(p, func(int) bool { n++; return true })
+	return n
+}
 
 // Len reports the number of indexed subscriptions.
 func (ix *Index) Len() int { return ix.m.Len() }
@@ -74,22 +96,13 @@ type QueryStats = match.QueryStats
 // PointQueryStats returns the subscriber IDs matching p together with
 // traversal statistics — the per-query effort counters the paper uses
 // to compare tree packings ("the number of node pages which need to be
-// examined"). Matchers without instrumented traversal (PredCount)
-// report only the match count.
+// examined"). Matchers without a tree (PredCount) report only the match
+// count, and brute force tests every entry and visits no node.
 func (ix *Index) PointQueryStats(p Point) ([]int, QueryStats) {
-	var ids []int
-	collect := func(id int) bool {
-		ids = append(ids, id)
-		return true
-	}
-	if sm, ok := ix.m.(match.StatsMatcher); ok {
-		stats := sm.MatchFuncStats(p, collect)
-		return ids, stats
-	}
-	ix.m.MatchFunc(p, collect)
-	return ids, QueryStats{Matched: len(ids)}
+	return ix.m.MatchAppendStats(p, nil)
 }
 
+// MatchRegion returns the subscriber IDs of every subscription whose
 // rectangles intersect the query region — the administrative "who is
 // interested in this part of the event space" question. Subscribers are
 // reported once per intersecting rectangle.

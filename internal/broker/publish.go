@@ -306,7 +306,7 @@ func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
 	}
 	sc.targets = sc.targets[:0]
 	if snap := sh.snap.Load(); snap != nil { // nil once Close swapped it out
-		matchSnapshot(snap, pc.prep.src, sc, pc.metered, &r.qs)
+		matchSnapshot(snap, pc.prep.src, sc, &r.qs)
 	}
 	r.targets = len(sc.targets)
 	if pc.metered {
@@ -373,21 +373,18 @@ func (b *Broker) startWorkers(minRects int64) {
 }
 
 // matchSnapshot matches p against one shard snapshot, leaving the
-// matched subscriptions in sc.targets. A subscription's rectangles
-// never straddle shards, so the per-shard dedup below is complete
-// dedup.
+// matched subscriptions in sc.targets and adding the effort to qs: the
+// base index's counters, and every overlay rectangle as a tested entry.
+// A subscription's rectangles never straddle shards, so the per-shard
+// dedup below is complete dedup.
 //
 //pubsub:hotpath
-func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, stats bool, qs *match.QueryStats) {
+func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, qs *match.QueryStats) {
 	sc.ids = sc.ids[:0]
 	if snap.base != nil {
-		if sm, ok := snap.base.(match.StatsMatcher); ok && stats {
-			var bs match.QueryStats
-			sc.ids, bs = sm.MatchAppendStats(p, sc.ids)
-			qs.Add(bs)
-		} else {
-			sc.ids = snap.base.MatchAppend(p, sc.ids)
-		}
+		var bs match.QueryStats
+		sc.ids, bs = snap.base.MatchAppendStats(p, sc.ids)
+		qs.Add(bs)
 	}
 	for _, slot := range sc.ids {
 		sc.targets = append(sc.targets, snap.slots[slot])
@@ -396,14 +393,10 @@ func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, stats boo
 		e := &snap.overlay[i]
 		if e.rect.Contains(p) {
 			sc.targets = append(sc.targets, e.sub)
-			if stats {
-				qs.Matched++
-			}
+			qs.Matched++
 		}
 	}
-	if stats {
-		qs.EntriesTested += len(snap.overlay)
-	}
+	qs.EntriesTested += len(snap.overlay)
 	// Deduplicate only when some subscription in this shard holds
 	// several rectangles; otherwise every target is distinct already.
 	if snap.multiRect && len(sc.targets) > 1 {

@@ -12,14 +12,14 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/match"
 	"repro/internal/multicast"
-	"repro/internal/rtree"
 	"repro/internal/stree"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
 // ---------------------------------------------------------------------
-// abl-match: S-tree vs Hilbert R-tree vs brute force, scaling in k and N.
+// abl-match: the five matchers (S-tree, Hilbert and dynamic R-trees,
+// predicate counting, brute force), scaling in k and N.
 // This is the comparison the paper defers to "a subsequent paper".
 // ---------------------------------------------------------------------
 
@@ -31,7 +31,7 @@ type MatchScalePoint struct {
 
 	BuildTime    time.Duration
 	QueryTime    time.Duration // mean per point query
-	NodesVisited float64       // mean, tree matchers only
+	NodesVisited float64       // mean; 0 for the matchers without a tree
 	Matches      float64       // mean result size (sanity)
 }
 
@@ -104,60 +104,31 @@ func AblMatchScaling(cfg MatchScaleConfig) ([]MatchScalePoint, error) {
 				}
 				build := time.Since(start)
 
-				var visited, matches float64
+				// The query the broker runs: append into a reused buffer,
+				// effort counters summed from the same call.
+				var effort match.QueryStats
+				var ids []int
 				//pubsub:allow nodeterm -- wall-clock here measures query latency, it never feeds simulation state
 				start = time.Now()
 				for _, q := range queries {
-					matches += float64(m.Count(q))
+					var qs match.QueryStats
+					ids, qs = m.MatchAppendStats(q, ids[:0])
+					effort.Add(qs)
 				}
 				queryTime := time.Since(start) / time.Duration(len(queries))
-
-				// Traversal stats from the underlying trees.
-				switch alg {
-				case match.AlgSTree:
-					t := stree.MustBuild(toStreeEntries(subs), stree.Options{})
-					for _, q := range queries {
-						_, qs := t.PointQueryStats(q)
-						visited += float64(qs.NodesVisited)
-					}
-					visited /= float64(len(queries))
-				case match.AlgHilbertRTree:
-					t := rtree.MustBuild(toRtreeEntries(subs), rtree.Options{})
-					for _, q := range queries {
-						_, qs := t.PointQueryStats(q)
-						visited += float64(qs.NodesVisited)
-					}
-					visited /= float64(len(queries))
-				}
 				points = append(points, MatchScalePoint{
 					Algorithm:    alg,
 					K:            k,
 					N:            n,
 					BuildTime:    build,
 					QueryTime:    queryTime,
-					NodesVisited: visited,
-					Matches:      matches / float64(len(queries)),
+					NodesVisited: float64(effort.NodesVisited) / float64(len(queries)),
+					Matches:      float64(effort.Matched) / float64(len(queries)),
 				})
 			}
 		}
 	}
 	return points, nil
-}
-
-func toStreeEntries(subs []match.Subscription) []stree.Entry {
-	out := make([]stree.Entry, len(subs))
-	for i, s := range subs {
-		out[i] = stree.Entry{Rect: s.Rect, ID: s.SubscriberID}
-	}
-	return out
-}
-
-func toRtreeEntries(subs []match.Subscription) []rtree.Entry {
-	out := make([]rtree.Entry, len(subs))
-	for i, s := range subs {
-		out[i] = rtree.Entry{Rect: s.Rect, ID: s.SubscriberID}
-	}
-	return out
 }
 
 // WriteMatchScaling renders abl-match.
@@ -232,10 +203,12 @@ func ablStreeParams(seed int64, mk func(float64) stree.Options, params []float64
 		}
 		build := time.Since(start)
 		var visited float64
+		var ids []int
 		//pubsub:allow nodeterm -- wall-clock here measures query latency, it never feeds simulation state
 		start = time.Now()
 		for _, q := range queries {
-			_, qs := t.PointQueryStats(q)
+			var qs match.QueryStats
+			ids, qs = t.MatchAppendStats(q, ids[:0])
 			visited += float64(qs.NodesVisited)
 		}
 		queryTime := time.Since(start) / time.Duration(len(queries))

@@ -45,7 +45,7 @@ func stockTree(tb testing.TB, n int, selective bool) (*stree.Tree, []geometry.Po
 var benchSink int
 
 // BenchmarkPointAppend times one point query through the flattened
-// S-tree (stree.PointQueryAppend is PointAppend plus a pooled stack) on
+// S-tree (stree's MatchAppendStats is PointAppend plus a pooled stack) on
 // the ledger's two in-process populations: the stock model at 10 k and
 // the selective model at 100 k.
 func BenchmarkPointAppend(b *testing.B) {
@@ -61,12 +61,12 @@ func BenchmarkPointAppend(b *testing.B) {
 			tree, ring := stockTree(b, c.subs, c.selective)
 			var dst []int
 			for _, p := range ring {
-				dst = tree.PointQueryAppend(p, dst[:0])
+				dst, _ = tree.MatchAppendStats(p, dst[:0])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = tree.PointQueryAppend(ring[i%len(ring)], dst[:0])
+				dst, _ = tree.MatchAppendStats(ring[i%len(ring)], dst[:0])
 			}
 			benchSink = len(dst)
 		})

@@ -16,11 +16,10 @@
 // Entry bounds use the same plane layout over the entry count.
 //
 // Point queries. A node's children and a leaf's entries are contiguous
-// runs of every plane, so the one point walk (PointAppend, PointCount and
-// PointFunc share it) tests up to 64 of them at a time, a plane at a
-// time: the point's coordinate in dimension k is compared against a run
-// of Lo values and a run of Hi values and the outcomes are ANDed into a
-// 64-bit mask, with no branch per box. The matching ids (or child
+// runs of every plane, so the point walk, PointAppend, tests up to 64 of
+// them at a time, a plane at a time: the point's coordinate in dimension
+// k is compared against a run of Lo values and a run of Hi values and the
+// outcomes are ANDed into a 64-bit mask, with no branch per box. The matching ids (or child
 // indices, pushed onto the stack) are then compacted out of the run by
 // writing every one and advancing the write index by its mask bit. The
 // only branches on the data are per run and plane: each plane after the
@@ -56,13 +55,23 @@ type Node interface {
 	Entry(i int) (geometry.Rect, int)
 }
 
-// Stats counts traversal effort for a single query. Fields mirror the
-// QueryStats types of the stree and rtree packages.
+// Stats counts the traversal effort of one query: tree nodes entered,
+// leaves among them, leaf records tested against the point, and matches.
+// It is the one effort type of every index (match.QueryStats aliases it);
+// an index without nodes reports the counters that make sense for it.
 type Stats struct {
 	NodesVisited  int
 	LeavesVisited int
 	EntriesTested int
 	Matched       int
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.NodesVisited += o.NodesVisited
+	s.LeavesVisited += o.LeavesVisited
+	s.EntriesTested += o.EntriesTested
+	s.Matched += o.Matched
 }
 
 // Tree is the flattened, immutable index. The zero value is an empty tree
@@ -258,115 +267,58 @@ func compact(dst, ids []int, mask uint64) []int {
 	return dst[:w]
 }
 
-// cursor is the state of the one point-query walk behind PointAppend,
-// PointCount and PointFunc (see next).
-type cursor struct {
-	stack []int32
-	e     int32 // next entry of the current leaf not yet handed out
-	end   int32 // end of the current leaf's entry range
-}
-
-func (t *Tree) startWalk(p geometry.Point, stack []int32) cursor {
-	c := cursor{stack: stack[:0]}
-	if t.numNodes > 0 && len(p) == t.dims {
-		t.pushContaining(&c, 0, 1, p)
-	}
-	return c
-}
-
-// pushContaining pushes onto the stack, in index order, every node of
+// pushContaining pushes onto stack, in index order, every node of
 // [cs, ce) whose MBR contains p.
-func (t *Tree) pushContaining(c *cursor, cs, ce int32, p geometry.Point) {
+func (t *Tree) pushContaining(stack []int32, cs, ce int32, p geometry.Point) []int32 {
 	for base := cs; base < ce; base += chunk {
 		n := int(min(ce-base, chunk))
 		mask := containMask(t.nodeBounds, t.numNodes, int(base), n, p)
-		w := len(c.stack)
-		c.stack = slices.Grow(c.stack, n)[:w+n]
+		w := len(stack)
+		stack = slices.Grow(stack, n)[:w+n]
 		for node := base; node < base+int32(n); node++ {
-			c.stack[w] = node
+			stack[w] = node
 			w += int(mask & 1)
 			mask >>= 1
 		}
-		c.stack = c.stack[:w]
+		stack = stack[:w]
 	}
-}
-
-// next walks depth first over the nodes whose MBR contains p — a node's
-// children are pushed in index order, so the last is entered first — to
-// the next chunk of entries of a leaf it reached, tests it, and returns
-// the chunk's ids with the containment mask (bit j for ids[j]); more is
-// false once the walk is done. A leaf's entries all count as tested when it is entered,
-// and a chunk's matches when it is tested.
-func (t *Tree) next(c *cursor, p geometry.Point, st *Stats) (ids []int, mask uint64, more bool) {
-	for c.e == c.end {
-		if len(c.stack) == 0 {
-			return nil, 0, false
-		}
-		i := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		st.NodesVisited++
-		if cs, ce := t.childStart[i], t.childEnd[i]; cs != ce {
-			t.pushContaining(c, cs, ce, p)
-			continue
-		}
-		st.LeavesVisited++
-		c.e, c.end = t.entryStart[i], t.entryEnd[i]
-		st.EntriesTested += int(c.end - c.e)
-	}
-	start := c.e
-	c.e += min(c.end-start, chunk)
-	mask = containMask(t.entryBounds, t.numEntries, int(start), int(c.e-start), p)
-	st.Matched += bits.OnesCount64(mask)
-	return t.entryIDs[start:c.e], mask, true
+	return stack
 }
 
 // PointAppend appends the IDs of every entry containing p to dst and
 // returns it, along with the (possibly grown) scratch stack for reuse.
-// st must be non-nil; counters are added to, not reset.
+// The walk is depth first over the nodes whose MBR contains p — a node's
+// children are pushed in index order, so the last is entered first — and
+// a leaf's matches are appended in entry order. A leaf's entries all
+// count as tested when it is entered. st must be non-nil; counters are
+// added to, not reset.
 //
 //pubsub:hotpath
 func (t *Tree) PointAppend(p geometry.Point, dst []int, stack []int32, st *Stats) ([]int, []int32) {
-	c := t.startWalk(p, stack)
-	for {
-		ids, mask, more := t.next(&c, p, st)
-		if !more {
-			return dst, c.stack
-		}
-		dst = compact(dst, ids, mask)
+	stack = stack[:0]
+	if t.numNodes == 0 || len(p) != t.dims {
+		return dst, stack
 	}
-}
-
-// PointCount counts the entries containing p without materialising IDs.
-//
-//pubsub:hotpath
-func (t *Tree) PointCount(p geometry.Point, stack []int32, st *Stats) (int, []int32) {
-	c := t.startWalk(p, stack)
-	before := st.Matched
-	for {
-		if _, _, more := t.next(&c, p, st); !more {
-			return st.Matched - before, c.stack
+	stack = t.pushContaining(stack, 0, 1, p)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		st.NodesVisited++
+		if cs, ce := t.childStart[i], t.childEnd[i]; cs != ce {
+			stack = t.pushContaining(stack, cs, ce, p)
+			continue
 		}
-	}
-}
-
-// PointFunc streams the IDs of entries containing p to fn; fn returning
-// false stops the walk. The scratch stack is returned for reuse.
-func (t *Tree) PointFunc(p geometry.Point, stack []int32, st *Stats, fn func(id int) bool) []int32 {
-	var buf [chunk]int
-	c := t.startWalk(p, stack)
-	for {
-		ids, mask, more := t.next(&c, p, st)
-		if !more {
-			return c.stack
-		}
-		matched := compact(buf[:0], ids, mask)
-		for k, id := range matched {
-			if !fn(id) {
-				st.Matched -= len(matched) - k - 1 // never handed to fn
-				return c.stack
-			}
+		st.LeavesVisited++
+		es, ee := t.entryStart[i], t.entryEnd[i]
+		st.EntriesTested += int(ee - es)
+		for base := es; base < ee; base += chunk {
+			end := base + min(ee-base, chunk)
+			mask := containMask(t.entryBounds, t.numEntries, int(base), int(end-base), p)
+			st.Matched += bits.OnesCount64(mask)
+			dst = compact(dst, t.entryIDs[base:end], mask)
 		}
 	}
+	return dst, stack
 }
 
 // RegionFunc streams the IDs of entries intersecting r to fn; fn

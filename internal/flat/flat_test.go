@@ -114,9 +114,9 @@ func refWalk(n *refNode, p geometry.Point, st *Stats, out []int) []int {
 	return out
 }
 
-// checkPoint runs PointAppend, PointCount and PointFunc at p and fails
-// unless each returns the ids of the reference walk, in its order, with
-// its Stats, and the ids are exactly those a scan of rects finds.
+// checkPoint runs PointAppend at p and fails unless it returns the ids of
+// the reference walk, in its order, with its Stats, and the ids are
+// exactly those a scan of rects finds.
 func checkPoint(t *testing.T, tree *Tree, root *refNode, rects []geometry.Rect, ids []int, p geometry.Point) {
 	t.Helper()
 	var want []int
@@ -138,34 +138,6 @@ func checkPoint(t *testing.T, tree *Tree, root *refNode, rects []geometry.Rect, 
 	got, _ := tree.PointAppend(p, []int{-1}, nil, &st)
 	if got[0] != -1 || !equalIDs(got[1:], ref) || st != wantSt {
 		t.Fatalf("p=%v: PointAppend onto [-1] = %v %+v, want [-1 %v] %+v", p, got, st, ref, wantSt)
-	}
-
-	st = Stats{}
-	if count, _ := tree.PointCount(p, nil, &st); count != len(ref) || st != wantSt {
-		t.Fatalf("p=%v: PointCount = %d %+v, want %d %+v", p, count, st, len(ref), wantSt)
-	}
-
-	st = Stats{}
-	var streamed []int
-	tree.PointFunc(p, nil, &st, func(id int) bool {
-		streamed = append(streamed, id)
-		return true
-	})
-	if !equalIDs(streamed, ref) || st != wantSt {
-		t.Fatalf("p=%v: PointFunc = %v %+v, want %v %+v", p, streamed, st, ref, wantSt)
-	}
-
-	if len(ref) == 0 {
-		return
-	}
-	st = Stats{}
-	streamed = streamed[:0]
-	tree.PointFunc(p, nil, &st, func(id int) bool {
-		streamed = append(streamed, id)
-		return false
-	})
-	if !equalIDs(streamed, ref[:1]) || st.Matched != 1 {
-		t.Fatalf("p=%v: PointFunc stopped at the first id = %v, Matched %d, want %v, 1", p, streamed, st.Matched, ref[:1])
 	}
 }
 
@@ -297,15 +269,14 @@ func TestEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rects, ids := randomRects(rng, 100, 2)
 	tree := Build(buildRef(rects, ids, 8), 2)
-	p := rects[0].Center()
 	seen := 0
 	var st Stats
-	tree.PointFunc(p, nil, &st, func(int) bool {
+	tree.RegionFunc(geometry.NewRect(0, 100, 0, 100), nil, &st, func(int) bool {
 		seen++
 		return false
 	})
-	if seen != 1 {
-		t.Fatalf("early-stopped walk saw %d results, want 1", seen)
+	if seen != 1 || st.Matched != 1 {
+		t.Fatalf("early-stopped region walk saw %d results, Matched %d, want 1, 1", seen, st.Matched)
 	}
 }
 
@@ -324,9 +295,9 @@ func TestEmptyAndMismatchedQueries(t *testing.T) {
 	if len(dst) != 0 {
 		t.Fatalf("mismatched-dims query matched %v", dst)
 	}
-	count, _ := tree.PointCount(geometry.Point{1, 2, 3}, nil, &st)
-	if count != 0 {
-		t.Fatalf("mismatched-dims count = %d", count)
+	dst, _ = tree.PointAppend(geometry.Point{1, 2, 3}, nil, nil, &st)
+	if len(dst) != 0 || st != (Stats{}) {
+		t.Fatalf("mismatched-dims query matched %v, walked %+v", dst, st)
 	}
 }
 

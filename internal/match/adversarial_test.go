@@ -139,7 +139,7 @@ func TestAdversarialCrossValidation(t *testing.T) {
 				m := MustNew(subs, Options{Algorithm: alg, BranchFactor: 8})
 				for q := 0; q < 400; q++ {
 					p := nextPoint(rng)
-					if !equalIDs(m.Match(p), oracle.Match(p)) {
+					if !equalIDs(query(m, p), query(oracle, p)) {
 						t.Fatalf("query %v disagrees with oracle", p)
 					}
 				}
@@ -158,7 +158,7 @@ func TestAdversarialSmallBranchFactors(t *testing.T) {
 			idx := MustNew(subs, Options{Algorithm: alg, BranchFactor: m})
 			for q := 0; q < 200; q++ {
 				p := nextPoint(rng)
-				if idx.Count(p) != oracle.Count(p) {
+				if len(query(idx, p)) != len(query(oracle, p)) {
 					t.Fatalf("%v M=%d: mismatch at %v", alg, m, p)
 				}
 			}

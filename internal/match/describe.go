@@ -1,5 +1,11 @@
 package match
 
+import (
+	"repro/internal/predindex"
+	"repro/internal/rtree"
+	"repro/internal/stree"
+)
+
 // Shape describes the structure of a built matcher for introspection:
 // what algorithm backs it, how many rectangles it indexes, and — for
 // tree matchers — the tree and flattened-array dimensions a query
@@ -25,31 +31,31 @@ func Describe(m Matcher) Shape {
 	switch t := m.(type) {
 	case nil:
 		return Shape{}
-	case *streeMatcher:
-		st := t.tree().Stats()
-		fn, fe := t.tree().FlatSize()
+	case *stree.Tree:
+		st := t.Stats()
+		fn, fe := t.FlatSize()
 		return Shape{
 			Algorithm: AlgSTree.String(), Entries: t.Len(),
 			Nodes: st.Nodes, Leaves: st.Leaves, Height: st.Height, MaxBranch: st.MaxBranch,
 			FlatNodes: fn, FlatEntries: fe,
 		}
-	case *rtreeMatcher:
-		st := t.tree().Stats()
-		fn, fe := t.tree().FlatSize()
+	case *rtree.Tree:
+		st := t.Stats()
+		fn, fe := t.FlatSize()
 		return Shape{
 			Algorithm: AlgHilbertRTree.String(), Entries: t.Len(),
 			Nodes: st.Nodes, Leaves: st.Leaves, Height: st.Height, MaxBranch: st.MaxBranch,
 			FlatNodes: fn, FlatEntries: fe,
 		}
-	case *dynamicMatcher:
-		st := t.tree().Stats()
+	case *rtree.Dynamic:
+		st := t.Stats()
 		return Shape{
 			Algorithm: AlgDynamicRTree.String(), Entries: t.Len(),
 			Nodes: st.Nodes, Leaves: st.Leaves, Height: st.Height, MaxBranch: st.MaxBranch,
 		}
 	case BruteForce:
 		return Shape{Algorithm: AlgBruteForce.String(), Entries: t.Len()}
-	case *predMatcher:
+	case *predindex.Index:
 		return Shape{Algorithm: AlgPredCount.String(), Entries: t.Len()}
 	default:
 		return Shape{Algorithm: "unknown", Entries: m.Len()}

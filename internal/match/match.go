@@ -1,14 +1,17 @@
 // Package match defines the matching-problem abstraction: given a
 // publication event (a point in the event space), find every subscription
-// rectangle that contains it. It provides a common Matcher interface over
-// the paper's S-tree, the Hilbert R-tree baseline, and a brute-force
-// scanner that serves as both the correctness oracle and the naive
-// baseline in benchmarks.
+// rectangle that contains it. Its Matcher interface is implemented
+// directly by the five indexes New builds: the paper's S-tree, the
+// Hilbert-packed R-tree baseline, the incrementally built (Guttman)
+// R-tree, the predicate-counting matcher of the prior art the paper
+// cites, and a brute-force scanner that serves as both the correctness
+// oracle and the naive baseline in benchmarks.
 package match
 
 import (
 	"fmt"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 	"repro/internal/predindex"
 	"repro/internal/rtree"
@@ -27,76 +30,46 @@ type Subscription struct {
 // Matcher answers the paper's matching problem: which subscribers are
 // interested in an event?
 type Matcher interface {
-	// Match returns the SubscriberIDs of all subscriptions containing p.
+	// MatchAppendStats appends the SubscriberIDs of all subscriptions
+	// containing p to dst and returns it, with the effort the query took.
 	// A subscriber with several matching rectangles is reported once per
 	// matching rectangle; use MatchSet for deduplicated results.
-	Match(p geometry.Point) []int
-	// MatchFunc streams SubscriberIDs to fn; return false to stop early.
-	MatchFunc(p geometry.Point, fn func(subscriberID int) bool)
-	// MatchAppend appends the SubscriberIDs of all subscriptions
-	// containing p to dst and returns it. Implementations perform no
-	// allocation beyond growing dst, so callers that reuse dst across
-	// events match with zero steady-state allocation.
-	MatchAppend(p geometry.Point, dst []int) []int
-	// Count returns the number of matching subscriptions without
-	// allocating.
-	Count(p geometry.Point) int
+	// Implementations perform no allocation beyond growing dst, so
+	// callers that reuse dst across events match with zero steady-state
+	// allocation.
+	MatchAppendStats(p geometry.Point, dst []int) ([]int, QueryStats)
 	// Len reports the number of indexed subscriptions.
 	Len() int
 }
+
+// StatsMatcher is Matcher under the name it had when the effort counters
+// were an optional extension; callers written against it keep compiling.
+type StatsMatcher = Matcher
 
 // QueryStats reports index traversal effort for one match: how many
 // tree nodes were entered, how many of them were leaves, how many leaf
 // records were compared against the event point, and how many matched.
 // Non-tree matchers report the counters that make sense for them (the
-// brute-force scanner tests every entry and visits no nodes).
-type QueryStats struct {
-	NodesVisited  int
-	LeavesVisited int
-	EntriesTested int
-	Matched       int
-}
+// brute-force scanner tests every entry and visits no nodes; the
+// predicate-counting matcher reports only Matched).
+type QueryStats = flat.Stats
 
-// Add accumulates other into s, for aggregating per-index stats when a
-// broker matches against several indexes (base plus overlay).
-func (s *QueryStats) Add(other QueryStats) {
-	s.NodesVisited += other.NodesVisited
-	s.LeavesVisited += other.LeavesVisited
-	s.EntriesTested += other.EntriesTested
-	s.Matched += other.Matched
-}
-
-// StatsMatcher is implemented by matchers whose traversal is
-// instrumented. MatchFuncStats behaves exactly like MatchFunc and
-// additionally returns the per-query effort counters; it must not
-// allocate beyond what MatchFunc does, so instrumented hot paths stay
-// cheap. Callers discover support with a type assertion.
-type StatsMatcher interface {
-	Matcher
-	MatchFuncStats(p geometry.Point, fn func(subscriberID int) bool) QueryStats
-	// MatchAppendStats is MatchAppend with per-query effort counters,
-	// under the same no-extra-allocation contract.
-	MatchAppendStats(p geometry.Point, dst []int) ([]int, QueryStats)
-}
-
-// Every tree-backed matcher and the brute-force oracle are
-// instrumented; only the predicate-counting matcher is not (its
-// per-dimension merge has no node-visit notion).
 var (
-	_ StatsMatcher = BruteForce(nil)
-	_ StatsMatcher = (*streeMatcher)(nil)
-	_ StatsMatcher = (*rtreeMatcher)(nil)
-	_ StatsMatcher = (*dynamicMatcher)(nil)
+	_ Matcher = BruteForce(nil)
+	_ Matcher = (*stree.Tree)(nil)
+	_ Matcher = (*rtree.Tree)(nil)
+	_ Matcher = (*rtree.Dynamic)(nil)
+	_ Matcher = (*predindex.Index)(nil)
 )
 
 // MatchSet returns the deduplicated set of subscriber IDs interested in p.
 // This is the list s used by the distribution-method scheme.
 func MatchSet(m Matcher, p geometry.Point) map[int]struct{} {
-	set := make(map[int]struct{})
-	m.MatchFunc(p, func(id int) bool {
+	ids, _ := m.MatchAppendStats(p, nil)
+	set := make(map[int]struct{}, len(ids))
+	for _, id := range ids {
 		set[id] = struct{}{}
-		return true
-	})
+	}
 	return set
 }
 
@@ -171,7 +144,7 @@ func New(subs []Subscription, opts Options) (Matcher, error) {
 		if err != nil {
 			return nil, fmt.Errorf("match: building s-tree: %w", err)
 		}
-		return (*streeMatcher)(t), nil
+		return t, nil
 	case AlgHilbertRTree:
 		entries := make([]rtree.Entry, len(subs))
 		for i, s := range subs {
@@ -181,7 +154,7 @@ func New(subs []Subscription, opts Options) (Matcher, error) {
 		if err != nil {
 			return nil, fmt.Errorf("match: building hilbert r-tree: %w", err)
 		}
-		return (*rtreeMatcher)(t), nil
+		return t, nil
 	case AlgBruteForce:
 		bf := make(BruteForce, len(subs))
 		copy(bf, subs)
@@ -195,7 +168,7 @@ func New(subs []Subscription, opts Options) (Matcher, error) {
 		if err != nil {
 			return nil, fmt.Errorf("match: building predicate index: %w", err)
 		}
-		return (*predMatcher)(ix), nil
+		return ix, nil
 	case AlgDynamicRTree:
 		d, err := rtree.NewDynamic(opts.BranchFactor)
 		if err != nil {
@@ -206,7 +179,7 @@ func New(subs []Subscription, opts Options) (Matcher, error) {
 				return nil, fmt.Errorf("match: building dynamic r-tree: %w", err)
 			}
 		}
-		return (*dynamicMatcher)(d), nil
+		return d, nil
 	default:
 		return nil, fmt.Errorf("match: unknown algorithm %d", opts.Algorithm)
 	}
@@ -225,30 +198,8 @@ func MustNew(subs []Subscription, opts Options) Matcher {
 // baseline and the oracle against which tree matchers are validated.
 type BruteForce []Subscription
 
-var _ Matcher = BruteForce(nil)
-
-// Match implements Matcher.
-func (b BruteForce) Match(p geometry.Point) []int {
-	var ids []int
-	b.MatchFunc(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids
-}
-
-// MatchFunc implements Matcher.
-func (b BruteForce) MatchFunc(p geometry.Point, fn func(int) bool) {
-	for _, s := range b {
-		if s.Rect.Contains(p) {
-			if !fn(s.SubscriberID) {
-				return
-			}
-		}
-	}
-}
-
-// MatchAppend implements Matcher.
+// MatchAppend appends the SubscriberIDs of all subscriptions containing p
+// to dst, in subscription order, and returns it: the oracle's answer.
 func (b BruteForce) MatchAppend(p geometry.Point, dst []int) []int {
 	for _, s := range b {
 		if s.Rect.Contains(p) {
@@ -258,155 +209,13 @@ func (b BruteForce) MatchAppend(p geometry.Point, dst []int) []int {
 	return dst
 }
 
-// MatchAppendStats implements StatsMatcher.
+// MatchAppendStats implements Matcher. The scan tests every entry and
+// touches no tree nodes.
 func (b BruteForce) MatchAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	stats := QueryStats{EntriesTested: len(b)}
-	for _, s := range b {
-		if s.Rect.Contains(p) {
-			stats.Matched++
-			dst = append(dst, s.SubscriberID)
-		}
-	}
-	return dst, stats
-}
-
-// Count implements Matcher.
-func (b BruteForce) Count(p geometry.Point) int {
-	n := 0
-	for _, s := range b {
-		if s.Rect.Contains(p) {
-			n++
-		}
-	}
-	return n
+	n := len(dst)
+	dst = b.MatchAppend(p, dst)
+	return dst, QueryStats{EntriesTested: len(b), Matched: len(dst) - n}
 }
 
 // Len implements Matcher.
 func (b BruteForce) Len() int { return len(b) }
-
-// MatchFuncStats implements StatsMatcher. The scan tests every entry
-// and touches no tree nodes.
-func (b BruteForce) MatchFuncStats(p geometry.Point, fn func(int) bool) QueryStats {
-	stats := QueryStats{EntriesTested: len(b)}
-	b.MatchFunc(p, func(id int) bool {
-		stats.Matched++
-		return fn(id)
-	})
-	return stats
-}
-
-type streeMatcher stree.Tree
-
-var _ Matcher = (*streeMatcher)(nil)
-
-func (m *streeMatcher) tree() *stree.Tree { return (*stree.Tree)(m) }
-
-func (m *streeMatcher) Match(p geometry.Point) []int { return m.tree().PointQuery(p) }
-
-func (m *streeMatcher) MatchFunc(p geometry.Point, fn func(int) bool) {
-	m.tree().PointQueryFunc(p, fn)
-}
-
-func (m *streeMatcher) MatchAppend(p geometry.Point, dst []int) []int {
-	return m.tree().PointQueryAppend(p, dst)
-}
-
-// MatchAppendStats implements StatsMatcher.
-func (m *streeMatcher) MatchAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	dst, s := m.tree().PointQueryAppendStats(p, dst)
-	return dst, QueryStats{NodesVisited: s.NodesVisited, LeavesVisited: s.LeavesVisited, EntriesTested: s.EntriesTested, Matched: s.ResultsMatched}
-}
-
-func (m *streeMatcher) Count(p geometry.Point) int { return m.tree().CountQuery(p) }
-
-func (m *streeMatcher) Len() int { return m.tree().Len() }
-
-// MatchFuncStats implements StatsMatcher.
-func (m *streeMatcher) MatchFuncStats(p geometry.Point, fn func(int) bool) QueryStats {
-	s := m.tree().PointQueryFuncStats(p, fn)
-	return QueryStats{NodesVisited: s.NodesVisited, LeavesVisited: s.LeavesVisited, EntriesTested: s.EntriesTested, Matched: s.ResultsMatched}
-}
-
-type predMatcher predindex.Index
-
-var _ Matcher = (*predMatcher)(nil)
-
-func (m *predMatcher) index() *predindex.Index { return (*predindex.Index)(m) }
-
-func (m *predMatcher) Match(p geometry.Point) []int { return m.index().Match(p) }
-
-func (m *predMatcher) MatchFunc(p geometry.Point, fn func(int) bool) {
-	m.index().MatchFunc(p, fn)
-}
-
-func (m *predMatcher) MatchAppend(p geometry.Point, dst []int) []int {
-	return m.index().MatchAppend(p, dst)
-}
-
-func (m *predMatcher) Count(p geometry.Point) int { return m.index().Count(p) }
-
-func (m *predMatcher) Len() int { return m.index().Len() }
-
-type dynamicMatcher rtree.Dynamic
-
-var _ Matcher = (*dynamicMatcher)(nil)
-
-func (m *dynamicMatcher) tree() *rtree.Dynamic { return (*rtree.Dynamic)(m) }
-
-func (m *dynamicMatcher) Match(p geometry.Point) []int { return m.tree().PointQuery(p) }
-
-func (m *dynamicMatcher) MatchFunc(p geometry.Point, fn func(int) bool) {
-	m.tree().PointQueryFunc(p, fn)
-}
-
-func (m *dynamicMatcher) MatchAppend(p geometry.Point, dst []int) []int {
-	return m.tree().PointQueryAppend(p, dst)
-}
-
-// MatchAppendStats implements StatsMatcher.
-func (m *dynamicMatcher) MatchAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	dst, s := m.tree().PointQueryAppendStats(p, dst)
-	return dst, QueryStats{NodesVisited: s.NodesVisited, LeavesVisited: s.LeavesVisited, EntriesTested: s.EntriesTested, Matched: s.ResultsMatched}
-}
-
-func (m *dynamicMatcher) Count(p geometry.Point) int { return m.tree().CountQuery(p) }
-
-func (m *dynamicMatcher) Len() int { return m.tree().Len() }
-
-// MatchFuncStats implements StatsMatcher.
-func (m *dynamicMatcher) MatchFuncStats(p geometry.Point, fn func(int) bool) QueryStats {
-	s := m.tree().PointQueryFuncStats(p, fn)
-	return QueryStats{NodesVisited: s.NodesVisited, LeavesVisited: s.LeavesVisited, EntriesTested: s.EntriesTested, Matched: s.ResultsMatched}
-}
-
-type rtreeMatcher rtree.Tree
-
-var _ Matcher = (*rtreeMatcher)(nil)
-
-func (m *rtreeMatcher) tree() *rtree.Tree { return (*rtree.Tree)(m) }
-
-func (m *rtreeMatcher) Match(p geometry.Point) []int { return m.tree().PointQuery(p) }
-
-func (m *rtreeMatcher) MatchFunc(p geometry.Point, fn func(int) bool) {
-	m.tree().PointQueryFunc(p, fn)
-}
-
-func (m *rtreeMatcher) MatchAppend(p geometry.Point, dst []int) []int {
-	return m.tree().PointQueryAppend(p, dst)
-}
-
-// MatchAppendStats implements StatsMatcher.
-func (m *rtreeMatcher) MatchAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	dst, s := m.tree().PointQueryAppendStats(p, dst)
-	return dst, QueryStats{NodesVisited: s.NodesVisited, LeavesVisited: s.LeavesVisited, EntriesTested: s.EntriesTested, Matched: s.ResultsMatched}
-}
-
-func (m *rtreeMatcher) Count(p geometry.Point) int { return m.tree().CountQuery(p) }
-
-func (m *rtreeMatcher) Len() int { return m.tree().Len() }
-
-// MatchFuncStats implements StatsMatcher.
-func (m *rtreeMatcher) MatchFuncStats(p geometry.Point, fn func(int) bool) QueryStats {
-	s := m.tree().PointQueryFuncStats(p, fn)
-	return QueryStats{NodesVisited: s.NodesVisited, LeavesVisited: s.LeavesVisited, EntriesTested: s.EntriesTested, Matched: s.ResultsMatched}
-}

@@ -30,6 +30,12 @@ func randomPoint(rng *rand.Rand, dims int) geometry.Point {
 	return p
 }
 
+// query returns the ids m reports for p.
+func query(m Matcher, p geometry.Point) []int {
+	ids, _ := m.MatchAppendStats(p, nil)
+	return ids
+}
+
 func sorted(ids []int) []int {
 	out := append([]int(nil), ids...)
 	sort.Ints(out)
@@ -95,11 +101,12 @@ func TestAllMatchersAgree(t *testing.T) {
 			}
 			for i := 0; i < 300; i++ {
 				p := randomPoint(rng, 4)
-				if !equalIDs(m.Match(p), oracle.Match(p)) {
-					t.Fatalf("Match(%v) disagrees with oracle", p)
+				got, st := m.MatchAppendStats(p, nil)
+				if !equalIDs(got, query(oracle, p)) {
+					t.Fatalf("MatchAppendStats(%v) disagrees with oracle", p)
 				}
-				if m.Count(p) != oracle.Count(p) {
-					t.Fatalf("Count(%v) disagrees with oracle", p)
+				if st.Matched != len(got) {
+					t.Fatalf("MatchAppendStats(%v).Matched = %d, want %d", p, st.Matched, len(got))
 				}
 			}
 		})
@@ -115,8 +122,8 @@ func TestMatchSetDeduplicates(t *testing.T) {
 	for _, alg := range []Algorithm{AlgBruteForce, AlgSTree, AlgHilbertRTree, AlgPredCount, AlgDynamicRTree} {
 		m := MustNew(subs, Options{Algorithm: alg})
 		p := geometry.Point{5, 5}
-		if got := len(m.Match(p)); got != 3 {
-			t.Errorf("%v: Match returned %d hits, want 3 (per rectangle)", alg, got)
+		if got := len(query(m, p)); got != 3 {
+			t.Errorf("%v: MatchAppendStats returned %d hits, want 3 (per rectangle)", alg, got)
 		}
 		set := MatchSet(m, p)
 		if len(set) != 2 {
@@ -129,28 +136,12 @@ func TestMatchSetDeduplicates(t *testing.T) {
 	}
 }
 
-func TestBruteForceEarlyStop(t *testing.T) {
-	subs := make([]Subscription, 20)
-	for i := range subs {
-		subs[i] = Subscription{Rect: geometry.NewRect(0, 1), SubscriberID: i}
-	}
-	m := MustNew(subs, Options{Algorithm: AlgBruteForce})
-	calls := 0
-	m.MatchFunc(geometry.Point{0.5}, func(int) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("early stop delivered %d, want 1", calls)
-	}
-}
-
 func TestBruteForceCopiesInput(t *testing.T) {
 	subs := randomSubs(rand.New(rand.NewSource(1)), 10, 2)
 	m := MustNew(subs, Options{Algorithm: AlgBruteForce})
 	subs[0].SubscriberID = 999999
 	p := subs[0].Rect.Center()
-	for _, id := range m.Match(p) {
+	for _, id := range query(m, p) {
 		if id == 999999 {
 			t.Fatal("BruteForce aliases the caller's slice")
 		}
@@ -163,40 +154,42 @@ func TestEmptyMatchers(t *testing.T) {
 		if m.Len() != 0 {
 			t.Errorf("%v: Len = %d", alg, m.Len())
 		}
-		if got := m.Match(geometry.Point{1, 2}); len(got) != 0 {
-			t.Errorf("%v: Match on empty = %v", alg, got)
+		if got, st := m.MatchAppendStats(geometry.Point{1, 2}, nil); len(got) != 0 || st != (QueryStats{}) {
+			t.Errorf("%v: MatchAppendStats on empty = %v %+v", alg, got, st)
 		}
 	}
 }
 
+// TestMatchFuncStatsConsistency checks that every matcher's effort
+// counters agree with the ids the same call returns.
 func TestMatchFuncStatsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	subs := randomSubs(rng, 600, 3)
-	for _, alg := range []Algorithm{AlgSTree, AlgHilbertRTree, AlgBruteForce, AlgDynamicRTree} {
+	for _, alg := range []Algorithm{AlgSTree, AlgHilbertRTree, AlgBruteForce, AlgDynamicRTree, AlgPredCount} {
 		t.Run(alg.String(), func(t *testing.T) {
 			m := MustNew(subs, Options{Algorithm: alg, BranchFactor: 16})
-			sm, ok := m.(StatsMatcher)
-			if !ok {
-				t.Fatalf("%v does not implement StatsMatcher", alg)
-			}
 			for i := 0; i < 100; i++ {
 				p := randomPoint(rng, 3)
-				var streamed []int
-				stats := sm.MatchFuncStats(p, func(id int) bool {
-					streamed = append(streamed, id)
-					return true
-				})
-				if !equalIDs(streamed, m.Match(p)) {
-					t.Fatalf("MatchFuncStats streams different IDs at %v", p)
+				ids, stats := m.MatchAppendStats(p, nil)
+				if stats.Matched != len(ids) {
+					t.Fatalf("Matched = %d, returned %d", stats.Matched, len(ids))
 				}
-				if stats.Matched != len(streamed) {
-					t.Fatalf("Matched = %d, streamed %d", stats.Matched, len(streamed))
-				}
-				if stats.EntriesTested < stats.Matched {
-					t.Fatalf("EntriesTested %d < Matched %d", stats.EntriesTested, stats.Matched)
-				}
-				if alg != AlgBruteForce && stats.Matched > 0 && stats.NodesVisited == 0 {
-					t.Fatalf("tree matcher reported no node visits with %d matches", stats.Matched)
+				switch alg {
+				case AlgPredCount:
+					if stats != (QueryStats{Matched: len(ids)}) {
+						t.Fatalf("predicate counting reported %+v, want only Matched", stats)
+					}
+				case AlgBruteForce:
+					if stats != (QueryStats{EntriesTested: len(subs), Matched: len(ids)}) {
+						t.Fatalf("brute force reported %+v, want every entry tested", stats)
+					}
+				default:
+					if stats.EntriesTested < stats.Matched || stats.LeavesVisited > stats.NodesVisited {
+						t.Fatalf("inconsistent tree stats %+v", stats)
+					}
+					if stats.Matched > 0 && stats.NodesVisited == 0 {
+						t.Fatalf("tree matcher reported no node visits with %d matches", stats.Matched)
+					}
 				}
 			}
 		})
@@ -212,6 +205,8 @@ func TestQueryStatsAdd(t *testing.T) {
 	}
 }
 
+// TestMatchAppendAgreesWithMatch checks that appending into a reused
+// buffer returns what a fresh match does, with the same counters.
 func TestMatchAppendAgreesWithMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	subs := randomSubs(rng, 700, 3)
@@ -222,22 +217,11 @@ func TestMatchAppendAgreesWithMatch(t *testing.T) {
 			var dst []int
 			for i := 0; i < 200; i++ {
 				p := randomPoint(rng, 3)
-				dst = dst[:0]
-				dst = m.MatchAppend(p, dst)
-				if !equalIDs(dst, m.Match(p)) {
-					t.Fatalf("MatchAppend(%v) = %v, want %v", p, dst, m.Match(p))
-				}
-				if len(dst) != m.Count(p) {
-					t.Fatalf("Count(%v) = %d, want %d", p, m.Count(p), len(dst))
-				}
-				if sm, ok := m.(StatsMatcher); ok {
-					got, stats := sm.MatchAppendStats(p, nil)
-					if !equalIDs(got, dst) {
-						t.Fatalf("MatchAppendStats(%v) = %v, want %v", p, got, dst)
-					}
-					if stats.Matched != len(dst) {
-						t.Fatalf("MatchAppendStats(%v).Matched = %d, want %d", p, stats.Matched, len(dst))
-					}
+				var reused QueryStats
+				dst, reused = m.MatchAppendStats(p, dst[:0])
+				fresh, stats := m.MatchAppendStats(p, nil)
+				if !equalIDs(dst, fresh) || reused != stats {
+					t.Fatalf("MatchAppendStats(%v) into a reused buffer = %v %+v, fresh %v %+v", p, dst, reused, fresh, stats)
 				}
 			}
 		})
@@ -248,10 +232,11 @@ func TestMatchAppendAgreesWithMatch(t *testing.T) {
 // contents survive.
 func TestMatchAppendPreservesPrefix(t *testing.T) {
 	subs := []Subscription{{Rect: geometry.NewRect(0, 10), SubscriberID: 5}}
-	m := MustNew(subs, Options{Algorithm: AlgSTree})
-	dst := []int{99}
-	dst = m.MatchAppend(geometry.Point{4}, dst)
-	if len(dst) != 2 || dst[0] != 99 || dst[1] != 5 {
-		t.Fatalf("MatchAppend clobbered prefix: %v", dst)
+	for _, alg := range []Algorithm{AlgBruteForce, AlgSTree, AlgHilbertRTree, AlgPredCount, AlgDynamicRTree} {
+		m := MustNew(subs, Options{Algorithm: alg})
+		dst, _ := m.MatchAppendStats(geometry.Point{4}, []int{99})
+		if len(dst) != 2 || dst[0] != 99 || dst[1] != 5 {
+			t.Fatalf("%v: MatchAppendStats clobbered prefix: %v", alg, dst)
+		}
 	}
 }

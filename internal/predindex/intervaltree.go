@@ -82,43 +82,6 @@ func buildNode(entries []treeEntry) *itNode {
 	return n
 }
 
-// stab calls fn for every entry whose interval contains x (Lo < x <= Hi).
-// It is the streaming form used by tests; the match hot path uses
-// stabCount below.
-func (t *intervalTree) stab(x float64, fn func(sub int32)) {
-	for n := t.root; n != nil; {
-		switch {
-		case x < n.center:
-			for _, e := range n.byLo {
-				if e.Lo >= x {
-					break
-				}
-				if x <= e.Hi {
-					fn(e.Sub)
-				}
-			}
-			n = n.left
-		case x > n.center:
-			for _, e := range n.byHi {
-				if e.Hi < x {
-					break
-				}
-				if e.Lo < x {
-					fn(e.Sub)
-				}
-			}
-			n = n.right
-		default: // x == center
-			for _, e := range n.byLo {
-				if e.Lo < x && x <= e.Hi {
-					fn(e.Sub)
-				}
-			}
-			return
-		}
-	}
-}
-
 // stabCount bumps the satisfaction counter of every subscription owning
 // an entry whose interval contains x (Lo < x <= Hi). The sorted scans
 // prune by one bound; the other bound is verified explicitly so that

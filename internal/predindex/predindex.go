@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 )
 
@@ -121,50 +122,20 @@ func (ix *Index) Len() int { return ix.size }
 // Dims reports the indexed dimensionality (0 when empty).
 func (ix *Index) Dims() int { return ix.dims }
 
-// MatchFunc streams the subscriber IDs of all subscriptions containing p
-// to fn; return false from fn to stop early. A point of the wrong
+// MatchAppendStats appends the subscriber IDs of all subscriptions
+// containing p to dst and returns it. It performs no allocation beyond
+// growing dst. The per-dimension merge has no nodes or leaf records, so
+// of the effort counters only Matched is reported. A point of the wrong
 // dimensionality matches nothing.
-func (ix *Index) MatchFunc(p geometry.Point, fn func(subscriberID int) bool) {
+func (ix *Index) MatchAppendStats(p geometry.Point, dst []int) ([]int, flat.Stats) {
 	if ix.size == 0 || len(p) != ix.dims {
-		return
+		return dst, flat.Stats{}
 	}
+	n := len(dst)
 	cs := ix.scratch.Get().(*counterSet)
-	defer func() {
-		cs.reset()
-		ix.scratch.Put(cs)
-	}()
-
-	ix.stabAll(p, cs)
-	for _, i := range ix.alwaysMatch {
-		if !fn(ix.subscriberID[i]) {
-			return
-		}
-	}
-	for _, i := range cs.touched {
-		if cs.counts[i] == ix.required[i] {
-			if !fn(ix.subscriberID[i]) {
-				return
-			}
-		}
-	}
-}
-
-// stabAll runs the per-dimension stabbing queries, accumulating
-// satisfaction counts into cs.
-func (ix *Index) stabAll(p geometry.Point, cs *counterSet) {
 	for d, tree := range ix.trees {
 		tree.stabCount(p[d], cs)
 	}
-}
-
-// MatchAppend appends the subscriber IDs of all subscriptions containing
-// p to dst and returns it. It performs no allocation beyond growing dst.
-func (ix *Index) MatchAppend(p geometry.Point, dst []int) []int {
-	if ix.size == 0 || len(p) != ix.dims {
-		return dst
-	}
-	cs := ix.scratch.Get().(*counterSet)
-	ix.stabAll(p, cs)
 	for _, i := range ix.alwaysMatch {
 		dst = append(dst, ix.subscriberID[i])
 	}
@@ -175,34 +146,5 @@ func (ix *Index) MatchAppend(p geometry.Point, dst []int) []int {
 	}
 	cs.reset()
 	ix.scratch.Put(cs)
-	return dst
-}
-
-// Match returns the subscriber IDs of all subscriptions containing p.
-func (ix *Index) Match(p geometry.Point) []int {
-	var ids []int
-	ix.MatchFunc(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids
-}
-
-// Count returns the number of subscriptions containing p. It does not
-// allocate.
-func (ix *Index) Count(p geometry.Point) int {
-	if ix.size == 0 || len(p) != ix.dims {
-		return 0
-	}
-	cs := ix.scratch.Get().(*counterSet)
-	ix.stabAll(p, cs)
-	n := len(ix.alwaysMatch)
-	for _, i := range cs.touched {
-		if cs.counts[i] == ix.required[i] {
-			n++
-		}
-	}
-	cs.reset()
-	ix.scratch.Put(cs)
-	return n
+	return dst, flat.Stats{Matched: len(dst) - n}
 }

@@ -7,8 +7,24 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 )
+
+// stab returns the subscription of every entry of tree whose interval
+// contains x, read back from the counters stabCount bumps; subs bounds
+// the subscription numbers.
+func stab(tree *intervalTree, x float64, subs int) []int32 {
+	cs := &counterSet{counts: make([]uint16, subs)}
+	tree.stabCount(x, cs)
+	var got []int32
+	for _, s := range cs.touched {
+		for k := uint16(0); k < cs.counts[s]; k++ {
+			got = append(got, s)
+		}
+	}
+	return got
+}
 
 func TestIntervalTreeStabbing(t *testing.T) {
 	entries := []treeEntry{
@@ -38,8 +54,7 @@ func TestIntervalTreeStabbing(t *testing.T) {
 	// does.
 	tests[3].want = []int32{1}
 	for _, tt := range tests {
-		var got []int32
-		tree.stab(tt.x, func(s int32) { got = append(got, s) })
+		got := stab(tree, tt.x, len(entries))
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(got) != len(tt.want) {
 			t.Errorf("stab(%v) = %v, want %v", tt.x, got, tt.want)
@@ -73,7 +88,9 @@ func TestIntervalTreePropVsBrute(t *testing.T) {
 				}
 			}
 			got := map[int32]bool{}
-			tree.stab(x, func(s int32) { got[s] = true })
+			for _, s := range stab(tree, x, n) {
+				got[s] = true
+			}
 			if len(got) != len(want) {
 				return false
 			}
@@ -106,9 +123,7 @@ func TestIntervalTreeUnboundedEntries(t *testing.T) {
 		{x: 100, want: 2}, // {1, 2}
 	}
 	for _, c := range cases {
-		n := 0
-		tree.stab(c.x, func(int32) { n++ })
-		if n != c.want {
+		if n := len(stab(tree, c.x, len(entries))); n != c.want {
 			t.Errorf("stab(%v) hit %d, want %d", c.x, n, c.want)
 		}
 	}
@@ -156,6 +171,17 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
+// match returns the subscriber IDs the index reports for p and checks
+// that its Matched counter, the only one it keeps, agrees with them.
+func match(t *testing.T, ix *Index, p geometry.Point) []int {
+	t.Helper()
+	ids, st := ix.MatchAppendStats(p, nil)
+	if st != (flat.Stats{Matched: len(ids)}) {
+		t.Fatalf("MatchAppendStats(%v) = %d ids with %+v", p, len(ids), st)
+	}
+	return ids
+}
+
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build([]Subscription{{Rect: geometry.Rect{}}}); err == nil {
 		t.Error("zero-dim accepted")
@@ -174,7 +200,7 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil || ix.Len() != 0 {
 		t.Errorf("empty build: %v, len %d", err, ix.Len())
 	}
-	if got := ix.Match(geometry.Point{1}); got != nil {
+	if got := match(t, ix, geometry.Point{1}); got != nil {
 		t.Errorf("empty index matched %v", got)
 	}
 }
@@ -200,12 +226,9 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 				for d := range p {
 					p[d] = rng.Float64() * 100
 				}
-				got, want := ix.Match(p), bruteMatch(subs, p)
+				got, want := match(t, ix, p), bruteMatch(subs, p)
 				if !equalIDs(got, want) {
-					t.Fatalf("Match(%v): got %d ids, want %d", p, len(got), len(want))
-				}
-				if c := ix.Count(p); c != len(want) {
-					t.Fatalf("Count(%v) = %d, want %d", p, c, len(want))
+					t.Fatalf("MatchAppendStats(%v): got %d ids, want %d", p, len(got), len(want))
 				}
 			}
 		})
@@ -218,35 +241,19 @@ func TestAllWildcardSubscriptionAlwaysMatches(t *testing.T) {
 		{Rect: geometry.NewRect(0, 1, 0, 1), SubscriberID: 8},
 	}
 	ix := MustBuild(subs)
-	got := ix.Match(geometry.Point{500, -500})
+	got := match(t, ix, geometry.Point{500, -500})
 	if !equalIDs(got, []int{7}) {
 		t.Errorf("Match far away = %v, want [7]", got)
 	}
-	got = ix.Match(geometry.Point{0.5, 0.5})
+	got = match(t, ix, geometry.Point{0.5, 0.5})
 	if !equalIDs(got, []int{7, 8}) {
 		t.Errorf("Match inside = %v, want [7 8]", got)
 	}
 }
 
-func TestEarlyStop(t *testing.T) {
-	subs := make([]Subscription, 30)
-	for i := range subs {
-		subs[i] = Subscription{Rect: geometry.NewRect(0, 10), SubscriberID: i}
-	}
-	ix := MustBuild(subs)
-	calls := 0
-	ix.MatchFunc(geometry.Point{5}, func(int) bool {
-		calls++
-		return calls < 4
-	})
-	if calls != 4 {
-		t.Errorf("delivered %d, want 4", calls)
-	}
-}
-
 func TestWrongDimensionality(t *testing.T) {
 	ix := MustBuild(randomSubs(rand.New(rand.NewSource(1)), 10, 3, 0))
-	if got := ix.Match(geometry.Point{1, 2}); got != nil {
+	if got := match(t, ix, geometry.Point{1, 2}); got != nil {
 		t.Errorf("wrong-dim point matched %v", got)
 	}
 }
@@ -257,12 +264,12 @@ func TestScratchReuseIsClean(t *testing.T) {
 	subs := randomSubs(rng, 200, 2, 0.1)
 	ix := MustBuild(subs)
 	p1 := geometry.Point{50, 50}
-	want := ix.Count(p1)
+	want := len(match(t, ix, p1))
 	for i := 0; i < 100; i++ {
 		p := geometry.Point{rng.Float64() * 100, rng.Float64() * 100}
-		ix.Count(p)
+		match(t, ix, p)
 	}
-	if got := ix.Count(p1); got != want {
+	if got := len(match(t, ix, p1)); got != want {
 		t.Errorf("Count changed across queries: %d then %d", want, got)
 	}
 }
@@ -286,7 +293,7 @@ func TestConcurrentQueries(t *testing.T) {
 			ok := true
 			for rep := 0; rep < 50; rep++ {
 				for _, c := range cases {
-					if !equalIDs(ix.Match(c.p), c.want) {
+					if got, _ := ix.MatchAppendStats(c.p, nil); !equalIDs(got, c.want) {
 						ok = false
 					}
 				}

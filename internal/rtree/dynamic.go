@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 	"repro/internal/invariant"
 )
@@ -372,43 +373,6 @@ func (t *Dynamic) remove(n *dnode, id int, r geometry.Rect) bool {
 	return false
 }
 
-// PointQuery returns the IDs of all rectangles containing p.
-func (t *Dynamic) PointQuery(p geometry.Point) []int {
-	var ids []int
-	t.PointQueryFunc(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids
-}
-
-// PointQueryFunc streams matching IDs; return false to stop early.
-func (t *Dynamic) PointQueryFunc(p geometry.Point, fn func(id int) bool) {
-	var stats QueryStats
-	t.search(p, fn, &stats)
-}
-
-// PointQueryStats is PointQuery with traversal statistics.
-func (t *Dynamic) PointQueryStats(p geometry.Point) ([]int, QueryStats) {
-	var ids []int
-	stats := t.PointQueryFuncStats(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, stats
-}
-
-// PointQueryFuncStats is PointQueryFunc with traversal statistics: it
-// streams matching IDs to fn and returns the per-query effort counters.
-func (t *Dynamic) PointQueryFuncStats(p geometry.Point, fn func(id int) bool) QueryStats {
-	var stats QueryStats
-	t.search(p, func(id int) bool {
-		stats.ResultsMatched++
-		return fn(id)
-	}, &stats)
-	return stats
-}
-
 // dstackPool recycles traversal stacks so steady-state queries over the
 // dynamic tree allocate nothing.
 var dstackPool = sync.Pool{
@@ -418,75 +382,26 @@ var dstackPool = sync.Pool{
 	},
 }
 
-func (t *Dynamic) search(p geometry.Point, fn func(id int) bool, stats *QueryStats) {
+// MatchAppendStats appends the IDs of all rectangles containing p to dst
+// and returns it with the walk's effort counters. It performs no
+// allocation beyond growing dst.
+func (t *Dynamic) MatchAppendStats(p geometry.Point, dst []int) ([]int, flat.Stats) {
+	var st flat.Stats
 	if t.root == nil || !t.root.mbr.Contains(p) {
-		return
+		return dst, st
 	}
 	sp := dstackPool.Get().(*[]*dnode)
-	defer dstackPool.Put(sp)
-	stack := (*sp)[:0]
-	defer func() { *sp = stack }()
-	stack = append(stack, t.root)
+	stack := append((*sp)[:0], t.root)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		stats.NodesVisited++
+		st.NodesVisited++
 		if n.leaf {
-			stats.LeavesVisited++
+			st.LeavesVisited++
+			st.EntriesTested += len(n.entries)
 			for _, e := range n.entries {
-				stats.EntriesTested++
 				if e.Rect.Contains(p) {
-					if !fn(e.ID) {
-						return
-					}
-				}
-			}
-			continue
-		}
-		for _, c := range n.children {
-			if c.mbr.Contains(p) {
-				stack = append(stack, c)
-			}
-		}
-	}
-}
-
-// PointQueryAppend appends the IDs of all rectangles containing p to dst
-// and returns it. It performs no allocation beyond growing dst.
-func (t *Dynamic) PointQueryAppend(p geometry.Point, dst []int) []int {
-	var stats QueryStats
-	dst, _ = t.appendWalk(p, dst, &stats)
-	return dst
-}
-
-// PointQueryAppendStats is PointQueryAppend with traversal statistics.
-func (t *Dynamic) PointQueryAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	var stats QueryStats
-	dst, matched := t.appendWalk(p, dst, &stats)
-	stats.ResultsMatched = matched
-	return dst, stats
-}
-
-// appendWalk is the closure-free traversal backing the append and count
-// queries; it returns dst and the number of matches.
-func (t *Dynamic) appendWalk(p geometry.Point, dst []int, stats *QueryStats) ([]int, int) {
-	if t.root == nil || !t.root.mbr.Contains(p) {
-		return dst, 0
-	}
-	matched := 0
-	sp := dstackPool.Get().(*[]*dnode)
-	stack := (*sp)[:0]
-	stack = append(stack, t.root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stats.NodesVisited++
-		if n.leaf {
-			stats.LeavesVisited++
-			for _, e := range n.entries {
-				stats.EntriesTested++
-				if e.Rect.Contains(p) {
-					matched++
+					st.Matched++
 					dst = append(dst, e.ID)
 				}
 			}
@@ -500,47 +415,7 @@ func (t *Dynamic) appendWalk(p geometry.Point, dst []int, stats *QueryStats) ([]
 	}
 	*sp = stack
 	dstackPool.Put(sp)
-	return dst, matched
-}
-
-// CountQuery returns the number of rectangles containing p. It does not
-// allocate.
-func (t *Dynamic) CountQuery(p geometry.Point) int {
-	var stats QueryStats
-	return t.countWalk(p, &stats)
-}
-
-func (t *Dynamic) countWalk(p geometry.Point, stats *QueryStats) int {
-	if t.root == nil || !t.root.mbr.Contains(p) {
-		return 0
-	}
-	matched := 0
-	sp := dstackPool.Get().(*[]*dnode)
-	stack := (*sp)[:0]
-	stack = append(stack, t.root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stats.NodesVisited++
-		if n.leaf {
-			stats.LeavesVisited++
-			for _, e := range n.entries {
-				stats.EntriesTested++
-				if e.Rect.Contains(p) {
-					matched++
-				}
-			}
-			continue
-		}
-		for _, c := range n.children {
-			if c.mbr.Contains(p) {
-				stack = append(stack, c)
-			}
-		}
-	}
-	*sp = stack
-	dstackPool.Put(sp)
-	return matched
+	return dst, st
 }
 
 // checkInvariants verifies structure; used by tests.

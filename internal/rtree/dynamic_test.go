@@ -39,7 +39,7 @@ func TestDynamicEmpty(t *testing.T) {
 	if d.Len() != 0 {
 		t.Errorf("Len = %d", d.Len())
 	}
-	if got := d.PointQuery(geometry.Point{1}); got != nil {
+	if got := query(d, geometry.Point{1}); got != nil {
 		t.Errorf("query on empty = %v", got)
 	}
 	if d.Delete(0, geometry.NewRect(0, 1)) {
@@ -67,12 +67,12 @@ func TestDynamicInsertQueryMatchesBrute(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		p := randomPoint(rng, 3)
-		got, want := d.PointQuery(p), bruteMatch(entries, p)
-		if !equalIDs(got, want) {
-			t.Fatalf("PointQuery(%v): %d ids, want %d", p, len(got), len(want))
+		got, st := d.MatchAppendStats(p, nil)
+		if want := bruteMatch(entries, p); !equalIDs(got, want) {
+			t.Fatalf("MatchAppendStats(%v): %d ids, want %d", p, len(got), len(want))
 		}
-		if d.CountQuery(p) != len(want) {
-			t.Fatalf("CountQuery mismatch at %v", p)
+		if st.Matched != len(got) || st.EntriesTested < st.Matched || st.LeavesVisited > st.NodesVisited {
+			t.Fatalf("MatchAppendStats(%v): inconsistent stats %+v for %d ids", p, st, len(got))
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestDynamicDelete(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		p := randomPoint(rng, 2)
-		if !equalIDs(d.PointQuery(p), bruteMatch(live, p)) {
+		if !equalIDs(query(d, p), bruteMatch(live, p)) {
 			t.Fatalf("post-delete mismatch at %v", p)
 		}
 	}
@@ -139,7 +139,7 @@ func TestDynamicDeleteToEmpty(t *testing.T) {
 	if err := d.Insert(entries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if d.CountQuery(entries[0].Rect.Center()) != 1 {
+	if len(query(d, entries[0].Rect.Center())) != 1 {
 		t.Error("reinsert after emptying lost the entry")
 	}
 }
@@ -184,7 +184,7 @@ func TestDynamicChurnOracle(t *testing.T) {
 		}
 		for q := 0; q < 30; q++ {
 			p := randomPoint(rng, 2)
-			if !equalIDs(d.PointQuery(p), bruteMatch(entries, p)) {
+			if !equalIDs(query(d, p), bruteMatch(entries, p)) {
 				return false
 			}
 		}
@@ -192,23 +192,6 @@ func TestDynamicChurnOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDynamicEarlyStop(t *testing.T) {
-	d := MustNewDynamic(4)
-	for i := 0; i < 30; i++ {
-		if err := d.Insert(Entry{Rect: geometry.NewRect(0, 1), ID: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	calls := 0
-	d.PointQueryFunc(geometry.Point{0.5}, func(int) bool {
-		calls++
-		return calls < 3
-	})
-	if calls != 3 {
-		t.Errorf("delivered %d", calls)
 	}
 }
 
@@ -235,8 +218,9 @@ func BenchmarkDynamicQuery(b *testing.B) {
 		}
 	}
 	p := randomPoint(rng, 4)
+	var dst []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.CountQuery(p)
+		dst, _ = d.MatchAppendStats(p, dst[:0])
 	}
 }

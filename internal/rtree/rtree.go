@@ -222,103 +222,20 @@ func (t *Tree) Bounds() geometry.Rect {
 	return t.root.mbr.Clone()
 }
 
-// QueryStats reports traversal effort for one query.
-type QueryStats struct {
-	NodesVisited   int
-	LeavesVisited  int
-	EntriesTested  int
-	ResultsMatched int
-}
-
-// PointQuery returns the IDs of every rectangle containing p.
-func (t *Tree) PointQuery(p geometry.Point) []int {
-	ids, _ := t.PointQueryStats(p)
-	return ids
-}
-
-// PointQueryFunc streams matching IDs to fn; return false to stop early.
-func (t *Tree) PointQueryFunc(p geometry.Point, fn func(id int) bool) {
-	if t.root == nil {
-		return
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	*sp = t.flat.PointFunc(p, *sp, &st, fn)
-	flat.PutStack(sp)
-}
-
-// PointQueryAppend appends the IDs of every rectangle containing p to dst
-// and returns it. It performs no allocation beyond growing dst.
+// MatchAppendStats appends the IDs of every rectangle containing p to
+// dst, in walk order, and returns it with the walk's effort counters. It
+// performs no allocation beyond growing dst.
 //
 //pubsub:hotpath
-func (t *Tree) PointQueryAppend(p geometry.Point, dst []int) []int {
-	if t.root == nil {
-		return dst
-	}
+func (t *Tree) MatchAppendStats(p geometry.Point, dst []int) ([]int, flat.Stats) {
 	var st flat.Stats
+	if t.flat == nil {
+		return dst, st
+	}
 	sp := flat.GetStack()
 	dst, *sp = t.flat.PointAppend(p, dst, *sp, &st)
 	flat.PutStack(sp)
-	return dst
-}
-
-// PointQueryAppendStats is PointQueryAppend with traversal statistics.
-func (t *Tree) PointQueryAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	var stats QueryStats
-	if t.root == nil {
-		return dst, stats
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	dst, *sp = t.flat.PointAppend(p, dst, *sp, &st)
-	flat.PutStack(sp)
-	return dst, queryStats(st)
-}
-
-// CountQuery returns the number of rectangles containing p. It does not
-// allocate.
-func (t *Tree) CountQuery(p geometry.Point) int {
-	if t.root == nil {
-		return 0
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	count, stack := t.flat.PointCount(p, *sp, &st)
-	*sp = stack
-	flat.PutStack(sp)
-	return count
-}
-
-func queryStats(st flat.Stats) QueryStats {
-	return QueryStats{
-		NodesVisited:   st.NodesVisited,
-		LeavesVisited:  st.LeavesVisited,
-		EntriesTested:  st.EntriesTested,
-		ResultsMatched: st.Matched,
-	}
-}
-
-// PointQueryStats is PointQuery with traversal statistics.
-func (t *Tree) PointQueryStats(p geometry.Point) ([]int, QueryStats) {
-	var ids []int
-	stats := t.PointQueryFuncStats(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, stats
-}
-
-// PointQueryFuncStats is PointQueryFunc with traversal statistics: it
-// streams matching IDs to fn and returns the per-query effort counters.
-func (t *Tree) PointQueryFuncStats(p geometry.Point, fn func(id int) bool) QueryStats {
-	if t.root == nil {
-		return QueryStats{}
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	*sp = t.flat.PointFunc(p, *sp, &st, fn)
-	flat.PutStack(sp)
-	return queryStats(st)
+	return dst, st
 }
 
 // TreeStats describes the packed tree's shape.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 )
 
@@ -38,6 +39,14 @@ func bruteMatch(entries []Entry, p geometry.Point) []int {
 			ids = append(ids, e.ID)
 		}
 	}
+	return ids
+}
+
+// query returns the ids m reports for p.
+func query(m interface {
+	MatchAppendStats(geometry.Point, []int) ([]int, flat.Stats)
+}, p geometry.Point) []int {
+	ids, _ := m.MatchAppendStats(p, nil)
 	return ids
 }
 
@@ -136,11 +145,11 @@ func TestBuildValidation(t *testing.T) {
 
 func TestEmptyAndZeroTree(t *testing.T) {
 	var zero Tree
-	if got := zero.PointQuery(geometry.Point{1}); got != nil {
+	if got := query(&zero, geometry.Point{1}); got != nil {
 		t.Errorf("zero tree query = %v", got)
 	}
 	tr := MustBuild(nil, Options{})
-	if tr.Len() != 0 || tr.Bounds() != nil || tr.CountQuery(geometry.Point{1}) != 0 {
+	if tr.Len() != 0 || tr.Bounds() != nil || query(tr, geometry.Point{1}) != nil {
 		t.Error("empty tree misbehaves")
 	}
 }
@@ -164,9 +173,9 @@ func TestPointQueryMatchesBruteForce(t *testing.T) {
 			tr := MustBuild(entries, Options{BranchFactor: tt.m})
 			for i := 0; i < 200; i++ {
 				p := randomPoint(rng, tt.dims)
-				got, want := tr.PointQuery(p), bruteMatch(entries, p)
+				got, want := query(tr, p), bruteMatch(entries, p)
 				if !equalIDs(got, want) {
-					t.Fatalf("PointQuery(%v) = %v, want %v", p, got, want)
+					t.Fatalf("MatchAppendStats(%v) = %v, want %v", p, got, want)
 				}
 			}
 		})
@@ -207,29 +216,13 @@ func TestTreeIsBalanced(t *testing.T) {
 	}
 }
 
-func TestEarlyStop(t *testing.T) {
-	entries := make([]Entry, 50)
-	for i := range entries {
-		entries[i] = Entry{Rect: geometry.NewRect(0, 1, 0, 1), ID: i}
-	}
-	tr := MustBuild(entries, Options{BranchFactor: 4})
-	calls := 0
-	tr.PointQueryFunc(geometry.Point{0.5, 0.5}, func(int) bool {
-		calls++
-		return calls < 5
-	})
-	if calls != 5 {
-		t.Errorf("delivered %d, want 5", calls)
-	}
-}
-
 func TestQueryStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	entries := randomEntries(rng, 1000, 2)
 	tr := MustBuild(entries, Options{BranchFactor: 10})
 	p := randomPoint(rng, 2)
-	ids, qs := tr.PointQueryStats(p)
-	if qs.ResultsMatched != len(ids) || qs.EntriesTested < len(ids) {
+	ids, qs := tr.MatchAppendStats(p, nil)
+	if qs.Matched != len(ids) || qs.EntriesTested < len(ids) {
 		t.Errorf("inconsistent stats %+v for %d results", qs, len(ids))
 	}
 	if qs.EntriesTested >= len(entries) {
@@ -247,7 +240,7 @@ func TestPropMatchesBruteForce(t *testing.T) {
 		entries := randomEntries(rng, n, dims)
 		tr := MustBuild(entries, Options{BranchFactor: m})
 		p := randomPoint(rng, dims)
-		return equalIDs(tr.PointQuery(p), bruteMatch(entries, p))
+		return equalIDs(query(tr, p), bruteMatch(entries, p))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -281,8 +274,9 @@ func BenchmarkPointQuery1000x4(b *testing.B) {
 	entries := randomEntries(rng, 1000, 4)
 	tr := MustBuild(entries, Options{})
 	p := randomPoint(rng, 4)
+	var dst []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.CountQuery(p)
+		dst, _ = tr.MatchAppendStats(p, dst[:0])
 	}
 }

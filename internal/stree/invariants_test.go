@@ -59,7 +59,7 @@ func TestInvariantsUnboundedRects(t *testing.T) {
 				want++
 			}
 		}
-		if got := tr.CountQuery(p); got != want {
+		if got := len(query(tr, p)); got != want {
 			t.Fatalf("query %v: got %d matches, want %d", p, got, want)
 		}
 	}

@@ -533,113 +533,22 @@ func (t *Tree) Bounds() geometry.Rect {
 	return t.root.mbr.Clone()
 }
 
-// PointQuery returns the IDs of every subscription rectangle containing p,
-// in unspecified order. This is the paper's matching operation.
-func (t *Tree) PointQuery(p geometry.Point) []int {
-	var ids []int
-	t.PointQueryFunc(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids
-}
-
-// PointQueryFunc streams the IDs of matching subscriptions to fn. Return
-// false from fn to stop the query early.
-func (t *Tree) PointQueryFunc(p geometry.Point, fn func(id int) bool) {
-	if t.root == nil {
-		return
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	*sp = t.flat.PointFunc(p, *sp, &st, fn)
-	flat.PutStack(sp)
-}
-
-// PointQueryAppend appends the IDs of every subscription rectangle
-// containing p to dst and returns it. It performs no allocation beyond
-// growing dst.
+// MatchAppendStats is the paper's matching operation: it appends the IDs
+// of every subscription rectangle containing p to dst, in walk order, and
+// returns it with the walk's effort counters (the paper: "the choice of
+// tree packing influences the number of node pages which need to be
+// examined"). It performs no allocation beyond growing dst.
 //
 //pubsub:hotpath
-func (t *Tree) PointQueryAppend(p geometry.Point, dst []int) []int {
-	if t.root == nil {
-		return dst
-	}
+func (t *Tree) MatchAppendStats(p geometry.Point, dst []int) ([]int, flat.Stats) {
 	var st flat.Stats
+	if t.flat == nil {
+		return dst, st
+	}
 	sp := flat.GetStack()
 	dst, *sp = t.flat.PointAppend(p, dst, *sp, &st)
 	flat.PutStack(sp)
-	return dst
-}
-
-// PointQueryAppendStats is PointQueryAppend with traversal statistics.
-func (t *Tree) PointQueryAppendStats(p geometry.Point, dst []int) ([]int, QueryStats) {
-	var stats QueryStats
-	if t.root == nil {
-		return dst, stats
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	dst, *sp = t.flat.PointAppend(p, dst, *sp, &st)
-	flat.PutStack(sp)
-	return dst, queryStats(st)
-}
-
-// CountQuery returns the number of subscriptions matching p without
-// materialising the ID list. It does not allocate.
-func (t *Tree) CountQuery(p geometry.Point) int {
-	if t.root == nil {
-		return 0
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	count, stack := t.flat.PointCount(p, *sp, &st)
-	*sp = stack
-	flat.PutStack(sp)
-	return count
-}
-
-func queryStats(st flat.Stats) QueryStats {
-	return QueryStats{
-		NodesVisited:   st.NodesVisited,
-		LeavesVisited:  st.LeavesVisited,
-		EntriesTested:  st.EntriesTested,
-		ResultsMatched: st.Matched,
-	}
-}
-
-// QueryStats reports traversal effort for a single query, for evaluating
-// packing quality (the paper: "the choice of tree packing influences the
-// number of node pages which need to be examined").
-type QueryStats struct {
-	NodesVisited   int // tree nodes whose MBR was tested and entered
-	LeavesVisited  int // leaves among them
-	EntriesTested  int // leaf records compared against the point
-	ResultsMatched int
-}
-
-// PointQueryStats is PointQuery with traversal statistics.
-func (t *Tree) PointQueryStats(p geometry.Point) ([]int, QueryStats) {
-	var ids []int
-	stats := t.PointQueryFuncStats(p, func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, stats
-}
-
-// PointQueryFuncStats is PointQueryFunc with traversal statistics: it
-// streams matching IDs to fn and returns the per-query effort counters.
-// This is the allocation-free form used by instrumented brokers.
-func (t *Tree) PointQueryFuncStats(p geometry.Point, fn func(id int) bool) QueryStats {
-	if t.root == nil {
-		return QueryStats{}
-	}
-	var st flat.Stats
-	sp := flat.GetStack()
-	*sp = t.flat.PointFunc(p, *sp, &st, fn)
-	flat.PutStack(sp)
-	return queryStats(st)
+	return dst, st
 }
 
 // RegionQuery returns the IDs of every subscription rectangle intersecting

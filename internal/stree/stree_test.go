@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 )
 
@@ -29,6 +30,12 @@ func randomPoint(rng *rand.Rand, dims int) geometry.Point {
 		p[d] = rng.Float64() * 100
 	}
 	return p
+}
+
+// query returns the ids tr reports for p.
+func query(tr *Tree, p geometry.Point) []int {
+	ids, _ := tr.MatchAppendStats(p, nil)
+	return ids
 }
 
 // bruteMatch is the correctness oracle.
@@ -100,18 +107,15 @@ func TestBuildValidation(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := MustBuild(nil, Options{})
-	if got := tr.PointQuery(geometry.Point{1, 2}); got != nil {
-		t.Errorf("empty tree PointQuery = %v, want nil", got)
-	}
-	if got := tr.CountQuery(geometry.Point{1, 2}); got != 0 {
-		t.Errorf("empty tree CountQuery = %d, want 0", got)
+	if got, st := tr.MatchAppendStats(geometry.Point{1, 2}, nil); got != nil || st != (flat.Stats{}) {
+		t.Errorf("empty tree MatchAppendStats = %v %+v, want nil and no effort", got, st)
 	}
 	if tr.Len() != 0 || tr.Bounds() != nil {
 		t.Errorf("empty tree Len=%d Bounds=%v", tr.Len(), tr.Bounds())
 	}
 	var zero Tree
-	if got := zero.PointQuery(geometry.Point{1}); got != nil {
-		t.Errorf("zero-value tree PointQuery = %v, want nil", got)
+	if got := query(&zero, geometry.Point{1}); got != nil {
+		t.Errorf("zero-value tree MatchAppendStats = %v, want nil", got)
 	}
 }
 
@@ -127,7 +131,7 @@ func TestSingleLeafTree(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		p := randomPoint(rand.New(rand.NewSource(int64(i))), 2)
-		if !equalIDs(tr.PointQuery(p), bruteMatch(entries, p)) {
+		if !equalIDs(query(tr, p), bruteMatch(entries, p)) {
 			t.Fatalf("mismatch vs brute force at %v", p)
 		}
 	}
@@ -160,12 +164,12 @@ func TestPointQueryMatchesBruteForce(t *testing.T) {
 			}
 			for i := 0; i < 200; i++ {
 				p := randomPoint(rng, tt.dims)
-				got, want := tr.PointQuery(p), bruteMatch(entries, p)
-				if !equalIDs(got, want) {
-					t.Fatalf("PointQuery(%v) = %v, want %v", p, got, want)
+				got, st := tr.MatchAppendStats(p, nil)
+				if want := bruteMatch(entries, p); !equalIDs(got, want) {
+					t.Fatalf("MatchAppendStats(%v) = %v, want %v", p, got, want)
 				}
-				if c := tr.CountQuery(p); c != len(want) {
-					t.Fatalf("CountQuery(%v) = %d, want %d", p, c, len(want))
+				if st.Matched != len(got) {
+					t.Fatalf("MatchAppendStats(%v).Matched = %d, want %d", p, st.Matched, len(got))
 				}
 			}
 		})
@@ -181,7 +185,7 @@ func TestPointQueryOnEntryCenters(t *testing.T) {
 	for _, e := range entries {
 		c := e.Rect.Center()
 		found := false
-		for _, id := range tr.PointQuery(c) {
+		for _, id := range query(tr, c) {
 			if id == e.ID {
 				found = true
 				break
@@ -211,24 +215,6 @@ func TestRegionQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestPointQueryFuncEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	entries := make([]Entry, 100)
-	for i := range entries {
-		entries[i] = Entry{Rect: geometry.NewRect(0, 10, 0, 10), ID: i} // all identical
-	}
-	_ = rng
-	tr := MustBuild(entries, Options{BranchFactor: 4})
-	calls := 0
-	tr.PointQueryFunc(geometry.Point{5, 5}, func(id int) bool {
-		calls++
-		return calls < 3
-	})
-	if calls != 3 {
-		t.Errorf("early stop delivered %d results, want 3", calls)
-	}
-}
-
 func TestUnboundedRectangles(t *testing.T) {
 	// Paper-style predicates: volume >= 1000 has no upper bound.
 	entries := []Entry{
@@ -252,7 +238,7 @@ func TestUnboundedRectangles(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		p := geometry.Point{rng.Float64() * 2500, rng.Float64() * 120}
-		if !equalIDs(tr.PointQuery(p), bruteMatch(entries, p)) {
+		if !equalIDs(query(tr, p), bruteMatch(entries, p)) {
 			t.Fatalf("mismatch vs brute force at %v", p)
 		}
 	}
@@ -268,7 +254,7 @@ func TestDuplicateRectangles(t *testing.T) {
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.PointQuery(geometry.Point{1.5, 1.5})
+	got := query(tr, geometry.Point{1.5, 1.5})
 	if len(got) != 64 {
 		t.Fatalf("got %d matches, want 64", len(got))
 	}
@@ -298,9 +284,9 @@ func TestQueryStatsAccounting(t *testing.T) {
 	entries := randomEntries(rng, 1000, 2)
 	tr := MustBuild(entries, Options{BranchFactor: 10})
 	p := randomPoint(rng, 2)
-	ids, qs := tr.PointQueryStats(p)
-	if qs.ResultsMatched != len(ids) {
-		t.Errorf("ResultsMatched = %d, want %d", qs.ResultsMatched, len(ids))
+	ids, qs := tr.MatchAppendStats(p, nil)
+	if qs.Matched != len(ids) {
+		t.Errorf("Matched = %d, want %d", qs.Matched, len(ids))
 	}
 	if qs.NodesVisited == 0 {
 		t.Error("NodesVisited = 0, want > 0")
@@ -350,7 +336,7 @@ func TestPropInvariantsAcrossShapes(t *testing.T) {
 			return false
 		}
 		p := randomPoint(rng, dims)
-		return equalIDs(tr.PointQuery(p), bruteMatch(entries, p))
+		return equalIDs(query(tr, p), bruteMatch(entries, p))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -384,9 +370,10 @@ func BenchmarkPointQuery1000x4(b *testing.B) {
 	entries := randomEntries(rng, 1000, 4)
 	tr := MustBuild(entries, Options{})
 	p := randomPoint(rng, 4)
+	var dst []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.CountQuery(p)
+		dst, _ = tr.MatchAppendStats(p, dst[:0])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/flat"
 	"repro/internal/stree"
 	"repro/internal/workload"
 )
@@ -20,10 +21,10 @@ func TestStockTraversalCounts(t *testing.T) {
 	ring := workload.MustStockPublications(9).SampleN(rand.New(rand.NewSource(3)), 1024)
 	for _, c := range []struct {
 		subs int
-		want stree.QueryStats
+		want flat.Stats
 	}{
-		{1_000, stree.QueryStats{NodesVisited: 15_368, LeavesVisited: 14_717, EntriesTested: 374_671, ResultsMatched: 15_284}},
-		{10_000, stree.QueryStats{NodesVisited: 143_000, LeavesVisited: 135_380, EntriesTested: 3_336_866, ResultsMatched: 150_634}},
+		{1_000, flat.Stats{NodesVisited: 15_368, LeavesVisited: 14_717, EntriesTested: 374_671, Matched: 15_284}},
+		{10_000, flat.Stats{NodesVisited: 143_000, LeavesVisited: 135_380, EntriesTested: 3_336_866, Matched: 150_634}},
 	} {
 		cfg := workload.DefaultSubscriptionConfig()
 		cfg.Count = c.subs
@@ -37,28 +38,15 @@ func TestStockTraversalCounts(t *testing.T) {
 		}
 		tree := stree.MustBuild(entries, stree.Options{})
 
-		var appendSum, funcSum stree.QueryStats
+		var sum flat.Stats
 		var dst []int
 		for _, p := range ring {
-			var st stree.QueryStats
-			dst, st = tree.PointQueryAppendStats(p, dst[:0])
-			appendSum = add(appendSum, st)
-			funcSum = add(funcSum, tree.PointQueryFuncStats(p, func(int) bool { return true }))
+			var st flat.Stats
+			dst, st = tree.MatchAppendStats(p, dst[:0])
+			sum.Add(st)
 		}
-		if appendSum != c.want {
-			t.Errorf("%d subscriptions: PointQueryAppendStats summed over %d points = %+v, want %+v", c.subs, len(ring), appendSum, c.want)
+		if sum != c.want {
+			t.Errorf("%d subscriptions: MatchAppendStats summed over %d points = %+v, want %+v", c.subs, len(ring), sum, c.want)
 		}
-		if funcSum != c.want {
-			t.Errorf("%d subscriptions: PointQueryFuncStats summed over %d points = %+v, want %+v", c.subs, len(ring), funcSum, c.want)
-		}
-	}
-}
-
-func add(a, b stree.QueryStats) stree.QueryStats {
-	return stree.QueryStats{
-		NodesVisited:   a.NodesVisited + b.NodesVisited,
-		LeavesVisited:  a.LeavesVisited + b.LeavesVisited,
-		EntriesTested:  a.EntriesTested + b.EntriesTested,
-		ResultsMatched: a.ResultsMatched + b.ResultsMatched,
 	}
 }

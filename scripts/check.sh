@@ -10,7 +10,7 @@
 #                       overflow table, connection script — at -cpu 1,2,4, and 10-second fuzzes of
 #                       the grouped event decoder, the id-list encoder, the flat point queries and
 #                       the S-tree packing against its reference builder)
-#   4. invariant tests  go test -tags=invariants over the flat/index/geometry packages
+#   4. invariant tests  go test -tags=invariants over the flat/index/geometry/match packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
 #   7. ledger smoke     bench/ harness tests + 1-second stock, selective, churn, durable and wire workloads through its oracle
@@ -34,7 +34,7 @@ go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
 go test ./internal/stree -run '^$' -fuzz '^FuzzBuildEquivalence$' -fuzztime 10s
 
 echo "==> structural invariants (-tags=invariants)"
-go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/geometry/...
+go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/geometry/... ./internal/match/... ./internal/predindex/...
 
 echo "==> metrics endpoint smoke"
 ./scripts/metrics_smoke.sh
