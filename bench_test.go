@@ -2,14 +2,15 @@
 // index) plus micro-benchmarks of the core data structures. The bench
 // harness that prints the actual figures/tables is cmd/pubsub-bench;
 // these testing.B entries time the same code paths and report the key
-// quality metrics via b.ReportMetric.
+// quality metrics via b.ReportMetric. Broker throughput and latency are
+// measured by the performance ledger (bash bench/run.sh); the publish
+// path's zero-allocation contract is held by
+// TestPublishZeroAllocSteadyState in internal/broker.
 package pubsub_test
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	pubsub "repro"
 	"repro/internal/cluster"
@@ -252,86 +253,6 @@ func BenchmarkClusterAlgos(b *testing.B) {
 	}
 }
 
-// settleRebuild waits for the broker's background index rebuild to fold
-// the subscribe burst into the packed base, so publish benchmarks time
-// the steady-state path rather than the overlay scan.
-func settleRebuild(b *testing.B, br *pubsub.Broker) {
-	b.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for br.Stats().IndexRebuilds == 0 {
-		if time.Now().After(deadline) {
-			b.Fatal("index rebuild did not complete")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// BenchmarkBrokerPublish measures the embeddable broker's publish path
-// with 1000 live subscriptions.
-func BenchmarkBrokerPublish(b *testing.B) {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{}, experiment.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	br := pubsub.NewBroker(pubsub.BrokerOptions{DefaultBuffer: 1})
-	defer br.Close()
-	for _, s := range tb.Subs {
-		if _, err := br.Subscribe(s.Rect); err != nil {
-			b.Fatal(err)
-		}
-	}
-	settleRebuild(b, br)
-	model := workload.MustStockPublications(9)
-	rng := rand.New(rand.NewSource(5))
-	events := make([]pubsub.Point, 1024)
-	for i := range events {
-		events[i] = model.Sample(rng)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := br.Publish(events[i%len(events)], nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPublishParallel measures publish scalability across
-// goroutines: under the snapshot design the match path takes no lock, so
-// throughput should grow with GOMAXPROCS rather than serialize on a
-// broker-wide read lock.
-func BenchmarkPublishParallel(b *testing.B) {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{}, experiment.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	br := pubsub.NewBroker(pubsub.BrokerOptions{DefaultBuffer: 1})
-	defer br.Close()
-	for _, s := range tb.Subs {
-		if _, err := br.Subscribe(s.Rect); err != nil {
-			b.Fatal(err)
-		}
-	}
-	settleRebuild(b, br)
-	model := workload.MustStockPublications(9)
-	rng := rand.New(rand.NewSource(5))
-	events := make([]pubsub.Point, 1024)
-	for i := range events {
-		events[i] = model.Sample(rng)
-	}
-	var next atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			if _, err := br.Publish(events[i%uint64(len(events))], nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func float64Name(f float64) string {
 	switch f {
 	case 0.1:
@@ -354,69 +275,4 @@ func intName(m int) string {
 		return "M=128"
 	}
 	return "M"
-}
-
-// BenchmarkBrokerChurn measures subscribe+cancel cycles against a
-// populated broker.
-func BenchmarkBrokerChurn(b *testing.B) {
-	br := pubsub.NewBroker(pubsub.BrokerOptions{})
-	defer br.Close()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		lo := rng.Float64() * 90
-		if _, err := br.Subscribe(pubsub.NewRect(lo, lo+10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := rng.Float64() * 90
-		s, err := br.Subscribe(pubsub.NewRect(lo, lo+10))
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Cancel()
-	}
-}
-
-// BenchmarkPublish measures the publish hot path with telemetry off
-// (must match the bare path exactly — the disabled checks are single
-// nil tests) and with a live metrics registry attached (<5% budget).
-func BenchmarkPublish(b *testing.B) {
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{}, experiment.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := workload.MustStockPublications(9)
-	rng := rand.New(rand.NewSource(5))
-	events := make([]pubsub.Point, 1024)
-	for i := range events {
-		events[i] = model.Sample(rng)
-	}
-	for _, mode := range []struct {
-		name string
-		reg  *pubsub.MetricsRegistry
-	}{
-		{name: "disabled", reg: nil},
-		{name: "metrics", reg: pubsub.NewMetricsRegistry()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			br := pubsub.NewBroker(pubsub.BrokerOptions{DefaultBuffer: 1, Metrics: mode.reg})
-			defer br.Close()
-			for _, s := range tb.Subs {
-				if _, err := br.Subscribe(s.Rect); err != nil {
-					b.Fatal(err)
-				}
-			}
-			settleRebuild(b, br)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := br.Publish(events[i%len(events)], nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

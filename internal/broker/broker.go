@@ -656,7 +656,7 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed.Load() {
-		return nil, fmt.Errorf("broker: closed")
+		return nil, errClosed
 	}
 	buffer := opts.Buffer
 	if buffer == 0 {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/geometry"
+	"repro/internal/workload"
 )
 
 // waitGoroutines polls until the live goroutine count drops back to at
@@ -216,40 +218,88 @@ func TestCloseDuringRebuild(t *testing.T) {
 		if _, err := b.Publish(geometry.Point{50}, nil); !errors.Is(err, errClosed) {
 			t.Fatalf("publish after close: err = %v, want errClosed", err)
 		}
+		if _, err := b.Subscribe(geometry.NewRect(0, 1)); !errors.Is(err, errClosed) {
+			t.Fatalf("subscribe after close: err = %v, want errClosed", err)
+		}
 	}
 	waitGoroutines(t, before)
 }
 
-// TestPublishZeroAllocSteadyState locks in the PR's headline property:
+// TestPublishZeroAllocSteadyState locks in the publish path's contract:
 // with telemetry disabled, a steady-state publish (index rebuilt, scratch
 // pools warm, all DropNewest buffers saturated) performs zero heap
 // allocations, even with a payload attached — the clone is deferred until
-// a send actually happens.
+// a send actually happens. It runs on two populations: 100 identical 1-D
+// rectangles, and the paper's 1 000-subscription stock testbed (4-D, a
+// multi-level S-tree) under the stock publication model.
 func TestPublishZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	b := New(Options{MinOverlay: 4})
+	t.Run("narrow", func(t *testing.T) {
+		rects := make([]geometry.Rect, 100)
+		for i := range rects {
+			rects[i] = geometry.NewRect(40, 60)
+		}
+		assertPublishZeroAlloc(t, Options{MinOverlay: 4}, rects, []geometry.Point{{50}})
+	})
+	t.Run("stock", func(t *testing.T) {
+		tb, err := experiment.NewTestbed(experiment.TestbedConfig{}, experiment.DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rects := make([]geometry.Rect, len(tb.Subs))
+		for i, s := range tb.Subs {
+			rects[i] = s.Rect
+		}
+		model := workload.MustStockPublications(9)
+		rng := rand.New(rand.NewSource(5))
+		points := make([]geometry.Point, 1024)
+		for i := range points {
+			points[i] = model.Sample(rng)
+		}
+		assertPublishZeroAlloc(t, Options{}, rects, points)
+	})
+}
+
+// assertPublishZeroAlloc subscribes one Buffer-1 subscription per
+// rectangle, waits until the background rebuilds have settled, publishes
+// every point once so each subscription any of them reaches is saturated,
+// and then requires that cycling through the points again allocates
+// nothing.
+func assertPublishZeroAlloc(t *testing.T, opts Options, rects []geometry.Rect, points []geometry.Point) {
+	t.Helper()
+	b := New(opts)
 	defer b.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, geometry.NewRect(40, 60)); err != nil {
+	for _, r := range rects {
+		if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitRebuilds(t, b, 1)
-	p := geometry.Point{50}
+	waitSettled(t, b)
 	payload := []byte("tick")
-	// Saturate every buffer; from here on DropNewest fast-drops without
-	// materializing the event.
-	if n, err := b.Publish(p, payload); err != nil || n != 100 {
-		t.Fatalf("fill publish: n=%d err=%v", n, err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := b.Publish(p, payload); err != nil {
+	// Saturate every reachable buffer; from here on DropNewest fast-drops
+	// without materializing the event.
+	matched := 0
+	for _, p := range points {
+		n, err := b.Publish(p, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
+		matched += n
+	}
+	if matched == 0 {
+		t.Fatal("fill publishes matched no subscription")
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(points)+200, func() {
+		if _, err := b.Publish(points[next%len(points)], payload); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Publish allocates %.1f times per op, want 0", allocs)
+		t.Errorf("steady-state Publish allocates %.2f times per op, want 0", allocs)
 	}
 }

@@ -18,8 +18,7 @@ const maxProfileDims = 32
 // independent atomics: a reader can pair counts from slightly
 // different instants, which introspection tolerates.
 type dimAccum struct {
-	seen    atomic.Int64 // live rects whose rectangle reaches this dim
-	bounded atomic.Int64 // of those, with both endpoints finite
+	bounded atomic.Int64 // live rects with both endpoints of this dim finite
 	// widthBits is a CAS-maintained float64 sum of bounded interval
 	// widths; Cancel subtracts, so it tracks the live population.
 	widthBits atomic.Uint64
@@ -78,7 +77,6 @@ func (sp *selProfile) addRect(r geometry.Rect) {
 	}
 	for d := 0; d < n; d++ {
 		a := &sp.dims[d]
-		a.seen.Add(1)
 		iv := r[d]
 		if math.IsInf(iv.Lo, -1) || math.IsInf(iv.Hi, 1) {
 			continue
@@ -100,7 +98,6 @@ func (sp *selProfile) removeRect(r geometry.Rect) {
 	}
 	for d := 0; d < n; d++ {
 		a := &sp.dims[d]
-		a.seen.Add(-1)
 		iv := r[d]
 		if math.IsInf(iv.Lo, -1) || math.IsInf(iv.Hi, 1) {
 			continue

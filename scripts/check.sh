@@ -7,13 +7,12 @@
 #   1. build            go build ./...
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
 #   3. race tests       go test -race ./...  (+ the WAL at -cpu 1,2, the broker and the wire — sink
-#                       overflow table, connection script — at -cpu 1,2,4, and 10-second fuzzes of
-#                       the grouped event decoder, the id-list encoder, the flat point queries and
-#                       the S-tree packing against its reference builder)
+#                       overflow table, connection script — at -cpu 1,2,4, every benchmark once, and
+#                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
+#                       point queries and the S-tree packing against its reference builder)
 #   4. invariant tests  go test -tags=invariants over the flat/index/geometry/match packages
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
-#   6. bench guard      publish benchmark + zero-alloc gate (summary to a scratch file)
-#   7. ledger smoke     bench/ harness tests + 1-second stock, selective, churn, durable and wire workloads through its oracle
+#   6. ledger smoke     bench/ harness tests + 1-second stock, selective, churn, durable and wire workloads through its oracle
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +27,7 @@ echo "==> tests (race)"
 go test -race ./...
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
+go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
@@ -38,11 +38,6 @@ go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtr
 
 echo "==> metrics endpoint smoke"
 ./scripts/metrics_smoke.sh
-
-echo "==> publish benchmark guard"
-scratch="$(mktemp -d)"
-trap 'rm -rf "${scratch}"' EXIT
-./scripts/bench_guard.sh "${scratch}/bench_guard.json"
 
 echo "==> performance ledger: harness tests + workload smokes"
 (cd bench && go test ./...)
