@@ -16,7 +16,12 @@
 //   - channel send or receive outside a select with a default clause
 //   - select without a default clause
 //   - range over a channel
-//   - time.Sleep, (*sync.WaitGroup).Wait, (*sync.Cond).Wait
+//   - time.Sleep, (*sync.WaitGroup).Wait, and (*sync.Cond).Wait while
+//     any lock but the cond's own Locker is held: Wait releases that
+//     one, so waiting under it alone is clean. The Locker is found
+//     where the cond is made, x.c = sync.NewCond(&x.mu) or
+//     c := sync.NewCond(&mu), in the same package; a cond made any
+//     other way counts as blocking under every lock.
 //   - Read/Write/ReadFrom/WriteTo on interface values (io.Reader,
 //     io.Writer, net.Conn, ...) and io.ReadFull/io.Copy/io.CopyN:
 //     behind an interface may sit a network peer
@@ -93,6 +98,17 @@ type checker struct {
 	// description of why they block, for call-site messages.
 	blockingFns map[*types.Func]string
 	decls       map[*types.Func]*ast.FuncDecl
+	// condLocks maps a sync.Cond field or variable to its Locker.
+	condLocks map[types.Object]condLock
+}
+
+// condLock is a cond's Locker as a lock-set key. For a cond held in a
+// field it is relative to the same base: x.c = sync.NewCond(&x.mu)
+// gives ".mu", so s.c.Wait() releases "s.mu". For a variable it is the
+// lock expression itself.
+type condLock struct {
+	rel  bool
+	expr string
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -100,8 +116,10 @@ func run(pass *analysis.Pass) (any, error) {
 		pass:        pass,
 		blockingFns: map[*types.Func]string{},
 		decls:       map[*types.Func]*ast.FuncDecl{},
+		condLocks:   map[types.Object]condLock{},
 	}
 	for _, f := range pass.Files {
+		c.collectConds(f)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -310,14 +328,100 @@ func (c *checker) scanGeneric(n ast.Node, held lockSet) {
 	})
 }
 
-// call flags a single call expression if its callee blocks.
+// call flags a single call expression if its callee blocks. A
+// Cond.Wait is judged against the locks held besides the one it
+// releases.
 func (c *checker) call(call *ast.CallExpr, held lockSet) {
 	if len(held) == 0 {
 		return
 	}
+	if own, ok := c.condWaitLock(call); ok {
+		if _, holds := held[own]; holds {
+			rest := make(lockSet, len(held))
+			for k, v := range held {
+				if k != own {
+					rest[k] = v
+				}
+			}
+			held = rest
+		}
+	}
 	if why := c.blockingCallDesc(call); why != "" {
 		c.flagIfHeld(call.Pos(), why, held)
 	}
+}
+
+// collectConds records the Locker of every cond made by an assignment
+// from sync.NewCond in f.
+func (c *checker) collectConds(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				continue
+			}
+			if fn := c.calleeFunc(call); fn == nil || fn.FullName() != "sync.NewCond" {
+				continue
+			}
+			locker := ast.Unparen(call.Args[0])
+			if u, ok := locker.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				locker = u.X
+			}
+			expr := exprString(c.pass.Fset, locker)
+			switch lhs := ast.Unparen(as.Lhs[i]).(type) {
+			case *ast.SelectorExpr:
+				if obj := c.pass.TypesInfo.Uses[lhs.Sel]; obj != nil {
+					base := exprString(c.pass.Fset, lhs.X)
+					if rel, ok := strings.CutPrefix(expr, base); ok && strings.HasPrefix(rel, ".") {
+						c.condLocks[obj] = condLock{rel: true, expr: rel}
+					} else {
+						c.condLocks[obj] = condLock{expr: expr}
+					}
+				}
+			case *ast.Ident:
+				obj := c.pass.TypesInfo.Defs[lhs]
+				if obj == nil {
+					obj = c.pass.TypesInfo.Uses[lhs]
+				}
+				if obj != nil {
+					c.condLocks[obj] = condLock{expr: expr}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// condWaitLock returns the lock-set key of the Locker a Cond.Wait call
+// releases, if the call is one and its cond's Locker is known.
+func (c *checker) condWaitLock(call *ast.CallExpr) (string, bool) {
+	fn := c.calleeFunc(call)
+	if fn == nil || fn.FullName() != "(*sync.Cond).Wait" {
+		return "", false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	switch recv := ast.Unparen(sel.X).(type) {
+	case *ast.SelectorExpr:
+		cl, ok := c.condLocks[c.pass.TypesInfo.Uses[recv.Sel]]
+		if !ok {
+			return "", false
+		}
+		if cl.rel {
+			return exprString(c.pass.Fset, recv.X) + cl.expr, true
+		}
+		return cl.expr, true
+	case *ast.Ident:
+		cl, ok := c.condLocks[c.pass.TypesInfo.Uses[recv]]
+		return cl.expr, ok && !cl.rel
+	}
+	return "", false
 }
 
 // blockingCallDesc classifies one call as blocking, returning a human

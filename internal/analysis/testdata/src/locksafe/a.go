@@ -190,3 +190,59 @@ func (p *pump) callsLockedHelperUnderLock() error {
 	defer p.mu.Unlock()
 	return p.syncLocked() // the caller's lock is this one: no diagnostic
 }
+
+// A Cond.Wait releases its own Locker while it waits, so waiting under
+// that lock alone is clean; any other lock held across it is not
+// released, and the wait is flagged naming that lock.
+type gate struct {
+	mu    sync.Mutex
+	other sync.Mutex
+	cond  *sync.Cond
+	open  bool
+}
+
+func newGate() *gate {
+	g := &gate{}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *gate) waitUnderOwnLock() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for !g.open {
+		g.cond.Wait() // releases g.mu, the only lock held: no diagnostic
+	}
+}
+
+func (g *gate) waitHoldingAnotherLockToo() {
+	g.other.Lock()
+	defer g.other.Unlock()
+	g.mu.Lock()
+	for !g.open {
+		g.cond.Wait() // want `locksafe: call to Cond\.Wait while g\.other is held`
+	}
+	g.mu.Unlock()
+}
+
+func (g *gate) waitUnderADifferentLock() {
+	g.other.Lock()
+	defer g.other.Unlock()
+	g.cond.Wait() // want `locksafe: call to Cond\.Wait while g\.other is held`
+}
+
+func waitOnLocalCond(mu *sync.Mutex, ready func() bool) {
+	c := sync.NewCond(mu)
+	mu.Lock()
+	for !ready() {
+		c.Wait() // releases mu: no diagnostic
+	}
+	mu.Unlock()
+}
+
+// A function that waits on a cond blocks its callers all the same.
+func (g *gate) callsWaiterUnderLock(p *pump) {
+	p.mu.Lock()
+	g.waitUnderOwnLock() // want `locksafe: call to waitUnderOwnLock, which blocks \(calls Cond\.Wait\)`
+	p.mu.Unlock()
+}

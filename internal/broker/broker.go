@@ -568,17 +568,23 @@ func (s *Subscription) Cancel() {
 		// Rectangles indexed in the shard's base become stale; overlay
 		// entries are removed eagerly. The overlay is filtered into a
 		// fresh slice — never truncated in place — because published
-		// snapshots still reference the old backing array.
-		kept := make([]overlayEntry, 0, len(sh.overlay))
+		// snapshots still reference the old backing array; a
+		// subscription with no overlay entries leaves it as it is.
 		removed := 0
 		for _, e := range sh.overlay {
 			if e.sub == s {
 				removed++
-				continue
 			}
-			kept = append(kept, e)
 		}
-		sh.overlay = kept
+		if removed > 0 {
+			kept := make([]overlayEntry, 0, len(sh.overlay)-removed)
+			for _, e := range sh.overlay {
+				if e.sub != s {
+					kept = append(kept, e)
+				}
+			}
+			sh.overlay = kept
+		}
 		sh.stale += len(s.rects) - removed
 		if sh.rebuilding && s.id < sh.rebuildCut {
 			// This subscription's rectangles were collected into the

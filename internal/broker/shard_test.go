@@ -655,3 +655,52 @@ func BenchmarkPublishSharded(b *testing.B) {
 		}
 	}
 }
+
+// TestCancelOfBaseSubscriptionKeepsOverlay: a subscription that lives
+// only in the packed base has no overlay entry to remove, so cancelling
+// it leaves the overlay slice — backing array and length — as it was
+// instead of copying it. Cancelling an overlay subscription still
+// removes its entry.
+func TestCancelOfBaseSubscriptionKeepsOverlay(t *testing.T) {
+	b := New(Options{Shards: 1})
+	defer b.Close()
+	subscribe := func(i int) *Subscription {
+		s, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := subscribe(0)
+	for i := 1; i < 100; i++ {
+		subscribe(i)
+	}
+	waitRebuilds(t, b, 1)
+	waitSettled(t, b)
+	last := subscribe(100)
+	sh := b.shards[0]
+	overlay := func() []overlayEntry {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.overlay
+	}
+	before := overlay()
+	for _, e := range before {
+		if e.sub == first {
+			t.Fatal("the first subscription is still in the overlay after the rebuild")
+		}
+	}
+	if len(before) == 0 || before[len(before)-1].sub != last {
+		t.Fatalf("the overlay holds %d entries and not the newest subscription last", len(before))
+	}
+
+	first.Cancel()
+	if after := overlay(); len(after) != len(before) || &after[0] != &before[0] {
+		t.Fatalf("cancelling a base subscription replaced the overlay: %d entries at %p, was %d at %p",
+			len(after), &after[0], len(before), &before[0])
+	}
+	last.Cancel()
+	if after := overlay(); len(after) != len(before)-1 {
+		t.Fatalf("cancelling an overlay subscription left %d overlay entries, want %d", len(after), len(before)-1)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,15 +26,216 @@ func manualTick(base Options) Options {
 }
 
 // crash abandons l the way kill -9 would: the pending batch is gone,
-// nothing is written or fsynced on the way out, the syncer stops.
+// nothing is written or fsynced on the way out, the syncer stops. A
+// seal already handed to the syncer runs to its end first, so this is
+// a crash just after it; crashImage takes one in the middle of a seal.
 func crash(l *Log) {
 	l.mu.Lock()
 	l.pending, l.pendingRecs = nil, 0
 	l.closed = true
-	close(l.syncStop)
-	l.active.Close()
 	l.mu.Unlock()
+	close(l.syncStop)
 	l.syncWG.Wait()
+	if l.active != nil {
+		l.active.Close()
+	}
+}
+
+// waitsForSeal reports whether an append of an encoded record of size
+// bytes would wait for the seal in flight.
+func waitsForSeal(l *Log, size int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.waitsForSealLocked(int64(size))
+}
+
+// copyDir copies the segment files of dir into a fresh directory and
+// returns it: the image a process crash at this instant leaves, since
+// what was written survives in the page cache, fsynced or not.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	img := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(img, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return img
+}
+
+// syncGate wraps the segment files a log opens: while it is armed,
+// every Sync announces its file on entered and blocks until the test
+// sends a result on release. It logs, in order, each file's open and
+// its completed Syncs.
+type syncGate struct {
+	mu      sync.Mutex
+	armed   bool
+	events  []string
+	entered chan string
+	release chan error
+	opened  bool // release is closed: every Sync passes
+}
+
+func newSyncGate() *syncGate {
+	return &syncGate{entered: make(chan string, 64), release: make(chan error)}
+}
+
+func (g *syncGate) opts(base Options) Options {
+	base.OpenSegment = func(path string) (File, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		g.event("open " + filepath.Base(path))
+		return &gatedFile{File: f, g: g}, nil
+	}
+	return base
+}
+
+func (g *syncGate) arm(on bool) {
+	g.mu.Lock()
+	g.armed = on
+	g.mu.Unlock()
+}
+
+func (g *syncGate) event(e string) {
+	g.mu.Lock()
+	g.events = append(g.events, e)
+	g.mu.Unlock()
+}
+
+// await returns the name of the next file whose Sync blocks.
+func (g *syncGate) await(t *testing.T) string {
+	t.Helper()
+	select {
+	case name := <-g.entered:
+		return name
+	case <-time.After(10 * time.Second):
+		t.Fatal("no segment fsync reached the gate")
+		return ""
+	}
+}
+
+// sealBlocks waits until an append of size bytes to l no longer has to
+// wait for a seal (false) or the seal in flight is blocked in the armed
+// gate (true).
+func (g *syncGate) sealBlocks(t *testing.T, l *Log, size int) bool {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for waitsForSeal(l, size) {
+		select {
+		case <-g.entered:
+			return true
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a seal neither finished nor reached the gate")
+		}
+	}
+	return false
+}
+
+// open disarms the gate and lets every blocked or later Sync through.
+// Registered as a cleanup, it keeps a failing test from hanging in
+// Close.
+func (g *syncGate) open() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.armed = false
+	if !g.opened {
+		g.opened = true
+		close(g.release)
+	}
+}
+
+// gatedFile embeds the *os.File, so the log still sees its Fd and
+// starts writeback.
+type gatedFile struct {
+	*os.File
+	g *syncGate
+}
+
+func (f *gatedFile) Sync() error {
+	f.g.mu.Lock()
+	armed := f.g.armed
+	f.g.mu.Unlock()
+	if armed {
+		f.g.entered <- filepath.Base(f.Name())
+		if err := <-f.g.release; err != nil {
+			return err
+		}
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.g.event("synced " + filepath.Base(f.Name()))
+	return nil
+}
+
+// gatedLog opens a log in a fresh directory whose segment fsyncs g
+// controls; the gate opens before the log closes.
+func gatedLog(t *testing.T, opts Options) (*Log, *syncGate, string) {
+	t.Helper()
+	g := newSyncGate()
+	dir := t.TempDir()
+	l := mustOpen(t, dir, g.opts(opts))
+	t.Cleanup(g.open)
+	return l, g, dir
+}
+
+// start runs fn in a goroutine and returns a channel closed when it
+// returns.
+func start(fn func()) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	return done
+}
+
+// finishes fails the test unless done is closed within 10 s.
+func finishes(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still blocked after 10s", what)
+	}
+}
+
+// blocks fails the test if done is closed within 50 ms.
+func blocks(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+		t.Fatalf("%s returned while the segment fsync was blocked", what)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// appendUntilRotation appends payloadFor records until the log has
+// rotated once and returns the first offset of the new segment.
+func appendUntilRotation(t *testing.T, l *Log) uint64 {
+	t.Helper()
+	segs := l.Stats().Segments
+	for {
+		next := l.NextOffset()
+		if _, err := l.Append(next, nil, payloadFor(next)); err != nil {
+			t.Fatal(err)
+		}
+		if l.Stats().Segments > segs {
+			return next
+		}
+	}
 }
 
 // writtenThrough is the highest offset l has handed to the OS.
@@ -80,8 +283,9 @@ func checkPrefix(t *testing.T, r *Reader, first uint64) uint64 {
 
 // TestCrashWindowRecoversAckedPrefix: under SyncEvery a crash may lose
 // acknowledged records, but only from the tail and never past the last
-// write that completed. Twenty seeded histories of appends, ticks and
-// readers — on a sound disk and on one that tears batch writes — are
+// write that completed. Seeded histories of appends, ticks and readers
+// — on a sound disk, on one that tears batch writes, and on one where
+// the crash comes while a segment seal is blocked in its fsync — are
 // abandoned without Close; what recovers must be a gap-free, CRC-clean
 // prefix of the acknowledged offsets that holds everything written out
 // before the crash, and a live reader must never have been promised
@@ -90,95 +294,137 @@ func TestCrashWindowRecoversAckedPrefix(t *testing.T) {
 	for _, torn := range []bool{false, true} {
 		for seed := int64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("torn=%v/seed=%d", torn, seed), func(t *testing.T) {
-				dir := t.TempDir()
-				// Small segments rotate with records pending; large ones let
-				// the batch reach the flush threshold.
-				opts := manualTick(Options{SegmentBytes: 64 << 10})
-				if seed%2 == 0 {
-					opts.SegmentBytes = 4 << 20
-				}
-				if torn {
-					opts = faultOpts(faultnet.NewDisk(faultnet.DiskOptions{Seed: seed, TornWriteProb: 0.1}), opts)
-				}
-				l, err := Open(dir, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(seed))
-				var acked, floor, promised uint64
-				var failure error
-				for i := 0; i < 1500 && failure == nil; i++ {
-					switch op := rng.Intn(100); {
-					case op < 4: // the sync window ends
-						failure = l.Sync()
-					case op == 4: // a subscriber replays
-						r, err := l.ReadFrom(0)
-						if err != nil {
-							failure = err
-							break
-						}
-						if got := checkPrefix(t, r, 1); got != acked {
-							t.Fatalf("reader saw offsets through %d, %d were acknowledged", got, acked)
-						}
-						promised = r.End() - 1
-					default:
-						off, err := l.Append(uint64(i), []float64{float64(i)}, payloadFor(acked+1))
-						if err != nil {
-							failure = err
-							break
-						}
-						if off != acked+1 {
-							t.Fatalf("append returned offset %d after %d", off, acked)
-						}
-						acked = off
-					}
-					if failure == nil {
-						floor = max(floor, writtenThrough(l))
-					}
-				}
-				if failure != nil {
-					if !torn || !errors.Is(failure, faultnet.ErrInjectedWrite) {
-						t.Fatalf("history failed: %v", failure)
-					}
-					// Fail-stop: the tear surfaces on the next append, and a
-					// reader is promised only what is in the segment files.
-					if _, err := l.Append(1, nil, nil); !errors.Is(err, faultnet.ErrInjectedWrite) {
-						t.Fatalf("append after a torn batch = %v, want ErrInjectedWrite", err)
-					}
-					r, err := l.ReadFrom(0)
-					if err != nil {
-						t.Fatalf("ReadFrom after fail-stop: %v", err)
-					}
-					promised = checkPrefix(t, r, 1)
-					if promised != r.End()-1 || promised < floor || promised > acked {
-						t.Fatalf("after a torn batch the reader got through %d, End %d, written floor %d, acked %d", promised, r.End(), floor, acked)
-					}
-				}
-				crash(l)
-
-				l2, err := Open(dir, Options{})
-				if err != nil {
-					t.Fatalf("recovery: %v", err)
-				}
-				defer l2.Close()
-				got := l2.NextOffset() - 1
-				if got < floor || got > acked || got < promised {
-					t.Fatalf("recovered through offset %d; written before the crash %d, promised to a reader %d, acknowledged %d", got, floor, promised, acked)
-				}
-				r, err := l2.ReadFrom(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if last := checkPrefix(t, r, 1); last != got {
-					t.Fatalf("replay after recovery stopped at %d, log head is %d", last, got)
-				}
-				// Offsets keep rising: the lost tail's numbers are reused,
-				// never skipped and never duplicated.
-				if off, err := l2.Append(1, nil, payloadFor(got+1)); err != nil || off != got+1 {
-					t.Fatalf("first append after recovery = %d, %v; want %d", off, err, got+1)
-				}
+				crashHistory(t, seed, torn, false)
 			})
 		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("seal/seed=%d", seed), func(t *testing.T) {
+			crashHistory(t, seed, false, true)
+		})
+	}
+}
+
+// crashHistory runs one seeded history for
+// TestCrashWindowRecoversAckedPrefix. With midSeal, segment files'
+// fsyncs are gated from a seeded point on: the history then only
+// appends, until an append would wait for the blocked seal, and the
+// crash image is the directory as it stands at that moment.
+func crashHistory(t *testing.T, seed int64, torn, midSeal bool) {
+	dir := t.TempDir()
+	// Small segments rotate with records pending; large ones let the
+	// batch reach the flush threshold.
+	opts := manualTick(Options{SegmentBytes: 64 << 10})
+	if seed%2 == 0 && !midSeal {
+		opts.SegmentBytes = 4 << 20
+	}
+	if torn {
+		opts = faultOpts(faultnet.NewDisk(faultnet.DiskOptions{Seed: seed, TornWriteProb: 0.1}), opts)
+	}
+	var gate *syncGate
+	if midSeal {
+		gate = newSyncGate()
+		opts = gate.opts(opts)
+	}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if midSeal {
+		t.Cleanup(gate.open)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	armAt := 100 + rng.Intn(1200)
+	var acked, floor, promised uint64
+	var failure error
+	image := ""
+	for i := 0; i < 1500 && failure == nil && image == ""; i++ {
+		op := rng.Intn(100)
+		if midSeal && i >= armAt {
+			// A Sync or a reader would wait for the blocked seal.
+			gate.arm(true)
+			op = 99
+			size := (&Record{Point: []float64{0}, Payload: payloadFor(acked + 1)}).EncodedSize()
+			if gate.sealBlocks(t, l, size) {
+				image = copyDir(t, dir)
+				break
+			}
+		}
+		switch {
+		case op < 4: // the sync window ends
+			failure = l.Sync()
+		case op == 4: // a subscriber replays
+			r, err := l.ReadFrom(0)
+			if err != nil {
+				failure = err
+				break
+			}
+			if got := checkPrefix(t, r, 1); got != acked {
+				t.Fatalf("reader saw offsets through %d, %d were acknowledged", got, acked)
+			}
+			promised = r.End() - 1
+		default:
+			off, err := l.Append(uint64(i), []float64{float64(i)}, payloadFor(acked+1))
+			if err != nil {
+				failure = err
+				break
+			}
+			if off != acked+1 {
+				t.Fatalf("append returned offset %d after %d", off, acked)
+			}
+			acked = off
+		}
+		if failure == nil {
+			floor = max(floor, writtenThrough(l))
+		}
+	}
+	if midSeal && image == "" {
+		t.Fatal("the history ended before an append had to wait for a blocked seal")
+	}
+	if failure != nil {
+		if !torn || !errors.Is(failure, faultnet.ErrInjectedWrite) {
+			t.Fatalf("history failed: %v", failure)
+		}
+		// Fail-stop: the tear surfaces on the next append, and a reader
+		// is promised only what is in the segment files.
+		if _, err := l.Append(1, nil, nil); !errors.Is(err, faultnet.ErrInjectedWrite) {
+			t.Fatalf("append after a torn batch = %v, want ErrInjectedWrite", err)
+		}
+		r, err := l.ReadFrom(0)
+		if err != nil {
+			t.Fatalf("ReadFrom after fail-stop: %v", err)
+		}
+		promised = checkPrefix(t, r, 1)
+		if promised != r.End()-1 || promised < floor || promised > acked {
+			t.Fatalf("after a torn batch the reader got through %d, End %d, written floor %d, acked %d", promised, r.End(), floor, acked)
+		}
+	}
+	if midSeal {
+		gate.open()
+		dir = image
+	}
+	crash(l)
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer l2.Close()
+	got := l2.NextOffset() - 1
+	if got < floor || got > acked || got < promised {
+		t.Fatalf("recovered through offset %d; written before the crash %d, promised to a reader %d, acknowledged %d", got, floor, promised, acked)
+	}
+	r, err := l2.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := checkPrefix(t, r, 1); last != got {
+		t.Fatalf("replay after recovery stopped at %d, log head is %d", last, got)
+	}
+	// Offsets keep rising: the lost tail's numbers are reused, never
+	// skipped and never duplicated.
+	if off, err := l2.Append(1, nil, payloadFor(got+1)); err != nil || off != got+1 {
+		t.Fatalf("first append after recovery = %d, %v; want %d", off, err, got+1)
 	}
 }
 
@@ -399,5 +645,267 @@ func TestBatchMetrics(t *testing.T) {
 	syncs := rec.SnapshotFilter(0, telemetry.KindWALSync, 0)
 	if len(syncs) != 1 || syncs[0].Seq != 5 || syncs[0].Args[0] != 5 || float64(syncs[0].Args[2]) != bytes {
 		t.Fatalf("wal_sync records = %+v, want one for offset 5 with 5 records and %g bytes", syncs, bytes)
+	}
+}
+
+// TestAppendDoesNotWaitForFsync: under SyncEvery no fsync runs under
+// the append lock. While the interval fsync is blocked, appends go on,
+// threshold flushes included; while a segment's seal is blocked in its
+// fsync, the append that rotated returns at once and appends go on
+// filling the batch up to flushThreshold — only the one that would
+// reach it waits, and it returns once the seal is over.
+func TestAppendDoesNotWaitForFsync(t *testing.T) {
+	payload := make([]byte, 1000)
+	size := (&Record{Payload: payload}).EncodedSize()
+	appendKiB := func(l *Log, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := l.Append(1, nil, payload); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+
+	t.Run("interval", func(t *testing.T) {
+		l, g, _ := gatedLog(t, Options{Sync: SyncEvery, SyncInterval: time.Millisecond})
+		g.arm(true)
+		appendKiB(l, 1)
+		g.await(t)
+		finishes(t, start(func() { appendKiB(l, 2*flushThreshold/size) }), "2 MiB of appends behind a blocked interval fsync")
+		g.open()
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := l.NextOffset(), uint64(1+2*flushThreshold/size+1); got != want {
+			t.Fatalf("NextOffset = %d, want %d", got, want)
+		}
+	})
+
+	t.Run("seal", func(t *testing.T) {
+		const segBytes = 2 << 20
+		l, g, _ := gatedLog(t, manualTick(Options{SegmentBytes: segBytes}))
+		g.arm(true)
+		perSeg := segBytes / size             // records the first segment takes
+		beside := (flushThreshold - 1) / size // records the batch takes beside a seal
+		finishes(t, start(func() { appendKiB(l, perSeg+beside) }), "filling a segment and the batch behind its blocked seal")
+		g.await(t)
+		if n := l.NextOffset() - 1; n != uint64(perSeg+beside) {
+			t.Fatalf("%d records acknowledged, want %d", n, perSeg+beside)
+		}
+		l.mu.Lock()
+		held := len(l.pending)
+		l.mu.Unlock()
+		if held+size < flushThreshold {
+			t.Fatalf("the batch holds %d bytes: the next append would not fill it", held)
+		}
+		filling := start(func() { appendKiB(l, 1) })
+		blocks(t, filling, "the append that fills the batch")
+		g.arm(false)
+		g.release <- nil
+		finishes(t, filling, "the append that fills the batch, after the seal")
+		if n := l.NextOffset() - 1; n != uint64(perSeg+beside+1) {
+			t.Fatalf("%d records acknowledged, want %d", n, perSeg+beside+1)
+		}
+	})
+}
+
+// TestSealWritesNextSegmentOnlyAfterFsync: recovery refuses a torn
+// segment that is not the log's last, so no byte — not even an empty
+// file — of segment N+1 may exist before segment N's fsync has
+// returned. While a seal is blocked, N+1's file does not exist; over
+// many rotations the gate's event log opens each segment only after
+// its predecessor's fsync returned.
+func TestSealWritesNextSegmentOnlyAfterFsync(t *testing.T) {
+	l, g, dir := gatedLog(t, manualTick(Options{SegmentBytes: 16 << 10}))
+	g.arm(true)
+	base := appendUntilRotation(t, l)
+	g.await(t)
+	if _, err := os.Stat(segmentPath(dir, base)); !os.IsNotExist(err) {
+		t.Fatalf("segment %d's file exists while its predecessor's fsync is blocked (stat: %v)", base, err)
+	}
+	g.open()
+	for i := 0; i < 20; i++ {
+		appendUntilRotation(t, l)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g.mu.Lock()
+	events := slices.Clone(g.events)
+	g.mu.Unlock()
+	synced := map[string]bool{}
+	var prev string
+	rotations := 0
+	for _, e := range events {
+		kind, name, _ := strings.Cut(e, " ")
+		switch kind {
+		case "synced":
+			synced[name] = true
+		case "open":
+			if prev != "" && !synced[prev] {
+				t.Fatalf("%s opened before %s's fsync returned:\n%s", name, prev, strings.Join(events, "\n"))
+			}
+			if prev != "" {
+				rotations++
+			}
+			prev = name
+		}
+	}
+	if rotations < 20 {
+		t.Fatalf("%d rotations in the event log, want at least 20", rotations)
+	}
+}
+
+// TestReadFromWaitsForSeal: a reader asked for during a seal returns
+// only after it, when every segment of its range has a file, and its
+// End covers every offset assigned before the call.
+func TestReadFromWaitsForSeal(t *testing.T) {
+	l, g, _ := gatedLog(t, manualTick(Options{SegmentBytes: 64 << 10}))
+	g.arm(true)
+	appendUntilRotation(t, l)
+	for i := 0; i < 5; i++ {
+		next := l.NextOffset()
+		if _, err := l.Append(next, nil, payloadFor(next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.await(t)
+	assigned := l.NextOffset()
+	var r *Reader
+	var err error
+	reading := start(func() { r, err = l.ReadFrom(0) })
+	blocks(t, reading, "ReadFrom")
+	g.arm(false)
+	g.release <- nil
+	finishes(t, reading, "ReadFrom after the seal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.End() < assigned {
+		t.Fatalf("reader End %d is below offset %d assigned before it was asked for", r.End(), assigned)
+	}
+	if last := checkPrefix(t, r, 1); last != r.End()-1 {
+		t.Fatalf("reader stopped at %d, End is %d", last, r.End())
+	}
+}
+
+// TestCloseWaitsForSeal: Close returns only after a seal in flight is
+// over, and what it leaves recovers in full.
+func TestCloseWaitsForSeal(t *testing.T) {
+	l, g, dir := gatedLog(t, manualTick(Options{SegmentBytes: 64 << 10}))
+	g.arm(true)
+	appendUntilRotation(t, l)
+	g.await(t)
+	acked := l.NextOffset() - 1
+	var err error
+	closing := start(func() { err = l.Close() })
+	blocks(t, closing, "Close")
+	g.arm(false)
+	g.release <- nil
+	finishes(t, closing, "Close after the seal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, dir, Options{})
+	if got := l2.NextOffset() - 1; got != acked {
+		t.Fatalf("recovered through %d, %d were acknowledged", got, acked)
+	}
+}
+
+// TestFailedSealIsFailStop: a seal whose fsync fails latches the log,
+// and the next segment — never given a file, every record in it still
+// pending — leaves the accounting: NextOffset steps back to what the
+// files hold, readers and recovery agree with it.
+func TestFailedSealIsFailStop(t *testing.T) {
+	l, g, dir := gatedLog(t, manualTick(Options{SegmentBytes: 64 << 10}))
+	g.arm(true)
+	base := appendUntilRotation(t, l)
+	for i := 0; i < 5; i++ {
+		next := l.NextOffset()
+		if _, err := l.Append(next, nil, payloadFor(next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.await(t)
+	g.arm(false)
+	g.release <- faultnet.ErrInjectedSync
+	if err := l.Sync(); !errors.Is(err, faultnet.ErrInjectedSync) {
+		t.Fatalf("Sync after a failed seal = %v, want ErrInjectedSync", err)
+	}
+	if _, err := l.Append(1, nil, nil); !errors.Is(err, faultnet.ErrInjectedSync) {
+		t.Fatalf("append after a failed seal = %v, want ErrInjectedSync", err)
+	}
+	if st := l.Stats(); !st.Failed || st.NextOffset != base || st.Segments != 1 {
+		t.Fatalf("Stats = %+v, want Failed, NextOffset %d and the one sealed segment", st, base)
+	}
+	if _, err := os.Stat(segmentPath(dir, base)); !os.IsNotExist(err) {
+		t.Fatalf("the failed seal left segment %d's file (stat: %v)", base, err)
+	}
+	r, err := l.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := checkPrefix(t, r, 1); last != base-1 || r.End() != base {
+		t.Fatalf("reader after a failed seal stopped at %d with End %d, want %d and %d", last, r.End(), base-1, base)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := mustOpen(t, dir, Options{})
+	if got := l2.NextOffset(); got != base {
+		t.Fatalf("recovery's NextOffset = %d, want %d", got, base)
+	}
+}
+
+// TestIntervalFsyncFailureBeforeSeal: the interval fsync fails while a
+// rotation has handed the segment to the syncer behind it. The log
+// fail-stops at once, the next segment's pending records leave it, and
+// the seal that still runs afterwards leaves the files and the
+// accounting in agreement.
+func TestIntervalFsyncFailureBeforeSeal(t *testing.T) {
+	l, g, dir := gatedLog(t, Options{Sync: SyncEvery, SyncInterval: time.Millisecond, SegmentBytes: 64 << 10})
+	g.arm(true)
+	if _, err := l.Append(1, nil, payloadFor(1)); err != nil {
+		t.Fatal(err)
+	}
+	g.await(t) // the interval fsync
+	base := appendUntilRotation(t, l)
+	for i := 0; i < 3; i++ {
+		next := l.NextOffset()
+		if _, err := l.Append(next, nil, payloadFor(next)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.release <- faultnet.ErrInjectedSync
+	g.await(t) // the seal's fsync, after the failure
+	g.arm(false)
+	g.release <- nil
+	if err := l.Sync(); !errors.Is(err, faultnet.ErrInjectedSync) {
+		t.Fatalf("Sync after a failed interval fsync = %v, want ErrInjectedSync", err)
+	}
+	st := l.Stats()
+	if !st.Failed || st.NextOffset != base {
+		t.Fatalf("Stats = %+v, want Failed and NextOffset %d", st, base)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != st.Segments {
+		t.Fatalf("%d segment files, Stats counts %d", len(entries), st.Segments)
+	}
+	r, err := l.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := checkPrefix(t, r, 1); last != base-1 {
+		t.Fatalf("reader stopped at %d, want %d", last, base-1)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustOpen(t, dir, Options{}).NextOffset(); got != base {
+		t.Fatalf("recovery's NextOffset = %d, want %d", got, base)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // Create one with Log.ReadFrom. A Reader is not safe for concurrent
 // use, but reads run without blocking appends: the range is fixed at
 // creation and every record inside it was fully written before then
-// (ReadFrom writes the pending batch out under the lock hold that
-// fixes the range).
+// (ReadFrom waits out a segment seal in flight, so every segment in
+// the range has a file, and writes the pending batch out under the
+// lock hold that fixes the range).
 type Reader struct {
 	log  *Log
 	next uint64 // next offset to return
@@ -39,6 +40,9 @@ type segmentRef struct {
 // the prefix that did reach the segment files.
 func (l *Log) ReadFrom(from uint64) (*Reader, error) {
 	l.mu.Lock()
+	for l.sealing != nil && !l.closed {
+		l.sealed.Wait()
+	}
 	if l.closed {
 		l.mu.Unlock()
 		return nil, ErrClosed

@@ -42,9 +42,9 @@ func newWALTel(l *Log, reg *telemetry.Registry) *walTel {
 		flushedBytes: reg.Counter("pubsub_wal_flushed_bytes_total",
 			"Bytes handed to the operating system by batch writes."),
 		syncs: reg.Counter("pubsub_wal_syncs_total",
-			"fsyncs issued against the active segment."),
+			"Interval and explicit fsyncs of the active segment; segment seals are counted in pubsub_wal_segment_rotations_total."),
 		syncLatency: reg.Histogram("pubsub_wal_sync_seconds",
-			"fsync latency on the active segment, including the batch write before it.", telemetry.LatencyBuckets()),
+			"fsync latency: interval and explicit fsyncs, including the batch write before them, and under the interval policy the seal fsync of each full segment; interval and seal fsyncs run with the append lock released.", telemetry.LatencyBuckets()),
 		rotations: reg.Counter("pubsub_wal_segment_rotations_total",
 			"Active segment rotations."),
 		retentionDeletes: reg.Counter("pubsub_wal_segments_deleted_total",

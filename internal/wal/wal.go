@@ -203,8 +203,29 @@ type Log struct {
 	dirty       int   // records appended since the last fsync
 	dirtyBytes  int64 // and their bytes
 
+	// Under SyncEvery a rotation hands the full segment to the syncer
+	// (sealing) and appends go on encoding into pending for the next
+	// segment, whose file the syncer opens only once the full one is
+	// fsynced; active is nil until then. sealed (L = &mu) is broadcast
+	// when the seal is over. trash holds retention victims whose files
+	// are not deleted yet, oldest first.
+	sealing *seal
+	sealed  *sync.Cond
+	trash   []string
+
 	syncStop chan struct{}
+	sealReq  chan struct{} // wakes the syncer for a seal; capacity 1
 	syncWG   sync.WaitGroup
+}
+
+// seal is one full segment handed from a rotating Append to the syncer.
+type seal struct {
+	f     File   // the full segment, written out, not yet fsynced
+	last  uint64 // its last offset
+	recs  int    // records and bytes its fsync makes durable
+	bytes int64
+	next  *segment // the segment whose file the syncer opens afterwards
+	trash []string // retention victims to delete, oldest first
 }
 
 // Open creates or recovers the log in dir. Recovery scans every
@@ -225,7 +246,9 @@ func Open(dir string, opts Options) (*Log, error) {
 		next:     1,
 		first:    1,
 		syncStop: make(chan struct{}),
+		sealReq:  make(chan struct{}, 1),
 	}
+	l.sealed = sync.NewCond(&l.mu)
 	r0 := l.rec.Now()
 	if err := l.recover(); err != nil {
 		return nil, err
@@ -233,9 +256,14 @@ func Open(dir string, opts Options) (*Log, error) {
 	// Fresh active segment at the next offset. Any existing file with
 	// this base holds zero valid records (a non-empty one would have
 	// advanced next past its records), so truncating it is safe.
-	if err := l.openActiveLocked(); err != nil {
+	seg := l.nextSegment()
+	f, err := l.openSegment(seg)
+	if err != nil {
 		return nil, err
 	}
+	l.active = f
+	l.segs = append(l.segs, seg)
+	l.syncDir()
 	l.tel = newWALTel(l, opts.Metrics)
 	if l.tel != nil {
 		l.tel.recoveredRecords.Add(l.recovered.Records)
@@ -342,18 +370,18 @@ func (l *Log) scanSegment(seg *segment, final bool) error {
 	return nil
 }
 
-// openActiveLocked starts a fresh segment at l.next and appends it to
-// l.segs. Called from Open (no lock needed yet) and rotation (under mu).
-func (l *Log) openActiveLocked() error {
-	seg := &segment{base: l.next, path: segmentPath(l.dir, l.next)}
+// nextSegment describes the segment that starts at l.next.
+func (l *Log) nextSegment() *segment {
+	return &segment{base: l.next, path: segmentPath(l.dir, l.next)}
+}
+
+// openSegment creates seg's file for appending.
+func (l *Log) openSegment(seg *segment) (File, error) {
 	f, err := l.opts.OpenSegment(seg.path)
 	if err != nil {
-		return fmt.Errorf("wal: opening segment: %w", err)
+		return nil, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	l.active = f
-	l.segs = append(l.segs, seg)
-	l.syncDir()
-	return nil
+	return f, nil
 }
 
 // syncDir fsyncs the log directory so segment creations and deletions
@@ -391,10 +419,14 @@ func (l *Log) fail(err error) {
 // Under SyncAlways the record is written and fsynced, under SyncNever
 // written, before Append returns; under SyncEvery it stays in memory
 // until the batch fills, the syncer ticks, the segment rotates or a
-// reader asks for it, so the append itself costs no system call. A
-// write or sync failure latches the log into the fail-stop state and
-// the publication must not be acknowledged. rec.Offset is ignored; the
-// log assigns it. The point and payload are copied, not retained.
+// reader asks for it, so the append itself costs no system call and
+// never waits for an fsync: the syncer takes both the interval fsync
+// and the seal of a full segment off the append lock. Only an append
+// that would fill the batch, or rotate again, while a seal is still in
+// flight waits for it. A write or sync failure latches the log into
+// the fail-stop state and the publication must not be acknowledged.
+// rec.Offset is ignored; the log assigns it. The point and payload are
+// copied, not retained.
 //
 //pubsub:coldpath -- opt-in durability: the zero-alloc publish path enters the WAL only when a durable broker is configured
 func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, error) {
@@ -421,14 +453,24 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 	}
 	size := int64(frameHeader + body)
 
-	active := l.segs[len(l.segs)-1]
-	if active.records > 0 && active.size+size > l.opts.SegmentBytes {
+	if l.waitsForSealLocked(size) {
+		for l.sealing != nil {
+			l.sealed.Wait()
+		}
+		if l.failed != nil {
+			return 0, l.failed
+		}
+		if l.closed {
+			return 0, ErrClosed
+		}
+	}
+	if l.rotationDueLocked(size) {
 		if err := l.rotateLocked(); err != nil {
 			l.fail(err)
 			return 0, l.failed
 		}
-		active = l.segs[len(l.segs)-1]
 	}
+	active := l.segs[len(l.segs)-1]
 
 	t0 := l.rec.Now()
 	off := l.next
@@ -463,9 +505,26 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 	return off, nil
 }
 
+// rotationDueLocked reports whether a record of size bytes starts a new
+// segment. Caller holds l.mu.
+func (l *Log) rotationDueLocked(size int64) bool {
+	active := l.segs[len(l.segs)-1]
+	return active.records > 0 && active.size+size > l.opts.SegmentBytes
+}
+
+// waitsForSealLocked reports whether an append of size bytes must wait
+// for the seal in flight: it would write the batch, which has no file
+// until the seal is over, or start a second seal. Waiting is what keeps
+// the batch under flushThreshold. Caller holds l.mu.
+func (l *Log) waitsForSealLocked(size int64) bool {
+	return l.sealing != nil && (l.rotationDueLocked(size) || len(l.pending)+int(size) >= flushThreshold)
+}
+
 // flushLocked hands the pending batch to the operating system with one
 // Write — the only place the log writes a segment — and fail-stops the
-// log if the write fails. Caller holds l.mu.
+// log if the write fails. Under SyncEvery it then starts the kernel's
+// writeback of what it wrote, so the fsync that follows finds little
+// left to do. Caller holds l.mu and no seal is in flight.
 func (l *Log) flushLocked() error {
 	if len(l.pending) == 0 {
 		return nil
@@ -475,6 +534,10 @@ func (l *Log) flushLocked() error {
 		l.fail(fmt.Errorf("wal: writing %d record(s), %d bytes: %w", l.pendingRecs, len(l.pending), err))
 		return l.failed
 	}
+	if l.opts.Sync == SyncEvery {
+		active := l.segs[len(l.segs)-1]
+		startWriteback(l.active, active.size-int64(len(l.pending)), int64(len(l.pending)))
+	}
 	if l.tel != nil {
 		l.tel.flushes.Inc()
 		l.tel.flushedBytes.Add(uint64(len(l.pending)))
@@ -483,11 +546,32 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// rotateLocked seals the active segment (flush + sync + close) and
-// starts a fresh one, then applies retention. Caller holds l.mu.
+// rotateLocked writes out the active segment, starts the next one and
+// applies retention. Under SyncEvery the full segment is handed to the
+// syncer, which seals it (fsync, close) and only then opens the next
+// segment's file and deletes what retention trimmed, while appends go
+// on into the pending batch; under the other policies all of that
+// happens here. Caller holds l.mu and no seal is in flight.
 func (l *Log) rotateLocked() error {
 	if err := l.flushLocked(); err != nil {
 		return err
+	}
+	full, next := l.segs[len(l.segs)-1], l.nextSegment()
+	if l.opts.Sync == SyncEvery {
+		l.segs = append(l.segs, next)
+		l.trimLocked()
+		l.sealing = &seal{f: l.active, last: full.base + full.records - 1,
+			recs: l.dirty, bytes: l.dirtyBytes, next: next, trash: l.trash}
+		l.active = nil
+		l.dirty, l.dirtyBytes = 0, 0
+		if l.tel != nil {
+			l.tel.rotations.Inc()
+		}
+		select {
+		case l.sealReq <- struct{}{}:
+		default: // unreachable: the syncer took the last request before clearing sealing
+		}
+		return nil
 	}
 	if err := l.active.Sync(); err != nil {
 		return fmt.Errorf("wal: syncing segment before rotation: %w", err)
@@ -496,19 +580,26 @@ func (l *Log) rotateLocked() error {
 	if err := l.active.Close(); err != nil {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
-	if err := l.openActiveLocked(); err != nil {
+	f, err := l.openSegment(next)
+	if err != nil {
 		return err
 	}
+	l.active = f
+	l.segs = append(l.segs, next)
 	if l.tel != nil {
 		l.tel.rotations.Inc()
 	}
-	l.applyRetentionLocked()
+	l.trimLocked()
+	l.dropTrashLocked(deleteSegments(l.trash))
+	l.syncDir()
 	return nil
 }
 
-// applyRetentionLocked deletes the oldest sealed segments while the
-// log exceeds RetentionBytes. The active segment is never deleted.
-func (l *Log) applyRetentionLocked() {
+// trimLocked applies retention: while the log exceeds RetentionBytes
+// the oldest segments leave it — FirstOffset moves past them — and
+// their files join l.trash. The active segment never does. Caller holds
+// l.mu.
+func (l *Log) trimLocked() {
 	if l.opts.RetentionBytes <= 0 {
 		return
 	}
@@ -516,27 +607,40 @@ func (l *Log) applyRetentionLocked() {
 	for _, s := range l.segs {
 		total += s.size
 	}
-	removed := false
 	for len(l.segs) > 1 && total > l.opts.RetentionBytes {
 		victim := l.segs[0]
-		if err := os.Remove(victim.path); err != nil {
-			break // disk trouble; retry at the next rotation
-		}
 		total -= victim.size
 		l.segs = l.segs[1:]
 		l.first = l.segs[0].base
-		removed = true
-		if l.tel != nil {
-			l.tel.retentionDeletes.Inc()
+		l.trash = append(l.trash, victim.path)
+	}
+}
+
+// deleteSegments removes the files at paths oldest first and returns
+// how many it removed. It stops at the first failure — a newer file
+// deleted while an older one stays would leave a gap that recovery
+// refuses — and the rest are retried at the next rotation.
+func deleteSegments(paths []string) int {
+	for i, p := range paths {
+		if err := os.Remove(p); err != nil {
+			return i
 		}
 	}
-	if removed {
-		l.syncDir()
+	return len(paths)
+}
+
+// dropTrashLocked forgets the n oldest paths of l.trash, whose files
+// deleteSegments has removed. Caller holds l.mu.
+func (l *Log) dropTrashLocked(n int) {
+	l.trash = l.trash[n:]
+	if l.tel != nil {
+		l.tel.retentionDeletes.Add(uint64(n))
 	}
 }
 
 // syncLocked flushes the pending batch and fsyncs the active segment,
-// latching fail-stop on error. Caller holds l.mu.
+// latching fail-stop on error. Caller holds l.mu and no seal is in
+// flight.
 func (l *Log) syncLocked() error {
 	t0 := l.rec.Now()
 	if err := l.flushLocked(); err != nil {
@@ -548,22 +652,32 @@ func (l *Log) syncLocked() error {
 	}
 	recs, bytes := l.dirty, l.dirtyBytes
 	l.dirty, l.dirtyBytes = 0, 0
+	active := l.segs[len(l.segs)-1]
+	l.syncedLocked(t0, active.base+active.records-1, recs, bytes)
+	return nil
+}
+
+// syncedLocked accounts one interval or explicit fsync that began at t0
+// and made recs records, bytes bytes, through offset last durable.
+// Caller holds l.mu.
+func (l *Log) syncedLocked(t0 int64, last uint64, recs int, bytes int64) {
 	now := l.rec.Now()
 	if l.tel != nil {
 		l.tel.syncs.Inc()
 		l.tel.syncLatency.ObserveDuration(time.Duration(now - t0))
 	}
-	active := l.segs[len(l.segs)-1]
-	l.rec.RecordAt(now, telemetry.KindWALSync, 0, active.base+active.records-1,
-		int64(recs), now-t0, bytes, 0)
-	return nil
+	l.rec.RecordAt(now, telemetry.KindWALSync, 0, last, int64(recs), now-t0, bytes, 0)
 }
 
 // Sync writes out and fsyncs every appended record now, regardless of
-// policy.
+// policy. It waits for a seal in flight, and fsyncs under the append
+// lock.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.sealing != nil {
+		l.sealed.Wait()
+	}
 	if l.failed != nil {
 		return l.failed
 	}
@@ -573,7 +687,11 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// syncLoop is the SyncEvery background syncer.
+// syncLoop is the SyncEvery background syncer: it fsyncs every
+// SyncInterval and seals each segment a rotation hands over, both with
+// the append lock released. It is the only goroutine that closes a
+// segment before Close, so neither fsync can race a close; and Close
+// waits for it to return, which it does only with no seal in flight.
 func (l *Log) syncLoop() {
 	defer l.syncWG.Done()
 	t := time.NewTicker(l.opts.SyncInterval)
@@ -581,16 +699,99 @@ func (l *Log) syncLoop() {
 	for {
 		select {
 		case <-l.syncStop:
+			l.sealHandedOver()
 			return
+		case <-l.sealReq:
+			l.sealHandedOver()
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.failed == nil && l.dirty > 0 {
-				//pubsub:allow walorder -- syncLocked latches fail-stop; the next Append reports the error
-				_ = l.syncLocked()
-			}
-			l.mu.Unlock()
+			l.intervalSync()
 		}
 	}
+}
+
+// sealHandedOver runs the seal a rotation handed to the syncer, if any.
+func (l *Log) sealHandedOver() {
+	l.mu.Lock()
+	s := l.sealing
+	l.mu.Unlock()
+	if s != nil {
+		l.seal(s)
+	}
+}
+
+// intervalSync writes the batch out under the lock, then fsyncs the
+// active segment without it. Appends that arrive meanwhile land after
+// what this fsync covers and stay dirty for the next one.
+func (l *Log) intervalSync() {
+	l.mu.Lock()
+	if l.closed || l.failed != nil || l.dirty == 0 || l.sealing != nil {
+		l.mu.Unlock()
+		return
+	}
+	t0 := l.rec.Now()
+	if err := l.flushLocked(); err != nil {
+		l.mu.Unlock()
+		return // latched; the next Append reports it
+	}
+	f, recs, bytes := l.active, l.dirty, l.dirtyBytes
+	active := l.segs[len(l.segs)-1]
+	last := active.base + active.records - 1
+	l.dirty, l.dirtyBytes = 0, 0
+	l.mu.Unlock()
+
+	err := f.Sync()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.fail(fmt.Errorf("wal: fsync: %w", err))
+		return
+	}
+	l.syncedLocked(t0, last, recs, bytes)
+}
+
+// seal finishes a rotation with the append lock released: it fsyncs
+// and closes the full segment, deletes the files retention trimmed,
+// opens the next segment's file and fsyncs the directory, then installs
+// the file and wakes whoever waits. The next file is created only after
+// the fsync returns: recovery refuses a torn segment that is not the
+// last one, so no byte — not even an empty file — may follow a segment
+// that is not yet durable. A failure latches fail-stop and takes the
+// next segment, all of it still pending, back out of the log.
+func (l *Log) seal(s *seal) {
+	t0 := l.rec.Now()
+	err := s.f.Sync()
+	if err != nil {
+		err = fmt.Errorf("wal: syncing segment before rotation: %w", err)
+	}
+	synced := l.rec.Now()
+	if cerr := s.f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("wal: closing segment: %w", cerr)
+	}
+	var f File
+	deleted := 0
+	if err == nil {
+		deleted = deleteSegments(s.trash)
+		f, err = l.openSegment(s.next)
+		l.syncDir()
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.dropTrashLocked(deleted)
+	l.sealing = nil
+	l.sealed.Broadcast()
+	if err != nil {
+		// The next segment never got a file. Every record counted in it
+		// was pending, and fail has taken them back out; now it leaves.
+		l.fail(err)
+		l.segs = l.segs[:len(l.segs)-1]
+		return
+	}
+	l.active = f
+	if l.tel != nil {
+		l.tel.syncLatency.ObserveDuration(time.Duration(synced - t0))
+	}
+	l.rec.RecordAt(synced, telemetry.KindWALSync, 0, s.last, int64(s.recs), synced-t0, s.bytes, 0)
 }
 
 // NextOffset returns the offset the next Append will assign. Every
@@ -639,9 +840,10 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close stops the background syncer, writes out and fsyncs what is
-// pending and closes the active segment. Further appends fail with
-// ErrClosed; replay readers already open keep working. Idempotent.
+// Close stops the background syncer — after it has finished an fsync
+// or a seal already under way — writes out and fsyncs what is pending
+// and closes the active segment. Further appends fail with ErrClosed;
+// replay readers already open keep working. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -649,15 +851,21 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.mu.Unlock()
 	close(l.syncStop)
+	l.syncWG.Wait()
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var err error
 	if l.failed == nil && l.dirty > 0 {
 		err = l.syncLocked()
 	}
+	if l.active == nil {
+		return err // a failed seal left no next file
+	}
 	if cerr := l.active.Close(); err == nil && cerr != nil && l.failed == nil {
 		err = fmt.Errorf("wal: closing segment: %w", cerr)
 	}
-	l.mu.Unlock()
-	l.syncWG.Wait()
 	return err
 }

@@ -6,7 +6,8 @@
 # Runs, in order:
 #   1. build            go build ./...
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
-#   3. race tests       go test -race ./...  (+ the WAL at -cpu 1,2, the broker and the wire — sink
+#   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
+#                       the WAL at -cpu 1,2, the broker and the wire — sink
 #                       overflow table, connection script — at -cpu 1,2,4, every benchmark once, and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
 #                       point queries and the S-tree packing against its reference builder)
@@ -25,6 +26,7 @@ go run ./cmd/pubsub-vet ./...
 
 echo "==> tests (race)"
 go test -race ./...
+go test -run 'ZeroAlloc|Allocat' ./...
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
 go test -run '^$' -bench . -benchtime 1x ./...
