@@ -46,6 +46,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"math"
 	"strings"
 
 	"repro/internal/analysis"
@@ -648,7 +649,7 @@ func (c *checker) flagIfHeld(pos token.Pos, op string, held lockSet) {
 		return
 	}
 	var name string
-	var at token.Pos = token.Pos(1 << 62)
+	at := token.Pos(math.MaxInt)
 	for k, p := range held {
 		if p < at {
 			name, at = k, p

@@ -19,12 +19,19 @@
 // runs of every plane, so the point walk, PointAppend, tests up to 64 of
 // them at a time, a plane at a time: the point's coordinate in dimension
 // k is compared against a run of Lo values and a run of Hi values and the
-// outcomes are ANDed into a 64-bit mask, with no branch per box. The matching ids (or child
-// indices, pushed onto the stack) are then compacted out of the run by
-// writing every one and advancing the write index by its mask bit. The
-// only branches on the data are per run and plane: each plane after the
-// first is read only from the lowest to the highest box still in the
-// mask, and a run with no box left reads no further planes.
+// outcomes are ANDed into a 64-bit mask, with no branch per box. The only
+// branches on the data are per run and plane: each plane after the first
+// is read only from the lowest to the highest box still in the mask, and
+// a run with no box left reads no further planes. On amd64 processors
+// with AVX2 the mask comes from an assembly kernel that tests four boxes
+// a step (kernel_amd64.s); elsewhere from the Go loop in containMaskGo,
+// which gives the same mask bit for bit.
+//
+// Compaction. A leaf's matching ids are appended by visiting only the
+// mask's set bits, lowest first, so a run costs its matches rather than
+// its length. Matching children are pushed onto the stack branch-free
+// instead, writing every index of the run and advancing the write
+// position by its mask bit: a set-bit push measured no faster there.
 //
 // Queries take a caller-provided scratch stack of node indices (returned
 // for reuse; see GetStack/PutStack) and never allocate.
@@ -224,10 +231,35 @@ const chunk = 64
 
 // containMask returns a mask whose bit j is set iff box start+j of a
 // plane layout with the given stride contains p under the half-open
-// (Lo, Hi] rule, for the n ≤ chunk boxes from start, a plane at a time
-// (see the package comment). Each plane after the first is read only
-// over the span from the lowest to the highest box still in the mask.
+// (Lo, Hi] rule, for the n ≤ chunk boxes from start and a non-empty p. It
+// runs containMaskAVX2 where the processor has AVX2, containMaskGo
+// elsewhere; under the invariants tag it runs both and checks that they
+// agree.
 func containMask(planes []float64, stride, start, n int, p geometry.Point) uint64 {
+	if !useAVX2 {
+		return containMaskGo(planes, stride, start, n, p)
+	}
+	_ = planes[(2*len(p)-1)*stride+start+n-1] // the last box of the last plane
+	mask := containMaskAVX2(planes, stride, start, n, p)
+	if invariant.Enabled {
+		checkKernel(mask, planes, stride, start, n, p)
+	}
+	return mask
+}
+
+// checkKernel asserts that containMaskGo agrees with the AVX2 kernel's
+// mask.
+//
+//pubsub:coldpath -- invariants builds only: the assertion formats its message
+func checkKernel(mask uint64, planes []float64, stride, start, n int, p geometry.Point) {
+	want := containMaskGo(planes, stride, start, n, p)
+	invariant.Assertf(mask == want, "flat: AVX2 containment mask %#x, Go loop %#x (boxes [%d,%d), stride %d, p=%v)", mask, want, start, start+n, stride, p)
+}
+
+// containMaskGo is containMask in Go, a plane at a time (see the package
+// comment). Each plane after the first is read only over the span from
+// the lowest to the highest box still in the mask.
+func containMaskGo(planes []float64, stride, start, n int, p geometry.Point) uint64 {
 	mask := ^uint64(0) >> (chunk - n)
 	first, last := start, start+n // the span of boxes still in the mask
 	for _, x := range p {
@@ -254,17 +286,16 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// compact appends ids[j] to dst for every set bit j of mask. Every id is
-// written; only a match advances the write index.
+// compact appends ids[j] to dst for every set bit j of mask, visiting
+// only the set bits.
 func compact(dst, ids []int, mask uint64) []int {
-	w := len(dst)
-	dst = slices.Grow(dst, len(ids))[:w+len(ids)]
-	for _, id := range ids {
-		dst[w] = id
-		w += int(mask & 1)
-		mask >>= 1
+	w, n := len(dst), bits.OnesCount64(mask)
+	dst = slices.Grow(dst, n)[:w+n]
+	for ; mask != 0; mask &= mask - 1 {
+		dst[w] = ids[bits.TrailingZeros64(mask)]
+		w++
 	}
-	return dst[:w]
+	return dst
 }
 
 // pushContaining pushes onto stack, in index order, every node of

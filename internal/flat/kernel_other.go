@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package flat
+
+// useAVX2 is false off amd64: containMaskGo is the only kernel.
+const useAVX2 = false
+
+// containMaskAVX2 is never called off amd64.
+func containMaskAVX2(planes []float64, stride, start, n int, p []float64) uint64 {
+	panic("flat: containMaskAVX2 called off amd64")
+}

@@ -4,14 +4,17 @@
 # Usage: ./scripts/check.sh
 #
 # Runs, in order:
-#   1. build            go build ./...
+#   1. build            go build ./...  (+ cross-builds for 386, linux/arm, arm64 and darwin, and the
+#                       index tests on GOARCH=386, where the Go containment kernel runs)
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker and the wire — sink
 #                       overflow table, connection script — at -cpu 1,2,4, every benchmark once, and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
-#                       point queries and the S-tree packing against its reference builder)
+#                       point queries, the AVX2 containment kernel against the Go loop and the S-tree
+#                       packing against its reference builder)
 #   4. invariant tests  go test -tags=invariants over the flat/index/geometry/match packages
+#                       (every AVX2 containment mask is checked against the Go loop)
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. ledger smoke     bench/ harness tests + 1-second stock, selective, churn, durable and wire workloads through its oracle
 set -euo pipefail
@@ -19,6 +22,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> build"
 go build ./...
+GOARCH=386 go build ./...
+GOOS=linux GOARCH=arm go build ./...
+GOARCH=arm64 go build ./...
+GOOS=darwin go build ./...
+GOARCH=386 go test ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/match/...
 
 echo "==> vet suite (stock vet + custom analyzers)"
 go run ./cmd/pubsub-vet -list
@@ -33,6 +41,7 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
+go test ./internal/flat -run '^$' -fuzz '^FuzzPlaneMask$' -fuzztime 10s
 go test ./internal/stree -run '^$' -fuzz '^FuzzBuildEquivalence$' -fuzztime 10s
 
 echo "==> structural invariants (-tags=invariants)"
