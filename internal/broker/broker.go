@@ -4,9 +4,9 @@
 // rectangle predicates and receive matching events on a channel;
 // publishers submit events as points in the event space.
 //
-// Index maintenance is incremental: new subscriptions enter a linear
-// overlay that is periodically folded into a rebuilt S-tree, so both
-// subscribe and publish stay fast under churn.
+// Index maintenance is incremental: new subscriptions enter an overlay
+// matched like a tree's leaves and periodically folded into a rebuilt
+// S-tree, so both subscribe and publish stay fast under churn.
 //
 // The publish path is lock-free and allocation-free in steady state:
 // Publish matches against an immutable snapshot (base index + overlay)
@@ -20,10 +20,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flat"
 	"repro/internal/geometry"
 	"repro/internal/health"
 	"repro/internal/match"
@@ -215,20 +217,40 @@ type SubStats struct {
 	Evicted   bool      // true once CancelSlow has evicted the subscriber
 }
 
-// overlayEntry is one recent subscription rectangle scanned linearly by
-// Publish until the background rebuild folds it into the base index.
-// Holding the *Subscription directly lets the lock-free publish path skip
-// the id→subscription map lookup entirely.
-type overlayEntry struct {
-	rect geometry.Rect
-	sub  *Subscription
+// overlay holds the rectangles registered since the last rebuild: a
+// plane run the containment kernel matches 64 boxes at a time and, box
+// for box, the subscription it belongs to, so Publish needs no map. A
+// subscription's rectangles are always adjacent, in its own order.
+type overlay struct {
+	boxes flat.Boxes
+	subs  []*Subscription
+}
+
+// add appends s's rectangles.
+func (o *overlay) add(s *Subscription) {
+	for _, r := range s.rects {
+		o.boxes.Append(r)
+		o.subs = append(o.subs, s)
+	}
+}
+
+// keep returns a fresh overlay holding the subscriptions of o that f
+// keeps, in order; o and its backing arrays are left as they are.
+func (o *overlay) keep(f func(*Subscription) bool) overlay {
+	var k overlay
+	for i := 0; i < len(o.subs); i += len(o.subs[i].rects) {
+		if f(o.subs[i]) {
+			k.add(o.subs[i])
+		}
+	}
+	return k
 }
 
 // snapshot is the immutable matching state read by Publish without a
 // lock. Mutations never modify a published snapshot in place: Subscribe
-// may append to the overlay's backing array (readers are bounded by their
-// own slice length), while Cancel and the rebuilder install freshly
-// copied slices before storing a new snapshot.
+// may append to the overlay's run and slice (readers are bounded by
+// their own lengths), while Cancel and the rebuilder install a fresh
+// overlay before storing a new snapshot.
 type snapshot struct {
 	// base indexes the rectangles present at the last rebuild. Its
 	// SubscriberIDs are slots into the slots slice, not broker
@@ -238,7 +260,7 @@ type snapshot struct {
 	base  match.Matcher
 	slots []*Subscription
 	// overlay holds rectangles registered since the last rebuild.
-	overlay []overlayEntry
+	overlay overlay
 	// multiRect is true once any live-or-dead subscription registered
 	// more than one rectangle, forcing target deduplication.
 	multiRect bool
@@ -566,26 +588,16 @@ func (s *Subscription) Cancel() {
 		sh.mu.Lock()
 		delete(sh.subs, s.id)
 		// Rectangles indexed in the shard's base become stale; overlay
-		// entries are removed eagerly. The overlay is filtered into a
-		// fresh slice — never truncated in place — because published
-		// snapshots still reference the old backing array; a
-		// subscription with no overlay entries leaves it as it is.
-		removed := 0
-		for _, e := range sh.overlay {
-			if e.sub == s {
-				removed++
-			}
+		// entries are removed eagerly. A subscription's rectangles are
+		// all in one or the other. The overlay is rebuilt from the
+		// entries it keeps — never cut in place — because published
+		// snapshots still read the old run; a subscription with no
+		// overlay entries leaves it as it is.
+		if slices.Contains(sh.overlay.subs, s) {
+			sh.overlay = sh.overlay.keep(func(o *Subscription) bool { return o != s })
+		} else {
+			sh.stale += len(s.rects)
 		}
-		if removed > 0 {
-			kept := make([]overlayEntry, 0, len(sh.overlay)-removed)
-			for _, e := range sh.overlay {
-				if e.sub != s {
-					kept = append(kept, e)
-				}
-			}
-			sh.overlay = kept
-		}
-		sh.stale += len(s.rects) - removed
 		if sh.rebuilding && s.id < sh.rebuildCut {
 			// This subscription's rectangles were collected into the
 			// in-flight rebuild; they will be stale in the new base.
@@ -709,11 +721,9 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	if len(owned) > 1 {
 		sh.multiRect = true
 	}
-	// Appending to the overlay's backing array is safe with live
-	// snapshots: readers are bounded by their snapshot's slice length.
-	for _, r := range owned {
-		sh.overlay = append(sh.overlay, overlayEntry{rect: r, sub: s})
-	}
+	// Appending to the overlay is safe with live snapshots: readers are
+	// bounded by their snapshot's lengths.
+	sh.overlay.add(s)
 	sh.publishSnapshotLocked()
 	b.maybeTriggerRebuildLocked(sh)
 	sh.mu.Unlock()
@@ -783,7 +793,7 @@ func (b *Broker) Close() {
 		sh.slots = nil
 		sh.baseLen = 0
 		sh.stale = 0
-		sh.overlay = nil
+		sh.overlay = overlay{}
 		sh.snap.Store(nil)
 		sh.mu.Unlock()
 	}

@@ -229,9 +229,10 @@ func TestCloseDuringRebuild(t *testing.T) {
 // with telemetry disabled, a steady-state publish (index rebuilt, scratch
 // pools warm, all DropNewest buffers saturated) performs zero heap
 // allocations, even with a payload attached — the clone is deferred until
-// a send actually happens. It runs on two populations: 100 identical 1-D
-// rectangles, and the paper's 1 000-subscription stock testbed (4-D, a
-// multi-level S-tree) under the stock publication model.
+// a send actually happens. It runs on three populations: 100 identical
+// 1-D rectangles; the paper's 1 000-subscription stock testbed (4-D, a
+// multi-level S-tree) under the stock publication model; and 1 001 stock
+// subscriptions packed into the base with 1 000 more left in the overlay.
 func TestPublishZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -241,10 +242,12 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 		for i := range rects {
 			rects[i] = geometry.NewRect(40, 60)
 		}
-		assertPublishZeroAlloc(t, Options{MinOverlay: 4}, rects, []geometry.Point{{50}})
+		assertPublishZeroAlloc(t, Options{MinOverlay: 4}, rects, nil, []geometry.Point{{50}})
 	})
-	t.Run("stock", func(t *testing.T) {
-		tb, err := experiment.NewTestbed(experiment.TestbedConfig{}, experiment.DefaultSeed)
+	stock := func(t *testing.T, n int) ([]geometry.Rect, []geometry.Point) {
+		cfg := workload.DefaultSubscriptionConfig()
+		cfg.Count = n
+		tb, err := experiment.NewTestbed(experiment.TestbedConfig{Subscriptions: &cfg}, experiment.DefaultSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,26 +261,46 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 		for i := range points {
 			points[i] = model.Sample(rng)
 		}
-		assertPublishZeroAlloc(t, Options{}, rects, points)
+		return rects, points
+	}
+	t.Run("stock", func(t *testing.T) {
+		rects, points := stock(t, 1000)
+		assertPublishZeroAlloc(t, Options{}, rects, nil, points)
+	})
+	t.Run("stock-overlay", func(t *testing.T) {
+		// On one shard the first rebuild comes due at the 1 001st
+		// rectangle; 1 000 more stay under MinOverlay, so the overlay
+		// keeps them.
+		rects, points := stock(t, 2001)
+		assertPublishZeroAlloc(t, Options{MinOverlay: 1000, Shards: 1}, rects[:1001], rects[1001:], points)
 	})
 }
 
 // assertPublishZeroAlloc subscribes one Buffer-1 subscription per
-// rectangle, waits until the background rebuilds have settled, publishes
-// every point once so each subscription any of them reaches is saturated,
-// and then requires that cycling through the points again allocates
-// nothing.
-func assertPublishZeroAlloc(t *testing.T, opts Options, rects []geometry.Rect, points []geometry.Point) {
+// rectangle of base, waits until the background rebuilds have settled,
+// subscribes overlay the same way and checks that the overlay holds it,
+// publishes every point once so each subscription any of them reaches is
+// saturated, and then requires that cycling through the points again
+// allocates nothing.
+func assertPublishZeroAlloc(t *testing.T, opts Options, base, overlay []geometry.Rect, points []geometry.Point) {
 	t.Helper()
 	b := New(opts)
 	defer b.Close()
-	for _, r := range rects {
-		if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, r); err != nil {
-			t.Fatal(err)
+	subscribe := func(rects []geometry.Rect) {
+		for _, r := range rects {
+			if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, r); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	subscribe(base)
 	waitRebuilds(t, b, 1)
 	waitSettled(t, b)
+	subscribe(overlay)
+	waitSettled(t, b)
+	if got := b.IndexReport().OverlayLen; got < len(overlay) {
+		t.Fatalf("the overlay holds %d rectangles, want at least %d", got, len(overlay))
+	}
 	payload := []byte("tick")
 	// Saturate every reachable buffer; from here on DropNewest fast-drops
 	// without materializing the event.

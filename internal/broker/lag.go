@@ -148,8 +148,8 @@ type IndexReport struct {
 	Rectangles    int `json:"rectangles"`
 	// Base/Overlay/Stale describe the compiled snapshots summed across
 	// all shards: rectangles in the packed base indexes (including
-	// stale ones), rectangles still in the linear overlays awaiting a
-	// rebuild, and base slots whose subscription is gone.
+	// stale ones), rectangles still in the append-only overlays awaiting
+	// a rebuild, and base slots whose subscription is gone.
 	BaseLen    int    `json:"base_len"`
 	OverlayLen int    `json:"overlay_len"`
 	Stale      int    `json:"stale"`
@@ -216,7 +216,7 @@ func (b *Broker) IndexReport() IndexReport {
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		rep.BaseLen += sh.baseLen
-		rep.OverlayLen += len(sh.overlay)
+		rep.OverlayLen += len(sh.overlay.subs)
 		rep.Stale += sh.stale
 		rep.Rectangles += sh.rectanglesLocked()
 		if sh.multiRect {
@@ -356,8 +356,8 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 			return health.Unhealthy, "broker closed"
 		}
 		// Any one shard stuck past the StaleWindow degrades the broker:
-		// its slice of the subscription population is paying linear
-		// overlay scans (or stale-slot filtering) on every publish.
+		// its slice of the subscription population is paying unfolded
+		// overlay boxes (or stale-slot filtering) on every publish.
 		overlay, stale, baseLen := 0, 0, 0
 		nowNS := b.rec.Now()
 		var worst time.Duration
@@ -365,7 +365,7 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 		for _, sh := range b.shards {
 			sh.mu.Lock()
 			due := sh.rebuildDueLocked()
-			overlay += len(sh.overlay)
+			overlay += len(sh.overlay.subs)
 			stale += sh.stale
 			baseLen += sh.baseLen
 			sh.mu.Unlock()

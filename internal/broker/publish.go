@@ -389,14 +389,10 @@ func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, qs *match
 	for _, slot := range sc.ids {
 		sc.targets = append(sc.targets, snap.slots[slot])
 	}
-	for i := range snap.overlay {
-		e := &snap.overlay[i]
-		if e.rect.Contains(p) {
-			sc.targets = append(sc.targets, e.sub)
-			qs.Matched++
-		}
+	sc.ids = snap.overlay.boxes.PointAppend(p, sc.ids[:0], qs)
+	for _, i := range sc.ids {
+		sc.targets = append(sc.targets, snap.overlay.subs[i])
 	}
-	qs.EntriesTested += len(snap.overlay)
 	// Deduplicate only when some subscription in this shard holds
 	// several rectangles; otherwise every target is distinct already.
 	if snap.multiRect && len(sc.targets) > 1 {

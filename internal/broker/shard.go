@@ -59,7 +59,7 @@ type shard struct {
 	slots     []*Subscription // slot -> subscription for base's ids
 	baseLen   int             // rectangles in base (incl. stale)
 	stale     int             // rectangles in base whose subscription is gone
-	overlay   []overlayEntry  // recent rectangles, scanned linearly
+	overlay   overlay         // recent rectangles, matched as a plane run
 	multiRect bool            // some subscription in this shard holds several rectangles
 
 	// Background rebuilder state (same reconciliation protocol as the
@@ -113,7 +113,7 @@ func (sh *shard) publishSnapshotLocked() {
 // fraction of its base) has grown past the rebuild thresholds. Caller
 // holds sh.mu.
 func (sh *shard) rebuildDueLocked() bool {
-	overlayBig := len(sh.overlay) > sh.b.opts.MinOverlay && len(sh.overlay)*4 > sh.baseLen
+	overlayBig := len(sh.overlay.subs) > sh.b.opts.MinOverlay && len(sh.overlay.subs)*4 > sh.baseLen
 	staleBig := sh.stale*2 > sh.baseLen && sh.stale > 0
 	return overlayBig || staleBig
 }
@@ -178,7 +178,7 @@ func (b *Broker) rebuildShard(sh *shard) {
 		// staying pinned by a permanently-stale snapshot, and the
 		// rebuilder goes idle.
 		sh.base, sh.slots, sh.baseLen, sh.stale = nil, nil, 0, 0
-		sh.overlay = nil
+		sh.overlay = overlay{}
 		sh.publishSnapshotLocked()
 		sh.mu.Unlock()
 		sh.finishRebuild(0, 0, b.rec.Now())
@@ -186,7 +186,7 @@ func (b *Broker) rebuildShard(sh *shard) {
 	}
 	cut := sh.maxID
 	slots := make([]*Subscription, 0, len(sh.subs))
-	entries := make([]match.Subscription, 0, sh.baseLen-sh.stale+len(sh.overlay))
+	entries := make([]match.Subscription, 0, sh.rectanglesLocked())
 	for _, s := range sh.subs {
 		slot := len(slots)
 		slots = append(slots, s)
@@ -213,20 +213,14 @@ func (b *Broker) rebuildShard(sh *shard) {
 		sh.mu.Unlock()
 		return
 	}
-	kept := make([]overlayEntry, 0, len(sh.overlay))
-	for _, e := range sh.overlay {
-		if e.sub.id >= cut {
-			kept = append(kept, e)
-		}
-	}
-	sh.overlay = kept
+	sh.overlay = sh.overlay.keep(func(s *Subscription) bool { return s.id >= cut })
 	sh.base = idx
 	sh.slots = slots
 	sh.baseLen = len(entries)
 	sh.stale = sh.pendingStale
 	sh.pendingStale = 0
 	sh.publishSnapshotLocked()
-	overlayLeft := len(sh.overlay)
+	overlayLeft := len(sh.overlay.subs)
 	// Churn during the build may already warrant another pass.
 	again := sh.rebuildDueLocked()
 	sh.mu.Unlock()
@@ -264,7 +258,7 @@ func (sh *shard) finishRebuild(entries, overlayLeft int, r0 int64) {
 // baseLen - stale + len(overlay) == Σ len(s.rects) over sh.subs holds
 // at every instant, including mid-rebuild (the churn test asserts it).
 func (sh *shard) rectanglesLocked() int {
-	return sh.baseLen - sh.stale + len(sh.overlay)
+	return sh.baseLen - sh.stale + len(sh.overlay.subs)
 }
 
 // ShardStat is one shard's introspection snapshot, surfaced by
@@ -295,7 +289,7 @@ func (sh *shard) snapshotStat() ShardStat {
 		Subscriptions: len(sh.subs),
 		Rectangles:    sh.rectanglesLocked(),
 		BaseLen:       sh.baseLen,
-		OverlayLen:    len(sh.overlay),
+		OverlayLen:    len(sh.overlay.subs),
 		Stale:         sh.stale,
 		MultiRect:     sh.multiRect,
 		Rebuilding:    sh.rebuilding,

@@ -415,9 +415,9 @@ func TestShardEmptyRebalance(t *testing.T) {
 		if snap == nil {
 			t.Fatal("shard snapshot nil before Close")
 		}
-		if snap.base != nil || snap.slots != nil || len(snap.overlay) != 0 {
+		if snap.base != nil || snap.slots != nil || snap.overlay.subs != nil || snap.overlay.boxes.Len() != 0 {
 			t.Fatalf("shard %d snapshot still pins base=%v slots=%d overlay=%d",
-				sh.idx, snap.base != nil, len(snap.slots), len(snap.overlay))
+				sh.idx, snap.base != nil, len(snap.slots), len(snap.overlay.subs))
 		}
 	}
 	if st := b.Stats(); st.Rectangles != 0 || st.Subscriptions != 0 {
@@ -679,18 +679,19 @@ func TestCancelOfBaseSubscriptionKeepsOverlay(t *testing.T) {
 	waitSettled(t, b)
 	last := subscribe(100)
 	sh := b.shards[0]
-	overlay := func() []overlayEntry {
+	overlay := func() []*Subscription {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.overlay
+		if sh.overlay.boxes.Len() != len(sh.overlay.subs) {
+			t.Fatalf("the overlay's run holds %d boxes for %d entries", sh.overlay.boxes.Len(), len(sh.overlay.subs))
+		}
+		return sh.overlay.subs
 	}
 	before := overlay()
-	for _, e := range before {
-		if e.sub == first {
-			t.Fatal("the first subscription is still in the overlay after the rebuild")
-		}
+	if slices.Contains(before, first) {
+		t.Fatal("the first subscription is still in the overlay after the rebuild")
 	}
-	if len(before) == 0 || before[len(before)-1].sub != last {
+	if len(before) == 0 || before[len(before)-1] != last {
 		t.Fatalf("the overlay holds %d entries and not the newest subscription last", len(before))
 	}
 

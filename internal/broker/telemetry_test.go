@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,12 +117,7 @@ func inBase(s *Subscription) bool {
 	if sh.base == nil {
 		return false
 	}
-	for _, e := range sh.overlay {
-		if e.sub == s {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(sh.overlay.subs, s)
 }
 
 func TestBrokerTracerEmitsSpans(t *testing.T) {

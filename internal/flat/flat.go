@@ -33,6 +33,10 @@
 // instead, writing every index of the run and advancing the write
 // position by its mask bit: a set-bit push measured no faster there.
 //
+// Runs. Boxes applies the same kernel and compaction to rectangles that
+// are not in a tree: an append-only run stored as 64-box plane blocks,
+// matched a block at a time like a leaf.
+//
 // Queries take a caller-provided scratch stack of node indices (returned
 // for reuse; see GetStack/PutStack) and never allocate.
 //
@@ -248,12 +252,14 @@ func containMask(planes []float64, stride, start, n int, p geometry.Point) uint6
 }
 
 // checkKernel asserts that containMaskGo agrees with the AVX2 kernel's
-// mask.
+// mask. Assertf is reached only on a mismatch: boxing its arguments on
+// every call would allocate on the zero-allocation publish path.
 //
 //pubsub:coldpath -- invariants builds only: the assertion formats its message
 func checkKernel(mask uint64, planes []float64, stride, start, n int, p geometry.Point) {
-	want := containMaskGo(planes, stride, start, n, p)
-	invariant.Assertf(mask == want, "flat: AVX2 containment mask %#x, Go loop %#x (boxes [%d,%d), stride %d, p=%v)", mask, want, start, start+n, stride, p)
+	if want := containMaskGo(planes, stride, start, n, p); mask != want {
+		invariant.Assertf(false, "flat: AVX2 containment mask %#x, Go loop %#x (boxes [%d,%d), stride %d, p=%v)", mask, want, start, start+n, stride, p)
+	}
 }
 
 // containMaskGo is containMask in Go, a plane at a time (see the package

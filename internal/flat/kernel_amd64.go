@@ -1,8 +1,12 @@
 package flat
 
+// haveAVX2 reports whether the processor runs containMaskAVX2.
+var haveAVX2 = hasAVX2()
+
 // useAVX2 selects containMaskAVX2 over containMaskGo. It is set once,
-// before any query, from what the processor reports.
-var useAVX2 = hasAVX2()
+// before any query, from what the processor reports. Race-detector
+// builds keep the Go loop, so the detector sees every plane read.
+var useAVX2 = haveAVX2 && !raceBuild
 
 // containMaskAVX2 is containMaskGo in AVX2 assembly, four boxes a step.
 // It does no bounds checks: containMask makes them.

@@ -2,8 +2,9 @@
 
 package flat
 
-// useAVX2 is false off amd64: containMaskGo is the only kernel.
-const useAVX2 = false
+// haveAVX2 and useAVX2 are false off amd64: containMaskGo is the only
+// kernel.
+const haveAVX2, useAVX2 = false, false
 
 // containMaskAVX2 is never called off amd64.
 func containMaskAVX2(planes []float64, stride, start, n int, p []float64) uint64 {

@@ -11,7 +11,7 @@ import (
 // starting at any offset of their planes, bounds and coordinates drawn
 // from ±Inf, ±0 and NaN, and coordinates equal to a stored Lo or Hi.
 func FuzzPlaneMask(f *testing.F) {
-	if !useAVX2 {
+	if !haveAVX2 {
 		f.Skip("no AVX2 kernel on this processor")
 	}
 	rng := rand.New(rand.NewSource(1))

@@ -11,9 +11,9 @@
 #                       the WAL at -cpu 1,2, the broker and the wire — sink
 #                       overflow table, connection script — at -cpu 1,2,4, every benchmark once, and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
-#                       point queries, the AVX2 containment kernel against the Go loop and the S-tree
-#                       packing against its reference builder)
-#   4. invariant tests  go test -tags=invariants over the flat/index/geometry/match packages
+#                       point queries, the AVX2 containment kernel against the Go loop, the overlay's
+#                       plane run against Rect.Contains and the S-tree packing against its reference builder)
+#   4. invariant tests  go test -tags=invariants over the flat/index/geometry/match/broker packages
 #                       (every AVX2 containment mask is checked against the Go loop)
 #   5. metrics smoke    boot pubsubd, scrape /metrics, SIGTERM shutdown
 #   6. ledger smoke     bench/ harness tests + 1-second stock, selective, churn, durable and wire workloads through its oracle
@@ -42,10 +42,11 @@ go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPlaneMask$' -fuzztime 10s
+go test ./internal/flat -run '^$' -fuzz '^FuzzBoxes$' -fuzztime 10s
 go test ./internal/stree -run '^$' -fuzz '^FuzzBuildEquivalence$' -fuzztime 10s
 
 echo "==> structural invariants (-tags=invariants)"
-go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/geometry/... ./internal/match/... ./internal/predindex/...
+go test -tags=invariants ./internal/flat/... ./internal/stree/... ./internal/rtree/... ./internal/geometry/... ./internal/match/... ./internal/predindex/... ./internal/broker/...
 
 echo "==> metrics endpoint smoke"
 ./scripts/metrics_smoke.sh
