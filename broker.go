@@ -53,8 +53,11 @@ type Event = broker.Event
 // BrokerStats is a snapshot of broker counters.
 type BrokerStats = broker.Stats
 
-// ShardStat is one subscription shard's introspection snapshot; see
-// Broker.ShardStats and IndexReport.
+// ShardStat is the broker index's introspection snapshot, the one entry
+// of Broker.ShardStats: its subscriptions, its base (all parts
+// together), overlay and stale rectangles, and its rebuilds. The broker
+// has one index, packed in parts; IndexReport.ShardCount is the part
+// count.
 type ShardStat = broker.ShardStat
 
 // NewBroker creates an empty broker.

@@ -83,7 +83,6 @@ func run(args []string) error {
 		buffer   = fs.Int("buffer", 64, "default per-subscription event buffer")
 		statsInt = fs.Duration("stats", 0, "log broker stats at this interval (0 disables)")
 
-		shards       = fs.Int("shards", 0, "subscription shards, each with its own index and rebuilder (0 selects GOMAXPROCS, 1 disables sharding)")
 		slowLag      = fs.Uint64("slow-sub-lag", 4096, "flag subscriptions this many events behind the head as slow (0 disables)")
 		overflow     = fs.String("overflow", "drop-newest", "default overflow policy: drop-newest, drop-oldest, block or cancel-slow")
 		blockTimeout = fs.Duration("block-timeout", 50*time.Millisecond, "bounded wait of the block overflow policy")
@@ -115,9 +114,6 @@ func run(args []string) error {
 	policy, err := broker.ParseOverflowPolicy(*overflow)
 	if err != nil {
 		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("bad -shards %d: must be >= 0", *shards)
 	}
 	if *sloP99 < 0 {
 		return fmt.Errorf("bad -slo-delivery-p99 %s: must be >= 0", *sloP99)
@@ -200,7 +196,6 @@ func run(args []string) error {
 		Overflow:         policy,
 		BlockTimeout:     *blockTimeout,
 		SlowLagThreshold: *slowLag,
-		Shards:           *shards,
 		Metrics:          reg,
 		Tracer:           tracer,
 		Recorder:         rec,
@@ -209,7 +204,7 @@ func run(args []string) error {
 	})
 	defer b.Close()
 	b.RegisterHealth(hr)
-	logger.Info("broker ready", "shards", b.NumShards())
+	logger.Info("broker ready")
 	// New installs the first index snapshot synchronously, so matching
 	// is ready the moment it returns.
 	hr.PassGate("snapshot")

@@ -192,7 +192,7 @@ func TestRunMetricsEndpoint(t *testing.T) {
 			lag.Head, len(lag.Subs), len(lag.Conns), lagBody)
 	}
 
-	// Index introspection: the live rectangle population and its shards.
+	// Index introspection: the live rectangle population and its parts.
 	idxBody, _ := httpGet(t, "http://"+metricsAddr+"/debug/index")
 	var idx struct {
 		Subscriptions int `json:"subscriptions"`
@@ -202,7 +202,7 @@ func TestRunMetricsEndpoint(t *testing.T) {
 		t.Fatalf("/debug/index is not JSON: %v\n%s", err, idxBody)
 	}
 	if idx.Subscriptions != 1 || idx.ShardCount < 1 {
-		t.Errorf("/debug/index = %+v, want 1 subscription on at least one shard", idx)
+		t.Errorf("/debug/index = %+v, want 1 subscription in at least one part", idx)
 	}
 
 	cli.Close()

@@ -18,7 +18,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -151,13 +150,6 @@ type Options struct {
 	// unfolded before the broker's health check reports Degraded. Zero
 	// selects 10s.
 	StaleWindow time.Duration
-	// Shards partitions the subscription space into per-core slices,
-	// each with its own snapshot and background rebuilder, so rebuild
-	// cost and snapshot size scale with subs/Shards instead of total
-	// subscriptions. Subscriptions are assigned by hash of their id.
-	// Zero selects runtime.GOMAXPROCS(0); 1 disables sharding (the
-	// pre-shard single-snapshot broker).
-	Shards int
 	// SLO, when non-nil, receives every publication's end-to-end
 	// publish latency (and every overflow drop as a bad event) for
 	// multi-window burn-rate evaluation. Nil disables the feed at zero
@@ -177,15 +169,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StaleWindow == 0 {
 		o.StaleWindow = 10 * time.Second
-	}
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Shards > maxShards {
-		o.Shards = maxShards
 	}
 	return o
 }
@@ -252,12 +235,14 @@ func (o *overlay) keep(f func(*Subscription) bool) overlay {
 // their own lengths), while Cancel and the rebuilder install a fresh
 // overlay before storing a new snapshot.
 type snapshot struct {
-	// base indexes the rectangles present at the last rebuild. Its
-	// SubscriberIDs are slots into the slots slice, not broker
-	// subscription ids, so matching needs no map. nil before the first
-	// rebuild. It may contain slots whose subscription has since been
-	// cancelled; deliver's per-subscription closed check filters those.
-	base  match.Matcher
+	// base indexes the rectangles present at the last rebuild, packed
+	// in one or more parts. Their SubscriberIDs are slots into the one
+	// slots slice, not broker subscription ids, so matching needs no
+	// map, and each subscription's slot is in exactly one part. nil
+	// before the first rebuild. It may contain slots whose subscription
+	// has since been cancelled; deliver's per-subscription closed check
+	// filters those.
+	base  []match.Matcher
 	slots []*Subscription
 	// overlay holds rectangles registered since the last rebuild.
 	overlay overlay
@@ -271,28 +256,61 @@ type snapshot struct {
 type Broker struct {
 	opts Options
 
+	// mu guards the subscriptions and the index state below; the
+	// publish path takes no lock and reads snap.
 	mu     sync.RWMutex
 	nextID int
 	subs   map[int]*Subscription
 
-	// shards partition the subscription space; each holds its own
-	// immutable snapshot and background rebuilder. The slice is immutable
-	// after New (always at least one shard). Lock order: b.mu before any
-	// shard.mu.
-	shards []*shard
+	// The index: a packed base in one or more parts over one slot
+	// table, plus the overlay of rectangles registered since the last
+	// rebuild.
+	base      []match.Matcher // packed parts (may contain stale slots)
+	slots     []*Subscription // slot -> subscription for base's ids
+	baseLen   int             // rectangles in base (incl. stale)
+	stale     int             // rectangles in base whose subscription is gone
+	overlay   overlay         // recent rectangles, matched as a plane run
+	multiRect bool            // some subscription holds several rectangles
+
+	// Background rebuilder state: the collect→install reconciliation
+	// protocol of rebuild.
+	rebuilderOn  bool // rebuilder goroutine started
+	rebuilding   bool // a collect→install window is open
+	rebuildCut   int  // nextID captured at collection time
+	pendingStale int  // rects of subs cancelled during the build
+	// rebuildCh has capacity 1 so churn coalesces into at most one
+	// pending rebuild behind the in-flight one.
+	rebuildCh     chan struct{}
+	lastRebuildNS atomic.Int64
+
+	// nparts is how many parts a rebuild packs the base in once the
+	// population reaches partMin (autoParallelMinRects; partsFor picks
+	// nparts from GOMAXPROCS). Both are fixed by New.
+	nparts  int
+	partMin int
+	// work hands part i of a publication's snapshot to worker i; nil
+	// without workers (always nil at index 0, the publisher's part).
+	// Unbuffered: a successful send means the worker has taken exactly
+	// that publication.
+	work []chan *pubCtx
+	// partNS is the cumulative match cost attributed to each part
+	// (recorder-clock nanoseconds), accumulated per publish when metrics
+	// are on. The imbalance gauge reads max/mean across the parts.
+	partNS []atomic.Int64
+
+	// snap is the immutable matching state Publish reads without a
+	// lock. nil once the broker is closed.
+	snap atomic.Pointer[snapshot]
 
 	// closed is set once, by Close, under mu: mutators check it under
-	// mu, the publish path and the per-shard rebuilders read it without.
+	// mu, the publish path and the rebuilder read it without.
 	closed atomic.Bool
-	// liveRects counts live subscription rectangles across all shards.
-	// A publication's shards are offered to the shard workers once it
-	// reaches offerMin: autoParallelMinRects when New started workers
-	// (several shards and several CPUs), out of reach otherwise.
+	// liveRects counts live subscription rectangles, the group size of a
+	// traced publication's decision record.
 	liveRects atomic.Int64
-	offerMin  int64
 
-	// stop ends the background goroutines (per-shard rebuilders and
-	// shard workers); wg waits for all of them in Close.
+	// stop ends the background goroutines (the rebuilder and the part
+	// workers); wg waits for all of them in Close.
 	stop chan struct{}
 	wg   sync.WaitGroup
 
@@ -332,18 +350,30 @@ type Broker struct {
 	consumers       sync.WaitGroup
 }
 
-// New creates an empty broker.
+// New creates an empty broker. On several CPUs its rebuilds pack a
+// large base in parts, and part workers take parts off the publisher.
 func New(opts Options) *Broker {
+	nparts := partsFor(runtime.GOMAXPROCS(0))
+	return newBroker(opts, nparts, autoParallelMinRects, nparts > 1)
+}
+
+// newBroker is New with the part rule spelled out: rebuilds of at least
+// partMin rectangles pack nparts parts, and workers says whether part
+// workers start. Package tests call it to reach every arrangement on
+// any machine at any population.
+func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 	b := &Broker{
-		opts:   opts.withDefaults(),
-		subs:   make(map[int]*Subscription),
-		tracer: opts.Tracer,
-		rec:    opts.Recorder,
-		log:    opts.Log,
-		slo:    opts.SLO,
-		stop:   make(chan struct{}),
-		// No workers, no offers, until startWorkers says otherwise.
-		offerMin: math.MaxInt64,
+		opts:      opts.withDefaults(),
+		subs:      make(map[int]*Subscription),
+		tracer:    opts.Tracer,
+		rec:       opts.Recorder,
+		log:       opts.Log,
+		slo:       opts.SLO,
+		stop:      make(chan struct{}),
+		rebuildCh: make(chan struct{}, 1),
+		nparts:    nparts,
+		partMin:   partMin,
+		partNS:    make([]atomic.Int64, nparts),
 	}
 	if b.rec == nil {
 		b.rec = telemetry.Default()
@@ -354,19 +384,21 @@ func New(opts Options) *Broker {
 		// resuming subscriber lags behind.
 		b.head.Store(b.log.NextOffset() - 1)
 	}
-	b.shards = make([]*shard, b.opts.Shards)
-	for i := range b.shards {
-		b.shards[i] = newShard(b, i)
-	}
+	b.snap.Store(&snapshot{})
+	b.lastRebuildNS.Store(b.rec.Now())
 	b.ctxs.New = func() any {
-		return &pubCtx{res: make([]shardResult, len(b.shards)), done: make(chan struct{}, 1)}
+		return &pubCtx{res: make([]partResult, nparts), done: make(chan struct{}, 1)}
 	}
 	b.tel = newBrokerTel(b, opts.Metrics)
-	// The auto rule, first two thirds: workers can only pay with several
-	// shards to spread and several CPUs to spread them over. The last
-	// third, the population, is checked per publication.
-	if len(b.shards) > 1 && runtime.GOMAXPROCS(0) > 1 {
-		b.startWorkers(autoParallelMinRects)
+	if workers && nparts > 1 {
+		// go statements allocate, so the workers start here, never on
+		// the publish path.
+		b.work = make([]chan *pubCtx, nparts)
+		for i := 1; i < nparts; i++ {
+			b.work[i] = make(chan *pubCtx)
+			b.wg.Add(1)
+			go b.partWorker(i)
+		}
 	}
 	return b
 }
@@ -382,7 +414,6 @@ type Subscription struct {
 	// the sink's capacity.
 	sink         *Sink
 	b            *Broker
-	shard        *shard // owning shard
 	policy       OverflowPolicy
 	blockTimeout time.Duration
 	once         sync.Once
@@ -584,28 +615,24 @@ func (s *Subscription) Cancel() {
 		for _, r := range s.rects {
 			b.selprof.removeRect(r)
 		}
-		sh := s.shard
-		sh.mu.Lock()
-		delete(sh.subs, s.id)
-		// Rectangles indexed in the shard's base become stale; overlay
-		// entries are removed eagerly. A subscription's rectangles are
-		// all in one or the other. The overlay is rebuilt from the
-		// entries it keeps — never cut in place — because published
-		// snapshots still read the old run; a subscription with no
-		// overlay entries leaves it as it is.
-		if slices.Contains(sh.overlay.subs, s) {
-			sh.overlay = sh.overlay.keep(func(o *Subscription) bool { return o != s })
+		// Rectangles indexed in the base become stale; overlay entries
+		// are removed eagerly. A subscription's rectangles are all in one
+		// or the other. The overlay is rebuilt from the entries it keeps
+		// — never cut in place — because published snapshots still read
+		// the old run; a subscription with no overlay entries leaves it
+		// as it is.
+		if slices.Contains(b.overlay.subs, s) {
+			b.overlay = b.overlay.keep(func(o *Subscription) bool { return o != s })
 		} else {
-			sh.stale += len(s.rects)
+			b.stale += len(s.rects)
 		}
-		if sh.rebuilding && s.id < sh.rebuildCut {
+		if b.rebuilding && s.id < b.rebuildCut {
 			// This subscription's rectangles were collected into the
 			// in-flight rebuild; they will be stale in the new base.
-			sh.pendingStale += len(s.rects)
+			b.pendingStale += len(s.rects)
 		}
-		sh.publishSnapshotLocked()
-		b.maybeTriggerRebuildLocked(sh)
-		sh.mu.Unlock()
+		b.publishSnapshotLocked()
+		b.maybeTriggerRebuildLocked()
 		s.closeCh()
 	})
 }
@@ -709,24 +736,14 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	s.deliveredAtNS.Store(b.rec.Now())
 	b.nextID++
 	b.subs[s.id] = s
-	sh := b.shards[shardIndex(s.id, len(b.shards))]
-	s.shard = sh
-	sh.mu.Lock()
-	sh.subs[s.id] = s
-	if s.id >= sh.maxID {
-		sh.maxID = s.id + 1
-	}
-	// Dedup is per shard (all of a subscription's rectangles share its
-	// shard), so the flag is per shard too.
 	if len(owned) > 1 {
-		sh.multiRect = true
+		b.multiRect = true
 	}
 	// Appending to the overlay is safe with live snapshots: readers are
 	// bounded by their snapshot's lengths.
-	sh.overlay.add(s)
-	sh.publishSnapshotLocked()
-	b.maybeTriggerRebuildLocked(sh)
-	sh.mu.Unlock()
+	b.overlay.add(s)
+	b.publishSnapshotLocked()
+	b.maybeTriggerRebuildLocked()
 	b.liveRects.Add(int64(len(owned)))
 	for _, r := range owned {
 		b.selprof.addRect(r)
@@ -738,12 +755,6 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	rects := 0
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		rects += sh.rectanglesLocked()
-		sh.mu.Unlock()
-	}
 	published := b.seq.Load()
 	if b.log != nil {
 		// Durable mode: offsets are the publication count, and they
@@ -752,7 +763,7 @@ func (b *Broker) Stats() Stats {
 	}
 	st := Stats{
 		Subscriptions:  len(b.subs),
-		Rectangles:     rects,
+		Rectangles:     b.rectanglesLocked(),
 		Published:      published,
 		Delivered:      b.delivered.Load(),
 		Dropped:        b.dropped.Load(),
@@ -772,8 +783,8 @@ func (b *Broker) Log() *wal.Log { return b.log }
 
 // Close shuts the broker down: all subscription channels are closed and
 // further Publish/Subscribe calls fail. It waits for the background
-// goroutines (per-shard rebuilders and shard workers, if started) to
-// exit. It is idempotent.
+// goroutines (the rebuilder and the part workers, if started) to exit.
+// It is idempotent.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	if b.closed.Load() {
@@ -786,23 +797,14 @@ func (b *Broker) Close() {
 		s.closeCh()
 		delete(b.subs, id)
 	}
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		sh.subs = make(map[int]*Subscription)
-		sh.base = nil
-		sh.slots = nil
-		sh.baseLen = 0
-		sh.stale = 0
-		sh.overlay = overlay{}
-		sh.snap.Store(nil)
-		sh.mu.Unlock()
-	}
+	b.base, b.slots, b.baseLen, b.stale = nil, nil, 0, 0
+	b.overlay = overlay{}
+	b.snap.Store(nil)
 	b.liveRects.Store(0)
 	b.mu.Unlock()
-	// Outside the lock: rebuildShard re-acquires sh.mu before touching
-	// state and bails out on closed; shard workers finish their
-	// in-flight job (whose shard snapshots are now nil) and exit on
-	// the closed stop channel.
+	// Outside the lock: rebuild re-acquires b.mu before touching state
+	// and bails out on closed; part workers finish their in-flight job
+	// and exit on the closed stop channel.
 	b.wg.Wait()
 }
 

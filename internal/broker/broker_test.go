@@ -194,36 +194,29 @@ func TestIndexRebuildKeepsMatchingCorrect(t *testing.T) {
 	}
 }
 
-// waitSettled blocks until no shard has a rebuild in flight, pending or
-// due, so what a test does next is what triggers the next rebuild.
-func waitSettled(t *testing.T, b *Broker) {
+// waitSettled blocks until no rebuild is in flight, pending or due, so
+// what a test does next is what triggers the next rebuild.
+func waitSettled(t testing.TB, b *Broker) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		settled := true
-		for _, sh := range b.shards {
-			sh.mu.Lock()
-			settled = settled && !sh.rebuilding && len(sh.rebuildCh) == 0 && !sh.rebuildDueLocked()
-			sh.mu.Unlock()
-		}
+		b.mu.RLock()
+		settled := !b.rebuilding && len(b.rebuildCh) == 0 && !b.rebuildDueLocked()
+		b.mu.RUnlock()
 		if settled {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for the rebuilders to settle")
+			t.Fatal("timed out waiting for the rebuilder to settle")
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestStaleRebuildOnCancels runs on one shard: spread over several, the
-// ten survivors leave each shard's overlay under MinOverlay, and a shard
-// whose subscriptions never reached its base has nothing stale either,
-// so no rebuild would be due. On one settled shard the base holds at
-// least the first 40 subscriptions, and cancelling them makes it mostly
-// stale.
+// TestStaleRebuildOnCancels: once settled, the base holds at least the
+// first 40 subscriptions, and cancelling them makes it mostly stale.
 func TestStaleRebuildOnCancels(t *testing.T) {
-	b := New(Options{MinOverlay: 4, Shards: 1})
+	b := New(Options{MinOverlay: 4})
 	defer b.Close()
 	var subs []*Subscription
 	for i := 0; i < 50; i++ {

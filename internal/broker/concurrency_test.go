@@ -231,7 +231,8 @@ func TestCloseDuringRebuild(t *testing.T) {
 // allocations, even with a payload attached — the clone is deferred until
 // a send actually happens. It runs on three populations: 100 identical
 // 1-D rectangles; the paper's 1 000-subscription stock testbed (4-D, a
-// multi-level S-tree) under the stock publication model; and 1 001 stock
+// multi-level S-tree) under the stock publication model, in one part and
+// in four parts offered to the part workers; and 1 001 stock
 // subscriptions packed into the base with 1 000 more left in the overlay.
 func TestPublishZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -242,7 +243,7 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 		for i := range rects {
 			rects[i] = geometry.NewRect(40, 60)
 		}
-		assertPublishZeroAlloc(t, Options{MinOverlay: 4}, rects, nil, []geometry.Point{{50}})
+		assertPublishZeroAlloc(t, New(Options{MinOverlay: 4}), rects, nil, []geometry.Point{{50}})
 	})
 	stock := func(t *testing.T, n int) ([]geometry.Rect, []geometry.Point) {
 		cfg := workload.DefaultSubscriptionConfig()
@@ -265,26 +266,29 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 	}
 	t.Run("stock", func(t *testing.T) {
 		rects, points := stock(t, 1000)
-		assertPublishZeroAlloc(t, Options{}, rects, nil, points)
+		assertPublishZeroAlloc(t, New(Options{}), rects, nil, points)
+	})
+	t.Run("stock-parts-workers", func(t *testing.T) {
+		rects, points := stock(t, 1000)
+		assertPublishZeroAlloc(t, newBroker(Options{}, 4, 0, true), rects, nil, points)
 	})
 	t.Run("stock-overlay", func(t *testing.T) {
-		// On one shard the first rebuild comes due at the 1 001st
-		// rectangle; 1 000 more stay under MinOverlay, so the overlay
-		// keeps them.
+		// The first rebuild comes due at the 1 001st rectangle; 1 000
+		// more stay under MinOverlay, so the overlay keeps them.
 		rects, points := stock(t, 2001)
-		assertPublishZeroAlloc(t, Options{MinOverlay: 1000, Shards: 1}, rects[:1001], rects[1001:], points)
+		assertPublishZeroAlloc(t, New(Options{MinOverlay: 1000}), rects[:1001], rects[1001:], points)
 	})
 }
 
 // assertPublishZeroAlloc subscribes one Buffer-1 subscription per
-// rectangle of base, waits until the background rebuilds have settled,
+// rectangle of base to b, which it closes, waits until the background
+// rebuilds have settled,
 // subscribes overlay the same way and checks that the overlay holds it,
 // publishes every point once so each subscription any of them reaches is
 // saturated, and then requires that cycling through the points again
 // allocates nothing.
-func assertPublishZeroAlloc(t *testing.T, opts Options, base, overlay []geometry.Rect, points []geometry.Point) {
+func assertPublishZeroAlloc(t *testing.T, b *Broker, base, overlay []geometry.Rect, points []geometry.Point) {
 	t.Helper()
-	b := New(opts)
 	defer b.Close()
 	subscribe := func(rects []geometry.Rect) {
 		for _, r := range rects {

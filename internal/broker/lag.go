@@ -116,8 +116,7 @@ func (b *Broker) LagReport() LagReport {
 }
 
 // DimSelectivity describes one dimension of the live rectangle
-// population — the inputs a sharding decision needs to pick a split
-// axis.
+// population — the inputs a split-axis or partitioning decision needs.
 type DimSelectivity struct {
 	Dim int `json:"dim"`
 	// Bounded counts rectangles whose interval on this dimension has
@@ -141,30 +140,30 @@ type DimSelectivity struct {
 // IndexReport is a point-in-time description of the matching state:
 // the compiled snapshot's shape, the live rectangle population's
 // per-dimension selectivity, and duplicate/covering counts over a
-// bounded sample — the inputs the sharding and aggregation roadmap
+// bounded sample — the inputs the split-rule and aggregation roadmap
 // items consume.
 type IndexReport struct {
 	Subscriptions int `json:"subscriptions"`
 	Rectangles    int `json:"rectangles"`
-	// Base/Overlay/Stale describe the compiled snapshots summed across
-	// all shards: rectangles in the packed base indexes (including
-	// stale ones), rectangles still in the append-only overlays awaiting
-	// a rebuild, and base slots whose subscription is gone.
+	// Base/Overlay/Stale describe the compiled snapshot: rectangles in
+	// the packed base, all parts together (including stale ones),
+	// rectangles still in the append-only overlay awaiting a rebuild,
+	// and base slots whose subscription is gone.
 	BaseLen    int    `json:"base_len"`
 	OverlayLen int    `json:"overlay_len"`
 	Stale      int    `json:"stale"`
 	MultiRect  bool   `json:"multi_rect"`
 	Rebuilds   uint64 `json:"rebuilds"`
 	// SecondsSinceRebuild is the age of the most recent rebuild
-	// install on any shard (broker creation before the first).
+	// install (broker creation before the first).
 	SecondsSinceRebuild float64 `json:"seconds_since_rebuild"`
-	// ShardCount is how many subscription shards the broker runs.
-	// Shards carries one per-shard breakdown entry (omitted for the
-	// unsharded broker, whose whole state is the top-level view).
-	ShardCount int         `json:"shard_count"`
-	Shards     []ShardStat `json:"shards,omitempty"`
-	// Shape describes the largest shard's packed base matcher tree
-	// (zero before the first rebuild).
+	// ShardCount is how many parts the current snapshot's base is
+	// packed in (1 before the first rebuild, when the overlay is the
+	// one part).
+	ShardCount int `json:"shard_count"`
+	// Shape describes the first part's packed matcher tree (zero before
+	// the first rebuild); the parts hold near-equal shares of one
+	// population, packed the same way.
 	Shape match.Shape `json:"shape"`
 	// Dims holds per-dimension selectivity over the sampled live
 	// rectangles; empty when there are none.
@@ -204,35 +203,17 @@ func (b *Broker) IndexReport() IndexReport {
 	b.mu.RLock()
 	rep := IndexReport{
 		Subscriptions: len(b.subs),
+		Rectangles:    b.rectanglesLocked(),
+		BaseLen:       b.baseLen,
+		OverlayLen:    len(b.overlay.subs),
+		Stale:         b.stale,
+		MultiRect:     b.multiRect,
 		Rebuilds:      b.rebuilds.Load(),
-		ShardCount:    len(b.shards),
+		ShardCount:    b.numParts(),
 	}
 	var base match.Matcher
-	var lastRebuildNS int64
-	// Aggregate the per-shard snapshots into the whole-broker view;
-	// Shape describes the largest shard's packed base. Lock order:
-	// b.mu (held) before each sh.mu.
-	biggest := -1
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		rep.BaseLen += sh.baseLen
-		rep.OverlayLen += len(sh.overlay.subs)
-		rep.Stale += sh.stale
-		rep.Rectangles += sh.rectanglesLocked()
-		if sh.multiRect {
-			rep.MultiRect = true
-		}
-		if sh.baseLen > biggest {
-			biggest = sh.baseLen
-			base = sh.base
-		}
-		sh.mu.Unlock()
-		if ns := sh.lastRebuildNS.Load(); ns > lastRebuildNS {
-			lastRebuildNS = ns
-		}
-	}
-	if len(b.shards) > 1 {
-		rep.Shards = b.ShardStats()
+	if len(b.base) > 0 {
+		base = b.base[0]
 	}
 	sample := make([]geometry.Rect, 0, min(len(b.subs)*2, introspectSampleCap))
 	for _, s := range b.subs {
@@ -248,7 +229,7 @@ func (b *Broker) IndexReport() IndexReport {
 	}
 	b.mu.RUnlock()
 
-	rep.SecondsSinceRebuild = time.Duration(b.rec.Now() - lastRebuildNS).Seconds()
+	rep.SecondsSinceRebuild = time.Duration(b.rec.Now() - b.lastRebuildNS.Load()).Seconds()
 	if base != nil {
 		rep.Shape = match.Describe(base)
 	}
@@ -355,35 +336,21 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 		if b.closed.Load() {
 			return health.Unhealthy, "broker closed"
 		}
-		// Any one shard stuck past the StaleWindow degrades the broker:
-		// its slice of the subscription population is paying unfolded
-		// overlay boxes (or stale-slot filtering) on every publish.
-		overlay, stale, baseLen := 0, 0, 0
+		// Churn left unfolded past the StaleWindow degrades the broker:
+		// every publish is paying unfolded overlay boxes (or stale-slot
+		// filtering).
 		nowNS := b.rec.Now()
-		var worst time.Duration
-		worstShard := -1
-		for _, sh := range b.shards {
-			sh.mu.Lock()
-			due := sh.rebuildDueLocked()
-			overlay += len(sh.overlay.subs)
-			stale += sh.stale
-			baseLen += sh.baseLen
-			sh.mu.Unlock()
-			if !due {
-				continue
-			}
-			if age := time.Duration(nowNS - sh.lastRebuildNS.Load()); age > b.opts.StaleWindow && age > worst {
-				worst = age
-				worstShard = sh.idx
-			}
-		}
-		if worstShard >= 0 {
+		b.mu.RLock()
+		due := b.rebuildDueLocked()
+		overlay, stale, baseLen := len(b.overlay.subs), b.stale, b.baseLen
+		b.mu.RUnlock()
+		if age := time.Duration(nowNS - b.lastRebuildNS.Load()); due && age > b.opts.StaleWindow {
 			return health.Degraded, fmt.Sprintf(
-				"index stale: shard %d unfolded for %s; totals overlay %d, stale %d/%d",
-				worstShard, worst.Round(time.Millisecond), overlay, stale, baseLen)
+				"index stale: unfolded for %s; overlay %d, stale %d/%d",
+				age.Round(time.Millisecond), overlay, stale, baseLen)
 		}
-		return health.Healthy, fmt.Sprintf("%d shard(s), overlay %d, stale %d/%d",
-			len(b.shards), overlay, stale, baseLen)
+		return health.Healthy, fmt.Sprintf("%d part(s), overlay %d, stale %d/%d",
+			b.numParts(), overlay, stale, baseLen)
 	})
 }
 

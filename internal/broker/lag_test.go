@@ -242,7 +242,7 @@ func TestBrokerHealthChecks(t *testing.T) {
 
 func TestRebuilderStalenessDegradesAndRecovers(t *testing.T) {
 	hr := health.NewRegistry()
-	b := New(Options{StaleWindow: 20 * time.Millisecond, MinOverlay: 4, Shards: 1})
+	b := New(Options{StaleWindow: 20 * time.Millisecond, MinOverlay: 4})
 	defer b.Close()
 	b.RegisterHealth(hr)
 
@@ -250,10 +250,9 @@ func TestRebuilderStalenessDegradesAndRecovers(t *testing.T) {
 	// rebuilderOn already true, maybeTriggerRebuildLocked only writes
 	// to rebuildCh, which nobody reads after we steal the loop's work
 	// by never starting it.
-	sh := b.shards[0]
-	sh.mu.Lock()
-	sh.rebuilderOn = true
-	sh.mu.Unlock()
+	b.mu.Lock()
+	b.rebuilderOn = true
+	b.mu.Unlock()
 
 	for i := 0; i < 16; i++ {
 		if _, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+1))); err != nil {
@@ -273,7 +272,7 @@ func TestRebuilderStalenessDegradesAndRecovers(t *testing.T) {
 	}
 
 	// Running the rebuild folds the overlay and recovers health.
-	b.rebuildShard(sh)
+	b.rebuild()
 	rep := hr.Evaluate()
 	if rep.State != health.Healthy {
 		t.Fatalf("rebuild should recover staleness: %+v", rep.Results)

@@ -16,7 +16,7 @@ import (
 
 // TestExemplarRecordingUnderParallelFanout hammers the exemplar slots
 // from every direction at once — parallel fan-out publishers stamping
-// stage and per-shard histograms, subscription churn driving the
+// stage and per-part histograms, subscription churn driving the
 // streaming selectivity profile and rebuilds, and a scraper rendering
 // OpenMetrics exposition concurrently — to prove the lock-free
 // exemplar path is race-clean (run with -race) and that every exemplar
@@ -27,18 +27,17 @@ func TestExemplarRecordingUnderParallelFanout(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	slo := health.NewSLO(health.SLOOptions{ObjectiveSeconds: 10}) // generous: nothing bad, just exercised
-	b := withWorkers(New(Options{
-		Shards:     4,
+	b := newBroker(Options{
 		MinOverlay: 4,
 		Metrics:    reg,
 		SLO:        slo,
-	}))
+	}, 4, 0, true)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Publishers: traced publishes through the parallel fan-out path,
-	// each stamping stage exemplars and per-shard match histograms.
+	// each stamping stage exemplars and per-part match histograms.
 	for p := 0; p < 3; p++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -59,7 +58,7 @@ func TestExemplarRecordingUnderParallelFanout(t *testing.T) {
 	}
 
 	// Churners: subscribe/cancel loops feeding the streaming
-	// selectivity profile and forcing shard rebuilds mid-publish.
+	// selectivity profile and forcing rebuilds mid-publish.
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
 		go func(seed int64) {

@@ -26,77 +26,96 @@ func modelRect(rng *rand.Rand, d int) geometry.Rect {
 }
 
 // TestOverlayModel runs random Subscribe/Cancel/Publish sequences with
-// rebuild triggers from 2 to 64 overlay rectangles, on one to four
-// shards, with multi-rectangle subscriptions and dimensionalities 1–3
-// mixed within a broker and within a subscription. After every
-// publication the set of subscriptions that received it must equal a
-// brute-force oracle over the live subscriptions, each receiving it
-// once, and the shards must account for every live rectangle once.
+// rebuild triggers from 2 to 64 overlay rectangles, on a base packed in
+// one to four parts (shards=K in the subtest name is the part count),
+// with multi-rectangle subscriptions and dimensionalities 1–3 mixed
+// within a broker and within a subscription. A seed with several parts
+// runs twice, with the parts run by the publisher and offered to the
+// workers. After every publication the set of subscriptions that
+// received it must equal a brute-force oracle over the live
+// subscriptions, each receiving it once, and the index must account
+// for every live rectangle once.
 func TestOverlayModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		minOverlay, shards := 2+rng.Intn(63), 1+rng.Intn(4)
+		minOverlay, parts := 2+rng.Intn(63), 1+rng.Intn(4)
 		mixed := seed%3 == 0
-		t.Run(fmt.Sprintf("seed=%d/min=%d/shards=%d/mixed=%v", seed, minOverlay, shards, mixed), func(t *testing.T) {
-			b := New(Options{MinOverlay: minOverlay, Shards: shards, DefaultBuffer: 4})
-			defer b.Close()
-			dims := func() int {
-				if mixed {
-					return 1 + rng.Intn(3)
-				}
-				return 2
+		t.Run(fmt.Sprintf("seed=%d/min=%d/shards=%d/mixed=%v", seed, minOverlay, parts, mixed), func(t *testing.T) {
+			arrs := []arrangement{{"one-part", 1, false}}
+			if parts > 1 {
+				arrs = []arrangement{{"inline", parts, false}, {"workers", parts, true}}
 			}
-			var live []*Subscription
-			for op := 0; op < 600; op++ {
-				switch c := rng.Intn(10); {
-				case c < 4 || len(live) == 0:
-					rects := make([]geometry.Rect, 1+rng.Intn(3))
-					for i := range rects {
-						rects[i] = modelRect(rng, dims())
-					}
-					s, err := b.Subscribe(rects...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, s)
-				case c < 6:
-					i := rng.Intn(len(live))
-					live[i].Cancel()
-					live = slices.Delete(live, i, i+1)
-				default:
-					p := make(geometry.Point, dims())
-					for k := range p {
-						p[k] = float64(rng.Intn(13)) + 0.5*float64(rng.Intn(2))
-					}
-					n, err := b.Publish(p, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, rects := 0, 0
-					for _, s := range live {
-						rects += len(s.rects)
-						match := slices.ContainsFunc(s.rects, func(r geometry.Rect) bool { return r.Contains(p) })
-						got := 0
-						for len(s.Events()) > 0 {
-							<-s.Events()
-							got++
-						}
-						if match {
-							want++
-						}
-						if match && got != 1 || !match && got != 0 {
-							t.Fatalf("op %d: subscription %d %v received %d events of p=%v, want match=%v", op, s.id, s.rects, got, p, match)
-						}
-					}
-					if n != want {
-						t.Fatalf("op %d: Publish(%v) reports %d deliveries, oracle %d", op, p, n, want)
-					}
-					if got := b.Stats().Rectangles; got != rects {
-						t.Fatalf("op %d: the shards account for %d rectangles, live subscriptions hold %d", op, got, rects)
-					}
-				}
+			for _, a := range arrs {
+				t.Run(a.name, func(t *testing.T) {
+					overlayModel(t, a.open(Options{MinOverlay: minOverlay, DefaultBuffer: 4}), seed, mixed)
+				})
 			}
 		})
+	}
+}
+
+// overlayModel is one run of TestOverlayModel's seed on b, which it
+// closes.
+func overlayModel(t *testing.T, b *Broker, seed int64, mixed bool) {
+	defer b.Close()
+	rng := rand.New(rand.NewSource(seed))
+	rng.Intn(63) // the trigger and the part count, drawn by TestOverlayModel
+	rng.Intn(4)
+	dims := func() int {
+		if mixed {
+			return 1 + rng.Intn(3)
+		}
+		return 2
+	}
+	var live []*Subscription
+	for op := 0; op < 600; op++ {
+		switch c := rng.Intn(10); {
+		case c < 4 || len(live) == 0:
+			rects := make([]geometry.Rect, 1+rng.Intn(3))
+			for i := range rects {
+				rects[i] = modelRect(rng, dims())
+			}
+			s, err := b.Subscribe(rects...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, s)
+		case c < 6:
+			i := rng.Intn(len(live))
+			live[i].Cancel()
+			live = slices.Delete(live, i, i+1)
+		default:
+			p := make(geometry.Point, dims())
+			for k := range p {
+				p[k] = float64(rng.Intn(13)) + 0.5*float64(rng.Intn(2))
+			}
+			n, err := b.Publish(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, rects := 0, 0
+			for _, s := range live {
+				rects += len(s.rects)
+				match := slices.ContainsFunc(s.rects, func(r geometry.Rect) bool { return r.Contains(p) })
+				got := 0
+				for len(s.Events()) > 0 {
+					<-s.Events()
+					got++
+				}
+				if match {
+					want++
+				}
+				if match && got != 1 || !match && got != 0 {
+					t.Fatalf("op %d: subscription %d %v received %d events of p=%v, want match=%v", op, s.id, s.rects, got, p, match)
+				}
+			}
+			if n != want {
+				t.Fatalf("op %d: Publish(%v) reports %d deliveries, oracle %d", op, p, n, want)
+			}
+			if got := b.Stats().Rectangles; got != rects {
+				t.Fatalf("op %d: the index accounts for %d rectangles, live subscriptions hold %d", op, got, rects)
+			}
+		}
 	}
 }
 
@@ -160,7 +179,7 @@ func TestOverlayAppendsUnderPublish(t *testing.T) {
 }
 
 // BenchmarkPublishOverlay times a publish on the ledger's stock
-// population, 10 000 subscriptions packed into one shard's base, with
+// population, 10 000 subscriptions packed into the base, with
 // 0, 64, 1 250 and 2 500 more rectangles in the overlay. MinOverlay
 // makes the 10 000th subscription trigger the one rebuild, so the base
 // holds exactly the first 10 000 whatever the scheduling, and keeps
@@ -179,7 +198,7 @@ func BenchmarkPublishOverlay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	br := New(Options{DefaultBuffer: 1, Shards: 1, MinOverlay: 9999})
+	br := New(Options{DefaultBuffer: 1, MinOverlay: 9999})
 	defer br.Close()
 	subscribe := func(subs []workload.PlacedSubscription) {
 		for _, s := range subs {
@@ -189,11 +208,10 @@ func BenchmarkPublishOverlay(b *testing.B) {
 		}
 	}
 	subscribe(tb.Subs[:10000])
-	sh := br.shards[0]
 	for {
-		sh.mu.Lock()
-		settled := sh.baseLen == 10000 && !sh.rebuilding && !sh.rebuildDueLocked()
-		sh.mu.Unlock()
+		br.mu.RLock()
+		settled := br.baseLen == 10000 && !br.rebuilding && !br.rebuildDueLocked()
+		br.mu.RUnlock()
 		if settled {
 			break
 		}

@@ -12,17 +12,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// autoParallelMinRects is the live-rectangle population from which a
-// publication's shards are offered to the shard workers. Below it the
-// per-publish hand-off costs more than the matching it overlaps; the
-// value comes from the BenchmarkPublishSharded table in DESIGN.md §14.
-const autoParallelMinRects = 32768
-
 // matchScratch is one goroutine's reusable matching memory: matched
-// slot ids and the subscriptions they resolve to, for one shard at a
+// slot ids and the subscriptions they resolve to, for one part at a
 // time, and the targets registered on sinks, grouped by sink, for all
-// the shards the goroutine runs for one publication (sink.go). The
-// publisher's lives in its pooled pubCtx; each shard worker owns one for
+// the parts the goroutine runs for one publication (sink.go). The
+// publisher's lives in its pooled pubCtx; each part worker owns one for
 // its lifetime.
 type matchScratch struct {
 	ids     []int
@@ -31,11 +25,11 @@ type matchScratch struct {
 	slot    []int32 // sink index -> position in groups, see group
 }
 
-// shardResult is what one shard's match+enqueue step reports. Each
+// partResult is what one part's match+enqueue step reports. Each
 // pubCtx slot is written by exactly one goroutine (the publisher or
-// that shard's worker) and read by the publisher after the hand-off
+// that part's worker) and read by the publisher after the hand-off
 // barrier, so the merge is a plain loop.
-type shardResult struct {
+type partResult struct {
 	targets   int // matched subscriptions
 	delivered int // deliveries queued: channel sends and sink elements' ids
 	// multicast is the most subscriptions the publication reached through
@@ -48,7 +42,7 @@ type shardResult struct {
 	qs        match.QueryStats
 }
 
-func (r *shardResult) add(o *shardResult) {
+func (r *partResult) add(o *partResult) {
 	r.targets += o.targets
 	r.delivered += o.delivered
 	if o.multicast > r.multicast {
@@ -60,7 +54,7 @@ func (r *shardResult) add(o *shardResult) {
 }
 
 // pubCtx is the pooled per-publication context the staged pipeline
-// threads through: ingest → per-shard match then enqueue → observe.
+// threads through: ingest → per-part match then enqueue → observe.
 // Every clock value in it is a reading of the recorder's monotonic
 // clock; an unmetered publication reads it twice (t0 and observe's
 // end stamp), durable or not.
@@ -76,11 +70,17 @@ type pubCtx struct {
 	tWAL    int64 // Log.Append returned (metered and durable only; t0 otherwise)
 	tIngest int64 // ingest done, fan-out begins (metered only)
 
-	sc  matchScratch  // the publisher goroutine's scratch
-	res []shardResult // one slot per shard
-	sum shardResult   // res merged
+	// snap is the snapshot the publisher loaded; every part of the
+	// publication, on whichever goroutine, matches against it. parts is
+	// how many parts it has (at least 1: the overlay goes with part 0).
+	snap  *snapshot
+	parts int
 
-	// Hand-off barrier: handed counts the shards a worker accepted; each
+	sc  matchScratch // the publisher goroutine's scratch
+	res []partResult // one slot per part
+	sum partResult   // res[:parts] merged
+
+	// Hand-off barrier: handed counts the parts a worker accepted; each
 	// worker adds 1 to pending when done and the publisher subtracts
 	// handed, so whoever brings it back to 0 came last. A worker that
 	// came last wakes the publisher through done (capacity 1, so the
@@ -94,7 +94,7 @@ type pubCtx struct {
 // clone) until the first delivery actually needs them. A publish whose
 // matches all hit full DropNewest buffers — or match nothing — allocates
 // nothing at all. One prep may be shared by several delivering
-// goroutines when shard workers take part: the clones are created once
+// goroutines when part workers take part: the clones are created once
 // under mu and published through the done flag (atomic release/acquire),
 // so every delivery of one publication shares the same point/payload
 // clones.
@@ -151,8 +151,8 @@ func (pr *eventPrep) clone() {
 // the caller may reuse its buffer immediately; subscribers of one
 // publication share the clone and must treat it as read-only.
 //
-// Publish takes no lock: it matches against the immutable snapshots
-// installed by the most recent mutations and uses a pooled context, so
+// Publish takes no lock: it matches against the immutable snapshot
+// installed by the most recent mutation and uses a pooled context, so
 // the steady-state publish path performs no heap allocation. A closed
 // broker refuses the publication before it is logged or numbered. A
 // Publish racing Close may pass that check and then find every
@@ -193,7 +193,7 @@ func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64)
 	pc.metered = pc.detail || b.tel != nil || b.slo != nil
 	pc.ev = Event{TraceID: traceID}
 	pc.prep.reset(p, payload)
-	pc.sum, pc.handed = shardResult{}, 0
+	pc.sum, pc.handed = partResult{}, 0
 	pc.t0 = b.rec.Now()
 	pc.tWAL = pc.t0
 
@@ -201,19 +201,19 @@ func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64)
 
 	delivered, err := pc.sum.delivered, pc.err
 	// Nothing caller-owned (point, payload) may outlive the call in the
-	// pool.
+	// pool, nor may an old snapshot.
 	pc.prep.reset(nil, nil)
-	pc.span, pc.err = nil, nil
+	pc.span, pc.err, pc.snap = nil, nil, nil
 	b.ctxs.Put(pc)
 	return delivered, err
 }
 
-// publish is the whole pipeline for one publication. Each shard's
-// match-then-enqueue step (runShard) runs on the publisher goroutine
-// unless the broker is large enough for the hand-off to pay and that
-// shard's worker is idle to take it; a busy worker costs nothing, the
-// publisher just does the shard itself. Every exit, refusals included,
-// passes through observe.
+// publish is the whole pipeline for one publication. Each part's
+// match-then-enqueue step (runPart) runs on the publisher goroutine
+// unless that part's worker is idle to take it; a busy worker costs
+// nothing, the publisher just does the part itself. A snapshot has
+// several parts only where the hand-off pays (see rebuild). Every exit,
+// refusals included, passes through observe.
 //
 //pubsub:hotpath
 func (b *Broker) publish(pc *pubCtx) {
@@ -222,24 +222,27 @@ func (b *Broker) publish(pc *pubCtx) {
 		if pc.metered {
 			pc.tIngest = b.rec.Now()
 		}
-		offer := b.liveRects.Load() >= b.offerMin
-		for _, sh := range b.shards[1:] {
-			if offer {
+		pc.snap, pc.parts = b.snap.Load(), 1
+		if pc.snap != nil { // nil once Close swapped it out
+			pc.parts = pc.snap.parts()
+		}
+		for i := 1; i < pc.parts; i++ {
+			if b.work != nil {
 				select {
-				case sh.work <- pc:
+				case b.work[i] <- pc:
 					pc.handed++
 					continue
 				default: // worker busy with another publication
 				}
 			}
-			b.runShard(pc, sh, &pc.sc)
+			b.runPart(pc, i, &pc.sc)
 		}
-		b.runShard(pc, b.shards[0], &pc.sc)
+		b.runPart(pc, 0, &pc.sc)
 		b.flushSinks(pc, &pc.sc, &pc.res[0])
 		if pc.handed > 0 && pc.pending.Add(int32(-pc.handed)) != 0 {
 			<-pc.done
 		}
-		for i := range pc.res {
+		for i := range pc.res[:pc.parts] {
 			pc.sum.add(&pc.res[i])
 		}
 		b.delivered.Add(uint64(pc.sum.delivered))
@@ -291,22 +294,23 @@ func (b *Broker) ingest(pc *pubCtx) error {
 	return nil
 }
 
-// runShard is one shard's share of a publication: match the point
-// against the shard's index, enqueue the event on every matched
-// subscription that has a channel, file those registered on a sink under
-// their sink for the caller's flushSinks, and leave the counts and stage
-// times in the shard's result slot. sc belongs to the calling goroutine.
+// runPart is one part's share of a publication: match the point
+// against part i of the publication's snapshot (and, for part 0, its
+// overlay), enqueue the event on every matched subscription that has a
+// channel, file those registered on a sink under their sink for the
+// caller's flushSinks, and leave the counts and stage times in the
+// part's result slot. sc belongs to the calling goroutine.
 //
 //pubsub:hotpath
-func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
-	var r shardResult
+func (b *Broker) runPart(pc *pubCtx, i int, sc *matchScratch) {
+	var r partResult
 	var now int64
 	if pc.metered {
 		now = b.rec.Now()
 	}
 	sc.targets = sc.targets[:0]
-	if snap := sh.snap.Load(); snap != nil { // nil once Close swapped it out
-		matchSnapshot(snap, pc.prep.src, sc, &r.qs)
+	if pc.snap != nil {
+		matchPart(pc.snap, i, pc.prep.src, sc, &r.qs)
 	}
 	r.targets = len(sc.targets)
 	if pc.metered {
@@ -332,24 +336,24 @@ func (b *Broker) runShard(pc *pubCtx, sh *shard, sc *matchScratch) {
 	if pc.metered {
 		r.enqueueNS = b.rec.Now() - now
 	}
-	pc.res[sh.idx] = r
+	pc.res[i] = r
 }
 
-// shardWorker is one shard's goroutine: it takes the publications the
-// publisher offers it and runs its shard's step for them. Started by
-// startWorkers, stopped by Close.
+// partWorker is part i's goroutine: it takes the publications the
+// publisher offers it and runs their part i. Started by New, stopped by
+// Close.
 //
 //pubsub:hotpath
-func (b *Broker) shardWorker(sh *shard) {
+func (b *Broker) partWorker(i int) {
 	defer b.wg.Done()
 	var sc matchScratch
 	for {
 		select {
 		case <-b.stop:
 			return
-		case pc := <-sh.work:
-			b.runShard(pc, sh, &sc)
-			b.flushSinks(pc, &sc, &pc.res[sh.idx])
+		case pc := <-b.work[i]:
+			b.runPart(pc, i, &sc)
+			b.flushSinks(pc, &sc, &pc.res[i])
 			if pc.pending.Add(1) == 0 {
 				pc.done <- struct{}{}
 			}
@@ -357,44 +361,31 @@ func (b *Broker) shardWorker(sh *shard) {
 	}
 }
 
-// startWorkers starts a worker for every shard but the first (the
-// publisher always keeps one for itself) and arms the population
-// threshold from which publications are offered to them. go statements
-// allocate, so this runs from New, never from the publish path. New
-// calls it when the auto rule can ever hold; package tests call it to
-// reach the worker path on any machine at any population.
-func (b *Broker) startWorkers(minRects int64) {
-	for _, sh := range b.shards[1:] {
-		sh.work = make(chan *pubCtx)
-		b.wg.Add(1)
-		go b.shardWorker(sh)
-	}
-	b.offerMin = minRects
-}
-
-// matchSnapshot matches p against one shard snapshot, leaving the
-// matched subscriptions in sc.targets and adding the effort to qs: the
-// base index's counters, and every overlay rectangle as a tested entry.
-// A subscription's rectangles never straddle shards, so the per-shard
-// dedup below is complete dedup.
+// matchPart matches p against part i of snap — and, for part 0, the
+// overlay — leaving the matched subscriptions in sc.targets and adding
+// the effort to qs: the part's counters, and every overlay rectangle as
+// a tested entry. A subscription's rectangles are all in one part or
+// all in the overlay, so the dedup below is complete dedup.
 //
 //pubsub:hotpath
-func matchSnapshot(snap *snapshot, p geometry.Point, sc *matchScratch, qs *match.QueryStats) {
+func matchPart(snap *snapshot, i int, p geometry.Point, sc *matchScratch, qs *match.QueryStats) {
 	sc.ids = sc.ids[:0]
-	if snap.base != nil {
+	if i < len(snap.base) {
 		var bs match.QueryStats
-		sc.ids, bs = snap.base.MatchAppendStats(p, sc.ids)
+		sc.ids, bs = snap.base[i].MatchAppendStats(p, sc.ids)
 		qs.Add(bs)
 	}
 	for _, slot := range sc.ids {
 		sc.targets = append(sc.targets, snap.slots[slot])
 	}
-	sc.ids = snap.overlay.boxes.PointAppend(p, sc.ids[:0], qs)
-	for _, i := range sc.ids {
-		sc.targets = append(sc.targets, snap.overlay.subs[i])
+	if i == 0 {
+		sc.ids = snap.overlay.boxes.PointAppend(p, sc.ids[:0], qs)
+		for _, j := range sc.ids {
+			sc.targets = append(sc.targets, snap.overlay.subs[j])
+		}
 	}
-	// Deduplicate only when some subscription in this shard holds
-	// several rectangles; otherwise every target is distinct already.
+	// Deduplicate only when some subscription holds several
+	// rectangles; otherwise every target is distinct already.
 	if snap.multiRect && len(sc.targets) > 1 {
 		sc.targets = dedupTargets(sc.targets)
 	}
@@ -419,9 +410,9 @@ func dedupTargets(targets []*Subscription) []*Subscription {
 // observe is the one place a publication is reported: the flight
 // recorder, the metric histograms with their trace-id exemplars, the
 // SLO feed, the selectivity profile and the sampled span all read the
-// same context, so every arrangement of shards and workers reports the
+// same context, so every arrangement of parts and workers reports the
 // same stages with the same meaning. The match and enqueue stages are
-// time summed over shards; with workers their sum can exceed the total.
+// time summed over parts; with workers their sum can exceed the total.
 //
 // A refused publication still closes its trace (publish record with
 // delivered = -1, span with an error attribute) and burns SLO budget
@@ -490,11 +481,11 @@ func (b *Broker) observe(pc *pubCtx) {
 			if pc.handed > 0 {
 				tel.workerFanouts.Inc()
 			}
-			// Per-shard attribution: where publish cost concentrates.
-			for i := range pc.res {
+			// Per-part attribution: where publish cost concentrates.
+			for i := range pc.res[:pc.parts] {
 				ns := pc.res[i].matchNS
-				b.shards[i].matchNS.Add(ns)
-				tel.shardMatch[i].ObserveDuration(time.Duration(ns))
+				b.partNS[i].Add(ns)
+				tel.partMatch[i].ObserveDuration(time.Duration(ns))
 			}
 		}
 		b.slo.Observe(time.Duration(total).Seconds())
@@ -533,7 +524,7 @@ func (b *Broker) observeRefused(pc *pubCtx) {
 // send is actually attempted. detail enables per-subscriber flight
 // records (traced publications only, so a saturated untraced publish
 // writes nothing here). nowNS is a reading the caller already holds
-// (runShard's stamp); both outcomes are booked, and their records
+// (runPart's stamp); both outcomes are booked, and their records
 // stamped, at it, so neither reads a clock.
 //
 //pubsub:commit -- hands the event to subscriber queues; after this the publication is observable

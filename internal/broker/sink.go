@@ -278,7 +278,7 @@ type sinkGroup struct {
 }
 
 // group files a sink subscription under its sink for the flush after the
-// goroutine's last shard. slot maps a sink's index to its group; an
+// goroutine's last part. slot maps a sink's index to its group; an
 // entry counts only if that group names the same sink, so nothing is
 // cleared between publications and a target costs O(1) however many
 // sinks there are.
@@ -313,12 +313,12 @@ func (sc *matchScratch) growSlots(idx int) {
 
 // flushSinks puts the publication into every sink the goroutine grouped
 // targets for, one element each, adding the outcome to r, the result
-// slot of the shard it ran last. One clock reading (a metered
+// slot of the part it ran last. One clock reading (a metered
 // publication's; the entry stamp otherwise) times the step and stamps
 // every record written in it.
 //
 //pubsub:hotpath
-func (b *Broker) flushSinks(pc *pubCtx, sc *matchScratch, r *shardResult) {
+func (b *Broker) flushSinks(pc *pubCtx, sc *matchScratch, r *partResult) {
 	if len(sc.groups) == 0 {
 		return
 	}

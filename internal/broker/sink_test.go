@@ -32,7 +32,7 @@ func TestSinkOverflowPolicies(t *testing.T) {
 	for _, policy := range []OverflowPolicy{DropNewest, DropOldest, Block, CancelSlow} {
 		t.Run(policy.String(), func(t *testing.T) {
 			rec := telemetry.NewRecorder(1024)
-			br := New(Options{Overflow: policy, BlockTimeout: blockTimeout, Recorder: rec, Shards: 1})
+			br := New(Options{Overflow: policy, BlockTimeout: blockTimeout, Recorder: rec})
 			defer br.Close()
 			k := br.NewSink()
 			sub := func(buffer int, lo, hi float64) *Subscription {
@@ -166,7 +166,7 @@ func TestSinkOverflowPolicies(t *testing.T) {
 // it is admitted whatever its size; Cancel hands the subscription's
 // share of the capacity back.
 func TestSinkAdmissionAndCapacityShares(t *testing.T) {
-	br := New(Options{Shards: 1})
+	br := New(Options{})
 	defer br.Close()
 	k := br.NewSink()
 	var subs []*Subscription
@@ -238,7 +238,7 @@ func TestSinkAdmissionAndCapacityShares(t *testing.T) {
 // Lag, the slow flag and LagReport mean on a sink what they mean on a
 // channel: per subscription, behind the broker head.
 func TestSinkLagAndSlowDetection(t *testing.T) {
-	br := New(Options{SlowLagThreshold: 3, Shards: 1})
+	br := New(Options{SlowLagThreshold: 3})
 	defer br.Close()
 	k := br.NewSink()
 	s, err := br.SubscribeWith(SubscribeOptions{Buffer: 1, Sink: k}, geometry.NewRect(0, 10))
@@ -277,7 +277,7 @@ func TestSinkLagAndSlowDetection(t *testing.T) {
 // subscription on a sink, or channels, is unicast as ever.
 func TestSinkDecisionRecord(t *testing.T) {
 	rec := telemetry.NewRecorder(1024)
-	br := New(Options{Recorder: rec, Shards: 1})
+	br := New(Options{Recorder: rec})
 	defer br.Close()
 	k := br.NewSink()
 	for _, r := range []geometry.Rect{geometry.NewRect(0, 10), geometry.NewRect(0, 10), geometry.NewRect(0, 2)} {
@@ -318,7 +318,7 @@ func TestSinkDecisionRecord(t *testing.T) {
 // that matched it — come out of Next as one delivery; another
 // publication's do not join them.
 func TestSinkNextMergesOnePublication(t *testing.T) {
-	br := New(Options{Shards: 1})
+	br := New(Options{})
 	defer br.Close()
 	k := br.NewSink()
 	var subs []*Subscription
@@ -366,11 +366,11 @@ func TestSubscriptionStaysInItsSizeClass(t *testing.T) {
 	}
 }
 
-// sinkFanout builds a one-shard broker with targets subscriptions
-// matching the point 5 dealt onto sinks sinks (and as many non-matching
-// ones beside them), and returns a publish-then-drain step.
-func sinkFanout(tb testing.TB, targets, sinks int) (step func(), done func()) {
-	br := New(Options{Shards: 1})
+// sinkFanout builds br's population: targets subscriptions matching the
+// point 5 dealt onto sinks sinks (and as many non-matching ones beside
+// them). It waits for the index to settle and returns a
+// publish-then-drain step.
+func sinkFanout(tb testing.TB, br *Broker, targets, sinks int) (step func(), done func()) {
 	ks := make([]*Sink, sinks)
 	for i := range ks {
 		ks[i] = br.NewSink()
@@ -384,6 +384,7 @@ func sinkFanout(tb testing.TB, targets, sinks int) (step func(), done func()) {
 			tb.Fatal(err)
 		}
 	}
+	waitSettled(tb, br)
 	p, payload := geometry.Point{5}, make([]byte, 128)
 	var d Delivery
 	return func() {
@@ -404,7 +405,7 @@ func sinkFanout(tb testing.TB, targets, sinks int) (step func(), done func()) {
 func BenchmarkSinkFanout(b *testing.B) {
 	for _, shape := range []struct{ targets, sinks int }{{32, 1}, {140, 100}, {140, 1}} {
 		b.Run(fmt.Sprintf("%d-on-%d", shape.targets, shape.sinks), func(b *testing.B) {
-			step, done := sinkFanout(b, shape.targets, shape.sinks)
+			step, done := sinkFanout(b, New(Options{}), shape.targets, shape.sinks)
 			defer done()
 			step() // rings, id lists and the scratch reach their working size
 			b.ReportAllocs()
@@ -421,14 +422,18 @@ func TestSinkFanoutAllocatesOnlyThePublication(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, shape := range []struct{ targets, sinks int }{{32, 1}, {140, 100}} {
-		step, done := sinkFanout(t, shape.targets, shape.sinks)
-		step()
-		// The point and the payload are cloned once per publication, as on
-		// the channel path; grouping, the elements and their id lists
-		// cost nothing.
-		if allocs := testing.AllocsPerRun(200, step); allocs != 2 {
-			t.Errorf("%d targets on %d sinks: %.1f allocs per publish, want the 2 clones", shape.targets, shape.sinks, allocs)
+		for _, a := range arrangements {
+			// MinOverlay 4 packs the base, in parts where the arrangement
+			// has them, whatever the population.
+			step, done := sinkFanout(t, a.open(Options{MinOverlay: 4}), shape.targets, shape.sinks)
+			step()
+			// The point and the payload are cloned once per publication,
+			// as on the channel path; grouping, the elements and their id
+			// lists cost nothing.
+			if allocs := testing.AllocsPerRun(200, step); allocs != 2 {
+				t.Errorf("%s, %d targets on %d sinks: %.1f allocs per publish, want the 2 clones", a.name, shape.targets, shape.sinks, allocs)
+			}
+			done()
 		}
-		done()
 	}
 }

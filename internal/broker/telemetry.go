@@ -23,21 +23,20 @@ type brokerTel struct {
 	leavesVisited  *telemetry.Histogram
 	entriesTested  *telemetry.Histogram
 	slowSubsTotal  *telemetry.Counter
-	// shardRebuilds counts rebuilds per shard (label "shard");
-	// workerFanouts counts publications of which a shard worker took at
-	// least one shard off the publisher.
-	shardRebuilds []*telemetry.Counter
+	// workerFanouts counts publications of which a part worker took at
+	// least one part off the publisher.
 	workerFanouts *telemetry.Counter
 	// Waterfall stage samples (shared pubsub_stage_seconds family; the
 	// wire layer registers the write/client_recv stages). match and
-	// enqueue are time summed over shards. stageWAL is nil without a log.
+	// enqueue are time summed over parts. stageWAL is nil without a log.
 	stageWAL     *telemetry.Histogram
 	stageIngest  *telemetry.Histogram
 	stageMatch   *telemetry.Histogram
 	stageEnqueue *telemetry.Histogram
-	// shardMatch is the per-shard match-cost histogram (label "shard"),
-	// the attribution data the spatial-split rule needs.
-	shardMatch []*telemetry.Histogram
+	// partMatch is the per-part match-cost histogram. Its family and
+	// label say shard (pubsub_broker_shard_match_seconds{shard}) because
+	// /debug/slo and pubsub-cli read them by those names.
+	partMatch []*telemetry.Histogram
 }
 
 // newBrokerTel registers the broker's metric families against reg and
@@ -132,50 +131,40 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 		"Per-subscription consumer lag behind the broker head at scrape time, in events (live distribution, not an accumulation).",
 		b.lagHistogram)
 	reg.GaugeFunc("pubsub_broker_shards",
-		"Subscription shards the broker runs (1 means unsharded).",
-		func() float64 { return float64(len(b.shards)) })
+		"Parts the current index snapshot is packed in (1 below the parallel population or on one CPU).",
+		func() float64 { return float64(b.numParts()) })
 	t.workerFanouts = reg.Counter("pubsub_broker_parallel_fanouts_total",
-		"Publications of which a shard worker took at least one shard (the rest ran every shard on the publisher goroutine).")
+		"Publications of which a part worker took at least one part (the rest ran every part on the publisher goroutine).")
 	if b.log != nil {
 		t.stageWAL = telemetry.StageHistogram(reg, telemetry.StageWAL)
 	}
 	t.stageIngest = telemetry.StageHistogram(reg, telemetry.StageIngest)
 	t.stageMatch = telemetry.StageHistogram(reg, telemetry.StageMatch)
 	t.stageEnqueue = telemetry.StageHistogram(reg, telemetry.StageEnqueue)
-	t.shardRebuilds = make([]*telemetry.Counter, len(b.shards))
-	t.shardMatch = make([]*telemetry.Histogram, len(b.shards))
-	for i, sh := range b.shards {
-		shard := sh
-		label := telemetry.L("shard", strconv.Itoa(i))
-		t.shardRebuilds[i] = reg.Counter("pubsub_broker_shard_rebuilds_total",
-			"Matching index rebuilds, by shard.", label)
-		t.shardMatch[i] = reg.Histogram("pubsub_broker_shard_match_seconds",
-			"Match-phase cost attributed to one shard's index walk, by shard.",
-			telemetry.LatencyBuckets(), label)
-		reg.GaugeFunc("pubsub_broker_shard_rectangles",
-			"Live subscription rectangles, by shard.", func() float64 {
-				shard.mu.Lock()
-				defer shard.mu.Unlock()
-				return float64(shard.rectanglesLocked())
-			}, label)
+	t.partMatch = make([]*telemetry.Histogram, b.nparts)
+	for i := range t.partMatch {
+		t.partMatch[i] = reg.Histogram("pubsub_broker_shard_match_seconds",
+			"Match-phase cost attributed to one part of the index, by part (label shard; part 0 includes the overlay).",
+			telemetry.LatencyBuckets(), telemetry.L("shard", strconv.Itoa(i)))
 	}
 	reg.GaugeFunc("pubsub_broker_shard_imbalance",
-		"Max/mean cumulative per-shard match cost: 1.0 is perfectly balanced, high values say one shard dominates publish latency (0 until data arrives).",
-		func() float64 { return b.shardImbalance() })
+		"Max/mean cumulative match cost over the current snapshot's parts: 1.0 is perfectly balanced, high values say one part dominates publish latency (0 until data arrives).",
+		func() float64 { return b.partImbalance() })
 	return t
 }
 
-// shardImbalance is max/mean of cumulative per-shard match cost; 0
-// until a metered publish has been observed.
-func (b *Broker) shardImbalance() float64 {
+// partImbalance is max/mean of cumulative per-part match cost over the
+// current snapshot's parts; 0 until a metered publish has been observed.
+func (b *Broker) partImbalance() float64 {
 	var total, maxNS int64
-	for _, sh := range b.shards {
-		ns := sh.matchNS.Load()
+	parts := b.partNS[:b.numParts()]
+	for i := range parts {
+		ns := parts[i].Load()
 		total += ns
 		maxNS = max(maxNS, ns)
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(maxNS) * float64(len(b.shards)) / float64(total)
+	return float64(maxNS) * float64(len(parts)) / float64(total)
 }

@@ -84,11 +84,11 @@ func TestBrokerMetricsNodesVisitedAfterRebuild(t *testing.T) {
 			hit = s
 		}
 	}
-	// Rebuilds are asynchronous, per shard, and a shard's overlay need
-	// not ever fold completely (up to MinOverlay rectangles stay). Wait
-	// until hit's rectangle is in its shard's packed base, so the tree,
-	// not the overlay, answers the query below — and until that install
-	// has been booked, which happens just after it.
+	// Rebuilds are asynchronous, and the overlay need not ever fold
+	// completely (up to MinOverlay rectangles stay). Wait until hit's
+	// rectangle is in the packed base, so the tree, not the overlay,
+	// answers the query below — and until that install has been booked,
+	// which happens just after it.
 	deadline := time.Now().Add(5 * time.Second)
 	for !inBase(hit) || reg.Histogram1("pubsub_broker_rebuild_seconds").Count == 0 {
 		if time.Now().After(deadline) {
@@ -108,16 +108,16 @@ func TestBrokerMetricsNodesVisitedAfterRebuild(t *testing.T) {
 	}
 }
 
-// inBase reports whether s's shard has a packed base and s is not in its
-// overlay, i.e. a publish reaches s through the tree.
+// inBase reports whether the broker has a packed base and s is not in
+// its overlay, i.e. a publish reaches s through the tree.
 func inBase(s *Subscription) bool {
-	sh := s.shard
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.base == nil {
+	b := s.b
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.base == nil {
 		return false
 	}
-	return !slices.Contains(sh.overlay.subs, s)
+	return !slices.Contains(b.overlay.subs, s)
 }
 
 func TestBrokerTracerEmitsSpans(t *testing.T) {

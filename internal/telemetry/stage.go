@@ -15,18 +15,18 @@ const StageFamily = "pubsub_stage_seconds"
 var StageOrder = []string{
 	StageWAL,        // durable brokers only: publish entry → Log.Append returned
 	StageIngest,     // → fan-out start (closed check, seq, lag head; the append is the wal stage)
-	StageMatch,      // index walks, summed over shards
-	StageEnqueue,    // subscriber queue hand-offs, summed over shards
+	StageMatch,      // index walks, summed over parts
+	StageEnqueue,    // subscriber queue hand-offs, summed over parts
 	StageWrite,      // one event frame onto a client socket
 	StageClientRecv, // client: own publish → event received (loopback only)
 }
 
-// The broker's stages mean the same on every path — one shard or many,
-// shards run by the publisher or by shard workers, whichever tree is
-// packed; a durable broker adds wal in front and emits the other three
-// unchanged. Because match and enqueue are sums of per-shard times,
-// with workers they can add up to more than the publication's
-// wall-clock latency.
+// The broker's stages mean the same on every path — an index in one
+// part or many, parts run by the publisher or by part workers,
+// whichever tree is packed; a durable broker adds wal in front and
+// emits the other three unchanged. Because match and enqueue are sums
+// of per-part times, with workers they can add up to more than the
+// publication's wall-clock latency.
 const (
 	StageWAL        = "wal"
 	StageIngest     = "ingest"

@@ -459,7 +459,7 @@ func (p *rawPeer) subscribe(req *Message, onEvent func(*Message, []byte)) int {
 // One connection, 32 matching subscriptions, a stream of publications
 // with an unsubscribe in the middle: every publication is one frame
 // naming every subscription live at the time (the broker is below the
-// population at which shard workers would split it into several
+// population at which part workers would split it into several
 // elements), every subscription gets every publication exactly once and
 // in order, and the cancelled one nothing after the reply to its
 // unsubscribe.

@@ -39,8 +39,8 @@ func (cs *connState) queued() (bytes, storage int) {
 // client that has read its reply has read the whole replay.
 func TestReplyFollowsEveryReplayFrame(t *testing.T) {
 	b, addr := startDurableBroker(t)
-	// After the broker, whose shard workers (one per CPU past the first)
-	// live until the test's cleanup: the count is about connections.
+	// After the broker, whose part workers live until the test's
+	// cleanup: the count is about connections.
 	base := runtime.NumGoroutine()
 	const history = 500
 	for i := 1; i <= history; i++ {

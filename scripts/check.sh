@@ -8,8 +8,9 @@
 #                       index tests on GOARCH=386, where the Go containment kernel runs)
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
-#                       the WAL at -cpu 1,2, the broker and the wire — sink
-#                       overflow table, connection script — at -cpu 1,2,4, every benchmark once, and
+#                       the WAL at -cpu 1,2, the broker and the wire — the index in one part, in parts
+#                       inline and on the part workers, sink overflow table, connection script — at
+#                       -cpu 1,2,4, every benchmark once (the parts benchmark again at -cpu 2), and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
 #                       point queries, the AVX2 containment kernel against the Go loop, the overlay's
 #                       plane run against Rect.Contains and the S-tree packing against its reference builder)
@@ -38,6 +39,7 @@ go test -run 'ZeroAlloc|Allocat' ./...
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
 go test -run '^$' -bench . -benchtime 1x ./...
+go test ./internal/broker -run '^$' -bench PublishParts -benchtime 1x -cpu 2
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
