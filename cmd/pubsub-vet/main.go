@@ -16,12 +16,13 @@
 //
 //	//pubsub:allow <analyzer>[,<analyzer>] -- reason
 //
-// -json emits one JSON object per finding — including waived ones,
-// flagged as such — for tooling; waived findings never affect the exit
-// status. -list prints the analyzer roster. The driver also reports,
-// under the pseudo-analyzer "directive", malformed //pubsub: comments,
-// misplaced hotpath/coldpath/commit marks, and //pubsub:allow waivers
-// that no longer suppress anything.
+// -json emits one JSON object per custom-analyzer finding — including
+// waived ones, flagged as such — for tooling, and skips the stock vet
+// pass; waived findings never affect the exit status. -list prints the
+// analyzer roster. The command also reports, under the pseudo-analyzer
+// "directive", malformed //pubsub: comments, misplaced
+// hotpath/coldpath/commit marks, and //pubsub:allow waivers that no
+// longer suppress anything.
 package main
 
 import (
@@ -39,12 +40,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/allocfree"
-	"repro/internal/analysis/atomicsafe"
-	"repro/internal/analysis/halfopen"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/locksafe"
 	"repro/internal/analysis/nodeterm"
-	"repro/internal/analysis/snapshotmut"
 	"repro/internal/analysis/walorder"
 	"repro/internal/analysis/wireerr"
 )
@@ -67,10 +65,7 @@ type scope struct {
 //     experiment and topology packages, plus the simulation harness in
 //     the root package (sim.go only — the rest of the root package is
 //     the public API, which may touch time freely).
-//   - halfopen and wireerr are module-wide; halfopen exempts the
-//     geometry package itself internally.
-//   - atomicsafe and snapshotmut are module-wide per-package dataflow
-//     checks over atomically-published memory.
+//   - wireerr is module-wide.
 //   - allocfree and walorder are module-level (interprocedural):
 //     allocfree proves //pubsub:hotpath roots allocation-free over the
 //     call graph; walorder checks sync-before-ack ordering in packages
@@ -96,10 +91,7 @@ var scopes = []scope{
 			"repro": {"sim.go": true},
 		},
 	},
-	{analyzer: halfopen.Analyzer},
 	{analyzer: wireerr.Analyzer},
-	{analyzer: atomicsafe.Analyzer},
-	{analyzer: snapshotmut.Analyzer},
 	{analyzer: allocfree.Analyzer},
 	{analyzer: walorder.Analyzer},
 }
@@ -133,7 +125,6 @@ func (s fileSubset) ASTFiles() []*ast.File {
 }
 
 func main() {
-	novet := flag.Bool("novet", false, "skip the stock go vet pass")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per finding (including waived) on stdout")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	flag.Parse()
@@ -146,7 +137,7 @@ func main() {
 	}
 
 	status := 0
-	if !*novet && !*jsonOut {
+	if !*jsonOut {
 		patterns := flag.Args()
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}

@@ -47,8 +47,7 @@ func TestHotPathIsProvenAllocFree(t *testing.T) {
 // the CI gate.
 func TestAnalyzerRoster(t *testing.T) {
 	want := []string{
-		"locksafe", "nodeterm", "halfopen", "wireerr",
-		"atomicsafe", "snapshotmut", "allocfree", "walorder",
+		"locksafe", "nodeterm", "wireerr", "allocfree", "walorder",
 	}
 	if len(scopes) != len(want) {
 		t.Fatalf("scopes has %d analyzers, want %d", len(scopes), len(want))

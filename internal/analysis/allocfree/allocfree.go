@@ -453,6 +453,10 @@ func freshSliceExpr(e ast.Expr, info *types.Info) bool {
 				return true
 			}
 		}
+		// A conversion of a fresh value, []T(nil), is fresh.
+		if len(e.Args) == 1 && info.Types[e.Fun].IsType() {
+			return freshSliceExpr(e.Args[0], info)
+		}
 	}
 	return false
 }

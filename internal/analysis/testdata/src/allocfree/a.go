@@ -31,6 +31,7 @@ func hot(p *pool, out []int) []int {
 	viaValue(p.sink)
 	spawner(p)
 	lazy(p)
+	fresh(out)
 	return out
 }
 
@@ -51,6 +52,15 @@ func allocs(p *pool) {
 	x := 1
 	f := func() int { return x } // want `allocfree: \[hot -> allocs\] closure captures variables and escapes to the heap`
 	_ = f
+}
+
+type ids []int
+
+func fresh(out []int) {
+	a := append([]int(nil), out...) // want `allocfree: \[hot -> fresh\] append to a fresh slice allocates its backing array`
+	b := append(ids(nil), 1)        // want `allocfree: \[hot -> fresh\] append to a fresh slice allocates its backing array`
+	c := append(ids(out), 1)        // a conversion of caller storage: allowed
+	_, _, _ = a, b, c
 }
 
 func sinkAny(v any) { _ = v }

@@ -229,11 +229,13 @@ func TestCloseDuringRebuild(t *testing.T) {
 // with telemetry disabled, a steady-state publish (index rebuilt, scratch
 // pools warm, all DropNewest buffers saturated) performs zero heap
 // allocations, even with a payload attached — the clone is deferred until
-// a send actually happens. It runs on three populations: 100 identical
+// a send actually happens. It runs on four populations: 100 identical
 // 1-D rectangles; the paper's 1 000-subscription stock testbed (4-D, a
 // multi-level S-tree) under the stock publication model, in one part and
-// in four parts offered to the part workers; and 1 001 stock
-// subscriptions packed into the base with 1 000 more left in the overlay.
+// in four parts offered to the part workers; 1 001 stock subscriptions
+// packed into the base with 1 000 more left in the overlay; and 1 000
+// stock subscriptions that each carry a second stock rectangle, so every
+// publish deduplicates its targets.
 func TestPublishZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -243,7 +245,7 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 		for i := range rects {
 			rects[i] = geometry.NewRect(40, 60)
 		}
-		assertPublishZeroAlloc(t, New(Options{MinOverlay: 4}), rects, nil, []geometry.Point{{50}})
+		assertPublishZeroAlloc(t, New(Options{MinOverlay: 4}), rects, nil, []geometry.Point{{50}}, 1)
 	})
 	stock := func(t *testing.T, n int) ([]geometry.Rect, []geometry.Point) {
 		cfg := workload.DefaultSubscriptionConfig()
@@ -266,33 +268,36 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 	}
 	t.Run("stock", func(t *testing.T) {
 		rects, points := stock(t, 1000)
-		assertPublishZeroAlloc(t, New(Options{}), rects, nil, points)
+		assertPublishZeroAlloc(t, New(Options{}), rects, nil, points, 1)
 	})
 	t.Run("stock-parts-workers", func(t *testing.T) {
 		rects, points := stock(t, 1000)
-		assertPublishZeroAlloc(t, newBroker(Options{}, 4, 0, true), rects, nil, points)
+		assertPublishZeroAlloc(t, newBroker(Options{}, 4, 0, true), rects, nil, points, 1)
 	})
 	t.Run("stock-overlay", func(t *testing.T) {
 		// The first rebuild comes due at the 1 001st rectangle; 1 000
 		// more stay under MinOverlay, so the overlay keeps them.
 		rects, points := stock(t, 2001)
-		assertPublishZeroAlloc(t, New(Options{MinOverlay: 1000}), rects[:1001], rects[1001:], points)
+		assertPublishZeroAlloc(t, New(Options{MinOverlay: 1000}), rects[:1001], rects[1001:], points, 1)
+	})
+	t.Run("multi-rect", func(t *testing.T) {
+		rects, points := stock(t, 2000)
+		assertPublishZeroAlloc(t, New(Options{}), rects, nil, points, 2)
 	})
 }
 
-// assertPublishZeroAlloc subscribes one Buffer-1 subscription per
-// rectangle of base to b, which it closes, waits until the background
-// rebuilds have settled,
-// subscribes overlay the same way and checks that the overlay holds it,
-// publishes every point once so each subscription any of them reaches is
-// saturated, and then requires that cycling through the points again
-// allocates nothing.
-func assertPublishZeroAlloc(t *testing.T, b *Broker, base, overlay []geometry.Rect, points []geometry.Point) {
+// assertPublishZeroAlloc subscribes base to b, which it closes, as
+// Buffer-1 subscriptions of per consecutive rectangles each, waits until
+// the background rebuilds have settled, subscribes overlay the same way
+// and checks that the overlay holds it, publishes every point once so
+// each subscription any of them reaches is saturated, and then requires
+// that cycling through the points again allocates nothing.
+func assertPublishZeroAlloc(t *testing.T, b *Broker, base, overlay []geometry.Rect, points []geometry.Point, per int) {
 	t.Helper()
 	defer b.Close()
 	subscribe := func(rects []geometry.Rect) {
-		for _, r := range rects {
-			if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, r); err != nil {
+		for i := 0; i < len(rects); i += per {
+			if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, rects[i:i+per]...); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -47,9 +47,8 @@ type Interval struct {
 }
 
 // NewInterval returns the half-open interval (lo, hi]. It is the
-// validating constructor other packages must use instead of a raw
-// composite literal (enforced by the halfopen analyzer): NaN bounds are
-// rejected as a programming error. An inverted pair (hi <= lo) is legal
+// validating constructor other packages should use instead of a raw
+// composite literal: NaN bounds are rejected as a programming error. An inverted pair (hi <= lo) is legal
 // and yields an empty interval, which callers detect with Empty.
 func NewInterval(lo, hi float64) Interval {
 	if math.IsNaN(lo) || math.IsNaN(hi) {

@@ -186,3 +186,107 @@ func TestIntervalSyncFailureSurfacesOnAppend(t *testing.T) {
 		})
 	}
 }
+
+// errInjectedClose is the Close failure closeFaults injects.
+var errInjectedClose = errors.New("wal test: injected close failure")
+
+// closeFaults wires a log's segment opener to faultnet files whose
+// Close fails after closing the file: the one fault the disk controller
+// leaves out.
+func closeFaults(base Options) Options {
+	d := faultnet.NewDisk(faultnet.DiskOptions{})
+	base.OpenSegment = func(path string) (File, error) {
+		f, err := d.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		return failingClose{f}, nil
+	}
+	return base
+}
+
+type failingClose struct{ *faultnet.FaultFile }
+
+func (f failingClose) Close() error {
+	if err := f.FaultFile.Close(); err != nil {
+		return err
+	}
+	return errInjectedClose
+}
+
+// checkFailedRotation requires that l, which acknowledged offset 1 and
+// then failed to retire its first segment with want, holds only that
+// segment, has not advanced NextOffset, refuses later appends with the
+// latched error, and recovers from dir to the same end.
+func checkFailedRotation(t *testing.T, l *Log, dir string, want error) {
+	t.Helper()
+	// Sync waits for a seal in flight.
+	if err := l.Sync(); !errors.Is(err, want) {
+		t.Fatalf("Sync after the failed rotation = %v, want the latched %v", err, want)
+	}
+	if st := l.Stats(); !st.Failed || st.NextOffset != 2 || st.Segments != 1 {
+		t.Fatalf("Stats = %+v, want Failed, NextOffset 2 and the one segment", st)
+	}
+	if _, err := l.Append(3, nil, nil); !errors.Is(err, want) {
+		t.Fatalf("append after the failed rotation = %v, want the latched %v", err, want)
+	}
+	_ = l.Close()
+	if got := mustOpen(t, dir, Options{}).NextOffset(); got != 2 {
+		t.Fatalf("recovery's NextOffset = %d, want 2", got)
+	}
+}
+
+// TestRotationFaultIsFailStop: under -fsync always and never a rotation
+// fsyncs and closes the full segment before it opens the next one. If
+// either fails, the append that rotates fails with that error, nothing
+// past the full segment is written, and the log fail-stops.
+func TestRotationFaultIsFailStop(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+		for _, tc := range []struct {
+			name string
+			opts func(base Options) Options
+			want error
+		}{
+			{"fsync", func(base Options) Options {
+				// The rotation's fsync is the first one under never, the
+				// second (after the first append's) under always.
+				failAt := 1
+				if policy == SyncAlways {
+					failAt = 2
+				}
+				return faultOpts(faultnet.NewDisk(faultnet.DiskOptions{FailSyncAfter: failAt}), base)
+			}, faultnet.ErrInjectedSync},
+			{"close", func(base Options) Options {
+				return closeFaults(base)
+			}, errInjectedClose},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", policy, tc.name), func(t *testing.T) {
+				dir := t.TempDir()
+				// One record fills a segment: the second append rotates.
+				l := mustOpen(t, dir, tc.opts(Options{Sync: policy, SegmentBytes: 1}))
+				appendN(t, l, 1)
+				if _, err := l.Append(2, nil, nil); !errors.Is(err, tc.want) {
+					t.Fatalf("rotating append = %v, want %v", err, tc.want)
+				}
+				checkFailedRotation(t, l, dir, tc.want)
+			})
+		}
+	}
+}
+
+// TestSealCloseFailureIsFailStop: under -fsync interval the syncer seals
+// the full segment after the rotating append was acknowledged from
+// memory. A seal whose Close fails latches the log like a failed fsync:
+// the next segment never gets a file, the acknowledged record pending
+// for it leaves the accounting, and NextOffset steps back to where it
+// stood before the rotating append.
+func TestSealCloseFailureIsFailStop(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, closeFaults(manualTick(Options{SegmentBytes: 1})))
+	appendN(t, l, 1)
+	// The second append rotates: it hands the first segment to the syncer.
+	if _, err := l.Append(2, nil, nil); err != nil {
+		t.Fatalf("rotating append = %v, want an acknowledgement", err)
+	}
+	checkFailedRotation(t, l, dir, errInjectedClose)
+}
