@@ -864,12 +864,12 @@ func ParseRect(spec string) (geometry.Rect, error) {
 		lo, hi := math.Inf(-1), math.Inf(1)
 		var err error
 		if bounds[0] != "" {
-			if lo, err = strconv.ParseFloat(bounds[0], 64); err != nil {
+			if lo, err = parseNumber(bounds[0]); err != nil {
 				return nil, fmt.Errorf("dimension %d lower bound: %w", i, err)
 			}
 		}
 		if bounds[1] != "" {
-			if hi, err = strconv.ParseFloat(bounds[1], 64); err != nil {
+			if hi, err = parseNumber(bounds[1]); err != nil {
 				return nil, fmt.Errorf("dimension %d upper bound: %w", i, err)
 			}
 		}
@@ -886,11 +886,21 @@ func ParsePoint(spec string) (geometry.Point, error) {
 	parts := strings.Split(spec, ",")
 	point := make(geometry.Point, len(parts))
 	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		v, err := parseNumber(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("coordinate %d: %w", i, err)
 		}
 		point[i] = v
 	}
 	return point, nil
+}
+
+// parseNumber is strconv.ParseFloat without NaN, which no interval or
+// point can hold.
+func parseNumber(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && math.IsNaN(v) {
+		return 0, fmt.Errorf("%q is not a number", s)
+	}
+	return v, err
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +62,36 @@ func TestParsePoint(t *testing.T) {
 	}
 	if _, err := ParsePoint("1,x"); err == nil {
 		t.Error("bad coordinate accepted")
+	}
+}
+
+// NaN is no bound and no coordinate: both parsers refuse it with an
+// error naming where it was, and infinities still parse.
+func TestParseRejectsNaN(t *testing.T) {
+	parseRect := func(s string) error { _, err := ParseRect(s); return err }
+	parsePoint := func(s string) error { _, err := ParsePoint(s); return err }
+	tests := []struct {
+		spec    string
+		parse   func(string) error
+		wantErr string // "" = accepted
+	}{
+		{"nan:5", parseRect, "dimension 0 lower bound"},
+		{"0:1,1:NaN", parseRect, "dimension 1 upper bound"},
+		{"nan", parsePoint, "coordinate 0"},
+		{"1,-NaN", parsePoint, "coordinate 1"},
+		{":5", parseRect, ""},
+		{"-inf:inf", parseRect, ""},
+		{"inf", parsePoint, ""},
+	}
+	for _, tt := range tests {
+		err := tt.parse(tt.spec)
+		if tt.wantErr == "" {
+			if err != nil {
+				t.Errorf("%q: %v, want it accepted", tt.spec, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+			t.Errorf("%q: err = %v, want one naming %q", tt.spec, err, tt.wantErr)
+		}
 	}
 }
 
@@ -131,6 +162,7 @@ func FuzzParseRect(f *testing.F) {
 	f.Add(":")
 	f.Add("a:b")
 	f.Add("1:2:3")
+	f.Add("nan:5")
 	f.Fuzz(func(t *testing.T, spec string) {
 		r, err := ParseRect(spec)
 		if err != nil {
@@ -145,11 +177,12 @@ func FuzzParseRect(f *testing.F) {
 }
 
 // FuzzParsePoint: no panics; accepted points have one coordinate per
-// comma-separated field.
+// comma-separated field, and none is NaN.
 func FuzzParsePoint(f *testing.F) {
 	f.Add("1,2,3")
 	f.Add("")
 	f.Add("x")
+	f.Add("nan")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePoint(spec)
 		if err != nil {
@@ -157,6 +190,9 @@ func FuzzParsePoint(f *testing.F) {
 		}
 		if len(p) != strings.Count(spec, ",")+1 {
 			t.Fatalf("ParsePoint(%q) = %d coords", spec, len(p))
+		}
+		if slices.ContainsFunc(p, math.IsNaN) {
+			t.Fatalf("ParsePoint(%q) accepted NaN: %v", spec, p)
 		}
 	})
 }

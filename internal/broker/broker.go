@@ -511,9 +511,10 @@ func raise(a *atomic.Uint64, v uint64) {
 // that the subscription is keeping up, and raises the subscription and
 // broker high-water marks. nowNS is a clock reading the publisher
 // already holds (see deliver); it is the delivery time and the stamp of
-// every record, so the success path adds no clock read. Always returns
-// true, deliver's verdict for the event.
-func (s *Subscription) sent(ev *Event, nowNS int64, depth uint64, detail bool) bool {
+// the slow-flag record, so the success path adds no clock read. The
+// traced deliver record belongs to the element ev arrived in, not to
+// the subscription: the caller writes it once (sentOne, Sink.deliver).
+func (s *Subscription) sent(ev *Event, nowNS int64, depth uint64) {
 	b := s.b
 	raise(&s.deliveredSeq, ev.Seq)
 	s.deliveredAtNS.Store(nowNS)
@@ -524,8 +525,16 @@ func (s *Subscription) sent(ev *Event, nowNS int64, depth uint64, detail bool) b
 	}
 	raise(&s.highWater, depth)
 	raise(&b.highWater, depth)
+}
+
+// sentOne books a channel delivery, an element of one: sent, and for a
+// traced publication its deliver record. Always returns true, deliver's
+// verdict for the event.
+func (s *Subscription) sentOne(ev *Event, nowNS int64, detail bool) bool {
+	depth := len(s.ch)
+	s.sent(ev, nowNS, uint64(depth))
 	if detail {
-		b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(depth), 0, 0)
+		s.b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(depth), 1, 0)
 	}
 	return true
 }

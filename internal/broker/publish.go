@@ -545,7 +545,7 @@ func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool,
 	pr.materialize(ev)
 	select {
 	case s.ch <- *ev:
-		return s.sent(ev, nowNS, uint64(len(s.ch)), detail)
+		return s.sentOne(ev, nowNS, detail)
 	default:
 	}
 	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; no broker lock is held
@@ -575,7 +575,7 @@ func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS 
 			}
 			select {
 			case s.ch <- *ev:
-				return s.sent(ev, nowNS, uint64(len(s.ch)), detail)
+				return s.sentOne(ev, nowNS, detail)
 			default:
 			}
 		}
@@ -584,7 +584,7 @@ func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS 
 		defer t.Stop()
 		select {
 		case s.ch <- *ev:
-			return s.sent(ev, nowNS, uint64(len(s.ch)), detail)
+			return s.sentOne(ev, nowNS, detail)
 		case <-t.C:
 		}
 	case CancelSlow:

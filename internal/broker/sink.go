@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Delivery is one publication as a sink's consumer takes it: the event
@@ -193,8 +195,11 @@ func (k *Sink) growLocked() {
 }
 
 // deliver hands one goroutine's share of a publication to the sink and
-// books the outcome per subscription, at nowNS. It returns how many
-// deliveries were queued and the sink's subscription count.
+// books the outcome at nowNS: the delivered offset, lag clock and
+// high-water marks per subscription, and — traced — one deliver record
+// for the element, naming its first subscription, the sink's depth and
+// how many subscriptions it carried. It returns how many deliveries
+// were queued and the sink's subscription count.
 //
 //pubsub:commit -- hands the event to the sink's consumer; after this the publication is observable
 func (k *Sink) deliver(ev *Event, pr *eventPrep, subs []*Subscription, detail bool, nowNS int64) (delivered, group int) {
@@ -206,7 +211,11 @@ func (k *Sink) deliver(ev *Event, pr *eventPrep, subs []*Subscription, detail bo
 		return 0, 0
 	}
 	for _, s := range subs {
-		s.sent(ev, nowNS, uint64(depth), detail)
+		s.sent(ev, nowNS, uint64(depth))
+	}
+	if detail {
+		k.b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq,
+			int64(subs[0].id), int64(depth), int64(len(subs)), 0)
 	}
 	return len(subs), group
 }

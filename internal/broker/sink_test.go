@@ -119,11 +119,12 @@ func TestSinkOverflowPolicies(t *testing.T) {
 
 			// The loss is booked where it happened: on the refused
 			// publication's trace, or — DropOldest — on the evicted one's.
+			// A delivered element of a and b is one deliver record.
 			wantDrops := map[uint64]int{t1: 0, t3: 2}
-			wantDelivers := map[uint64]int{t1: 2, t3: 0}
+			wantDelivers := map[uint64]int{t1: 1, t3: 0}
 			if policy == DropOldest {
 				wantDrops = map[uint64]int{t1: 2, t3: 0}
-				wantDelivers[t3] = 2
+				wantDelivers[t3] = 1
 			}
 			for trace, want := range wantDrops {
 				drops := rec.SnapshotFilter(trace, telemetry.KindDrop, 0)
@@ -135,8 +136,14 @@ func TestSinkOverflowPolicies(t *testing.T) {
 						t.Fatalf("drop record %+v, want policy %v on a or b", r, policy)
 					}
 				}
-				if got := len(rec.SnapshotFilter(trace, telemetry.KindDeliver, 0)); got != wantDelivers[trace] {
-					t.Fatalf("trace %x carries %d deliver records, want %d", trace, got, wantDelivers[trace])
+				delivers := rec.SnapshotFilter(trace, telemetry.KindDeliver, 0)
+				if len(delivers) != wantDelivers[trace] {
+					t.Fatalf("trace %x carries %d deliver records, want %d", trace, len(delivers), wantDelivers[trace])
+				}
+				for _, r := range delivers {
+					if r.Args[2] != 2 || (int(r.Args[0]) != a.ID() && int(r.Args[0]) != b.ID()) {
+						t.Fatalf("deliver record %+v, want subs=2 naming a or b", r)
+					}
 				}
 			}
 			if a.Dropped() != 1 || b.Dropped() != 1 || c.Dropped() != 0 {

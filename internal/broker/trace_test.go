@@ -8,8 +8,9 @@ import (
 )
 
 // A traced publish must leave a correlated record chain in the flight
-// recorder: match stats, the dispatch decision, one deliver per target,
-// and the closing publish summary, all under the caller's trace id.
+// recorder: match stats, the dispatch decision, one deliver per target
+// (a channel is an element of one), and the closing publish summary,
+// all under the caller's trace id.
 func TestPublishTracedWritesCorrelatedRecords(t *testing.T) {
 	rec := telemetry.NewRecorder(1024)
 	b := New(Options{Recorder: rec})
@@ -45,8 +46,9 @@ func TestPublishTracedWritesCorrelatedRecords(t *testing.T) {
 	if dec[0].Args[1] != 2 || dec[0].Args[2] != 2 || dec[0].Args[3] != 1_000_000 {
 		t.Fatalf("decision interested/group/ratio = %v, want 2/2/1000000", dec[0].Args)
 	}
-	if got := len(byKind[telemetry.KindDeliver]); got != 2 {
-		t.Fatalf("deliver records = %d, want 2", got)
+	// A channel delivery is an element of one.
+	if got := byKind[telemetry.KindDeliver]; len(got) != 2 || got[0].Args[2] != 1 || got[1].Args[2] != 1 {
+		t.Fatalf("deliver records = %+v, want 2 with subs=1", got)
 	}
 	pub := byKind[telemetry.KindPublish]
 	if len(pub) != 1 || pub[0].Args[0] != 2 || pub[0].Args[1] != 2 {

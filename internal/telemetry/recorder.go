@@ -32,7 +32,10 @@ const (
 	// KindDecision is a dispatch decision: the chosen delivery method
 	// with the interested count, group size and interest ratio.
 	KindDecision
-	// KindDeliver is one traced event landing in a subscriber buffer.
+	// KindDeliver is one traced event landing in a subscriber buffer or
+	// a sink: one record per queue element, naming its first
+	// subscription, the queue depth with it in and how many
+	// subscriptions it carried.
 	KindDeliver
 	// KindDrop is one traced event lost to a full subscriber buffer.
 	KindDrop
@@ -46,7 +49,9 @@ const (
 	KindReconnect
 	// KindClientPublish is a wire client sending a publish frame.
 	KindClientPublish
-	// KindClientRecv is a wire client receiving an event frame.
+	// KindClientRecv is a wire client receiving an event frame: one
+	// record for the ids it put on Events (the first and their count),
+	// and one per id it dropped to a full buffer.
 	KindClientRecv
 	// KindWALAppend is one publication appended to the durable log; its
 	// Seq is the log-assigned offset.
@@ -94,19 +99,24 @@ var kindNames = [numKinds]string{
 	KindClientResume:  "client_resume",
 }
 
+// A multicast is booked once per queue element or frame, not once per
+// member: deliver and a delivering client_recv carry the first
+// subscription and, in subs, how many the element or frame delivered;
+// a drop keeps a record per subscription (drop, and client_recv with
+// dropped=1 and subs=1).
 var kindArgs = [numKinds][4]string{
 	KindPublish:       {"fanout", "delivered", "match_ns", "total_ns"},
 	KindIngest:        {"conn", "point_dims", "payload_bytes", ""},
 	KindMatch:         {"nodes_visited", "entries_tested", "leaves_visited", "matched"},
 	KindDecision:      {"method", "interested", "group_size", "ratio_ppm"},
-	KindDeliver:       {"sub", "depth", "", ""},
+	KindDeliver:       {"sub", "depth", "subs", ""},
 	KindDrop:          {"sub", "policy", "", ""},
 	KindEvict:         {"sub", "", "", ""},
 	KindRebuild:       {"entries", "overlay_left", "build_ns", "rebuilds"},
 	KindKeepaliveMiss: {"conn", "", "", ""},
 	KindReconnect:     {"attempt", "ok", "backoff_ms", "subs"},
 	KindClientPublish: {"point_dims", "payload_bytes", "", ""},
-	KindClientRecv:    {"sub", "payload_bytes", "dropped", "first_drop"},
+	KindClientRecv:    {"sub", "subs", "dropped", "first_drop"},
 	KindWALAppend:     {"bytes", "synced", "append_ns", ""},
 	KindWALSync:       {"records", "sync_ns", "bytes", ""},
 	KindWALRecover:    {"segments", "records", "truncated_bytes", "recover_ns"},
@@ -256,6 +266,19 @@ func (r *Recorder) Capacity() int {
 		return 0
 	}
 	return r.slots * recorderShards
+}
+
+// Written returns how many records have been written since the
+// recorder was created, including those the ring has since overwritten.
+func (r *Recorder) Written() uint64 {
+	if r == nil {
+		return 0
+	}
+	var n uint64
+	for i := range r.shards {
+		n += r.shards[i].next.Load()
+	}
+	return n
 }
 
 // Now returns the recorder's monotonic clock reading in nanoseconds

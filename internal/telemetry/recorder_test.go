@@ -65,6 +65,9 @@ func TestRecorderWrapOverwritesOldest(t *testing.T) {
 	if len(recs) == 0 || len(recs) > r.Capacity() {
 		t.Fatalf("snapshot after wrap = %d records, capacity %d", len(recs), r.Capacity())
 	}
+	if got := r.Written(); got != uint64(total) {
+		t.Fatalf("written = %d, want all %d, overwritten ones included", got, total)
+	}
 	// The survivors must be from the most recent writes. Everything was
 	// written from one goroutine (one shard), so the shard's ring holds
 	// exactly its last per-shard-capacity sequences.
@@ -100,7 +103,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil recorder snapshot should be nil")
 	}
-	if r.Capacity() != 0 || r.Now() != 0 {
+	if r.Capacity() != 0 || r.Now() != 0 || r.Written() != 0 {
 		t.Fatal("nil recorder accessors should be zero")
 	}
 	if err := r.WriteJSON(&strings.Builder{}, 0, KindNone, 0); err != nil {

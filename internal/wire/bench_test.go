@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/geometry"
+	"repro/internal/telemetry"
 )
 
 // benchEvent is the frame the ledger's wire workload carries: a
@@ -83,11 +84,14 @@ func BenchmarkEventDecode(b *testing.B) {
 
 // BenchmarkFanout32 is one publication through a loopback server to 32
 // of one connection's 64 subscriptions, closed on receipt: the next
-// publish is sent when all 32 event frames have arrived.
+// publish is sent when all 32 events have arrived. The server and both
+// clients write to private flight recorders, and records/op is what the
+// three wrote per publication.
 func BenchmarkFanout32(b *testing.B) {
-	br := broker.New(broker.Options{})
+	serverRec := telemetry.NewRecorder(telemetry.DefaultRecorderCapacity)
+	br := broker.New(broker.Options{Recorder: serverRec})
 	defer br.Close()
-	s := NewServer(br)
+	s := NewServerWith(br, ServerOptions{Recorder: serverRec})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -95,12 +99,14 @@ func BenchmarkFanout32(b *testing.B) {
 	go func() { _ = s.Serve(ln) }()
 	defer s.Close()
 
-	sub, err := Dial(ln.Addr().String())
+	subRec, pubRec := telemetry.NewRecorder(telemetry.DefaultRecorderCapacity), telemetry.NewRecorder(telemetry.DefaultRecorderCapacity)
+	written := func() uint64 { return serverRec.Written() + subRec.Written() + pubRec.Written() }
+	sub, err := DialWith(ln.Addr().String(), ClientOptions{Recorder: subRec})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer sub.Close()
-	pub, err := Dial(ln.Addr().String())
+	pub, err := DialWith(ln.Addr().String(), ClientOptions{Recorder: pubRec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,6 +124,7 @@ func BenchmarkFanout32(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xa5}, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := written()
 	for i := 0; i < b.N; i++ {
 		n, err := pub.Publish(geometry.Point{5}, payload)
 		if err != nil || n != 32 {
@@ -130,6 +137,12 @@ func BenchmarkFanout32(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	// The last frame's client_recv record follows its events onto
+	// Events(); the read loop handles the ping's reply only after it.
+	if err := sub.Ping(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(written()-before)/float64(b.N), "records/op")
 	if d := sub.Dropped(); d != 0 {
 		b.Fatalf("client dropped %d events", d)
 	}

@@ -135,16 +135,14 @@ func (c *Client) readLoop() {
 			c.noteRecv(m.TraceID)
 			// A grouped frame is its publication once for every id it
 			// lists, in order; the events share Point and Payload, which
-			// subscribers only read, as they do in-process — and their
-			// flight records one reading of the clock, the frame's arrival.
+			// subscribers only read, as they do in-process.
 			ev := broker.Event{Point: geometry.Point(m.Point), Payload: m.Payload, Seq: m.Seq, TraceID: m.TraceID}
-			now := c.opts.Recorder.Now()
-			if len(m.SubIDs) == 0 {
-				c.deliver(ev, m.SubID, now)
+			ids := m.SubIDs
+			if len(ids) == 0 {
+				one := [1]int{m.SubID}
+				ids = one[:]
 			}
-			for _, id := range m.SubIDs {
-				c.deliver(ev, id, now)
-			}
+			c.deliver(ev, ids)
 		case TypeOK, TypeError:
 			reply := *m
 			select {
@@ -163,31 +161,47 @@ func (c *Client) readLoop() {
 	}
 }
 
-// deliver hands one subscription's copy of an event to Events(), or
-// books it as dropped when the buffer is full; nowNS, the recorder-clock
-// time its frame arrived, stamps the record either way.
-func (c *Client) deliver(ev broker.Event, subID int, nowNS int64) {
-	select {
-	case c.events <- ev:
-		c.opts.Recorder.RecordAt(nowNS, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
-			int64(subID), int64(len(ev.Payload)), 0, 0)
-	default:
-		c.droppedMu.Lock()
-		c.dropped++
-		first := !c.hasDropped
-		if first {
-			c.firstDropped, c.hasDropped = ev.Seq, true
+// deliver hands one frame's event to Events() once per id, in order,
+// and books what did not fit as dropped. The frame costs one client_recv
+// record for the ids delivered (the first and their count) and one per
+// id dropped, all stamped with the frame's arrival.
+func (c *Client) deliver(ev broker.Event, ids []int) {
+	now := c.opts.Recorder.Now()
+	first, n := 0, 0
+	for _, id := range ids {
+		select {
+		case c.events <- ev:
+			if n == 0 {
+				first = id
+			}
+			n++
+		default:
+			c.drop(ev, id, now)
 		}
-		c.droppedMu.Unlock()
-		// first_drop marks the drop that opened the current loss
-		// window: the Seq a resume replay must refetch from.
-		firstArg := int64(0)
-		if first {
-			firstArg = 1
-		}
-		c.opts.Recorder.RecordAt(nowNS, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
-			int64(subID), int64(len(ev.Payload)), 1, firstArg)
 	}
+	if n > 0 {
+		c.opts.Recorder.RecordAt(now, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
+			int64(first), int64(n), 0, 0)
+	}
+}
+
+// drop books one id's copy of ev lost to a full Events() buffer.
+func (c *Client) drop(ev broker.Event, subID int, nowNS int64) {
+	c.droppedMu.Lock()
+	c.dropped++
+	first := !c.hasDropped
+	if first {
+		c.firstDropped, c.hasDropped = ev.Seq, true
+	}
+	c.droppedMu.Unlock()
+	// first_drop marks the drop that opened the current loss window:
+	// the Seq a resume replay must refetch from.
+	firstArg := int64(0)
+	if first {
+		firstArg = 1
+	}
+	c.opts.Recorder.RecordAt(nowNS, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
+		int64(subID), 1, 1, firstArg)
 }
 
 // roundTrip sends a request and waits for its reply.

@@ -814,9 +814,10 @@ func TestGroupingClientAgainstPlainServer(t *testing.T) {
 }
 
 // A client buffer that fills part-way through a grouped frame's id list
-// books what single frames in id order would have: the ids that fitted
-// are delivered, each of the rest is one drop with its own record, and
-// the first of them opens the loss window at the frame's Seq.
+// delivers what single frames in id order would have: the ids that
+// fitted are delivered and share one record, each of the rest is one
+// drop with its own record, and the first of them opens the loss window
+// at the frame's Seq.
 func TestClientGroupedFrameFillsBuffer(t *testing.T) {
 	rec := telemetry.NewRecorder(4096)
 	server, clientConn := net.Pipe()
@@ -851,31 +852,32 @@ func TestClientGroupedFrameFillsBuffer(t *testing.T) {
 	if seq, ok := cli.FirstDropped(); !ok || seq != 42 {
 		t.Fatalf("first dropped = %d/%v, want 42/true", seq, ok)
 	}
-	var delivered, dropped []int64
+	var delivered [][2]int64
+	var dropped []int64
 	firsts := 0
 	for _, r := range rec.SnapshotFilter(0, telemetry.KindClientRecv, 0) {
 		if r.Seq != 42 {
 			continue
 		}
-		if r.TraceID != 6 || r.Args[1] != 1 {
-			t.Fatalf("record %+v, want trace 6 and one payload byte", r)
+		if r.TraceID != 6 {
+			t.Fatalf("record %+v, want trace 6", r)
 		}
 		if r.Args[2] == 1 {
+			if r.Args[1] != 1 {
+				t.Fatalf("drop record %+v, want subs=1", r)
+			}
 			dropped = append(dropped, r.Args[0])
 			firsts += int(r.Args[3])
 		} else {
-			delivered = append(delivered, r.Args[0])
+			delivered = append(delivered, [2]int64{r.Args[0], r.Args[1]})
 		}
 	}
-	wantDelivered, wantDropped := make([]int64, 24), make([]int64, 6)
-	for i := range wantDelivered {
-		wantDelivered[i] = int64(1 + i)
-	}
+	wantDropped := make([]int64, 6)
 	for i := range wantDropped {
 		wantDropped[i] = int64(25 + i)
 	}
-	if !slices.Equal(delivered, wantDelivered) || !slices.Equal(dropped, wantDropped) || firsts != 1 {
-		t.Fatalf("Seq 42: delivered to %v, dropped for %v, %d first-drop records", delivered, dropped, firsts)
+	if !slices.Equal(delivered, [][2]int64{{1, 24}}) || !slices.Equal(dropped, wantDropped) || firsts != 1 {
+		t.Fatalf("Seq 42: delivery records (first, subs) %v, dropped for %v, %d first-drop records", delivered, dropped, firsts)
 	}
 	// The events of one frame share their point and payload.
 	var first broker.Event

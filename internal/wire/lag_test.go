@@ -157,7 +157,9 @@ func TestServerHealthAcceptLoopDeath(t *testing.T) {
 // its event buffer: the drop that opens the loss window must carry
 // first_drop=1 in its flight record, subsequent drops 0.
 func TestClientFirstDropFlag(t *testing.T) {
-	rec := telemetry.NewRecorder(4096)
+	// Every record lands in the read loop's shard: 8 × 2048 slots hold
+	// all 1027 of them.
+	rec := telemetry.NewRecorder(16384)
 	server, clientConn := net.Pipe()
 	cli := NewClientWith(clientConn, ClientOptions{Recorder: rec})
 	defer cli.Close()
@@ -186,10 +188,14 @@ func TestClientFirstDropFlag(t *testing.T) {
 	if seq, ok := cli.FirstDropped(); !ok || seq != 1025 {
 		t.Fatalf("first dropped = %d/%v, want 1025/true", seq, ok)
 	}
-	var first, later int
+	var delivered, first, later int
 	for _, r := range rec.SnapshotFilter(0, telemetry.KindClientRecv, 0) {
+		if r.Args[1] != 1 {
+			t.Fatalf("record %+v of a one-id frame, want subs=1", r)
+		}
 		if r.Args[2] != 1 {
-			continue // delivered, not dropped
+			delivered++ // one record per delivering frame
+			continue
 		}
 		if r.Args[3] == 1 {
 			first++
@@ -200,8 +206,8 @@ func TestClientFirstDropFlag(t *testing.T) {
 			later++
 		}
 	}
-	if first != 1 || later != 2 {
-		t.Fatalf("drop records first=%d later=%d, want 1/2", first, later)
+	if delivered != 1024 || first != 1 || later != 2 {
+		t.Fatalf("records delivered=%d first drop=%d later drops=%d, want 1024/1/2", delivered, first, later)
 	}
 }
 

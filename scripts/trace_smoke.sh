@@ -5,7 +5,8 @@
 # another, and asserts the single wire-crossing publication left a
 # correlated trace in the daemon's flight recorder: the trace id the
 # publisher printed resolves via /debug/events to ingest, match,
-# decision, deliver and publish records, and `pubsub-cli trace <id>`
+# decision, deliver and publish records — the one deliver record
+# counting its one subscriber in subs — and `pubsub-cli trace <id>`
 # renders the same timeline.
 #
 # Usage: ./scripts/trace_smoke.sh
@@ -63,6 +64,11 @@ for want in ("ingest", "match", "decision", "deliver", "publish"):
 for r in dump["records"]:
     if r["trace"] != trace:
         sys.exit(f"FAIL: filtered dump leaked foreign trace {r['trace']}")
+# A multicast is booked once per sink element, with its size: the one
+# subscriber's element carries subs=1.
+delivers = [r for r in dump["records"] if r["kind"] == "deliver"]
+if len(delivers) != 1 or delivers[0]["args"].get("subs") != 1:
+    sys.exit(f"FAIL: want one deliver record with subs=1, got {delivers}")
 print(f"trace {trace}: {len(kinds)} correlated records: {kinds}")
 PY
 
