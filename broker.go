@@ -17,8 +17,10 @@ type BrokerOptions = broker.Options
 // BrokerSubscription is a live registration on a Broker.
 type BrokerSubscription = broker.Subscription
 
-// SubscribeOptions tune one subscription's buffer and overflow policy;
-// pass to Broker.SubscribeWith.
+// SubscribeOptions tune one subscription's buffer and the sink it is
+// delivered through; pass to Broker.SubscribeWith. The overflow policy
+// is the broker's (BrokerOptions.Overflow and BlockTimeout), the same
+// for every subscription.
 type SubscribeOptions = broker.SubscribeOptions
 
 // SubscriptionStats is a snapshot of one subscription's delivery
@@ -26,7 +28,7 @@ type SubscribeOptions = broker.SubscribeOptions
 type SubscriptionStats = broker.SubStats
 
 // OverflowPolicy selects what Publish does when a subscription's buffer
-// is full.
+// is full; BrokerOptions.Overflow sets it for the whole broker.
 type OverflowPolicy = broker.OverflowPolicy
 
 // Overflow policies.
@@ -35,7 +37,7 @@ const (
 	DropNewest = broker.DropNewest
 	// DropOldest evicts the oldest buffered event to make room.
 	DropOldest = broker.DropOldest
-	// Block waits up to the subscription's BlockTimeout for space.
+	// Block waits up to the broker's BlockTimeout for space.
 	Block = broker.Block
 	// CancelSlow evicts the overflowing subscriber outright.
 	CancelSlow = broker.CancelSlow

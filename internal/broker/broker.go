@@ -48,8 +48,9 @@ type Event struct {
 	TraceID uint64
 }
 
-// OverflowPolicy selects what Publish does when a subscription's buffer
-// is full.
+// OverflowPolicy selects what Publish does when a subscription's queue
+// is full. It is the broker's (Options.Overflow), the same for every
+// subscription.
 type OverflowPolicy int
 
 const (
@@ -60,7 +61,7 @@ const (
 	// incoming one. The subscriber always sees the freshest events at
 	// the cost of holes in the history.
 	DropOldest
-	// Block makes Publish wait up to the subscription's BlockTimeout for
+	// Block makes Publish wait up to the broker's BlockTimeout for
 	// buffer space, then falls back to dropping the incoming event. It
 	// trades publisher latency for fewer losses.
 	Block
@@ -94,8 +95,11 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("broker: unknown overflow policy %q (want drop-newest, drop-oldest, block or cancel-slow)", s)
+	return 0, fmt.Errorf("broker: unknown overflow policy %q (want %s)", s, policyNames)
 }
+
+// policyNames lists the valid policies for error messages.
+const policyNames = "drop-newest, drop-oldest, block or cancel-slow"
 
 // Options tune the broker. The zero value is usable.
 type Options struct {
@@ -108,8 +112,8 @@ type Options struct {
 	// Matcher chooses and tunes the index a rebuild packs (algorithm,
 	// branch factor, skew). The zero value is the paper's S-tree.
 	Matcher match.Options
-	// Overflow is the default overflow policy for subscriptions that do
-	// not choose their own via SubscribeWith.
+	// Overflow is the overflow policy of every subscription, on a
+	// channel or on a sink. New panics on a value that names no policy.
 	Overflow OverflowPolicy
 	// BlockTimeout bounds the Block policy's wait for buffer space.
 	// Zero selects 50ms.
@@ -240,8 +244,8 @@ type snapshot struct {
 	// slots slice, not broker subscription ids, so matching needs no
 	// map, and each subscription's slot is in exactly one part. nil
 	// before the first rebuild. It may contain slots whose subscription
-	// has since been cancelled; deliver's per-subscription closed check
-	// filters those.
+	// has since been cancelled; delivery's per-subscription closed
+	// check filters those.
 	base  []match.Matcher
 	slots []*Subscription
 	// overlay holds rectangles registered since the last rebuild.
@@ -362,6 +366,9 @@ func New(opts Options) *Broker {
 // workers start. Package tests call it to reach every arrangement on
 // any machine at any population.
 func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
+	if opts.Overflow < DropNewest || opts.Overflow > CancelSlow {
+		panic(fmt.Sprintf("broker: unknown overflow policy %d in Options.Overflow (want %s)", int(opts.Overflow), policyNames))
+	}
 	b := &Broker{
 		opts:      opts.withDefaults(),
 		subs:      make(map[int]*Subscription),
@@ -409,15 +416,16 @@ type Subscription struct {
 	id    int
 	rects []geometry.Rect
 	ch    chan Event // nil for a subscription registered on a sink
+	// done is closed by closeCh before it takes sendMu, ending a Block
+	// publisher's wait on ch; nil unless ch is and the policy is Block.
+	done chan struct{}
 	// sink, when non-nil, is the shared queue this subscription is
 	// delivered through instead of ch; share is the buffer it added to
 	// the sink's capacity.
-	sink         *Sink
-	b            *Broker
-	policy       OverflowPolicy
-	blockTimeout time.Duration
-	once         sync.Once
-	sendMu       sync.Mutex // serialises deliveries with channel close
+	sink   *Sink
+	b      *Broker
+	once   sync.Once
+	sendMu sync.Mutex // serialises deliveries with channel close
 	// closed is set once, under sendMu when there is a channel to close;
 	// the sink path, which takes no per-subscription lock, only reads it.
 	closed    atomic.Bool
@@ -462,8 +470,8 @@ func (s *Subscription) Rects() []geometry.Rect {
 // subscription's buffer was full.
 func (s *Subscription) Dropped() uint64 { return s.dropCt.Load() }
 
-// Policy returns the subscription's overflow policy.
-func (s *Subscription) Policy() OverflowPolicy { return s.policy }
+// Policy returns the subscription's overflow policy: the broker's.
+func (s *Subscription) Policy() OverflowPolicy { return s.b.opts.Overflow }
 
 // queue reports the deliveries buffered for the subscription, the room
 // for them and the deepest the buffer has been: its channel's, or those
@@ -510,10 +518,10 @@ func raise(a *atomic.Uint64, v uint64) {
 // of order), stamps the delivery time, clears a standing slow flag now
 // that the subscription is keeping up, and raises the subscription and
 // broker high-water marks. nowNS is a clock reading the publisher
-// already holds (see deliver); it is the delivery time and the stamp of
+// already holds (see admit); it is the delivery time and the stamp of
 // the slow-flag record, so the success path adds no clock read. The
 // traced deliver record belongs to the element ev arrived in, not to
-// the subscription: the caller writes it once (sentOne, Sink.deliver).
+// the subscription: admit writes it once.
 func (s *Subscription) sent(ev *Event, nowNS int64, depth uint64) {
 	b := s.b
 	raise(&s.deliveredSeq, ev.Seq)
@@ -527,31 +535,18 @@ func (s *Subscription) sent(ev *Event, nowNS int64, depth uint64) {
 	raise(&b.highWater, depth)
 }
 
-// sentOne books a channel delivery, an element of one: sent, and for a
-// traced publication its deliver record. Always returns true, deliver's
-// verdict for the event.
-func (s *Subscription) sentOne(ev *Event, nowNS int64, detail bool) bool {
-	depth := len(s.ch)
-	s.sent(ev, nowNS, uint64(depth))
-	if detail {
-		s.b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq, int64(s.id), int64(depth), 1, 0)
-	}
-	return true
-}
-
 // lost books the overflow loss of ev on this subscription (the incoming
 // event, or an older one evicted to make room for it) and, when
 // slow-subscriber detection is on, flags the subscription once its lag
-// behind the broker head crosses the threshold. Always returns false,
-// deliver's verdict for a dropped event.
-func (s *Subscription) lost(ev *Event, nowNS int64, detail bool) bool {
+// behind the broker head crosses the threshold.
+func (s *Subscription) lost(ev *Event, nowNS int64, detail bool) {
 	b := s.b
 	s.dropCt.Add(1)
 	s.lastDrop.Store(nowNS)
 	b.dropped.Add(1)
 	b.lastDrop.Store(nowNS)
 	if b.tel != nil {
-		b.tel.drops[s.policy].Inc()
+		b.tel.dropped.Inc()
 	}
 	// A dropped delivery consumes SLO error budget unconditionally.
 	b.slo.ObserveBad()
@@ -569,9 +564,8 @@ func (s *Subscription) lost(ev *Event, nowNS int64, detail bool) bool {
 		}
 	}
 	if detail {
-		b.rec.RecordAt(nowNS, telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(s.policy), 0, 0)
+		b.rec.RecordAt(nowNS, telemetry.KindDrop, ev.TraceID, ev.Seq, int64(s.id), int64(b.opts.Overflow), 0, 0)
 	}
-	return false
 }
 
 // evict cancels the subscription under the CancelSlow policy, once.
@@ -587,21 +581,26 @@ func (s *Subscription) evict(ev *Event, nowNS int64) {
 	// Evictions are rare and diagnostic gold: record them even for
 	// untraced publications.
 	b.rec.RecordAt(nowNS, telemetry.KindEvict, ev.TraceID, ev.Seq, int64(s.id), 0, 0, 0)
-	// The channel path gets here holding sendMu, which Cancel's close
-	// needs: evict from a fresh goroutine.
+	// Publish takes no broker lock and Cancel does: evict from a fresh
+	// goroutine.
 	go s.Cancel()
 }
 
 // closeCh ends deliveries to the subscription. Its event channel is
 // closed, serialised against in-flight deliveries so a concurrent
-// Publish can never send on a closed channel; a sink subscription hands
-// its share of the sink's capacity back instead. Callers guarantee it
-// runs at most once (via s.once or the broker's closed flag).
+// Publish can never send on a closed channel — a publisher waiting under
+// Block is woken first, so the close waits for no timeout; a sink
+// subscription hands its share of the sink's capacity back instead.
+// Callers guarantee it runs at most once (via s.once or the broker's
+// closed flag).
 func (s *Subscription) closeCh() {
 	if s.sink != nil {
 		s.closed.Store(true)
 		_ = s.sink.resize(-int(s.share), -1) // a release cannot fail
 		return
+	}
+	if s.done != nil {
+		close(s.done)
 	}
 	s.sendMu.Lock()
 	s.closed.Store(true)
@@ -615,8 +614,8 @@ func (s *Subscription) Cancel() {
 	s.once.Do(func() {
 		b := s.b
 		b.mu.Lock()
-		defer b.mu.Unlock()
 		if _, live := b.subs[s.id]; !live {
+			b.mu.Unlock()
 			return // broker already closed (channel closed there)
 		}
 		delete(b.subs, s.id)
@@ -642,28 +641,23 @@ func (s *Subscription) Cancel() {
 		}
 		b.publishSnapshotLocked()
 		b.maybeTriggerRebuildLocked()
+		b.mu.Unlock()
 		s.closeCh()
 	})
 }
 
-// SubscribeOptions tune one subscription. The zero value inherits the
-// broker defaults.
+// SubscribeOptions tune one subscription: its buffer and the queue it
+// is delivered through. The zero value inherits the broker defaults; the
+// overflow policy and block timeout are always the broker's
+// (Options.Overflow, Options.BlockTimeout).
 type SubscribeOptions struct {
 	// Buffer is the event channel capacity. Zero selects the broker's
 	// DefaultBuffer; negative is invalid.
 	Buffer int
-	// Overflow selects what Publish does when the buffer is full. The
-	// zero value inherits the broker's default policy.
-	Overflow OverflowPolicy
-	// BlockTimeout bounds the Block policy's wait. Zero selects the
-	// broker's BlockTimeout.
-	BlockTimeout time.Duration
 	// Sink, when non-nil, registers the subscription on that sink of this
 	// broker: it gets no channel, its events are put into the sink
 	// together with those of the sink's other subscriptions, and Buffer is
-	// what it adds to the sink's capacity. The sink applies the broker's
-	// overflow policy and block timeout, so Overflow and BlockTimeout must
-	// be left zero.
+	// what it adds to the sink's capacity.
 	Sink *Sink
 }
 
@@ -682,8 +676,7 @@ func (b *Broker) SubscribeBuffered(buffer int, rects ...geometry.Rect) (*Subscri
 	return b.SubscribeWith(SubscribeOptions{Buffer: buffer}, rects...)
 }
 
-// SubscribeWith is Subscribe with per-subscription buffer and overflow
-// policy control.
+// SubscribeWith is Subscribe with a chosen buffer, or on a sink.
 func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*Subscription, error) {
 	if len(rects) == 0 {
 		return nil, fmt.Errorf("broker: subscription needs at least one rectangle")
@@ -691,13 +684,8 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	if opts.Buffer < 0 {
 		return nil, fmt.Errorf("broker: buffer must be >= 1, got %d", opts.Buffer)
 	}
-	switch opts.Overflow {
-	case DropNewest, DropOldest, Block, CancelSlow:
-	default:
-		return nil, fmt.Errorf("broker: unknown overflow policy %d", int(opts.Overflow))
-	}
-	if k := opts.Sink; k != nil && (k.b != b || opts.Overflow != DropNewest || opts.BlockTimeout != 0) {
-		return nil, fmt.Errorf("broker: a sink subscription takes its broker's overflow policy and a sink of that broker")
+	if k := opts.Sink; k != nil && k.b != b {
+		return nil, fmt.Errorf("broker: a sink subscription needs a sink of its broker")
 	}
 	owned := make([]geometry.Rect, len(rects))
 	for i, r := range rects {
@@ -716,21 +704,7 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	if buffer == 0 {
 		buffer = b.opts.DefaultBuffer
 	}
-	policy := opts.Overflow
-	if policy == DropNewest {
-		policy = b.opts.Overflow
-	}
-	blockTimeout := opts.BlockTimeout
-	if blockTimeout <= 0 {
-		blockTimeout = b.opts.BlockTimeout
-	}
-	s := &Subscription{
-		id:           b.nextID,
-		rects:        owned,
-		b:            b,
-		policy:       policy,
-		blockTimeout: blockTimeout,
-	}
+	s := &Subscription{id: b.nextID, rects: owned, b: b}
 	if k := opts.Sink; k != nil {
 		if err := k.resize(buffer, 1); err != nil {
 			return nil, err
@@ -738,6 +712,9 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 		s.sink, s.share = k, int32(buffer)
 	} else {
 		s.ch = make(chan Event, buffer)
+		if b.opts.Overflow == Block {
+			s.done = make(chan struct{})
+		}
 	}
 	// A new subscription starts with zero lag: it is only behind events
 	// published after this point.

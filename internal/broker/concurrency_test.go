@@ -161,7 +161,7 @@ func TestConcurrentPublishChurnStress(t *testing.T) {
 					lo := rng.Float64() * 99
 					rects = append(rects, geometry.NewRect(lo, lo+1))
 				}
-				s, err := b.SubscribeWith(SubscribeOptions{Overflow: DropNewest}, rects...)
+				s, err := b.Subscribe(rects...)
 				if err != nil {
 					return // broker closed
 				}

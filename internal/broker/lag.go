@@ -94,7 +94,7 @@ func (b *Broker) LagReport() LagReport {
 		lag, ageNS := lagOf(s, head, nowNS)
 		sl := SubLag{
 			ID:           s.id,
-			Policy:       s.policy.String(),
+			Policy:       b.opts.Overflow.String(),
 			DeliveredSeq: s.deliveredSeq.Load(),
 			LagEvents:    lag,
 			Dropped:      s.dropCt.Load(),

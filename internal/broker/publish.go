@@ -296,10 +296,11 @@ func (b *Broker) ingest(pc *pubCtx) error {
 
 // runPart is one part's share of a publication: match the point
 // against part i of the publication's snapshot (and, for part 0, its
-// overlay), enqueue the event on every matched subscription that has a
-// channel, file those registered on a sink under their sink for the
-// caller's flushSinks, and leave the counts and stage times in the
-// part's result slot. sc belongs to the calling goroutine.
+// overlay), admit the event on the channel of every matched subscription
+// that has one, as an element of one, file those registered on a sink
+// under their sink for the caller's flushSinks, and leave the counts and
+// stage times in the part's result slot. sc belongs to the calling
+// goroutine.
 //
 //pubsub:hotpath
 func (b *Broker) runPart(pc *pubCtx, i int, sc *matchScratch) {
@@ -326,11 +327,15 @@ func (b *Broker) runPart(pc *pubCtx, i int, sc *matchScratch) {
 	if pc.metered {
 		stamp = now
 	}
-	for _, s := range sc.targets {
-		if s.sink != nil {
+	for j, s := range sc.targets {
+		switch {
+		case s.evicting.Load():
+			// CancelSlow eviction pending
+		case s.sink != nil:
 			sc.group(s)
-		} else if b.deliver(s, &ev, &pc.prep, pc.detail, stamp) {
-			r.delivered++
+		default:
+			n, _ := b.admit(&ev, &pc.prep, sc.targets[j:j+1], pc.detail, stamp)
+			r.delivered += n
 		}
 	}
 	if pc.metered {
@@ -516,79 +521,160 @@ func (b *Broker) observeRefused(pc *pubCtx) {
 	pc.span.Str("error", pc.err.Error())
 }
 
-// deliver sends ev to one subscription, applying its overflow policy
-// when the buffer is full. It takes no broker lock; s.sendMu excludes a
-// concurrent channel close (closeCh), and the closed check skips
-// subscriptions cancelled after the publisher snapshotted its targets.
-// The event's point/payload clones are materialized lazily, only when a
-// send is actually attempted. detail enables per-subscriber flight
-// records (traced publications only, so a saturated untraced publish
-// writes nothing here). nowNS is a reading the caller already holds
-// (runPart's stamp); both outcomes are booked, and their records
-// stamped, at it, so neither reads a clock.
+// A publication goes into each queue as one element: the event and the
+// subscriptions it is for — those it matched on a sink, or the one
+// subscription a channel belongs to. Each kind of queue has three
+// primitives: tryPut, popOldest and putWait. What became of an element:
+const (
+	putOK     = iota
+	putFull   // the overflow policy decides
+	putClosed // not delivered, not counted
+)
+
+// admit puts one element into its queue and books the outcome at nowNS,
+// a reading the caller holds: sent for each subscription and, traced,
+// one deliver record naming the first, the queue's depth in deliveries
+// and the element's size; or, refused, lost for each. Deliver and drop
+// records are written only when detail (a traced publication) asks, so
+// a saturated untraced publish writes none. An element whose queue
+// closed under the publisher books nothing. It returns the deliveries
+// queued and the queue's subscription count.
 //
-//pubsub:commit -- hands the event to subscriber queues; after this the publication is observable
-func (b *Broker) deliver(s *Subscription, ev *Event, pr *eventPrep, detail bool, nowNS int64) bool {
-	if s.evicting.Load() {
-		return false // CancelSlow eviction pending
+//pubsub:hotpath
+//pubsub:commit -- hands the event to a subscriber queue; after this the publication is observable
+func (b *Broker) admit(ev *Event, pr *eventPrep, subs []*Subscription, detail bool, nowNS int64) (delivered, group int) {
+	depth, group, res := tryPut(ev, pr, subs)
+	if res == putFull {
+		depth, group, res = b.overflow(ev, pr, subs, detail, nowNS)
 	}
+	if res == putFull {
+		for _, s := range subs {
+			s.lost(ev, nowNS, detail)
+		}
+	}
+	if res != putOK {
+		return 0, 0
+	}
+	for _, s := range subs {
+		s.sent(ev, nowNS, uint64(depth))
+	}
+	if detail {
+		b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq,
+			int64(subs[0].id), int64(depth), int64(len(subs)), 0)
+	}
+	return len(subs), group
+}
+
+// tryPut puts the element if its queue has room: the sink's put, or
+// the channel's of its one subscription.
+//
+//pubsub:hotpath
+func tryPut(ev *Event, pr *eventPrep, subs []*Subscription) (depth, group, res int) {
+	if k := subs[0].sink; k != nil {
+		return k.tryPut(ev, pr, subs)
+	}
+	return subs[0].tryPut(ev, pr)
+}
+
+// overflow applies the broker's policy to an element tryPut refused:
+// DropOldest removes the oldest elements until it fits, booking their
+// losses on the evicted events' traces; Block waits for room up to the
+// timeout; CancelSlow evicts the subscriptions the element names. An
+// element that stays out is putFull, for admit to book.
+//
+//pubsub:coldpath -- runs only when a queue is full; the steady state is tryPut's admission
+func (b *Broker) overflow(ev *Event, pr *eventPrep, subs []*Subscription, detail bool, nowNS int64) (depth, group, res int) {
+	s, k := subs[0], subs[0].sink // the queue: k, or s's channel when k is nil
+	switch b.opts.Overflow {
+	case DropOldest:
+		// Each round removes an element or gets in (an empty queue admits
+		// anything), so the loop ends whoever else runs beside it.
+		for {
+			var old Event
+			var olds []*Subscription
+			if k != nil {
+				old, olds = k.popOldest()
+			} else {
+				old, olds = s.popOldest(subs)
+			}
+			for _, o := range olds {
+				if !o.closed.Load() {
+					o.lost(&old, nowNS, detail)
+				}
+			}
+			if depth, group, res = tryPut(ev, pr, subs); res != putFull {
+				return depth, group, res
+			}
+		}
+	case Block:
+		t := time.NewTimer(b.opts.BlockTimeout)
+		defer t.Stop()
+		if k != nil {
+			return k.putWait(ev, pr, subs, t.C)
+		}
+		return s.putWait(ev, pr, t.C)
+	case CancelSlow:
+		for _, o := range subs {
+			o.evict(ev, nowNS)
+		}
+	}
+	return 0, 0, putFull
+}
+
+// tryPut sends ev if the channel has room, checked before the event is
+// cloned; the send cannot then fail, as sendMu keeps the other
+// publishers and the close out. A channel's group is its subscription.
+//
+//pubsub:hotpath
+func (s *Subscription) tryPut(ev *Event, pr *eventPrep) (depth, group, res int) {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	if s.closed.Load() {
-		return false
+		return 0, 0, putClosed
 	}
-	if s.policy == DropNewest && len(s.ch) == cap(s.ch) {
-		// Fast drop before cloning anything: a saturated DropNewest
-		// subscriber costs the publisher no allocation.
-		return s.lost(ev, nowNS, detail)
+	if len(s.ch) == cap(s.ch) {
+		return 0, 0, putFull
 	}
 	pr.materialize(ev)
 	select {
 	case s.ch <- *ev:
-		return s.sentOne(ev, nowNS, detail)
+		return len(s.ch), 1, putOK
 	default:
+		return 0, 0, putFull
 	}
-	//pubsub:allow locksafe -- overflow handling may wait boundedly (blockTimeout) under the per-subscription sendMu only; no broker lock is held
-	return b.deliverOverflow(s, ev, detail, nowNS)
 }
 
-// deliverOverflow applies the subscription's overflow policy after a
-// failed non-blocking send: evict-and-retry for DropOldest, a bounded
-// wait for Block, eviction for CancelSlow; whatever does not get the
-// event in ends as a counted drop. The caller holds s.sendMu.
-//
-//pubsub:coldpath -- runs only when a subscriber buffer is full; the steady-state fast path is the non-blocking send in deliver
-func (b *Broker) deliverOverflow(s *Subscription, ev *Event, detail bool, nowNS int64) bool {
-	switch s.policy {
-	case DropOldest:
-		// Evict buffered events until the new one fits. sendMu keeps
-		// other publishers out, but the consumer drains concurrently;
-		// every iteration either sends or removes one event, so the
-		// loop terminates.
-		for {
-			select {
-			case old := <-s.ch:
-				// The loss belongs to the evicted event, not to the
-				// incoming one, which is about to be queued.
-				s.lost(&old, nowNS, detail)
-			default:
-			}
-			select {
-			case s.ch <- *ev:
-				return s.sentOne(ev, nowNS, detail)
-			default:
-			}
-		}
-	case Block:
-		t := time.NewTimer(s.blockTimeout)
-		defer t.Stop()
+// popOldest takes the oldest event off the channel, if any, with subs,
+// the element of s it was queued as.
+func (s *Subscription) popOldest(subs []*Subscription) (Event, []*Subscription) {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	if !s.closed.Load() {
 		select {
-		case s.ch <- *ev:
-			return s.sentOne(ev, nowNS, detail)
-		case <-t.C:
+		case old := <-s.ch:
+			return old, subs
+		default:
 		}
-	case CancelSlow:
-		s.evict(ev, nowNS)
 	}
-	return s.lost(ev, nowNS, detail)
+	return Event{}, nil
+}
+
+// putWait sends ev, waiting for room until deadline fires or the
+// subscription is closed.
+func (s *Subscription) putWait(ev *Event, pr *eventPrep, deadline <-chan time.Time) (depth, group, res int) {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	if s.closed.Load() {
+		return 0, 0, putClosed
+	}
+	pr.materialize(ev)
+	//pubsub:allow locksafe -- a bounded wait (the broker's BlockTimeout) under the per-subscription sendMu only; closeCh ends it through done before it takes sendMu
+	select {
+	case s.ch <- *ev:
+		return len(s.ch), 1, putOK
+	case <-s.done:
+		return 0, 0, putClosed
+	case <-deadline:
+		return 0, 0, putFull
+	}
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Delivery is one publication as a sink's consumer takes it: the event
@@ -142,15 +140,8 @@ func (k *Sink) popLocked() {
 	}
 }
 
-// What tryPut made of an element.
-const (
-	putOK     = iota
-	putFull   // the overflow policy decides
-	putClosed // not delivered, not counted
-)
-
-// tryPut is the one way into the queue, whatever the policy: it admits
-// the element if it fits, or if the sink is empty (so one larger than the
+// tryPut is a sink's put, the one way into the ring: it admits the
+// element if it fits, or if the sink is empty (so one larger than the
 // whole capacity still gets through), and reports the depth in
 // deliveries and the sink's subscription count with the element in. The
 // event is cloned, once per publication, only for an admitted element.
@@ -194,90 +185,39 @@ func (k *Sink) growLocked() {
 	k.ring, k.head = ring, 0
 }
 
-// deliver hands one goroutine's share of a publication to the sink and
-// books the outcome at nowNS: the delivered offset, lag clock and
-// high-water marks per subscription, and — traced — one deliver record
-// for the element, naming its first subscription, the sink's depth and
-// how many subscriptions it carried. It returns how many deliveries
-// were queued and the sink's subscription count.
-//
-//pubsub:commit -- hands the event to the sink's consumer; after this the publication is observable
-func (k *Sink) deliver(ev *Event, pr *eventPrep, subs []*Subscription, detail bool, nowNS int64) (delivered, group int) {
-	depth, group, res := k.tryPut(ev, pr, subs)
-	if res == putFull {
-		depth, group, res = k.overflow(ev, pr, subs, detail, nowNS)
+// popOldest removes the oldest element, if there is one, and returns
+// its event and subscriptions (copied: the slot may be refilled once mu
+// is released).
+func (k *Sink) popOldest() (Event, []*Subscription) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.n == 0 {
+		return Event{}, nil
 	}
-	if res != putOK {
-		return 0, 0
-	}
-	for _, s := range subs {
-		s.sent(ev, nowNS, uint64(depth))
-	}
-	if detail {
-		k.b.rec.RecordAt(nowNS, telemetry.KindDeliver, ev.TraceID, ev.Seq,
-			int64(subs[0].id), int64(depth), int64(len(subs)), 0)
-	}
-	return len(subs), group
+	old := k.ring[k.head]
+	k.popLocked()
+	return old.ev, slices.Clone(old.subs)
 }
 
-// overflow applies the policy to an element tryPut refused: DropOldest
-// evicts from the front until it fits, booking each loss on the evicted
-// event's trace; Block waits for the consumer up to the timeout;
-// CancelSlow evicts the subscriptions the element names. An element that
-// stays out is one counted drop per subscription.
-//
-//pubsub:coldpath -- runs only when the sink is full
-func (k *Sink) overflow(ev *Event, pr *eventPrep, subs []*Subscription, detail bool, nowNS int64) (depth, group, res int) {
-	switch k.b.opts.Overflow {
-	case DropOldest:
-		// Each round removes an element or gets in (an empty sink admits
-		// anything), so the loop ends whoever else runs beside it.
-		for {
-			k.mu.Lock()
-			var old sinkElem
-			if k.n > 0 {
-				old = k.ring[k.head]
-				old.subs = slices.Clone(old.subs) // the slot may be refilled once mu is released
-				k.popLocked()
-			}
-			k.mu.Unlock()
-			for _, s := range old.subs {
-				if !s.closed.Load() {
-					s.lost(&old.ev, nowNS, detail)
-				}
-			}
-			if depth, group, res = k.tryPut(ev, pr, subs); res != putFull {
-				return depth, group, res
-			}
+// putWait puts the element, waiting for the consumer to make room until
+// deadline fires or the sink is closed.
+func (k *Sink) putWait(ev *Event, pr *eventPrep, subs []*Subscription, deadline <-chan time.Time) (depth, group, res int) {
+	for {
+		// Ask for the wake-up before trying, so that a pop in between is
+		// not missed.
+		k.mu.Lock()
+		room := k.room
+		k.waiting = true
+		k.mu.Unlock()
+		if depth, group, res = k.tryPut(ev, pr, subs); res != putFull {
+			return depth, group, res
 		}
-	case Block:
-		t := time.NewTimer(k.b.opts.BlockTimeout)
-		defer t.Stop()
-		for timedOut := false; !timedOut; {
-			// Ask for the wake-up before trying, so that a pop in between
-			// is not missed.
-			k.mu.Lock()
-			room := k.room
-			k.waiting = true
-			k.mu.Unlock()
-			if depth, group, res = k.tryPut(ev, pr, subs); res != putFull {
-				return depth, group, res
-			}
-			select {
-			case <-room:
-			case <-t.C:
-				timedOut = true
-			}
-		}
-	case CancelSlow:
-		for _, s := range subs {
-			s.evict(ev, nowNS)
+		select {
+		case <-room:
+		case <-deadline:
+			return 0, 0, putFull
 		}
 	}
-	for _, s := range subs {
-		s.lost(ev, nowNS, detail)
-	}
-	return 0, 0, putFull
 }
 
 // sinkGroup is the targets one publication matched on one sink.
@@ -294,8 +234,8 @@ type sinkGroup struct {
 //
 //pubsub:hotpath
 func (sc *matchScratch) group(s *Subscription) {
-	if s.evicting.Load() || s.closed.Load() {
-		return // eviction pending, or cancelled since the snapshot
+	if s.closed.Load() {
+		return // cancelled since the snapshot
 	}
 	k := s.sink
 	if k.idx >= len(sc.slot) {
@@ -337,7 +277,7 @@ func (b *Broker) flushSinks(pc *pubCtx, sc *matchScratch, r *partResult) {
 	}
 	ev := pc.ev
 	for i := range sc.groups {
-		n, group := sc.groups[i].sink.deliver(&ev, &pc.prep, sc.groups[i].subs, pc.detail, now)
+		n, group := b.admit(&ev, &pc.prep, sc.groups[i].subs, pc.detail, now)
 		r.delivered += n
 		if n >= 2 && n > r.multicast {
 			r.multicast, r.group = n, group

@@ -15,7 +15,7 @@ type brokerTel struct {
 	fanout         *telemetry.Histogram
 	published      *telemetry.Counter
 	delivered      *telemetry.Counter
-	drops          [4]*telemetry.Counter // indexed by OverflowPolicy
+	dropped        *telemetry.Counter // labelled with the broker's policy
 	evicted        *telemetry.Counter
 	rebuilds       *telemetry.Counter
 	rebuildLatency *telemetry.Histogram
@@ -56,6 +56,9 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 			"Events published."),
 		delivered: reg.Counter("pubsub_broker_delivered_total",
 			"Events delivered to subscriber channels."),
+		dropped: reg.Counter("pubsub_broker_dropped_total",
+			"Events dropped on full subscriber buffers, by overflow policy.",
+			telemetry.L("policy", b.opts.Overflow.String())),
 		evicted: reg.Counter("pubsub_broker_evicted_total",
 			"Subscriptions evicted by the cancel-slow policy."),
 		rebuilds: reg.Counter("pubsub_broker_index_rebuilds_total",
@@ -68,11 +71,6 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 			"Index tree leaves scanned per point query.", telemetry.CountBuckets()),
 		entriesTested: reg.Histogram("pubsub_index_entries_tested",
 			"Leaf records compared against the event per point query.", telemetry.CountBuckets()),
-	}
-	for _, p := range []OverflowPolicy{DropNewest, DropOldest, Block, CancelSlow} {
-		t.drops[p] = reg.Counter("pubsub_broker_dropped_total",
-			"Events dropped on full subscriber buffers, by overflow policy.",
-			telemetry.L("policy", p.String()))
 	}
 	reg.GaugeFunc("pubsub_broker_subscriptions",
 		"Live subscriptions.", func() float64 {

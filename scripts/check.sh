@@ -9,7 +9,7 @@
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker and the wire — the index in one part, in parts
-#                       inline and on the part workers, sink overflow table, connection script — at
+#                       inline and on the part workers, overflow table over channels and sinks, connection script — at
 #                       -cpu 1,2,4, every benchmark once (the parts benchmark again at -cpu 2), and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
 #                       point queries, the AVX2 containment kernel against the Go loop, the overlay's
