@@ -253,6 +253,9 @@ type snapshot struct {
 	// multiRect is true once any live-or-dead subscription registered
 	// more than one rectangle, forcing target deduplication.
 	multiRect bool
+	// rects is the live rectangle count when the snapshot was stored,
+	// the group size of a traced publication's decision record.
+	rects int
 }
 
 // Broker routes published events to matching subscribers. Create one with
@@ -309,9 +312,6 @@ type Broker struct {
 	// closed is set once, by Close, under mu: mutators check it under
 	// mu, the publish path and the rebuilder read it without.
 	closed atomic.Bool
-	// liveRects counts live subscription rectangles, the group size of a
-	// traced publication's decision record.
-	liveRects atomic.Int64
 
 	// stop ends the background goroutines (the rebuilder and the part
 	// workers); wg waits for all of them in Close.
@@ -329,12 +329,6 @@ type Broker struct {
 	rec    *telemetry.Recorder
 	log    *wal.Log    // nil unless durability is on
 	slo    *health.SLO // nil unless an SLO objective is configured
-
-	// selprof streams the per-dimension selectivity profile: rectangle
-	// stats accumulate exactly on Subscribe/Cancel, point-coverage
-	// counters on instrumented publishes. IndexReport prefers it over
-	// the probe-time rectangle sample.
-	selprof selProfile
 
 	seq       atomic.Uint64
 	delivered atomic.Uint64
@@ -385,7 +379,6 @@ func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 	if b.rec == nil {
 		b.rec = telemetry.Default()
 	}
-	b.selprof.init()
 	if b.log != nil {
 		// Offsets already assigned by a previous process are the head a
 		// resuming subscriber lags behind.
@@ -619,10 +612,6 @@ func (s *Subscription) Cancel() {
 			return // broker already closed (channel closed there)
 		}
 		delete(b.subs, s.id)
-		b.liveRects.Add(-int64(len(s.rects)))
-		for _, r := range s.rects {
-			b.selprof.removeRect(r)
-		}
 		// Rectangles indexed in the base become stale; overlay entries
 		// are removed eagerly. A subscription's rectangles are all in one
 		// or the other. The overlay is rebuilt from the entries it keeps
@@ -730,10 +719,6 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	b.overlay.add(s)
 	b.publishSnapshotLocked()
 	b.maybeTriggerRebuildLocked()
-	b.liveRects.Add(int64(len(owned)))
-	for _, r := range owned {
-		b.selprof.addRect(r)
-	}
 	return s, nil
 }
 
@@ -786,7 +771,6 @@ func (b *Broker) Close() {
 	b.base, b.slots, b.baseLen, b.stale = nil, nil, 0, 0
 	b.overlay = overlay{}
 	b.snap.Store(nil)
-	b.liveRects.Store(0)
 	b.mu.Unlock()
 	// Outside the lock: rebuild re-acquires b.mu before touching state
 	// and bails out on closed; part workers finish their in-flight job

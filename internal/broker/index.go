@@ -38,6 +38,7 @@ func (b *Broker) publishSnapshotLocked() {
 		slots:     b.slots,
 		overlay:   b.overlay,
 		multiRect: b.multiRect,
+		rects:     b.rectanglesLocked(),
 	})
 }
 
@@ -229,40 +230,54 @@ func (b *Broker) rectanglesLocked() int {
 }
 
 // ShardStat is the index's introspection snapshot, surfaced by
-// Broker.ShardStats and the bench harness. The broker has one index,
-// packed in parts; the type keeps its name because the harness reads it.
+// Broker.ShardStats, embedded in IndexReport and read by the rebuilder
+// health check and the bench harness. The broker has one index, packed
+// in parts; the type keeps its name because the harness reads it.
 type ShardStat struct {
-	Subscriptions int  `json:"subscriptions"`
-	Rectangles    int  `json:"rectangles"`
-	BaseLen       int  `json:"base_len"`
-	OverlayLen    int  `json:"overlay_len"`
-	Stale         int  `json:"stale"`
-	MultiRect     bool `json:"multi_rect,omitempty"`
+	Subscriptions int `json:"subscriptions"`
+	Rectangles    int `json:"rectangles"`
+	// Base/Overlay/Stale describe the compiled snapshot: rectangles in
+	// the packed base, all parts together (including stale ones),
+	// rectangles still in the append-only overlay awaiting a rebuild,
+	// and base slots whose subscription is gone.
+	BaseLen    int  `json:"base_len"`
+	OverlayLen int  `json:"overlay_len"`
+	Stale      int  `json:"stale"`
+	MultiRect  bool `json:"multi_rect"`
 	// Rebuilding is true while a collect→install window is open.
-	Rebuilding bool   `json:"rebuilding,omitempty"`
+	Rebuilding bool `json:"rebuilding"`
+	// RebuildDue says the overlay or the stale share of the base has
+	// passed the rebuild thresholds (rebuildDueLocked).
+	RebuildDue bool   `json:"rebuild_due"`
 	Rebuilds   uint64 `json:"rebuilds"`
 	// SecondsSinceRebuild is the age of the last rebuild install
 	// (broker creation before the first).
 	SecondsSinceRebuild float64 `json:"seconds_since_rebuild"`
 }
 
+// statLocked fills the index's stat, the one place it is counted.
+// Caller holds b.mu.
+func (b *Broker) statLocked() ShardStat {
+	nowNS := b.rec.Now()
+	return ShardStat{
+		Subscriptions:       len(b.subs),
+		Rectangles:          b.rectanglesLocked(),
+		BaseLen:             b.baseLen,
+		OverlayLen:          len(b.overlay.subs),
+		Stale:               b.stale,
+		MultiRect:           b.multiRect,
+		Rebuilding:          b.rebuilding,
+		RebuildDue:          b.rebuildDueLocked(),
+		Rebuilds:            b.rebuilds.Load(),
+		SecondsSinceRebuild: time.Duration(nowNS - b.lastRebuildNS.Load()).Seconds(),
+	}
+}
+
 // ShardStats returns the index's stat as a one-entry slice.
 func (b *Broker) ShardStats() []ShardStat {
-	nowNS := b.rec.Now()
 	b.mu.RLock()
-	st := ShardStat{
-		Subscriptions: len(b.subs),
-		Rectangles:    b.rectanglesLocked(),
-		BaseLen:       b.baseLen,
-		OverlayLen:    len(b.overlay.subs),
-		Stale:         b.stale,
-		MultiRect:     b.multiRect,
-		Rebuilding:    b.rebuilding,
-		Rebuilds:      b.rebuilds.Load(),
-	}
-	b.mu.RUnlock()
-	st.SecondsSinceRebuild = time.Duration(nowNS - b.lastRebuildNS.Load()).Seconds()
-	return []ShardStat{st}
+	defer b.mu.RUnlock()
+	return []ShardStat{b.statLocked()}
 }
 
 // parts is how many parts a publication against s runs, at least 1:

@@ -457,6 +457,9 @@ func TestRebuildTriggerEdges(t *testing.T) {
 		if got != want || copied != want {
 			t.Fatalf("%s (%+v): rebuild due %v, the harness's copy %v, want %v", when, st, got, copied, want)
 		}
+		if st.RebuildDue != want {
+			t.Fatalf("%s (%+v): ShardStat.RebuildDue %v, want %v", when, st, st.RebuildDue, want)
+		}
 	}
 	var subs []*Subscription
 	subscribe := func(n int) {

@@ -130,33 +130,15 @@ type DimSelectivity struct {
 	// no interval is bounded or the span is degenerate). Small values
 	// mean narrow, selective predicates.
 	MeanWidthFraction float64 `json:"mean_width_fraction"`
-	// TrafficInEnvelope is the fraction of profiled publish points
-	// whose coordinate on this dimension fell inside the bounded
-	// envelope — only the streaming profile can compute it (the
-	// probe-time sample sees no traffic). 0 when unknown.
-	TrafficInEnvelope float64 `json:"traffic_in_envelope,omitempty"`
 }
 
 // IndexReport is a point-in-time description of the matching state:
-// the compiled snapshot's shape, the live rectangle population's
-// per-dimension selectivity, and duplicate/covering counts over a
-// bounded sample — the inputs the split-rule and aggregation roadmap
-// items consume.
+// the index's stat, the compiled snapshot's shape, and, over a bounded
+// sample of the live rectangles, their per-dimension selectivity and
+// duplicate/covering counts — the inputs the split-rule and
+// aggregation roadmap items consume.
 type IndexReport struct {
-	Subscriptions int `json:"subscriptions"`
-	Rectangles    int `json:"rectangles"`
-	// Base/Overlay/Stale describe the compiled snapshot: rectangles in
-	// the packed base, all parts together (including stale ones),
-	// rectangles still in the append-only overlay awaiting a rebuild,
-	// and base slots whose subscription is gone.
-	BaseLen    int    `json:"base_len"`
-	OverlayLen int    `json:"overlay_len"`
-	Stale      int    `json:"stale"`
-	MultiRect  bool   `json:"multi_rect"`
-	Rebuilds   uint64 `json:"rebuilds"`
-	// SecondsSinceRebuild is the age of the most recent rebuild
-	// install (broker creation before the first).
-	SecondsSinceRebuild float64 `json:"seconds_since_rebuild"`
+	ShardStat
 	// ShardCount is how many parts the current snapshot's base is
 	// packed in (1 before the first rebuild, when the overlay is the
 	// one part).
@@ -168,49 +150,29 @@ type IndexReport struct {
 	// Dims holds per-dimension selectivity over the sampled live
 	// rectangles; empty when there are none.
 	Dims []DimSelectivity `json:"dims,omitempty"`
-	// SampledRects is how many rectangles the duplicate/covering scans
-	// looked at (at most 512).
+	// SampledRects is how many rectangles the scans looked at (at most
+	// introspectSampleCap).
 	SampledRects int `json:"sampled_rects"`
-	// SelectivitySource says where Dims came from: "streaming" (the
-	// live per-dimension profile fed by Subscribe/Cancel and real
-	// matches) or "sample" (the probe-time rectangle sample fallback,
-	// used when the profile has no data or a rectangle exceeded its
-	// dimension bound).
-	SelectivitySource string `json:"selectivity_source,omitempty"`
-	// ProfiledPoints is how many instrumented publish points fed the
-	// streaming profile (0 under "sample").
-	ProfiledPoints uint64 `json:"profiled_points,omitempty"`
 	// DuplicatePairs counts sampled rectangle pairs that are exactly
-	// equal; CoveringPairs counts ordered pairs where one strictly
-	// covers the other. Both are aggregation candidates.
+	// equal; CoveringPairs counts the other pairs where one strictly
+	// covers the other, each unordered pair once. Both are aggregation
+	// candidates.
 	DuplicatePairs int `json:"duplicate_pairs"`
 	CoveringPairs  int `json:"covering_pairs"`
 }
 
-// introspectSampleCap bounds the O(n²) duplicate/covering scan (and the
-// selectivity fallback scan). 512 rectangles is ~131k pair comparisons,
-// well under a millisecond.
+// introspectSampleCap bounds the O(n²) duplicate/covering scan and the
+// selectivity scan. 512 rectangles is ~131k pair comparisons, well
+// under a millisecond.
 const introspectSampleCap = 512
 
-// IndexReport snapshots the matching-index shape and the live
+// IndexReport snapshots the index's stat and shape and the live
 // rectangle population's selectivity. It holds the broker lock in read
 // mode while copying out up to introspectSampleCap rectangles and
-// runs the quadratic scans after releasing it. Per-dimension
-// selectivity prefers the streaming profile (exact over the live
-// population, plus real-traffic envelope coverage) and falls back to
-// the sample when the profile is empty or overflowed.
+// runs the scans after releasing it.
 func (b *Broker) IndexReport() IndexReport {
 	b.mu.RLock()
-	rep := IndexReport{
-		Subscriptions: len(b.subs),
-		Rectangles:    b.rectanglesLocked(),
-		BaseLen:       b.baseLen,
-		OverlayLen:    len(b.overlay.subs),
-		Stale:         b.stale,
-		MultiRect:     b.multiRect,
-		Rebuilds:      b.rebuilds.Load(),
-		ShardCount:    b.numParts(),
-	}
+	rep := IndexReport{ShardStat: b.statLocked(), ShardCount: b.numParts()}
 	var base match.Matcher
 	if len(b.base) > 0 {
 		base = b.base[0]
@@ -229,21 +191,11 @@ func (b *Broker) IndexReport() IndexReport {
 	}
 	b.mu.RUnlock()
 
-	rep.SecondsSinceRebuild = time.Duration(b.rec.Now() - b.lastRebuildNS.Load()).Seconds()
 	if base != nil {
 		rep.Shape = match.Describe(base)
 	}
 	rep.SampledRects = len(sample)
-	if dims := b.selprof.report(); dims != nil {
-		rep.Dims = dims
-		rep.SelectivitySource = "streaming"
-		rep.ProfiledPoints = b.selprof.ptCount.Load()
-	} else {
-		rep.Dims = dimSelectivity(sample)
-		if rep.Dims != nil {
-			rep.SelectivitySource = "sample"
-		}
-	}
+	rep.Dims = dimSelectivity(sample)
 	rep.DuplicatePairs, rep.CoveringPairs = coveringScan(sample)
 	return rep
 }
@@ -339,18 +291,16 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 		// Churn left unfolded past the StaleWindow degrades the broker:
 		// every publish is paying unfolded overlay boxes (or stale-slot
 		// filtering).
-		nowNS := b.rec.Now()
 		b.mu.RLock()
-		due := b.rebuildDueLocked()
-		overlay, stale, baseLen := len(b.overlay.subs), b.stale, b.baseLen
+		st := b.statLocked()
 		b.mu.RUnlock()
-		if age := time.Duration(nowNS - b.lastRebuildNS.Load()); due && age > b.opts.StaleWindow {
+		if age := time.Duration(st.SecondsSinceRebuild * float64(time.Second)); st.RebuildDue && age > b.opts.StaleWindow {
 			return health.Degraded, fmt.Sprintf(
 				"index stale: unfolded for %s; overlay %d, stale %d/%d",
-				age.Round(time.Millisecond), overlay, stale, baseLen)
+				age.Round(time.Millisecond), st.OverlayLen, st.Stale, st.BaseLen)
 		}
 		return health.Healthy, fmt.Sprintf("%d part(s), overlay %d, stale %d/%d",
-			b.numParts(), overlay, stale, baseLen)
+			b.numParts(), st.OverlayLen, st.Stale, st.BaseLen)
 	})
 }
 

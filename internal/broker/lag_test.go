@@ -174,6 +174,52 @@ func TestIndexReportShapeAndSelectivity(t *testing.T) {
 	}
 }
 
+// TestIndexReportPastSampleCap: with more live rectangles than the
+// sample holds, the scans see exactly introspectSampleCap of them, and
+// the report's embedded stat is the one ShardStats gives.
+func TestIndexReportPastSampleCap(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	const n = 600
+	for i := 0; i < n; i++ {
+		r := geometry.RectOf(geometry.NewInterval(0, 1), geometry.FullInterval())
+		if _, err := b.Subscribe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSettled(t, b)
+	// The rebuilder bumps its counter just after it releases the lock,
+	// so a settled broker can still owe one increment: read until the
+	// report and ShardStats agree.
+	var rep IndexReport
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rep = b.IndexReport()
+		st := b.ShardStats()[0]
+		got := rep.ShardStat
+		got.SecondsSinceRebuild, st.SecondsSinceRebuild = 0, 0
+		if got == st {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("report's stat %+v, ShardStats %+v", got, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if rep.Subscriptions != n || rep.Rectangles != n || rep.RebuildDue || rep.Rebuilding {
+		t.Fatalf("settled population wrong: %+v", rep.ShardStat)
+	}
+	if rep.SampledRects != introspectSampleCap {
+		t.Fatalf("sampled %d rectangles, want %d", rep.SampledRects, introspectSampleCap)
+	}
+	if len(rep.Dims) != 2 || rep.Dims[0].BoundedFraction != 1 || rep.Dims[1].Bounded != 0 {
+		t.Fatalf("dims = %+v, want dim 0 fully bounded and dim 1 unbounded", rep.Dims)
+	}
+	if want := introspectSampleCap * (introspectSampleCap - 1) / 2; rep.DuplicatePairs != want || rep.CoveringPairs != 0 {
+		t.Fatalf("duplicate/covering pairs = %d/%d, want %d/0", rep.DuplicatePairs, rep.CoveringPairs, want)
+	}
+}
+
 func TestIndexReportCoveringPairs(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()

@@ -16,8 +16,8 @@ import (
 
 // TestExemplarRecordingUnderParallelFanout hammers the exemplar slots
 // from every direction at once — parallel fan-out publishers stamping
-// stage and per-part histograms, subscription churn driving the
-// streaming selectivity profile and rebuilds, and a scraper rendering
+// stage and per-part histograms, subscription churn driving
+// rebuilds, and a scraper rendering
 // OpenMetrics exposition concurrently — to prove the lock-free
 // exemplar path is race-clean (run with -race) and that every exemplar
 // that surfaces is a well-formed trace id. Also asserts no goroutine
@@ -57,8 +57,7 @@ func TestExemplarRecordingUnderParallelFanout(t *testing.T) {
 		}(int64(p) + 1)
 	}
 
-	// Churners: subscribe/cancel loops feeding the streaming
-	// selectivity profile and forcing rebuilds mid-publish.
+	// Churners: subscribe/cancel loops forcing rebuilds mid-publish.
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
 		go func(seed int64) {

@@ -414,10 +414,10 @@ func dedupTargets(targets []*Subscription) []*Subscription {
 
 // observe is the one place a publication is reported: the flight
 // recorder, the metric histograms with their trace-id exemplars, the
-// SLO feed, the selectivity profile and the sampled span all read the
-// same context, so every arrangement of parts and workers reports the
-// same stages with the same meaning. The match and enqueue stages are
-// time summed over parts; with workers their sum can exceed the total.
+// SLO feed and the sampled span all read the same context, so every
+// arrangement of parts and workers reports the same stages with the
+// same meaning. The match and enqueue stages are time summed over
+// parts; with workers their sum can exceed the total.
 //
 // A refused publication still closes its trace (publish record with
 // delivered = -1, span with an error attribute) and burns SLO budget
@@ -445,7 +445,10 @@ func (b *Broker) observe(pc *pubCtx) {
 		// reported for the largest such element. Otherwise every matching
 		// subscriber got its own channel send, chosen among the live
 		// rectangles: unicast (1), or none matched (0).
-		method, interested, group := int64(0), int64(sum.targets), b.liveRects.Load()
+		method, interested, group := int64(0), int64(sum.targets), int64(0)
+		if pc.snap != nil {
+			group = int64(pc.snap.rects)
+		}
 		if sum.multicast > 0 {
 			method, interested, group = 2, int64(sum.multicast), int64(sum.group)
 		} else if sum.targets > 0 {
@@ -494,7 +497,6 @@ func (b *Broker) observe(pc *pubCtx) {
 			}
 		}
 		b.slo.Observe(time.Duration(total).Seconds())
-		b.selprof.notePoint(pc.prep.src)
 		if b.log != nil {
 			span.Stage(telemetry.StageWAL, time.Duration(walNS))
 		}

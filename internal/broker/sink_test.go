@@ -169,6 +169,59 @@ func TestSinkDecisionRecord(t *testing.T) {
 	}
 }
 
+// The decision record's group counts live rectangles, not base slots:
+// cancelling a subscription already packed into the base drops the group
+// by its rectangles while they sit stale in the base, and the rebuild
+// that prunes them leaves it unchanged. The rebuilder goroutine is never
+// started (rebuilderOn is set first); the test runs rebuild itself.
+func TestSinkDecisionRecordStaleBase(t *testing.T) {
+	rec := telemetry.NewRecorder(1024)
+	br := New(Options{Recorder: rec, MinOverlay: 1})
+	defer br.Close()
+	br.mu.Lock()
+	br.rebuilderOn = true
+	br.mu.Unlock()
+	wide, err := br.Subscribe(geometry.NewRect(0, 1), geometry.NewRect(2, 3), geometry.NewRect(4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []geometry.Rect{geometry.NewRect(0, 10), geometry.NewRect(20, 30)} {
+		if _, err := br.Subscribe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br.rebuild()
+	step := func(when string, group int64, stale int) {
+		t.Helper()
+		trace := telemetry.NewTraceID()
+		if _, err := br.PublishTraced(geometry.Point{7}, nil, trace); err != nil {
+			t.Fatal(err)
+		}
+		dec := rec.SnapshotFilter(trace, telemetry.KindDecision, 0)
+		if len(dec) != 1 {
+			t.Fatalf("%s: %d decision records, want 1", when, len(dec))
+		}
+		want := [4]int64{1, 1, group, 1_000_000 / group}
+		if dec[0].Args != want {
+			t.Fatalf("%s: decision %v, want method/interested/group/ratio %v", when, dec[0].Args, want)
+		}
+		br.mu.RLock()
+		gotStale, baseLen := br.stale, br.baseLen
+		br.mu.RUnlock()
+		if gotStale != stale || baseLen == 0 {
+			t.Fatalf("%s: %d stale of a base of %d, want %d stale in a packed base", when, gotStale, baseLen, stale)
+		}
+	}
+	step("five rectangles packed", 5, 0)
+	wide.Cancel()
+	step("three of five stale", 2, 3)
+	br.rebuild()
+	step("stale slots pruned", 2, 0)
+	if n := br.Stats().IndexRebuilds; n != 2 {
+		t.Fatalf("%d rebuilds, want 2", n)
+	}
+}
+
 // Elements of one publication queued back to back — one per goroutine
 // that matched it — come out of Next as one delivery; another
 // publication's do not join them.

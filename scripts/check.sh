@@ -6,7 +6,8 @@
 # Runs, in order:
 #   1. build            go build ./...  (+ cross-builds for 386, linux/arm, arm64 and darwin, and the
 #                       index tests on GOARCH=386, where the Go containment kernel runs)
-#   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers)
+#   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers), then the
+#                       design weight per package (scripts/loc.sh; printed, never a gate)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker and the wire — the index in one part, in parts
 #                       inline and on the part workers, overflow table over channels and sinks, connection script — at
@@ -32,6 +33,9 @@ GOARCH=386 go test ./internal/flat/... ./internal/stree/... ./internal/rtree/...
 echo "==> vet suite (stock vet + custom analyzers)"
 go run ./cmd/pubsub-vet -list
 go run ./cmd/pubsub-vet ./...
+
+echo "==> design weight (non-test lines per package; information only)"
+./scripts/loc.sh
 
 echo "==> tests (race)"
 go test -race ./...
