@@ -56,6 +56,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/geometry"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -468,55 +469,26 @@ type eventDump struct {
 	Records  []eventRecord `json:"records"`
 }
 
-// argOrder fixes the display order of known record arguments so the
-// timeline reads the same way every run (maps iterate randomly).
-var argOrder = []string{
-	"conn", "sub", "point_dims", "payload_bytes",
-	"nodes_visited", "entries_tested", "leaves_visited", "matched",
-	"method", "interested", "group_size", "ratio_ppm",
-	"fanout", "delivered", "depth", "policy", "dropped",
-	"lag", "slow", "first_drop", "last_seq",
-	"entries", "overlay_left", "rebuilds",
-	"attempt", "ok", "backoff_ms", "subs",
-	"bytes", "synced", "pending", "segments", "records", "truncated_bytes",
-	"from", "end",
-	"match_ns", "build_ns", "append_ns", "sync_ns", "recover_ns", "total_ns",
-}
-
-// formatEventArgs renders a record's arguments as " k=v ..." in a
-// stable order.
-func formatEventArgs(args map[string]int64) string {
-	if len(args) == 0 {
-		return ""
+// formatEventArgs renders a record's arguments as " k=v ..." in the
+// order its kind names them, which is pipeline order for stages; a kind
+// this build does not know (a newer daemon) gets its keys sorted.
+func formatEventArgs(kind string, args map[string]int64) string {
+	var names []string
+	if k, ok := telemetry.ParseKind(kind); ok {
+		for _, name := range k.ArgNames() {
+			if _, ok := args[name]; ok {
+				names = append(names, name)
+			}
+		}
+	} else {
+		for name := range args {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 	}
 	var b strings.Builder
-	left := len(args)
-	for _, k := range argOrder {
-		v, ok := args[k]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, " %s=%d", k, v)
-		left--
-	}
-	if left > 0 { // unknown keys (newer daemon): stable-sort them too
-		extra := make([]string, 0, left)
-		for k := range args {
-			known := false
-			for _, o := range argOrder {
-				if k == o {
-					known = true
-					break
-				}
-			}
-			if !known {
-				extra = append(extra, k)
-			}
-		}
-		sort.Strings(extra)
-		for _, k := range extra {
-			fmt.Fprintf(&b, " %s=%d", k, args[k])
-		}
+	for _, name := range names {
+		fmt.Fprintf(&b, " %s=%d", name, args[name])
 	}
 	return b.String()
 }
@@ -566,7 +538,7 @@ func runEvents(addr, traceID, kind string, limit int, w io.Writer) error {
 			fmt.Fprintf(w, "  %s +%-12s %-14s seq=%d%s\n",
 				rec.Time.Format("15:04:05.000000"),
 				rec.Time.Sub(t0).Round(time.Microsecond),
-				rec.Kind, rec.Seq, formatEventArgs(rec.Args))
+				rec.Kind, rec.Seq, formatEventArgs(rec.Kind, rec.Args))
 		}
 		return nil
 	}
@@ -577,7 +549,7 @@ func runEvents(addr, traceID, kind string, limit int, w io.Writer) error {
 			trace = "-"
 		}
 		fmt.Fprintf(w, "  %s %-14s trace=%s seq=%d%s\n",
-			rec.Time.Format("15:04:05.000000"), rec.Kind, trace, rec.Seq, formatEventArgs(rec.Args))
+			rec.Time.Format("15:04:05.000000"), rec.Kind, trace, rec.Seq, formatEventArgs(rec.Kind, rec.Args))
 	}
 	return nil
 }

@@ -6,12 +6,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/geometry"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -454,5 +456,37 @@ func TestRunTop(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "unreachable") {
 		t.Errorf("top against a closed port should say unreachable:\n%s", sb.String())
+	}
+}
+
+// The trace verb prints each record's arguments in the order its kind
+// names them: the stage split in pipeline order, the publish summary
+// as the recorder defines it.
+func TestRunEventsTrace(t *testing.T) {
+	rec := telemetry.NewRecorder(512)
+	b := broker.New(broker.Options{Recorder: rec})
+	defer b.Close()
+	if _, err := b.Subscribe(geometry.NewRect(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	trace := telemetry.NewTraceID()
+	if _, err := b.PublishTraced(geometry.Point{5}, nil, trace); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(telemetry.EventsHandler(rec))
+	defer srv.Close()
+
+	var sb strings.Builder
+	if err := run([]string{"-metrics-addr", srv.URL, "trace", telemetry.FormatTraceID(trace)}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m) stages +seq=1 wal=0 ingest=\d+ match=\d+ enqueue=\d+$`),
+		regexp.MustCompile(`(?m) publish +seq=1 fanout=1 delivered=1 match_ns=\d+ total_ns=\d+$`),
+	} {
+		if !want.MatchString(out) {
+			t.Errorf("trace output has no line matching %s:\n%s", want, out)
+		}
 	}
 }

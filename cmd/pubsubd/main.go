@@ -31,15 +31,17 @@
 // (per-subscription and per-connection lag behind the broker head, as
 // JSON; pubsub-cli lag/top render it), the matching-index shape on
 // /debug/index, and the standard pprof profiles under /debug/pprof/ on
-// a dedicated listener. -trace-sample N records every Nth publication
-// as a structured log event with per-stage (match, deliver) timings.
+// a dedicated listener. -trace-sample N traces every Nth publication in
+// the flight recorder, as if it had arrived over the wire, and logs it
+// as one structured event (msg=publish) rendered from those records,
+// its stage split (wal, ingest, match, enqueue) among them.
 // -slow-sub-lag sets the lag, in events behind the head, past which a
 // subscription is flagged slow (degrading /healthz and counting
 // slow-transition metrics and flight records).
 //
 // The flight recorder itself is always on: a fixed-memory ring of
 // -events records (64 bytes each) capturing every publish plus per-stage
-// detail for publications that arrived over the wire. SIGQUIT dumps it
+// detail for publications that arrived over the wire or were sampled. SIGQUIT dumps it
 // to stderr in text form without stopping the daemon.
 //
 // Stop with SIGINT/SIGTERM; the daemon drains in-flight event pumps for
@@ -102,7 +104,7 @@ func run(args []string) error {
 
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/events and /debug/pprof on this address (empty disables)")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		traceSample = fs.Int("trace-sample", 0, "log every Nth publication as a structured trace event (0 disables)")
+		traceSample = fs.Int("trace-sample", 0, "trace every Nth publication in the flight recorder and log it as one event rendered from its records (0 disables)")
 		events      = fs.Int("events", telemetry.DefaultRecorderCapacity, "flight recorder capacity in records of 64 bytes (minimum 512)")
 	)
 	if err := fs.Parse(args); err != nil {

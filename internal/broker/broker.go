@@ -43,7 +43,7 @@ type Event struct {
 	// Seq is the broker-assigned publication sequence number.
 	Seq uint64
 	// TraceID correlates this event with the publication's trace across
-	// the flight recorder, span logs and remote peers. Assigned at
+	// the flight recorder, sampled log lines and remote peers. Assigned at
 	// ingest (PublishTraced's argument, or broker-generated); never 0.
 	TraceID uint64
 }
@@ -123,8 +123,10 @@ type Options struct {
 	// index traversal effort). Nil disables metrics at zero cost on the
 	// publish path.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, samples publications and logs their
-	// match→deliver stage timings. Nil disables tracing.
+	// Tracer, when non-nil, samples publications 1 in N: each sampled
+	// one is traced in the flight recorder like a wire-crossing one and
+	// logged as one event rendered from its records. Nil disables
+	// sampling.
 	Tracer *telemetry.Tracer
 	// Recorder receives compact flight-recorder records (one per
 	// publish, plus per-stage detail for traced publications, evictions

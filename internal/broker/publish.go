@@ -61,10 +61,10 @@ func (r *partResult) add(o *partResult) {
 type pubCtx struct {
 	ev      Event     // TraceID, and Seq once ingest assigned it
 	prep    eventPrep // the publication's point and payload, cloned lazily
-	span    *telemetry.Span
-	detail  bool  // traced: write per-stage and per-subscriber flight records
-	metered bool  // stamp stages and collect query stats (detail, metrics or SLO on)
-	err     error // why the publication was refused, if it was
+	sampled bool      // the tracer logs it once observed
+	detail  bool      // traced: write per-stage and per-subscriber flight records
+	metered bool      // stamp stages and collect query stats (detail, metrics or SLO on)
+	err     error     // why the publication was refused, if it was
 
 	t0      int64 // publish entry
 	tWAL    int64 // Log.Append returned (metered and durable only; t0 otherwise)
@@ -171,22 +171,22 @@ func (b *Broker) Publish(p geometry.Point, payload []byte) (int, error) {
 // delivered Event and on every flight-recorder record.
 //
 // The flight recorder always gets one compact publish record (fanout,
-// deliveries, latency) — also for a refused publication. Per-stage
-// detail records — match effort, dispatch decision, per-subscriber
-// deliver/drop — are written only for traced publications: those
-// arriving with an explicit (wire-assigned) id, or sampled by the
-// tracer. In-process untraced publishes therefore stay within the
-// zero-alloc, low-overhead hot-path budget.
+// deliveries, latency) — also for a refused publication. Detail
+// records — the stage split, match effort, dispatch decision,
+// per-element deliver and per-subscriber drop — are written only for
+// traced publications: those arriving with an explicit (wire-assigned)
+// id, or sampled by the tracer, which then logs the trace's records.
+// In-process untraced publishes therefore stay within the zero-alloc,
+// low-overhead hot-path budget.
 //
 //pubsub:hotpath
 func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64) (int, error) {
 	pc := b.ctxs.Get().(*pubCtx)
-	pc.detail = traceID != 0
+	pc.sampled = b.tracer.Sample()
+	pc.detail = traceID != 0 || pc.sampled
 	if traceID == 0 {
 		traceID = telemetry.NewTraceID()
 	}
-	pc.span = b.tracer.StartWith("publish", traceID)
-	pc.detail = pc.detail || pc.span != nil
 	// Telemetry vanishes when disabled: with no registry, no SLO and no
 	// trace, metered is false and the pipeline reads no stage clock and
 	// collects no traversal stats.
@@ -198,12 +198,15 @@ func (b *Broker) PublishTraced(p geometry.Point, payload []byte, traceID uint64)
 	pc.tWAL = pc.t0
 
 	b.publish(pc)
+	if pc.sampled {
+		b.tracer.Log(b.rec, traceID, pc.err)
+	}
 
 	delivered, err := pc.sum.delivered, pc.err
 	// Nothing caller-owned (point, payload) may outlive the call in the
 	// pool, nor may an old snapshot.
 	pc.prep.reset(nil, nil)
-	pc.span, pc.err, pc.snap = nil, nil, nil
+	pc.err, pc.snap = nil, nil
 	b.ctxs.Put(pc)
 	return delivered, err
 }
@@ -413,15 +416,17 @@ func dedupTargets(targets []*Subscription) []*Subscription {
 }
 
 // observe is the one place a publication is reported: the flight
-// recorder, the metric histograms with their trace-id exemplars, the
-// SLO feed and the sampled span all read the same context, so every
-// arrangement of parts and workers reports the same stages with the
-// same meaning. The match and enqueue stages are time summed over
-// parts; with workers their sum can exceed the total.
+// recorder, the metric histograms with their trace-id exemplars and the
+// SLO feed all read the same context, so every arrangement of parts and
+// workers reports the same stages with the same meaning. The match and
+// enqueue stages are time summed over parts; with workers their sum can
+// exceed the total. A durable broker's time up to the append's return
+// is the wal stage (0 without a log); ingest is what remains of the way
+// to the fan-out.
 //
 // A refused publication still closes its trace (publish record with
-// delivered = -1, span with an error attribute) and burns SLO budget
-// when the log refused it; a closed broker is not a service failure.
+// delivered = -1) and burns SLO budget when the log refused it; a
+// closed broker is not a service failure.
 //
 //pubsub:hotpath
 func (b *Broker) observe(pc *pubCtx) {
@@ -429,13 +434,16 @@ func (b *Broker) observe(pc *pubCtx) {
 	tid, seq := pc.ev.TraceID, pc.ev.Seq
 	tEnd := rec.Now()
 	total := tEnd - pc.t0
+	walNS, ingestNS := pc.tWAL-pc.t0, pc.tIngest-pc.tWAL
 	delivered := int64(sum.delivered)
 	if pc.err != nil {
 		delivered = -1
 	} else if pc.detail {
 		// Stamped where the stage they describe began, so a trace's
-		// timeline reads match, decision, deliveries, publish on every
-		// path although all three are written here.
+		// timeline reads stages, match, decision, deliveries, publish on
+		// every path although all four are written here.
+		rec.RecordAt(pc.t0, telemetry.KindStages, tid, seq,
+			walNS, ingestNS, sum.matchNS, sum.enqueueNS)
 		rec.RecordAt(pc.tIngest, telemetry.KindMatch, tid, seq,
 			int64(sum.qs.NodesVisited), int64(sum.qs.EntriesTested), int64(sum.qs.LeavesVisited), int64(sum.targets))
 		// The in-broker delivery decision, in dispatch's method values.
@@ -466,61 +474,43 @@ func (b *Broker) observe(pc *pubCtx) {
 	if !pc.metered {
 		return
 	}
-	span := pc.span
 	if pc.err != nil {
 		b.observeRefused(pc)
-	} else {
-		// A durable broker's time up to the append's return is the wal
-		// stage (its histogram is nil without a log); ingest is what
-		// remains of the way to the fan-out.
-		walNS, ingestNS := pc.tWAL-pc.t0, pc.tIngest-pc.tWAL
-		if tel := b.tel; tel != nil {
-			tel.published.Inc()
-			tel.delivered.Add(uint64(sum.delivered))
-			tel.fanout.Observe(float64(sum.targets))
-			tel.nodesVisited.Observe(float64(sum.qs.NodesVisited))
-			tel.leavesVisited.Observe(float64(sum.qs.LeavesVisited))
-			tel.entriesTested.Observe(float64(sum.qs.EntriesTested))
-			tel.publishLatency.ObserveExemplar(time.Duration(total).Seconds(), tid)
-			tel.stageWAL.ObserveExemplar(time.Duration(walNS).Seconds(), tid)
-			tel.stageIngest.ObserveExemplar(time.Duration(ingestNS).Seconds(), tid)
-			tel.stageMatch.ObserveExemplar(time.Duration(sum.matchNS).Seconds(), tid)
-			tel.stageEnqueue.ObserveExemplar(time.Duration(sum.enqueueNS).Seconds(), tid)
-			if pc.handed > 0 {
-				tel.workerFanouts.Inc()
-			}
-			// Per-part attribution: where publish cost concentrates.
-			for i := range pc.res[:pc.parts] {
-				ns := pc.res[i].matchNS
-				b.partNS[i].Add(ns)
-				tel.partMatch[i].ObserveDuration(time.Duration(ns))
-			}
-		}
-		b.slo.Observe(time.Duration(total).Seconds())
-		if b.log != nil {
-			span.Stage(telemetry.StageWAL, time.Duration(walNS))
-		}
-		span.Stage(telemetry.StageIngest, time.Duration(ingestNS))
-		span.Stage(telemetry.StageMatch, time.Duration(sum.matchNS))
-		span.Stage(telemetry.StageEnqueue, time.Duration(sum.enqueueNS))
-		span.Uint64("seq", seq)
-		span.Int("fanout", sum.targets)
-		span.Int("delivered", sum.delivered)
-		span.Int("nodes_visited", sum.qs.NodesVisited)
-		span.Int("entries_tested", sum.qs.EntriesTested)
+		return
 	}
-	span.End()
+	if tel := b.tel; tel != nil {
+		tel.published.Inc()
+		tel.delivered.Add(uint64(sum.delivered))
+		tel.fanout.Observe(float64(sum.targets))
+		tel.nodesVisited.Observe(float64(sum.qs.NodesVisited))
+		tel.leavesVisited.Observe(float64(sum.qs.LeavesVisited))
+		tel.entriesTested.Observe(float64(sum.qs.EntriesTested))
+		tel.publishLatency.ObserveExemplar(time.Duration(total).Seconds(), tid)
+		tel.stageWAL.ObserveExemplar(time.Duration(walNS).Seconds(), tid)
+		tel.stageIngest.ObserveExemplar(time.Duration(ingestNS).Seconds(), tid)
+		tel.stageMatch.ObserveExemplar(time.Duration(sum.matchNS).Seconds(), tid)
+		tel.stageEnqueue.ObserveExemplar(time.Duration(sum.enqueueNS).Seconds(), tid)
+		if pc.handed > 0 {
+			tel.workerFanouts.Inc()
+		}
+		// Per-part attribution: where publish cost concentrates.
+		for i := range pc.res[:pc.parts] {
+			ns := pc.res[i].matchNS
+			b.partNS[i].Add(ns)
+			tel.partMatch[i].ObserveDuration(time.Duration(ns))
+		}
+	}
+	b.slo.Observe(time.Duration(total).Seconds())
 }
 
-// observeRefused reports why a publication was refused: to the SLO when
-// the log failed it, and on its span.
+// observeRefused reports a publication the log refused to the SLO; one
+// refused by a closed broker is no service failure.
 //
 //pubsub:coldpath -- refusals only: the log failed the append or the broker is closed
 func (b *Broker) observeRefused(pc *pubCtx) {
 	if !errors.Is(pc.err, errClosed) {
 		b.slo.ObserveBad()
 	}
-	pc.span.Str("error", pc.err.Error())
 }
 
 // A publication goes into each queue as one element: the event and the

@@ -2,14 +2,19 @@ package broker
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/geometry"
+	"repro/internal/health"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 func TestBrokerMetrics(t *testing.T) {
@@ -175,5 +180,92 @@ func TestPublishDisabledTelemetryAllocations(t *testing.T) {
 	// publish may not allocate more than the bare one.
 	if instrumented > base {
 		t.Errorf("instrumented publish allocates %g/op, bare %g/op", instrumented, base)
+	}
+}
+
+// BenchmarkPublishObserved is what observing a publication costs over
+// the bare publish, on the ledger's stock population (10 000
+// paper-model subscriptions, fan-out ~140), each publication's
+// deliveries drained after it so no queue ever fills. Rows: bare (the
+// flight recorder's publish record only), metrics (a registry),
+// metrics+slo, traced (a nonzero trace id, as every wire publication
+// carries: the detail records) and sampled (1 in 1: traced, then logged
+// as JSON to io.Discard).
+func BenchmarkPublishObserved(b *testing.B) {
+	model := workload.MustStockPublications(9)
+	rng := rand.New(rand.NewSource(5))
+	events := make([]geometry.Point, 1024)
+	for i := range events {
+		events[i] = model.Sample(rng)
+	}
+	cfg := workload.DefaultSubscriptionConfig()
+	cfg.Count = 10000
+	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Subscriptions: &cfg}, experiment.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name   string
+		opts   Options
+		traced bool
+	}{
+		{"bare", Options{}, false},
+		{"metrics", Options{Metrics: telemetry.NewRegistry()}, false},
+		{"metrics+slo", Options{Metrics: telemetry.NewRegistry(), SLO: health.NewSLO(health.SLOOptions{ObjectiveSeconds: 0.01})}, false},
+		{"traced", Options{}, true},
+		{"sampled", Options{Tracer: telemetry.NewTracer(slog.New(slog.NewJSONHandler(io.Discard, nil)), 1)}, false},
+	} {
+		// The 10 000th subscription triggers the one rebuild (see
+		// BenchmarkPublishOverlay), so every row matches the same packed
+		// base with an empty overlay.
+		row.opts.MinOverlay = len(tb.Subs) - 1
+		row.opts.Recorder = telemetry.NewRecorder(telemetry.DefaultRecorderCapacity)
+		br := New(row.opts)
+		subs := make([]*Subscription, len(tb.Subs))
+		for i, s := range tb.Subs {
+			if subs[i], err = br.Subscribe(s.Rect); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for {
+			br.mu.RLock()
+			settled := br.baseLen == len(subs) && !br.rebuilding && !br.rebuildDueLocked()
+			br.mu.RUnlock()
+			if settled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// reach[i] is the subscriptions events[i] is delivered to.
+		reach := make([][]*Subscription, len(events))
+		for i, p := range events {
+			if _, err := br.Publish(p, nil); err != nil {
+				b.Fatal(err)
+			}
+			for _, s := range subs {
+				select {
+				case <-s.Events():
+					reach[i] = append(reach[i], s)
+				default:
+				}
+			}
+		}
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var trace uint64
+				if row.traced {
+					trace = telemetry.NewTraceID()
+				}
+				k := i % len(events)
+				if _, err := br.PublishTraced(events[k], nil, trace); err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range reach[k] {
+					<-s.Events()
+				}
+			}
+		})
+		br.Close()
 	}
 }

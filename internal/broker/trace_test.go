@@ -1,10 +1,17 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"log/slog"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geometry"
 	"repro/internal/telemetry"
+	"repro/internal/wal"
 )
 
 // A traced publish must leave a correlated record chain in the flight
@@ -150,5 +157,114 @@ func TestDropOldestBooksEvictionAgainstEvictedEvent(t *testing.T) {
 	}
 	if got := s.Dropped(); got != 1 {
 		t.Fatalf("subscription dropped = %d, want 1", got)
+	}
+}
+
+// A sampled publication is traced like a wire-crossing one and logged
+// as one event rendered from its records: the log line holds exactly
+// the kinds and arguments the recorder holds for its trace, on an
+// in-memory and on a durable broker. Only the durable one spends time
+// in the wal stage, and the stage split fits in the publication's
+// latency on one part. A publication the tracer skips writes no stages
+// record.
+func TestSampledLogMatchesRecorder(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			var buf bytes.Buffer
+			rec := telemetry.NewRecorder(1024)
+			opts := Options{Recorder: rec, Tracer: telemetry.NewTracer(slog.New(slog.NewJSONHandler(&buf, nil)), 2)}
+			if durable {
+				opts.Log = openLog(t, t.TempDir(), wal.Options{Sync: wal.SyncNever})
+			}
+			b := New(opts)
+			defer b.Close()
+			for _, r := range []geometry.Rect{geometry.NewRect(0, 10), geometry.NewRect(0, 5)} {
+				if _, err := b.Subscribe(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if b.numParts() != 1 {
+				t.Fatalf("broker has %d parts, want 1", b.numParts())
+			}
+			// 1 in 2: the first publication is skipped, the second logged.
+			for i := 0; i < 2; i++ {
+				if n, err := b.Publish(geometry.Point{3}, []byte("x")); err != nil || n != 2 {
+					t.Fatalf("publish delivered to %d (err %v), want 2", n, err)
+				}
+			}
+
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+			if len(lines) != 1 {
+				t.Fatalf("%d log lines, want 1: %q", len(lines), buf.String())
+			}
+			var ev map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+				t.Fatal(err)
+			}
+			var msg, id string
+			if json.Unmarshal(ev["msg"], &msg); msg != "publish" {
+				t.Fatalf("msg = %q, want publish", msg)
+			}
+			json.Unmarshal(ev["trace_id"], &id)
+			trace, err := telemetry.ParseTraceID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got := map[string][]map[string]int64{}
+			for key, raw := range ev {
+				switch key {
+				case "time", "level", "msg", "trace_id":
+					continue
+				}
+				var one map[string]int64
+				var list []map[string]int64
+				switch {
+				case json.Unmarshal(raw, &one) == nil:
+					list = []map[string]int64{one}
+				case json.Unmarshal(raw, &list) != nil:
+					t.Fatalf("%s = %s is neither a record nor a list of them", key, raw)
+				}
+				got[key] = list
+			}
+			want := map[string][]map[string]int64{}
+			var stages, total int64
+			recs := rec.SnapshotFilter(trace, telemetry.KindNone, 0)
+			for _, r := range recs {
+				args := map[string]int64{}
+				for i, name := range r.Kind.ArgNames() {
+					if name != "" {
+						args[name] = r.Args[i]
+					}
+				}
+				want[r.Kind.String()] = append(want[r.Kind.String()], args)
+				switch r.Kind {
+				case telemetry.KindStages:
+					if wal := r.Args[0]; (wal > 0) != durable {
+						t.Errorf("wal stage = %d ns on a durable=%v broker", wal, durable)
+					}
+					stages = r.Args[0] + r.Args[1] + r.Args[2] + r.Args[3]
+				case telemetry.KindPublish:
+					total = r.Args[3]
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("log line holds %v, recorder holds %v", got, want)
+			}
+			if len(want["stages"]) != 1 || len(want["deliver"]) != 2 {
+				t.Fatalf("trace records %v, want one stages record and two delivers", want)
+			}
+			if stages > total {
+				t.Errorf("stages sum to %d ns, more than the publication's total_ns %d", stages, total)
+			}
+
+			pubs := rec.SnapshotFilter(0, telemetry.KindPublish, 0)
+			if len(pubs) != 2 || pubs[1].TraceID != trace {
+				t.Fatalf("publish records %+v, want two, the second the sampled one", pubs)
+			}
+			if got := rec.SnapshotFilter(pubs[0].TraceID, telemetry.KindStages, 0); len(got) != 0 {
+				t.Fatalf("the unsampled publication wrote stages records: %+v", got)
+			}
+		})
 	}
 }

@@ -124,9 +124,6 @@ type Config struct {
 	// (by method) and the interested-fraction histogram. Nil disables
 	// metrics at zero cost per decision.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, samples deliveries and logs their
-	// match→decide stage timings. Nil disables tracing.
-	Tracer *telemetry.Tracer
 	// Recorder receives one flight-recorder decision record per
 	// delivery (method, interested count, group size, interest ratio).
 	// Nil selects the process-wide telemetry.Default() recorder.
@@ -169,9 +166,8 @@ type Planner struct {
 	// (only populated for ModeSparse).
 	groupRP []int
 
-	tel    *dispatchTel
-	tracer *telemetry.Tracer
-	rec    *telemetry.Recorder
+	tel *dispatchTel
+	rec *telemetry.Recorder
 }
 
 // dispatchTel bundles the planner's metric handles; nil disables them.
@@ -249,7 +245,6 @@ func NewPlanner(
 		subscriberNode: append([]int(nil), subscriberNode...),
 		groupNodes:     make([][]int, c.NumGroups()),
 		tel:            RegisterDispatchMetrics(cfg.Metrics),
-		tracer:         cfg.Tracer,
 		rec:            cfg.Recorder,
 	}
 	if p.rec == nil {
@@ -331,35 +326,20 @@ func (p *Planner) Deliver(publisher int, event geometry.Point) (Decision, error)
 
 // DeliverTraced is Deliver correlated with a publication trace: the
 // decision is written to the flight recorder under the given trace id
-// (0 leaves the record uncorrelated), and a sampled span carries the id
-// in its log line.
+// (0 leaves the record uncorrelated).
 func (p *Planner) DeliverTraced(publisher int, event geometry.Point, traceID uint64) (Decision, error) {
-	if p.tel == nil && p.tracer == nil {
-		d, err := p.deliver(publisher, event)
-		if err == nil {
-			p.recordDecision(d, traceID)
-		}
-		return d, err
+	var t0 time.Time
+	if p.tel != nil { // no clock read without metrics
+		t0 = time.Now()
 	}
-	span := p.tracer.StartWith("dispatch", traceID)
-	t0 := time.Now()
 	d, err := p.deliver(publisher, event)
-	took := time.Since(t0)
 	if err != nil {
 		return d, err
 	}
-	p.tel.record(d, took.Seconds())
-	p.recordDecision(d, traceID)
-	if span != nil {
-		span.Stage("decide", took)
-		span.Str("method", d.Method.String())
-		span.Int("interested", d.Interested)
-		span.Int("group", d.Group)
-		if d.GroupSize > 0 {
-			span.Float("ratio", float64(d.Interested)/float64(d.GroupSize))
-		}
-		span.End()
+	if p.tel != nil {
+		p.tel.record(d, time.Since(t0).Seconds())
 	}
+	p.recordDecision(d, traceID)
 	return d, nil
 }
 

@@ -71,6 +71,10 @@ const (
 	// KindClientResume is a reconnecting client resuming a
 	// subscription from its last-seen offset after a redial.
 	KindClientResume
+	// KindStages is one traced publication's split over the broker's
+	// stages in ns, the pubsub_stage_seconds labels: match and enqueue
+	// summed over parts, wal 0 without a log.
+	KindStages
 
 	numKinds
 )
@@ -97,6 +101,7 @@ var kindNames = [numKinds]string{
 	KindWALReplay:     "wal_replay",
 	KindSlowSub:       "slow_sub",
 	KindClientResume:  "client_resume",
+	KindStages:        "stages",
 }
 
 // A multicast is booked once per queue element or frame, not once per
@@ -123,6 +128,7 @@ var kindArgs = [numKinds][4]string{
 	KindWALReplay:     {"from", "end", "", ""},
 	KindSlowSub:       {"sub", "lag", "slow", "dropped"},
 	KindClientResume:  {"from", "last_seq", "subs", ""},
+	KindStages:        {StageWAL, StageIngest, StageMatch, StageEnqueue},
 }
 
 // String returns the kind's display name.
@@ -430,19 +436,14 @@ type dumpJSON struct {
 }
 
 func toJSON(rec Record) recordJSON {
-	out := recordJSON{Time: rec.Time, Kind: rec.Kind.String(), Seq: rec.Seq}
+	out := recordJSON{Time: rec.Time, Kind: rec.Kind.String(), Seq: rec.Seq, Args: make(map[string]int64, 4)}
 	if rec.TraceID != 0 {
 		out.Trace = FormatTraceID(rec.TraceID)
 	}
-	names := rec.Kind.ArgNames()
-	for i, name := range names {
-		if name == "" {
-			continue
+	for i, name := range rec.Kind.ArgNames() {
+		if name != "" {
+			out.Args[name] = rec.Args[i]
 		}
-		if out.Args == nil {
-			out.Args = make(map[string]int64, 4)
-		}
-		out.Args[name] = rec.Args[i]
 	}
 	return out
 }
@@ -478,15 +479,10 @@ func (r *Recorder) WriteText(w io.Writer, traceID uint64, kind RecordKind, limit
 // formatArgs renders the named arguments of one record as " k=v ...".
 func formatArgs(rec Record) string {
 	var b []byte
-	names := rec.Kind.ArgNames()
-	for i, name := range names {
-		if name == "" {
-			continue
+	for i, name := range rec.Kind.ArgNames() {
+		if name != "" {
+			b = fmt.Appendf(b, " %s=%d", name, rec.Args[i])
 		}
-		b = append(b, ' ')
-		b = append(b, name...)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, rec.Args[i], 10)
 	}
 	return string(b)
 }

@@ -2,8 +2,8 @@
 // the pub-sub runtime. It provides lock-free sharded counters, gauges,
 // and fixed-bucket histograms behind a named Registry, an http.Handler
 // that serves both Prometheus text exposition and expvar-style JSON,
-// and a sampled publication Tracer that emits structured log/slog
-// events.
+// the flight Recorder, and a 1-in-N publication Tracer that logs a
+// sampled publication as one log/slog event rendered from its records.
 //
 // Design constraints, in order:
 //

@@ -38,10 +38,8 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.Add(-1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	sp := tr.Start("x")
-	sp.Stage("match", time.Millisecond)
-	sp.Int("fanout", 3)
-	sp.End()
+	tr.Sample()
+	tr.Log(nil, 1, nil)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Traces() != 0 {
 		t.Fatal("nil receivers must observe nothing")
 	}

@@ -3,46 +3,22 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"io"
+	"errors"
 	"log/slog"
-	"strings"
+	"reflect"
 	"testing"
-	"time"
 )
 
 func TestTracerSamplesOneInN(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	tr := NewTracer(logger, 4)
+	tr := NewTracer(slog.Default(), 4)
+	sampled := 0
 	for i := 0; i < 12; i++ {
-		sp := tr.Start("publish")
-		sp.Int("fanout", i)
-		sp.Stage("match", 5*time.Millisecond)
-		sp.End()
+		if tr.Sample() {
+			sampled++
+		}
 	}
-	if got := tr.Traces(); got != 3 {
-		t.Fatalf("traces = %d, want 3 (1 in 4 of 12)", got)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("log lines = %d, want 3", len(lines))
-	}
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("trace event is not JSON: %v", err)
-	}
-	if ev["msg"] != "publish" {
-		t.Fatalf("msg = %v, want publish", ev["msg"])
-	}
-	if _, ok := ev["total"]; !ok {
-		t.Fatal("trace event missing total duration")
-	}
-	stages, ok := ev["stages"].(map[string]any)
-	if !ok {
-		t.Fatalf("trace event missing stages group: %v", ev)
-	}
-	if _, ok := stages["match"]; !ok {
-		t.Fatalf("stages missing match: %v", stages)
+	if sampled != 3 {
+		t.Fatalf("sampled %d of 12, want 3 (1 in 4)", sampled)
 	}
 }
 
@@ -53,107 +29,108 @@ func TestTracerDisabled(t *testing.T) {
 	if NewTracer(slog.Default(), 0) != nil {
 		t.Fatal("sampleEvery < 1 must disable tracing")
 	}
-}
-
-// Unsampled Start calls must not allocate: the disabled publication
-// path pays one atomic add, nothing more.
-func TestUnsampledStartDoesNotAllocate(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(slog.New(slog.NewTextHandler(&buf, nil)), 1<<40)
-	if n := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start("publish")
-		sp.Stage("match", time.Millisecond)
-		sp.End()
-	}); n != 0 {
-		t.Errorf("unsampled trace allocates %g/op", n)
+	var tr *Tracer
+	if tr.Sample() {
+		t.Fatal("a nil tracer sampled a publication")
+	}
+	tr.Log(NewRecorder(512), 1, nil) // must not panic
+	if tr.Traces() != 0 {
+		t.Fatal("a nil tracer counted a trace")
 	}
 }
 
-// BenchmarkUnsampledStart asserts (via -benchmem and the 0-alloc check
-// in TestUnsampledStartDoesNotAllocate) that the unsampled Tracer.Start
-// path stays free of heap allocation: one atomic add, a modulo, and
-// nil-receiver span method calls.
-func BenchmarkUnsampledStart(b *testing.B) {
-	var buf bytes.Buffer
-	tr := NewTracer(slog.New(slog.NewTextHandler(&buf, nil)), 1<<40)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Start("publish")
-		sp.Stage("match", time.Millisecond)
-		sp.Int("fanout", 1)
-		sp.End()
+// Sample is the whole per-publication cost of a tracer that does not
+// pick the publication: one atomic add, or one nil check.
+func TestSampleDoesNotAllocate(t *testing.T) {
+	var off *Tracer
+	rare := NewTracer(slog.Default(), 1<<40)
+	for name, tr := range map[string]*Tracer{"nil": off, "unsampled": rare} {
+		if n := testing.AllocsPerRun(1000, func() { tr.Sample() }); n != 0 {
+			t.Errorf("%s tracer: Sample allocates %g/op", name, n)
+		}
 	}
 }
 
-// Sampled spans are pooled: steady-state sampling reuses the span and
-// its attr backing arrays instead of growing the heap. The handler
-// below discards its input without retaining it, satisfying the slog
-// contract the pool relies on.
-func TestSampledSpansArePooled(t *testing.T) {
-	tr := NewTracer(slog.New(slog.NewTextHandler(io.Discard, nil)), 1)
-	// Warm the pool so the steady state owns its spans.
-	for i := 0; i < 16; i++ {
-		sp := tr.Start("publish")
-		sp.Int("fanout", i)
-		sp.Stage("match", time.Millisecond)
-		sp.End()
-	}
-	n := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start("publish")
-		sp.Int("fanout", 1)
-		sp.Uint64("seq", 9)
-		sp.Stage("match", time.Millisecond)
-		sp.Stage("deliver", time.Millisecond)
-		sp.End()
-	})
-	// The span and its attr slices come from the pool; what remains is
-	// slog's own rendering. Pre-pooling this path cost 4+ allocations in
-	// span bookkeeping alone, so assert a tight budget rather than an
-	// exact slog-version-dependent count.
-	if n > 6 {
-		t.Errorf("sampled pooled span allocates %g/op, want <= 6", n)
-	}
-}
-
-func TestStartWithCarriesTraceID(t *testing.T) {
+// The log event is rendered from the trace's records: one key per kind
+// holding its named arguments, a list for a kind recorded several
+// times, the trace id, and an error only for a refused publication.
+func TestTracerLogRendersRecords(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(slog.New(slog.NewJSONHandler(&buf, nil)), 1)
-	id := NewTraceID()
-	sp := tr.StartWith("publish", id)
-	if sp.TraceID() != id {
-		t.Fatalf("TraceID() = %x, want %x", sp.TraceID(), id)
-	}
-	sp.Stage("match", time.Millisecond)
-	sp.End()
+	rec := NewRecorder(512)
+	trace := NewTraceID()
+	rec.Record(KindStages, trace, 7, 0, 10, 20, 30)
+	rec.Record(KindMatch, trace, 7, 3, 12, 1, 2)
+	rec.Record(KindDeliver, trace, 7, 4, 1, 1, 0)
+	rec.Record(KindDeliver, trace, 7, 5, 1, 1, 0)
+	rec.Record(KindPublish, trace, 7, 2, 2, 20, 90)
+	rec.Record(KindPublish, NewTraceID(), 8, 1, 1, 1, 1) // another trace
+	tr.Log(rec, trace, nil)
 
-	var ev map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(buf.String())), &ev); err != nil {
-		t.Fatalf("trace event is not JSON: %v", err)
+	ev := decodeEvent(t, buf.Bytes())
+	want := map[string]any{
+		"msg":      "publish",
+		"trace_id": FormatTraceID(trace),
+		"stages":   map[string]any{"wal": 0.0, "ingest": 10.0, "match": 20.0, "enqueue": 30.0},
+		"match":    map[string]any{"nodes_visited": 3.0, "entries_tested": 12.0, "leaves_visited": 1.0, "matched": 2.0},
+		"deliver": []any{
+			map[string]any{"sub": 4.0, "depth": 1.0, "subs": 1.0},
+			map[string]any{"sub": 5.0, "depth": 1.0, "subs": 1.0},
+		},
+		"publish": map[string]any{"fanout": 2.0, "delivered": 2.0, "match_ns": 20.0, "total_ns": 90.0},
 	}
-	if ev["trace_id"] != FormatTraceID(id) {
-		t.Fatalf("trace_id = %v, want %s", ev["trace_id"], FormatTraceID(id))
+	delete(ev, "time")
+	delete(ev, "level")
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("log event\n got %v\nwant %v", ev, want)
+	}
+	if tr.Traces() != 1 {
+		t.Fatalf("traces = %d, want 1", tr.Traces())
 	}
 
-	// SetTraceID attaches the id downstream of Start.
 	buf.Reset()
-	sp = tr.Start("publish")
-	sp.SetTraceID(id)
-	sp.End()
-	if !strings.Contains(buf.String(), FormatTraceID(id)) {
-		t.Fatalf("SetTraceID id missing from %q", buf.String())
+	tr.Log(rec, NewTraceID(), errors.New("broker: closed"))
+	if ev := decodeEvent(t, buf.Bytes()); ev["error"] != "broker: closed" {
+		t.Fatalf("refused publication logged %v, want its error", ev)
 	}
+}
 
-	// A zero id stays omitted.
-	buf.Reset()
-	tr.StartWith("publish", 0).End()
-	if strings.Contains(buf.String(), "trace_id") {
-		t.Fatalf("zero trace id should be omitted: %q", buf.String())
+// decodeEvent parses one JSON log line, failing on a repeated key:
+// encoding/json would keep the last value silently.
+func decodeEvent(t *testing.T, line []byte) map[string]any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(line))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatalf("log line %q: %v", line, err)
 	}
+	ev := map[string]any{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		key := tok.(string)
+		if _, dup := ev[key]; dup {
+			t.Fatalf("log line repeats key %q: %s", key, line)
+		}
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		ev[key] = v
+	}
+	if _, err := dec.Token(); err != nil || dec.More() { // }, and nothing after
+		t.Fatalf("log output %q is not one JSON object", line)
+	}
+	return ev
+}
 
-	// Nil-receiver safety.
-	var nilSpan *Span
-	if nilSpan.TraceID() != 0 {
-		t.Fatal("nil span TraceID")
+// BenchmarkSample is the per-publication cost of a tracer that does not
+// pick the publication.
+func BenchmarkSample(b *testing.B) {
+	tr := NewTracer(slog.Default(), 1<<40)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Sample()
 	}
-	nilSpan.SetTraceID(5) // must not panic
 }

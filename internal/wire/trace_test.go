@@ -119,9 +119,9 @@ func TestWireTraceRoundTrip(t *testing.T) {
 
 // A wire multicast is booked once per element and once per frame, not
 // once per subscription: one publication to 32 subscriptions of one
-// grouping connection writes five server records (ingest, match,
+// grouping connection writes six server records (ingest, stages, match,
 // decision, one deliver counting all 32, publish), one client_publish
-// and one client_recv counting all 32: seven in all.
+// and one client_recv counting all 32: eight in all.
 func TestMulticastRecordBudget(t *testing.T) {
 	serverRec := telemetry.NewRecorder(1024)
 	b := broker.New(broker.Options{Recorder: serverRec})
@@ -173,8 +173,8 @@ func TestMulticastRecordBudget(t *testing.T) {
 		}
 	}
 	want := map[telemetry.RecordKind]int{
-		telemetry.KindIngest: 1, telemetry.KindMatch: 1, telemetry.KindDecision: 1,
-		telemetry.KindDeliver: 1, telemetry.KindPublish: 1,
+		telemetry.KindIngest: 1, telemetry.KindStages: 1, telemetry.KindMatch: 1,
+		telemetry.KindDecision: 1, telemetry.KindDeliver: 1, telemetry.KindPublish: 1,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("server records for the trace: %v, want %v", got, want)

@@ -14,9 +14,10 @@ import (
 // hot-path cost.
 type MetricsRegistry = telemetry.Registry
 
-// PublicationTracer samples publications and logs their per-stage
-// (match, deliver) timings as structured log/slog events. Attach one via
-// BrokerOptions.Tracer. A nil tracer disables tracing entirely.
+// PublicationTracer samples publications 1 in N: the broker traces each
+// sampled one in its flight recorder, stage split included, and logs
+// it as one structured log/slog event rendered from those records.
+// Attach one via BrokerOptions.Tracer. A nil tracer disables sampling.
 type PublicationTracer = telemetry.Tracer
 
 // NewMetricsRegistry creates an empty metrics registry.
@@ -35,8 +36,8 @@ func NewPublicationTracer(logger *slog.Logger, sampleEvery int) *PublicationTrac
 func MetricsHandler(r *MetricsRegistry) http.Handler { return telemetry.Handler(r) }
 
 // FlightRecorder is an always-on, fixed-memory diagnostic ring buffer:
-// every broker publish, traced per-stage detail (ingest, match,
-// dispatch decision, deliver/drop), eviction, index rebuild, keepalive
+// every broker publish, traced per-stage detail (ingest, the stage
+// split, match, dispatch decision, deliver/drop), eviction, index rebuild, keepalive
 // miss and reconnect attempt is written as a compact fixed-size record,
 // lock-free and without heap allocation. Components that are not given
 // one explicitly (BrokerOptions.Recorder and the wire/dispatch

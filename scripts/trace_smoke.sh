@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # trace_smoke.sh — end-to-end tracing gate.
 #
-# Boots pubsubd, subscribes through one client, publishes through
-# another, and asserts the single wire-crossing publication left a
-# correlated trace in the daemon's flight recorder: the trace id the
-# publisher printed resolves via /debug/events to ingest, match,
-# decision, deliver and publish records — the one deliver record
-# counting its one subscriber in subs — and `pubsub-cli trace <id>`
-# renders the same timeline.
+# Boots pubsubd with every publication sampled, subscribes through one
+# client, publishes through another, and asserts the single
+# wire-crossing publication left a correlated trace in the daemon's
+# flight recorder: the trace id the publisher printed resolves via
+# /debug/events to ingest, stages, match, decision, deliver and publish
+# records — one stages record, and the one deliver record counting its
+# one subscriber in subs — `pubsub-cli trace <id>` renders the same
+# timeline with the stage split in pipeline order, and the daemon logged
+# the publication once, under that trace id.
 #
 # Usage: ./scripts/trace_smoke.sh
 set -euo pipefail
@@ -27,7 +29,7 @@ trap cleanup EXIT
 go build -o "$DIR/pubsubd" ./cmd/pubsubd
 go build -o "$DIR/pubsub-cli" ./cmd/pubsub-cli
 
-"$DIR/pubsubd" -addr "$ADDR" -metrics-addr "$METRICS" -log-level warn &
+"$DIR/pubsubd" -addr "$ADDR" -metrics-addr "$METRICS" -trace-sample 1 -log-level info 2>"$DIR/pubsubd.log" &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$METRICS/metrics" >/dev/null 2>&1 && break
@@ -58,9 +60,11 @@ import json, sys
 trace = sys.argv[1]
 dump = json.load(sys.stdin)
 kinds = [r["kind"] for r in dump["records"]]
-for want in ("ingest", "match", "decision", "deliver", "publish"):
+for want in ("ingest", "stages", "match", "decision", "deliver", "publish"):
     if want not in kinds:
         sys.exit(f"FAIL: /debug/events?trace={trace} missing a {want} record (got {kinds})")
+if kinds.count("stages") != 1:
+    sys.exit(f"FAIL: want exactly one stages record, got {kinds}")
 for r in dump["records"]:
     if r["trace"] != trace:
         sys.exit(f"FAIL: filtered dump leaked foreign trace {r['trace']}")
@@ -79,6 +83,14 @@ for want in ingest match decision deliver publish "$TRACE"; do
   grep -q -- "$want" <<<"$TIMELINE" \
     || { echo "FAIL: pubsub-cli trace output missing: $want" >&2; exit 1; }
 done
+grep -Eq " stages +seq=[0-9]+ wal=[0-9]+ ingest=[0-9]+ match=[0-9]+ enqueue=[0-9]+$" <<<"$TIMELINE" \
+  || { echo "FAIL: pubsub-cli trace output has no stages line with wal, ingest, match, enqueue" >&2; exit 1; }
+
+# The sampled publication is logged once, rendered from its records.
+LOGGED=$(grep "msg=publish" "$DIR/pubsubd.log" | grep -c "trace_id=$TRACE" || true)
+[[ "$LOGGED" == 1 ]] \
+  || { echo "FAIL: want one publish log line with trace_id=$TRACE, got $LOGGED:" >&2; cat "$DIR/pubsubd.log" >&2; exit 1; }
+grep "trace_id=$TRACE" "$DIR/pubsubd.log"
 
 # The subscriber actually received the event.
 for _ in $(seq 1 50); do
