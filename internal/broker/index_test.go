@@ -731,6 +731,55 @@ func BenchmarkPublishParts(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuildBurst sizes the packing cost of a set-up: it
+// subscribes the ledger's selective population — 100 k narrow
+// subscriptions, no wildcard or half-open side (bench/workloads.go,
+// selectiveConfig) — one subscription at a time into a broker of one
+// part on one CPU, yielding after each as the ledger's set-up does, so
+// every rebuild runs the moment it is due. An op is the whole burst up
+// to a settled index. It reports, summed from the rebuild flight
+// records, the rebuilds, the rectangles they packed and the packing
+// time, so a change to the build can be sized without the ledger.
+func BenchmarkRebuildBurst(b *testing.B) {
+	cfg := workload.DefaultSubscriptionConfig()
+	cfg.Count = 100_000
+	cfg.NameLengthMax = 1
+	narrow := workload.PriceParams()
+	narrow.Q0, narrow.Q1, narrow.Q2 = 0, 0, 0
+	narrow.ParetoScale, narrow.ParetoAlpha = 0.25, 1.5
+	cfg.Price, cfg.Volume = narrow, narrow
+	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Subscriptions: &cfg}, experiment.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var rebuilds, rects, packNS int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := telemetry.NewRecorder(1024)
+		br := newBroker(Options{DefaultBuffer: 1, Recorder: rec}, 1, 0, false)
+		for _, s := range tb.Subs {
+			if _, err := br.Subscribe(s.Rect); err != nil {
+				b.Fatal(err)
+			}
+			runtime.Gosched()
+		}
+		waitSettled(b, br)
+		b.StopTimer()
+		for _, r := range rec.SnapshotFilter(0, telemetry.KindRebuild, 0) {
+			rebuilds++
+			rects += r.Args[0]
+			packNS += r.Args[2]
+		}
+		br.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(rebuilds)/float64(b.N), "rebuilds/op")
+	b.ReportMetric(float64(rects)/float64(b.N), "rects/op")
+	b.ReportMetric(float64(packNS)/1e6/float64(b.N), "pack-ms/op")
+}
+
 // TestCancelOfBaseSubscriptionKeepsOverlay: a subscription that lives
 // only in the packed base has no overlay entry to remove, so cancelling
 // it leaves the overlay slice — backing array and length — as it was

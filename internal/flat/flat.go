@@ -106,7 +106,13 @@ type Tree struct {
 
 // Build flattens the pointer tree rooted at root. A nil root yields an
 // empty tree. dims is the dimensionality of every rectangle in the tree.
-func Build(root Node, dims int) *Tree {
+func Build(root Node, dims int) *Tree { return BuildInto(root, dims, nil) }
+
+// BuildInto is Build storing the entry planes in planes when it holds
+// 2·dims floats per entry of the tree, so a packer's per-entry scratch of
+// that size becomes the tree's storage instead of garbage. It
+// overwrites planes: root must not read them.
+func BuildInto(root Node, dims int, planes []float64) *Tree {
 	t := &Tree{dims: dims}
 	if root == nil || dims == 0 {
 		return t
@@ -132,7 +138,11 @@ func Build(root Node, dims int) *Tree {
 	t.childEnd = make([]int32, nodes)
 	t.entryStart = make([]int32, nodes)
 	t.entryEnd = make([]int32, nodes)
-	t.entryBounds = make([]float64, 2*dims*entries)
+	if len(planes) >= 2*dims*entries {
+		t.entryBounds = planes[: 2*dims*entries : 2*dims*entries]
+	} else {
+		t.entryBounds = make([]float64, 2*dims*entries)
+	}
 	t.entryIDs = make([]int, entries)
 
 	// Pass 2: BFS again, assigning child ranges as nodes are enqueued so
@@ -186,6 +196,37 @@ func (t *Tree) NumEntries() int { return t.numEntries }
 
 // Dims reports the dimensionality the tree was built with.
 func (t *Tree) Dims() int { return t.dims }
+
+// Children returns node i's children as the node range [start, end),
+// empty for a leaf.
+func (t *Tree) Children(i int) (start, end int) {
+	return int(t.childStart[i]), int(t.childEnd[i])
+}
+
+// Entries returns leaf i's entries as the entry range [start, end),
+// empty for an internal node.
+func (t *Tree) Entries(i int) (start, end int) {
+	return int(t.entryStart[i]), int(t.entryEnd[i])
+}
+
+// NodeRect returns node i's bounding rectangle in a new Rect.
+func (t *Tree) NodeRect(i int) geometry.Rect {
+	return planeRect(t.nodeBounds, t.numNodes, i, t.dims)
+}
+
+// Entry returns entry e's rectangle, in a new Rect, and its identifier.
+func (t *Tree) Entry(e int) (geometry.Rect, int) {
+	return planeRect(t.entryBounds, t.numEntries, e, t.dims), t.entryIDs[e]
+}
+
+// planeRect gathers box i of a plane layout with the given stride.
+func planeRect(planes []float64, stride, i, dims int) geometry.Rect {
+	r := make(geometry.Rect, dims)
+	for d := range r {
+		r[d] = geometry.Interval{Lo: planes[(2*d+0)*stride+i], Hi: planes[(2*d+1)*stride+i]}
+	}
+	return r
+}
 
 // nodeIntersects reports whether node i's MBR intersects the non-empty
 // region r, mirroring geometry.Rect.Intersects. Stored bounds are never

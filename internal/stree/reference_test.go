@@ -17,32 +17,89 @@ import (
 // builder packs the same tree, bit for bit. The caller validates the
 // entries and options.
 func ReferenceBuild(entries []Entry, opts Options) *Tree {
-	opts = opts.withDefaults()
-	t := &Tree{opts: opts, size: len(entries)}
-	if len(entries) == 0 {
-		return t
-	}
-	t.dims = entries[0].Rect.Dims()
-	b := &referenceBuilder{opts: opts, frame: finiteFrame(entries)}
-	own := make([]Entry, len(entries))
-	copy(own, entries)
-	root := b.binarize(own)
-	compress(root, opts.BranchFactor)
-	t.root = root
-	t.flat = flat.Build(flatNode{root}, t.dims)
+	t, _ := ReferencePacking(entries, opts)
 	return t
 }
 
+// PointerShape is what the pointer tree of a packing says about itself,
+// read by walking its nodes: the oracle for Stats and Bounds, which a
+// Tree reads from its flat arrays.
+type PointerShape struct {
+	Stats  TreeStats
+	Bounds geometry.Rect
+}
+
+// ReferencePacking is ReferenceBuild, also returning the shape of its
+// pointer tree before the tree is dropped.
+func ReferencePacking(entries []Entry, opts Options) (*Tree, PointerShape) {
+	opts = opts.withDefaults()
+	t := &Tree{opts: opts, size: len(entries)}
+	if len(entries) == 0 {
+		return t, PointerShape{}
+	}
+	t.dims = entries[0].Rect.Dims()
+	own := make([]Entry, len(entries))
+	copy(own, entries)
+	identity := make([]keyed, len(own))
+	for k := range identity {
+		identity[k].i = int32(k)
+	}
+	b := &referenceBuilder{opts: opts, frame: finiteFrame(entries), order: leafOrder{src: own, keys: identity}}
+	root := b.binarize(0, len(own))
+	compress(root, opts.BranchFactor)
+	t.flat = flat.Build(flatNode{root}, t.dims)
+	return t, PointerShape{Stats: pointerStats(root), Bounds: root.mbr.Clone()}
+}
+
+// pointerStats is Stats computed by walking the pointer tree.
+func pointerStats(root *node) TreeStats {
+	var s TreeStats
+	internal := 0
+	childSum := 0
+	entrySum := 0
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		s.Nodes++
+		if depth > s.Height {
+			s.Height = depth
+		}
+		if n.isLeaf() {
+			s.Leaves++
+			entrySum += n.leafObjects()
+			return
+		}
+		internal++
+		childSum += len(n.children)
+		if len(n.children) > s.MaxBranch {
+			s.MaxBranch = len(n.children)
+		}
+		for _, c := range n.children {
+			walk(c, depth+1)
+		}
+	}
+	walk(root, 1)
+	if internal > 0 {
+		s.MeanBranch = float64(childSum) / float64(internal)
+	}
+	if s.Leaves > 0 {
+		s.MeanLeafLen = float64(entrySum) / float64(s.Leaves)
+	}
+	return s
+}
+
+// referenceBuilder binarizes its own copy of the entries, sorting each
+// node's range of it in place, so the copy ends in the final entry order.
 type referenceBuilder struct {
 	opts  Options
 	frame geometry.Rect
+	order leafOrder // the copy, in the order it is sorted into
 }
 
-func (b *referenceBuilder) binarize(entries []Entry) *node {
+func (b *referenceBuilder) binarize(lo, hi int) *node {
+	entries := b.order.src[lo:hi]
 	mbr := geometry.BoundingBox(rectsOf(entries)...)
-	n := &node{mbr: mbr, leafObjects: len(entries)}
+	n := &node{mbr: mbr, lo: lo, hi: hi, order: &b.order}
 	if len(entries) <= b.opts.BranchFactor {
-		n.entries = entries
 		return n
 	}
 	dim := mbr.LongestDim()
@@ -50,7 +107,7 @@ func (b *referenceBuilder) binarize(entries []Entry) *node {
 		return entries[i].Rect[dim].Center() < entries[j].Rect[dim].Center()
 	})
 	q := b.bestSplit(entries)
-	n.children = []*node{b.binarize(entries[:q]), b.binarize(entries[q:])}
+	n.children = []*node{b.binarize(lo, lo+q), b.binarize(lo+q, hi)}
 	return n
 }
 
@@ -94,21 +151,15 @@ func (b *referenceBuilder) bestSplit(entries []Entry) int {
 }
 
 // Identical reports the first difference between two trees, nil when
-// they are the same packing: node for node the same MBRs bit for bit
-// (−0 is not 0), leaf numbers, child order and entries — IDs and
-// rectangle bits in order — and flattened arrays equal bit for bit.
+// they are the same packing: the same header and flattened arrays equal
+// bit for bit (−0 is not 0). The arrays are the whole tree — BFS node
+// order, child ranges, MBRs, leaf entry ranges, entry rectangles and IDs
+// in order — and flat.Build checks them against the pointer tree node
+// for node under the invariants build tag.
 func Identical(got, want *Tree) error {
 	if got.size != want.size || got.dims != want.dims || got.opts != want.opts {
 		return fmt.Errorf("header: size %d dims %d %+v, want %d %d %+v",
 			got.size, got.dims, got.opts, want.size, want.dims, want.opts)
-	}
-	if (got.root == nil) != (want.root == nil) {
-		return fmt.Errorf("root presence differs")
-	}
-	if got.root != nil {
-		if err := sameNode(got.root, want.root, "root"); err != nil {
-			return err
-		}
 	}
 	if (got.flat == nil) != (want.flat == nil) {
 		return fmt.Errorf("flat presence differs")
@@ -117,40 +168,6 @@ func Identical(got, want *Tree) error {
 		return nil
 	}
 	return sameBits(reflect.ValueOf(got.flat).Elem(), reflect.ValueOf(want.flat).Elem(), "flat")
-}
-
-func sameNode(a, b *node, path string) error {
-	if !sameRect(a.mbr, b.mbr) {
-		return fmt.Errorf("%s: MBR %v, want %v", path, a.mbr, b.mbr)
-	}
-	if a.leafObjects != b.leafObjects || len(a.children) != len(b.children) || len(a.entries) != len(b.entries) {
-		return fmt.Errorf("%s: %d objects, %d children, %d entries; want %d, %d, %d", path,
-			a.leafObjects, len(a.children), len(a.entries), b.leafObjects, len(b.children), len(b.entries))
-	}
-	for i, e := range a.entries {
-		if w := b.entries[i]; e.ID != w.ID || !sameRect(e.Rect, w.Rect) {
-			return fmt.Errorf("%s: entry %d is %d %v, want %d %v", path, i, e.ID, e.Rect, w.ID, w.Rect)
-		}
-	}
-	for i, c := range a.children {
-		if err := sameNode(c, b.children[i], fmt.Sprintf("%s.%d", path, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sameRect(a, b geometry.Rect) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i].Lo) != math.Float64bits(b[i].Lo) ||
-			math.Float64bits(a[i].Hi) != math.Float64bits(b[i].Hi) {
-			return false
-		}
-	}
-	return true
 }
 
 // sameBits compares two values of one struct, slice or scalar type field

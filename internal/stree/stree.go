@@ -20,14 +20,21 @@
 //     with the highest leaf number), top-down in BFS order, until every
 //     node other than leaf and penultimate nodes has branch factor M.
 //
-// Cost of a build. Binarization never moves an entry: per node it runs
-// one pdqsort of pointer-free (center, index) pairs and permutes an index
-// array. One forward and one backward running union record bounding boxes
-// only at the candidate splits, which are scored by an allocation-free
-// clamped volume and perimeter. The children's MBRs are the chosen
-// prefix and suffix boxes, so only the root's bounding box is computed
-// from scratch. One builder holds all scratch, so a build allocates
-// O(nodes) times, not O(n log n).
+// Cost of a build. Build copies every entry's bounds once into a slab,
+// 2·dims floats per entry, and never moves an entry: the working order is
+// an array of pointer-free (center, index) pairs, and each node sorts
+// only its own range of it with a pdqsort specialized to those pairs
+// (sort.go), whose comparison inlines; a node split along its parent's
+// dimension is already in order and is not sorted again. Sort keys and
+// the running unions read the slab, never an entry's rectangle. One forward and one backward
+// running union record bounding boxes only at the candidate splits,
+// which are scored by an allocation-free clamped volume and perimeter.
+// The children's MBRs are the chosen prefix and suffix boxes, so only the
+// root's bounding box is computed from scratch. The pointer tree is
+// transient: it is compressed, checked under the invariants build tag,
+// flattened — the slab becomes the flat tree's entry planes — and
+// dropped, so a Tree holds only the flat arrays. One builder holds all
+// scratch, so a build allocates O(nodes) times, not O(n log n).
 //
 // A publication event is matched with a point query: descend from the
 // root, pruning every subtree whose MBR does not contain the point.
@@ -38,7 +45,6 @@ package stree
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/flat"
 	"repro/internal/geometry"
@@ -92,48 +98,47 @@ func (o Options) validate() error {
 	return nil
 }
 
-// node is a tree node. Exactly one of children/entries is non-empty;
-// leaves hold entries.
+// node is a node of the transient pointer tree. A node covers the
+// entries at positions [lo, hi) of the build's final entry order; a leaf
+// (no children) holds exactly them.
 type node struct {
 	mbr      geometry.Rect
 	children []*node
-	entries  []Entry
-	// leafObjects is the paper's "leaf number" N_A: the number of data
-	// objects stored in the leaf descendants of this node.
-	leafObjects int
-	dead        bool // set when compression merges this node away
+	lo, hi   int
+	order    *leafOrder // the build's final entry order
+	dead     bool       // set when compression merges this node away
 }
 
 func (n *node) isLeaf() bool { return len(n.children) == 0 }
 
-// penultimate reports whether every child is a leaf.
-func (n *node) penultimate() bool {
-	if n.isLeaf() {
-		return false
-	}
-	for _, c := range n.children {
-		if !c.isLeaf() {
-			return false
-		}
-	}
-	return true
-}
+// leafObjects is the paper's "leaf number" N_A: the number of data
+// objects stored in the leaf descendants of this node.
+func (n *node) leafObjects() int { return n.hi - n.lo }
 
 // Tree is an immutable S-tree over a set of subscription entries.
 // Build it with Build; the zero value is an empty tree that matches
 // nothing.
 type Tree struct {
-	root *node
 	opts Options
 	size int
 	dims int
-	// flat is the contiguous array compilation of the pointer tree; all
-	// queries run against it (the pointer tree is kept for structural
-	// statistics and invariant checks).
+	// flat is the contiguous array compilation of the packed tree, and
+	// the only form a Tree keeps: queries, Stats, Bounds and the
+	// invariant checks all read it.
 	flat *flat.Tree
 }
 
-// flatNode adapts *node to flat.Node for flattening after Build.
+// leafOrder is a packing's final entry order: position k holds
+// src[keys[k].i].
+type leafOrder struct {
+	src  []Entry
+	keys []keyed
+}
+
+func (o *leafOrder) entry(k int) Entry { return o.src[o.keys[k].i] }
+
+// flatNode adapts *node to flat.Node for flattening after Build. It is
+// one pointer, so an interface holds it without allocating.
 type flatNode struct{ n *node }
 
 func (a flatNode) MBR() geometry.Rect { return a.n.mbr }
@@ -141,16 +146,23 @@ func (a flatNode) NumChildren() int   { return len(a.n.children) }
 func (a flatNode) Child(i int) flat.Node {
 	return flatNode{a.n.children[i]}
 }
-func (a flatNode) NumEntries() int { return len(a.n.entries) }
+
+func (a flatNode) NumEntries() int {
+	if !a.n.isLeaf() {
+		return 0
+	}
+	return a.n.leafObjects()
+}
+
 func (a flatNode) Entry(i int) (geometry.Rect, int) {
-	e := a.n.entries[i]
+	e := a.n.order.entry(a.n.lo + i)
 	return e.Rect, e.ID
 }
 
 // Build constructs an S-tree over the entries. The entries slice is not
-// retained; rectangles are referenced, not copied. All rectangles must
-// share the same dimensionality. Building an empty set yields a tree whose
-// queries return nothing.
+// retained, nor are the rectangles: the tree keeps its own copy of the
+// bounds. All rectangles must share the same dimensionality. Building an
+// empty set yields a tree whose queries return nothing.
 func Build(entries []Entry, opts Options) (*Tree, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -169,10 +181,12 @@ func Build(entries []Entry, opts Options) (*Tree, error) {
 			return nil, fmt.Errorf("stree: entry %d has an empty rectangle", e.ID)
 		}
 	}
-	root := newBuilder(entries, opts).root()
+	b := newBuilder(entries, opts)
+	root := b.root()
 	compress(root, opts.BranchFactor)
-	t.root = root
-	t.flat = flat.Build(flatNode{root}, t.dims)
+	// The flat tree reads the entries, not the slab, so the slab can
+	// become its entry planes.
+	t.flat = flat.BuildInto(flatNode{root}, t.dims, b.slab)
 	if invariant.Enabled {
 		err := t.checkInvariants()
 		invariant.Assertf(err == nil, "stree.Build produced an invalid tree: %v", err)
@@ -226,16 +240,17 @@ func finiteFrame(entries []Entry) geometry.Rect {
 }
 
 // builder holds all scratch of one Build. The entries are never moved
-// while the tree is binarized: perm is the working order (perm[k] indexes
-// src) and each node permutes only its own range of it.
+// while the tree is binarized: keys is the working order (keys[k].i
+// indexes src) and each node sorts only its own range of it.
 type builder struct {
 	opts  Options
 	dims  int
 	frame geometry.Rect
-	src   []Entry // the caller's entries, read only
-	out   []Entry // src in final leaf order; the leaves slice it
-	perm  []int32
-	keys  []keyed       // sort scratch, one pair per entry of the node
+	// slab holds the bounds of src[i] at [2·dims·i, 2·dims·(i+1)): Lo
+	// and Hi of dimension 0, then of dimension 1, and so on.
+	slab  []float64
+	keys  []keyed       // the working order and the sort's pairs
+	order leafOrder     // src in the order keys ends in
 	acc   geometry.Rect // running union of the split sweep
 	// pre and suf hold, dims intervals per candidate split, the MBRs of
 	// the entries before and from that split.
@@ -250,20 +265,6 @@ type keyed struct {
 	i   int32
 }
 
-// cmpKeyed orders pairs by key alone. pdqsort only ever asks cmp < 0,
-// which holds exactly when x.key < y.key: the same question, on the same
-// sequence of ranges, as the sort.Slice less function the builder once
-// used, so ties land in the same order too.
-func cmpKeyed(x, y keyed) int {
-	switch {
-	case x.key < y.key:
-		return -1
-	case x.key > y.key:
-		return 1
-	}
-	return 0
-}
-
 func newBuilder(entries []Entry, opts Options) *builder {
 	n, dims := len(entries), entries[0].Rect.Dims()
 	// The root has the most candidate splits; sizing pre and suf for it
@@ -273,68 +274,100 @@ func newBuilder(entries []Entry, opts Options) *builder {
 		opts:  opts,
 		dims:  dims,
 		frame: finiteFrame(entries),
-		src:   entries,
-		out:   make([]Entry, n),
-		perm:  make([]int32, n),
+		slab:  make([]float64, 2*dims*n),
 		keys:  make([]keyed, n),
 		acc:   make(geometry.Rect, dims),
 		pre:   make([]geometry.Interval, cands*dims),
 		suf:   make([]geometry.Interval, cands*dims),
 	}
-	for i := range b.perm {
-		b.perm[i] = int32(i)
+	b.order = leafOrder{src: entries, keys: b.keys}
+	for i, e := range entries {
+		row := b.slab[2*dims*i : 2*dims*(i+1)]
+		for d, iv := range e.Rect {
+			row[2*d], row[2*d+1] = iv.Lo, iv.Hi
+		}
+		b.keys[i].i = int32(i)
 	}
 	return b
 }
 
-func (b *builder) rect(k int) geometry.Rect { return b.src[b.perm[k]].Rect }
+// bounds returns the slab row of the entry at working position k.
+func (b *builder) bounds(k int) []float64 {
+	w := 2 * b.dims
+	i := int(b.keys[k].i) * w
+	return b.slab[i : i+w : i+w]
+}
+
+// load sets acc to the rectangle of a slab row.
+func load(acc geometry.Rect, row []float64) {
+	row = row[:2*len(acc)]
+	for d := range acc {
+		acc[d] = geometry.Interval{Lo: row[2*d], Hi: row[2*d+1]}
+	}
+}
+
+// extend is geometry.Rect.Extend by the rectangle of a slab row: the
+// same min and max, so the same bits.
+func extend(acc geometry.Rect, row []float64) {
+	row = row[:2*len(acc)]
+	for d := range acc {
+		acc[d].Lo = min(acc[d].Lo, row[2*d])
+		acc[d].Hi = max(acc[d].Hi, row[2*d+1])
+	}
+}
 
 // root binarizes every entry under their bounding box.
 func (b *builder) root() *node {
-	mbr := b.src[0].Rect.Clone()
-	for _, e := range b.src[1:] {
-		mbr.Extend(e.Rect)
+	w := 2 * b.dims
+	mbr := make(geometry.Rect, b.dims)
+	load(mbr, b.slab)
+	for i := w; i < len(b.slab); i += w {
+		extend(mbr, b.slab[i:i+w])
 	}
-	return b.binarize(0, len(b.src), mbr)
+	return b.binarize(0, len(b.keys), mbr, -1)
 }
 
 // binarize implements the paper's Section 3.1 recursive sweep partition
-// over perm[lo:hi], whose bounding box is mbr.
-func (b *builder) binarize(lo, hi int, mbr geometry.Rect) *node {
-	n := &node{mbr: mbr, leafObjects: hi - lo}
+// over the working positions [lo, hi), whose bounding box is mbr and
+// which are already in center order along sorted (−1: no order).
+func (b *builder) binarize(lo, hi int, mbr geometry.Rect, sorted int) *node {
+	n := &node{mbr: mbr, lo: lo, hi: hi, order: &b.order}
 	if hi-lo <= b.opts.BranchFactor {
-		for k := lo; k < hi; k++ {
-			b.out[k] = b.src[b.perm[k]]
-		}
-		n.entries = b.out[lo:hi]
 		return n
 	}
-	b.sortByCenter(lo, hi, mbr.LongestDim())
+	// A child split along its parent's dimension is a run of the
+	// parent's sorted order. pdqsort leaves a sorted run as it is — its
+	// pivot sampling then reports an increasing run, which one
+	// insertion pass confirms — so the node skips the sort and packs
+	// the same tree. (Centers are never NaN, which would break the
+	// order: a NaN bound makes a rectangle empty, and Build rejects it.)
+	dim := mbr.LongestDim()
+	if dim != sorted {
+		b.sortByCenter(lo, hi, dim)
+	}
 	q, left, right := b.bestSplit(lo, hi)
-	n.children = []*node{b.binarize(lo, lo+q, left), b.binarize(lo+q, hi, right)}
+	n.children = []*node{b.binarize(lo, lo+q, left, dim), b.binarize(lo+q, hi, right, dim)}
 	return n
 }
 
-// sortByCenter orders perm[lo:hi] by the entries' centers along dim.
+// sortByCenter orders the working positions [lo, hi) by the entries'
+// centers along dim.
 func (b *builder) sortByCenter(lo, hi, dim int) {
-	keys := b.keys[:hi-lo]
+	keys, w := b.keys[lo:hi], 2*b.dims
 	for k := range keys {
-		i := b.perm[lo+k]
-		keys[k] = keyed{key: b.src[i].Rect[dim].Center(), i: i}
+		j := int(keys[k].i)*w + 2*dim
+		keys[k].key = geometry.Interval{Lo: b.slab[j], Hi: b.slab[j+1]}.Center()
 	}
-	slices.SortFunc(keys, cmpKeyed)
-	for k, kv := range keys {
-		b.perm[lo+k] = kv.i
-	}
+	sortKeyed(keys)
 }
 
 // bestSplit sweeps candidate split positions q with
 // ceil(p·N) <= q <= floor((1-p)·N), in increments of M, over the sorted
-// perm[lo:hi], and returns the q minimising V(I_B1)+V(I_B2), ties broken
-// by minimum total perimeter, with the two sides' MBRs. The MBRs "can be
-// computed incrementally as the sweep progresses" (the paper): a forward
-// and a backward running union record them at the candidates only.
-// Volumes are measured clamped to the finite frame, so unbounded
+// positions [lo, hi), and returns the q minimising V(I_B1)+V(I_B2), ties
+// broken by minimum total perimeter, with the two sides' MBRs. The MBRs
+// "can be computed incrementally as the sweep progresses" (the paper): a
+// forward and a backward running union record them at the candidates
+// only. Volumes are measured clamped to the finite frame, so unbounded
 // subscriptions stay comparable.
 func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
 	n, d, m := hi-lo, b.dims, b.opts.BranchFactor
@@ -343,7 +376,7 @@ func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
 	pre, suf, acc := b.pre[:cands*d], b.suf[:cands*d], b.acc
 
 	// Forward: pre holds the MBR of the first qmin+c·M entries.
-	copy(acc, b.rect(lo))
+	load(acc, b.bounds(lo))
 	for k, c := 1, 0; ; k++ {
 		if k == qmin+c*m {
 			copy(pre[c*d:], acc)
@@ -351,10 +384,10 @@ func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
 				break
 			}
 		}
-		acc.Extend(b.rect(lo + k))
+		extend(acc, b.bounds(lo+k))
 	}
 	// Backward: suf holds the MBR of the entries from qmin+c·M on.
-	copy(acc, b.rect(hi-1))
+	load(acc, b.bounds(hi-1))
 	for k, c := n-1, cands-1; ; k-- {
 		if k == qmin+c*m {
 			copy(suf[c*d:], acc)
@@ -362,7 +395,7 @@ func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
 				break
 			}
 		}
-		acc.Extend(b.rect(lo + k - 1))
+		extend(acc, b.bounds(lo+k-1))
 	}
 
 	best := 0
@@ -484,7 +517,7 @@ func eligibleChild(a *node) *node {
 		if c.isLeaf() || len(c.children) != 2 {
 			continue
 		}
-		if best == nil || c.leafObjects > best.leafObjects {
+		if best == nil || c.leafObjects() > best.leafObjects() {
 			best = c
 		}
 	}
@@ -527,10 +560,10 @@ func (t *Tree) Dims() int { return t.dims }
 // Bounds returns the minimum bounding rectangle of all indexed entries,
 // or nil for an empty tree.
 func (t *Tree) Bounds() geometry.Rect {
-	if t.root == nil {
+	if t.flat == nil {
 		return nil
 	}
-	return t.root.mbr.Clone()
+	return t.flat.NodeRect(0)
 }
 
 // MatchAppendStats is the paper's matching operation: it appends the IDs
@@ -567,7 +600,7 @@ func (t *Tree) RegionQuery(r geometry.Rect) []int {
 // administrative questions such as "which subscriptions overlap this
 // part of the event space".
 func (t *Tree) RegionQueryFunc(r geometry.Rect, fn func(id int) bool) {
-	if t.root == nil {
+	if t.flat == nil {
 		return
 	}
 	var st flat.Stats
@@ -586,36 +619,35 @@ type TreeStats struct {
 	MeanLeafLen float64 // mean entries per leaf
 }
 
-// Stats computes structural statistics of the tree.
+// Stats computes structural statistics of the tree from its flat
+// arrays. Their BFS numbering keeps each level in one node range, and the
+// level after [lo, hi) is exactly the children of its nodes.
 func (t *Tree) Stats() TreeStats {
 	var s TreeStats
-	if t.root == nil {
+	if t.flat == nil {
 		return s
 	}
-	internal := 0
-	childSum := 0
-	entrySum := 0
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
-		s.Nodes++
-		if depth > s.Height {
-			s.Height = depth
+	f := t.flat
+	internal, childSum, entrySum := 0, 0, 0
+	for lo, hi := 0, 1; lo < hi; {
+		s.Height++
+		next := hi
+		for i := lo; i < hi; i++ {
+			cs, ce := f.Children(i)
+			if cs == ce {
+				s.Leaves++
+				es, ee := f.Entries(i)
+				entrySum += ee - es
+				continue
+			}
+			internal++
+			childSum += ce - cs
+			s.MaxBranch = max(s.MaxBranch, ce-cs)
+			next = ce
 		}
-		if n.isLeaf() {
-			s.Leaves++
-			entrySum += len(n.entries)
-			return
-		}
-		internal++
-		childSum += len(n.children)
-		if len(n.children) > s.MaxBranch {
-			s.MaxBranch = len(n.children)
-		}
-		for _, c := range n.children {
-			walk(c, depth+1)
-		}
+		lo, hi = hi, next
 	}
-	walk(t.root, 1)
+	s.Nodes = f.NumNodes()
 	if internal > 0 {
 		s.MeanBranch = float64(childSum) / float64(internal)
 	}
@@ -635,73 +667,68 @@ func (t *Tree) FlatSize() (nodes, entries int) {
 	return t.flat.NumNodes(), t.flat.NumEntries()
 }
 
-// checkInvariants verifies structural invariants; it is used by tests.
-// It returns an error describing the first violation found.
+// checkInvariants verifies the structural invariants of the packing on
+// the flat arrays; Build runs it under the invariants build tag, after
+// flat.Build has checked the arrays against the pointer tree node for
+// node, and tests run it on any tree. It returns an error describing the
+// first violation found.
 func (t *Tree) checkInvariants() error {
-	if t.root == nil {
+	if t.flat == nil {
 		return nil
 	}
-	m := t.opts.BranchFactor
+	f, m := t.flat, t.opts.BranchFactor
 	seen := 0
-	var walk func(n *node, isRoot bool) error
-	walk = func(n *node, isRoot bool) error {
-		if n.dead {
-			return fmt.Errorf("stree: dead node reachable")
-		}
-		if n.isLeaf() {
-			if len(n.entries) == 0 {
-				return fmt.Errorf("stree: empty leaf")
+	for i := 0; i < f.NumNodes(); i++ {
+		mbr := f.NodeRect(i)
+		cs, ce := f.Children(i)
+		if cs == ce {
+			es, ee := f.Entries(i)
+			if ee == es {
+				return fmt.Errorf("stree: empty leaf %d", i)
 			}
-			if len(n.entries) > m {
-				return fmt.Errorf("stree: leaf holds %d > M=%d entries", len(n.entries), m)
+			if ee-es > m {
+				return fmt.Errorf("stree: leaf %d holds %d > M=%d entries", i, ee-es, m)
 			}
-			seen += len(n.entries)
-			var mbr geometry.Rect
-			for _, e := range n.entries {
-				mbr = mbr.Union(e.Rect)
+			if es != seen {
+				return fmt.Errorf("stree: leaf %d starts at entry %d, want %d", i, es, seen)
 			}
-			if !n.mbr.Equal(mbr) {
-				return fmt.Errorf("stree: leaf MBR %v != computed %v", n.mbr, mbr)
+			seen = ee
+			var union geometry.Rect
+			for e := es; e < ee; e++ {
+				r, _ := f.Entry(e)
+				union = union.Union(r)
 			}
-			return nil
-		}
-		if len(n.children) > m {
-			return fmt.Errorf("stree: node has branch factor %d > M=%d", len(n.children), m)
-		}
-		if len(n.children) < 2 && !isRoot {
-			return fmt.Errorf("stree: non-root internal node with branch factor %d", len(n.children))
-		}
-		// Compression fixpoint: a node below branch factor M must have
-		// no remaining eligible (non-leaf, branch-factor-2) child.
-		if len(n.children) < m && eligibleChild(n) != nil {
-			return fmt.Errorf("stree: node with branch factor %d < M=%d still has an eligible child", len(n.children), m)
-		}
-		var mbr geometry.Rect
-		for _, c := range n.children {
-			if !n.mbr.ContainsRect(c.mbr) {
-				return fmt.Errorf("stree: child MBR %v escapes parent %v", c.mbr, n.mbr)
+			if !mbr.Equal(union) {
+				return fmt.Errorf("stree: leaf %d MBR %v != computed %v", i, mbr, union)
 			}
-			mbr = mbr.Union(c.mbr)
-			if err := walk(c, false); err != nil {
-				return err
+			continue
+		}
+		if ce-cs > m {
+			return fmt.Errorf("stree: node %d has branch factor %d > M=%d", i, ce-cs, m)
+		}
+		if ce-cs < 2 && i != 0 {
+			return fmt.Errorf("stree: non-root internal node %d with branch factor %d", i, ce-cs)
+		}
+		var union geometry.Rect
+		for c := cs; c < ce; c++ {
+			// Compression fixpoint: a node below branch factor M must
+			// have no remaining eligible (non-leaf, branch-factor-2)
+			// child.
+			if gs, ge := f.Children(c); ce-cs < m && ge-gs == 2 {
+				return fmt.Errorf("stree: node %d with branch factor %d < M=%d still has an eligible child", i, ce-cs, m)
 			}
+			r := f.NodeRect(c)
+			if !mbr.ContainsRect(r) {
+				return fmt.Errorf("stree: child MBR %v escapes parent %v", r, mbr)
+			}
+			union = union.Union(r)
 		}
-		if !n.mbr.Equal(mbr) {
-			return fmt.Errorf("stree: node MBR %v != union of children %v", n.mbr, mbr)
+		if !mbr.Equal(union) {
+			return fmt.Errorf("stree: node %d MBR %v != union of children %v", i, mbr, union)
 		}
-		return nil
 	}
-	if err := walk(t.root, true); err != nil {
-		return err
-	}
-	if seen != t.size {
-		return fmt.Errorf("stree: tree holds %d entries, expected %d", seen, t.size)
-	}
-	// The flattened compilation must cover exactly the same entries; its
-	// node-for-node equivalence with the pointer tree is checked inside
-	// flat.Build when invariants are enabled.
-	if t.flat == nil || t.flat.NumEntries() != t.size {
-		return fmt.Errorf("stree: flat layout missing or holds wrong entry count")
+	if seen != t.size || f.NumEntries() != t.size {
+		return fmt.Errorf("stree: tree holds %d entries in its leaves and %d flattened, expected %d", seen, f.NumEntries(), t.size)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -388,11 +388,15 @@ func (r *Recorder) SnapshotFilter(traceID uint64, kind RecordKind, limit int) []
 			if h1 == 0 {
 				continue
 			}
-			rec := Record{
-				Kind:    RecordKind(h1 & 0xff),
-				TraceID: w[2].Load(),
-				Seq:     w[3].Load(),
+			// Filter before copying the rest: a slot overwritten since
+			// h1 was read fails the check below whatever it holds.
+			rec := Record{Kind: RecordKind(h1 & 0xff), TraceID: w[2].Load()}
+			if rec.Kind == KindNone || rec.Kind >= numKinds ||
+				(kind != KindNone && rec.Kind != kind) ||
+				(traceID != 0 && rec.TraceID != traceID) {
+				continue
 			}
+			rec.Seq = w[3].Load()
 			ts := int64(w[1].Load())
 			for i := range rec.Args {
 				rec.Args[i] = int64(w[4+i].Load())
@@ -400,20 +404,11 @@ func (r *Recorder) SnapshotFilter(traceID uint64, kind RecordKind, limit int) []
 			if w[0].Load() != h1 {
 				continue // overwritten while copying
 			}
-			if rec.Kind == KindNone || rec.Kind >= numKinds {
-				continue
-			}
-			if traceID != 0 && rec.TraceID != traceID {
-				continue
-			}
-			if kind != KindNone && rec.Kind != kind {
-				continue
-			}
 			rec.Time = r.WallTime(ts)
 			out = append(out, rec)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	slices.SortStableFunc(out, func(a, b Record) int { return a.Time.Compare(b.Time) })
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}

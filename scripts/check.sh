@@ -11,7 +11,8 @@
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker and the wire — the index in one part, in parts
 #                       inline and on the part workers, overflow table over channels and sinks, connection script — at
-#                       -cpu 1,2,4, every benchmark once (the parts benchmark again at -cpu 2), and
+#                       -cpu 1,2,4, every benchmark once (BenchmarkRebuildBurst, the selective set-up's
+#                       rebuilds, takes a few seconds; the parts benchmark again at -cpu 2), and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
 #                       point queries, the AVX2 containment kernel against the Go loop, the overlay's
 #                       plane run against Rect.Contains and the S-tree packing against its reference builder)
