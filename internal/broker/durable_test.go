@@ -210,6 +210,43 @@ func TestRefusedPublishIsObserved(t *testing.T) {
 	}
 }
 
+// TestDurableStagesShareTheLogClock: a broker and its log writing to
+// two different recorders still read one clock, so the log's own
+// append latency and the broker's wal stage of one traced publication
+// are the same number, inside the publication's total.
+func TestDurableStagesShareTheLogClock(t *testing.T) {
+	logRec, brokerRec := telemetry.NewRecorder(1024), telemetry.NewRecorder(1024)
+	log := openLog(t, t.TempDir(), wal.Options{Sync: wal.SyncEvery, Recorder: logRec})
+	b := New(Options{Log: log, Recorder: brokerRec})
+	defer b.Close()
+	sub, err := b.Subscribe(rect1(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := telemetry.NewTraceID()
+	if _, err := b.PublishTraced(geometry.Point{5}, []byte("x"), trace); err != nil {
+		t.Fatal(err)
+	}
+	<-sub.Events()
+	one := func(r *telemetry.Recorder, kind telemetry.RecordKind) telemetry.Record {
+		t.Helper()
+		recs := r.SnapshotFilter(trace, kind, 0)
+		if len(recs) != 1 {
+			t.Fatalf("%d %s records, want 1", len(recs), kind)
+		}
+		return recs[0]
+	}
+	appendNS := one(logRec, telemetry.KindWALAppend).Args[2]
+	walNS := one(brokerRec, telemetry.KindStages).Args[0]
+	totalNS := one(brokerRec, telemetry.KindPublish).Args[3]
+	if appendNS != walNS {
+		t.Fatalf("wal_append append_ns = %d, stages wal = %d: want one number", appendNS, walNS)
+	}
+	if walNS < 0 || walNS > totalNS {
+		t.Fatalf("stages wal = %d ns, want within [0, publish total_ns = %d]", walNS, totalNS)
+	}
+}
+
 // TestNonDurableSeqUnchanged guards the default path: without a log,
 // Seq comes from the in-memory counter starting at 1.
 func TestNonDurableSeqUnchanged(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/invariant"
 	"repro/internal/match"
 	"repro/internal/telemetry"
 )
@@ -126,10 +127,21 @@ func (b *Broker) rebuild() {
 	}
 	cut := b.nextID
 	rects := b.rectanglesLocked()
+	// The live subscriptions in a deterministic order: the previous
+	// base's, less those cancelled since (Cancel deletes them from
+	// b.subs under this lock), then the overlay's, which holds only live
+	// ones. Every live subscription is in exactly one of the two, so one
+	// Subscribe and Cancel sequence always packs the same trees.
 	slots := make([]*Subscription, 0, len(b.subs))
-	for _, s := range b.subs {
-		slots = append(slots, s)
+	for _, s := range b.slots {
+		if b.subs[s.id] == s {
+			slots = append(slots, s)
+		}
 	}
+	for i := 0; i < len(b.overlay.subs); i += len(b.overlay.subs[i].rects) {
+		slots = append(slots, b.overlay.subs[i])
+	}
+	invariant.Assertf(len(slots) == len(b.subs), "rebuild lists %d slots for %d live subscriptions", len(slots), len(b.subs))
 	b.rebuilding = true
 	b.rebuildCut = cut
 	b.pendingStale = 0

@@ -494,6 +494,85 @@ func TestRebuildTriggerEdges(t *testing.T) {
 	due(true, "252 of 502 stale")
 }
 
+// TestRebuildOrderIsDeterministic feeds two brokers the same Subscribe
+// and Cancel sequence, with many tied rectangle centres, and rebuilds
+// both at the same points: each rebuild must list the same slots in the
+// same order and pack trees of the same shape that answer every point
+// with the same ids, in one part and in four. The rebuilder goroutines
+// are never started (rebuilderOn is set first); the test runs rebuild
+// itself.
+func TestRebuildOrderIsDeterministic(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			var brokers [2]*Broker
+			var subs [2][]*Subscription
+			for i := range brokers {
+				brokers[i] = newBroker(Options{MinOverlay: 4}, parts, 0, false)
+				defer brokers[i].Close()
+				brokers[i].mu.Lock()
+				brokers[i].rebuilderOn = true
+				brokers[i].mu.Unlock()
+			}
+			rng := rand.New(rand.NewSource(38))
+			for step := 0; step < 1500; step++ {
+				cancel := len(subs[0]) > 0 && rng.Intn(4) == 0
+				var victim int
+				var rs []geometry.Rect
+				if cancel {
+					victim = rng.Intn(len(subs[0]))
+				} else {
+					rs = make([]geometry.Rect, 1+rng.Intn(2))
+					for j := range rs {
+						rs[j] = modelRect(rng, 2)
+					}
+				}
+				for i, b := range brokers {
+					if cancel {
+						subs[i][victim].Cancel()
+						subs[i] = slices.Delete(subs[i], victim, victim+1)
+						continue
+					}
+					s, err := b.Subscribe(rs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs[i] = append(subs[i], s)
+				}
+				if step%50 != 49 {
+					continue
+				}
+				for _, b := range brokers {
+					b.rebuild()
+				}
+				s0, s1 := brokers[0].snap.Load(), brokers[1].snap.Load()
+				if len(s0.slots) != len(s1.slots) || len(s0.base) != len(s1.base) {
+					t.Fatalf("step %d: %d slots in %d parts vs %d in %d", step, len(s0.slots), len(s0.base), len(s1.slots), len(s1.base))
+				}
+				for k := range s0.slots {
+					if s0.slots[k].id != s1.slots[k].id {
+						t.Fatalf("step %d: slot %d holds subscription %d vs %d", step, k, s0.slots[k].id, s1.slots[k].id)
+					}
+				}
+				for k := range s0.base {
+					if dx, dy := match.Describe(s0.base[k]), match.Describe(s1.base[k]); dx != dy {
+						t.Fatalf("step %d: part %d packs %+v vs %+v", step, k, dx, dy)
+					}
+					for x := 0.0; x <= 13; x += 0.5 {
+						for y := 0.0; y <= 13; y += 0.5 {
+							p := geometry.Point{x, y}
+							ix, sx := s0.base[k].MatchAppendStats(p, nil)
+							iy, sy := s1.base[k].MatchAppendStats(p, nil)
+							if !slices.Equal(ix, iy) || sx != sy {
+								t.Fatalf("step %d: part %d answers %v with %v %+v vs %v %+v", step, k, p, ix, sx, iy, sy)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestShardRectangleAccountingUnderChurn asserts the Rectangles
 // invariant — baseLen - stale + len(overlay) equals the live rectangle
 // count of the subscriptions — at every observable instant while

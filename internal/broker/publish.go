@@ -56,8 +56,9 @@ func (r *partResult) add(o *partResult) {
 // pubCtx is the pooled per-publication context the staged pipeline
 // threads through: ingest → per-part match then enqueue → observe.
 // Every clock value in it is a reading of the recorder's monotonic
-// clock; an unmetered publication reads it twice (t0 and observe's
-// end stamp), durable or not.
+// clock, the one the log reads too; an unmetered publication reads it
+// twice (t0 and observe's end stamp), and a durable one once more, in
+// the log, when its append completes.
 type pubCtx struct {
 	ev      Event     // TraceID, and Seq once ingest assigned it
 	prep    eventPrep // the publication's point and payload, cloned lazily
@@ -67,7 +68,7 @@ type pubCtx struct {
 	err     error     // why the publication was refused, if it was
 
 	t0      int64 // publish entry
-	tWAL    int64 // Log.Append returned (metered and durable only; t0 otherwise)
+	tWAL    int64 // the log's append completed (metered and durable only; t0 otherwise)
 	tIngest int64 // ingest done, fan-out begins (metered only)
 
 	// snap is the snapshot the publisher loaded; every part of the
@@ -279,13 +280,13 @@ func (b *Broker) ingest(pc *pubCtx) error {
 	}
 	var seq uint64
 	if b.log != nil {
-		off, err := b.log.Append(pc.ev.TraceID, pc.prep.src, pc.prep.payload)
+		off, end, err := b.log.AppendAt(pc.t0, pc.ev.TraceID, pc.prep.src, pc.prep.payload)
 		if err != nil {
 			return err
 		}
 		seq = off
 		if pc.metered {
-			pc.tWAL = b.rec.Now()
+			pc.tWAL = end
 		}
 	} else {
 		seq = b.seq.Add(1)

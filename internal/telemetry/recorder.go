@@ -54,7 +54,9 @@ const (
 	// and one per id it dropped to a full buffer.
 	KindClientRecv
 	// KindWALAppend is one publication appended to the durable log; its
-	// Seq is the log-assigned offset.
+	// Seq is the log-assigned offset, its append_ns the time from the
+	// caller's stamp (the publication's entry, on a broker) to the
+	// append's end.
 	KindWALAppend
 	// KindWALSync is one fsync of the durable log's active segment: the
 	// records and bytes it made durable, and the time the batch write
@@ -198,8 +200,8 @@ func NewTraceID() uint64 {
 	return x
 }
 
-// Flight-recorder geometry. Each record occupies recWords atomic words:
-// a header (claim ticket and kind), a timestamp, the trace id, the
+// Flight-recorder geometry. Each record occupies recWords words: a
+// header (write ticket and kind), a timestamp, the trace id, the
 // sequence number and four arguments.
 const (
 	recWords       = 8
@@ -209,32 +211,35 @@ const (
 	DefaultRecorderCapacity = 4096
 )
 
+// epoch is the zero of the one clock every recorder reads, so a stamp
+// taken from any recorder is valid on all of them, and its wall time
+// renders them.
+var epoch = time.Now()
+
 // recorderShard is one writer lane: a power-of-two ring of records and
-// the ticket counter claiming slots. The counter is padded so adjacent
-// shards never share a cache line.
+// the ticket counting the records written to it, both guarded by mu.
+// The fields fill one cache line, so adjacent shards never share one.
 type recorderShard struct {
-	next atomic.Uint64
-	_    [cacheLine - 8]byte
+	mu   sync.Mutex
+	next uint64 // tickets issued; the newest record holds ticket next
 	mask uint64
-	buf  []atomic.Uint64
+	buf  [][recWords]uint64
+	_    [cacheLine - 48]byte
 }
 
 // Recorder is an always-on, fixed-memory flight recorder: a sharded
-// ring buffer of fixed-size binary records written lock-free with zero
-// heap allocations per record. All methods are safe on a nil receiver
-// (no-ops), safe for concurrent use, and never block.
+// ring buffer of fixed-size binary records written with zero heap
+// allocations per record. All methods are safe on a nil receiver
+// (no-ops) and safe for concurrent use.
 //
-// Writes are wait-free: a writer claims a slot with one atomic add on
-// its shard's ticket counter, then publishes the record with atomic
-// word stores (header last), so a concurrent Snapshot never observes a
-// torn record — a slot whose header changes mid-copy is discarded. The
-// ring overwrites the oldest records; memory is bounded at creation
-// time and never grows.
+// A writer holds one shard's lock for the single 64-byte store of its
+// record, so a record is never torn. It takes the first free shard
+// from the one its goroutine hashes to and waits only when all of them
+// are held. The ring overwrites the oldest records; memory is bounded
+// at creation time and never grows.
 type Recorder struct {
-	epochWall time.Time // wall clock at creation, for rendering
-	epoch     time.Time // monotonic base for Now
-	shards    [recorderShards]recorderShard
-	slots     int // per shard
+	shards [recorderShards]recorderShard
+	slots  int // per shard
 }
 
 // NewRecorder creates a recorder holding at least capacity records
@@ -248,11 +253,10 @@ func NewRecorder(capacity int) *Recorder {
 	for per*recorderShards < capacity {
 		per <<= 1
 	}
-	now := time.Now()
-	r := &Recorder{epochWall: now, epoch: now, slots: per}
+	r := &Recorder{slots: per}
 	for i := range r.shards {
 		r.shards[i].mask = uint64(per - 1)
-		r.shards[i].buf = make([]atomic.Uint64, per*recWords)
+		r.shards[i].buf = make([][recWords]uint64, per)
 	}
 	return r
 }
@@ -282,20 +286,23 @@ func (r *Recorder) Written() uint64 {
 	}
 	var n uint64
 	for i := range r.shards {
-		n += r.shards[i].next.Load()
+		s := &r.shards[i]
+		s.mu.Lock()
+		n += s.next
+		s.mu.Unlock()
 	}
 	return n
 }
 
-// Now returns the recorder's monotonic clock reading in nanoseconds
-// since the recorder was created. It is the timestamp source for
-// duration arguments (match_ns, build_ns) so records and their
-// arguments share one clock.
+// Now returns the process-wide monotonic clock reading in nanoseconds.
+// It is the timestamp source for duration arguments (match_ns,
+// build_ns) so records and their arguments share one clock, and every
+// recorder reads the same clock.
 func (r *Recorder) Now() int64 {
 	if r == nil {
 		return 0
 	}
-	return time.Since(r.epoch).Nanoseconds()
+	return time.Since(epoch).Nanoseconds()
 }
 
 // WallTime renders a Now reading as wall-clock time, so callers on a
@@ -305,19 +312,19 @@ func (r *Recorder) WallTime(ns int64) time.Time {
 	if r == nil {
 		return time.Time{}
 	}
-	return r.epochWall.Add(time.Duration(ns))
+	return epoch.Add(time.Duration(ns))
 }
 
-// Record appends one record. It is wait-free, allocation-free and safe
-// on a nil receiver; under wrap the oldest record in the writer's shard
-// is overwritten.
+// Record appends one record. It is allocation-free and safe on a nil
+// receiver; under wrap the oldest record in the writer's shard is
+// overwritten.
 //
 //pubsub:hotpath
 func (r *Recorder) Record(kind RecordKind, traceID, seq uint64, a0, a1, a2, a3 int64) {
 	if r == nil {
 		return
 	}
-	r.RecordAt(time.Since(r.epoch).Nanoseconds(), kind, traceID, seq, a0, a1, a2, a3)
+	r.RecordAt(time.Since(epoch).Nanoseconds(), kind, traceID, seq, a0, a1, a2, a3)
 }
 
 // RecordAt is Record with a caller-supplied timestamp from Now(), so a
@@ -329,24 +336,27 @@ func (r *Recorder) RecordAt(ts int64, kind RecordKind, traceID, seq uint64, a0, 
 	if r == nil {
 		return
 	}
-	s := &r.shards[shardIndex()%recorderShards]
-	t := s.next.Add(1) // tickets start at 1: header 0 means empty
-	base := ((t - 1) & s.mask) * recWords
-	w := s.buf[base : base+recWords : base+recWords]
-	// Invalidate the slot first so a concurrent reader skips it, then
-	// publish the header last. Only a full ring wrap during this window
-	// could interleave two writers on one slot; the header re-check in
-	// snapshot discards most such records, and a garbled survivor is an
-	// accepted cost of a lock-free diagnostic buffer.
-	w[0].Store(0)
-	w[1].Store(uint64(ts))
-	w[2].Store(traceID)
-	w[3].Store(seq)
-	w[4].Store(uint64(a0))
-	w[5].Store(uint64(a1))
-	w[6].Store(uint64(a2))
-	w[7].Store(uint64(a3))
-	w[0].Store(t<<8 | uint64(kind))
+	s := r.lock()
+	s.next++ // tickets start at 1: header 0 means empty
+	s.buf[(s.next-1)&s.mask] = [recWords]uint64{s.next<<8 | uint64(kind), uint64(ts), traceID, seq,
+		uint64(a0), uint64(a1), uint64(a2), uint64(a3)}
+	s.mu.Unlock()
+}
+
+// lock returns a shard locked for the calling writer: the first free
+// one from the shard its goroutine hashes to, or, when every shard is
+// held, that shard once it is free. An uncontended goroutine therefore
+// always writes to the same shard.
+func (r *Recorder) lock() *recorderShard {
+	h := shardIndex()
+	for i := uint(0); i < recorderShards; i++ {
+		if s := &r.shards[(h+i)%recorderShards]; s.mu.TryLock() {
+			return s
+		}
+	}
+	s := &r.shards[h%recorderShards]
+	s.mu.Lock()
+	return s
 }
 
 // Record is one decoded flight-recorder record.
@@ -364,48 +374,42 @@ type Record struct {
 	Args [4]int64
 }
 
-// Snapshot copies out every readable record, oldest first. It allocates
-// (it is the dump path, not the hot path) and tolerates concurrent
-// writers: records overwritten mid-copy are skipped.
+// Snapshot copies out every record, oldest first. It allocates (it is
+// the dump path, not the hot path).
 func (r *Recorder) Snapshot() []Record {
 	return r.SnapshotFilter(0, KindNone, 0)
 }
 
 // SnapshotFilter is Snapshot restricted to one trace id (0 = all) and
 // one kind (KindNone = all), keeping only the most recent limit records
-// (0 = all). Records are returned in timestamp order.
+// (0 = all). Records are returned in timestamp order. Each shard is
+// locked only while the raw records that pass the filter are copied
+// out of its ring; decoding runs unlocked.
 func (r *Recorder) SnapshotFilter(traceID uint64, kind RecordKind, limit int) []Record {
 	if r == nil {
 		return nil
 	}
-	var out []Record
+	var raw [][recWords]uint64
 	for si := range r.shards {
 		s := &r.shards[si]
-		for slot := 0; slot < r.slots; slot++ {
-			base := slot * recWords
-			w := s.buf[base : base+recWords]
-			h1 := w[0].Load()
-			if h1 == 0 {
+		s.mu.Lock()
+		for i := range s.buf {
+			w := &s.buf[i]
+			k := RecordKind(w[0] & 0xff)
+			if k == KindNone || k >= numKinds ||
+				(kind != KindNone && k != kind) ||
+				(traceID != 0 && w[2] != traceID) {
 				continue
 			}
-			// Filter before copying the rest: a slot overwritten since
-			// h1 was read fails the check below whatever it holds.
-			rec := Record{Kind: RecordKind(h1 & 0xff), TraceID: w[2].Load()}
-			if rec.Kind == KindNone || rec.Kind >= numKinds ||
-				(kind != KindNone && rec.Kind != kind) ||
-				(traceID != 0 && rec.TraceID != traceID) {
-				continue
-			}
-			rec.Seq = w[3].Load()
-			ts := int64(w[1].Load())
-			for i := range rec.Args {
-				rec.Args[i] = int64(w[4+i].Load())
-			}
-			if w[0].Load() != h1 {
-				continue // overwritten while copying
-			}
-			rec.Time = r.WallTime(ts)
-			out = append(out, rec)
+			raw = append(raw, *w)
+		}
+		s.mu.Unlock()
+	}
+	out := make([]Record, len(raw))
+	for i, w := range raw {
+		out[i] = Record{
+			Time: r.WallTime(int64(w[1])), Kind: RecordKind(w[0] & 0xff), TraceID: w[2], Seq: w[3],
+			Args: [4]int64{int64(w[4]), int64(w[5]), int64(w[6]), int64(w[7])},
 		}
 	}
 	slices.SortStableFunc(out, func(a, b Record) int { return a.Time.Compare(b.Time) })

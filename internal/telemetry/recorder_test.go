@@ -88,7 +88,7 @@ func TestRecordAtUsesCallerTimestamp(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("snapshot = %d records, want 1", len(recs))
 	}
-	if got := recs[0].Time.Sub(r.epochWall).Nanoseconds(); got != ts {
+	if got := recs[0].Time.Sub(epoch).Nanoseconds(); got != ts {
 		t.Fatalf("stored timestamp = %dns after epoch, want %d", got, ts)
 	}
 	if recs[0].Args != [4]int64{3, 4, 5, 6} {
@@ -127,49 +127,105 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkRecord sizes one flight record. The clock rows write with
+// Record, which reads the clock; the record rows write with RecordAt
+// and a stamp taken once, so they show a record's own cost. Serial rows
+// write from one goroutine, parallel rows from GOMAXPROCS of them.
 func BenchmarkRecord(b *testing.B) {
 	r := NewRecorder(4096)
 	trace := NewTraceID()
+	ts := r.Now()
+	for _, row := range []struct {
+		name  string
+		write func()
+	}{
+		{"clock", func() { r.Record(KindPublish, trace, 1, 3, 3, 100, 200) }},
+		{"record", func() { r.RecordAt(ts, KindPublish, trace, 1, 3, 3, 100, 200) }},
+	} {
+		b.Run(row.name+"/serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				row.write()
+			}
+		})
+		b.Run(row.name+"/parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					row.write()
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkSnapshotTrace is the reader's cost of one trace's records
+// (what Tracer.Log asks for) in a full 4 096-record ring.
+func BenchmarkSnapshotTrace(b *testing.B) {
+	r := NewRecorder(4096)
+	for i := 0; i < 2*r.Capacity(); i++ {
+		r.Record(KindDeliver, uint64(i%40+1), uint64(i), 1, 2, 3, 4)
+	}
 	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			r.Record(KindPublish, trace, 1, 3, 3, 100, 200)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		_ = r.SnapshotFilter(7, KindNone, 0)
+	}
 }
 
 // Concurrent writers and snapshotters must be race-free (run under
-// -race) and every surfaced record must be internally consistent.
+// -race), every surfaced record must be whole — all its words written
+// by one call — and no record may be lost from the count. Four writers
+// wrap a 512-record ring about 2 000 times while snapshots run.
 func TestRecorderConcurrentWriteSnapshot(t *testing.T) {
+	const writers, perWriter = 4, 1 << 18
 	r := NewRecorder(512)
-	stop := make(chan struct{})
+	// Every word of a record is derived from one counter c, unique per
+	// writer and call, which is also its trace id.
+	write := func(c uint64) {
+		r.RecordAt(int64(c>>1), KindPublish, c, ^c, int64(c*3), -int64(c), int64(c^0x5555), int64(c+7))
+	}
+	whole := func(rec Record) bool {
+		c := rec.TraceID
+		return rec.Kind == KindPublish && c>>32 >= 1 && c>>32 <= writers &&
+			rec.Time.Sub(epoch).Nanoseconds() == int64(c>>1) && rec.Seq == ^c &&
+			rec.Args == [4]int64{int64(c * 3), -int64(c), int64(c ^ 0x5555), int64(c + 7)}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	done := make(chan struct{})
+	for g := uint64(1); g <= writers; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					r.Record(KindPublish, uint64(g+1), uint64(i), int64(g), int64(i), 0, 0)
+			for i := uint64(0); i < perWriter; i++ {
+				write(g<<32 | i)
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for snapshots := 0; ; snapshots++ {
+		select {
+		case <-done:
+			if got, want := r.Written(), uint64(writers*perWriter); got != want {
+				t.Fatalf("Written() = %d after the writers stopped, want %d", got, want)
+			}
+			for _, rec := range r.Snapshot() {
+				if !whole(rec) {
+					t.Fatalf("torn record after the writers stopped: %+v", rec)
 				}
 			}
-		}(g)
-	}
-	for i := 0; i < 50; i++ {
+			t.Logf("%d snapshots taken while writing", snapshots)
+			return
+		default:
+		}
 		for _, rec := range r.Snapshot() {
-			if rec.Kind != KindPublish {
-				t.Errorf("unexpected kind %v in snapshot", rec.Kind)
-			}
-			if rec.TraceID < 1 || rec.TraceID > 4 {
-				t.Errorf("torn record: trace %d", rec.TraceID)
+			if !whole(rec) {
+				t.Fatalf("torn record: %+v", rec)
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestTraceIDHelpers(t *testing.T) {

@@ -425,18 +425,28 @@ func (l *Log) fail(err error) {
 // that would fill the batch, or rotate again, while a seal is still in
 // flight waits for it. A write or sync failure latches the log into
 // the fail-stop state and the publication must not be acknowledged.
-// rec.Offset is ignored; the log assigns it. The point and payload are
-// copied, not retained.
+// The point and payload are copied, not retained.
+func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, error) {
+	off, _, err := l.AppendAt(l.rec.Now(), traceID, point, payload)
+	return off, err
+}
+
+// AppendAt is Append timed from t0, a reading of the recorder clock
+// (telemetry.Recorder.Now) the caller already took, so a publication
+// stamped on entry pays no second read for its append. It returns the
+// reading at which the append completed: end - t0 is the append_ns of
+// the wal_append record and the sample of the append latency
+// histogram. end is 0 when the append failed.
 //
 //pubsub:coldpath -- opt-in durability: the zero-alloc publish path enters the WAL only when a durable broker is configured
-func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, error) {
+func (l *Log) AppendAt(t0 int64, traceID uint64, point []float64, payload []byte) (off uint64, end int64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
-		return 0, l.failed
+		return 0, 0, l.failed
 	}
 	if l.closed {
-		return 0, ErrClosed
+		return 0, 0, ErrClosed
 	}
 	// Enforce the decoder's limits before anything is encoded: a
 	// record DecodeRecord would reject must never be written, or the
@@ -445,11 +455,11 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 	// caller error, not an I/O fault, so it does not latch fail-stop —
 	// the log stays open for well-formed appends.
 	if len(point) > MaxPointDims {
-		return 0, fmt.Errorf("%w: point has %d dimensions (max %d)", ErrRecordTooLarge, len(point), MaxPointDims)
+		return 0, 0, fmt.Errorf("%w: point has %d dimensions (max %d)", ErrRecordTooLarge, len(point), MaxPointDims)
 	}
 	body := recordFixed + 8*len(point) + len(payload)
 	if body > MaxBody {
-		return 0, fmt.Errorf("%w: %d-byte body (max %d)", ErrRecordTooLarge, body, MaxBody)
+		return 0, 0, fmt.Errorf("%w: %d-byte body (max %d)", ErrRecordTooLarge, body, MaxBody)
 	}
 	size := int64(frameHeader + body)
 
@@ -458,22 +468,21 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 			l.sealed.Wait()
 		}
 		if l.failed != nil {
-			return 0, l.failed
+			return 0, 0, l.failed
 		}
 		if l.closed {
-			return 0, ErrClosed
+			return 0, 0, ErrClosed
 		}
 	}
 	if l.rotationDueLocked(size) {
 		if err := l.rotateLocked(); err != nil {
 			l.fail(err)
-			return 0, l.failed
+			return 0, 0, l.failed
 		}
 	}
 	active := l.segs[len(l.segs)-1]
 
-	t0 := l.rec.Now()
-	off := l.next
+	off = l.next
 	l.pending = appendRecord(l.pending, &Record{Offset: off, TraceID: traceID, Point: point, Payload: payload})
 	l.pendingRecs++
 	active.size += size
@@ -483,7 +492,6 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 	// Flush, and under SyncAlways fsync, before publishing the new
 	// offset: if either fails the record is never acknowledged and never
 	// visible to readers, even though its bytes may sit in a torn tail.
-	var err error
 	synced := int64(0)
 	switch {
 	case l.opts.Sync == SyncAlways:
@@ -492,17 +500,17 @@ func (l *Log) Append(traceID uint64, point []float64, payload []byte) (uint64, e
 		err = l.flushLocked()
 	}
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	l.next = off + 1
-	now := l.rec.Now()
+	end = l.rec.Now()
 	if l.tel != nil {
 		l.tel.appends.Inc()
 		l.tel.appendedBytes.Add(uint64(size))
-		l.tel.appendLatency.ObserveDuration(time.Duration(now - t0))
+		l.tel.appendLatency.ObserveDuration(time.Duration(end - t0))
 	}
-	l.rec.RecordAt(now, telemetry.KindWALAppend, traceID, off, size, synced, now-t0, 0)
-	return off, nil
+	l.rec.RecordAt(end, telemetry.KindWALAppend, traceID, off, size, synced, end-t0, 0)
+	return off, end, nil
 }
 
 // rotationDueLocked reports whether a record of size bytes starts a new

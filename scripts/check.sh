@@ -9,9 +9,9 @@
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers), then the
 #                       design weight per package (scripts/loc.sh; printed, never a gate)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
-#                       the WAL at -cpu 1,2, the broker and the wire — the index in one part, in parts
-#                       inline and on the part workers, overflow table over channels and sinks, connection script — at
-#                       -cpu 1,2,4, every benchmark once (BenchmarkRebuildBurst, the selective set-up's
+#                       the WAL at -cpu 1,2, the broker, the wire and the telemetry — the index in one part, in parts
+#                       inline and on the part workers, overflow table over channels and sinks, connection script,
+#                       flight-recorder writers on contended shard locks — at -cpu 1,2,4, every benchmark once (BenchmarkRebuildBurst, the selective set-up's
 #                       rebuilds, takes a few seconds; the parts benchmark again at -cpu 2), and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
 #                       point queries, the AVX2 containment kernel against the Go loop, the overlay's
@@ -42,7 +42,7 @@ echo "==> tests (race)"
 go test -race ./...
 go test -run 'ZeroAlloc|Allocat' ./...
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
-go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/
+go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/ ./internal/telemetry/
 go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/broker -run '^$' -bench PublishParts -benchtime 1x -cpu 2
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
