@@ -243,13 +243,14 @@ func (o *overlay) keep(f func(*Subscription) bool) overlay {
 type snapshot struct {
 	// base indexes the rectangles present at the last rebuild, packed
 	// in one or more parts. Their SubscriberIDs are slots into the one
-	// slots slice, not broker subscription ids, so matching needs no
+	// slots table, not broker subscription ids, so matching needs no
 	// map, and each subscription's slot is in exactly one part. nil
-	// before the first rebuild. It may contain slots whose subscription
-	// has since been cancelled; delivery's per-subscription closed
-	// check filters those.
+	// before the first rebuild. It may contain the rectangles of
+	// subscriptions cancelled since; Cancel clears their slot in the
+	// table, which the broker and all its snapshots share, so a stale
+	// match finds nil and costs only its rectangle test.
 	base  []match.Matcher
-	slots []*Subscription
+	slots []atomic.Pointer[Subscription]
 	// overlay holds rectangles registered since the last rebuild.
 	overlay overlay
 	// multiRect is true once any live-or-dead subscription registered
@@ -274,12 +275,12 @@ type Broker struct {
 	// The index: a packed base in one or more parts over one slot
 	// table, plus the overlay of rectangles registered since the last
 	// rebuild.
-	base      []match.Matcher // packed parts (may contain stale slots)
-	slots     []*Subscription // slot -> subscription for base's ids
-	baseLen   int             // rectangles in base (incl. stale)
-	stale     int             // rectangles in base whose subscription is gone
-	overlay   overlay         // recent rectangles, matched as a plane run
-	multiRect bool            // some subscription holds several rectangles
+	base      []match.Matcher                // packed parts (may contain stale slots)
+	slots     []atomic.Pointer[Subscription] // slot -> subscription for base's ids; nil once cancelled
+	baseLen   int                            // rectangles in base (incl. stale)
+	stale     int                            // rectangles in base whose subscription is gone
+	overlay   overlay                        // recent rectangles, matched as a plane run
+	multiRect bool                           // some subscription holds several rectangles
 
 	// Background rebuilder state: the collect→install reconciliation
 	// protocol of rebuild.
@@ -423,7 +424,11 @@ type Subscription struct {
 	sendMu sync.Mutex // serialises deliveries with channel close
 	// closed is set once, under sendMu when there is a channel to close;
 	// the sink path, which takes no per-subscription lock, only reads it.
-	closed    atomic.Bool
+	closed   atomic.Bool
+	evicting atomic.Bool
+	// slow is set while the subscription sits past the broker's
+	// SlowLagThreshold, flipped by drops and cleared by deliveries.
+	slow      atomic.Bool
 	dropCt    atomic.Uint64
 	highWater atomic.Uint64
 	lastDrop  atomic.Int64 // recorder-clock nanos
@@ -435,12 +440,17 @@ type Subscription struct {
 	// enqueue (creation time before the first); its age is the
 	// subscription's lag age while it is behind.
 	deliveredAtNS atomic.Int64
-	evicting      atomic.Bool
-	// slow is set while the subscription sits past the broker's
-	// SlowLagThreshold, flipped by drops and cleared by deliveries.
-	slow  atomic.Bool
-	share int32
+	share         int32
+	// slot is the subscription's index in the base's slot table while
+	// its rectangles are packed there, set when a rebuild installs that
+	// table, and cancelled once Cancel has removed it. Guarded by b.mu.
+	// The bools above leave room for it in the 144-byte size class.
+	slot int32
 }
+
+// cancelled is the slot of a subscription Cancel has removed: a rebuild
+// that collected it before then installs a tombstone in its place.
+const cancelled = -1
 
 // ID returns the broker-assigned subscription identifier.
 func (s *Subscription) ID() int { return s.id }
@@ -623,13 +633,19 @@ func (s *Subscription) Cancel() {
 		if slices.Contains(b.overlay.subs, s) {
 			b.overlay = b.overlay.keep(func(o *Subscription) bool { return o != s })
 		} else {
+			// The base keeps the rectangles but not the subscription:
+			// its slot becomes a tombstone in the table every snapshot
+			// shares, so nothing in the broker keeps s or its queue
+			// alive and no publish reaches it again.
 			b.stale += len(s.rects)
+			b.slots[s.slot].Store(nil)
 		}
 		if b.rebuilding && s.id < b.rebuildCut {
 			// This subscription's rectangles were collected into the
 			// in-flight rebuild; they will be stale in the new base.
 			b.pendingStale += len(s.rects)
 		}
+		s.slot = cancelled
 		b.publishSnapshotLocked()
 		b.maybeTriggerRebuildLocked()
 		b.mu.Unlock()
@@ -682,6 +698,11 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	for i, r := range rects {
 		if r.Empty() {
 			return nil, fmt.Errorf("broker: rectangle %d is empty", i)
+		}
+		// The bound a publication's point has in the durable log: no
+		// event could reach a rectangle past it.
+		if r.Dims() > wal.MaxPointDims {
+			return nil, fmt.Errorf("broker: rectangle %d has %d dimensions (max %d)", i, r.Dims(), wal.MaxPointDims)
 		}
 		owned[i] = r.Clone()
 	}

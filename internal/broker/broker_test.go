@@ -3,12 +3,14 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/match"
+	"repro/internal/wal"
 )
 
 // waitRebuilds blocks until the broker's rebuild counter reaches n or a
@@ -36,6 +38,27 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 	if _, err := b.SubscribeBuffered(0, geometry.NewRect(0, 1)); err == nil {
 		t.Error("zero buffer accepted")
+	}
+}
+
+// A rectangle with more dimensions than a publication's point may have
+// in the durable log is refused at registration, as the point is at
+// publish.
+func TestSubscribeRefusesTooManyDimensions(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	wide := make(geometry.Rect, wal.MaxPointDims+1)
+	for i := range wide {
+		wide[i] = geometry.NewInterval(0, 1)
+	}
+	if _, err := b.Subscribe(geometry.NewRect(0, 1), wide); err == nil || !strings.Contains(err.Error(), "dimensions") {
+		t.Fatalf("a %d-dimensional rectangle: %v, want a dimension-bound error", len(wide), err)
+	}
+	if _, err := b.Subscribe(wide[:wal.MaxPointDims]); err != nil {
+		t.Fatalf("a %d-dimensional rectangle: %v", wal.MaxPointDims, err)
+	}
+	if st := b.Stats(); st.Subscriptions != 1 {
+		t.Fatalf("%d subscriptions, want only the one within the bound", st.Subscriptions)
 	}
 }
 

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/invariant"
@@ -91,7 +92,7 @@ func (b *Broker) rebuildLoop() {
 // packing runs outside b.mu; churn that lands during it is reconciled
 // at install time: subscriptions created after the collection cut stay
 // in the overlay, and ones cancelled since the collection leave their
-// rectangles stale in the new base.
+// rectangles stale in the new base and a tombstone in its slot table.
 //
 // The base is packed in one part, or — from autoParallelMinRects live
 // rectangles on a broker with several CPUs — in b.nparts parts packed
@@ -100,16 +101,30 @@ func (b *Broker) rebuildLoop() {
 // subscription with it, so no subscription is in two parts and
 // deduplicating within a part is complete.
 func (b *Broker) rebuild() {
-	b.mu.Lock()
-	if b.closed.Load() {
-		b.mu.Unlock()
-		return
+	if job := b.collect(); job != nil {
+		b.build(job)
 	}
+}
+
+// rebuildJob is what a rebuild collected under b.mu: the live
+// subscriptions in slot order, the nextID of the collection cut, and
+// their rectangle count.
+type rebuildJob struct {
+	slots []*Subscription
+	cut   int
+	rects int
+}
+
+// collect opens a rebuild's collect→install window and returns what to
+// pack, or nil when there is nothing to pack: the broker is closed, the
+// thresholds no longer hold, or the last subscription is gone.
+func (b *Broker) collect() *rebuildJob {
+	b.mu.Lock()
 	// Re-check the thresholds under the lock: a coalesced trigger may
 	// have been satisfied by the previous pass already.
-	if !b.rebuildDueLocked() {
+	if b.closed.Load() || !b.rebuildDueLocked() {
 		b.mu.Unlock()
-		return
+		return nil
 	}
 	if len(b.subs) == 0 {
 		// The last subscription is gone and the base is all stale.
@@ -123,33 +138,38 @@ func (b *Broker) rebuild() {
 		b.publishSnapshotLocked()
 		b.mu.Unlock()
 		b.finishRebuild(0, 0, b.rec.Now())
-		return
+		return nil
 	}
-	cut := b.nextID
-	rects := b.rectanglesLocked()
 	// The live subscriptions in a deterministic order: the previous
-	// base's, less those cancelled since (Cancel deletes them from
-	// b.subs under this lock), then the overlay's, which holds only live
-	// ones. Every live subscription is in exactly one of the two, so one
+	// base's, less those cancelled since (Cancel clears their slots
+	// under this lock), then the overlay's, which holds only live ones.
+	// Every live subscription is in exactly one of the two, so one
 	// Subscribe and Cancel sequence always packs the same trees.
-	slots := make([]*Subscription, 0, len(b.subs))
-	for _, s := range b.slots {
-		if b.subs[s.id] == s {
-			slots = append(slots, s)
+	job := &rebuildJob{slots: make([]*Subscription, 0, len(b.subs)), cut: b.nextID, rects: b.rectanglesLocked()}
+	for i := range b.slots {
+		if s := b.slots[i].Load(); s != nil {
+			job.slots = append(job.slots, s)
 		}
 	}
 	for i := 0; i < len(b.overlay.subs); i += len(b.overlay.subs[i].rects) {
-		slots = append(slots, b.overlay.subs[i])
+		job.slots = append(job.slots, b.overlay.subs[i])
 	}
-	invariant.Assertf(len(slots) == len(b.subs), "rebuild lists %d slots for %d live subscriptions", len(slots), len(b.subs))
+	invariant.Assertf(len(job.slots) == len(b.subs), "rebuild lists %d slots for %d live subscriptions", len(job.slots), len(b.subs))
 	b.rebuilding = true
-	b.rebuildCut = cut
+	b.rebuildCut = job.cut
 	b.pendingStale = 0
 	b.mu.Unlock()
+	return job
+}
 
+// build packs job outside b.mu and installs the new base, closing the
+// window collect opened. A subscription cancelled inside the window
+// gets a tombstone in the new slot table, never its pointer.
+func (b *Broker) build(job *rebuildJob) {
+	slots := job.slots
 	r0 := b.rec.Now()
 	n := 1
-	if rects >= b.partMin {
+	if job.rects >= b.partMin {
 		n = min(b.nparts, len(slots))
 	}
 	base := make([]match.Matcher, n)
@@ -167,6 +187,7 @@ func (b *Broker) rebuild() {
 		}()
 	}
 	wg.Wait()
+	table := make([]atomic.Pointer[Subscription], len(slots))
 
 	b.mu.Lock()
 	b.rebuilding = false
@@ -174,10 +195,16 @@ func (b *Broker) rebuild() {
 		b.mu.Unlock()
 		return
 	}
-	b.overlay = b.overlay.keep(func(s *Subscription) bool { return s.id >= cut })
+	for i, s := range slots {
+		if s.slot != cancelled {
+			s.slot = int32(i)
+			table[i].Store(s)
+		}
+	}
+	b.overlay = b.overlay.keep(func(s *Subscription) bool { return s.id >= job.cut })
 	b.base = base
-	b.slots = slots
-	b.baseLen = rects
+	b.slots = table
+	b.baseLen = job.rects
 	b.stale = b.pendingStale
 	b.pendingStale = 0
 	b.publishSnapshotLocked()
@@ -186,7 +213,7 @@ func (b *Broker) rebuild() {
 	again := b.rebuildDueLocked()
 	b.mu.Unlock()
 
-	b.finishRebuild(rects, overlayLeft, r0)
+	b.finishRebuild(job.rects, overlayLeft, r0)
 	if again {
 		select {
 		case b.rebuildCh <- struct{}{}:

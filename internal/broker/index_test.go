@@ -411,7 +411,8 @@ func TestPartsPartitionSlots(t *testing.T) {
 	}
 	b.mu.RLock()
 	live := len(b.subs)
-	for slot, s := range snap.slots {
+	for slot := range snap.slots {
+		s := snap.slots[slot].Load()
 		if _, ok := partOf[slot]; !ok {
 			t.Fatalf("slot %d (subscription %d) is in no part", slot, s.id)
 		}
@@ -548,9 +549,17 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 				if len(s0.slots) != len(s1.slots) || len(s0.base) != len(s1.base) {
 					t.Fatalf("step %d: %d slots in %d parts vs %d in %d", step, len(s0.slots), len(s0.base), len(s1.slots), len(s1.base))
 				}
+				// A slot holds the same subscription in both brokers, or a
+				// tombstone (-1) in both.
+				id := func(s *Subscription) int {
+					if s == nil {
+						return -1
+					}
+					return s.id
+				}
 				for k := range s0.slots {
-					if s0.slots[k].id != s1.slots[k].id {
-						t.Fatalf("step %d: slot %d holds subscription %d vs %d", step, k, s0.slots[k].id, s1.slots[k].id)
+					if x, y := id(s0.slots[k].Load()), id(s1.slots[k].Load()); x != y {
+						t.Fatalf("step %d: slot %d holds subscription %d vs %d", step, k, x, y)
 					}
 				}
 				for k := range s0.base {

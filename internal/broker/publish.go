@@ -373,8 +373,10 @@ func (b *Broker) partWorker(i int) {
 // matchPart matches p against part i of snap — and, for part 0, the
 // overlay — leaving the matched subscriptions in sc.targets and adding
 // the effort to qs: the part's counters, and every overlay rectangle as
-// a tested entry. A subscription's rectangles are all in one part or
-// all in the overlay, so the dedup below is complete dedup.
+// a tested entry. A base match whose slot is a tombstone (its
+// subscription was cancelled) is dropped there. A subscription's
+// rectangles are all in one part or all in the overlay, so the dedup
+// below is complete dedup.
 //
 //pubsub:hotpath
 func matchPart(snap *snapshot, i int, p geometry.Point, sc *matchScratch, qs *match.QueryStats) {
@@ -385,7 +387,9 @@ func matchPart(snap *snapshot, i int, p geometry.Point, sc *matchScratch, qs *ma
 		qs.Add(bs)
 	}
 	for _, slot := range sc.ids {
-		sc.targets = append(sc.targets, snap.slots[slot])
+		if s := snap.slots[slot].Load(); s != nil {
+			sc.targets = append(sc.targets, s)
+		}
 	}
 	if i == 0 {
 		sc.ids = snap.overlay.boxes.PointAppend(p, sc.ids[:0], qs)

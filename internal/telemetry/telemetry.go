@@ -51,11 +51,26 @@ func shardCount() int {
 // address of a stack variable. Goroutine stacks are distinct heap
 // allocations, so concurrent goroutines spread across shards, while
 // within one goroutine the hint is stable for the duration of a call.
-// The low bits of a stack address are call-depth noise; shifting by 10
-// keys on the 1 KiB-aligned portion, which differs between stacks.
 func shardIndex() uint {
 	var b byte
-	return uint(uintptr(unsafe.Pointer(&b)) >> 10)
+	return shardHash(uintptr(unsafe.Pointer(&b)))
+}
+
+// shardHash maps a stack address to a shard hint whose low bits depend
+// on which stack holds it. Bits below 10 are call-depth noise, and the
+// few just above them are the frame's offset within its stack (a new
+// goroutine's stack is a few KiB), the same in every goroutine at one
+// call depth; only higher bits tell stacks apart. MurmurHash3's 64-bit
+// finalizer makes every bit of the hint depend on every address bit
+// from 10 up.
+func shardHash(addr uintptr) uint {
+	h := uint64(addr >> 10)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return uint(h)
 }
 
 // Label is one constant key="value" pair attached to a metric at

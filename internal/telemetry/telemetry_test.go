@@ -313,3 +313,50 @@ func TestPromExposition(t *testing.T) {
 		}
 	}
 }
+
+// Goroutines at one call depth differ only in which stack holds the
+// frame: 64 stacks 8 KiB apart, at one frame offset, reach every
+// recorder shard and every counter shard.
+func TestShardHashSpreadsStacks(t *testing.T) {
+	const base, offset, stacks = 0x08100000, 0x1da8, 64
+	recorder := map[uint]bool{}
+	counter := map[uint]bool{}
+	for i := uintptr(0); i < stacks; i++ {
+		h := shardHash(base + i*8192 + offset)
+		recorder[h%recorderShards] = true
+		counter[h&63] = true
+	}
+	if len(recorder) != recorderShards {
+		t.Fatalf("%d stacks reach %d of %d recorder shards", stacks, len(recorder), recorderShards)
+	}
+	// 64 draws over 64 shards: the expected coverage is 41.
+	if len(counter) < 32 {
+		t.Fatalf("%d stacks reach %d of 64 counter shards", stacks, len(counter))
+	}
+}
+
+// Live goroutines, all holding their stacks at once, reach every
+// recorder shard from one call site.
+func TestShardIndexReachesEveryShard(t *testing.T) {
+	const goroutines = 256
+	hints := make(chan uint, goroutines)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hints <- shardIndex() % recorderShards
+			<-release
+		}()
+	}
+	seen := map[uint]bool{}
+	for i := 0; i < goroutines; i++ {
+		seen[<-hints] = true
+	}
+	close(release)
+	wg.Wait()
+	if len(seen) != recorderShards {
+		t.Fatalf("%d goroutines reach %d of %d shards", goroutines, len(seen), recorderShards)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -43,7 +44,7 @@ func TestTracerDisabled(t *testing.T) {
 // pick the publication: one atomic add, or one nil check.
 func TestSampleDoesNotAllocate(t *testing.T) {
 	var off *Tracer
-	rare := NewTracer(slog.Default(), 1<<40)
+	rare := NewTracer(slog.Default(), math.MaxInt32)
 	for name, tr := range map[string]*Tracer{"nil": off, "unsampled": rare} {
 		if n := testing.AllocsPerRun(1000, func() { tr.Sample() }); n != 0 {
 			t.Errorf("%s tracer: Sample allocates %g/op", name, n)
@@ -128,7 +129,7 @@ func decodeEvent(t *testing.T, line []byte) map[string]any {
 // BenchmarkSample is the per-publication cost of a tracer that does not
 // pick the publication.
 func BenchmarkSample(b *testing.B) {
-	tr := NewTracer(slog.Default(), 1<<40)
+	tr := NewTracer(slog.Default(), math.MaxInt32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Sample()

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,5 +39,31 @@ func TestPublishRejectsOversizedPoint(t *testing.T) {
 				t.Fatalf("publish after rejection: %v", err)
 			}
 		})
+	}
+}
+
+// TestSubscribeRejectsOversizedRect: a rectangle with more dimensions
+// than a publication's point may have is refused by the broker, and the
+// server reports that as an error reply; the connection survives it.
+func TestSubscribeRejectsOversizedRect(t *testing.T) {
+	_, addr := startServer(t)
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	// Unbounded intervals keep the frame small: each dimension is "{}".
+	wide := make(geometry.Rect, wal.MaxPointDims+1)
+	for i := range wide {
+		wide[i] = geometry.NewInterval(math.Inf(-1), math.Inf(1))
+	}
+	if _, err := cli.Subscribe(wide); err == nil {
+		t.Fatalf("subscribe with %d dimensions succeeded", len(wide))
+	} else if !strings.Contains(err.Error(), "dimensions") {
+		t.Fatalf("subscribe with %d dimensions: %v, want a dimension-bound error reply", len(wide), err)
+	}
+	if _, err := cli.Subscribe(geometry.NewRect(0, 10)); err != nil {
+		t.Fatalf("subscribe after rejection: %v", err)
 	}
 }

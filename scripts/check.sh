@@ -4,8 +4,9 @@
 # Usage: ./scripts/check.sh
 #
 # Runs, in order:
-#   1. build            go build ./...  (+ cross-builds for 386, linux/arm, arm64 and darwin, and the
-#                       index tests on GOARCH=386, where the Go containment kernel runs)
+#   1. build            go build ./...  (+ cross-builds for 386, linux/arm, arm64 and darwin, go vet
+#                       of every package and test on GOARCH=386, and the index tests on GOARCH=386,
+#                       where the Go containment kernel runs)
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers), then the
 #                       design weight per package (scripts/loc.sh; printed, never a gate)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
@@ -26,6 +27,7 @@ cd "$(dirname "$0")/.."
 echo "==> build"
 go build ./...
 GOARCH=386 go build ./...
+GOARCH=386 go vet ./...
 GOOS=linux GOARCH=arm go build ./...
 GOARCH=arm64 go build ./...
 GOOS=darwin go build ./...
