@@ -186,18 +186,7 @@ func TestOverlayAppendsUnderPublish(t *testing.T) {
 // the overlay from ever coming due (with the default it would come due
 // only past 2 500).
 func BenchmarkPublishOverlay(b *testing.B) {
-	model := workload.MustStockPublications(9)
-	rng := rand.New(rand.NewSource(5))
-	events := make([]geometry.Point, 1024)
-	for i := range events {
-		events[i] = model.Sample(rng)
-	}
-	cfg := workload.DefaultSubscriptionConfig()
-	cfg.Count = 12500
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Subscriptions: &cfg}, experiment.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
+	events, subs := stockPopulation(b, 12500)
 	br := New(Options{DefaultBuffer: 1, MinOverlay: 9999})
 	defer br.Close()
 	subscribe := func(subs []workload.PlacedSubscription) {
@@ -207,25 +196,89 @@ func BenchmarkPublishOverlay(b *testing.B) {
 			}
 		}
 	}
-	subscribe(tb.Subs[:10000])
-	for {
-		br.mu.RLock()
-		settled := br.baseLen == 10000 && !br.rebuilding && !br.rebuildDueLocked()
-		br.mu.RUnlock()
-		if settled {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	subscribe(subs[:10000])
+	awaitBase(br, 10000)
 	have := 10000
 	for _, overlay := range []int{0, 64, 1250, 2500} {
-		subscribe(tb.Subs[have : 10000+overlay])
+		subscribe(subs[have : 10000+overlay])
 		have = 10000 + overlay
 		if got := br.ShardStats()[0].OverlayLen; got != overlay {
 			b.Fatalf("overlay holds %d rectangles, want %d", got, overlay)
 		}
 		b.Run(fmt.Sprintf("overlay=%d", overlay), func(b *testing.B) {
 			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := br.Publish(events[i%len(events)], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// stockPopulation draws the ledger's stock workload: 1 024 paper-model
+// publications and the first n subscriptions of the paper's testbed.
+func stockPopulation(b *testing.B, n int) ([]geometry.Point, []workload.PlacedSubscription) {
+	model := workload.MustStockPublications(9)
+	rng := rand.New(rand.NewSource(5))
+	events := make([]geometry.Point, 1024)
+	for i := range events {
+		events[i] = model.Sample(rng)
+	}
+	cfg := workload.DefaultSubscriptionConfig()
+	cfg.Count = n
+	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Subscriptions: &cfg}, experiment.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return events, tb.Subs
+}
+
+// awaitBase waits until br's base holds n rectangles and no rebuild is
+// running or due.
+func awaitBase(br *Broker, n int) {
+	for {
+		br.mu.RLock()
+		settled := br.baseLen == n && !br.rebuilding && !br.rebuildDueLocked()
+		br.mu.RUnlock()
+		if settled {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkPublishForeignDims times a publish on the ledger's stock
+// population, 10 000 4-d subscriptions packed into the base, alone and
+// with one 3-d subscription packed beside them. Rectangles of two
+// dimensionalities cannot share a tree, so the second base is the
+// linear matcher packPart falls back to: the cost of the one foreign
+// subscription is the gap between the two rows. MinOverlay makes the
+// last subscription trigger the one rebuild in both.
+func BenchmarkPublishForeignDims(b *testing.B) {
+	events, subs := stockPopulation(b, 10000)
+	foreign := geometry.NewRect(0, 1e9, 0, 1e9, 0, 1e9)
+	for _, tc := range []struct {
+		name  string
+		extra []geometry.Rect
+	}{{"stock", nil}, {"stock+3d", []geometry.Rect{foreign}}} {
+		b.Run(tc.name, func(b *testing.B) {
+			n := len(subs) + len(tc.extra)
+			br := New(Options{DefaultBuffer: 1, MinOverlay: n - 1})
+			defer br.Close()
+			for _, s := range subs {
+				if _, err := br.Subscribe(s.Rect); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, r := range tc.extra {
+				if _, err := br.Subscribe(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			awaitBase(br, n)
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := br.Publish(events[i%len(events)], nil); err != nil {
 					b.Fatal(err)

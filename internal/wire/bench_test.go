@@ -82,6 +82,41 @@ func BenchmarkEventDecode(b *testing.B) {
 	}
 }
 
+// benchSubscribe is the frame the ledger's wire workload sends per
+// subscription: one four-dimensional rectangle, group announced.
+func benchSubscribe() *Message {
+	return &Message{Type: TypeSubscribe, Group: true, Rects: []Rect{RectToWire(geometry.NewRect(
+		20.5, 31.25, 0.125, 977.0625, 1e-3, 55, 4096, 8191.5))}}
+}
+
+// BenchmarkSubscribeFrame is a subscribe frame's codec cost on each
+// side of the connection: the client's encode, the server's decode.
+func BenchmarkSubscribeFrame(b *testing.B) {
+	m := benchSubscribe()
+	frame, err := appendFrame(nil, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(frame))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf, err = appendFrame(buf[:0], m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		var got Message
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := decodeBody(frame[4:], &got); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkFanout32 is one publication through a loopback server to 32
 // of one connection's 64 subscriptions, closed on receipt: the next
 // publish is sent when all 32 events have arrived. The server and both

@@ -165,9 +165,9 @@ func eventFrameBound(dims, n int) int {
 var errEncode = errors.New("wire: encoding message")
 
 // appendFrame appends m's frame — length prefix, then body — to dst.
-// Event, publish and ok messages take the reflection-free encoder,
-// everything else (and any message it declines) goes through
-// json.Marshal; the bytes are the same either way. On error, which
+// Every message but an error reply takes the reflection-free encoder;
+// error replies (and any message it declines) go through json.Marshal,
+// and the bytes are the same either way. On error, which
 // always wraps errEncode, dst is returned at its original length.
 func appendFrame(dst []byte, m *Message) ([]byte, error) {
 	start := len(dst)

@@ -14,8 +14,9 @@
 #                       inline and on the part workers, overflow table over channels and sinks, connection script,
 #                       flight-recorder writers on contended shard locks — at -cpu 1,2,4, every benchmark once (BenchmarkRebuildBurst, the selective set-up's
 #                       rebuilds, takes a few seconds; the parts benchmark again at -cpu 2), and
-#                       10-second fuzzes of the grouped event decoder, the id-list encoder, the flat
-#                       point queries, the AVX2 containment kernel against the Go loop, the overlay's
+#                       10-second fuzzes of the grouped event decoder, the id-list encoder, the
+#                       subscribe, unsubscribe and keepalive frames' encoder and decoder against
+#                       encoding/json, the flat point queries, the AVX2 containment kernel against the Go loop, the overlay's
 #                       plane run against Rect.Contains and the S-tree packing against its reference builder)
 #   4. invariant tests  go test -tags=invariants over the flat/index/geometry/match/broker packages
 #                       (every AVX2 containment mask is checked against the Go loop)
@@ -49,6 +50,8 @@ go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/broker -run '^$' -bench PublishParts -benchtime 1x -cpu 2
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
+go test ./internal/wire -run '^$' -fuzz '^FuzzSubscribeEncode$' -fuzztime 10s
+go test ./internal/wire -run '^$' -fuzz '^FuzzSubscribeDecode$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPointQuery$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzPlaneMask$' -fuzztime 10s
 go test ./internal/flat -run '^$' -fuzz '^FuzzBoxes$' -fuzztime 10s
