@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"testing"
 
 	"repro/internal/broker"
@@ -181,4 +182,46 @@ func BenchmarkFanout32(b *testing.B) {
 	if d := sub.Dropped(); d != 0 {
 		b.Fatalf("client dropped %d events", d)
 	}
+}
+
+// BenchmarkClientRoundTrip is a publish round trip through a loopback
+// server with no subscribers, the ledger's point and payload: serial,
+// one requester at a time, and parallel, four requesters sharing the
+// one Client (at -cpu 1, 2 and 4), their requests in flight together.
+func BenchmarkClientRoundTrip(b *testing.B) {
+	br := broker.New(broker.Options{})
+	defer br.Close()
+	s := NewServer(br)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = s.Serve(ln) }()
+	defer s.Close()
+	cli, err := Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	m := benchEvent()
+	publish := func() {
+		if _, err := cli.Publish(m.Point, m.Payload); err != nil {
+			b.Error(err)
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			publish()
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetParallelism(max(1, 4/runtime.GOMAXPROCS(0)))
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				publish()
+			}
+		})
+	})
 }

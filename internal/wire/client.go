@@ -34,17 +34,13 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // Client is a TCP client for a wire server. Create one with Dial. Methods
-// are safe for concurrent use; replies are matched to requests by strict
-// ordering, so requests are serialised internally.
+// are safe for concurrent use and their requests are pipelined: the read
+// loop hands each reply, in request order, to the oldest waiter.
 type Client struct {
-	conn net.Conn
 	opts ClientOptions
+	out  outQueue // the connection, and its requests and pongs for the writer goroutine (writer.go)
 
-	reqMu   sync.Mutex // serialises request/reply exchanges
-	writeMu sync.Mutex
-
-	events  chan broker.Event
-	replies chan *Message
+	events chan broker.Event
 
 	closeOnce sync.Once
 	readErr   error
@@ -66,6 +62,10 @@ type Client struct {
 	sentTrace [clientTraceRing]atomic.Uint64
 	sentNanos [clientTraceRing]atomic.Int64
 }
+
+// waiterPool recycles the channels requests await their replies on, so
+// a round trip allocates none.
+var waiterPool = sync.Pool{New: func() any { return make(chan Message, 1) }}
 
 // clientTraceRing sizes the in-flight publish ring backing the
 // client_recv stage. Power of two; 256 publishes in flight before
@@ -94,13 +94,13 @@ func NewClient(conn net.Conn) *Client {
 // NewClientWith wraps an established connection with explicit options.
 func NewClientWith(conn net.Conn, opts ClientOptions) *Client {
 	c := &Client{
-		conn:     conn,
 		opts:     opts.withDefaults(),
 		events:   make(chan broker.Event, 1024),
-		replies:  make(chan *Message, 1),
 		readDone: make(chan struct{}),
 	}
+	c.out.init(conn, 0)
 	c.stageRecv = telemetry.StageHistogram(c.opts.Metrics, telemetry.StageClientRecv)
+	go c.out.writeLoop(0)
 	go c.readLoop()
 	return c
 }
@@ -120,10 +120,13 @@ func (c *Client) noteRecv(traceID uint64) {
 	c.stageRecv.ObserveExemplar(d.Seconds(), traceID)
 }
 
+// readLoop reads until the connection fails or a frame does not decode
+// (a skipped reply would go to the wrong waiter), then fails waiters.
 func (c *Client) readLoop() {
+	defer c.out.stopWriter()
 	defer close(c.readDone)
 	defer close(c.events)
-	fr := newFrameReader(c.conn)
+	fr := newFrameReader(c.out.conn)
 	m := new(Message) // reused for every frame; a reply is copied out before it is handed over
 	for {
 		if err := fr.read(m); err != nil {
@@ -144,19 +147,20 @@ func (c *Client) readLoop() {
 			}
 			c.deliver(ev, ids)
 		case TypeOK, TypeError:
-			reply := *m
-			select {
-			case c.replies <- &reply:
-			default:
-				// Unsolicited reply; drop it rather than deadlock.
+			var w chan Message
+			c.out.mu.Lock()
+			if q := c.out.waiters; len(q) > 0 { // else an unsolicited reply: nobody waits for it
+				w = q[0]
+				c.out.waiters = append(q[:0], q[1:]...)
+			}
+			c.out.mu.Unlock()
+			if w != nil {
+				w <- *m
 			}
 		case TypePing:
 			// Server-side keepalive probe: answer so an idle but live
 			// connection is not evicted by the server's idle timeout.
-			c.writeMu.Lock()
-			//pubsub:allow locksafe -- single small pong frame; writeMu exists precisely to order frames on the wire
-			_ = WriteMessage(c.conn, &Message{Type: TypePong})
-			c.writeMu.Unlock()
+			_ = c.out.push(&Message{Type: TypePong})
 		}
 	}
 }
@@ -204,31 +208,50 @@ func (c *Client) drop(ev broker.Event, subID int, nowNS int64) {
 		int64(subID), 1, 1, firstArg)
 }
 
-// roundTrip sends a request and waits for its reply.
-func (c *Client) roundTrip(req *Message) (*Message, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-
-	c.writeMu.Lock()
-	//pubsub:allow locksafe -- the frame write under writeMu is the protocol's serialization point
-	err := WriteMessage(c.conn, req)
-	c.writeMu.Unlock()
-	if err != nil {
-		return nil, err
+// roundTrip sends req and waits for its reply. With evs set it also
+// collects the events that arrive meanwhile — Replay's, which come ahead
+// of the reply, so every one of them is buffered when the reply is in.
+func (c *Client) roundTrip(req *Message, evs *[]broker.Event) (Message, error) {
+	w := waiterPool.Get().(chan Message)
+	if err := c.out.write(req, false, w); err != nil {
+		waiterPool.Put(w)
+		return Message{}, fmt.Errorf("wire: sending %s: %w", req.Type, err)
 	}
-	//pubsub:allow locksafe -- the reply wait must stay under reqMu: one request in flight, replies in order
-	select {
-	case reply := <-c.replies:
-		if reply.Type == TypeError {
-			return nil, fmt.Errorf("wire: server error: %s", reply.Error)
-		}
-		return reply, nil
-	case <-c.readDone:
-		if c.readErr != nil {
-			return nil, fmt.Errorf("wire: connection lost: %w", c.readErr)
-		}
-		return nil, fmt.Errorf("wire: connection closed")
+	var events <-chan broker.Event
+	if evs != nil {
+		events = c.events
 	}
+	var reply Message
+	for reply.Type == "" {
+		select {
+		case ev, open := <-events:
+			if !open {
+				return Message{}, fmt.Errorf("wire: connection closed mid-replay")
+			}
+			*evs = append(*evs, ev)
+		case reply = <-w:
+		case <-c.readDone:
+			select {
+			case reply = <-w: // it was in before the connection ended
+			default:
+				return Message{}, fmt.Errorf("wire: connection lost: %w", c.readErr)
+			}
+		}
+	}
+	waiterPool.Put(w)
+	for n := len(events); n > 0; n-- { // what is buffered, never waiting
+		select {
+		case ev, open := <-events:
+			if open {
+				*evs = append(*evs, ev)
+			}
+		default:
+		}
+	}
+	if reply.Type == TypeError {
+		return reply, fmt.Errorf("wire: server error: %s", reply.Error)
+	}
+	return reply, nil
 }
 
 // Subscribe registers a subscription for the union of the rectangles and
@@ -256,7 +279,7 @@ func (c *Client) SubscribeFrom(from uint64, rects ...geometry.Rect) (int, error)
 	for i, r := range rects {
 		req.Rects[i] = RectToWire(r)
 	}
-	reply, err := c.roundTrip(req)
+	reply, err := c.roundTrip(req, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -274,57 +297,22 @@ func (c *Client) Replay(from uint64) ([]broker.Event, error) {
 	if from == 0 {
 		from = 1
 	}
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-
-	c.writeMu.Lock()
-	//pubsub:allow locksafe -- the frame write under writeMu is the protocol's serialization point
-	err := WriteMessage(c.conn, &Message{Type: TypeSubscribe, FromOffset: from})
-	c.writeMu.Unlock()
-	if err != nil {
+	var evs []broker.Event
+	if _, err := c.roundTrip(&Message{Type: TypeSubscribe, FromOffset: from}, &evs); err != nil {
 		return nil, err
 	}
-	var evs []broker.Event
-	for {
-		//pubsub:allow locksafe -- the replay wait must stay under reqMu: one request in flight, replies in order
-		select {
-		case ev, open := <-c.events:
-			if !open {
-				return nil, fmt.Errorf("wire: connection closed mid-replay")
-			}
-			evs = append(evs, ev)
-		case reply := <-c.replies:
-			if reply.Type == TypeError {
-				return nil, fmt.Errorf("wire: server error: %s", reply.Error)
-			}
-			// The reader enqueued every replayed event before the reply;
-			// collect any still buffered ahead of it.
-			for {
-				select {
-				case ev := <-c.events:
-					evs = append(evs, ev)
-				default:
-					return evs, nil
-				}
-			}
-		case <-c.readDone:
-			if c.readErr != nil {
-				return nil, fmt.Errorf("wire: connection lost: %w", c.readErr)
-			}
-			return nil, fmt.Errorf("wire: connection closed")
-		}
-	}
+	return evs, nil
 }
 
 // Unsubscribe cancels a subscription previously created by this client.
 func (c *Client) Unsubscribe(subID int) error {
-	_, err := c.roundTrip(&Message{Type: TypeUnsubscribe, SubID: subID})
+	_, err := c.roundTrip(&Message{Type: TypeUnsubscribe, SubID: subID}, nil)
 	return err
 }
 
 // Ping performs a liveness round trip.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(&Message{Type: TypePing})
+	_, err := c.roundTrip(&Message{Type: TypePing}, nil)
 	return err
 }
 
@@ -350,7 +338,7 @@ func (c *Client) PublishTraced(p geometry.Point, payload []byte) (int, uint64, e
 		c.sentNanos[slot].Store(time.Now().UnixNano())
 		c.sentTrace[slot].Store(traceID)
 	}
-	reply, err := c.roundTrip(&Message{Type: TypePublish, Point: p, Payload: payload, TraceID: traceID})
+	reply, err := c.roundTrip(&Message{Type: TypePublish, Point: p, Payload: payload, TraceID: traceID}, nil)
 	if err != nil {
 		return 0, traceID, err
 	}
@@ -394,7 +382,8 @@ func (c *Client) ClearFirstDropped() {
 func (c *Client) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
-		err = c.conn.Close()
+		err = c.out.conn.Close()
+		c.out.stopWriter()
 		<-c.readDone
 	})
 	return err

@@ -166,11 +166,11 @@ func pipeConn(t *testing.T, group bool) (cs *connState, gc *gatedConn, peer net.
 	gc = &gatedConn{Conn: server, open: open}
 	cs = newConnState(gc, ServerOptions{})
 	cs.out.group.Store(group)
-	go cs.writeLoop()
+	go cs.out.writeLoop(0)
 	t.Cleanup(func() {
 		_ = server.Close()
 		_ = peer.Close()
-		cs.stopWriter()
+		cs.out.stopWriter()
 	})
 	return cs, gc, peer
 }

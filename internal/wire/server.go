@@ -143,10 +143,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		cs := newConnState(conn, s.opts)
 		cs.tel = s.tel
 		cs.sink = s.b.NewSink()
-		cs.pumps.Add(1)
-		if cs.opts.PingInterval > 0 {
-			cs.pumps.Add(1)
-		}
 		// A fresh connection starts at zero lag against the current head,
 		// exactly like a fresh subscription.
 		cs.lastSeq.Store(s.b.Head())
@@ -169,7 +165,7 @@ func (s *Server) Close() {
 		_ = ln.Close()
 	}
 	for _, cs := range conns {
-		_ = cs.conn.Close()
+		_ = cs.out.conn.Close()
 	}
 	s.wg.Wait()
 }
@@ -203,7 +199,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		for _, cs := range conns {
-			_ = cs.conn.Close()
+			_ = cs.out.conn.Close()
 		}
 		s.wg.Wait()
 		return ctx.Err()
@@ -240,10 +236,9 @@ type connSub struct {
 }
 
 // connState tracks one connection's subscriptions and owns the
-// goroutines (writer, event pump, pinger) attached to the connection.
+// goroutines (writer, event pump) attached to the connection.
 type connState struct {
 	id      int64
-	conn    net.Conn
 	opts    ServerOptions
 	tel     *wireTel
 	lastSeq atomic.Uint64 // highest Seq written to the peer (see noteSent)
@@ -256,39 +251,44 @@ type connState struct {
 	subsGen atomic.Uint64 // removals from subs so far (see writeEvent)
 	// kick wakes the pump when a replay has ended or been given up;
 	// capacity 1, a burst of those is one wake-up.
-	kick chan struct{}
-	done chan struct{}
-
-	draining chan struct{} // closed by drain; stops the pinger while the conn is still open
-	// pumps counts the pump and the pinger. Serve adds both before a drain
-	// can see the connection, so a drain's Wait never races an Add; handle
-	// starts them, and each exits at once if the drain came first.
-	pumps sync.WaitGroup
+	kick   chan struct{}
+	done   chan struct{}
+	pumped chan struct{} // closed when the pump, which handle starts, has exited
 }
 
 func newConnState(conn net.Conn, opts ServerOptions) *connState {
 	cs := &connState{
-		id:       connIDs.Add(1),
-		conn:     conn,
-		opts:     opts,
-		subs:     make(map[int]*connSub),
-		done:     make(chan struct{}),
-		kick:     make(chan struct{}, 1),
-		draining: make(chan struct{}),
+		id:     connIDs.Add(1),
+		opts:   opts,
+		subs:   make(map[int]*connSub),
+		done:   make(chan struct{}),
+		kick:   make(chan struct{}, 1),
+		pumped: make(chan struct{}),
 	}
-	cs.out.init()
+	cs.out.init(conn, opts.WriteTimeout)
+	cs.out.sent = cs.noteSent
 	return cs
 }
 
-// noteSent advances the connection's delivered high-water mark. The
-// pump's live frames and a concurrent replay share the queue, so the
-// advance is a CAS-max: a replay streaming old offsets never regresses
-// the mark.
-func (cs *connState) noteSent(seq uint64) {
-	for {
-		cur := cs.lastSeq.Load()
-		if seq <= cur || cs.lastSeq.CompareAndSwap(cur, seq) {
-			return
+// noteSent is the writer's account of a written batch: it raises the
+// delivered high-water mark to the batch's highest Seq (a replay's may be
+// lower) and, with metrics on, counts frames and events and observes
+// each frame's write latency and an event frame's write stage.
+func (cs *connState) noteSent(seq uint64, metas []frameMeta, events int) {
+	if seq > cs.lastSeq.Load() {
+		cs.lastSeq.Store(seq)
+	}
+	if cs.tel == nil {
+		return
+	}
+	now := time.Now()
+	cs.tel.framesOut.Add(uint64(len(metas)))
+	cs.tel.eventsOut.Add(uint64(events))
+	for _, fm := range metas {
+		d := now.Sub(fm.enqueued)
+		cs.tel.writeLatency.ObserveDuration(d)
+		if fm.event {
+			cs.tel.stageWrite.ObserveExemplar(d.Seconds(), fm.traceID)
 		}
 	}
 }
@@ -334,43 +334,21 @@ func (cs *connState) closeSubs() {
 // to queue what the sink held, has the writer flush, then closes the
 // connection.
 func (cs *connState) drain() {
-	// The pinger must exit while the connection is still open — it is
-	// one of the goroutines we are about to wait for.
-	close(cs.draining)
 	cs.closeSubs()
-	cs.pumps.Wait()
-	cs.stopWriter()
-	_ = cs.conn.Close()
+	<-cs.pumped
+	cs.out.stopWriter()
+	_ = cs.out.conn.Close()
 }
 
 func (s *Server) handle(cs *connState) {
-	go cs.writeLoop()
+	go cs.out.writeLoop(cs.opts.PingInterval)
 	go cs.pump()
-	if cs.opts.PingInterval > 0 {
-		go func() {
-			defer cs.pumps.Done()
-			t := time.NewTicker(cs.opts.PingInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if cs.write(&Message{Type: TypePing}) != nil {
-						return
-					}
-				case <-cs.draining:
-					return
-				case <-cs.done:
-					return
-				}
-			}
-		}()
-	}
 	defer func() {
 		close(cs.done)
 		cs.closeSubs()
-		_ = cs.conn.Close()
-		cs.pumps.Wait()
-		cs.stopWriter()
+		_ = cs.out.conn.Close()
+		<-cs.pumped
+		cs.out.stopWriter()
 		s.mu.Lock()
 		delete(s.conns, cs)
 		s.mu.Unlock()
@@ -379,14 +357,14 @@ func (s *Server) handle(cs *connState) {
 		}
 	}()
 
-	fr := newFrameReader(cs.conn)
+	fr := newFrameReader(cs.out.conn)
 	m := new(Message)
 	for {
 		if cs.opts.IdleTimeout > 0 {
-			_ = cs.conn.SetReadDeadline(time.Now().Add(cs.opts.IdleTimeout))
+			_ = cs.out.conn.SetReadDeadline(time.Now().Add(cs.opts.IdleTimeout))
 		}
 		err := fr.read(m)
-		if err != nil {
+		if err != nil && !errors.Is(err, errDecode) {
 			// Disconnect: clean EOF, idle timeout or otherwise. A deadline
 			// expiry means the peer missed every keepalive ping in the
 			// idle window.
@@ -403,16 +381,20 @@ func (s *Server) handle(cs *connState) {
 		if cs.tel != nil {
 			cs.tel.framesIn.Inc()
 		}
-		switch m.Type {
-		case TypeSubscribe:
+		switch {
+		case err != nil:
+			// An undecodable body whose length held is consumed: the
+			// stream is intact, so refuse the frame and read on.
+			err = cs.write(&Message{Type: TypeError, Error: err.Error()})
+		case m.Type == TypeSubscribe:
 			err = s.handleSubscribe(cs, m)
-		case TypeUnsubscribe:
+		case m.Type == TypeUnsubscribe:
 			err = s.handleUnsubscribe(cs, m)
-		case TypePublish:
+		case m.Type == TypePublish:
 			err = s.handlePublish(cs, m)
-		case TypePing:
+		case m.Type == TypePing:
 			err = cs.write(&Message{Type: TypeOK})
-		case TypePong:
+		case m.Type == TypePong:
 			// Keepalive reply to our ping; reading it was the point.
 		default:
 			err = cs.write(&Message{Type: TypeError, Error: fmt.Sprintf("unknown message type %q", m.Type)})
@@ -503,7 +485,7 @@ func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 // it still waits for a replay in progress to end, so that the backlog is
 // written too: behind the replay's frames, never among them.
 func (cs *connState) pump() {
-	defer cs.pumps.Done()
+	defer close(cs.pumped)
 	var d broker.Delivery
 	ready, closed := cs.sink.Ready(), false
 	for {

@@ -159,6 +159,10 @@ func eventFrameBound(dims, n int) int {
 	return eventOverhead + 25*dims + base64.StdEncoding.EncodedLen(n)
 }
 
+// errDecode marks a frame whose body did not decode. Its length prefix
+// held and the body was consumed, so the stream is intact.
+var errDecode = errors.New("wire: decoding message")
+
 // errEncode marks a message that could not be framed — not
 // representable in JSON, or larger than MaxFrame. It says nothing about
 // the connection, which stays usable.
@@ -209,7 +213,7 @@ func decodeBody(body []byte, m *Message) error {
 	}
 	*m = Message{} // the fast path may have filled some fields before declining
 	if err := json.Unmarshal(body, m); err != nil {
-		return fmt.Errorf("wire: decoding message: %w", err)
+		return fmt.Errorf("%w: %w", errDecode, err)
 	}
 	return nil
 }

@@ -16,29 +16,33 @@ import (
 const pendingCap = 64 << 10
 
 // frameMeta is what the write-latency metrics need of one queued frame.
-// Kept only when the server has a metrics registry.
+// Kept only when the server has a metrics registry, and for push's frames.
 type frameMeta struct {
 	enqueued time.Time
 	traceID  uint64
 	event    bool
 }
 
-// outQueue is a connection's outbound side: every frame for the peer —
-// replies, pings, replay and live events — is encoded into pending by
-// its producer (connState.write) and written to the socket by the one
-// writer goroutine (connState.writeLoop), a batch per Write. Frame
-// order on the stream is enqueue order. mu is never held across a
-// socket operation.
+// outQueue is a connection's outbound side, at either end: every frame
+// for the peer — a server's replies, pings, replay and live events, a
+// client's requests and pongs — is encoded into pending by its producer
+// and written to the socket by the connection's one writer goroutine
+// (writeLoop), a batch per Write. Frame order on the stream is enqueue
+// order. mu is never held across a socket operation.
 type outQueue struct {
-	mu        sync.Mutex
-	pending   []byte      // encoded frames the writer has not taken yet
-	metas     []frameMeta // one per frame in pending, when metrics are on
-	events    int         // event deliveries in pending: one per frame, or per id of a grouped frame
-	maxSeq    uint64      // highest event Seq in pending
-	inflight  int         // bytes of the batch the writer is writing
-	err       error       // latched: the socket failed or the writer stopped
-	space     chan struct{}
-	spaceWait bool // a producer waits on space; the writer closes and replaces it
+	conn         net.Conn
+	writeTimeout time.Duration // bounds each Write; zero disables
+	// sent, set by a server, accounts for a batch its Write has written.
+	sent func(maxSeq uint64, metas []frameMeta, events int)
+
+	mu       sync.Mutex
+	pending  []byte      // encoded frames the writer has not taken yet
+	metas    []frameMeta // one per frame in pending that was stamped
+	events   int         // event deliveries in pending: one per frame, or per id of a grouped frame
+	maxSeq   uint64      // highest event Seq in pending
+	inflight int         // bytes of the batch the writer is writing
+	err      error       // latched: the socket failed or the writer stopped
+	room     *sync.Cond  // on mu: broadcast when a write completes or fails
 
 	// group is set once the peer has announced it (a subscribe with the
 	// key): an event for the connection's subscriptions is then one frame
@@ -46,27 +50,20 @@ type outQueue struct {
 	group atomic.Bool
 	one   Message // scratch: the event frame being encoded; guarded by mu
 
+	waiters []chan Message // a client's, for its requests' replies, in frame order; guarded by mu
+
 	kick     chan struct{} // pending went from empty to non-empty
 	stop     chan struct{} // closed to make the writer flush and exit
 	stopOnce sync.Once
 	done     chan struct{} // closed when the writer has exited
 }
 
-func (q *outQueue) init() {
-	q.space = make(chan struct{})
+func (q *outQueue) init(conn net.Conn, writeTimeout time.Duration) {
+	q.conn, q.writeTimeout = conn, writeTimeout
+	q.room = sync.NewCond(&q.mu)
 	q.kick = make(chan struct{}, 1)
 	q.stop = make(chan struct{})
 	q.done = make(chan struct{})
-}
-
-// wakeProducers releases every producer blocked for room. Caller holds
-// q.mu.
-func (q *outQueue) wakeProducers() {
-	if q.spaceWait {
-		close(q.space)
-		q.space = make(chan struct{})
-		q.spaceWait = false
-	}
 }
 
 // admit waits until need more bytes may be queued — which is how a
@@ -80,58 +77,82 @@ func (q *outQueue) admit(need int) error {
 		if queued == 0 || queued+need <= pendingCap {
 			return nil
 		}
-		room := q.space
-		q.spaceWait = true
-		q.mu.Unlock()
-		<-room
-		q.mu.Lock()
+		q.room.Wait()
 	}
 	defer q.mu.Unlock()
 	return q.err
 }
 
+// frameBound bounds m's frame for admit: eventFrameBound covers the
+// control frames, an error text escapes to at most six bytes a byte, and
+// an interval, {"lo":x,"hi":y} with 24-byte numbers, takes 64 with its comma.
+func frameBound(m *Message) int {
+	n := eventFrameBound(len(m.Point), len(m.Payload)) + 6*len(m.Error)
+	for _, r := range m.Rects {
+		n += 3 + 64*len(r)
+	}
+	return n
+}
+
 // frameLocked appends m's frame to the queue, counting it as events
-// deliveries, releases q.mu (which the caller's admit took) and wakes the
-// writer if the queue was empty. On errEncode nothing is queued.
-func (cs *connState) frameLocked(m *Message, events int) error {
-	q := &cs.out
+// deliveries, with a frameMeta if stamp, and wakes the writer if the
+// queue was empty. The caller holds q.mu, taken by admit or push. On
+// errEncode nothing is queued.
+func (q *outQueue) frameLocked(m *Message, events int, stamp bool) error {
 	start := len(q.pending)
 	var err error
-	if q.pending, err = appendFrame(q.pending, m); err == nil {
-		q.events += events
-		q.maxSeq = max(q.maxSeq, m.Seq)
-		if cs.tel != nil {
-			q.metas = append(q.metas, frameMeta{enqueued: time.Now(), traceID: m.TraceID, event: events > 0})
-		}
+	if q.pending, err = appendFrame(q.pending, m); err != nil {
+		return err
 	}
-	q.one = Message{} // if m was the scratch: do not pin the payload
-	q.mu.Unlock()
-	if err == nil && start == 0 { // pending went from empty to non-empty
+	q.events += events
+	q.maxSeq = max(q.maxSeq, m.Seq)
+	if stamp {
+		q.metas = append(q.metas, frameMeta{enqueued: time.Now(), traceID: m.TraceID, event: events > 0})
+	}
+	if start == 0 {
 		select {
 		case q.kick <- struct{}{}:
 		default: // a wake-up is already pending
 		}
 	}
+	return nil
+}
+
+// push queues m, stamped, however full the queue is. It is for a read
+// loop's pong, since a read loop blocked on admit would stop reading from
+// a peer that may be blocked writing to it, and for the writer's ping.
+func (q *outQueue) push(m *Message) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.err != nil {
+		return q.err
+	}
+	return q.frameLocked(m, 0, true)
+}
+
+// write queues m's frame for the writer, blocking while the queue is
+// full, and w, a client's waiter for m's reply, in the same critical
+// section. The error is either errEncode — nothing was queued, the
+// connection is unaffected — or the failure that ended the writer.
+func (q *outQueue) write(m *Message, stamp bool, w chan Message) error {
+	if err := q.admit(frameBound(m)); err != nil {
+		return err
+	}
+	defer q.mu.Unlock()
+	events := 0
+	if m.Type == TypeEvent {
+		events = 1
+	}
+	err := q.frameLocked(m, events, stamp)
+	if err == nil && w != nil {
+		q.waiters = append(q.waiters, w)
+	}
 	return err
 }
 
-// write queues one frame for the writer goroutine and returns without
-// waiting for the socket; it blocks while the queue is full. The error is
-// either errEncode — m could not be framed, nothing was queued, the
-// connection is unaffected — or the failure that ended the connection's
-// writer. An event written this way is for no subscription (a pure
-// replay's) and framed as it stands on every connection.
-func (cs *connState) write(m *Message) error {
-	// An upper bound for events and for the small control frames the
-	// server sends; an error text may be escaped to six bytes a byte.
-	if err := cs.out.admit(eventFrameBound(len(m.Point), len(m.Payload)) + 6*len(m.Error)); err != nil {
-		return err
-	}
-	if m.Type == TypeEvent {
-		return cs.frameLocked(m, 1)
-	}
-	return cs.frameLocked(m, 0)
-}
+// write is outQueue.write for the server. An event written this way is a
+// pure replay's, for no subscription, and framed as it stands.
+func (cs *connState) write(m *Message) error { return cs.out.write(m, cs.tel != nil, nil) }
 
 // idRoom is what one more id costs a frame: a comma and its digits.
 const idRoom = 1 + maxIDLen
@@ -173,7 +194,10 @@ func (cs *connState) writeEvent(ev *broker.Event, ids []int, subsGen uint64) err
 		} else {
 			q.one.SubID = ids[0]
 		}
-		if err := cs.frameLocked(&q.one, n); err != nil {
+		err := q.frameLocked(&q.one, n, cs.tel != nil)
+		q.one = Message{} // do not pin the payload
+		q.mu.Unlock()
+		if err != nil {
 			return err
 		}
 		ids = ids[n:]
@@ -182,69 +206,67 @@ func (cs *connState) writeEvent(ev *broker.Event, ids []int, subsGen uint64) err
 }
 
 // writeLoop is the connection's writer goroutine. Each round takes
-// everything queued and issues one Write under one WriteTimeout
-// deadline; only when that Write has succeeded are the batch's frames
-// counted as sent (noteSent, frames-out, write latency, the write
-// stage). A failed Write latches the error, closes the connection and
-// releases every blocked producer. Closing q.stop makes it take what is
-// queued as its last batch — latching net.ErrClosed in the same critical
-// section, so no later frame is accepted only to be discarded — flush it
-// and exit.
-func (cs *connState) writeLoop() {
-	q := &cs.out
+// everything queued and issues one Write under one writeTimeout
+// deadline; only when that Write has succeeded is the batch handed to
+// sent. A failed Write latches the error, closes the connection and
+// releases every blocked producer. With pingEvery positive it queues a
+// keepalive ping at that interval, past the cap as push does. Closing
+// q.stop makes it take what is queued as its last batch — latching
+// net.ErrClosed in the same critical section, so no later frame is
+// accepted only to be discarded — flush it and exit.
+func (q *outQueue) writeLoop(pingEvery time.Duration) {
 	defer close(q.done)
+	var ping <-chan time.Time
+	if pingEvery > 0 {
+		t := time.NewTicker(pingEvery)
+		defer t.Stop()
+		ping = t.C
+	}
 
 	var spare []byte
 	var spareMetas []frameMeta
 	for stopping := false; !stopping; {
 		select {
 		case <-q.kick:
+		case <-ping:
+			_ = q.push(&Message{Type: TypePing})
 		case <-q.stop:
 			stopping = true
 		}
 		q.mu.Lock()
-		batch, metas, events, seq := q.pending, q.metas, q.events, q.maxSeq
-		q.pending, q.metas, q.events, q.maxSeq = spare[:0], spareMetas[:0], 0, 0
-		q.inflight = len(batch)
 		if stopping && q.err == nil {
 			// This is the last batch: a frame queued behind it would never
-			// be written, so from here on write refuses instead.
+			// be written, so from here on admit and push refuse instead.
 			q.err = net.ErrClosed
 		}
-		q.mu.Unlock()
-		if len(batch) == 0 {
+		batch, metas, events, seq := q.pending, q.metas, q.events, q.maxSeq
+		if len(batch) == 0 { // a stale wake-up: keep spare, which pending must not share
+			q.mu.Unlock()
 			continue
 		}
+		q.pending, q.metas, q.events, q.maxSeq = spare[:0], spareMetas[:0], 0, 0
+		q.inflight = len(batch)
+		q.mu.Unlock()
 
-		if cs.opts.WriteTimeout > 0 {
-			_ = cs.conn.SetWriteDeadline(time.Now().Add(cs.opts.WriteTimeout))
+		if q.writeTimeout > 0 {
+			_ = q.conn.SetWriteDeadline(time.Now().Add(q.writeTimeout))
 		}
-		_, err := cs.conn.Write(batch)
+		_, err := q.conn.Write(batch)
 
 		q.mu.Lock()
 		q.inflight = 0
 		if err != nil {
 			q.err = err
 		}
-		q.wakeProducers()
+		q.room.Broadcast()
 		q.mu.Unlock()
 		if err != nil {
-			_ = cs.conn.Close() // evict: the read loop sees the close and tears down
+			_ = q.conn.Close() // evict: the read loop sees the close and tears down
 			return
 		}
 
-		cs.noteSent(seq)
-		if cs.tel != nil {
-			now := time.Now()
-			cs.tel.framesOut.Add(uint64(len(metas)))
-			cs.tel.eventsOut.Add(uint64(events))
-			for _, fm := range metas {
-				d := now.Sub(fm.enqueued)
-				cs.tel.writeLatency.ObserveDuration(d)
-				if fm.event {
-					cs.tel.stageWrite.ObserveExemplar(d.Seconds(), fm.traceID)
-				}
-			}
+		if q.sent != nil {
+			q.sent(seq, metas, events)
 		}
 		// Recycle the batch's storage as the next queue, unless one
 		// oversized frame grew it well past the cap.
@@ -257,7 +279,7 @@ func (cs *connState) writeLoop() {
 
 // stopWriter has the writer flush what is queued and waits for it to
 // exit. Safe to call more than once.
-func (cs *connState) stopWriter() {
-	cs.out.stopOnce.Do(func() { close(cs.out.stop) })
-	<-cs.out.done
+func (q *outQueue) stopWriter() {
+	q.stopOnce.Do(func() { close(q.stop) })
+	<-q.done
 }

@@ -233,7 +233,7 @@ func TestShutdownDeliversEverythingQueued(t *testing.T) {
 // server-side buffer, which Client.Subscribe does not expose.
 func subscribeBuffered(cli *Client, buffer int) error {
 	_, err := cli.roundTrip(&Message{Type: TypeSubscribe, Buffer: buffer,
-		Rects: []Rect{RectToWire(geometry.NewRect(0, 10))}})
+		Rects: []Rect{RectToWire(geometry.NewRect(0, 10))}}, nil)
 	return err
 }
 
@@ -290,6 +290,45 @@ func (l *gatedListener) Accept() (net.Conn, error) {
 	return gc, nil
 }
 
+// A wake-up that finds the queue empty must leave the writer's spare
+// buffer out of the queue: otherwise the next batch and the queue share
+// storage, and a frame queued while that batch is being written
+// overwrites it.
+func TestEmptyWakeKeepsWriterBuffersApart(t *testing.T) {
+	cs, gc, peer := pipeConn(t, false)
+	_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+	ok := func(n int) {
+		t.Helper()
+		if err := cs.write(&Message{Type: TypeOK, Delivered: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(want int) {
+		t.Helper()
+		if m, err := ReadMessage(peer); err != nil || m.Type != TypeOK || m.Delivered != want {
+			t.Fatalf("read %+v, %v; want the ok delivering %d", m, err, want)
+		}
+	}
+	ok(1) // the batch's storage becomes the writer's spare
+	read(1)
+	// Wake-ups with nothing queued; the third send waits until the
+	// writer has taken the second, so the first has been handled.
+	for i := 0; i < 3; i++ {
+		cs.out.kick <- struct{}{}
+	}
+	release := gc.shut()
+	ok(2)
+	waitFor(t, "the writer to take the frame", 2*time.Second, func() bool {
+		cs.out.mu.Lock()
+		defer cs.out.mu.Unlock()
+		return cs.out.inflight > 0
+	})
+	ok(3) // queued while the batch holding 2 is being written
+	release()
+	read(2)
+	read(3)
+}
+
 // A frame that write accepted reaches the peer, also when the writer is
 // being stopped: once the writer has taken its last batch, write refuses
 // instead of queueing behind it. The gate holds the writer inside a
@@ -301,7 +340,7 @@ func TestWriteAcceptedWhileStoppingIsWritten(t *testing.T) {
 		close(open)
 		gc := &gatedConn{Conn: server, open: open}
 		cs := newConnState(gc, ServerOptions{})
-		go cs.writeLoop()
+		go cs.out.writeLoop(0)
 		received := make(chan int)
 		go func() {
 			n := 0
@@ -322,7 +361,7 @@ func TestWriteAcceptedWhileStoppingIsWritten(t *testing.T) {
 		accepted++
 		stopped := make(chan struct{})
 		go func() {
-			cs.stopWriter()
+			cs.out.stopWriter()
 			close(stopped)
 		}()
 		if i%2 == 1 {

@@ -13,7 +13,7 @@
 #                       the WAL at -cpu 1,2, the broker, the wire and the telemetry — the index in one part, in parts
 #                       inline and on the part workers, overflow table over channels and sinks, connection script,
 #                       flight-recorder writers on contended shard locks — at -cpu 1,2,4, every benchmark once (BenchmarkRebuildBurst, the selective set-up's
-#                       rebuilds, takes a few seconds; the parts benchmark again at -cpu 2), and
+#                       rebuilds, takes a few seconds; the parts benchmark and the client round trip again at -cpu 2), and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the
 #                       subscribe, unsubscribe and keepalive frames' encoder and decoder against
 #                       encoding/json, the flat point queries, the AVX2 containment kernel against the Go loop, the overlay's
@@ -48,6 +48,7 @@ go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/ ./internal/telemetry/
 go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/broker -run '^$' -bench PublishParts -benchtime 1x -cpu 2
+go test ./internal/wire -run '^$' -bench ClientRoundTrip -benchtime 1x -cpu 2
 go test ./internal/wire -run '^$' -fuzz '^FuzzEventDecode$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzGroupedFrame$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzSubscribeEncode$' -fuzztime 10s
