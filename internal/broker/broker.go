@@ -27,6 +27,7 @@ import (
 	"repro/internal/flat"
 	"repro/internal/geometry"
 	"repro/internal/health"
+	"repro/internal/invariant"
 	"repro/internal/match"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -278,6 +279,7 @@ type Broker struct {
 	base      []match.Matcher                // packed parts (may contain stale slots)
 	slots     []atomic.Pointer[Subscription] // slot -> subscription for base's ids; nil once cancelled
 	baseLen   int                            // rectangles in base (incl. stale)
+	baseCut   int                            // nextID the base was collected at: ids from it on are in the overlay
 	stale     int                            // rectangles in base whose subscription is gone
 	overlay   overlay                        // recent rectangles, matched as a plane run
 	multiRect bool                           // some subscription holds several rectangles
@@ -626,11 +628,15 @@ func (s *Subscription) Cancel() {
 		delete(b.subs, s.id)
 		// Rectangles indexed in the base become stale; overlay entries
 		// are removed eagerly. A subscription's rectangles are all in one
-		// or the other. The overlay is rebuilt from the entries it keeps
-		// — never cut in place — because published snapshots still read
-		// the old run; a subscription with no overlay entries leaves it
-		// as it is.
-		if slices.Contains(b.overlay.subs, s) {
+		// or the other, and its id says which. The overlay is rebuilt
+		// from the entries it keeps — never cut in place — because
+		// published snapshots still read the old run; cancelling a base
+		// subscription leaves it as it is.
+		if invariant.Enabled {
+			invariant.Assertf(slices.Contains(b.overlay.subs, s) == (s.id >= b.baseCut),
+				"subscription %d is on the wrong side of the base's cut %d", s.id, b.baseCut)
+		}
+		if s.id >= b.baseCut {
 			b.overlay = b.overlay.keep(func(o *Subscription) bool { return o != s })
 		} else {
 			// The base keeps the rectangles but not the subscription:

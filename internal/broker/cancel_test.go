@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -212,6 +213,93 @@ func TestCancelDuringRebuildIsNotInstalled(t *testing.T) {
 			}
 			if tombstones != 2 || b.stale != 2 || len(b.overlay.subs) != 0 {
 				t.Fatalf("%d tombstones, %d stale, overlay %d; want 2, 2 and 0", tombstones, b.stale, len(b.overlay.subs))
+			}
+		})
+	}
+}
+
+// TestCancelEitherSideOfTheCut cancels, inside a rebuild window, a
+// subscription from before the installed base's cut, one the window
+// collected from the overlay and one subscribed after the collection.
+// Cancel tells base from overlay by the id alone: the first becomes a
+// tombstone in the base's slot table and stale, the other two leave the
+// overlay, and only the first two are stale in the base the window
+// installs, which keeps the third's successors in its overlay.
+func TestCancelEitherSideOfTheCut(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+			b := manualRebuilds(t, Options{MinOverlay: 1}, parts)
+			subscribe := func(i int) *Subscription {
+				s, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			var subs []*Subscription
+			for i := 0; i < 40; i++ {
+				subs = append(subs, subscribe(i))
+			}
+			b.rebuild()
+			for i := 40; i < 60; i++ {
+				subs = append(subs, subscribe(i))
+			}
+			fromBase, collected := subs[3], subs[45]
+			job := b.collect()
+			if job == nil || job.cut != 60 {
+				t.Fatal("the rebuild did not collect the first 60 subscriptions")
+			}
+			var late []*Subscription
+			for i := 60; i < 64; i++ {
+				late = append(late, subscribe(i))
+			}
+			afterCut := late[1]
+			overlayHas := func(s *Subscription) bool {
+				b.mu.RLock()
+				defer b.mu.RUnlock()
+				return slices.Contains(b.overlay.subs, s)
+			}
+			if overlayHas(fromBase) || !overlayHas(collected) || !overlayHas(afterCut) {
+				t.Fatal("the victims are not one in the base and two in the overlay")
+			}
+
+			fromBase.Cancel()
+			collected.Cancel()
+			afterCut.Cancel()
+			b.mu.RLock()
+			stale, pending, overlayLen := b.stale, b.pendingStale, len(b.overlay.subs)
+			b.mu.RUnlock()
+			if stale != 1 || pending != 2 || overlayLen != 20-1+4-1 {
+				t.Fatalf("stale %d, pending %d, overlay %d; want 1, 2 and 22", stale, pending, overlayLen)
+			}
+			for _, s := range []*Subscription{fromBase, collected, afterCut} {
+				if overlayHas(s) {
+					t.Fatalf("cancelled subscription %d is still in the overlay", s.id)
+				}
+				if n, err := b.Publish(geometry.Point{float64(s.id) + 0.5}, nil); err != nil || n != 0 {
+					t.Fatalf("a publication inside cancelled subscription %d reached %d (%v)", s.id, n, err)
+				}
+			}
+
+			b.build(job)
+			b.mu.RLock()
+			stale, overlayLen = b.stale, len(b.overlay.subs)
+			b.mu.RUnlock()
+			if stale != 2 || overlayLen != 3 {
+				t.Fatalf("after the install: stale %d, overlay %d; want 2 and 3", stale, overlayLen)
+			}
+			for _, s := range []*Subscription{late[0], late[2], late[3]} {
+				if !overlayHas(s) {
+					t.Fatalf("subscription %d, made after the cut, left the overlay", s.id)
+				}
+				if n, err := b.Publish(geometry.Point{float64(s.id) + 0.5}, nil); err != nil || n != 1 {
+					t.Fatalf("a publication inside subscription %d reached %d (%v), want 1", s.id, n, err)
+				}
+			}
+			// The next cancel of a late subscription still finds it by id.
+			late[3].Cancel()
+			if overlayHas(late[3]) {
+				t.Fatal("a subscription made after the installed cut stayed in the overlay once cancelled")
 			}
 		})
 	}

@@ -134,7 +134,7 @@ func (b *Broker) collect() *rebuildJob {
 		// pinned by a permanently stale snapshot, and the rebuilder
 		// goes idle.
 		b.base, b.slots, b.baseLen, b.stale = nil, nil, 0, 0
-		b.overlay = overlay{}
+		b.overlay, b.baseCut = overlay{}, b.nextID
 		b.publishSnapshotLocked()
 		b.mu.Unlock()
 		b.finishRebuild(0, 0, b.rec.Now())
@@ -202,7 +202,7 @@ func (b *Broker) build(job *rebuildJob) {
 		}
 	}
 	b.overlay = b.overlay.keep(func(s *Subscription) bool { return s.id >= job.cut })
-	b.base = base
+	b.base, b.baseCut = base, job.cut
 	b.slots = table
 	b.baseLen = job.rects
 	b.stale = b.pendingStale

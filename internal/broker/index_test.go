@@ -265,7 +265,11 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 					t.Fatalf("IndexReport names the tree %q in %d parts, want %q in %d", rep.Shape.Algorithm, rep.ShardCount, arr.alg, arr.parts)
 				}
 				// ...and an untraced steady-state publish allocates nothing.
+				// AllocsPerRun counts the whole process's allocations, so
+				// it measures only once no rebuild is running or due: the
+				// cancels above can leave one for the rebuilder.
 				if !raceEnabled {
+					waitSettled(t, b)
 					if allocs := testing.AllocsPerRun(200, func() { publish(side, 0) }); allocs != 0 {
 						t.Errorf("steady-state publish allocates %.1f times per op, want 0", allocs)
 					}

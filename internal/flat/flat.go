@@ -118,19 +118,10 @@ func BuildInto(root Node, dims int, planes []float64) *Tree {
 		return t
 	}
 
-	// Pass 1: size the arrays.
-	nodes := 0
-	entries := 0
-	queue := make([]Node, 0, 64)
-	queue = append(queue, root)
-	for qi := 0; qi < len(queue); qi++ {
-		n := queue[qi]
-		nodes++
-		entries += n.NumEntries()
-		for i := 0; i < n.NumChildren(); i++ {
-			queue = append(queue, n.Child(i))
-		}
-	}
+	// Pass 1: size the arrays, and the BFS queue, so that a build
+	// allocates as often at any size.
+	nodes, entries := count(root)
+	queue := make([]Node, 0, nodes)
 	t.numNodes = nodes
 	t.numEntries = entries
 	t.nodeBounds = make([]float64, 2*dims*nodes)
@@ -145,9 +136,8 @@ func BuildInto(root Node, dims int, planes []float64) *Tree {
 	}
 	t.entryIDs = make([]int, entries)
 
-	// Pass 2: BFS again, assigning child ranges as nodes are enqueued so
-	// each node's children land contiguously.
-	queue = queue[:0]
+	// Pass 2: BFS, assigning child ranges as nodes are enqueued so each
+	// node's children land contiguously.
 	queue = append(queue, root)
 	nextNode := int32(1)
 	nextEntry := int32(0)
@@ -186,6 +176,16 @@ func BuildInto(root Node, dims int, planes []float64) *Tree {
 		invariant.Assertf(err == nil, "flat.Build diverged from source tree: %v", err)
 	}
 	return t
+}
+
+// count returns the number of nodes and of entries in the tree under n.
+func count(n Node) (nodes, entries int) {
+	nodes, entries = 1, n.NumEntries()
+	for i := 0; i < n.NumChildren(); i++ {
+		cn, ce := count(n.Child(i))
+		nodes, entries = nodes+cn, entries+ce
+	}
+	return nodes, entries
 }
 
 // NumNodes reports the number of flattened nodes.

@@ -156,6 +156,24 @@ func TestBuildIdenticalRandomized(t *testing.T) {
 	}
 }
 
+// TestBuildIdenticalAcrossShapes crosses the block structure of a split
+// sweep with tied populations: M ∈ {2, 3, 7, 40, 64}, p ∈ {0.05, 0.3,
+// 0.5} and n ∈ {M+1, 2M, 2M+1, 5M+3, 4 096}. That covers one-candidate
+// splits (p = 0.5 on an odd count takes the median fallback), heads and
+// tails shorter than M between them, and nodes of many blocks.
+func TestBuildIdenticalAcrossShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, m := range []int{2, 3, 7, 40, 64} {
+		for _, p := range []float64{0.05, 0.3, 0.5} {
+			for _, n := range []int{m + 1, 2 * m, 2*m + 1, 5*m + 3, 4096} {
+				dims := 1 + rng.Intn(4)
+				opts := stree.Options{BranchFactor: m, Skew: p}
+				assertIdentical(t, fmt.Sprintf("M=%d p=%g n=%d dims=%d", m, p, n, dims), tiedEntries(rng, n, dims), opts)
+			}
+		}
+	}
+}
+
 // FuzzBuildEquivalence builds from fuzzer-chosen rectangles on a coarse
 // grid (one byte per side: two bits pick wildcard, half-open or bounded,
 // six pick the bound, code 63 is −0) with fuzzer-chosen M and p, and

@@ -13,8 +13,10 @@ import (
 // ReferenceBuild is Build with the binarization the allocation-free
 // builder replaced: sort.Slice over the entries themselves, an allocated
 // Rect.Union prefix and suffix MBR at every position, and a BoundingBox
-// of every node's entries. It is kept only as the oracle that the
-// builder packs the same tree, bit for bit. The caller validates the
+// of every node's entries. It also keeps the builder's earlier finite
+// frame, d passes over the entries, and compression, which rebuilt a
+// parent's child list at every step. It is kept only as the oracle that
+// the builder packs the same tree, bit for bit. The caller validates the
 // entries and options.
 func ReferenceBuild(entries []Entry, opts Options) *Tree {
 	t, _ := ReferencePacking(entries, opts)
@@ -44,21 +46,21 @@ func ReferencePacking(entries []Entry, opts Options) (*Tree, PointerShape) {
 	for k := range identity {
 		identity[k].i = int32(k)
 	}
-	b := &referenceBuilder{opts: opts, frame: finiteFrame(entries), order: leafOrder{src: own, keys: identity}}
+	b := &referenceBuilder{opts: opts, frame: refFiniteFrame(entries), order: leafOrder{src: own, keys: identity}}
 	root := b.binarize(0, len(own))
-	compress(root, opts.BranchFactor)
-	t.flat = flat.Build(flatNode{root}, t.dims)
+	refCompress(root, opts.BranchFactor)
+	t.flat = flat.Build(refFlatNode{root}, t.dims)
 	return t, PointerShape{Stats: pointerStats(root), Bounds: root.mbr.Clone()}
 }
 
 // pointerStats is Stats computed by walking the pointer tree.
-func pointerStats(root *node) TreeStats {
+func pointerStats(root *refNode) TreeStats {
 	var s TreeStats
 	internal := 0
 	childSum := 0
 	entrySum := 0
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
+	var walk func(n *refNode, depth int)
+	walk = func(n *refNode, depth int) {
 		s.Nodes++
 		if depth > s.Height {
 			s.Height = depth
@@ -95,10 +97,10 @@ type referenceBuilder struct {
 	order leafOrder // the copy, in the order it is sorted into
 }
 
-func (b *referenceBuilder) binarize(lo, hi int) *node {
+func (b *referenceBuilder) binarize(lo, hi int) *refNode {
 	entries := b.order.src[lo:hi]
 	mbr := geometry.BoundingBox(rectsOf(entries)...)
-	n := &node{mbr: mbr, lo: lo, hi: hi, order: &b.order}
+	n := &refNode{mbr: mbr, lo: lo, hi: hi, order: &b.order}
 	if len(entries) <= b.opts.BranchFactor {
 		return n
 	}
@@ -107,7 +109,7 @@ func (b *referenceBuilder) binarize(lo, hi int) *node {
 		return entries[i].Rect[dim].Center() < entries[j].Rect[dim].Center()
 	})
 	q := b.bestSplit(entries)
-	n.children = []*node{b.binarize(lo, lo+q), b.binarize(lo+q, hi)}
+	n.children = []*refNode{b.binarize(lo, lo+q), b.binarize(lo+q, hi)}
 	return n
 }
 
@@ -211,4 +213,179 @@ func rectsOf(entries []Entry) []geometry.Rect {
 		rs[i] = e.Rect
 	}
 	return rs
+}
+
+// refFiniteFrame is the builder's finite frame as it was computed before
+// load folded it into the pass over the entries: d passes, each reading
+// every entry's rectangle.
+func refFiniteFrame(entries []Entry) geometry.Rect {
+	dims := entries[0].Rect.Dims()
+	frame := make(geometry.Rect, dims)
+	for d := range frame {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, e := range entries {
+			if v := e.Rect[d].Lo; !math.IsInf(v, 0) && v < lo {
+				lo = v
+			}
+			if v := e.Rect[d].Hi; !math.IsInf(v, 0) && v > hi {
+				hi = v
+			}
+			// A finite Hi can also lower-bound the frame, and vice versa.
+			if v := e.Rect[d].Hi; !math.IsInf(v, 0) && v < lo {
+				lo = v
+			}
+			if v := e.Rect[d].Lo; !math.IsInf(v, 0) && v > hi {
+				hi = v
+			}
+		}
+		if math.IsInf(lo, 0) || math.IsInf(hi, 0) || hi <= lo {
+			frame[d] = geometry.NewInterval(0, 1)
+			continue
+		}
+		// Pad so clamped unbounded sides still dominate bounded ones.
+		pad := (hi - lo) * 0.1
+		frame[d] = geometry.NewInterval(lo-pad, hi+pad)
+	}
+	return frame
+}
+
+// refNode is a node of the reference's pointer tree: it covers the
+// entries at positions [lo, hi) of the reference's final entry order,
+// and a leaf (no children) holds exactly them.
+type refNode struct {
+	mbr      geometry.Rect
+	children []*refNode
+	lo, hi   int
+	order    *leafOrder
+	dead     bool // set when compression merges this node away
+}
+
+func (n *refNode) isLeaf() bool { return len(n.children) == 0 }
+
+func (n *refNode) leafObjects() int { return n.hi - n.lo }
+
+// refFlatNode adapts *refNode to flat.Node.
+type refFlatNode struct{ n *refNode }
+
+func (a refFlatNode) MBR() geometry.Rect { return a.n.mbr }
+func (a refFlatNode) NumChildren() int   { return len(a.n.children) }
+func (a refFlatNode) Child(i int) flat.Node {
+	return refFlatNode{a.n.children[i]}
+}
+
+func (a refFlatNode) NumEntries() int {
+	if !a.n.isLeaf() {
+		return 0
+	}
+	return a.n.leafObjects()
+}
+
+func (a refFlatNode) Entry(i int) (geometry.Rect, int) {
+	e := a.n.order.entry(a.n.lo + i)
+	return e.Rect, e.ID
+}
+
+// refCompress is the paper's Section 3.2 on child-list slices: the
+// bottom-up formation of penultimate nodes, then the top-down BFS
+// collapse of branch-factor-2 children.
+func refCompress(root *refNode, m int) {
+	if root.isLeaf() {
+		return
+	}
+	refFormPenultimate(root, m, nil)
+	refCollapseTopDown(root, m)
+}
+
+func refFormPenultimate(n *refNode, m int, parent *refNode) {
+	if n.isLeaf() {
+		return
+	}
+	if refLeafNodeCount(n) <= m && (parent == nil || refLeafNodeCount(parent) > m) {
+		n.children = refCollectLeaves(n)
+		return
+	}
+	for _, c := range n.children {
+		refFormPenultimate(c, m, n)
+	}
+}
+
+func refLeafNodeCount(n *refNode) int {
+	if n.isLeaf() {
+		return 1
+	}
+	total := 0
+	for _, c := range n.children {
+		total += refLeafNodeCount(c)
+	}
+	return total
+}
+
+func refCollectLeaves(n *refNode) []*refNode {
+	if n.isLeaf() {
+		return []*refNode{n}
+	}
+	var leaves []*refNode
+	for _, c := range n.children {
+		leaves = append(leaves, refCollectLeaves(c)...)
+	}
+	return leaves
+}
+
+func refCollapseTopDown(root *refNode, m int) {
+	queue := refBFSInternal(root)
+	for len(queue) > 0 {
+		a := queue[0]
+		queue = queue[1:]
+		if a.dead || a.isLeaf() {
+			continue
+		}
+		for len(a.children) < m {
+			b := refEligibleChild(a)
+			if b == nil {
+				break
+			}
+			b.dead = true
+			a.children = refReplaceChild(a.children, b, b.children)
+		}
+	}
+}
+
+func refEligibleChild(a *refNode) *refNode {
+	var best *refNode
+	for _, c := range a.children {
+		if c.isLeaf() || len(c.children) != 2 {
+			continue
+		}
+		if best == nil || c.leafObjects() > best.leafObjects() {
+			best = c
+		}
+	}
+	return best
+}
+
+func refReplaceChild(children []*refNode, old *refNode, repl []*refNode) []*refNode {
+	out := make([]*refNode, 0, len(children)-1+len(repl))
+	for _, c := range children {
+		if c == old {
+			out = append(out, repl...)
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+func refBFSInternal(root *refNode) []*refNode {
+	var order []*refNode
+	frontier := []*refNode{root}
+	for len(frontier) > 0 {
+		n := frontier[0]
+		frontier = frontier[1:]
+		if n.isLeaf() {
+			continue
+		}
+		order = append(order, n)
+		frontier = append(frontier, n.children...)
+	}
+	return order
 }

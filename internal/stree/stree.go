@@ -20,21 +20,25 @@
 //     with the highest leaf number), top-down in BFS order, until every
 //     node other than leaf and penultimate nodes has branch factor M.
 //
-// Cost of a build. Build copies every entry's bounds once into a slab,
-// 2·dims floats per entry, and never moves an entry: the working order is
-// an array of pointer-free (center, index) pairs, and each node sorts
-// only its own range of it with a pdqsort specialized to those pairs
-// (sort.go), whose comparison inlines; a node split along its parent's
-// dimension is already in order and is not sorted again. Sort keys and
-// the running unions read the slab, never an entry's rectangle. One forward and one backward
-// running union record bounding boxes only at the candidate splits,
-// which are scored by an allocation-free clamped volume and perimeter.
-// The children's MBRs are the chosen prefix and suffix boxes, so only the
-// root's bounding box is computed from scratch. The pointer tree is
-// transient: it is compressed, checked under the invariants build tag,
+// Cost of a build. Build reads the caller's rectangles once: it checks
+// each, copies its bounds into a slab, 2·dims floats per entry, and folds
+// them into the root's bounding box and the finite frame volumes are
+// clamped to. It never moves an entry: the working order is an array of
+// pointer-free (center, index) pairs, and each node sorts only its own
+// range of it with a pdqsort specialized to those pairs (sort.go), whose
+// comparison inlines; a node split along its parent's dimension is
+// already in order and is not sorted again. Sort keys and the split
+// sweep read the slab, never an entry's rectangle. The sweep's
+// candidate splits cut a node's range into blocks, and every row is
+// folded once, into its block's union; prefix and suffix unions of the
+// blocks are the candidates' sides, scored by an allocation-free clamped
+// volume and perimeter. The children's MBRs are the chosen sides, so
+// only the root's bounding box is computed from scratch. The pointer
+// tree is transient — its nodes, MBRs and child lists are runs of slabs
+// sized up front — compressed, checked under the invariants build tag,
 // flattened — the slab becomes the flat tree's entry planes — and
-// dropped, so a Tree holds only the flat arrays. One builder holds all
-// scratch, so a build allocates O(nodes) times, not O(n log n).
+// dropped, so a Tree holds only the flat arrays. A build allocates a
+// fixed number of objects, whatever the number of entries.
 //
 // A publication event is matched with a point query: descend from the
 // root, pruning every subtree whose MBR does not contain the point.
@@ -100,20 +104,29 @@ func (o Options) validate() error {
 
 // node is a node of the transient pointer tree. A node covers the
 // entries at positions [lo, hi) of the build's final entry order; a leaf
-// (no children) holds exactly them.
+// (no children) holds exactly them. A node is an element of its
+// builder's node slab, its MBR the run of the box slab at its index and
+// its final child list a run of the child slab, so the tree becomes
+// garbage only as a whole.
 type node struct {
-	mbr      geometry.Rect
-	children []*node
-	lo, hi   int
-	order    *leafOrder // the build's final entry order
-	dead     bool       // set when compression merges this node away
+	// first and next link the node's children, in order, while the tree
+	// is binarized and compressed.
+	first, next *node
+	b           *builder
+	lo, hi      int32
+	idx         int32 // the node's index in the node slab
+	nchild      int32 // the number of children
+	leaves      int32 // the binary subtree's leaf-node count
+	kids        int32 // where the final child list starts in the child slab
 }
 
-func (n *node) isLeaf() bool { return len(n.children) == 0 }
+func (n *node) isLeaf() bool { return n.first == nil }
+
+func (n *node) mbr() geometry.Rect { return n.b.box(int(n.idx)) }
 
 // leafObjects is the paper's "leaf number" N_A: the number of data
 // objects stored in the leaf descendants of this node.
-func (n *node) leafObjects() int { return n.hi - n.lo }
+func (n *node) leafObjects() int { return int(n.hi - n.lo) }
 
 // Tree is an immutable S-tree over a set of subscription entries.
 // Build it with Build; the zero value is an empty tree that matches
@@ -141,10 +154,10 @@ func (o *leafOrder) entry(k int) Entry { return o.src[o.keys[k].i] }
 // one pointer, so an interface holds it without allocating.
 type flatNode struct{ n *node }
 
-func (a flatNode) MBR() geometry.Rect { return a.n.mbr }
-func (a flatNode) NumChildren() int   { return len(a.n.children) }
+func (a flatNode) MBR() geometry.Rect { return a.n.mbr() }
+func (a flatNode) NumChildren() int   { return int(a.n.nchild) }
 func (a flatNode) Child(i int) flat.Node {
-	return flatNode{a.n.children[i]}
+	return flatNode{a.n.b.kids[int(a.n.kids)+i]}
 }
 
 func (a flatNode) NumEntries() int {
@@ -155,7 +168,7 @@ func (a flatNode) NumEntries() int {
 }
 
 func (a flatNode) Entry(i int) (geometry.Rect, int) {
-	e := a.n.order.entry(a.n.lo + i)
+	e := a.n.b.order.entry(int(a.n.lo) + i)
 	return e.Rect, e.ID
 }
 
@@ -173,17 +186,16 @@ func Build(entries []Entry, opts Options) (*Tree, error) {
 		return t, nil
 	}
 	t.dims = entries[0].Rect.Dims()
-	for _, e := range entries {
-		if e.Rect.Dims() != t.dims {
-			return nil, fmt.Errorf("stree: mixed dimensionality: %d vs %d", e.Rect.Dims(), t.dims)
-		}
-		if e.Rect.Empty() {
-			return nil, fmt.Errorf("stree: entry %d has an empty rectangle", e.ID)
-		}
+	if t.dims == 0 {
+		return nil, errEmptyRect(entries[0])
 	}
-	b := newBuilder(entries, opts)
-	root := b.root()
-	compress(root, opts.BranchFactor)
+	b := newBuilder(len(entries), t.dims, opts)
+	root, err := b.load(entries)
+	if err != nil {
+		return nil, err
+	}
+	b.binarize(root, -1)
+	b.compress(root)
 	// The flat tree reads the entries, not the slab, so the slab can
 	// become its entry planes.
 	t.flat = flat.BuildInto(flatNode{root}, t.dims, b.slab)
@@ -204,57 +216,34 @@ func MustBuild(entries []Entry, opts Options) *Tree {
 	return t
 }
 
-// finiteFrame computes a finite rectangle that covers every finite bound
-// among the entries, used to measure volumes in the presence of unbounded
-// subscription rectangles (e.g. "volume >= 1000" has no upper bound). A
-// dimension with no finite bounds at all measures as unit length.
-func finiteFrame(entries []Entry) geometry.Rect {
-	dims := entries[0].Rect.Dims()
-	frame := make(geometry.Rect, dims)
-	for d := range frame {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, e := range entries {
-			if v := e.Rect[d].Lo; !math.IsInf(v, 0) && v < lo {
-				lo = v
-			}
-			if v := e.Rect[d].Hi; !math.IsInf(v, 0) && v > hi {
-				hi = v
-			}
-			// A finite Hi can also lower-bound the frame, and vice versa.
-			if v := e.Rect[d].Hi; !math.IsInf(v, 0) && v < lo {
-				lo = v
-			}
-			if v := e.Rect[d].Lo; !math.IsInf(v, 0) && v > hi {
-				hi = v
-			}
-		}
-		if math.IsInf(lo, 0) || math.IsInf(hi, 0) || hi <= lo {
-			frame[d] = geometry.NewInterval(0, 1)
-			continue
-		}
-		// Pad so clamped unbounded sides still dominate bounded ones.
-		pad := (hi - lo) * 0.1
-		frame[d] = geometry.NewInterval(lo-pad, hi+pad)
-	}
-	return frame
+func errEmptyRect(e Entry) error {
+	return fmt.Errorf("stree: entry %d has an empty rectangle", e.ID)
 }
 
 // builder holds all scratch of one Build. The entries are never moved
 // while the tree is binarized: keys is the working order (keys[k].i
 // indexes src) and each node sorts only its own range of it.
 type builder struct {
-	opts  Options
-	dims  int
+	opts Options
+	dims int
+	// frame is a finite rectangle covering every finite bound among the
+	// entries, which volumes are measured clamped to, so unbounded
+	// subscriptions (e.g. "volume >= 1000") stay comparable.
 	frame geometry.Rect
 	// slab holds the bounds of src[i] at [2·dims·i, 2·dims·(i+1)): Lo
 	// and Hi of dimension 0, then of dimension 1, and so on.
 	slab  []float64
-	keys  []keyed       // the working order and the sort's pairs
-	order leafOrder     // src in the order keys ends in
-	acc   geometry.Rect // running union of the split sweep
+	keys  []keyed   // the working order and the sort's pairs
+	order leafOrder // src in the order keys ends in
 	// pre and suf hold, dims intervals per candidate split, the MBRs of
 	// the entries before and from that split.
 	pre, suf []geometry.Interval
+	acc      []float64 // two slab rows' worth: union's accumulators
+	// nodes is the node slab, boxes holds dims intervals per node, the
+	// nodes' MBRs, and kids the final child lists.
+	nodes []node
+	boxes []geometry.Interval
+	kids  []*node
 }
 
 // keyed is one entry's sort key — its center on the node's split
@@ -265,75 +254,165 @@ type keyed struct {
 	i   int32
 }
 
-func newBuilder(entries []Entry, opts Options) *builder {
-	n, dims := len(entries), entries[0].Rect.Dims()
+func newBuilder(n, dims int, opts Options) *builder {
 	// The root has the most candidate splits; sizing pre and suf for it
 	// sizes them for every node.
 	cands := n/opts.BranchFactor + 1
+	nodes := maxNodes(n, opts)
 	b := &builder{
 		opts:  opts,
 		dims:  dims,
-		frame: finiteFrame(entries),
+		frame: make(geometry.Rect, dims),
 		slab:  make([]float64, 2*dims*n),
 		keys:  make([]keyed, n),
-		acc:   make(geometry.Rect, dims),
 		pre:   make([]geometry.Interval, cands*dims),
 		suf:   make([]geometry.Interval, cands*dims),
+		acc:   make([]float64, 4*dims),
+		nodes: make([]node, 0, nodes),
+		boxes: make([]geometry.Interval, nodes*dims),
 	}
-	b.order = leafOrder{src: entries, keys: b.keys}
-	for i, e := range entries {
-		row := b.slab[2*dims*i : 2*dims*(i+1)]
-		for d, iv := range e.Rect {
-			row[2*d], row[2*d+1] = iv.Lo, iv.Hi
-		}
-		b.keys[i].i = int32(i)
-	}
+	b.order.keys = b.keys
 	return b
 }
 
-// bounds returns the slab row of the entry at working position k.
-func (b *builder) bounds(k int) []float64 {
-	w := 2 * b.dims
-	i := int(b.keys[k].i) * w
-	return b.slab[i : i+w : i+w]
+// maxNodes bounds the node count of the binary tree over n entries: no
+// leaf under a split holds fewer than minLeaf entries, so there are at
+// most n/minLeaf leaves, and one node fewer than twice that.
+func maxNodes(n int, opts Options) int {
+	if n <= opts.BranchFactor {
+		return 1
+	}
+	return 2*(n/minLeaf(opts)) - 1
 }
 
-// load sets acc to the rectangle of a slab row.
-func load(acc geometry.Rect, row []float64) {
-	row = row[:2*len(acc)]
-	for d := range acc {
-		acc[d] = geometry.Interval{Lo: row[2*d], Hi: row[2*d+1]}
+// minLeaf is the fewest entries a split of more than M entries leaves on
+// either side, taken from splitRange itself. A split of N entries leaves
+// each side at least ⌈p·N⌉ − 1 of them (the rounding of p·N and
+// (1 − p)·N costs at most one), so no N past the one where p·N − 1
+// passes the fewest seen can leave fewer, and the scan stops there.
+func minLeaf(opts Options) int {
+	least := math.MaxInt
+	for n := opts.BranchFactor + 1; least > 1 && opts.Skew*float64(n) < float64(least)+2; n++ {
+		qmin, qmax := splitRange(n, opts.Skew)
+		least = min(least, qmin, n-qmax)
 	}
+	return least
 }
 
-// extend is geometry.Rect.Extend by the rectangle of a slab row: the
-// same min and max, so the same bits.
-func extend(acc geometry.Rect, row []float64) {
-	row = row[:2*len(acc)]
-	for d := range acc {
-		acc[d].Lo = min(acc[d].Lo, row[2*d])
-		acc[d].Hi = max(acc[d].Hi, row[2*d+1])
-	}
+// newNode takes the next node of the slab, which maxNodes sizes, covering
+// the working positions [lo, hi); its MBR is still to fill.
+func (b *builder) newNode(lo, hi int) *node {
+	k := len(b.nodes)
+	b.nodes = b.nodes[:k+1]
+	n := &b.nodes[k]
+	n.b, n.lo, n.hi, n.idx = b, int32(lo), int32(hi), int32(k)
+	return n
 }
 
-// root binarizes every entry under their bounding box.
-func (b *builder) root() *node {
-	w := 2 * b.dims
-	mbr := make(geometry.Rect, b.dims)
-	load(mbr, b.slab)
-	for i := w; i < len(b.slab); i += w {
-		extend(mbr, b.slab[i:i+w])
+// box returns the MBR of the node at index k of the node slab.
+func (b *builder) box(k int) geometry.Rect {
+	d := b.dims
+	return b.boxes[k*d : (k+1)*d : (k+1)*d]
+}
+
+// load is the one pass over the caller's rectangles: it checks each,
+// copies its bounds into its slab row, and folds the row into the root's
+// MBR and the finite frame. It returns the root, which covers every
+// entry.
+func (b *builder) load(entries []Entry) (*node, error) {
+	d, w := b.dims, 2*b.dims
+	b.order.src = entries
+	root := b.newNode(0, len(entries))
+	mbr, frame := root.mbr(), b.frame
+	for k := range mbr {
+		none := geometry.Interval{Lo: math.Inf(1), Hi: math.Inf(-1)}
+		mbr[k], frame[k] = none, none
 	}
-	return b.binarize(0, len(b.keys), mbr, -1)
+	for i, e := range entries {
+		if e.Rect.Dims() != d {
+			return nil, fmt.Errorf("stree: mixed dimensionality: %d vs %d", e.Rect.Dims(), d)
+		}
+		row := b.slab[w*i : w*(i+1) : w*(i+1)]
+		for k, iv := range e.Rect {
+			if iv.Empty() {
+				return nil, errEmptyRect(e)
+			}
+			row[2*k], row[2*k+1] = iv.Lo, iv.Hi
+			mbr[k].Lo, mbr[k].Hi = min(mbr[k].Lo, row[2*k]), max(mbr[k].Hi, row[2*k+1])
+			frame[k] = widenFrame(frame[k], row[2*k], row[2*k+1])
+		}
+		b.keys[i].i = int32(i)
+	}
+	for k, f := range frame {
+		if math.IsInf(f.Lo, 0) || math.IsInf(f.Hi, 0) || f.Hi <= f.Lo {
+			// A dimension with no finite bounds at all measures as unit
+			// length.
+			frame[k] = geometry.NewInterval(0, 1)
+			continue
+		}
+		// Pad so clamped unbounded sides still dominate bounded ones.
+		pad := (f.Hi - f.Lo) * 0.1
+		frame[k] = geometry.NewInterval(f.Lo-pad, f.Hi+pad)
+	}
+	return root, nil
+}
+
+// widenFrame extends f, the finite bounds seen so far in one dimension,
+// by an entry's bounds lo and hi, skipping infinite ones. Ties keep the
+// bound seen first, so −0 and +0 land as the entries order them.
+func widenFrame(f geometry.Interval, lo, hi float64) geometry.Interval {
+	if !math.IsInf(lo, 0) && lo < f.Lo {
+		f.Lo = lo
+	}
+	if !math.IsInf(hi, 0) && hi > f.Hi {
+		f.Hi = hi
+	}
+	// A finite Hi can also lower-bound the frame, and vice versa.
+	if !math.IsInf(hi, 0) && hi < f.Lo {
+		f.Lo = hi
+	}
+	if !math.IsInf(lo, 0) && lo > f.Hi {
+		f.Hi = lo
+	}
+	return f
+}
+
+// union sets box to the MBR of the slab rows at the working positions
+// [from, to), which is not empty. Alternate rows fold into two
+// accumulators, so two chains of min and max run side by side and their
+// rows' loads overlap; the chains then join. Min and max are exact and
+// order-free on bounds that are never NaN — geometry.Rect.Extend's — so
+// the box has the bits of one running union.
+func (b *builder) union(box geometry.Rect, from, to int) {
+	w, slab, keys := 2*len(box), b.slab, b.keys[from:to]
+	even := b.acc[:w]
+	odd := b.acc[w:][:len(even)]
+	i := int(keys[0].i) * w
+	copy(even, slab[i:i+w])
+	copy(odd, even)
+	// Slicing to len(even) lets the compiler drop the loop's bounds
+	// checks; an odd count folds the last row into both chains.
+	for k := 1; k < len(keys); k += 2 {
+		i, j := int(keys[k].i)*w, int(keys[min(k+1, len(keys)-1)].i)*w
+		r, s := slab[i:][:len(even)], slab[j:][:len(even)]
+		for x := 0; x+1 < len(even); x += 2 {
+			even[x], odd[x] = min(even[x], r[x]), min(odd[x], s[x])
+			even[x+1], odd[x+1] = max(even[x+1], r[x+1]), max(odd[x+1], s[x+1])
+		}
+	}
+	for d := range box {
+		box[d] = geometry.Interval{Lo: min(even[2*d], odd[2*d]), Hi: max(even[2*d+1], odd[2*d+1])}
+	}
 }
 
 // binarize implements the paper's Section 3.1 recursive sweep partition
-// over the working positions [lo, hi), whose bounding box is mbr and
-// which are already in center order along sorted (−1: no order).
-func (b *builder) binarize(lo, hi int, mbr geometry.Rect, sorted int) *node {
-	n := &node{mbr: mbr, lo: lo, hi: hi, order: &b.order}
+// of n, whose MBR is filled in and whose working positions are already in
+// center order along sorted (−1: no order).
+func (b *builder) binarize(n *node, sorted int) {
+	lo, hi := int(n.lo), int(n.hi)
 	if hi-lo <= b.opts.BranchFactor {
-		return n
+		n.leaves = 1
+		return
 	}
 	// A child split along its parent's dimension is a run of the
 	// parent's sorted order. pdqsort leaves a sorted run as it is — its
@@ -341,13 +420,18 @@ func (b *builder) binarize(lo, hi int, mbr geometry.Rect, sorted int) *node {
 	// insertion pass confirms — so the node skips the sort and packs
 	// the same tree. (Centers are never NaN, which would break the
 	// order: a NaN bound makes a rectangle empty, and Build rejects it.)
-	dim := mbr.LongestDim()
+	dim := n.mbr().LongestDim()
 	if dim != sorted {
 		b.sortByCenter(lo, hi, dim)
 	}
-	q, left, right := b.bestSplit(lo, hi)
-	n.children = []*node{b.binarize(lo, lo+q, left, dim), b.binarize(lo+q, hi, right, dim)}
-	return n
+	q, leftBox, rightBox := b.bestSplit(lo, hi)
+	left, right := b.newNode(lo, lo+q), b.newNode(lo+q, hi)
+	copy(left.mbr(), leftBox)
+	copy(right.mbr(), rightBox)
+	n.first, left.next, n.nchild = left, right, 2
+	b.binarize(left, dim)
+	b.binarize(right, dim)
+	n.leaves = left.leaves + right.leaves
 }
 
 // sortByCenter orders the working positions [lo, hi) by the entries'
@@ -364,45 +448,48 @@ func (b *builder) sortByCenter(lo, hi, dim int) {
 // bestSplit sweeps candidate split positions q with
 // ceil(p·N) <= q <= floor((1-p)·N), in increments of M, over the sorted
 // positions [lo, hi), and returns the q minimising V(I_B1)+V(I_B2), ties
-// broken by minimum total perimeter, with the two sides' MBRs. The MBRs
-// "can be computed incrementally as the sweep progresses" (the paper): a
-// forward and a backward running union record them at the candidates
-// only. Volumes are measured clamped to the finite frame, so unbounded
-// subscriptions stay comparable.
+// broken by minimum total perimeter, with the two sides' MBRs, which the
+// next call overwrites. The MBRs "can be computed incrementally as the
+// sweep progresses" (the paper): the candidates cut the range into
+// blocks — the head before the first, M entries between two, the tail
+// from the last — and every slab row is folded once, into its block's
+// union; prefix and suffix unions of the blocks are then the candidates'
+// sides. Min and max are exact and order-free on bounds that are never
+// NaN, so the boxes are the bits two running unions give. Volumes are
+// measured clamped to the finite frame, so unbounded subscriptions stay
+// comparable.
 func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
 	n, d, m := hi-lo, b.dims, b.opts.BranchFactor
 	qmin, qmax := splitRange(n, b.opts.Skew)
 	cands := (qmax-qmin)/m + 1
-	pre, suf, acc := b.pre[:cands*d], b.suf[:cands*d], b.acc
+	pre, suf := b.pre[:cands*d], b.suf[:cands*d]
+	box := func(s []geometry.Interval, c int) geometry.Rect { return s[c*d : (c+1)*d : (c+1)*d] }
 
-	// Forward: pre holds the MBR of the first qmin+c·M entries.
-	load(acc, b.bounds(lo))
-	for k, c := 1, 0; ; k++ {
-		if k == qmin+c*m {
-			copy(pre[c*d:], acc)
-			if c++; c == cands {
-				break
-			}
-		}
-		extend(acc, b.bounds(lo+k))
+	// Blocks: pre[c] takes the entries just before candidate c, suf's
+	// last box the tail.
+	last := cands - 1
+	b.union(box(pre, 0), lo, lo+qmin)
+	for c := 1; c <= last; c++ {
+		b.union(box(pre, c), lo+qmin+(c-1)*m, lo+qmin+c*m)
 	}
-	// Backward: suf holds the MBR of the entries from qmin+c·M on.
-	load(acc, b.bounds(hi-1))
-	for k, c := n-1, cands-1; ; k-- {
-		if k == qmin+c*m {
-			copy(suf[c*d:], acc)
-			if c--; c < 0 {
-				break
-			}
-		}
-		extend(acc, b.bounds(lo+k-1))
+	b.union(box(suf, last), lo+qmin+last*m, hi)
+	// Suffixes first, while pre[c+1] still holds the block after
+	// candidate c: suf[c] is the MBR of the entries from qmin+c·M on.
+	for c := last - 1; c >= 0; c-- {
+		s := box(suf, c)
+		copy(s, box(pre, c+1))
+		s.Extend(box(suf, c+1))
+	}
+	// Then pre[c] becomes the MBR of the first qmin+c·M entries.
+	for c := 1; c <= last; c++ {
+		box(pre, c).Extend(box(pre, c-1))
 	}
 
 	best := 0
 	bestVol, bestPerim := math.Inf(1), math.Inf(1)
 	for c := 0; c < cands; c++ {
-		lv, lp := geometry.Rect(pre[c*d : (c+1)*d]).ClampedMeasure(b.frame)
-		rv, rp := geometry.Rect(suf[c*d : (c+1)*d]).ClampedMeasure(b.frame)
+		lv, lp := box(pre, c).ClampedMeasure(b.frame)
+		rv, rp := box(suf, c).ClampedMeasure(b.frame)
 		if vol, perim := lv+rv, lp+rp; vol < bestVol || (vol == bestVol && perim < bestPerim) {
 			best, bestVol, bestPerim = c, vol, perim
 		}
@@ -410,10 +497,7 @@ func (b *builder) bestSplit(lo, hi int) (q int, left, right geometry.Rect) {
 	q = qmin + best*m
 	invariant.Assertf(q >= qmin && q <= qmax && q < n,
 		"stree: split point %d outside skew bounds [%d, %d], n=%d", q, qmin, qmax, n)
-	boxes := make(geometry.Rect, 2*d)
-	copy(boxes, pre[best*d:(best+1)*d])
-	copy(boxes[d:], suf[best*d:(best+1)*d])
-	return q, boxes[:d:d], boxes[d:]
+	return q, box(pre, best), box(suf, best)
 }
 
 // splitRange returns the skew-constrained candidate range [qmin, qmax]
@@ -434,119 +518,123 @@ func splitRange(n int, p float64) (qmin, qmax int) {
 	return qmin, qmax
 }
 
-// compress implements the paper's Section 3.2 in two phases:
-// first the bottom-up formation of penultimate nodes, then the top-down
-// BFS collapse of branch-factor-2 children.
-func compress(root *node, m int) {
+// compress implements the paper's Section 3.2 in two phases: first the
+// bottom-up formation of penultimate nodes, then the top-down BFS
+// collapse of branch-factor-2 children. Both edit the first/next child
+// lists in place; the lists left are then laid out in one slab as the
+// nodes' children.
+func (b *builder) compress(root *node) {
 	if root.isLeaf() {
 		return
 	}
+	m := b.opts.BranchFactor
 	formPenultimate(root, m, nil)
-	collapseTopDown(root, m)
+	// The binary tree's N nodes are (N−1)/2 internal ones, at most that
+	// many in the BFS order, and N−1 others, at most that many in the
+	// child lists.
+	internal := (len(b.nodes) - 1) / 2
+	ptrs := make([]*node, internal+len(b.nodes)-1)
+	order := bfsInternal(root, ptrs[:0:internal])
+	collapseTopDown(order, m)
+	b.kids = ptrs[internal:internal]
+	for _, a := range order {
+		if a.isLeaf() {
+			continue
+		}
+		a.kids = int32(len(b.kids))
+		for c := a.first; c != nil; c = c.next {
+			b.kids = append(b.kids, c)
+		}
+	}
 }
 
 // formPenultimate finds every node A whose leaf-node count is <= M while
 // its parent's exceeds M, and flattens A so its children are exactly its
-// leaf descendants. Such A become the penultimate nodes of the final tree.
+// leaf descendants. Such A become the penultimate nodes of the final
+// tree. Flattening keeps every node's leaf-node count, so the binary
+// tree's counts hold throughout.
 func formPenultimate(n *node, m int, parent *node) {
 	if n.isLeaf() {
 		return
 	}
-	if leafNodeCount(n) <= m && (parent == nil || leafNodeCount(parent) > m) {
-		n.children = collectLeaves(n)
+	if int(n.leaves) <= m && (parent == nil || int(parent.leaves) > m) {
+		*linkLeaves(n, &n.first) = nil
+		n.nchild = n.leaves
 		return
 	}
-	for _, c := range n.children {
+	for c := n.first; c != nil; c = c.next {
 		formPenultimate(c, m, n)
 	}
 }
 
-func leafNodeCount(n *node) int {
+// linkLeaves links the leaves under n, left to right, from *link on and
+// returns the next-link of the last of them. Each sibling link is read
+// before a later leaf can overwrite it.
+func linkLeaves(n *node, link **node) **node {
 	if n.isLeaf() {
-		return 1
+		*link = n
+		return &n.next
 	}
-	total := 0
-	for _, c := range n.children {
-		total += leafNodeCount(c)
+	for c := n.first; c != nil; {
+		next := c.next
+		link = linkLeaves(c, link)
+		c = next
 	}
-	return total
+	return link
 }
 
-func collectLeaves(n *node) []*node {
-	if n.isLeaf() {
-		return []*node{n}
-	}
-	var leaves []*node
-	for _, c := range n.children {
-		leaves = append(leaves, collectLeaves(c)...)
-	}
-	return leaves
-}
-
-// collapseTopDown processes non-leaf nodes in BFS order. Each node keeps
-// absorbing its eligible child — the non-leaf, branch-factor-2 child with
-// the highest leaf number — until its branch factor reaches M or no
-// eligible child remains. Absorbing a child replaces it, in the parent's
-// child list, with the child's own children, raising the branch factor by
-// exactly one per step so M is never exceeded.
-func collapseTopDown(root *node, m int) {
-	queue := bfsInternal(root)
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		if a.dead || a.isLeaf() {
+// collapseTopDown processes the non-leaf nodes in BFS order. Each node
+// keeps absorbing its eligible child — the non-leaf, branch-factor-2
+// child with the highest leaf number — until its branch factor reaches M
+// or no eligible child remains. Absorbing a child replaces it, in the
+// parent's child list, with the child's own two children, raising the
+// branch factor by exactly one per step so M is never exceeded. The
+// absorbed child is left with no children, so the order passes over it
+// as over a leaf.
+func collapseTopDown(order []*node, m int) {
+	for _, a := range order {
+		if a.isLeaf() {
 			continue
 		}
-		for len(a.children) < m {
-			b := eligibleChild(a)
+		for a.nchild < int32(m) {
+			link, b := eligibleChild(a)
 			if b == nil {
 				break
 			}
-			b.dead = true
-			a.children = replaceChild(a.children, b, b.children)
+			*link = b.first
+			b.first.next.next = b.next
+			b.first, b.nchild = nil, 0
+			a.nchild++
 		}
 	}
 }
 
 // eligibleChild returns the non-leaf child of a with branch factor 2 that
-// has the highest leaf number, or nil if none exists. As the paper notes,
-// such a child can never be a leaf node.
-func eligibleChild(a *node) *node {
-	var best *node
-	for _, c := range a.children {
-		if c.isLeaf() || len(c.children) != 2 {
+// has the highest leaf number, and the link that points to it, or nil if
+// none exists. As the paper notes, such a child can never be a leaf node.
+func eligibleChild(a *node) (link **node, best *node) {
+	for l := &a.first; *l != nil; l = &(*l).next {
+		c := *l
+		if c.nchild != 2 {
 			continue
 		}
 		if best == nil || c.leafObjects() > best.leafObjects() {
-			best = c
+			link, best = l, c
 		}
 	}
-	return best
+	return link, best
 }
 
-func replaceChild(children []*node, old *node, repl []*node) []*node {
-	out := make([]*node, 0, len(children)-1+len(repl))
-	for _, c := range children {
-		if c == old {
-			out = append(out, repl...)
-			continue
+// bfsInternal appends the non-leaf nodes under root, root first, in BFS
+// order to order, which it also uses as the queue.
+func bfsInternal(root *node, order []*node) []*node {
+	order = append(order, root)
+	for i := 0; i < len(order); i++ {
+		for c := order[i].first; c != nil; c = c.next {
+			if !c.isLeaf() {
+				order = append(order, c)
+			}
 		}
-		out = append(out, c)
-	}
-	return out
-}
-
-func bfsInternal(root *node) []*node {
-	var order []*node
-	frontier := []*node{root}
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		if n.isLeaf() {
-			continue
-		}
-		order = append(order, n)
-		frontier = append(frontier, n.children...)
 	}
 	return order
 }

@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -698,5 +702,90 @@ func TestInitialSubscribeFromLargeHistory(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("saw %d of 1600 events (last %d)", len(seen), last)
 		}
+	}
+}
+
+// TestReplayReadFailureEndsTheRequest: a replay that fails reading the
+// log ends its request at the error reply. On a durable server whose
+// only segment is corrupted after the fact, a resuming subscribe and a
+// pure replay on one raw connection each read exactly one frame, the
+// error, and a ping after each reads its own ok; the resuming
+// subscription is not left registered. Through Client, SubscribeFrom
+// and Replay fail and the next Ping succeeds.
+func TestReplayReadFailureEndsTheRequest(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New(broker.Options{Log: log})
+	s := NewServer(b)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = s.Serve(ln) }()
+	t.Cleanup(func() {
+		s.Close()
+		b.Close()
+		log.Close()
+	})
+	addr := ln.Addr().String()
+	if _, err := b.Publish(geometry.Point{5}, []byte("only")); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p := dialRaw(t, addr)
+	for _, req := range []*Message{
+		{Type: TypeSubscribe, Rects: []Rect{RectToWire(geometry.NewRect(0, 10))}, FromOffset: 1, Group: true},
+		{Type: TypeSubscribe, FromOffset: 1},
+	} {
+		p.send(req)
+		if m, body := p.recv(); m.Type != TypeError || !strings.Contains(m.Error, "replay") {
+			t.Fatalf("a replay from a corrupt log (rects %d) replied %s, want the replay error", len(req.Rects), body)
+		}
+		p.send(&Message{Type: TypePing})
+		if m, body := p.recv(); m.Type != TypeOK || m.SubID != 0 || m.Delivered != 0 {
+			t.Fatalf("the ping after a failed replay read %s, want its own ok", body)
+		}
+	}
+	// Nothing else is on the stream: no late ok of a failed request.
+	_ = p.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	var one [1]byte
+	if n, err := p.conn.Read(one[:]); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read %d bytes (%v) after the last ping's reply, want none", n, err)
+	}
+	if n := b.Stats().Subscriptions; n != 0 {
+		t.Fatalf("%d subscriptions registered after failed resumes, want 0", n)
+	}
+
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.SubscribeFrom(1, geometry.NewRect(0, 10)); err == nil {
+		t.Fatal("SubscribeFrom over a corrupt log succeeded")
+	}
+	if evs, err := cli.Replay(1); err == nil {
+		t.Fatalf("Replay over a corrupt log succeeded with %d events", len(evs))
+	}
+	if err := cli.Ping(); err != nil {
+		t.Fatalf("Ping after the failed replays: %v", err)
+	}
+	if n := b.Stats().Subscriptions; n != 0 {
+		t.Fatalf("%d subscriptions registered after failed resumes, want 0", n)
 	}
 }

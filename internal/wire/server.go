@@ -459,15 +459,18 @@ func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 		// appended after registration and therefore matched the
 		// subscription's snapshot — the pump delivers it. A failed replay
 		// removes the subscription, backlog and all, so backlog frames
-		// never interleave with the error reply.
+		// never interleave with the error reply, which ends the request.
 		r, err := s.b.Log().ReadFrom(m.FromOffset)
 		if err != nil {
 			cs.dropSub(sub.ID())
 			return cs.write(&Message{Type: TypeError, Error: err.Error()})
 		}
-		if _, err := s.streamReplay(cs, r, rects, sub.ID()); err != nil {
+		if _, readErr, err := s.streamReplay(cs, r, rects, sub.ID()); err != nil || readErr != nil {
 			cs.dropSub(sub.ID())
-			return err
+			if err != nil {
+				return err
+			}
+			return cs.write(replayError(readErr))
 		}
 		// Live events below the replay's end were streamed; the backlog is
 		// the pump's to write, and what arrives from now on follows it.
@@ -572,19 +575,19 @@ func (cs *connState) flushBacklogs() (ok, replaying bool) {
 // streamReplay writes every log record in the reader's range that
 // matches one of the rects (every record when rects is empty) as an
 // event frame, returning how many were streamed. A read error
-// mid-replay is reported to the peer; a write error is
+// mid-replay stops it and is returned as readErr: the request then ends
+// at the caller's error reply (replayError). A write error is
 // connection-fatal; a record that cannot be framed is skipped.
-func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rect, subID int) (int, error) {
-	count := 0
+func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rect, subID int) (count int, readErr, err error) {
 	ids := [1]int{subID}
 	plain := &Message{Type: TypeEvent} // a pure replay's frame; write copies it out
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
-			return count, nil
+			return count, nil, nil
 		}
 		if err != nil {
-			return count, cs.write(&Message{Type: TypeError, Error: fmt.Sprintf("replay: %v", err)})
+			return count, err, nil
 		}
 		if len(rects) > 0 {
 			matched := false
@@ -612,24 +615,34 @@ func (s *Server) streamReplay(cs *connState, r *wal.Reader, rects []geometry.Rec
 			if errors.Is(err, errEncode) {
 				continue
 			}
-			return count, err
+			return count, nil, err
 		}
 		count++
 	}
 }
 
+// replayError is the reply that ends a request whose replay failed
+// reading the log.
+func replayError(readErr error) *Message {
+	return &Message{Type: TypeError, Error: fmt.Sprintf("replay: %v", readErr)}
+}
+
 // handleReplayOnly streams [from, NextOffset) unfiltered, then replies
-// OK with Delivered set to the number of records streamed. The reply
-// follows the events on the stream, so a client that reads its reply
-// has already received every replayed frame.
+// OK with Delivered set to the number of records streamed, or the error
+// if reading the log failed. The reply follows the events on the
+// stream, so a client that reads its reply has already received every
+// replayed frame.
 func (s *Server) handleReplayOnly(cs *connState, from uint64) error {
 	r, err := s.b.Log().ReadFrom(from)
 	if err != nil {
 		return cs.write(&Message{Type: TypeError, Error: err.Error()})
 	}
-	count, err := s.streamReplay(cs, r, nil, 0)
+	count, readErr, err := s.streamReplay(cs, r, nil, 0)
 	if err != nil {
 		return err
+	}
+	if readErr != nil {
+		return cs.write(replayError(readErr))
 	}
 	return cs.write(&Message{Type: TypeOK, Delivered: count})
 }
