@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -273,17 +274,30 @@ func (c *Client) Subscribe(rects ...geometry.Rect) (int, error) {
 // subscriptions, any other server ignores the key.
 func (c *Client) SubscribeFrom(from uint64, rects ...geometry.Rect) (int, error) {
 	if len(rects) == 0 {
-		return 0, fmt.Errorf("wire: subscription needs at least one rectangle")
+		return 0, errNoRects
 	}
-	req := &Message{Type: TypeSubscribe, Rects: make([]Rect, len(rects)), FromOffset: from, Group: true}
-	for i, r := range rects {
-		req.Rects[i] = RectToWire(r)
-	}
-	reply, err := c.roundTrip(req, nil)
+	reply, err := c.roundTrip(subscribeRequest(from, wireRects(rects)), nil)
 	if err != nil {
 		return 0, err
 	}
 	return reply.SubID, nil
+}
+
+var errNoRects = errors.New("wire: subscription needs at least one rectangle")
+
+// subscribeRequest is the subscribe frame for rects from the given
+// offset, announcing the group capability.
+func subscribeRequest(from uint64, rects []Rect) *Message {
+	return &Message{Type: TypeSubscribe, Rects: rects, FromOffset: from, Group: true}
+}
+
+// wireRects converts rects to their wire form.
+func wireRects(rects []geometry.Rect) []Rect {
+	out := make([]Rect, len(rects))
+	for i, r := range rects {
+		out[i] = RectToWire(r)
+	}
+	return out
 }
 
 // Replay fetches the server's durable publication log from the given

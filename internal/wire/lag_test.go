@@ -261,7 +261,7 @@ func TestReconnectResumeVisibility(t *testing.T) {
 			t.Fatalf("saw %d of 5 events before restart", i)
 		}
 	}
-	// forward stores lastSeq after its send, so a received event can be
+	// The owner stores lastSeq after its send, so a received event can be
 	// ahead of it: poll.
 	waitFor(t, "LastSeq 5", 5*time.Second, func() bool { return rc.LastSeq() == 5 })
 

@@ -1,9 +1,10 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,10 @@ type ReconnectOptions struct {
 	// Metrics, when non-nil, receives the client's reconnect counters
 	// (redial attempts and successful reconnects). Nil disables them.
 	Metrics *telemetry.Registry
-	// Recorder receives a flight-recorder record per redial attempt.
-	// Nil selects the process-wide telemetry.Default() recorder.
+	// Recorder receives the client's flight records: one per redial
+	// attempt and per resume, and every connection's client_publish and
+	// client_recv records. Nil selects the process-wide
+	// telemetry.Default() recorder.
 	Recorder *telemetry.Recorder
 }
 
@@ -77,27 +80,31 @@ func (o ReconnectOptions) jittered(d time.Duration) time.Duration {
 // merged into one channel. Delivery is at-most-once per connection
 // generation — events published while disconnected are lost, like any
 // pub-sub subscriber that was offline.
+//
+// One owner goroutine (run) holds the connection, the subscription
+// table, the redial backoff and the events still to be delivered, and
+// takes no lock: Subscribe, SubscribeFrom and Unsubscribe are commands
+// it runs, while Publish and the drop accessors call the current
+// connection, a Client, directly.
 type ReconnectingClient struct {
 	addr string
 	opts ReconnectOptions
 
-	mu      sync.Mutex
-	cur     *Client
-	curCtl  chan bool       // current generation's pump control (see pump)
-	curDone <-chan struct{} // closes when the current generation's pump exits
-	subs    map[int]*rsub   // local handle -> live subscription state
-	nextID  int
-	closed  bool
+	cur  atomic.Pointer[Client] // the owner's connection; only the owner stores it
+	cmds chan func(*owner)      // commands, run on the owner goroutine
 
-	events  chan broker.Event
-	done    chan struct{}
-	wg      sync.WaitGroup
-	dropped atomic.Uint64 // merged-buffer drops + drops of dead generations
-	lastSeq atomic.Uint64 // highest Seq forwarded to the merged channel
+	events    chan broker.Event
+	done      chan struct{} // closed by Close
+	exited    chan struct{} // closed when the owner has returned
+	closeOnce sync.Once
+	dropped   atomic.Uint64 // merged-buffer drops + drops of replaced connections
+	lastSeq   atomic.Uint64 // highest Seq handed to the merged channel
 
 	attempts   *telemetry.Counter // redials tried (nil-safe when metrics are off)
 	reconnects *telemetry.Counter // redials that replayed successfully
 }
+
+var errClientClosed = errors.New("wire: client closed")
 
 // DialReconnecting creates a reconnecting client. The initial dial is
 // synchronous so misconfiguration fails fast; subsequent drops are
@@ -106,9 +113,10 @@ func DialReconnecting(addr string, opts ReconnectOptions) (*ReconnectingClient, 
 	rc := &ReconnectingClient{
 		addr:   addr,
 		opts:   opts.withDefaults(),
-		subs:   make(map[int]*rsub),
+		cmds:   make(chan func(*owner)),
 		events: make(chan broker.Event, 1024),
 		done:   make(chan struct{}),
+		exited: make(chan struct{}),
 		attempts: opts.Metrics.Counter("pubsub_wire_reconnect_attempts_total",
 			"Redial attempts after a dropped connection."),
 		reconnects: opts.Metrics.Counter("pubsub_wire_reconnects_total",
@@ -131,202 +139,31 @@ func DialReconnecting(addr string, opts ReconnectOptions) (*ReconnectingClient, 
 			}
 			return 0
 		})
-	cli, err := Dial(addr)
+	cli, err := rc.dial()
 	if err != nil {
 		return nil, err
 	}
-	rc.cur = cli
-	rc.curCtl = make(chan bool)
-	rc.curDone = rc.pump(cli, rc.curCtl)
-	rc.wg.Add(1)
-	go rc.run(cli, rc.curDone)
+	rc.cur.Store(cli)
+	go rc.run(&owner{rc: rc, cli: cli})
 	return rc, nil
 }
 
-// run owns the redial loop: it waits for the current generation's pump
-// to finish (the connection died), then dials and resubscribes with
-// jittered exponential backoff. Each generation's pump starts before
-// its resubscribe, so a resume replay is captured while the subscribe
-// round trips are still in flight.
-func (rc *ReconnectingClient) run(cli *Client, pumpDone <-chan struct{}) {
-	defer rc.wg.Done()
-	for {
-		select {
-		case <-pumpDone:
-		case <-rc.done:
-			return
-		}
-		_ = cli.Close()
-		rc.dropped.Add(cli.Dropped())
-
-		// Reconnect with jittered exponential backoff.
-		backoff := rc.opts.InitialBackoff
-	redial:
-		for attempt := int64(1); ; attempt++ {
-			select {
-			case <-rc.done:
-				return
-			case <-time.After(rc.opts.jittered(backoff)):
-			}
-			rc.attempts.Inc()
-			next, err := Dial(rc.addr)
-			if err == nil {
-				// The new generation's pump must be running before
-				// resubscribe: a resume replay streams during the
-				// SubscribeFrom round trip, and the pump captures it out
-				// of the Client's bounded event buffer. resubscribe
-				// switches the pump into backlog mode around the round
-				// trips and retires the connection if the buffer still
-				// overflowed, so a replay longer than the buffer makes
-				// progress on every attempt instead of silently losing
-				// its tail.
-				ctl := make(chan bool)
-				nextPump := rc.pump(next, ctl)
-				if rc.resubscribe(next, ctl, nextPump) {
-					rc.reconnects.Inc()
-					rc.mu.Lock()
-					subs := len(rc.subs)
-					rc.mu.Unlock()
-					rc.opts.Recorder.Record(telemetry.KindReconnect, 0, 0,
-						attempt, 1, backoff.Milliseconds(), int64(subs))
-					cli, pumpDone = next, nextPump
-					break redial
-				}
-				_ = next.Close()
-				<-nextPump
-				rc.dropped.Add(next.Dropped())
-			}
-			rc.opts.Recorder.Record(telemetry.KindReconnect, 0, 0,
-				attempt, 0, backoff.Milliseconds(), 0)
-			backoff = time.Duration(float64(backoff) * rc.opts.Multiplier)
-			if backoff > rc.opts.MaxBackoff {
-				backoff = rc.opts.MaxBackoff
-			}
-		}
-	}
+// dial opens a connection whose flight records go to the client's
+// recorder.
+func (rc *ReconnectingClient) dial() (*Client, error) {
+	return DialWith(rc.addr, ClientOptions{Recorder: rc.opts.Recorder})
 }
 
-// pump forwards one connection generation's events into the merged
-// channel until that generation's event stream closes, returning a
-// channel that closes when it has. Pumps run under rc.wg, so Close
-// never closes the merged channel while a pump could still send on it.
-//
-// ctl switches the pump into (true) and out of (false) backlog mode
-// around replay-bearing subscribe round trips. In backlog mode nothing
-// is forwarded; events accumulate in a local slice — unbounded, so the
-// pump's pace never causes loss, whatever the scheduler does. Leaving
-// backlog mode flushes only the loss-free prefix: events below the
-// Client's first buffer drop, if one happened. Everything at or above
-// the first drop is discarded rather than forwarded, so lastSeq — the
-// resume high-water — can never advance past a hole; the caller retires
-// the connection and the next resume refetches the discarded window
-// from the server's log. The flush itself delivers reliably, blocking
-// on the merged channel until the application drains it (drop-on-full
-// stays the policy for live events only). A pump that dies while backlogged (connection
-// closed mid-replay or by retirement) flushes the same prefix on exit,
-// so every attempt at an oversized replay still delivers at least one
-// buffer-full of progress.
-func (rc *ReconnectingClient) pump(cli *Client, ctl <-chan bool) <-chan struct{} {
-	done := make(chan struct{})
-	rc.wg.Add(1)
-	go func() {
-		defer rc.wg.Done()
-		defer close(done)
-		forward := func(ev broker.Event) {
-			select {
-			case rc.events <- ev:
-				// Track the resume high-water only for events the
-				// application will actually see: a dropped event must be
-				// fetched again by the next reconnect's replay.
-				if s := ev.Seq; s > rc.lastSeq.Load() {
-					rc.lastSeq.Store(s)
-				}
-			default:
-				// Merged buffer full: drop, matching Client semantics.
-				rc.dropped.Add(1)
-			}
-		}
-		var backlog []broker.Event
-		backlogging := false
-		flush := func() {
-			floor := uint64(math.MaxUint64)
-			if s, ok := cli.FirstDropped(); ok {
-				floor = s
-			}
-			for _, ev := range backlog {
-				if ev.Seq >= floor {
-					continue
-				}
-				// Replay delivery is reliable: block until the
-				// application drains the merged channel instead of
-				// dropping — dropping here and forwarding a later event
-				// would advance lastSeq past a hole no resume refetches.
-				// Live events keep the drop-on-full policy; a flush has
-				// rc.done as its escape hatch.
-				select {
-				case rc.events <- ev:
-					if s := ev.Seq; s > rc.lastSeq.Load() {
-						rc.lastSeq.Store(s)
-					}
-				case <-rc.done:
-					return
-				}
-			}
-			backlog = nil
-			backlogging = false
-		}
-		for {
-			select {
-			case ev, open := <-cli.Events():
-				if !open {
-					if backlogging {
-						flush()
-					}
-					return
-				}
-				if backlogging {
-					backlog = append(backlog, ev)
-				} else {
-					forward(ev)
-				}
-			case enter := <-ctl:
-				if enter {
-					backlogging = true
-					continue
-				}
-				// The round trips finished, so the reader has already
-				// enqueued (or dropped) every replayed event: capture the
-				// ones still buffered, then flush and go live.
-				drained := false
-				for !drained {
-					select {
-					case ev, open := <-cli.Events():
-						if !open {
-							flush()
-							return
-						}
-						backlog = append(backlog, ev)
-					default:
-						drained = true
-					}
-				}
-				flush()
-			case <-rc.done:
-				return
-			}
-		}
-	}()
-	return done
-}
-
-// signalPump delivers a backlog-mode transition to a generation's pump,
-// giving up if that pump has already exited — its connection is dead,
-// so the round trip the transition brackets fails too.
-func signalPump(ctl chan<- bool, enter bool, pumpDone <-chan struct{}) {
-	select {
-	case ctl <- enter:
-	case <-pumpDone:
-	}
+// owner is the state only the owner goroutine touches.
+type owner struct {
+	rc      *ReconnectingClient
+	cli     *Client
+	subs    []*rsub        // the live subscriptions, in handle order
+	nextID  int            // the next handle
+	pending []broker.Event // collected by round trips, to be delivered in order
+	redial  *time.Timer    // set while disconnected: fires for the next attempt
+	backoff time.Duration  // the delay before the current attempt
+	attempt int64          // the current attempt, from 1
 }
 
 // rsub is one surviving subscription: the rectangles to replay plus the
@@ -335,10 +172,171 @@ func signalPump(ctl chan<- bool, enter bool, pumpDone <-chan struct{}) {
 // server's durable log for everything after the last event the
 // application saw, instead of silently skipping the outage window.
 type rsub struct {
-	rects    []geometry.Rect
+	handle   int
+	rects    []Rect
 	serverID int
 	resume   bool
 	from     uint64 // original SubscribeFrom offset (floor for resumes)
+}
+
+// run is the owner goroutine. While events are pending it offers the
+// head to Events() until the application takes it: collected events, a
+// replay's above all, are delivered reliably and ahead of anything the
+// connection receives later, which waits in the connection's buffer.
+// With nothing pending it forwards live events, dropping one the merged
+// buffer has no room for, and once disconnected it redials — only then,
+// so a redial's resume offsets start past every event the dead
+// connection delivered. Commands run in the same select, so a slow
+// reader of Events() stalls nothing but itself.
+func (rc *ReconnectingClient) run(o *owner) {
+	defer close(rc.exited)
+	defer func() { _ = o.cli.Close() }()
+	for {
+		var out chan<- broker.Event
+		var head broker.Event
+		var live <-chan broker.Event
+		var redial <-chan time.Time
+		switch {
+		case len(o.pending) > 0:
+			out, head = rc.events, o.pending[0]
+		case o.redial != nil:
+			redial = o.redial.C
+		default:
+			live = o.cli.Events()
+		}
+		select {
+		case out <- head:
+			o.pending = o.pending[1:]
+			if len(o.pending) == 0 {
+				o.pending = nil
+			}
+			rc.delivered(head.Seq)
+		case ev, open := <-live:
+			if !open {
+				o.disconnect()
+				continue
+			}
+			select {
+			case rc.events <- ev:
+				rc.delivered(ev.Seq)
+			default:
+				rc.dropped.Add(1) // merged buffer full: drop, as Client does
+			}
+		case <-redial:
+			o.reconnect()
+		case cmd := <-rc.cmds:
+			cmd(o)
+		case <-rc.done:
+			return
+		}
+	}
+}
+
+// delivered advances the resume high-water mark past an event handed to
+// the application; an event dropped instead must be fetched again by
+// the next reconnect's replay.
+func (rc *ReconnectingClient) delivered(seq uint64) {
+	if seq > rc.lastSeq.Load() {
+		rc.lastSeq.Store(seq)
+	}
+}
+
+// do runs cmd on the owner goroutine and returns its error, or fails at
+// once if the client is closed.
+func (rc *ReconnectingClient) do(cmd func(*owner) error) error {
+	reply := make(chan error, 1)
+	select {
+	case rc.cmds <- func(o *owner) { reply <- cmd(o) }:
+		return <-reply
+	case <-rc.done:
+		return errClientClosed
+	}
+}
+
+// collect makes one round trip on the owner's connection, queueing the
+// events that arrive before its reply behind those already pending. If
+// replaying and the connection's buffer drops an event during the round
+// trip, the replay has a hole: the queued events from the first drop's
+// Seq on are discarded, so the high-water mark cannot pass it, and
+// overflowed is reported — the caller retires the connection, and the
+// next redial resumes just past the loss-free prefix.
+func (o *owner) collect(req *Message, replaying bool) (reply Message, overflowed bool, err error) {
+	if replaying {
+		o.cli.ClearFirstDropped() // an older live drop is no hole in this replay
+	}
+	reply, err = o.cli.roundTrip(req, &o.pending)
+	floor, dropped := o.cli.FirstDropped()
+	if !replaying || !dropped {
+		return reply, false, err
+	}
+	o.pending = slices.DeleteFunc(o.pending, func(ev broker.Event) bool { return ev.Seq >= floor })
+	return reply, true, err
+}
+
+// disconnect closes the owner's connection and arms the first redial.
+func (o *owner) disconnect() {
+	_ = o.cli.Close()
+	o.attempt, o.backoff = 1, o.rc.opts.InitialBackoff
+	o.redial = time.NewTimer(o.rc.opts.jittered(o.backoff))
+}
+
+// reconnect makes one redial attempt; a failed one backs off
+// exponentially for the next.
+func (o *owner) reconnect() {
+	rc := o.rc
+	rc.attempts.Inc()
+	if next, err := rc.dial(); err == nil {
+		rc.dropped.Add(o.cli.Dropped())
+		o.cli = next
+		rc.cur.Store(next)
+		if o.resubscribe() {
+			rc.reconnects.Inc()
+			rc.opts.Recorder.Record(telemetry.KindReconnect, 0, 0,
+				o.attempt, 1, o.backoff.Milliseconds(), int64(len(o.subs)))
+			o.redial = nil
+			return
+		}
+		_ = next.Close()
+	}
+	rc.opts.Recorder.Record(telemetry.KindReconnect, 0, 0,
+		o.attempt, 0, o.backoff.Milliseconds(), 0)
+	o.attempt++
+	o.backoff = min(time.Duration(float64(o.backoff)*rc.opts.Multiplier), rc.opts.MaxBackoff)
+	o.redial.Reset(rc.opts.jittered(o.backoff))
+}
+
+// resubscribe replays the live subscriptions on a fresh connection in
+// handle order, so the server assigns their ids in that order, and
+// reports success. Handles cancelled via Unsubscribe are gone from
+// o.subs, so they are never replayed. A resume replay that overflowed
+// the connection's buffer fails it (see collect).
+func (o *owner) resubscribe() bool {
+	rc := o.rc
+	select {
+	case <-rc.done: // Close may have closed the connection this one replaced, and not this one
+		return false
+	default:
+	}
+	minFrom := uint64(0)
+	for _, rs := range o.subs {
+		if f := rc.resumeFrom(rs); f > 0 && (minFrom == 0 || f < minFrom) {
+			minFrom = f
+		}
+	}
+	for _, rs := range o.subs {
+		reply, overflowed, err := o.collect(subscribeRequest(rc.resumeFrom(rs), rs.rects), minFrom > 0)
+		if err != nil || overflowed {
+			return false
+		}
+		rs.serverID = reply.SubID
+	}
+	if minFrom > 0 {
+		// The resume replay landed intact: record where it picked up so
+		// an operator can see the outage window a redial recovered.
+		rc.opts.Recorder.Record(telemetry.KindClientResume, 0, rc.lastSeq.Load(),
+			int64(minFrom), int64(rc.lastSeq.Load()), int64(len(o.subs)), 0)
+	}
+	return true
 }
 
 // resumeFrom computes the offset a resuming subscription resubscribes
@@ -358,69 +356,7 @@ func (rc *ReconnectingClient) resumeFrom(rs *rsub) uint64 {
 	if last == 0 {
 		return rs.from
 	}
-	from := last + 1
-	if rs.from > from {
-		from = rs.from
-	}
-	return from
-}
-
-// resubscribe replays all live subscriptions on a fresh connection and
-// installs it as current. Handles cancelled via Unsubscribe are gone
-// from rc.subs, so they are never replayed. It reports success.
-//
-// When any subscription resumes with a replay, the generation's pump is
-// held in backlog mode across the round trips and the Client's buffer
-// is checked for drops afterwards: a replay that overflowed it has
-// holes the merged stream must not advance past, so the connection is
-// not installed — the caller closes it, the backlogged pump flushes the
-// loss-free prefix, and the next redial resumes just past that prefix.
-func (rc *ReconnectingClient) resubscribe(cli *Client, ctl chan bool, pumpDone <-chan struct{}) bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		return false
-	}
-	replaying := false
-	minFrom := uint64(0)
-	for _, rs := range rc.subs {
-		if f := rc.resumeFrom(rs); f > 0 {
-			replaying = true
-			if minFrom == 0 || f < minFrom {
-				minFrom = f
-			}
-		}
-	}
-	if replaying {
-		cli.ClearFirstDropped()
-		//pubsub:allow locksafe -- bounded wait: the pump's select always reaches the ctl receive, and pumpDone unblocks it if the pump died
-		signalPump(ctl, true, pumpDone)
-	}
-	for _, rs := range rc.subs {
-		//pubsub:allow locksafe -- replay must complete under rc.mu so no new Subscribe interleaves with it
-		sid, err := cli.SubscribeFrom(rc.resumeFrom(rs), rs.rects...)
-		if err != nil {
-			// Leave a backlogged pump backlogged: the caller closes the
-			// connection and the pump flushes what it captured on exit.
-			return false
-		}
-		rs.serverID = sid
-	}
-	if replaying {
-		if _, overflowed := cli.FirstDropped(); overflowed {
-			return false
-		}
-		//pubsub:allow locksafe -- bounded wait: the pump's select always reaches the ctl receive, and pumpDone unblocks it if the pump died
-		signalPump(ctl, false, pumpDone)
-		// The resume replay landed intact: record where it picked up so
-		// an operator can see the outage window a redial recovered.
-		rc.opts.Recorder.Record(telemetry.KindClientResume, 0, rc.lastSeq.Load(),
-			int64(minFrom), int64(rc.lastSeq.Load()), int64(len(rc.subs)), 0)
-	}
-	rc.cur = cli
-	rc.curCtl = ctl
-	rc.curDone = pumpDone
-	return true
+	return max(last+1, rs.from)
 }
 
 // Subscribe registers a subscription that survives reconnects. It
@@ -428,75 +364,57 @@ func (rc *ReconnectingClient) resubscribe(cli *Client, ctl chan bool, pumpDone <
 // Delivery is at-most-once: events published during an outage are lost.
 // Use SubscribeFrom against a durability-enabled server for resume.
 func (rc *ReconnectingClient) Subscribe(rects ...geometry.Rect) (int, error) {
-	return rc.subscribe(0, false, rects...)
+	return rc.subscribe(0, false, rects)
 }
 
 // SubscribeFrom registers a durable subscription: the server streams
 // its publication log from the given offset (0 means "new events only")
 // before going live, and every reconnect resumes from one past the last
 // event delivered on Events() — a restart or partition no longer loses
-// events the log retained. A replay longer than the Client's internal
-// event buffer is safe too: the replay is captured off the connection
-// before anything goes to Events(), and if the buffer still overflows,
-// only the loss-free prefix is delivered and the connection is retired
-// so the next redial resumes just past it — the outage window arrives
-// in full across a few reconnect rounds instead of with silent holes.
-// With a zero from, the resume guarantee
-// starts at the first delivered event: until one arrives there is no
-// high-water mark, so a reconnect in that window subscribes live again
-// ("new events only" still) instead of replaying the retained log. The resume point is the client's single
-// high-water mark across all subscriptions, so a client holding several
-// resuming subscriptions should expect the replay to skip events an
-// unrelated faster subscription already advanced past; use one resuming
-// subscription per client for exactly-once-per-retention semantics.
+// events the log retained. SubscribeFrom returns once the server has
+// answered, before the replay is delivered on Events(). A replay longer
+// than the Client's internal event buffer is safe too: the replay is
+// collected off the connection during the round trip, and if the buffer
+// still overflows, only the loss-free prefix is delivered and the
+// connection is retired so the next redial resumes just past it — the
+// outage window arrives in full across a few reconnect rounds instead of
+// with silent holes.
+//
+// With a zero from, the resume guarantee starts at the first delivered
+// event: until one arrives there is no high-water mark, so a reconnect
+// in that window subscribes live again ("new events only" still)
+// instead of replaying the retained log. The resume point is the
+// client's single high-water mark across all subscriptions, so a client
+// holding several resuming subscriptions should expect the replay to
+// skip events an unrelated faster subscription already advanced past;
+// use one resuming subscription per client for
+// exactly-once-per-retention semantics.
 func (rc *ReconnectingClient) SubscribeFrom(from uint64, rects ...geometry.Rect) (int, error) {
-	return rc.subscribe(from, true, rects...)
+	return rc.subscribe(from, true, rects)
 }
 
-func (rc *ReconnectingClient) subscribe(from uint64, resume bool, rects ...geometry.Rect) (int, error) {
+func (rc *ReconnectingClient) subscribe(from uint64, resume bool, rects []geometry.Rect) (int, error) {
 	if len(rects) == 0 {
-		return 0, fmt.Errorf("wire: subscription needs at least one rectangle")
+		return 0, errNoRects
 	}
-	owned := make([]geometry.Rect, len(rects))
-	for i, r := range rects {
-		owned[i] = r.Clone()
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		return 0, fmt.Errorf("wire: client closed")
-	}
-	// A nonzero from streams a replay during the round trip below:
-	// backlog the current generation's pump around it, exactly as
-	// resubscribe does, so a replay longer than the Client's event
-	// buffer is not silently truncated.
-	if from > 0 {
-		rc.cur.ClearFirstDropped()
-		//pubsub:allow locksafe -- bounded wait: the pump's select always reaches the ctl receive, and curDone unblocks it if the pump died
-		signalPump(rc.curCtl, true, rc.curDone)
-	}
-	//pubsub:allow locksafe -- the round trip stays under rc.mu to keep the replay set consistent with the server
-	sid, err := rc.cur.SubscribeFrom(from, owned...)
-	if from > 0 {
-		if _, overflowed := rc.cur.FirstDropped(); overflowed && err == nil {
-			// The replay overflowed the Client's buffer: retire the
-			// connection while the pump is still backlogged. Its exit
-			// flush delivers the loss-free prefix, and the redial loop
-			// resumes this subscription just past it — the registration
-			// below keeps it in the replay set.
-			_ = rc.cur.Close()
-		} else {
-			//pubsub:allow locksafe -- bounded wait: the pump's select always reaches the ctl receive, and curDone unblocks it if the pump died
-			signalPump(rc.curCtl, false, rc.curDone)
+	rs := &rsub{rects: wireRects(rects), resume: resume, from: from}
+	err := rc.do(func(o *owner) error {
+		// A nonzero from streams a replay during the round trip.
+		reply, overflowed, err := o.collect(subscribeRequest(from, rs.rects), from > 0)
+		if err != nil {
+			return err
 		}
-	}
-	if err != nil {
-		return 0, err
-	}
-	id := rc.nextID
-	rc.nextID++
-	rc.subs[id] = &rsub{rects: owned, serverID: sid, resume: resume, from: from}
-	return id, nil
+		if overflowed {
+			// Registered below, the subscription is resumed by the
+			// redial just past the prefix collect kept.
+			o.disconnect()
+		}
+		rs.handle, rs.serverID = o.nextID, reply.SubID
+		o.nextID++
+		o.subs = append(o.subs, rs)
+		return nil
+	})
+	return rs.handle, err
 }
 
 // Unsubscribe cancels a subscription by its local handle. The handle is
@@ -505,32 +423,27 @@ func (rc *ReconnectingClient) subscribe(from uint64, resume bool, rects ...geome
 // the server best-effort: if the connection happens to be down, the
 // server-side subscription dies with it anyway.
 func (rc *ReconnectingClient) Unsubscribe(handle int) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		return fmt.Errorf("wire: client closed")
-	}
-	rs, ok := rc.subs[handle]
-	if !ok {
-		return fmt.Errorf("wire: no subscription with handle %d", handle)
-	}
-	delete(rc.subs, handle)
-	//pubsub:allow locksafe -- best-effort round trip under rc.mu keeps the replay set consistent
-	_ = rc.cur.Unsubscribe(rs.serverID) // best-effort on a possibly dead conn
-	return nil
+	return rc.do(func(o *owner) error {
+		i := slices.IndexFunc(o.subs, func(rs *rsub) bool { return rs.handle == handle })
+		if i < 0 {
+			return fmt.Errorf("wire: no subscription with handle %d", handle)
+		}
+		sid := o.subs[i].serverID
+		o.subs = slices.Delete(o.subs, i, i+1)
+		_, _, _ = o.collect(&Message{Type: TypeUnsubscribe, SubID: sid}, false) // best-effort on a possibly dead conn
+		return nil
+	})
 }
 
 // Publish forwards to the current connection. It fails while
 // disconnected (no offline queueing).
 func (rc *ReconnectingClient) Publish(p geometry.Point, payload []byte) (int, error) {
-	rc.mu.Lock()
-	cli := rc.cur
-	closed := rc.closed
-	rc.mu.Unlock()
-	if closed {
-		return 0, fmt.Errorf("wire: client closed")
+	select {
+	case <-rc.done:
+		return 0, errClientClosed
+	default:
 	}
-	return cli.Publish(p, payload)
+	return rc.cur.Load().Publish(p, payload)
 }
 
 // Events returns the merged event stream across reconnects. It closes
@@ -539,18 +452,11 @@ func (rc *ReconnectingClient) Events() <-chan broker.Event { return rc.events }
 
 // Dropped reports events lost client-side: merged-buffer overflow plus
 // per-connection buffer overflow, accumulated across generations. The
-// count may briefly double-count the dying generation mid-reconnect,
-// and includes replay overflow that a later resume refetched — it is a
+// count may briefly double-count the connection a redial replaces, and
+// includes replay overflow that a later resume refetched — it is a
 // congestion signal, not a count of events the application missed.
 func (rc *ReconnectingClient) Dropped() uint64 {
-	rc.mu.Lock()
-	cur := rc.cur
-	rc.mu.Unlock()
-	d := rc.dropped.Load()
-	if cur != nil {
-		d += cur.Dropped()
-	}
-	return d
+	return rc.dropped.Load() + rc.cur.Load().Dropped()
 }
 
 // LastSeq reports the highest Seq delivered to the application across
@@ -562,39 +468,21 @@ func (rc *ReconnectingClient) LastSeq() uint64 { return rc.lastSeq.Load() }
 // of the first event its buffer dropped since the last clear, and
 // whether one was. Past generations' drops are folded into Dropped.
 func (rc *ReconnectingClient) FirstDropped() (uint64, bool) {
-	rc.mu.Lock()
-	cur := rc.cur
-	rc.mu.Unlock()
-	if cur == nil {
-		return 0, false
-	}
-	return cur.FirstDropped()
+	return rc.cur.Load().FirstDropped()
 }
 
 // ClearFirstDropped resets the current generation's first-drop mark.
-func (rc *ReconnectingClient) ClearFirstDropped() {
-	rc.mu.Lock()
-	cur := rc.cur
-	rc.mu.Unlock()
-	if cur != nil {
-		cur.ClearFirstDropped()
-	}
-}
+func (rc *ReconnectingClient) ClearFirstDropped() { rc.cur.Load().ClearFirstDropped() }
 
 // Close stops reconnection and tears down the current connection.
-func (rc *ReconnectingClient) Close() error {
-	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
-		return nil
-	}
-	rc.closed = true
-	cli := rc.cur
-	rc.mu.Unlock()
-
-	close(rc.done)
-	err := cli.Close()
-	rc.wg.Wait()
-	close(rc.events)
+func (rc *ReconnectingClient) Close() (err error) {
+	rc.closeOnce.Do(func() {
+		close(rc.done)
+		// The owner may be in a round trip on this connection: closing it
+		// ends the round trip, and the owner sees done.
+		err = rc.cur.Load().Close()
+		<-rc.exited
+		close(rc.events)
+	})
 	return err
 }

@@ -563,9 +563,11 @@ func TestResumeFromZeroSkipsHistoryOnReconnect(t *testing.T) {
 
 // TestResumeReplayLargerThanClientBuffer: a resume replay spanning an
 // outage window larger than the Client's 1024-event buffer must arrive
-// in full. The reconnect pump has to drain the replay while the
-// resubscribe round trip is still in flight; without it the tail of the
-// replay overflows client-side and the events are gone for good.
+// in full. The reconnecting client's owner collects the replay off the
+// connection while the resubscribe round trip is still in flight, and a
+// replay that overflows the buffer anyway retires the connection so the
+// next redial refetches the tail; without that the tail would be gone
+// for good.
 func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 	dir := t.TempDir()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -661,10 +663,10 @@ func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 // TestInitialSubscribeFromLargeHistory: the very first SubscribeFrom
 // against durable history larger than the Client's event buffer must
 // deliver it all. This exercises the app-initiated subscribe path (not
-// resubscribe): the pump backlogs the replay during the round trip, and
-// if the buffer overflowed anyway the connection is retired so the
-// redial loop fetches the rest — the application just sees a complete,
-// in-order stream.
+// resubscribe): the owner collects the replay during the round trip
+// into its pending queue, and if the buffer overflowed anyway the
+// connection is retired so the redial fetches the rest — the
+// application just sees a complete, in-order stream.
 func TestInitialSubscribeFromLargeHistory(t *testing.T) {
 	b, addr := startDurableBroker(t)
 	for i := 1; i <= 1600; i++ {

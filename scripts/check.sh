@@ -7,7 +7,8 @@
 #   1. build            go build ./...  (+ cross-builds for 386, linux/arm, arm64 and darwin, go vet
 #                       of every package and test on GOARCH=386, and the index tests on GOARCH=386,
 #                       where the Go containment kernel runs)
-#   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers), then the
+#   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers), no
+#                       //pubsub:allow waiver in a non-test file under internal/wire, then the
 #                       design weight per package (scripts/loc.sh; printed, never a gate)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker, the wire and the telemetry — the index in one part, in parts
@@ -37,6 +38,10 @@ GOARCH=386 go test ./internal/flat/... ./internal/stree/... ./internal/rtree/...
 echo "==> vet suite (stock vet + custom analyzers)"
 go run ./cmd/pubsub-vet -list
 go run ./cmd/pubsub-vet ./...
+if grep -rn --include='*.go' --exclude='*_test.go' '//pubsub:allow' internal/wire/; then
+  echo "internal/wire must hold no //pubsub:allow waiver" >&2
+  exit 1
+fi
 
 echo "==> design weight (non-test lines per package; information only)"
 ./scripts/loc.sh
