@@ -64,7 +64,6 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/dispatch"
 	"repro/internal/health"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -129,9 +128,6 @@ func run(args []string) error {
 	var reg *telemetry.Registry
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
-		// Pre-register the dispatch decision families so a scrape shows
-		// them zero-valued even before any in-process planner runs.
-		dispatch.RegisterDispatchMetrics(reg)
 	}
 	tracer := telemetry.NewTracer(logger, *traceSample)
 	rec := telemetry.NewRecorder(*events)

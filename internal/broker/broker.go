@@ -29,6 +29,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/invariant"
 	"repro/internal/match"
+	"repro/internal/stree"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
@@ -110,8 +111,8 @@ type Options struct {
 	// MinOverlay is the overlay size that always triggers an index
 	// rebuild when exceeded. Zero selects 64.
 	MinOverlay int
-	// Matcher chooses and tunes the index a rebuild packs (algorithm,
-	// branch factor, skew). The zero value is the paper's S-tree.
+	// Matcher tunes the S-trees a rebuild packs (branch factor, skew).
+	// New panics on another Algorithm or an option stree.Build refuses.
 	Matcher match.Options
 	// Overflow is the overflow policy of every subscription, on a
 	// channel or on a sink. New panics on a value that names no policy.
@@ -243,14 +244,14 @@ func (o *overlay) keep(f func(*Subscription) bool) overlay {
 // overlay before storing a new snapshot.
 type snapshot struct {
 	// base indexes the rectangles present at the last rebuild, packed
-	// in one or more parts. Their SubscriberIDs are slots into the one
+	// in one or more parts. Their entry ids are slots into the one
 	// slots table, not broker subscription ids, so matching needs no
 	// map, and each subscription's slot is in exactly one part. nil
 	// before the first rebuild. It may contain the rectangles of
 	// subscriptions cancelled since; Cancel clears their slot in the
 	// table, which the broker and all its snapshots share, so a stale
 	// match finds nil and costs only its rectangle test.
-	base  []match.Matcher
+	base  []part
 	slots []atomic.Pointer[Subscription]
 	// overlay holds rectangles registered since the last rebuild.
 	overlay overlay
@@ -276,7 +277,7 @@ type Broker struct {
 	// The index: a packed base in one or more parts over one slot
 	// table, plus the overlay of rectangles registered since the last
 	// rebuild.
-	base      []match.Matcher                // packed parts (may contain stale slots)
+	base      []part                         // packed parts (may contain stale slots)
 	slots     []atomic.Pointer[Subscription] // slot -> subscription for base's ids; nil once cancelled
 	baseLen   int                            // rectangles in base (incl. stale)
 	baseCut   int                            // nextID the base was collected at: ids from it on are in the overlay
@@ -300,6 +301,7 @@ type Broker struct {
 	// nparts from GOMAXPROCS). Both are fixed by New.
 	nparts  int
 	partMin int
+	tree    stree.Options // Options.Matcher as the rebuilt trees' options
 	// work hands part i of a publication's snapshot to worker i; nil
 	// without workers (always nil at index 0, the publisher's part).
 	// Unbuffered: a successful send means the worker has taken exactly
@@ -368,6 +370,10 @@ func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 	if opts.Overflow < DropNewest || opts.Overflow > CancelSlow {
 		panic(fmt.Sprintf("broker: unknown overflow policy %d in Options.Overflow (want %s)", int(opts.Overflow), policyNames))
 	}
+	tree := stree.Options{BranchFactor: opts.Matcher.BranchFactor, Skew: opts.Matcher.Skew}
+	if _, err := stree.Build(nil, tree); err != nil || opts.Matcher.Algorithm != match.AlgSTree {
+		panic(fmt.Sprintf("broker: Options.Matcher %+v: a rebuild packs only S-trees stree.Build accepts (stree.Build: %v)", opts.Matcher, err))
+	}
 	b := &Broker{
 		opts:      opts.withDefaults(),
 		subs:      make(map[int]*Subscription),
@@ -379,6 +385,7 @@ func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 		rebuildCh: make(chan struct{}, 1),
 		nparts:    nparts,
 		partMin:   partMin,
+		tree:      tree,
 		partNS:    make([]atomic.Int64, nparts),
 	}
 	if b.rec == nil {

@@ -366,9 +366,9 @@ func TestConcurrentPubSub(t *testing.T) {
 	}
 }
 
-func TestMixedDimensionalityFallsBack(t *testing.T) {
-	// Subscriptions of different dimensionalities force the rebuild to
-	// fall back to linear matching; both must keep working.
+func TestMixedDimensionalityPacksATreeEach(t *testing.T) {
+	// Subscriptions of different dimensionalities make the rebuild pack
+	// a tree per dimensionality; both must keep working.
 	b := New(Options{MinOverlay: 2})
 	defer b.Close()
 	s1, err := b.Subscribe(geometry.NewRect(0, 10))

@@ -1,12 +1,13 @@
 package broker
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/invariant"
-	"repro/internal/match"
+	"repro/internal/stree"
 	"repro/internal/telemetry"
 )
 
@@ -172,18 +173,18 @@ func (b *Broker) build(job *rebuildJob) {
 	if job.rects >= b.partMin {
 		n = min(b.nparts, len(slots))
 	}
-	base := make([]match.Matcher, n)
+	base := make([]part, n)
 	var wg sync.WaitGroup
 	for k := range base {
 		lo, hi := k*len(slots)/n, (k+1)*len(slots)/n
 		if k == n-1 {
-			base[k] = packPart(slots, lo, hi, b.opts.Matcher)
+			base[k] = packPart(slots, lo, hi, b.tree)
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			base[k] = packPart(slots, lo, hi, b.opts.Matcher)
+			base[k] = packPart(slots, lo, hi, b.tree)
 		}()
 	}
 	wg.Wait()
@@ -222,27 +223,34 @@ func (b *Broker) build(job *rebuildJob) {
 	}
 }
 
-// packPart packs the rectangles of slots[lo:hi] into one index whose
-// SubscriberIDs are those slots. A subscription's rectangles are
-// immutable, so this needs no lock.
-func packPart(slots []*Subscription, lo, hi int, opts match.Options) match.Matcher {
+// part is one part of the packed base: an S-tree per dimensionality
+// among its rectangles, ascending.
+type part []*stree.Tree
+
+// packPart packs the rectangles of slots[lo:hi] into one part whose
+// entry ids are those slots. A subscription's rectangles are immutable,
+// so this needs no lock; New checked the options and Subscribe the
+// rectangles, so no build fails. The stable sort keeps slot order within
+// a dimensionality: one dimensionality packs its entries in slot order.
+func packPart(slots []*Subscription, lo, hi int, opts stree.Options) (p part) {
 	rects := 0
 	for _, s := range slots[lo:hi] {
 		rects += len(s.rects)
 	}
-	entries := make([]match.Subscription, 0, rects)
+	entries := make([]stree.Entry, 0, rects)
 	for slot := lo; slot < hi; slot++ {
 		for _, r := range slots[slot].rects {
-			entries = append(entries, match.Subscription{Rect: r, SubscriberID: slot})
+			entries = append(entries, stree.Entry{Rect: r, ID: slot})
 		}
 	}
-	idx, err := match.New(entries, opts)
-	if err != nil {
-		// Mixed dimensionalities across subscriptions make a tree index
-		// impossible; fall back to linear matching.
-		idx = match.BruteForce(entries)
+	slices.SortStableFunc(entries, func(x, y stree.Entry) int { return x.Rect.Dims() - y.Rect.Dims() })
+	for len(entries) > 0 {
+		next := entries[0].Rect.Dims() + 1
+		n, _ := slices.BinarySearchFunc(entries, next, func(e stree.Entry, d int) int { return e.Rect.Dims() - d })
+		p = append(p, stree.MustBuild(entries[:n], opts))
+		entries = entries[n:]
 	}
-	return idx
+	return p
 }
 
 // finishRebuild bumps the rebuild counters and writes the rebuild

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/invariant"
 	"repro/internal/match"
+	"repro/internal/stree"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -51,10 +53,8 @@ func forEachArrangement(t *testing.T, f func(t *testing.T, a arrangement)) {
 // TestPublishArrangementsEquivalence runs one randomized workload —
 // multi-rectangle subscriptions, cancellations mid-stream, rebuilds in
 // flight (MinOverlay is tiny) — through every arrangement of the
-// publish pipeline: one part under each tree a rebuild can pack
-// (Options.Matcher is the only seam that chooses it; the zero value,
-// the S-tree, is the plain broker), four parts run by the publisher and
-// four parts offered to workers (the subtest names count the parts as
+// publish pipeline: one part, four parts run by the publisher and four
+// parts offered to workers (the subtest names count the parts as
 // "shards"), each in memory and over a durable log, and each of those
 // twice: delivered through one channel per subscription, and through
 // three sinks the subscriptions are dealt onto. Every arrangement must
@@ -104,18 +104,11 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 		return false
 	}
 
-	type run struct {
-		arrangement
-		alg match.Algorithm
+	runs := []arrangement{
+		{"1-shard-s-tree", 1, false},
+		{"4-shards-inline", 4, false},
+		{"4-shards-workers", 4, true},
 	}
-	var runs []run
-	for _, alg := range []match.Algorithm{match.AlgSTree, match.AlgHilbertRTree, match.AlgDynamicRTree, match.AlgBruteForce} {
-		runs = append(runs, run{arrangement{"1-shard-" + alg.String(), 1, false}, alg})
-	}
-	runs = append(runs,
-		run{arrangement{"4-shards-inline", 4, false}, match.AlgSTree},
-		run{arrangement{"4-shards-workers", 4, true}, match.AlgSTree},
-	)
 	type delivery struct {
 		durable, viaSink bool
 		name             string
@@ -129,7 +122,7 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 			t.Run(arr.name+dl.name, func(t *testing.T) {
 				reg := telemetry.NewRegistry()
 				rec := telemetry.NewRecorder(1 << 14)
-				opts := Options{MinOverlay: 4, Matcher: match.Options{Algorithm: arr.alg}, Metrics: reg, Recorder: rec}
+				opts := Options{MinOverlay: 4, Metrics: reg, Recorder: rec}
 				if durable {
 					opts.Log = openLog(t, t.TempDir(), wal.Options{Sync: wal.SyncNever})
 				}
@@ -261,8 +254,8 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 				// ...the index introspection names the tree the rebuilds
 				// packed...
 				waitRebuilds(t, b, 1)
-				if rep := b.IndexReport(); rep.Shape.Algorithm != arr.alg.String() || rep.ShardCount != arr.parts {
-					t.Fatalf("IndexReport names the tree %q in %d parts, want %q in %d", rep.Shape.Algorithm, rep.ShardCount, arr.alg, arr.parts)
+				if rep := b.IndexReport(); rep.Shape.Algorithm != match.AlgSTree.String() || rep.ShardCount != arr.parts {
+					t.Fatalf("IndexReport names the tree %q in %d parts, want %q in %d", rep.Shape.Algorithm, rep.ShardCount, match.AlgSTree, arr.parts)
 				}
 				// ...and an untraced steady-state publish allocates nothing.
 				// AllocsPerRun counts the whole process's allocations, so
@@ -395,7 +388,7 @@ func TestPartsPartitionSlots(t *testing.T) {
 		seen := map[int]bool{}
 		for x := 0.0; x <= 13; x += 0.5 {
 			for y := 0.0; y <= 13; y += 0.5 {
-				ids, _ := m.MatchAppendStats(geometry.Point{x, y}, nil)
+				ids, _ := m[0].MatchAppendStats(geometry.Point{x, y}, nil)
 				for _, slot := range ids {
 					seen[slot] = true
 				}
@@ -567,14 +560,14 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 					}
 				}
 				for k := range s0.base {
-					if dx, dy := match.Describe(s0.base[k]), match.Describe(s1.base[k]); dx != dy {
+					if dx, dy := match.Describe(s0.base[k][0]), match.Describe(s1.base[k][0]); dx != dy {
 						t.Fatalf("step %d: part %d packs %+v vs %+v", step, k, dx, dy)
 					}
 					for x := 0.0; x <= 13; x += 0.5 {
 						for y := 0.0; y <= 13; y += 0.5 {
 							p := geometry.Point{x, y}
-							ix, sx := s0.base[k].MatchAppendStats(p, nil)
-							iy, sy := s1.base[k].MatchAppendStats(p, nil)
+							ix, sx := s0.base[k][0].MatchAppendStats(p, nil)
+							iy, sy := s1.base[k][0].MatchAppendStats(p, nil)
 							if !slices.Equal(ix, iy) || sx != sy {
 								t.Fatalf("step %d: part %d answers %v with %v %+v vs %v %+v", step, k, p, ix, sx, iy, sy)
 							}
@@ -918,5 +911,210 @@ func TestCancelOfBaseSubscriptionKeepsOverlay(t *testing.T) {
 	last.Cancel()
 	if after := overlay(); len(after) != len(before)-1 {
 		t.Fatalf("cancelling an overlay subscription left %d overlay entries, want %d", len(after), len(before)-1)
+	}
+}
+
+// TestNewRejectsNonSTreeMatcher checks that New refuses, with a panic
+// naming Options.Matcher, every matcher option a rebuild would not
+// pack: the four algorithms other than the S-tree, and tree options
+// stree.Build refuses.
+func TestNewRejectsNonSTreeMatcher(t *testing.T) {
+	for _, tc := range []struct {
+		opts match.Options
+		want string
+	}{
+		{match.Options{Algorithm: match.AlgHilbertRTree}, "hilbert-rtree"},
+		{match.Options{Algorithm: match.AlgBruteForce}, "brute-force"},
+		{match.Options{Algorithm: match.AlgPredCount}, "pred-count"},
+		{match.Options{Algorithm: match.AlgDynamicRTree}, "dynamic-rtree"},
+		{match.Options{BranchFactor: 1}, "branch factor"},
+		{match.Options{Skew: 0.7}, "skew"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Options.Matcher") || !strings.Contains(msg, tc.want) {
+					t.Errorf("New with Matcher %+v panicked with %q, want it to name Options.Matcher and %q", tc.opts, msg, tc.want)
+				}
+			}()
+			b := New(Options{Matcher: tc.opts, MinOverlay: 1})
+			defer b.Close()
+			for i := 0; i < 4; i++ {
+				if _, err := b.Subscribe(geometry.NewRect(float64(i), float64(i)+2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitSettled(t, b)
+			if n, err := b.Publish(geometry.Point{2.5}, nil); err != nil || n != 2 {
+				t.Fatalf("publish delivered to %d (%v), want 2", n, err)
+			}
+		}()
+	}
+}
+
+// TestForeignDimensionalityCostsItsOwnTree checks that subscriptions
+// of other dimensionalities cost the rest nothing: on the stock
+// population plus a 3-d subscription and one holding 2-d and 3-d
+// rectangles, a traced 4-d publish walks the same nodes, tests the same
+// entries and matches the same subscriptions as on the stock population
+// alone; and each of the two receives exactly one event per 2-d or 3-d
+// publication that hits any of its rectangles, two of which overlap.
+func TestForeignDimensionalityCostsItsOwnTree(t *testing.T) {
+	events, subs := stockPopulation(t, 2000)
+	events = events[:64]
+	foreign := []geometry.Rect{geometry.NewRect(0, 1e9, 0, 1e9, 0, 1e9)}
+	twoDims := []geometry.Rect{
+		geometry.NewRect(0, 10, 0, 10),
+		geometry.NewRect(5, 15, 5, 15),
+		geometry.NewRect(0, 10, 0, 10, 0, 10),
+	}
+	points := []geometry.Point{{2, 2}, {7, 7}, {12, 12}, {20, 20}, {5, 5, 5}, {5, 5, 15}, {12, 12, 12}, {5}}
+	// open packs subs and the extra subscriptions into one base:
+	// MinOverlay makes the last rectangle trigger the one rebuild.
+	open := func(extra ...[]geometry.Rect) (*Broker, *telemetry.Recorder, []*Subscription) {
+		n := len(subs)
+		for _, rs := range extra {
+			n += len(rs)
+		}
+		rec := telemetry.NewRecorder(1 << 12)
+		b := New(Options{MinOverlay: n - 1, Recorder: rec})
+		for _, s := range subs {
+			if _, err := b.Subscribe(s.Rect); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var xs []*Subscription
+		for _, rs := range extra {
+			x, err := b.SubscribeBuffered(len(points), rs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs = append(xs, x)
+		}
+		waitSettled(t, b)
+		if st := b.ShardStats()[0]; st.BaseLen != n || st.OverlayLen != 0 {
+			t.Fatalf("base holds %d rectangles and the overlay %d, want %d and 0", st.BaseLen, st.OverlayLen, n)
+		}
+		return b, rec, xs
+	}
+	// effort is the match record of a traced publish of p.
+	effort := func(b *Broker, rec *telemetry.Recorder, p geometry.Point) [4]int64 {
+		t.Helper()
+		trace := telemetry.NewTraceID()
+		if _, err := b.PublishTraced(p, nil, trace); err != nil {
+			t.Fatal(err)
+		}
+		recs := rec.SnapshotFilter(trace, telemetry.KindMatch, 0)
+		if len(recs) != 1 {
+			t.Fatalf("%d match records for one traced publish", len(recs))
+		}
+		return recs[0].Args
+	}
+	alone, arec, _ := open()
+	defer alone.Close()
+	mixed, mrec, xs := open(foreign, twoDims)
+	defer mixed.Close()
+	var walked int64
+	for i, p := range events {
+		want, got := effort(alone, arec, p), effort(mixed, mrec, p)
+		if got != want {
+			t.Fatalf("event %d: match record %v beside 2-d and 3-d subscriptions, %v without (nodes, entries, leaves, matched)", i, got, want)
+		}
+		walked += want[0]
+	}
+	if walked == 0 {
+		t.Fatal("no publish walked the 4-d tree")
+	}
+
+	for _, p := range points {
+		if _, err := mixed.Publish(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mixed.Close()
+	for k, rects := range [][]geometry.Rect{foreign, twoDims} {
+		var want, got []geometry.Point
+		for _, p := range points {
+			if slices.ContainsFunc(rects, func(r geometry.Rect) bool { return r.Contains(p) }) {
+				want = append(want, p)
+			}
+		}
+		for ev := range xs[k].Events() {
+			got = append(got, ev.Point)
+		}
+		if !slices.EqualFunc(got, want, func(x, y geometry.Point) bool { return slices.Equal(x, y) }) {
+			t.Fatalf("subscription of %v received %v, want %v", rects, got, want)
+		}
+	}
+}
+
+// TestPartPacksSlotOrderedEntries checks what a rebuild packs: one tree
+// per dimensionality, in ascending dimensionality, each the S-tree
+// stree.Build packs with the broker's tree options over that
+// dimensionality's entries in slot order — the same shape, and the same
+// ids and effort at every point of a grid.
+func TestPartPacksSlotOrderedEntries(t *testing.T) {
+	for _, dims := range [][]int{{2}, {3, 2}} {
+		t.Run(fmt.Sprint(dims), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(6))
+			specs := make([][]geometry.Rect, 300)
+			rects := 0
+			for i := range specs {
+				specs[i] = make([]geometry.Rect, 1+rng.Intn(3))
+				for j := range specs[i] {
+					specs[i][j] = modelRect(rng, dims[(i+j)%len(dims)])
+				}
+				rects += len(specs[i])
+			}
+			// The last rectangle triggers the one rebuild, of everything.
+			tree := match.Options{BranchFactor: 5, Skew: 0.25}
+			b := newBroker(Options{MinOverlay: rects - 1, Matcher: tree}, 1, 0, false)
+			defer b.Close()
+			for _, rs := range specs {
+				if _, err := b.Subscribe(rs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitSettled(t, b)
+			snap := b.snap.Load()
+			if len(snap.base) != 1 || len(snap.overlay.subs) != 0 {
+				t.Fatalf("%d parts and %d overlay rectangles, want 1 and 0", len(snap.base), len(snap.overlay.subs))
+			}
+			byDims := map[int][]stree.Entry{}
+			for slot := range snap.slots {
+				for _, r := range snap.slots[slot].Load().rects {
+					byDims[r.Dims()] = append(byDims[r.Dims()], stree.Entry{Rect: r, ID: slot})
+				}
+			}
+			order := slices.Clone(dims)
+			slices.Sort(order)
+			if len(snap.base[0]) != len(order) {
+				t.Fatalf("the part packs %d trees for dimensionalities %v", len(snap.base[0]), order)
+			}
+			for k, d := range order {
+				got := snap.base[0][k]
+				want := stree.MustBuild(byDims[d], stree.Options{BranchFactor: tree.BranchFactor, Skew: tree.Skew})
+				if dg, dw := match.Describe(got), match.Describe(want); dg != dw {
+					t.Fatalf("the %d-d tree packs %+v, stree.Build %+v", d, dg, dw)
+				}
+				p := make(geometry.Point, d)
+				var walk func(k int)
+				walk = func(k int) {
+					if k == d {
+						ig, sg := got.MatchAppendStats(p, nil)
+						iw, sw := want.MatchAppendStats(p, nil)
+						if !slices.Equal(ig, iw) || sg != sw {
+							t.Fatalf("the %d-d tree answers %v with %v %+v, stree.Build with %v %+v", d, p, ig, sg, iw, sw)
+						}
+						return
+					}
+					for x := 0.0; x <= 13; x += 0.5 {
+						p[k] = x
+						walk(k + 1)
+					}
+				}
+				walk(0)
+			}
+		})
 	}
 }

@@ -3,12 +3,14 @@ package broker
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/health"
 	"repro/internal/match"
+	"repro/internal/stree"
 	"repro/internal/telemetry"
 )
 
@@ -143,8 +145,8 @@ type IndexReport struct {
 	// packed in (1 before the first rebuild, when the overlay is the
 	// one part).
 	ShardCount int `json:"shard_count"`
-	// Shape describes the first part's packed matcher tree (zero before
-	// the first rebuild); the parts hold near-equal shares of one
+	// Shape describes the first part's largest tree (zero before the
+	// first rebuild); the parts hold near-equal shares of one
 	// population, packed the same way.
 	Shape match.Shape `json:"shape"`
 	// Dims holds per-dimension selectivity over the sampled live
@@ -173,9 +175,9 @@ const introspectSampleCap = 512
 func (b *Broker) IndexReport() IndexReport {
 	b.mu.RLock()
 	rep := IndexReport{ShardStat: b.statLocked(), ShardCount: b.numParts()}
-	var base match.Matcher
+	var base *stree.Tree
 	if len(b.base) > 0 {
-		base = b.base[0]
+		base = slices.MaxFunc(b.base[0], func(x, y *stree.Tree) int { return x.Len() - y.Len() })
 	}
 	sample := make([]geometry.Rect, 0, min(len(b.subs)*2, introspectSampleCap))
 	for _, s := range b.subs {

@@ -218,7 +218,7 @@ func BenchmarkPublishOverlay(b *testing.B) {
 
 // stockPopulation draws the ledger's stock workload: 1 024 paper-model
 // publications and the first n subscriptions of the paper's testbed.
-func stockPopulation(b *testing.B, n int) ([]geometry.Point, []workload.PlacedSubscription) {
+func stockPopulation(b testing.TB, n int) ([]geometry.Point, []workload.PlacedSubscription) {
 	model := workload.MustStockPublications(9)
 	rng := rand.New(rand.NewSource(5))
 	events := make([]geometry.Point, 1024)
@@ -251,10 +251,10 @@ func awaitBase(br *Broker, n int) {
 // BenchmarkPublishForeignDims times a publish on the ledger's stock
 // population, 10 000 4-d subscriptions packed into the base, alone and
 // with one 3-d subscription packed beside them. Rectangles of two
-// dimensionalities cannot share a tree, so the second base is the
-// linear matcher packPart falls back to: the cost of the one foreign
-// subscription is the gap between the two rows. MinOverlay makes the
-// last subscription trigger the one rebuild in both.
+// dimensionalities cannot share a tree, so the second base packs a
+// 3-d tree of one entry beside the 4-d one, which a 4-d point skips
+// without reading a node: the two rows should read alike. MinOverlay
+// makes the last subscription trigger the one rebuild in both.
 func BenchmarkPublishForeignDims(b *testing.B) {
 	events, subs := stockPopulation(b, 10000)
 	foreign := geometry.NewRect(0, 1e9, 0, 1e9, 0, 1e9)

@@ -372,7 +372,7 @@ func (b *Broker) partWorker(i int) {
 
 // matchPart matches p against part i of snap — and, for part 0, the
 // overlay — leaving the matched subscriptions in sc.targets and adding
-// the effort to qs: the part's counters, and every overlay rectangle as
+// the effort to qs: its trees' counters, and every overlay rectangle as
 // a tested entry. A base match whose slot is a tombstone (its
 // subscription was cancelled) is dropped there. A subscription's
 // rectangles are all in one part or all in the overlay, so the dedup
@@ -382,9 +382,11 @@ func (b *Broker) partWorker(i int) {
 func matchPart(snap *snapshot, i int, p geometry.Point, sc *matchScratch, qs *match.QueryStats) {
 	sc.ids = sc.ids[:0]
 	if i < len(snap.base) {
-		var bs match.QueryStats
-		sc.ids, bs = snap.base[i].MatchAppendStats(p, sc.ids)
-		qs.Add(bs)
+		for _, t := range snap.base[i] {
+			var bs match.QueryStats
+			sc.ids, bs = t.MatchAppendStats(p, sc.ids)
+			qs.Add(bs)
+		}
 	}
 	for _, slot := range sc.ids {
 		if s := snap.slots[slot].Load(); s != nil {

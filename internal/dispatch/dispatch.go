@@ -177,12 +177,10 @@ type dispatchTel struct {
 	latency   *telemetry.Histogram
 }
 
-// RegisterDispatchMetrics registers the planner's metric families
-// against reg and returns the handles. It is exported (beyond planner
-// construction) so a daemon can pre-register the families — making them
-// visible, zero-valued, on /metrics — before any planner exists;
-// idempotent registration means a later planner shares them.
-func RegisterDispatchMetrics(reg *telemetry.Registry) *dispatchTel {
+// registerDispatchMetrics registers the planner's metric families
+// against reg and returns the handles; idempotent registration means
+// planners on one registry share them.
+func registerDispatchMetrics(reg *telemetry.Registry) *dispatchTel {
 	if reg == nil {
 		return nil
 	}
@@ -244,7 +242,7 @@ func NewPlanner(
 		rule:           cfg.Rule,
 		subscriberNode: append([]int(nil), subscriberNode...),
 		groupNodes:     make([][]int, c.NumGroups()),
-		tel:            RegisterDispatchMetrics(cfg.Metrics),
+		tel:            registerDispatchMetrics(cfg.Metrics),
 		rec:            cfg.Recorder,
 	}
 	if p.rec == nil {

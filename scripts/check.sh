@@ -8,7 +8,8 @@
 #                       of every package and test on GOARCH=386, and the index tests on GOARCH=386,
 #                       where the Go containment kernel runs)
 #   2. vet suite        go run ./cmd/pubsub-vet ./...   (stock vet + custom analyzers), no
-#                       //pubsub:allow waiver in a non-test file under internal/wire, then the
+#                       //pubsub:allow waiver in a non-test file under internal/wire, no match.New or
+#                       BruteForce in a non-test file under internal/broker, then the
 #                       design weight per package (scripts/loc.sh; printed, never a gate)
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker, the wire and the telemetry — the index in one part, in parts
@@ -40,6 +41,10 @@ go run ./cmd/pubsub-vet -list
 go run ./cmd/pubsub-vet ./...
 if grep -rn --include='*.go' --exclude='*_test.go' '//pubsub:allow' internal/wire/; then
   echo "internal/wire must hold no //pubsub:allow waiver" >&2
+  exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' 'match\.New|BruteForce' internal/broker/; then
+  echo "internal/broker must pack only S-trees: no match.New, no BruteForce" >&2
   exit 1
 fi
 

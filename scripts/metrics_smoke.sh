@@ -3,7 +3,7 @@
 #
 # Boots pubsubd with -metrics-addr and an armed delivery SLO, scrapes
 # /metrics, asserts the exposition is well-formed and carries the
-# broker/index/dispatch/wire families, checks /metrics?format=json parses
+# broker/index/wire families and no dispatch family, checks /metrics?format=json parses
 # as JSON, then walks the exemplar loop an operator would: publish a
 # traced event, scrape the OpenMetrics exposition, pull a trace-id
 # exemplar off a pubsub_stage_seconds bucket line, and resolve it to a
@@ -43,18 +43,22 @@ done
 SCRAPE=$(curl -fsS "http://$METRICS/metrics")
 
 # The acceptance families: broker publish latency, index visit counts,
-# dispatch decision counters, wire connection gauge.
+# wire connection gauge.
 for want in \
   "# TYPE pubsub_broker_publish_seconds histogram" \
   "pubsub_index_nodes_visited" \
-  'pubsub_dispatch_decisions_total{method="multicast"}' \
-  'pubsub_dispatch_decisions_total{method="unicast"}' \
   "pubsub_wire_active_connections"; do
   if ! grep -qF -- "$want" <<<"$SCRAPE"; then
     echo "FAIL: metrics scrape missing: $want" >&2
     exit 1
   fi
 done
+# Nothing in the daemon plans dispatch, so no dispatch family is
+# registered.
+if grep -F -- "pubsub_dispatch_" <<<"$SCRAPE"; then
+  echo "FAIL: metrics scrape holds a pubsub_dispatch_ family (above)" >&2
+  exit 1
+fi
 
 # Well-formedness: every line is a comment, blank, or "name[{labels}] value".
 if grep -vE '^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9eE.+-]+|)$' <<<"$SCRAPE"; then
