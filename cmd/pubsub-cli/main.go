@@ -1,6 +1,7 @@
 // Command pubsub-cli is a client for pubsubd.
 //
-// Subscribe to a region (prints events until interrupted):
+// Subscribe to a region (prints events until interrupted, redialling
+// after a dropped connection):
 //
 //	pubsub-cli -addr localhost:7070 subscribe "10:11,75:80,999:"
 //
@@ -28,7 +29,8 @@
 //
 // Against a daemon started with -data-dir, dump the durable publication
 // log from an offset (0 means the oldest retained record), or subscribe
-// with catch-up replay before live delivery:
+// with catch-up replay before live delivery — a redial then resumes one
+// past the last event printed:
 //
 //	pubsub-cli -addr localhost:7070 replay 0
 //	pubsub-cli -addr localhost:7070 -from 17 subscribe "10:11,75:80,999:"
@@ -102,8 +104,11 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("usage: pubsub-cli [flags] subscribe|publish|replay <spec> | trace <id> | stats | events | lag | slo | top")
 	}
 	verb, spec := rest[0], rest[1]
-	if verb == "trace" {
+	switch verb {
+	case "trace":
 		return runEvents(*metricsAddr, spec, *kindFilter, *limit, w)
+	case "subscribe":
+		return runSubscribe(*addr, spec, *fromOffset, *count, w)
 	}
 
 	cli, err := wire.Dial(*addr)
@@ -113,35 +118,6 @@ func run(args []string, w io.Writer) error {
 	defer func() { _ = cli.Close() }()
 
 	switch verb {
-	case "subscribe":
-		rect, err := ParseRect(spec)
-		if err != nil {
-			return err
-		}
-		id, err := cli.SubscribeFrom(*fromOffset, rect)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "subscribed id=%d rect=%v\n", id, rect)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-		received := 0
-		for {
-			select {
-			case ev, open := <-cli.Events():
-				if !open {
-					return fmt.Errorf("connection closed")
-				}
-				received++
-				fmt.Fprintf(w, "event seq=%d point=%v payload=%q\n", ev.Seq, ev.Point, ev.Payload)
-				if *count > 0 && received >= *count {
-					return nil
-				}
-			case <-sig:
-				return nil
-			}
-		}
-
 	case "publish":
 		point, err := ParsePoint(spec)
 		if err != nil {
@@ -172,6 +148,46 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown verb %q (want subscribe, publish, replay, trace, stats, events, lag, slo or top)", verb)
 	}
+}
+
+// runSubscribe subscribes to the region spec through a reconnecting
+// client and prints each event until count have arrived (0: until
+// interrupted). With a nonzero from the server replays its durable log
+// from that offset first, and every redial resumes one past the last
+// event printed; the client collects a replay whole, however long.
+// Without one, a redial subscribes live again.
+func runSubscribe(addr, spec string, from uint64, count int, w io.Writer) error {
+	rect, err := ParseRect(spec)
+	if err != nil {
+		return err
+	}
+	rc, err := wire.DialReconnecting(addr, wire.ReconnectOptions{})
+	if err != nil {
+		return err
+	}
+	defer func() { _ = rc.Close() }()
+	var id int
+	if from > 0 {
+		id, err = rc.SubscribeFrom(from, rect)
+	} else {
+		id, err = rc.Subscribe(rect)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "subscribed id=%d rect=%v\n", id, rect)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	for received := 0; count <= 0 || received < count; received++ {
+		select {
+		case ev := <-rc.Events():
+			fmt.Fprintf(w, "event seq=%d point=%v payload=%q\n", ev.Seq, ev.Point, ev.Payload)
+		case <-sig:
+			return nil
+		}
+	}
+	return nil
 }
 
 // lagDump mirrors the daemon's /debug/lag JSON: the broker's

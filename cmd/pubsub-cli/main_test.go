@@ -15,6 +15,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/geometry"
 	"repro/internal/telemetry"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -153,6 +154,76 @@ func TestEndToEndPublishSubscribe(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("subscriber did not exit after -count events")
+	}
+}
+
+// TestLongHistorySubscribeAndReplay: against a durable server holding
+// 3 000 records, three times the client's event buffer, -from 1 subscribe
+// prints every record once and in order, and replay prints all of them.
+func TestLongHistorySubscribeAndReplay(t *testing.T) {
+	const history = 3000
+	log, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New(broker.Options{Log: log})
+	srv := wire.NewServer(b)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	defer func() { srv.Close(); b.Close(); log.Close() }()
+	addr := ln.Addr().String()
+	for i := 1; i <= history; i++ {
+		if _, err := b.Publish(geometry.Point{float64(i % 10)}, []byte(fmt.Sprintf("e%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqs := func(out string) []uint64 {
+		var got []uint64
+		for _, m := range regexp.MustCompile(`(?m)^event seq=(\d+) `).FindAllStringSubmatch(out, -1) {
+			var seq uint64
+			fmt.Sscan(m[1], &seq)
+			got = append(got, seq)
+		}
+		return got
+	}
+	check := func(verb string, got []uint64) {
+		t.Helper()
+		if len(got) != history {
+			t.Fatalf("%s printed %d of %d events", verb, len(got), history)
+		}
+		for i, seq := range got {
+			if seq != uint64(i+1) {
+				t.Fatalf("%s: event %d has seq %d, want %d", verb, i, seq, i+1)
+			}
+		}
+	}
+
+	// A subscribe that loses records waits for more forever.
+	var sub strings.Builder
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", addr, "-from", "1", "-count", fmt.Sprint(history), "subscribe", ":"}, &sub)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("subscribe printed fewer than %d events in 30 s", history)
+	}
+	check("subscribe", seqs(sub.String()))
+
+	var rep strings.Builder
+	if err := run([]string{"-addr", addr, "replay", "1"}, &rep); err != nil {
+		t.Fatal(err)
+	}
+	check("replay", seqs(rep.String()))
+	if !strings.HasSuffix(rep.String(), fmt.Sprintf("replayed %d event(s)\n", history)) {
+		t.Fatalf("replay output ends %q", rep.String()[max(0, rep.Len()-60):])
 	}
 }
 

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -63,4 +65,42 @@ func BenchmarkAppendParallel(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkReadFrom reads a log of 100 000 small records, the ones
+// internal/wire's BenchmarkResume replays over loopback, from its first
+// offset to its end in-process. Its records/s is the bound that resume
+// rate is read against.
+func BenchmarkReadFrom(b *testing.B) {
+	const history = 100_000
+	l, err := Open(b.TempDir(), Options{Sync: SyncNever, Recorder: telemetry.NewRecorder(512)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { l.Close() })
+	for i := 1; i <= history; i++ {
+		if _, err := l.Append(0, []float64{float64(i%10 + 1)}, []byte(fmt.Sprintf("e%d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := l.ReadFrom(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			if _, err := r.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != history {
+			b.Fatalf("read %d records, want %d", n, history)
+		}
+	}
+	b.ReportMetric(float64(history*b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -225,3 +225,33 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkResume is one ReconnectingClient.SubscribeFrom(1) over a
+// durable log of 100 000 small records (startDurableHistory's) on
+// loopback, until the application has read the last of them. Its
+// records/s is the end-to-end resume rate, to read beside internal/wal's
+// BenchmarkReadFrom, which reads the same log in-process.
+func BenchmarkResume(b *testing.B) {
+	const history = 100_000
+	addr, _ := startDurableHistory(b, history)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, err := DialReconnecting(addr, ReconnectOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rc.SubscribeFrom(1, geometry.NewRect(0, 1000)); err != nil {
+			b.Fatal(err)
+		}
+		var last broker.Event
+		for n := 0; n < history; n++ {
+			last = <-rc.Events()
+		}
+		if last.Seq != history {
+			b.Fatalf("last Seq %d, want %d", last.Seq, history)
+		}
+		_ = rc.Close()
+	}
+	b.ReportMetric(float64(history*b.N)/b.Elapsed().Seconds(), "records/s")
+}

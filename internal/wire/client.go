@@ -148,15 +148,20 @@ func (c *Client) readLoop() {
 			}
 			c.deliver(ev, ids)
 		case TypeOK, TypeError:
-			var w chan Message
+			var w waiter
 			c.out.mu.Lock()
 			if q := c.out.waiters; len(q) > 0 { // else an unsolicited reply: nobody waits for it
 				w = q[0]
 				c.out.waiters = append(q[:0], q[1:]...)
+				if w.collect {
+					// Here, not when roundTrip returns: the collector takes
+					// Events() until it has this reply in hand.
+					c.out.collecting.Add(-1)
+				}
 			}
 			c.out.mu.Unlock()
-			if w != nil {
-				w <- *m
+			if w.reply != nil {
+				w.reply <- *m
 			}
 		case TypePing:
 			// Server-side keepalive probe: answer so an idle but live
@@ -166,23 +171,30 @@ func (c *Client) readLoop() {
 	}
 }
 
-// deliver hands one frame's event to Events() once per id, in order,
-// and books what did not fit as dropped. The frame costs one client_recv
-// record for the ids delivered (the first and their count) and one per
-// id dropped, all stamped with the frame's arrival.
+// deliver hands one frame's event to Events() once per id, in order.
+// What does not fit is booked as dropped, unless a collecting round trip
+// is outstanding: its goroutine takes Events() until the reply, so the
+// read loop waits for room, and TCP paces the server's replay. The frame
+// costs one client_recv record for the ids delivered (the first and
+// their count) and one per id dropped, all stamped with the frame's
+// arrival.
 func (c *Client) deliver(ev broker.Event, ids []int) {
 	now := c.opts.Recorder.Now()
 	first, n := 0, 0
 	for _, id := range ids {
 		select {
 		case c.events <- ev:
-			if n == 0 {
-				first = id
-			}
-			n++
 		default:
-			c.drop(ev, id, now)
+			if c.out.collecting.Load() == 0 {
+				c.drop(ev, id, now)
+				continue
+			}
+			c.events <- ev // the collector takes Events() until this loop hands it its reply
 		}
+		if n == 0 {
+			first = id
+		}
+		n++
 	}
 	if n > 0 {
 		c.opts.Recorder.RecordAt(now, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
@@ -211,10 +223,12 @@ func (c *Client) drop(ev broker.Event, subID int, nowNS int64) {
 
 // roundTrip sends req and waits for its reply. With evs set it also
 // collects the events that arrive meanwhile — Replay's, which come ahead
-// of the reply, so every one of them is buffered when the reply is in.
+// of the reply — and the request is a collecting one (waiter.collect):
+// until the read loop hands the reply over it drops none of them, so
+// every one is collected or buffered when the reply is in.
 func (c *Client) roundTrip(req *Message, evs *[]broker.Event) (Message, error) {
 	w := waiterPool.Get().(chan Message)
-	if err := c.out.write(req, false, w); err != nil {
+	if err := c.out.write(req, false, waiter{reply: w, collect: evs != nil}); err != nil {
 		waiterPool.Put(w)
 		return Message{}, fmt.Errorf("wire: sending %s: %w", req.Type, err)
 	}
@@ -266,8 +280,11 @@ func (c *Client) Subscribe(rects ...geometry.Rect) (int, error) {
 // events already in its publication log starting at that offset
 // (clamped to the oldest retained record), then switches to live
 // fanout with no gap or duplicate at the boundary. Replayed and live
-// events alike arrive on Events(); replays larger than the client's
-// event buffer must be drained concurrently or they count as Dropped.
+// events alike arrive on Events(); a replay larger than the client's
+// event buffer must be drained concurrently or its overflow counts as
+// Dropped, since this read loop never waits for an application to read
+// Events(). ReconnectingClient.SubscribeFrom collects the replay
+// instead and loses none of it.
 // A zero from is never sent on the wire. Every subscribe announces the
 // group capability (Message.Group): a server that knows it sends one
 // event frame per publication for all of this client's matching
@@ -304,9 +321,11 @@ func wireRects(rects []geometry.Rect) []Rect {
 // offset (0 and 1 both mean "the oldest retained record") without
 // registering a live subscription, returning the records as events in
 // log order. The server sends its reply after the last replayed frame,
-// so the returned slice is complete. Replay drains Events() while it
-// waits; run it on a connection with no live subscriptions, or
-// concurrent live deliveries will be folded into the returned slice.
+// and Replay drains Events() until then while the read loop waits for
+// room instead of dropping, so the returned slice is complete however
+// long the replay, and Dropped does not move. Run it on a connection
+// with no live subscriptions, or concurrent live deliveries will be
+// folded into the returned slice.
 func (c *Client) Replay(from uint64) ([]broker.Event, error) {
 	if from == 0 {
 		from = 1

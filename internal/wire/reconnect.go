@@ -84,8 +84,8 @@ func (o ReconnectOptions) jittered(d time.Duration) time.Duration {
 // One owner goroutine (run) holds the connection, the subscription
 // table, the redial backoff and the events still to be delivered, and
 // takes no lock: Subscribe, SubscribeFrom and Unsubscribe are commands
-// it runs, while Publish and the drop accessors call the current
-// connection, a Client, directly.
+// it runs, while Publish and Dropped call the current connection, a
+// Client, directly.
 type ReconnectingClient struct {
 	addr string
 	opts ReconnectOptions
@@ -129,16 +129,8 @@ func DialReconnecting(addr string, opts ReconnectOptions) (*ReconnectingClient, 
 		"Highest Seq delivered to the application: the next resume replays from one past it.",
 		func() float64 { return float64(rc.lastSeq.Load()) })
 	opts.Metrics.GaugeFunc("pubsub_wire_client_dropped_events",
-		"Events lost client-side across connection generations (congestion signal; resumed replays may have refetched them).",
+		"Live events lost client-side across connection generations (congestion signal).",
 		func() float64 { return float64(rc.Dropped()) })
-	opts.Metrics.GaugeFunc("pubsub_wire_client_first_dropped_seq",
-		"Seq of the first drop in the current connection generation's loss window, 0 when loss-free.",
-		func() float64 {
-			if seq, ok := rc.FirstDropped(); ok {
-				return float64(seq)
-			}
-			return 0
-		})
 	cli, err := rc.dial()
 	if err != nil {
 		return nil, err
@@ -254,23 +246,11 @@ func (rc *ReconnectingClient) do(cmd func(*owner) error) error {
 }
 
 // collect makes one round trip on the owner's connection, queueing the
-// events that arrive before its reply behind those already pending. If
-// replaying and the connection's buffer drops an event during the round
-// trip, the replay has a hole: the queued events from the first drop's
-// Seq on are discarded, so the high-water mark cannot pass it, and
-// overflowed is reported — the caller retires the connection, and the
-// next redial resumes just past the loss-free prefix.
-func (o *owner) collect(req *Message, replaying bool) (reply Message, overflowed bool, err error) {
-	if replaying {
-		o.cli.ClearFirstDropped() // an older live drop is no hole in this replay
-	}
-	reply, err = o.cli.roundTrip(req, &o.pending)
-	floor, dropped := o.cli.FirstDropped()
-	if !replaying || !dropped {
-		return reply, false, err
-	}
-	o.pending = slices.DeleteFunc(o.pending, func(ev broker.Event) bool { return ev.Seq >= floor })
-	return reply, true, err
+// events that arrive before its reply behind those already pending. It
+// is a collecting round trip, so the connection drops none of them: a
+// replay of any length arrives whole.
+func (o *owner) collect(req *Message) (Message, error) {
+	return o.cli.roundTrip(req, &o.pending)
 }
 
 // disconnect closes the owner's connection and arms the first redial.
@@ -308,8 +288,7 @@ func (o *owner) reconnect() {
 // resubscribe replays the live subscriptions on a fresh connection in
 // handle order, so the server assigns their ids in that order, and
 // reports success. Handles cancelled via Unsubscribe are gone from
-// o.subs, so they are never replayed. A resume replay that overflowed
-// the connection's buffer fails it (see collect).
+// o.subs, so they are never replayed.
 func (o *owner) resubscribe() bool {
 	rc := o.rc
 	select {
@@ -324,15 +303,15 @@ func (o *owner) resubscribe() bool {
 		}
 	}
 	for _, rs := range o.subs {
-		reply, overflowed, err := o.collect(subscribeRequest(rc.resumeFrom(rs), rs.rects), minFrom > 0)
-		if err != nil || overflowed {
+		reply, err := o.collect(subscribeRequest(rc.resumeFrom(rs), rs.rects))
+		if err != nil {
 			return false
 		}
 		rs.serverID = reply.SubID
 	}
 	if minFrom > 0 {
-		// The resume replay landed intact: record where it picked up so
-		// an operator can see the outage window a redial recovered.
+		// Record where the resume replay picked up, so an operator can
+		// see the outage window a redial recovered.
 		rc.opts.Recorder.Record(telemetry.KindClientResume, 0, rc.lastSeq.Load(),
 			int64(minFrom), int64(rc.lastSeq.Load()), int64(len(o.subs)), 0)
 	}
@@ -372,13 +351,10 @@ func (rc *ReconnectingClient) Subscribe(rects ...geometry.Rect) (int, error) {
 // before going live, and every reconnect resumes from one past the last
 // event delivered on Events() — a restart or partition no longer loses
 // events the log retained. SubscribeFrom returns once the server has
-// answered, before the replay is delivered on Events(). A replay longer
-// than the Client's internal event buffer is safe too: the replay is
-// collected off the connection during the round trip, and if the buffer
-// still overflows, only the loss-free prefix is delivered and the
-// connection is retired so the next redial resumes just past it — the
-// outage window arrives in full across a few reconnect rounds instead of
-// with silent holes.
+// answered, before the replay is delivered on Events(). A replay of any
+// length arrives whole: it is collected off the connection during the
+// round trip, whose connection waits for room rather than drop a replayed
+// event, so TCP paces the server's replay to the collection.
 //
 // With a zero from, the resume guarantee starts at the first delivered
 // event: until one arrives there is no high-water mark, so a reconnect
@@ -400,14 +376,9 @@ func (rc *ReconnectingClient) subscribe(from uint64, resume bool, rects []geomet
 	rs := &rsub{rects: wireRects(rects), resume: resume, from: from}
 	err := rc.do(func(o *owner) error {
 		// A nonzero from streams a replay during the round trip.
-		reply, overflowed, err := o.collect(subscribeRequest(from, rs.rects), from > 0)
+		reply, err := o.collect(subscribeRequest(from, rs.rects))
 		if err != nil {
 			return err
-		}
-		if overflowed {
-			// Registered below, the subscription is resumed by the
-			// redial just past the prefix collect kept.
-			o.disconnect()
 		}
 		rs.handle, rs.serverID = o.nextID, reply.SubID
 		o.nextID++
@@ -430,7 +401,7 @@ func (rc *ReconnectingClient) Unsubscribe(handle int) error {
 		}
 		sid := o.subs[i].serverID
 		o.subs = slices.Delete(o.subs, i, i+1)
-		_, _, _ = o.collect(&Message{Type: TypeUnsubscribe, SubID: sid}, false) // best-effort on a possibly dead conn
+		_, _ = o.collect(&Message{Type: TypeUnsubscribe, SubID: sid}) // best-effort on a possibly dead conn
 		return nil
 	})
 }
@@ -450,11 +421,10 @@ func (rc *ReconnectingClient) Publish(p geometry.Point, payload []byte) (int, er
 // only on Close.
 func (rc *ReconnectingClient) Events() <-chan broker.Event { return rc.events }
 
-// Dropped reports events lost client-side: merged-buffer overflow plus
-// per-connection buffer overflow, accumulated across generations. The
-// count may briefly double-count the connection a redial replaces, and
-// includes replay overflow that a later resume refetched — it is a
-// congestion signal, not a count of events the application missed.
+// Dropped reports live events lost client-side: merged-buffer overflow
+// plus per-connection buffer overflow, accumulated across generations.
+// A replay never counts, since the owner collects it whole. The count
+// may briefly double-count the connection a redial replaces.
 func (rc *ReconnectingClient) Dropped() uint64 {
 	return rc.dropped.Load() + rc.cur.Load().Dropped()
 }
@@ -463,16 +433,6 @@ func (rc *ReconnectingClient) Dropped() uint64 {
 // all connection generations — the resume high-water mark: a reconnect
 // replays from one past it.
 func (rc *ReconnectingClient) LastSeq() uint64 { return rc.lastSeq.Load() }
-
-// FirstDropped delegates to the current connection generation: the Seq
-// of the first event its buffer dropped since the last clear, and
-// whether one was. Past generations' drops are folded into Dropped.
-func (rc *ReconnectingClient) FirstDropped() (uint64, bool) {
-	return rc.cur.Load().FirstDropped()
-}
-
-// ClearFirstDropped resets the current generation's first-drop mark.
-func (rc *ReconnectingClient) ClearFirstDropped() { rc.cur.Load().ClearFirstDropped() }
 
 // Close stops reconnection and tears down the current connection.
 func (rc *ReconnectingClient) Close() (err error) {

@@ -154,15 +154,14 @@ func TestReconnectingCloseIsFinal(t *testing.T) {
 	}
 }
 
-// TestReconnectingCallsDoNotWaitForTheReader: replays the application
-// has not read yet hold up nothing but Events(). One goroutine makes
-// two resuming subscriptions over a durable history of 1 600 records,
-// more than the merged buffer holds, then subscribes again, publishes,
-// unsubscribes and reads Dropped before it reads a single event; each
-// call returns promptly, and the history then arrives exactly once, each
-// subscription's part in order. Each replay is 800 records, under the
-// connection's buffer, so no replay overflows it and retires the
-// connection, whatever the scheduler does.
+// TestReconnectingCallsDoNotWaitForTheReader: a replay the application
+// has not read yet holds up nothing but Events(). One goroutine makes a
+// resuming subscription over a durable history of 1 600 records, more
+// than the merged buffer and the connection's buffer hold, in one
+// replay, then subscribes again, publishes, unsubscribes the first
+// subscription and reads Dropped before it reads a single event; each
+// call returns promptly, no redial is attempted, and the history then
+// arrives exactly once, in Seq order.
 func TestReconnectingCallsDoNotWaitForTheReader(t *testing.T) {
 	const history = 1600
 	b, addr := startDurableBroker(t)
@@ -171,7 +170,8 @@ func TestReconnectingCallsDoNotWaitForTheReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rc, err := DialReconnecting(addr, ReconnectOptions{InitialBackoff: 10 * time.Millisecond})
+	reg := telemetry.NewRegistry()
+	rc, err := DialReconnecting(addr, ReconnectOptions{InitialBackoff: 10 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +197,9 @@ func TestReconnectingCallsDoNotWaitForTheReader(t *testing.T) {
 		}
 	}
 
-	low, high := geometry.NewRect(0, 5.5), geometry.NewRect(5.5, 1000) // points 1–5 and 6–10
 	var a int
-	within("SubscribeFrom(1, low)", func() (err error) {
-		a, err = rc.SubscribeFrom(1, low)
-		return err
-	})
-	within("SubscribeFrom(1, high)", func() error {
-		_, err := rc.SubscribeFrom(1, high)
+	within("SubscribeFrom(1)", func() (err error) {
+		a, err = rc.SubscribeFrom(1, geometry.NewRect(0, 1000))
 		return err
 	})
 	within("SubscribeFrom(history)", func() error {
@@ -221,23 +216,19 @@ func TestReconnectingCallsDoNotWaitForTheReader(t *testing.T) {
 	within("Unsubscribe", func() error { return rc.Unsubscribe(a) })
 	within("Dropped", func() error { rc.Dropped(); return nil })
 
-	seen := make(map[uint64]bool)
-	var last [2]uint64 // per subscription: low, high
 	timeout := time.After(30 * time.Second)
-	for len(seen) < history {
+	for want := uint64(1); want <= history; want++ {
 		select {
 		case ev := <-rc.Events():
-			part := 0
-			if high.Contains(ev.Point) {
-				part = 1
+			if ev.Seq != want {
+				t.Fatalf("Seq %d, want %d", ev.Seq, want)
 			}
-			if seen[ev.Seq] || ev.Seq <= last[part] {
-				t.Fatalf("Seq %d after %d of its subscription (seen before: %v)", ev.Seq, last[part], seen[ev.Seq])
-			}
-			seen[ev.Seq], last[part] = true, ev.Seq
 		case <-timeout:
-			t.Fatalf("saw %d of %d events", len(seen), history)
+			t.Fatalf("saw %d of %d events", want-1, history)
 		}
+	}
+	if n := gaugeValue(t, reg, "pubsub_wire_reconnect_attempts_total"); n != 0 {
+		t.Fatalf("%g redial attempts, want 0", n)
 	}
 	within("Close", rc.Close)
 }

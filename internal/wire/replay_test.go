@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/geometry"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -563,11 +564,10 @@ func TestResumeFromZeroSkipsHistoryOnReconnect(t *testing.T) {
 
 // TestResumeReplayLargerThanClientBuffer: a resume replay spanning an
 // outage window larger than the Client's 1024-event buffer must arrive
-// in full. The reconnecting client's owner collects the replay off the
-// connection while the resubscribe round trip is still in flight, and a
-// replay that overflows the buffer anyway retires the connection so the
-// next redial refetches the tail; without that the tail would be gone
-// for good.
+// in full, and cost no redial beyond the one the restart needs. The
+// reconnecting client's owner collects the replay off the connection
+// while the resubscribe round trip is still in flight, and the
+// connection's reader waits for room rather than drop any of it.
 func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 	dir := t.TempDir()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -587,12 +587,14 @@ func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 	}
 	s1, b1, log1 := boot(ln)
 
+	reg := telemetry.NewRegistry()
 	rc, err := DialReconnecting(addr, ReconnectOptions{
 		// The first redial lands comfortably after the post-restart
 		// publishes below, so the resume replay streams while this test
 		// is already draining Events().
 		InitialBackoff: 150 * time.Millisecond,
 		MaxBackoff:     300 * time.Millisecond,
+		Metrics:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -650,6 +652,9 @@ func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Every attempt so far dialled a closed port; at most one more, the
+	// one that finds the new listener, may follow.
+	attempts := gaugeValue(t, reg, "pubsub_wire_reconnect_attempts_total")
 	s2, b2, log2 := boot(ln2)
 	defer func() {
 		s2.Close()
@@ -658,15 +663,21 @@ func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 	}()
 	pub(b2, 21, 1620)
 	recv(1620)
+	if n := gaugeValue(t, reg, "pubsub_wire_reconnects_total"); n != 1 {
+		t.Fatalf("%g reconnects, want the restart's one", n)
+	}
+	if n := gaugeValue(t, reg, "pubsub_wire_reconnect_attempts_total") - attempts; n > 1 {
+		t.Fatalf("%g redial attempts after the server was back, want at most 1", n)
+	}
 }
 
 // TestInitialSubscribeFromLargeHistory: the very first SubscribeFrom
 // against durable history larger than the Client's event buffer must
-// deliver it all. This exercises the app-initiated subscribe path (not
-// resubscribe): the owner collects the replay during the round trip
-// into its pending queue, and if the buffer overflowed anyway the
-// connection is retired so the redial fetches the rest — the
-// application just sees a complete, in-order stream.
+// deliver it all, with no redial. This exercises the app-initiated
+// subscribe path (not resubscribe): the owner collects the replay during
+// the round trip into its pending queue, and the connection's reader
+// waits for room rather than drop any of it — the application just sees
+// a complete, in-order stream.
 func TestInitialSubscribeFromLargeHistory(t *testing.T) {
 	b, addr := startDurableBroker(t)
 	for i := 1; i <= 1600; i++ {
@@ -675,9 +686,11 @@ func TestInitialSubscribeFromLargeHistory(t *testing.T) {
 		}
 	}
 
+	reg := telemetry.NewRegistry()
 	rc, err := DialReconnecting(addr, ReconnectOptions{
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     100 * time.Millisecond,
+		Metrics:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -704,6 +717,9 @@ func TestInitialSubscribeFromLargeHistory(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("saw %d of 1600 events (last %d)", len(seen), last)
 		}
+	}
+	if n := gaugeValue(t, reg, "pubsub_wire_reconnect_attempts_total"); n != 0 {
+		t.Fatalf("%g redial attempts, want 0", n)
 	}
 }
 

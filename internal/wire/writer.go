@@ -50,12 +50,21 @@ type outQueue struct {
 	group atomic.Bool
 	one   Message // scratch: the event frame being encoded; guarded by mu
 
-	waiters []chan Message // a client's, for its requests' replies, in frame order; guarded by mu
+	waiters    []waiter     // a client's, for its requests' replies, in frame order; guarded by mu
+	collecting atomic.Int32 // how many of waiters collect
 
 	kick     chan struct{} // pending went from empty to non-empty
 	stop     chan struct{} // closed to make the writer flush and exit
 	stopOnce sync.Once
 	done     chan struct{} // closed when the writer has exited
+}
+
+// waiter is a client request's reply slot. collect marks a request
+// whose round trip takes Events() until its reply: while one is queued,
+// the read loop waits for room in Events() instead of dropping.
+type waiter struct {
+	reply   chan Message
+	collect bool
 }
 
 func (q *outQueue) init(conn net.Conn, writeTimeout time.Duration) {
@@ -134,7 +143,7 @@ func (q *outQueue) push(m *Message) error {
 // full, and w, a client's waiter for m's reply, in the same critical
 // section. The error is either errEncode — nothing was queued, the
 // connection is unaffected — or the failure that ended the writer.
-func (q *outQueue) write(m *Message, stamp bool, w chan Message) error {
+func (q *outQueue) write(m *Message, stamp bool, w waiter) error {
 	if err := q.admit(frameBound(m)); err != nil {
 		return err
 	}
@@ -144,15 +153,18 @@ func (q *outQueue) write(m *Message, stamp bool, w chan Message) error {
 		events = 1
 	}
 	err := q.frameLocked(m, events, stamp)
-	if err == nil && w != nil {
+	if err == nil && w.reply != nil {
 		q.waiters = append(q.waiters, w)
+		if w.collect {
+			q.collecting.Add(1)
+		}
 	}
 	return err
 }
 
 // write is outQueue.write for the server. An event written this way is a
 // pure replay's, for no subscription, and framed as it stands.
-func (cs *connState) write(m *Message) error { return cs.out.write(m, cs.tel != nil, nil) }
+func (cs *connState) write(m *Message) error { return cs.out.write(m, cs.tel != nil, waiter{}) }
 
 // idRoom is what one more id costs a frame: a comma and its digits.
 const idRoom = 1 + maxIDLen

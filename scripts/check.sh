@@ -14,7 +14,8 @@
 #   3. race tests       go test -race ./...  (+ the allocation gates without -race, which they skip under,
 #                       the WAL at -cpu 1,2, the broker, the wire and the telemetry — the index in one part, in parts
 #                       inline and on the part workers, overflow table over channels and sinks, connection script,
-#                       flight-recorder writers on contended shard locks — at -cpu 1,2,4, every benchmark once (BenchmarkRebuildBurst, the selective set-up's
+#                       flight-recorder writers on contended shard locks — at -cpu 1,2,4, the long-replay tests 20 times at
+#                       -cpu 1 (a replay longer than the client's event buffer arrives whole, no redial), every benchmark once (BenchmarkRebuildBurst, the selective set-up's
 #                       rebuilds, takes a few seconds; the parts benchmark and the client round trip again at -cpu 2), and
 #                       10-second fuzzes of the grouped event decoder, the id-list encoder, the
 #                       subscribe, unsubscribe and keepalive frames' encoder and decoder against
@@ -56,6 +57,7 @@ go test -race ./...
 go test -run 'ZeroAlloc|Allocat' ./...
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/ ./internal/telemetry/
+go test -race -count=20 -cpu 1 -run 'ReplayLongerThanBuffer|LongHistory|LargerThanClientBuffer|LargeHistory|WaitForTheReader' ./internal/wire/
 go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/broker -run '^$' -bench PublishParts -benchtime 1x -cpu 2
 go test ./internal/wire -run '^$' -bench ClientRoundTrip -benchtime 1x -cpu 2
