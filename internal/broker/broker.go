@@ -108,9 +108,6 @@ type Options struct {
 	// DefaultBuffer is the per-subscription channel capacity used by
 	// Subscribe. Zero selects 16.
 	DefaultBuffer int
-	// MinOverlay is the overlay size that always triggers an index
-	// rebuild when exceeded. Zero selects 64.
-	MinOverlay int
 	// Matcher tunes the S-trees a rebuild packs (branch factor, skew).
 	// New panics on another Algorithm or an option stree.Build refuses.
 	Matcher match.Options
@@ -153,11 +150,6 @@ type Options struct {
 	// the flag clears on the next successful delivery. Zero disables
 	// detection.
 	SlowLagThreshold uint64
-	// StaleWindow is how long the rebuilder may leave rebuild-worthy
-	// churn (an overlay or stale fraction past the trigger thresholds)
-	// unfolded before the broker's health check reports Degraded. Zero
-	// selects 10s.
-	StaleWindow time.Duration
 	// SLO, when non-nil, receives every publication's end-to-end
 	// publish latency (and every overflow drop as a bad event) for
 	// multi-window burn-rate evaluation. Nil disables the feed at zero
@@ -165,18 +157,21 @@ type Options struct {
 	SLO *health.SLO
 }
 
+// defaultMinOverlay is the overlay floor of the rebuild rule
+// (rebuildDueLocked), which the bench harness's settled() copies.
+// defaultStaleWindow is how long a due rebuild may wait before the
+// "rebuilder" health check reports Degraded.
+const (
+	defaultMinOverlay  = 64
+	defaultStaleWindow = 10 * time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.DefaultBuffer == 0 {
 		o.DefaultBuffer = 16
 	}
-	if o.MinOverlay == 0 {
-		o.MinOverlay = 64
-	}
 	if o.BlockTimeout == 0 {
 		o.BlockTimeout = 50 * time.Millisecond
-	}
-	if o.StaleWindow == 0 {
-		o.StaleWindow = 10 * time.Second
 	}
 	return o
 }
@@ -302,6 +297,10 @@ type Broker struct {
 	nparts  int
 	partMin int
 	tree    stree.Options // Options.Matcher as the rebuilt trees' options
+	// minOverlay and staleWindow are defaultMinOverlay and
+	// defaultStaleWindow; only package tests shrink them.
+	minOverlay  int
+	staleWindow time.Duration
 	// work hands part i of a publication's snapshot to worker i; nil
 	// without workers (always nil at index 0, the publisher's part).
 	// Unbuffered: a successful send means the worker has taken exactly
@@ -375,18 +374,20 @@ func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 		panic(fmt.Sprintf("broker: Options.Matcher %+v: a rebuild packs only S-trees stree.Build accepts (stree.Build: %v)", opts.Matcher, err))
 	}
 	b := &Broker{
-		opts:      opts.withDefaults(),
-		subs:      make(map[int]*Subscription),
-		tracer:    opts.Tracer,
-		rec:       opts.Recorder,
-		log:       opts.Log,
-		slo:       opts.SLO,
-		stop:      make(chan struct{}),
-		rebuildCh: make(chan struct{}, 1),
-		nparts:    nparts,
-		partMin:   partMin,
-		tree:      tree,
-		partNS:    make([]atomic.Int64, nparts),
+		opts:        opts.withDefaults(),
+		subs:        make(map[int]*Subscription),
+		tracer:      opts.Tracer,
+		rec:         opts.Recorder,
+		log:         opts.Log,
+		slo:         opts.SLO,
+		stop:        make(chan struct{}),
+		rebuildCh:   make(chan struct{}, 1),
+		nparts:      nparts,
+		partMin:     partMin,
+		tree:        tree,
+		minOverlay:  defaultMinOverlay,
+		staleWindow: defaultStaleWindow,
+		partNS:      make([]atomic.Int64, nparts),
 	}
 	if b.rec == nil {
 		b.rec = telemetry.Default()
@@ -470,15 +471,6 @@ func (s *Subscription) ID() int { return s.id }
 // own: Events returns nil, which blocks a receive forever, and its
 // events are taken from the sink.
 func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Rects returns the subscription's predicate rectangles.
-func (s *Subscription) Rects() []geometry.Rect {
-	out := make([]geometry.Rect, len(s.rects))
-	for i, r := range s.rects {
-		out[i] = r.Clone()
-	}
-	return out
-}
 
 // Dropped reports how many events were dropped because this
 // subscription's buffer was full.
@@ -688,21 +680,13 @@ func (b *Broker) Subscribe(rects ...geometry.Rect) (*Subscription, error) {
 	return b.SubscribeWith(SubscribeOptions{}, rects...)
 }
 
-// SubscribeBuffered is Subscribe with an explicit channel capacity.
-func (b *Broker) SubscribeBuffered(buffer int, rects ...geometry.Rect) (*Subscription, error) {
-	if buffer < 1 {
-		return nil, fmt.Errorf("broker: buffer must be >= 1, got %d", buffer)
-	}
-	return b.SubscribeWith(SubscribeOptions{Buffer: buffer}, rects...)
-}
-
 // SubscribeWith is Subscribe with a chosen buffer, or on a sink.
 func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*Subscription, error) {
 	if len(rects) == 0 {
 		return nil, fmt.Errorf("broker: subscription needs at least one rectangle")
 	}
 	if opts.Buffer < 0 {
-		return nil, fmt.Errorf("broker: buffer must be >= 1, got %d", opts.Buffer)
+		return nil, fmt.Errorf("broker: buffer must be >= 0, got %d", opts.Buffer)
 	}
 	if k := opts.Sink; k != nil && k.b != b {
 		return nil, fmt.Errorf("broker: a sink subscription needs a sink of its broker")

@@ -36,8 +36,9 @@ func TestSubscribeValidation(t *testing.T) {
 	if _, err := b.Subscribe(geometry.NewRect(5, 5)); err == nil {
 		t.Error("empty rectangle accepted")
 	}
-	if _, err := b.SubscribeBuffered(0, geometry.NewRect(0, 1)); err == nil {
-		t.Error("zero buffer accepted")
+	_, err := b.SubscribeWith(SubscribeOptions{Buffer: -1}, geometry.NewRect(0, 1))
+	if err == nil || !strings.Contains(err.Error(), ">= 0") {
+		t.Errorf("negative buffer: err %v, want one asking for >= 0", err)
 	}
 }
 
@@ -145,7 +146,7 @@ func TestCancelStopsDelivery(t *testing.T) {
 func TestSlowSubscriberDrops(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()
-	s, err := b.SubscribeBuffered(2, geometry.NewRect(0, 10))
+	s, err := b.SubscribeWith(SubscribeOptions{Buffer: 2}, geometry.NewRect(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSlowSubscriberDrops(t *testing.T) {
 }
 
 func TestIndexRebuildKeepsMatchingCorrect(t *testing.T) {
-	b := New(Options{MinOverlay: 8, Matcher: match.Options{Algorithm: match.AlgSTree, BranchFactor: 4}})
+	b := withMinOverlay(New(Options{Matcher: match.Options{Algorithm: match.AlgSTree, BranchFactor: 4}}), 8)
 	defer b.Close()
 	rng := rand.New(rand.NewSource(1))
 	type reg struct {
@@ -239,7 +240,7 @@ func waitSettled(t testing.TB, b *Broker) {
 // TestStaleRebuildOnCancels: once settled, the base holds at least the
 // first 40 subscriptions, and cancelling them makes it mostly stale.
 func TestStaleRebuildOnCancels(t *testing.T) {
-	b := New(Options{MinOverlay: 4})
+	b := withMinOverlay(New(Options{}), 4)
 	defer b.Close()
 	var subs []*Subscription
 	for i := 0; i < 50; i++ {
@@ -295,15 +296,13 @@ func TestSubscriptionRectsAreCopies(t *testing.T) {
 	if n, _ := b.Publish(geometry.Point{500}, nil); n != 0 {
 		t.Error("broker aliased the caller's rectangle")
 	}
-	got := s.Rects()
-	got[0][0].Lo = -1
-	if s.rects[0][0].Lo == -1 {
-		t.Error("Rects() aliased internal storage")
+	if s.rects[0][0].Hi != 10 {
+		t.Errorf("subscription's rectangle reads %v after the caller's edit, want [0, 10)", s.rects[0])
 	}
 }
 
 func TestConcurrentPubSub(t *testing.T) {
-	b := New(Options{MinOverlay: 16, DefaultBuffer: 1024})
+	b := withMinOverlay(New(Options{DefaultBuffer: 1024}), 16)
 	defer b.Close()
 
 	const (
@@ -369,7 +368,7 @@ func TestConcurrentPubSub(t *testing.T) {
 func TestMixedDimensionalityPacksATreeEach(t *testing.T) {
 	// Subscriptions of different dimensionalities make the rebuild pack
 	// a tree per dimensionality; both must keep working.
-	b := New(Options{MinOverlay: 2})
+	b := withMinOverlay(New(Options{}), 2)
 	defer b.Close()
 	s1, err := b.Subscribe(geometry.NewRect(0, 10))
 	if err != nil {

@@ -29,7 +29,7 @@ func manualRebuilds(t *testing.T, opts Options, parts int) *Broker {
 // base is unreachable at once: the base's slot table keeps a tombstone,
 // not the subscription, so the next GC frees it with no rebuild.
 func TestCancelFreesBaseSubscription(t *testing.T) {
-	b := manualRebuilds(t, Options{MinOverlay: 1}, 1)
+	b := withMinOverlay(manualRebuilds(t, Options{}, 1), 1)
 	if _, err := b.Subscribe(geometry.NewRect(20, 30)); err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestCancelFreesBaseSubscription(t *testing.T) {
 // before any rebuild: 1 000 queues of 64 events each.
 func TestCancelReleasesBaseQueues(t *testing.T) {
 	const subs, buffer = 1000, 64
-	b := manualRebuilds(t, Options{MinOverlay: 1}, 1)
+	b := withMinOverlay(manualRebuilds(t, Options{}, 1), 1)
 	victims := make([]*Subscription, subs)
 	for i := range victims {
 		var err error
-		if victims[i], err = b.SubscribeBuffered(buffer, geometry.NewRect(float64(i), float64(i+1))); err != nil {
+		if victims[i], err = b.SubscribeWith(SubscribeOptions{Buffer: buffer}, geometry.NewRect(float64(i), float64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestCancelReleasesBaseQueues(t *testing.T) {
 // books no target: its trace records fan-out 0.
 func TestStaleMatchCountsNoTarget(t *testing.T) {
 	rec := telemetry.NewRecorder(1024)
-	b := manualRebuilds(t, Options{Recorder: rec, MinOverlay: 1}, 1)
+	b := withMinOverlay(manualRebuilds(t, Options{Recorder: rec}, 1), 1)
 	gone, err := b.Subscribe(geometry.NewRect(0, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestStaleMatchCountsNoTarget(t *testing.T) {
 func TestCancelDuringRebuildIsNotInstalled(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			b := manualRebuilds(t, Options{MinOverlay: 1}, parts)
+			b := withMinOverlay(manualRebuilds(t, Options{}, parts), 1)
 			subscribe := func(i int) *Subscription {
 				s, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+1)))
 				if err != nil {
@@ -228,7 +228,7 @@ func TestCancelDuringRebuildIsNotInstalled(t *testing.T) {
 func TestCancelEitherSideOfTheCut(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-			b := manualRebuilds(t, Options{MinOverlay: 1}, parts)
+			b := withMinOverlay(manualRebuilds(t, Options{}, parts), 1)
 			subscribe := func(i int) *Subscription {
 				s, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+1)))
 				if err != nil {

@@ -40,7 +40,7 @@ func waitGoroutines(t *testing.T, want int) {
 // mid-rebuild) and never zero times while live — and exactly zero times
 // once Cancel has returned, all while background churn forces rebuilds.
 func TestPublishObservesAtomicSnapshot(t *testing.T) {
-	b := New(Options{MinOverlay: 4})
+	b := withMinOverlay(New(Options{}), 4)
 	defer b.Close()
 
 	p := geometry.Point{50}
@@ -115,7 +115,7 @@ func TestPublishObservesAtomicSnapshot(t *testing.T) {
 // goroutine check catches a rebuilder that outlives Close.
 func TestConcurrentPublishChurnStress(t *testing.T) {
 	before := runtime.NumGoroutine()
-	b := New(Options{MinOverlay: 4, DefaultBuffer: 2})
+	b := withMinOverlay(New(Options{DefaultBuffer: 2}), 4)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -207,7 +207,7 @@ func TestConcurrentPublishChurnStress(t *testing.T) {
 func TestCloseDuringRebuild(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
-		b := New(Options{MinOverlay: 4})
+		b := withMinOverlay(New(Options{}), 4)
 		for i := 0; i < 300; i++ {
 			lo := float64(i % 100)
 			if _, err := b.Subscribe(geometry.NewRect(lo, lo+2)); err != nil {
@@ -245,7 +245,7 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 		for i := range rects {
 			rects[i] = geometry.NewRect(40, 60)
 		}
-		assertPublishZeroAlloc(t, New(Options{MinOverlay: 4}), rects, nil, []geometry.Point{{50}}, 1)
+		assertPublishZeroAlloc(t, withMinOverlay(New(Options{}), 4), rects, nil, []geometry.Point{{50}}, 1)
 	})
 	stock := func(t *testing.T, n int) ([]geometry.Rect, []geometry.Point) {
 		cfg := workload.DefaultSubscriptionConfig()
@@ -276,9 +276,9 @@ func TestPublishZeroAllocSteadyState(t *testing.T) {
 	})
 	t.Run("stock-overlay", func(t *testing.T) {
 		// The first rebuild comes due at the 1 001st rectangle; 1 000
-		// more stay under MinOverlay, so the overlay keeps them.
+		// more stay under minOverlay, so the overlay keeps them.
 		rects, points := stock(t, 2001)
-		assertPublishZeroAlloc(t, New(Options{MinOverlay: 1000}), rects[:1001], rects[1001:], points, 1)
+		assertPublishZeroAlloc(t, withMinOverlay(New(Options{}), 1000), rects[:1001], rects[1001:], points, 1)
 	})
 	t.Run("multi-rect", func(t *testing.T) {
 		rects, points := stock(t, 2000)

@@ -47,10 +47,10 @@ func (b *Broker) publishSnapshotLocked() {
 
 // rebuildDueLocked reports whether the overlay (or the stale fraction
 // of the base) has grown past the rebuild thresholds: more than
-// MinOverlay overlay rectangles and more than a quarter of the base, or
+// minOverlay overlay rectangles and more than a quarter of the base, or
 // more than half the base stale. Caller holds b.mu.
 func (b *Broker) rebuildDueLocked() bool {
-	overlayBig := len(b.overlay.subs) > b.opts.MinOverlay && len(b.overlay.subs)*4 > b.baseLen
+	overlayBig := len(b.overlay.subs) > b.minOverlay && len(b.overlay.subs)*4 > b.baseLen
 	staleBig := b.stale*2 > b.baseLen && b.stale > 0
 	return overlayBig || staleBig
 }

@@ -43,6 +43,22 @@ func (a arrangement) open(opts Options) *Broker {
 	return newBroker(opts, a.parts, 0, a.workers)
 }
 
+// withMinOverlay lowers b's overlay rebuild floor from defaultMinOverlay
+// to n, so a few subscriptions reach a rebuild. Call it before the first
+// Subscribe.
+func withMinOverlay(b *Broker, n int) *Broker {
+	b.minOverlay = n
+	return b
+}
+
+// withStaleWindow shortens how long a due rebuild may wait before the
+// "rebuilder" health check reports Degraded. Call it before the first
+// Subscribe.
+func withStaleWindow(b *Broker, d time.Duration) *Broker {
+	b.staleWindow = d
+	return b
+}
+
 // forEachArrangement runs f once per arrangement, as a subtest.
 func forEachArrangement(t *testing.T, f func(t *testing.T, a arrangement)) {
 	for _, a := range arrangements {
@@ -52,7 +68,7 @@ func forEachArrangement(t *testing.T, f func(t *testing.T, a arrangement)) {
 
 // TestPublishArrangementsEquivalence runs one randomized workload —
 // multi-rectangle subscriptions, cancellations mid-stream, rebuilds in
-// flight (MinOverlay is tiny) — through every arrangement of the
+// flight (minOverlay is tiny) — through every arrangement of the
 // publish pipeline: one part, four parts run by the publisher and four
 // parts offered to workers (the subtest names count the parts as
 // "shards"), each in memory and over a durable log, and each of those
@@ -122,11 +138,11 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 			t.Run(arr.name+dl.name, func(t *testing.T) {
 				reg := telemetry.NewRegistry()
 				rec := telemetry.NewRecorder(1 << 14)
-				opts := Options{MinOverlay: 4, Metrics: reg, Recorder: rec}
+				opts := Options{Metrics: reg, Recorder: rec}
 				if durable {
 					opts.Log = openLog(t, t.TempDir(), wal.Options{Sync: wal.SyncNever})
 				}
-				b := arr.open(opts)
+				b := withMinOverlay(arr.open(opts), 4)
 				defer b.Close()
 				published := 0
 				publish := func(p geometry.Point, trace uint64) int {
@@ -311,7 +327,7 @@ func TestPublishArrangementsEquivalence(t *testing.T) {
 // idle.
 func TestShardEmptyRebalance(t *testing.T) {
 	forEachArrangement(t, func(t *testing.T, a arrangement) {
-		b := a.open(Options{MinOverlay: 1})
+		b := withMinOverlay(a.open(Options{}), 1)
 		defer b.Close()
 		subs := make([]*Subscription, 0, 64)
 		for i := 0; i < 64; i++ {
@@ -359,7 +375,7 @@ func TestShardEmptyRebalance(t *testing.T) {
 // rectangle accounting equals the live total.
 func TestPartsPartitionSlots(t *testing.T) {
 	const parts = 4
-	b := newBroker(Options{MinOverlay: 4}, parts, 0, false)
+	b := withMinOverlay(newBroker(Options{}, parts, 0, false), 4)
 	defer b.Close()
 	rng := rand.New(rand.NewSource(4))
 	rects := 0
@@ -433,7 +449,7 @@ func TestPartsPartitionSlots(t *testing.T) {
 }
 
 // TestRebuildTriggerEdges pins the rebuild rule at its edges: an overlay
-// of more than MinOverlay rectangles and more than a quarter of the
+// of more than minOverlay rectangles and more than a quarter of the
 // base, or more than half the base stale. The bench harness's settled()
 // copies this rule from ShardStats, so each step also checks that the
 // copy, computed from the one-entry view, agrees. The rebuilder goroutine
@@ -505,7 +521,7 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 			var brokers [2]*Broker
 			var subs [2][]*Subscription
 			for i := range brokers {
-				brokers[i] = newBroker(Options{MinOverlay: 4}, parts, 0, false)
+				brokers[i] = withMinOverlay(newBroker(Options{}, parts, 0, false), 4)
 				defer brokers[i].Close()
 				brokers[i].mu.Lock()
 				brokers[i].rebuilderOn = true
@@ -584,7 +600,7 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 // count of the subscriptions — at every observable instant while
 // rebuilds of the base in parts race subscription churn.
 func TestShardRectangleAccountingUnderChurn(t *testing.T) {
-	b := newBroker(Options{MinOverlay: 2}, 3, 0, false)
+	b := withMinOverlay(newBroker(Options{}, 3, 0, false), 2)
 	defer b.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -653,7 +669,7 @@ func TestCloseDuringMultiShardRebuild(t *testing.T) {
 	forEachArrangement(t, func(t *testing.T, a arrangement) {
 		base := runtime.NumGoroutine()
 		for round := 0; round < 5; round++ {
-			b := a.open(Options{MinOverlay: 1})
+			b := withMinOverlay(a.open(Options{}), 1)
 			for i := 0; i < 200; i++ {
 				if _, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+2))); err != nil {
 					t.Fatal(err)
@@ -685,7 +701,7 @@ func TestParallelFanoutRaceStress(t *testing.T) {
 		pubs, churnOps = 600, 300
 	}
 	forEachArrangement(t, func(t *testing.T, a arrangement) {
-		b := a.open(Options{MinOverlay: 2, SlowLagThreshold: 8})
+		b := withMinOverlay(a.open(Options{SlowLagThreshold: 8}), 2)
 		defer b.Close()
 		for i := 0; i < 128; i++ {
 			if _, err := b.SubscribeWith(SubscribeOptions{Buffer: 2},
@@ -937,7 +953,7 @@ func TestNewRejectsNonSTreeMatcher(t *testing.T) {
 					t.Errorf("New with Matcher %+v panicked with %q, want it to name Options.Matcher and %q", tc.opts, msg, tc.want)
 				}
 			}()
-			b := New(Options{Matcher: tc.opts, MinOverlay: 1})
+			b := withMinOverlay(New(Options{Matcher: tc.opts}), 1)
 			defer b.Close()
 			for i := 0; i < 4; i++ {
 				if _, err := b.Subscribe(geometry.NewRect(float64(i), float64(i)+2)); err != nil {
@@ -970,14 +986,14 @@ func TestForeignDimensionalityCostsItsOwnTree(t *testing.T) {
 	}
 	points := []geometry.Point{{2, 2}, {7, 7}, {12, 12}, {20, 20}, {5, 5, 5}, {5, 5, 15}, {12, 12, 12}, {5}}
 	// open packs subs and the extra subscriptions into one base:
-	// MinOverlay makes the last rectangle trigger the one rebuild.
+	// minOverlay makes the last rectangle trigger the one rebuild.
 	open := func(extra ...[]geometry.Rect) (*Broker, *telemetry.Recorder, []*Subscription) {
 		n := len(subs)
 		for _, rs := range extra {
 			n += len(rs)
 		}
 		rec := telemetry.NewRecorder(1 << 12)
-		b := New(Options{MinOverlay: n - 1, Recorder: rec})
+		b := withMinOverlay(New(Options{Recorder: rec}), n-1)
 		for _, s := range subs {
 			if _, err := b.Subscribe(s.Rect); err != nil {
 				t.Fatal(err)
@@ -985,7 +1001,7 @@ func TestForeignDimensionalityCostsItsOwnTree(t *testing.T) {
 		}
 		var xs []*Subscription
 		for _, rs := range extra {
-			x, err := b.SubscribeBuffered(len(points), rs...)
+			x, err := b.SubscribeWith(SubscribeOptions{Buffer: len(points)}, rs...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1068,7 +1084,7 @@ func TestPartPacksSlotOrderedEntries(t *testing.T) {
 			}
 			// The last rectangle triggers the one rebuild, of everything.
 			tree := match.Options{BranchFactor: 5, Skew: 0.25}
-			b := newBroker(Options{MinOverlay: rects - 1, Matcher: tree}, 1, 0, false)
+			b := withMinOverlay(newBroker(Options{Matcher: tree}, 1, 0, false), rects-1)
 			defer b.Close()
 			for _, rs := range specs {
 				if _, err := b.Subscribe(rs...); err != nil {

@@ -270,8 +270,8 @@ func coveringScan(rects []geometry.Rect) (duplicates, covering int) {
 
 // RegisterHealth registers the broker's health checks: "broker" (basic
 // open/closed liveness plus slow-subscriber pressure) and "rebuilder"
-// (whether rebuild-worthy churn has been left unfolded past the
-// StaleWindow). Checks run only when a probe fires; nothing is added
+// (whether rebuild-worthy churn has been left unfolded past
+// defaultStaleWindow). Checks run only when a probe fires; nothing is added
 // to the publish path.
 func (b *Broker) RegisterHealth(hr *health.Registry) {
 	hr.Register("broker", func() (health.State, string) {
@@ -290,13 +290,13 @@ func (b *Broker) RegisterHealth(hr *health.Registry) {
 		if b.closed.Load() {
 			return health.Unhealthy, "broker closed"
 		}
-		// Churn left unfolded past the StaleWindow degrades the broker:
+		// Churn left unfolded past the stale window degrades the broker:
 		// every publish is paying unfolded overlay boxes (or stale-slot
 		// filtering).
 		b.mu.RLock()
 		st := b.statLocked()
 		b.mu.RUnlock()
-		if age := time.Duration(st.SecondsSinceRebuild * float64(time.Second)); st.RebuildDue && age > b.opts.StaleWindow {
+		if age := time.Duration(st.SecondsSinceRebuild * float64(time.Second)); st.RebuildDue && age > b.staleWindow {
 			return health.Degraded, fmt.Sprintf(
 				"index stale: unfolded for %s; overlay %d, stale %d/%d",
 				age.Round(time.Millisecond), st.OverlayLen, st.Stale, st.BaseLen)

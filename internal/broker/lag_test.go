@@ -139,7 +139,7 @@ func TestLagMetricsGauges(t *testing.T) {
 }
 
 func TestIndexReportShapeAndSelectivity(t *testing.T) {
-	b := New(Options{MinOverlay: 8})
+	b := withMinOverlay(New(Options{}), 8)
 	defer b.Close()
 	// 40 identical narrow rects on dim 0, unbounded on dim 1: dim 0 is
 	// the selective axis, and every pair is a duplicate.
@@ -237,7 +237,7 @@ func TestIndexReportCoveringPairs(t *testing.T) {
 
 func TestBrokerHealthChecks(t *testing.T) {
 	hr := health.NewRegistry()
-	b := New(Options{SlowLagThreshold: 2, StaleWindow: 30 * time.Millisecond, MinOverlay: 4})
+	b := withStaleWindow(withMinOverlay(New(Options{SlowLagThreshold: 2}), 4), 30*time.Millisecond)
 	b.RegisterHealth(hr)
 
 	rep := hr.Evaluate()
@@ -288,7 +288,7 @@ func TestBrokerHealthChecks(t *testing.T) {
 
 func TestRebuilderStalenessDegradesAndRecovers(t *testing.T) {
 	hr := health.NewRegistry()
-	b := New(Options{StaleWindow: 20 * time.Millisecond, MinOverlay: 4})
+	b := withStaleWindow(withMinOverlay(New(Options{}), 4), 20*time.Millisecond)
 	defer b.Close()
 	b.RegisterHealth(hr)
 

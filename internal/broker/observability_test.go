@@ -27,11 +27,7 @@ func TestExemplarRecordingUnderParallelFanout(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	slo := health.NewSLO(health.SLOOptions{ObjectiveSeconds: 10}) // generous: nothing bad, just exercised
-	b := newBroker(Options{
-		MinOverlay: 4,
-		Metrics:    reg,
-		SLO:        slo,
-	}, 4, 0, true)
+	b := withMinOverlay(newBroker(Options{Metrics: reg, SLO: slo}, 4, 0, true), 4)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

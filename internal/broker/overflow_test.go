@@ -124,7 +124,7 @@ func TestOverflowCancelSlowEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := b.SubscribeBuffered(64, geometry.NewRect(0, 10))
+	healthy, err := b.SubscribeWith(SubscribeOptions{Buffer: 64}, geometry.NewRect(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestOverlayModel(t *testing.T) {
 			}
 			for _, a := range arrs {
 				t.Run(a.name, func(t *testing.T) {
-					overlayModel(t, a.open(Options{MinOverlay: minOverlay, DefaultBuffer: 4}), seed, mixed)
+					overlayModel(t, withMinOverlay(a.open(Options{DefaultBuffer: 4}), minOverlay), seed, mixed)
 				})
 			}
 		})
@@ -127,7 +127,7 @@ func overlayModel(t *testing.T, b *Broker, seed int64, mixed bool) {
 // (internal/flat keeps the assembly out of race-detector builds), so the
 // detector sees each block read.
 func TestOverlayAppendsUnderPublish(t *testing.T) {
-	b := New(Options{MinOverlay: 1 << 20, DefaultBuffer: 1 << 12})
+	b := withMinOverlay(New(Options{DefaultBuffer: 1 << 12}), 1<<20)
 	defer b.Close()
 	all, err := b.Subscribe(geometry.NewRect(0, 100, 0, 100))
 	if err != nil {
@@ -180,14 +180,14 @@ func TestOverlayAppendsUnderPublish(t *testing.T) {
 
 // BenchmarkPublishOverlay times a publish on the ledger's stock
 // population, 10 000 subscriptions packed into the base, with
-// 0, 64, 1 250 and 2 500 more rectangles in the overlay. MinOverlay
+// 0, 64, 1 250 and 2 500 more rectangles in the overlay. minOverlay
 // makes the 10 000th subscription trigger the one rebuild, so the base
 // holds exactly the first 10 000 whatever the scheduling, and keeps
 // the overlay from ever coming due (with the default it would come due
 // only past 2 500).
 func BenchmarkPublishOverlay(b *testing.B) {
 	events, subs := stockPopulation(b, 12500)
-	br := New(Options{DefaultBuffer: 1, MinOverlay: 9999})
+	br := withMinOverlay(New(Options{DefaultBuffer: 1}), 9999)
 	defer br.Close()
 	subscribe := func(subs []workload.PlacedSubscription) {
 		for _, s := range subs {
@@ -253,7 +253,7 @@ func awaitBase(br *Broker, n int) {
 // with one 3-d subscription packed beside them. Rectangles of two
 // dimensionalities cannot share a tree, so the second base packs a
 // 3-d tree of one entry beside the 4-d one, which a 4-d point skips
-// without reading a node: the two rows should read alike. MinOverlay
+// without reading a node: the two rows should read alike. minOverlay
 // makes the last subscription trigger the one rebuild in both.
 func BenchmarkPublishForeignDims(b *testing.B) {
 	events, subs := stockPopulation(b, 10000)
@@ -264,7 +264,7 @@ func BenchmarkPublishForeignDims(b *testing.B) {
 	}{{"stock", nil}, {"stock+3d", []geometry.Rect{foreign}}} {
 		b.Run(tc.name, func(b *testing.B) {
 			n := len(subs) + len(tc.extra)
-			br := New(Options{DefaultBuffer: 1, MinOverlay: n - 1})
+			br := withMinOverlay(New(Options{DefaultBuffer: 1}), n-1)
 			defer br.Close()
 			for _, s := range subs {
 				if _, err := br.Subscribe(s.Rect); err != nil {

@@ -176,7 +176,7 @@ func TestSinkDecisionRecord(t *testing.T) {
 // started (rebuilderOn is set first); the test runs rebuild itself.
 func TestSinkDecisionRecordStaleBase(t *testing.T) {
 	rec := telemetry.NewRecorder(1024)
-	br := New(Options{Recorder: rec, MinOverlay: 1})
+	br := withMinOverlay(New(Options{Recorder: rec}), 1)
 	defer br.Close()
 	br.mu.Lock()
 	br.rebuilderOn = true
@@ -331,9 +331,9 @@ func TestSinkFanoutAllocatesOnlyThePublication(t *testing.T) {
 	}
 	for _, shape := range []struct{ targets, sinks int }{{32, 1}, {140, 100}} {
 		for _, a := range arrangements {
-			// MinOverlay 4 packs the base, in parts where the arrangement
+			// minOverlay 4 packs the base, in parts where the arrangement
 			// has them, whatever the population.
-			step, done := sinkFanout(t, a.open(Options{MinOverlay: 4}), shape.targets, shape.sinks)
+			step, done := sinkFanout(t, withMinOverlay(a.open(Options{}), 4), shape.targets, shape.sinks)
 			step()
 			// The point and the payload are cloned once per publication,
 			// as on the channel path; grouping, the elements and their id

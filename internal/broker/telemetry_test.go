@@ -76,7 +76,7 @@ func TestBrokerMetrics(t *testing.T) {
 
 func TestBrokerMetricsNodesVisitedAfterRebuild(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	b := New(Options{Metrics: reg, MinOverlay: 4})
+	b := withMinOverlay(New(Options{Metrics: reg}), 4)
 	defer b.Close()
 	var hit *Subscription // the one rectangle containing the point below
 	for i := 0; i < 64; i++ {
@@ -90,7 +90,7 @@ func TestBrokerMetricsNodesVisitedAfterRebuild(t *testing.T) {
 		}
 	}
 	// Rebuilds are asynchronous, and the overlay need not ever fold
-	// completely (up to MinOverlay rectangles stay). Wait until hit's
+	// completely (up to minOverlay rectangles stay). Wait until hit's
 	// rectangle is in the packed base, so the tree, not the overlay,
 	// answers the query below — and until that install has been booked,
 	// which happens just after it.
@@ -218,9 +218,8 @@ func BenchmarkPublishObserved(b *testing.B) {
 		// The 10 000th subscription triggers the one rebuild (see
 		// BenchmarkPublishOverlay), so every row matches the same packed
 		// base with an empty overlay.
-		row.opts.MinOverlay = len(tb.Subs) - 1
 		row.opts.Recorder = telemetry.NewRecorder(telemetry.DefaultRecorderCapacity)
-		br := New(row.opts)
+		br := withMinOverlay(New(row.opts), len(tb.Subs)-1)
 		subs := make([]*Subscription, len(tb.Subs))
 		for i, s := range tb.Subs {
 			if subs[i], err = br.Subscribe(s.Rect); err != nil {

@@ -16,7 +16,6 @@ package dispatch
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/geometry"
@@ -120,10 +119,6 @@ type Config struct {
 	// placement to these nodes. Empty selects the topology's transit
 	// nodes (or, if there are none, all nodes).
 	RendezvousCandidates []int
-	// Metrics, when non-nil, receives the planner's decision counters
-	// (by method) and the interested-fraction histogram. Nil disables
-	// metrics at zero cost per decision.
-	Metrics *telemetry.Registry
 	// Recorder receives one flight-recorder decision record per
 	// delivery (method, interested count, group size, interest ratio).
 	// Nil selects the process-wide telemetry.Default() recorder.
@@ -166,49 +161,7 @@ type Planner struct {
 	// (only populated for ModeSparse).
 	groupRP []int
 
-	tel *dispatchTel
 	rec *telemetry.Recorder
-}
-
-// dispatchTel bundles the planner's metric handles; nil disables them.
-type dispatchTel struct {
-	decisions [3]*telemetry.Counter // indexed by Method
-	ratio     *telemetry.Histogram
-	latency   *telemetry.Histogram
-}
-
-// registerDispatchMetrics registers the planner's metric families
-// against reg and returns the handles; idempotent registration means
-// planners on one registry share them.
-func registerDispatchMetrics(reg *telemetry.Registry) *dispatchTel {
-	if reg == nil {
-		return nil
-	}
-	t := &dispatchTel{
-		ratio: reg.Histogram("pubsub_dispatch_interest_ratio",
-			"Interested fraction |s|/|S_q| per in-group publication.", telemetry.RatioBuckets()),
-		latency: reg.Histogram("pubsub_dispatch_decide_seconds",
-			"Deliver decision latency: match plus cost accounting.", telemetry.LatencyBuckets()),
-	}
-	for _, m := range []Method{MethodNone, MethodUnicast, MethodMulticast} {
-		t.decisions[m] = reg.Counter("pubsub_dispatch_decisions_total",
-			"Delivery decisions by chosen method.", telemetry.L("method", m.String()))
-	}
-	return t
-}
-
-// record counts one decision.
-func (t *dispatchTel) record(d Decision, took float64) {
-	if t == nil {
-		return
-	}
-	if int(d.Method) >= 0 && int(d.Method) < len(t.decisions) {
-		t.decisions[d.Method].Inc()
-	}
-	if d.GroupSize > 0 {
-		t.ratio.Observe(float64(d.Interested) / float64(d.GroupSize))
-	}
-	t.latency.Observe(took)
 }
 
 // NewPlanner assembles a planner. subscriberNode maps every subscriber id
@@ -242,7 +195,6 @@ func NewPlanner(
 		rule:           cfg.Rule,
 		subscriberNode: append([]int(nil), subscriberNode...),
 		groupNodes:     make([][]int, c.NumGroups()),
-		tel:            registerDispatchMetrics(cfg.Metrics),
 		rec:            cfg.Recorder,
 	}
 	if p.rec == nil {
@@ -326,16 +278,9 @@ func (p *Planner) Deliver(publisher int, event geometry.Point) (Decision, error)
 // decision is written to the flight recorder under the given trace id
 // (0 leaves the record uncorrelated).
 func (p *Planner) DeliverTraced(publisher int, event geometry.Point, traceID uint64) (Decision, error) {
-	var t0 time.Time
-	if p.tel != nil { // no clock read without metrics
-		t0 = time.Now()
-	}
 	d, err := p.deliver(publisher, event)
 	if err != nil {
 		return d, err
-	}
-	if p.tel != nil {
-		p.tel.record(d, time.Since(t0).Seconds())
 	}
 	p.recordDecision(d, traceID)
 	return d, nil

@@ -10,7 +10,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/match"
 	"repro/internal/multicast"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -338,57 +337,5 @@ func TestPropDecisionInvariants(t *testing.T) {
 	}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDispatchMetrics(t *testing.T) {
-	f := newFixture(t, 7, cluster.AlgForgyKMeans)
-	reg := telemetry.NewRegistry()
-	p, err := NewPlanner(f.clustering, f.matcher, f.cost, f.nodes, Config{Threshold: 0.15, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	publishers := f.g.NodesByRole(topology.RoleTransit)
-	var tot Totals
-	const n = 500
-	for i := 0; i < n; i++ {
-		d, err := p.Deliver(publishers[rng.Intn(len(publishers))], f.model.Sample(rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tot.Add(d)
-	}
-	if got := reg.CounterValue("pubsub_dispatch_decisions_total"); got != n {
-		t.Errorf("decisions total = %g, want %d", got, n)
-	}
-	// Per-method counters agree with the totals the decisions reported.
-	want := map[string]float64{
-		"none":      float64(tot.Suppressed),
-		"unicast":   float64(tot.Unicasts),
-		"multicast": float64(tot.Multicasts),
-	}
-	for _, fam := range reg.Gather() {
-		if fam.Name != "pubsub_dispatch_decisions_total" {
-			continue
-		}
-		for _, s := range fam.Samples {
-			if len(s.Labels) != 1 {
-				t.Fatalf("unexpected labels %v", s.Labels)
-			}
-			if w := want[s.Labels[0].Value]; s.Value != w {
-				t.Errorf("decisions{method=%q} = %g, want %g", s.Labels[0].Value, s.Value, w)
-			}
-		}
-	}
-	// The ratio histogram records only in-group publications and stays
-	// within [0, 1]-ish bounds (ratio can exceed 1 when subscribers of
-	// other groups are also interested; the +Inf bucket absorbs that).
-	h := reg.Histogram1("pubsub_dispatch_interest_ratio")
-	if h.Count == 0 {
-		t.Fatal("interest ratio histogram empty")
-	}
-	if lat := reg.Histogram1("pubsub_dispatch_decide_seconds"); lat.Count != n {
-		t.Errorf("decide latency count = %d, want %d", lat.Count, n)
 	}
 }

@@ -321,10 +321,3 @@ func LatencyBuckets() []float64 {
 func CountBuckets() []float64 {
 	return []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 }
-
-// RatioBuckets are upper bounds for values in [0, 1] in steps of 0.05,
-// sized for the paper's interested-fraction |s|/|S_q| against the
-// threshold t (~0.15).
-func RatioBuckets() []float64 {
-	return LinearBuckets(0.05, 0.05, 20)
-}

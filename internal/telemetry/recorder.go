@@ -123,7 +123,7 @@ var kindArgs = [numKinds][4]string{
 	KindKeepaliveMiss: {"conn", "", "", ""},
 	KindReconnect:     {"attempt", "ok", "backoff_ms", "subs"},
 	KindClientPublish: {"point_dims", "payload_bytes", "", ""},
-	KindClientRecv:    {"sub", "subs", "dropped", "first_drop"},
+	KindClientRecv:    {"sub", "subs", "dropped", ""},
 	KindWALAppend:     {"bytes", "synced", "append_ns", ""},
 	KindWALSync:       {"records", "sync_ns", "bytes", ""},
 	KindWALRecover:    {"segments", "records", "truncated_bytes", "recover_ns"},

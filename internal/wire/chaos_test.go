@@ -41,7 +41,6 @@ func startChaos(t *testing.T, fopts faultnet.Options, sopts ServerOptions) *chao
 	h.rc, err = DialReconnecting(h.addr, ReconnectOptions{
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     200 * time.Millisecond,
-		Jitter:         0.5,
 	})
 	if err != nil {
 		t.Fatal(err)

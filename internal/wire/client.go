@@ -47,10 +47,7 @@ type Client struct {
 	readErr   error
 	readDone  chan struct{}
 
-	droppedMu    sync.Mutex
-	dropped      uint64
-	firstDropped uint64 // Seq of the first drop since ClearFirstDropped
-	hasDropped   bool
+	dropped atomic.Uint64
 
 	// stageRecv plus the sent ring implement the client_recv waterfall
 	// stage. PublishTraced stamps its trace id and send time into the
@@ -204,21 +201,9 @@ func (c *Client) deliver(ev broker.Event, ids []int) {
 
 // drop books one id's copy of ev lost to a full Events() buffer.
 func (c *Client) drop(ev broker.Event, subID int, nowNS int64) {
-	c.droppedMu.Lock()
-	c.dropped++
-	first := !c.hasDropped
-	if first {
-		c.firstDropped, c.hasDropped = ev.Seq, true
-	}
-	c.droppedMu.Unlock()
-	// first_drop marks the drop that opened the current loss window:
-	// the Seq a resume replay must refetch from.
-	firstArg := int64(0)
-	if first {
-		firstArg = 1
-	}
+	c.dropped.Add(1)
 	c.opts.Recorder.RecordAt(nowNS, telemetry.KindClientRecv, ev.TraceID, ev.Seq,
-		int64(subID), 1, 1, firstArg)
+		int64(subID), 1, 1, 0)
 }
 
 // roundTrip sends req and waits for its reply. With evs set it also
@@ -269,31 +254,19 @@ func (c *Client) roundTrip(req *Message, evs *[]broker.Event) (Message, error) {
 	return reply, nil
 }
 
-// Subscribe registers a subscription for the union of the rectangles and
-// returns its server-assigned id.
-func (c *Client) Subscribe(rects ...geometry.Rect) (int, error) {
-	return c.SubscribeFrom(0, rects...)
-}
-
-// SubscribeFrom is Subscribe with offset-based resume: when from is
-// nonzero, a durability-enabled server first streams the matching
-// events already in its publication log starting at that offset
-// (clamped to the oldest retained record), then switches to live
-// fanout with no gap or duplicate at the boundary. Replayed and live
-// events alike arrive on Events(); a replay larger than the client's
-// event buffer must be drained concurrently or its overflow counts as
-// Dropped, since this read loop never waits for an application to read
-// Events(). ReconnectingClient.SubscribeFrom collects the replay
-// instead and loses none of it.
-// A zero from is never sent on the wire. Every subscribe announces the
-// group capability (Message.Group): a server that knows it sends one
-// event frame per publication for all of this client's matching
+// Subscribe registers a live subscription for the union of the
+// rectangles and returns its server-assigned id. Its events arrive on
+// Events(), and what overflows that buffer counts as Dropped. To resume
+// from a log offset, use ReconnectingClient.SubscribeFrom, which
+// collects the replay whole. Every subscribe announces the group
+// capability (Message.Group): a server that knows it sends one event
+// frame per publication for all of this client's matching
 // subscriptions, any other server ignores the key.
-func (c *Client) SubscribeFrom(from uint64, rects ...geometry.Rect) (int, error) {
+func (c *Client) Subscribe(rects ...geometry.Rect) (int, error) {
 	if len(rects) == 0 {
 		return 0, errNoRects
 	}
-	reply, err := c.roundTrip(subscribeRequest(from, wireRects(rects)), nil)
+	reply, err := c.roundTrip(subscribeRequest(0, wireRects(rects)), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -385,31 +358,7 @@ func (c *Client) Events() <-chan broker.Event { return c.events }
 
 // Dropped reports events discarded because the local event buffer was
 // full.
-func (c *Client) Dropped() uint64 {
-	c.droppedMu.Lock()
-	defer c.droppedMu.Unlock()
-	return c.dropped
-}
-
-// FirstDropped reports the sequence number of the first event discarded
-// since the last ClearFirstDropped (or ever), and whether one was. A
-// consumer draining a resume replay uses it as the exclusive upper bound
-// of the loss-free prefix: everything below it was delivered in order.
-func (c *Client) FirstDropped() (uint64, bool) {
-	c.droppedMu.Lock()
-	defer c.droppedMu.Unlock()
-	return c.firstDropped, c.hasDropped
-}
-
-// ClearFirstDropped resets FirstDropped's tracking so it reports only
-// drops from this point on. The cumulative Dropped counter is
-// unaffected. Call it before a replay-bearing request so an old live
-// overflow is not mistaken for a hole in the fresh replay.
-func (c *Client) ClearFirstDropped() {
-	c.droppedMu.Lock()
-	defer c.droppedMu.Unlock()
-	c.firstDropped, c.hasDropped = 0, false
-}
+func (c *Client) Dropped() uint64 { return c.dropped.Load() }
 
 // Close tears down the connection. Safe to call more than once.
 func (c *Client) Close() error {

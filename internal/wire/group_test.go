@@ -815,9 +815,8 @@ func TestGroupingClientAgainstPlainServer(t *testing.T) {
 
 // A client buffer that fills part-way through a grouped frame's id list
 // delivers what single frames in id order would have: the ids that
-// fitted are delivered and share one record, each of the rest is one
-// drop with its own record, and the first of them opens the loss window
-// at the frame's Seq.
+// fitted are delivered and share one record, and each of the rest is
+// one drop with its own record.
 func TestClientGroupedFrameFillsBuffer(t *testing.T) {
 	rec := telemetry.NewRecorder(4096)
 	server, clientConn := net.Pipe()
@@ -849,12 +848,8 @@ func TestClientGroupedFrameFillsBuffer(t *testing.T) {
 	if d := cli.Dropped(); d != 7 {
 		t.Fatalf("dropped = %d, want 7", d)
 	}
-	if seq, ok := cli.FirstDropped(); !ok || seq != 42 {
-		t.Fatalf("first dropped = %d/%v, want 42/true", seq, ok)
-	}
 	var delivered [][2]int64
 	var dropped []int64
-	firsts := 0
 	for _, r := range rec.SnapshotFilter(0, telemetry.KindClientRecv, 0) {
 		if r.Seq != 42 {
 			continue
@@ -867,7 +862,6 @@ func TestClientGroupedFrameFillsBuffer(t *testing.T) {
 				t.Fatalf("drop record %+v, want subs=1", r)
 			}
 			dropped = append(dropped, r.Args[0])
-			firsts += int(r.Args[3])
 		} else {
 			delivered = append(delivered, [2]int64{r.Args[0], r.Args[1]})
 		}
@@ -876,8 +870,8 @@ func TestClientGroupedFrameFillsBuffer(t *testing.T) {
 	for i := range wantDropped {
 		wantDropped[i] = int64(25 + i)
 	}
-	if !slices.Equal(delivered, [][2]int64{{1, 24}}) || !slices.Equal(dropped, wantDropped) || firsts != 1 {
-		t.Fatalf("Seq 42: delivery records (first, subs) %v, dropped for %v, %d first-drop records", delivered, dropped, firsts)
+	if !slices.Equal(delivered, [][2]int64{{1, 24}}) || !slices.Equal(dropped, wantDropped) {
+		t.Fatalf("Seq 42: delivery records (first, subs) %v, dropped for %v", delivered, dropped)
 	}
 	// The events of one frame share their point and payload.
 	var first broker.Event

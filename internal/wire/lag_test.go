@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,6 +75,50 @@ func TestConnLagTracking(t *testing.T) {
 	}
 	if got := gaugeValue(t, reg, "pubsub_wire_max_conn_lag_events"); got != 1 {
 		t.Fatalf("max conn lag gauge = %g, want 1", got)
+	}
+}
+
+// TestSubscribeBufferDefaultsToBroker: a subscribe frame that names no
+// buffer adds the broker's DefaultBuffer to its connection's queue, so
+// the broker's setting (pubsubd -buffer) reaches remote subscriptions;
+// a frame that names one adds that, and a negative one is refused.
+func TestSubscribeBufferDefaultsToBroker(t *testing.T) {
+	b := broker.New(broker.Options{DefaultBuffer: 8})
+	s := NewServer(b)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = s.Serve(ln) }()
+	defer func() {
+		s.Close()
+		b.Close()
+	}()
+
+	cli, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Subscribe(geometry.NewRect(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if subs := b.LagReport().Subs; len(subs) != 1 || subs[0].Capacity != 8 {
+		t.Fatalf("lag report %+v, want one subscription of capacity 8", subs)
+	}
+
+	p := dialRaw(t, ln.Addr().String())
+	rect := []Rect{RectToWire(geometry.NewRect(0, 10))}
+	p.send(&Message{Type: TypeSubscribe, Rects: rect, Buffer: 3})
+	if m, body := p.recv(); m.Type != TypeOK {
+		t.Fatalf("subscribe with buffer 3 replied %s", body)
+	}
+	if subs := b.LagReport().Subs; len(subs) != 2 || subs[1].Capacity != 3 {
+		t.Fatalf("lag report %+v, want the second subscription at capacity 3", subs)
+	}
+	p.send(&Message{Type: TypeSubscribe, Rects: rect, Buffer: -1})
+	if m, body := p.recv(); m.Type != TypeError || !strings.Contains(m.Error, ">= 0") {
+		t.Fatalf("subscribe with buffer -1 replied %s, want an error asking for >= 0", body)
 	}
 }
 
@@ -151,64 +196,6 @@ func TestServerHealthAcceptLoopDeath(t *testing.T) {
 		t.Fatalf("dead accept loop should be unhealthy: %+v", rep.Results)
 	}
 	s.Close()
-}
-
-// TestClientFirstDropFlag drives a client over an in-memory pipe past
-// its event buffer: the drop that opens the loss window must carry
-// first_drop=1 in its flight record, subsequent drops 0.
-func TestClientFirstDropFlag(t *testing.T) {
-	// Every record lands in the read loop's shard: 8 × 2048 slots hold
-	// all 1027 of them.
-	rec := telemetry.NewRecorder(16384)
-	server, clientConn := net.Pipe()
-	cli := NewClientWith(clientConn, ClientOptions{Recorder: rec})
-	defer cli.Close()
-	defer server.Close()
-
-	// The client's event buffer holds 1024; write 1027 frames without
-	// draining so the last three drop. net.Pipe is synchronous, so each
-	// write returns only after the read loop consumed the frame.
-	for i := 1; i <= 1027; i++ {
-		msg := &Message{Type: TypeEvent, Point: []float64{1}, Seq: uint64(i), SubID: 1}
-		if err := WriteMessage(server, msg); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-	}
-	// Ping/pong barrier: the client answers from the same read loop, so
-	// the pong proves every prior frame has been enqueued or dropped.
-	if err := WriteMessage(server, &Message{Type: TypePing}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := ReadMessage(server); err != nil || m.Type != TypePong {
-		t.Fatalf("barrier pong = %v/%v", m, err)
-	}
-	if d := cli.Dropped(); d != 3 {
-		t.Fatalf("dropped = %d, want 3", d)
-	}
-	if seq, ok := cli.FirstDropped(); !ok || seq != 1025 {
-		t.Fatalf("first dropped = %d/%v, want 1025/true", seq, ok)
-	}
-	var delivered, first, later int
-	for _, r := range rec.SnapshotFilter(0, telemetry.KindClientRecv, 0) {
-		if r.Args[1] != 1 {
-			t.Fatalf("record %+v of a one-id frame, want subs=1", r)
-		}
-		if r.Args[2] != 1 {
-			delivered++ // one record per delivering frame
-			continue
-		}
-		if r.Args[3] == 1 {
-			first++
-			if r.Seq != 1025 {
-				t.Fatalf("first_drop record at Seq %d, want 1025", r.Seq)
-			}
-		} else {
-			later++
-		}
-	}
-	if delivered != 1024 || first != 1 || later != 2 {
-		t.Fatalf("records delivered=%d first drop=%d later drops=%d, want 1024/1/2", delivered, first, later)
-	}
 }
 
 // TestReconnectResumeVisibility restarts a durable server under a

@@ -18,15 +18,9 @@ import (
 type ReconnectOptions struct {
 	// InitialBackoff is the first retry delay. Zero selects 100ms.
 	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential retry delay. Zero selects 5s.
+	// MaxBackoff caps the retry delay, which doubles after each failed
+	// redial. Zero selects 5s.
 	MaxBackoff time.Duration
-	// Multiplier scales the delay after each failed redial. Zero
-	// selects 2.
-	Multiplier float64
-	// Jitter randomises each delay within ±Jitter×delay, so a fleet of
-	// clients restarted by one server outage does not redial in
-	// synchronized waves. Zero selects 0.2; negative disables jitter.
-	Jitter float64
 	// Metrics, when non-nil, receives the client's reconnect counters
 	// (redial attempts and successful reconnects). Nil disables them.
 	Metrics *telemetry.Registry
@@ -44,34 +38,26 @@ func (o ReconnectOptions) withDefaults() ReconnectOptions {
 	if o.MaxBackoff == 0 {
 		o.MaxBackoff = 5 * time.Second
 	}
-	if o.Multiplier == 0 {
-		o.Multiplier = 2
-	}
-	if o.Multiplier < 1 {
-		o.Multiplier = 1
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.2
-	}
-	if o.Jitter < 0 {
-		o.Jitter = 0
-	}
-	if o.Jitter > 1 {
-		o.Jitter = 1
-	}
 	if o.Recorder == nil {
 		o.Recorder = telemetry.Default()
 	}
 	return o
 }
 
-// jittered spreads d uniformly across [(1-j)d, (1+j)d].
-func (o ReconnectOptions) jittered(d time.Duration) time.Duration {
-	if o.Jitter <= 0 {
-		return d
-	}
-	f := 1 + o.Jitter*(2*rand.Float64()-1)
-	return time.Duration(float64(d) * f)
+// backoffJitter spreads each redial delay uniformly across ±20 % of
+// it, so a fleet of clients restarted by one server outage does not
+// redial in synchronized waves.
+const backoffJitter = 0.2
+
+// nextBackoff is the delay after a failed redial that waited d: twice
+// d, capped at MaxBackoff.
+func (o ReconnectOptions) nextBackoff(d time.Duration) time.Duration {
+	return min(2*d, o.MaxBackoff)
+}
+
+// jittered spreads d uniformly across [(1-backoffJitter)d, (1+backoffJitter)d].
+func jittered(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * (1 + backoffJitter*(2*rand.Float64()-1)))
 }
 
 // ReconnectingClient wraps Client with automatic redial: when the
@@ -257,7 +243,7 @@ func (o *owner) collect(req *Message) (Message, error) {
 func (o *owner) disconnect() {
 	_ = o.cli.Close()
 	o.attempt, o.backoff = 1, o.rc.opts.InitialBackoff
-	o.redial = time.NewTimer(o.rc.opts.jittered(o.backoff))
+	o.redial = time.NewTimer(jittered(o.backoff))
 }
 
 // reconnect makes one redial attempt; a failed one backs off
@@ -281,8 +267,8 @@ func (o *owner) reconnect() {
 	rc.opts.Recorder.Record(telemetry.KindReconnect, 0, 0,
 		o.attempt, 0, o.backoff.Milliseconds(), 0)
 	o.attempt++
-	o.backoff = min(time.Duration(float64(o.backoff)*rc.opts.Multiplier), rc.opts.MaxBackoff)
-	o.redial.Reset(rc.opts.jittered(o.backoff))
+	o.backoff = rc.opts.nextBackoff(o.backoff)
+	o.redial.Reset(jittered(o.backoff))
 }
 
 // resubscribe replays the live subscriptions on a fresh connection in

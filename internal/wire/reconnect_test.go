@@ -20,6 +20,35 @@ func TestDialReconnectingFailsFast(t *testing.T) {
 	}
 }
 
+// TestRedialSchedule pins the redial backoff of the default options
+// without waiting on it: the n-th redial waits within ±20 % of
+// min(100 ms · 2ⁿ⁻¹, 5 s), the schedule disconnect and reconnect follow
+// (the first delay is InitialBackoff, each failure doubles it up to
+// MaxBackoff), and the draws spread across that whole band.
+func TestRedialSchedule(t *testing.T) {
+	opts := ReconnectOptions{}.withDefaults()
+	backoff := opts.InitialBackoff
+	for n := 1; n <= 10; n++ {
+		want := min(100*time.Millisecond<<(n-1), 5*time.Second)
+		if backoff != want {
+			t.Fatalf("redial %d: backoff %v, want %v", n, backoff, want)
+		}
+		lo, hi := 2.0, 0.0
+		for i := 0; i < 1000; i++ {
+			d := jittered(backoff)
+			f := float64(d) / float64(want)
+			if f < 0.8-1e-9 || f > 1.2+1e-9 {
+				t.Fatalf("redial %d: delay %v outside [0.8, 1.2] × %v", n, d, want)
+			}
+			lo, hi = min(lo, f), max(hi, f)
+		}
+		if lo > 0.82 || hi < 1.18 {
+			t.Fatalf("redial %d: 1000 delays spanned only [%.3f, %.3f] × %v", n, lo, hi, want)
+		}
+		backoff = opts.nextBackoff(backoff)
+	}
+}
+
 func TestReconnectingSurvivesServerRestart(t *testing.T) {
 	// Start a server on a concrete port we can rebind after shutdown.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

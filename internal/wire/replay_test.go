@@ -25,7 +25,7 @@ func startDurableServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := broker.New(broker.Options{Log: log})
+	b := broker.New(broker.Options{Log: log, DefaultBuffer: 64}) // pubsubd's default -buffer
 	s := NewServer(b)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -102,12 +102,20 @@ func TestReplayOnNonDurableServer(t *testing.T) {
 	if _, err := cli.Replay(0); err == nil {
 		t.Fatal("Replay succeeded against a server with no log")
 	}
-	if _, err := cli.SubscribeFrom(1, geometry.NewRect(0, 10)); err == nil {
-		t.Fatal("SubscribeFrom succeeded against a server with no log")
-	}
 	// A plain subscribe still works on the same connection.
 	if _, err := cli.Subscribe(geometry.NewRect(0, 10)); err != nil {
 		t.Fatalf("plain Subscribe after failed replay: %v", err)
+	}
+	rc, err := DialReconnecting(addr, ReconnectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := rc.SubscribeFrom(1, geometry.NewRect(0, 10)); err == nil {
+		t.Fatal("SubscribeFrom succeeded against a server with no log")
+	}
+	if _, err := rc.Subscribe(geometry.NewRect(0, 10)); err != nil {
+		t.Fatalf("plain Subscribe after failed SubscribeFrom: %v", err)
 	}
 }
 
@@ -122,12 +130,12 @@ func TestSubscribeFromBridgesReplayToLive(t *testing.T) {
 	defer pub.Close()
 	publishN(t, pub, 1, 10)
 
-	cli, err := Dial(addr)
+	rc, err := DialReconnecting(addr, ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	if _, err := cli.SubscribeFrom(1, geometry.NewRect(0, 100)); err != nil {
+	defer rc.Close()
+	if _, err := rc.SubscribeFrom(1, geometry.NewRect(0, 100)); err != nil {
 		t.Fatal(err)
 	}
 	publishN(t, pub, 11, 20)
@@ -137,7 +145,7 @@ func TestSubscribeFromBridgesReplayToLive(t *testing.T) {
 	timeout := time.After(5 * time.Second)
 	for len(seen) < 20 {
 		select {
-		case ev := <-cli.Events():
+		case ev := <-rc.Events():
 			if seen[ev.Seq] {
 				t.Fatalf("Seq %d delivered twice", ev.Seq)
 			}
@@ -164,19 +172,19 @@ func TestSubscribeFromFiltersReplayByRect(t *testing.T) {
 	// Points 1..10: only 4..6 fall in (3, 6].
 	publishN(t, pub, 1, 10)
 
-	cli, err := Dial(addr)
+	rc, err := DialReconnecting(addr, ReconnectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	if _, err := cli.SubscribeFrom(1, geometry.NewRect(3, 6)); err != nil {
+	defer rc.Close()
+	if _, err := rc.SubscribeFrom(1, geometry.NewRect(3, 6)); err != nil {
 		t.Fatal(err)
 	}
 	var got []uint64
 	timeout := time.After(5 * time.Second)
 	for len(got) < 3 {
 		select {
-		case ev := <-cli.Events():
+		case ev := <-rc.Events():
 			if p := ev.Point[0]; p <= 3 || p > 6 {
 				t.Fatalf("replayed point %v outside the subscription rect", ev.Point)
 			}
@@ -580,7 +588,7 @@ func TestResumeReplayLargerThanClientBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := broker.New(broker.Options{Log: log})
+		b := broker.New(broker.Options{Log: log, DefaultBuffer: 64})
 		s := NewServer(b)
 		go func() { _ = s.Serve(ln) }()
 		return s, b, log
@@ -728,8 +736,9 @@ func TestInitialSubscribeFromLargeHistory(t *testing.T) {
 // only segment is corrupted after the fact, a resuming subscribe and a
 // pure replay on one raw connection each read exactly one frame, the
 // error, and a ping after each reads its own ok; the resuming
-// subscription is not left registered. Through Client, SubscribeFrom
-// and Replay fail and the next Ping succeeds.
+// subscription is not left registered. Through the clients,
+// ReconnectingClient.SubscribeFrom and Client.Replay fail and the next
+// Ping succeeds.
 func TestReplayReadFailureEndsTheRequest(t *testing.T) {
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
@@ -789,14 +798,19 @@ func TestReplayReadFailureEndsTheRequest(t *testing.T) {
 		t.Fatalf("%d subscriptions registered after failed resumes, want 0", n)
 	}
 
+	rc, err := DialReconnecting(addr, ReconnectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := rc.SubscribeFrom(1, geometry.NewRect(0, 10)); err == nil {
+		t.Fatal("SubscribeFrom over a corrupt log succeeded")
+	}
 	cli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.SubscribeFrom(1, geometry.NewRect(0, 10)); err == nil {
-		t.Fatal("SubscribeFrom over a corrupt log succeeded")
-	}
 	if evs, err := cli.Replay(1); err == nil {
 		t.Fatalf("Replay over a corrupt log succeeded with %d events", len(evs))
 	}

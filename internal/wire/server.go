@@ -432,17 +432,13 @@ func (s *Server) handleSubscribe(cs *connState, m *Message) error {
 		// rectangle" error below, exactly like a legacy server.)
 		return s.handleReplayOnly(cs, m.FromOffset)
 	}
-	buffer := m.Buffer
-	if buffer <= 0 {
-		buffer = 64
-	}
 	// Registered at the broker and announced to the pump in one step: the
 	// first event can be in the sink before Subscribe returns, and the
 	// pump must find the subscription — in backlog mode from its very
 	// first event if a replay comes first.
 	var st *connSub
 	cs.subsMu.Lock()
-	sub, err := s.b.SubscribeWith(broker.SubscribeOptions{Buffer: buffer, Sink: cs.sink}, rects...)
+	sub, err := s.b.SubscribeWith(broker.SubscribeOptions{Buffer: m.Buffer, Sink: cs.sink}, rects...)
 	if err == nil {
 		st = &connSub{sub: sub, replaying: m.FromOffset > 0}
 		cs.subs[sub.ID()] = st

@@ -200,9 +200,7 @@ func TestMulticastRecordBudget(t *testing.T) {
 }
 
 // A frame that fills the client's buffer part-way costs one record for
-// the ids delivered and one per id dropped, and each loss window — from
-// the first drop to ClearFirstDropped — marks exactly one drop
-// first_drop.
+// the ids delivered and one per id dropped.
 func TestClientRecvRecordBudgetUnderLoss(t *testing.T) {
 	rec := telemetry.NewRecorder(4096)
 	server, clientConn := net.Pipe()
@@ -228,13 +226,12 @@ func TestClientRecvRecordBudgetUnderLoss(t *testing.T) {
 			t.Fatalf("barrier pong = %v/%v", m, err)
 		}
 	}
-	// The buffer holds 1024. Window one: 1000 fit, then 24 of 30, then
-	// none of 3. Window two, after a drain: 1024 of 1030.
+	// The buffer holds 1024: 1000 fit, then 24 of 30, then none of 3.
+	// After a drain, 1024 of 1030.
 	frame(1, 1000)
 	frame(2, 30)
 	frame(3, 3)
 	barrier()
-	cli.ClearFirstDropped()
 	for i := 0; i < 1024; i++ {
 		<-cli.Events()
 	}
@@ -244,8 +241,8 @@ func TestClientRecvRecordBudgetUnderLoss(t *testing.T) {
 		t.Fatalf("dropped = %d, want 15", d)
 	}
 
-	type want struct{ delivered, drops, firsts int }
-	wants := map[uint64]want{1: {1000, 0, 0}, 2: {24, 6, 1}, 3: {0, 3, 0}, 4: {1024, 6, 1}}
+	type want struct{ delivered, drops int }
+	wants := map[uint64]want{1: {1000, 0}, 2: {24, 6}, 3: {0, 3}, 4: {1024, 6}}
 	got := map[uint64]*want{}
 	for seq := range wants {
 		got[seq] = &want{}
@@ -264,12 +261,11 @@ func TestClientRecvRecordBudgetUnderLoss(t *testing.T) {
 			t.Errorf("drop record %+v, want subs=1", r)
 		default:
 			g.drops++
-			g.firsts += int(r.Args[3])
 		}
 	}
 	for seq, w := range wants {
 		if *got[seq] != w {
-			t.Errorf("Seq %d: records delivered %d, dropped %d, first_drop %d; want %+v", seq, got[seq].delivered, got[seq].drops, got[seq].firsts, w)
+			t.Errorf("Seq %d: records delivered %d, dropped %d; want %+v", seq, got[seq].delivered, got[seq].drops, w)
 		}
 		if w.delivered > 0 && delivering[seq] != 1 {
 			t.Errorf("Seq %d: %d delivery records, want one", seq, delivering[seq])

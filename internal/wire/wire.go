@@ -96,8 +96,10 @@ type Message struct {
 	Type Type `json:"type"`
 
 	// Subscribe fields.
-	Rects  []Rect `json:"rects,omitempty"`
-	Buffer int    `json:"buffer,omitempty"`
+	Rects []Rect `json:"rects,omitempty"`
+	// Buffer is what the subscription adds to its connection's queue;
+	// zero selects the server broker's DefaultBuffer.
+	Buffer int `json:"buffer,omitempty"`
 	// FromOffset, when nonzero, asks a durability-enabled server to
 	// stream the publication log from that offset (clamped to the oldest
 	// retained record) before the subscription goes live; with no rects

@@ -128,7 +128,7 @@ func TestTruncatedStreamIsNotCleanEOF(t *testing.T) {
 // startServer runs a broker+server on a loopback listener.
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	b := broker.New(broker.Options{})
+	b := broker.New(broker.Options{DefaultBuffer: 64}) // pubsubd's default -buffer
 	s := NewServer(b)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

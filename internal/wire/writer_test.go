@@ -398,7 +398,7 @@ func TestConnLagNeverAheadOfBytesWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	gl := &gatedListener{Listener: inner, conns: make(chan *gatedConn, 1)}
-	b := broker.New(broker.Options{})
+	b := broker.New(broker.Options{DefaultBuffer: 64}) // room for all 20 events behind the gate
 	s := NewServer(b)
 	go func() { _ = s.Serve(gl) }()
 

@@ -61,7 +61,8 @@ done
 kill -STOP "$SUBPID"
 
 # Burst enough large payloads to fill the socket buffers and the
-# subscription's 8-slot channel; everything after that accrues as lag.
+# subscription's 8-slot queue (-buffer 8); everything after that
+# accrues as lag.
 PAYLOAD=$(head -c 65536 /dev/zero | tr '\0' 'x')
 for _ in $(seq 1 120); do
   "$TMP/pubsub-cli" -addr "$ADDR" -payload "$PAYLOAD" publish 0.5 >/dev/null
@@ -75,14 +76,16 @@ awk -v v="$MAXLAG" 'BEGIN { exit (v > 0 ? 0 : 1) }' \
 grep -qE '^pubsub_wire_max_conn_lag_events [0-9]' <<<"$SCRAPE" \
   || { echo "FAIL: pubsub_wire_max_conn_lag_events missing from scrape" >&2; exit 1; }
 
-# The lag must show up in the JSON dump and the CLI rendering too.
+# The lag must show up in the JSON dump and the CLI rendering too, on
+# a queue of the capacity -buffer asked for.
 curl -fsS "http://$METRICS/debug/lag" \
   | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
 assert d["head"] >= 120, d["head"]
 assert any(s["lag_events"] > 0 for s in d["subs"]), d["subs"]
-' || { echo "FAIL: /debug/lag does not show the lagging subscription" >&2; exit 1; }
+assert [s["capacity"] for s in d["subs"]] == [8], d["subs"]
+' || { echo "FAIL: /debug/lag does not show the lagging subscription on an 8-slot queue" >&2; exit 1; }
 
 "$TMP/pubsub-cli" -metrics-addr "$METRICS" lag | grep -q '^head=' \
   || { echo "FAIL: pubsub-cli lag did not render a summary" >&2; exit 1; }
