@@ -275,20 +275,11 @@ type Broker struct {
 	base      []part                         // packed parts (may contain stale slots)
 	slots     []atomic.Pointer[Subscription] // slot -> subscription for base's ids; nil once cancelled
 	baseLen   int                            // rectangles in base (incl. stale)
-	baseCut   int                            // nextID the base was collected at: ids from it on are in the overlay
 	stale     int                            // rectangles in base whose subscription is gone
 	overlay   overlay                        // recent rectangles, matched as a plane run
 	multiRect bool                           // some subscription holds several rectangles
 
-	// Background rebuilder state: the collect→install reconciliation
-	// protocol of rebuild.
-	rebuilderOn  bool // rebuilder goroutine started
-	rebuilding   bool // a collect→install window is open
-	rebuildCut   int  // nextID captured at collection time
-	pendingStale int  // rects of subs cancelled during the build
-	// rebuildCh has capacity 1 so churn coalesces into at most one
-	// pending rebuild behind the in-flight one.
-	rebuildCh     chan struct{}
+	rebuilding    bool // a rebuilder goroutine is running (rebuildLoop)
 	lastRebuildNS atomic.Int64
 
 	// nparts is how many parts a rebuild packs the base in once the
@@ -306,21 +297,17 @@ type Broker struct {
 	// Unbuffered: a successful send means the worker has taken exactly
 	// that publication.
 	work []chan *pubCtx
-	// partNS is the cumulative match cost attributed to each part
-	// (recorder-clock nanoseconds), accumulated per publish when metrics
-	// are on. The imbalance gauge reads max/mean across the parts.
-	partNS []atomic.Int64
 
 	// snap is the immutable matching state Publish reads without a
 	// lock. nil once the broker is closed.
 	snap atomic.Pointer[snapshot]
 
-	// closed is set once, by Close, under mu: mutators check it under
-	// mu, the publish path and the rebuilder read it without.
+	// closed is set once, by Close, under mu: mutators and the
+	// rebuilder check it under mu, the publish path reads it without.
 	closed atomic.Bool
 
-	// stop ends the background goroutines (the rebuilder and the part
-	// workers); wg waits for all of them in Close.
+	// stop ends the part workers; wg waits for them and for a running
+	// rebuilder in Close.
 	stop chan struct{}
 	wg   sync.WaitGroup
 
@@ -381,13 +368,11 @@ func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 		log:         opts.Log,
 		slo:         opts.SLO,
 		stop:        make(chan struct{}),
-		rebuildCh:   make(chan struct{}, 1),
 		nparts:      nparts,
 		partMin:     partMin,
 		tree:        tree,
 		minOverlay:  defaultMinOverlay,
 		staleWindow: defaultStaleWindow,
-		partNS:      make([]atomic.Int64, nparts),
 	}
 	if b.rec == nil {
 		b.rec = telemetry.Default()
@@ -451,16 +436,21 @@ type Subscription struct {
 	// subscription's lag age while it is behind.
 	deliveredAtNS atomic.Int64
 	share         int32
-	// slot is the subscription's index in the base's slot table while
-	// its rectangles are packed there, set when a rebuild installs that
-	// table, and cancelled once Cancel has removed it. Guarded by b.mu.
-	// The bools above leave room for it in the 144-byte size class.
+	// slot says where the subscription's rectangles are: unpacked while
+	// they are in the overlay, the subscription's index in the base's
+	// slot table once a rebuild installs that table, and cancelled once
+	// Cancel has removed it. Guarded by b.mu. The bools above leave room
+	// for it in the 144-byte size class.
 	slot int32
 }
 
-// cancelled is the slot of a subscription Cancel has removed: a rebuild
-// that collected it before then installs a tombstone in its place.
-const cancelled = -1
+// The slot values that index no entry of the base's slot table: a new
+// subscription is unpacked, and a rebuild that collected a subscription
+// later cancelled installs a tombstone in its place.
+const (
+	unpacked  = -1
+	cancelled = -2
+)
 
 // ID returns the broker-assigned subscription identifier.
 func (s *Subscription) ID() int { return s.id }
@@ -627,15 +617,15 @@ func (s *Subscription) Cancel() {
 		delete(b.subs, s.id)
 		// Rectangles indexed in the base become stale; overlay entries
 		// are removed eagerly. A subscription's rectangles are all in one
-		// or the other, and its id says which. The overlay is rebuilt
+		// or the other, and its slot says which. The overlay is rebuilt
 		// from the entries it keeps — never cut in place — because
 		// published snapshots still read the old run; cancelling a base
 		// subscription leaves it as it is.
 		if invariant.Enabled {
-			invariant.Assertf(slices.Contains(b.overlay.subs, s) == (s.id >= b.baseCut),
-				"subscription %d is on the wrong side of the base's cut %d", s.id, b.baseCut)
+			invariant.Assertf(slices.Contains(b.overlay.subs, s) == (s.slot == unpacked),
+				"subscription %d at slot %d is not where its slot says", s.id, s.slot)
 		}
-		if s.id >= b.baseCut {
+		if s.slot == unpacked {
 			b.overlay = b.overlay.keep(func(o *Subscription) bool { return o != s })
 		} else {
 			// The base keeps the rectangles but not the subscription:
@@ -644,11 +634,6 @@ func (s *Subscription) Cancel() {
 			// alive and no publish reaches it again.
 			b.stale += len(s.rects)
 			b.slots[s.slot].Store(nil)
-		}
-		if b.rebuilding && s.id < b.rebuildCut {
-			// This subscription's rectangles were collected into the
-			// in-flight rebuild; they will be stale in the new base.
-			b.pendingStale += len(s.rects)
 		}
 		s.slot = cancelled
 		b.publishSnapshotLocked()
@@ -713,7 +698,7 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	if buffer == 0 {
 		buffer = b.opts.DefaultBuffer
 	}
-	s := &Subscription{id: b.nextID, rects: owned, b: b}
+	s := &Subscription{id: b.nextID, rects: owned, b: b, slot: unpacked}
 	if k := opts.Sink; k != nil {
 		if err := k.resize(buffer, 1); err != nil {
 			return nil, err
@@ -792,8 +777,8 @@ func (b *Broker) Close() {
 	b.overlay = overlay{}
 	b.snap.Store(nil)
 	b.mu.Unlock()
-	// Outside the lock: rebuild re-acquires b.mu before touching state
-	// and bails out on closed; part workers finish their in-flight job
+	// Outside the lock: the rebuilder re-acquires b.mu before touching
+	// state and exits on closed; part workers finish their in-flight job
 	// and exit on the closed stop channel.
 	b.wg.Wait()
 }

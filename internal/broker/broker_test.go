@@ -218,14 +218,14 @@ func TestIndexRebuildKeepsMatchingCorrect(t *testing.T) {
 	}
 }
 
-// waitSettled blocks until no rebuild is in flight, pending or due, so
+// waitSettled blocks until no rebuilder is running and none is due, so
 // what a test does next is what triggers the next rebuild.
 func waitSettled(t testing.TB, b *Broker) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		b.mu.RLock()
-		settled := !b.rebuilding && len(b.rebuildCh) == 0 && !b.rebuildDueLocked()
+		settled := !b.rebuilding && !b.rebuildDueLocked()
 		b.mu.RUnlock()
 		if settled {
 			return

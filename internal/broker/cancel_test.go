@@ -20,7 +20,7 @@ func manualRebuilds(t *testing.T, opts Options, parts int) *Broker {
 	b := newBroker(opts, parts, 0, false)
 	t.Cleanup(b.Close)
 	b.mu.Lock()
-	b.rebuilderOn = true
+	b.rebuilding = true
 	b.mu.Unlock()
 	return b
 }
@@ -219,9 +219,9 @@ func TestCancelDuringRebuildIsNotInstalled(t *testing.T) {
 }
 
 // TestCancelEitherSideOfTheCut cancels, inside a rebuild window, a
-// subscription from before the installed base's cut, one the window
-// collected from the overlay and one subscribed after the collection.
-// Cancel tells base from overlay by the id alone: the first becomes a
+// subscription packed in the installed base, one the window collected
+// from the overlay and one subscribed after the collection. Cancel
+// tells base from overlay by the slot alone: the first becomes a
 // tombstone in the base's slot table and stale, the other two leave the
 // overlay, and only the first two are stale in the base the window
 // installs, which keeps the third's successors in its overlay.
@@ -246,7 +246,7 @@ func TestCancelEitherSideOfTheCut(t *testing.T) {
 			}
 			fromBase, collected := subs[3], subs[45]
 			job := b.collect()
-			if job == nil || job.cut != 60 {
+			if job == nil || len(job.slots) != 60 {
 				t.Fatal("the rebuild did not collect the first 60 subscriptions")
 			}
 			var late []*Subscription
@@ -267,10 +267,10 @@ func TestCancelEitherSideOfTheCut(t *testing.T) {
 			collected.Cancel()
 			afterCut.Cancel()
 			b.mu.RLock()
-			stale, pending, overlayLen := b.stale, b.pendingStale, len(b.overlay.subs)
+			stale, overlayLen := b.stale, len(b.overlay.subs)
 			b.mu.RUnlock()
-			if stale != 1 || pending != 2 || overlayLen != 20-1+4-1 {
-				t.Fatalf("stale %d, pending %d, overlay %d; want 1, 2 and 22", stale, pending, overlayLen)
+			if stale != 1 || overlayLen != 20-1+4-1 {
+				t.Fatalf("stale %d, overlay %d; want 1 and 22", stale, overlayLen)
 			}
 			for _, s := range []*Subscription{fromBase, collected, afterCut} {
 				if overlayHas(s) {
@@ -296,10 +296,10 @@ func TestCancelEitherSideOfTheCut(t *testing.T) {
 					t.Fatalf("a publication inside subscription %d reached %d (%v), want 1", s.id, n, err)
 				}
 			}
-			// The next cancel of a late subscription still finds it by id.
+			// The next cancel of a late subscription still finds it by its slot.
 			late[3].Cancel()
 			if overlayHas(late[3]) {
-				t.Fatal("a subscription made after the installed cut stayed in the overlay once cancelled")
+				t.Fatal("a subscription made after the collection stayed in the overlay once cancelled")
 			}
 		})
 	}

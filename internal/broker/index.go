@@ -55,44 +55,42 @@ func (b *Broker) rebuildDueLocked() bool {
 	return overlayBig || staleBig
 }
 
-// maybeTriggerRebuildLocked kicks the background rebuilder when the
-// thresholds are crossed. The rebuild itself runs outside the lock;
-// concurrent triggers coalesce into at most one pending run. Caller
-// holds b.mu (mutations only — never the publish path), so the
-// goroutine can never start after Close set b.closed.
+// maybeTriggerRebuildLocked starts a rebuilder when the thresholds are
+// crossed and none is running. The rebuild itself runs outside the
+// lock. Caller holds b.mu (mutations only — never the publish path), so
+// no rebuilder can start after Close set b.closed.
 func (b *Broker) maybeTriggerRebuildLocked() {
-	if !b.rebuildDueLocked() {
+	if b.rebuilding || !b.rebuildDueLocked() {
 		return
 	}
-	if !b.rebuilderOn {
-		b.rebuilderOn = true
-		b.wg.Add(1)
-		go b.rebuildLoop()
-	}
-	select {
-	case b.rebuildCh <- struct{}{}:
-	default: // a rebuild is already pending; coalesce
-	}
+	b.rebuilding = true
+	b.wg.Add(1)
+	go b.rebuildLoop()
 }
 
-// rebuildLoop is the background rebuilder goroutine, started lazily on
-// the first trigger and stopped by Close.
+// rebuildLoop is the background rebuilder: it rebuilds until a check
+// under b.mu finds nothing due or the broker closed, and clears
+// b.rebuilding in that same lock hold, so a trigger either sees it
+// running or starts the next one. Churn during a rebuild is folded by
+// the next pass.
 func (b *Broker) rebuildLoop() {
 	defer b.wg.Done()
 	for {
-		select {
-		case <-b.stop:
+		b.rebuild()
+		b.mu.Lock()
+		again := !b.closed.Load() && b.rebuildDueLocked()
+		b.rebuilding = again
+		b.mu.Unlock()
+		if !again {
 			return
-		case <-b.rebuildCh:
-			b.rebuild()
 		}
 	}
 }
 
 // rebuild folds the overlay into a freshly packed base. The expensive
 // packing runs outside b.mu; churn that lands during it is reconciled
-// at install time: subscriptions created after the collection cut stay
-// in the overlay, and ones cancelled since the collection leave their
+// at install time by each subscription's slot: ones still unpacked stay
+// in the overlay, and collected ones cancelled since leave their
 // rectangles stale in the new base and a tombstone in its slot table.
 //
 // The base is packed in one part, or — from autoParallelMinRects live
@@ -108,21 +106,17 @@ func (b *Broker) rebuild() {
 }
 
 // rebuildJob is what a rebuild collected under b.mu: the live
-// subscriptions in slot order, the nextID of the collection cut, and
-// their rectangle count.
+// subscriptions in slot order and their rectangle count.
 type rebuildJob struct {
 	slots []*Subscription
-	cut   int
 	rects int
 }
 
-// collect opens a rebuild's collect→install window and returns what to
-// pack, or nil when there is nothing to pack: the broker is closed, the
-// thresholds no longer hold, or the last subscription is gone.
+// collect lists what a rebuild packs, or returns nil when there is
+// nothing to pack: the broker is closed, the thresholds no longer hold,
+// or the last subscription is gone.
 func (b *Broker) collect() *rebuildJob {
 	b.mu.Lock()
-	// Re-check the thresholds under the lock: a coalesced trigger may
-	// have been satisfied by the previous pass already.
 	if b.closed.Load() || !b.rebuildDueLocked() {
 		b.mu.Unlock()
 		return nil
@@ -132,10 +126,9 @@ func (b *Broker) collect() *rebuildJob {
 		// Install the empty state under this same lock hold — no build
 		// needed — so the packed parts, the slot table and the old
 		// overlay's backing array are released instead of staying
-		// pinned by a permanently stale snapshot, and the rebuilder
-		// goes idle.
+		// pinned by a permanently stale snapshot.
 		b.base, b.slots, b.baseLen, b.stale = nil, nil, 0, 0
-		b.overlay, b.baseCut = overlay{}, b.nextID
+		b.overlay = overlay{}
 		b.publishSnapshotLocked()
 		b.mu.Unlock()
 		b.finishRebuild(0, 0, b.rec.Now())
@@ -146,7 +139,7 @@ func (b *Broker) collect() *rebuildJob {
 	// under this lock), then the overlay's, which holds only live ones.
 	// Every live subscription is in exactly one of the two, so one
 	// Subscribe and Cancel sequence always packs the same trees.
-	job := &rebuildJob{slots: make([]*Subscription, 0, len(b.subs)), cut: b.nextID, rects: b.rectanglesLocked()}
+	job := &rebuildJob{slots: make([]*Subscription, 0, len(b.subs)), rects: b.rectanglesLocked()}
 	for i := range b.slots {
 		if s := b.slots[i].Load(); s != nil {
 			job.slots = append(job.slots, s)
@@ -156,16 +149,13 @@ func (b *Broker) collect() *rebuildJob {
 		job.slots = append(job.slots, b.overlay.subs[i])
 	}
 	invariant.Assertf(len(job.slots) == len(b.subs), "rebuild lists %d slots for %d live subscriptions", len(job.slots), len(b.subs))
-	b.rebuilding = true
-	b.rebuildCut = job.cut
-	b.pendingStale = 0
 	b.mu.Unlock()
 	return job
 }
 
-// build packs job outside b.mu and installs the new base, closing the
-// window collect opened. A subscription cancelled inside the window
-// gets a tombstone in the new slot table, never its pointer.
+// build packs job outside b.mu and installs the new base. A
+// subscription cancelled since collect gets a tombstone in the new slot
+// table, never its pointer, and its rectangles count as stale.
 func (b *Broker) build(job *rebuildJob) {
 	slots := job.slots
 	r0 := b.rec.Now()
@@ -191,36 +181,27 @@ func (b *Broker) build(job *rebuildJob) {
 	table := make([]atomic.Pointer[Subscription], len(slots))
 
 	b.mu.Lock()
-	b.rebuilding = false
 	if b.closed.Load() {
 		b.mu.Unlock()
 		return
 	}
+	stale := 0
 	for i, s := range slots {
-		if s.slot != cancelled {
+		if s.slot == cancelled {
+			stale += len(s.rects)
+		} else {
 			s.slot = int32(i)
 			table[i].Store(s)
 		}
 	}
-	b.overlay = b.overlay.keep(func(s *Subscription) bool { return s.id >= job.cut })
-	b.base, b.baseCut = base, job.cut
-	b.slots = table
-	b.baseLen = job.rects
-	b.stale = b.pendingStale
-	b.pendingStale = 0
+	b.overlay = b.overlay.keep(func(s *Subscription) bool { return s.slot == unpacked })
+	b.base, b.slots = base, table
+	b.baseLen, b.stale = job.rects, stale
 	b.publishSnapshotLocked()
 	overlayLeft := len(b.overlay.subs)
-	// Churn during the build may already warrant another pass.
-	again := b.rebuildDueLocked()
 	b.mu.Unlock()
 
 	b.finishRebuild(job.rects, overlayLeft, r0)
-	if again {
-		select {
-		case b.rebuildCh <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // part is one part of the packed base: an S-tree per dimensionality
@@ -291,7 +272,7 @@ type ShardStat struct {
 	OverlayLen int  `json:"overlay_len"`
 	Stale      int  `json:"stale"`
 	MultiRect  bool `json:"multi_rect"`
-	// Rebuilding is true while a collect→install window is open.
+	// Rebuilding is true while a rebuilder is running.
 	Rebuilding bool `json:"rebuilding"`
 	// RebuildDue says the overlay or the stale share of the base has
 	// passed the rebuild thresholds (rebuildDueLocked).

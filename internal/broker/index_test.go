@@ -453,13 +453,13 @@ func TestPartsPartitionSlots(t *testing.T) {
 // base, or more than half the base stale. The bench harness's settled()
 // copies this rule from ShardStats, so each step also checks that the
 // copy, computed from the one-entry view, agrees. The rebuilder goroutine
-// is never started (rebuilderOn is set first), so nothing folds behind
+// is never started (rebuilding is set first), so nothing folds behind
 // the test's back; it runs rebuild itself.
 func TestRebuildTriggerEdges(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()
 	b.mu.Lock()
-	b.rebuilderOn = true
+	b.rebuilding = true
 	b.mu.Unlock()
 	due := func(want bool, when string) {
 		t.Helper()
@@ -513,7 +513,7 @@ func TestRebuildTriggerEdges(t *testing.T) {
 // both at the same points: each rebuild must list the same slots in the
 // same order and pack trees of the same shape that answer every point
 // with the same ids, in one part and in four. The rebuilder goroutines
-// are never started (rebuilderOn is set first); the test runs rebuild
+// are never started (rebuilding is set first); the test runs rebuild
 // itself.
 func TestRebuildOrderIsDeterministic(t *testing.T) {
 	for _, parts := range []int{1, 4} {
@@ -524,7 +524,7 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 				brokers[i] = withMinOverlay(newBroker(Options{}, parts, 0, false), 4)
 				defer brokers[i].Close()
 				brokers[i].mu.Lock()
-				brokers[i].rebuilderOn = true
+				brokers[i].rebuilding = true
 				brokers[i].mu.Unlock()
 			}
 			rng := rand.New(rand.NewSource(38))
@@ -598,67 +598,90 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 // TestShardRectangleAccountingUnderChurn asserts the Rectangles
 // invariant — baseLen - stale + len(overlay) equals the live rectangle
 // count of the subscriptions — at every observable instant while
-// rebuilds of the base in parts race subscription churn.
+// rebuilds of the base in parts race subscription churn from several
+// goroutines. The churn comes in rounds, and after each the broker must
+// settle: no rebuild due, no rebuilder running, the invariant intact. A
+// rebuilder that exits without seeing a round's last trigger leaves a
+// due rebuild nobody runs.
 func TestShardRectangleAccountingUnderChurn(t *testing.T) {
 	b := withMinOverlay(newBroker(Options{}, 3, 0, false), 2)
 	defer b.Close()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(11))
-		live := make([]*Subscription, 0, 256)
-		for {
-			select {
-			case <-stop:
+	accounted := func() (got, want int, rebuilding, due bool) {
+		b.mu.RLock()
+		defer b.mu.RUnlock()
+		for _, s := range b.subs {
+			want += len(s.rects)
+		}
+		return b.rectanglesLocked(), want, b.rebuilding, b.rebuildDueLocked()
+	}
+	type churner struct {
+		rng  *rand.Rand
+		live []*Subscription
+	}
+	// A churner holds at most four subscriptions, so a rebuild comes due
+	// every few operations and the rebuilder's exit often races a trigger.
+	churn := func(c *churner) {
+		if len(c.live) < 1 || len(c.live) < 4 && c.rng.Intn(2) > 0 {
+			rects := make([]geometry.Rect, 1+c.rng.Intn(3))
+			for j := range rects {
+				x := c.rng.Float64() * 100
+				rects[j] = geometry.NewRect(x, x+5)
+			}
+			s, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, rects...)
+			if err != nil {
+				t.Error(err)
 				return
+			}
+			c.live = append(c.live, s)
+		} else {
+			i := c.rng.Intn(len(c.live))
+			c.live[i].Cancel()
+			c.live = append(c.live[:i], c.live[i+1:]...)
+		}
+	}
+	churners := make([]churner, 4)
+	for g := range churners {
+		churners[g].rng = rand.New(rand.NewSource(int64(11 + g)))
+	}
+
+	for rounds, end := 0, time.Now().Add(400*time.Millisecond); time.Now().Before(end); rounds++ {
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range churners {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 8 {
+					churn(&churners[g])
+				}
+			}()
+		}
+		go func() { wg.Wait(); close(done) }()
+		for churning := true; churning; {
+			select {
+			case <-done:
+				churning = false
 			default:
 			}
-			if len(live) < 32 || rng.Intn(3) > 0 {
-				nr := 1 + rng.Intn(3)
-				rects := make([]geometry.Rect, nr)
-				for j := range rects {
-					x := rng.Float64() * 100
-					rects[j] = geometry.NewRect(x, x+5)
-				}
-				s, err := b.SubscribeWith(SubscribeOptions{Buffer: 1}, rects...)
-				if err != nil {
-					return
-				}
-				live = append(live, s)
-			} else {
-				i := rng.Intn(len(live))
-				live[i].Cancel()
-				live = append(live[:i], live[i+1:]...)
+			runtime.Gosched()
+			if got, want, rebuilding, _ := accounted(); got != want {
+				<-done
+				t.Fatalf("round %d: rectangle accounting drifted: baseLen-stale+overlay = %d, live rects = %d (rebuilding=%v)",
+					rounds, got, want, rebuilding)
 			}
 		}
-	}()
-
-	deadline := time.Now().Add(400 * time.Millisecond)
-	checks := 0
-	for time.Now().Before(deadline) {
-		b.mu.RLock()
-		wantRects := 0
-		for _, s := range b.subs {
-			wantRects += len(s.rects)
+		for settle := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+			got, want, rebuilding, due := accounted()
+			if got != want {
+				t.Fatalf("round %d: rectangle accounting drifted after the churn: %d, live rects %d", rounds, got, want)
+			}
+			if !rebuilding && !due {
+				break
+			}
+			if time.Now().After(settle) {
+				t.Fatalf("round %d: the broker did not settle after the churn: rebuilding=%v due=%v", rounds, rebuilding, due)
+			}
 		}
-		got := b.rectanglesLocked()
-		rebuilding := b.rebuilding
-		b.mu.RUnlock()
-		if got != wantRects {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("rectangle accounting drifted: baseLen-stale+overlay = %d, live rects = %d (rebuilding=%v)",
-				got, wantRects, rebuilding)
-		}
-		checks++
-		time.Sleep(200 * time.Microsecond)
-	}
-	close(stop)
-	wg.Wait()
-	if checks == 0 {
-		t.Fatal("no accounting checks ran")
 	}
 }
 
@@ -808,7 +831,7 @@ func BenchmarkPublishParts(b *testing.B) {
 			// rebuilder has folded the subscribe burst and idles.
 			for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(100 * time.Microsecond) {
 				br.mu.RLock()
-				busy := br.rebuilding || len(br.rebuildCh) > 0 || br.rebuildDueLocked()
+				busy := br.rebuilding || br.rebuildDueLocked()
 				br.mu.RUnlock()
 				if !busy {
 					break

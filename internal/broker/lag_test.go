@@ -293,11 +293,10 @@ func TestRebuilderStalenessDegradesAndRecovers(t *testing.T) {
 	b.RegisterHealth(hr)
 
 	// Swallow rebuild triggers so churn genuinely goes stale: with
-	// rebuilderOn already true, maybeTriggerRebuildLocked only writes
-	// to rebuildCh, which nobody reads after we steal the loop's work
-	// by never starting it.
+	// rebuilding already true, maybeTriggerRebuildLocked starts no
+	// rebuilder.
 	b.mu.Lock()
-	b.rebuilderOn = true
+	b.rebuilding = true
 	b.mu.Unlock()
 
 	for i := 0; i < 16; i++ {

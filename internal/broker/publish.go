@@ -502,9 +502,7 @@ func (b *Broker) observe(pc *pubCtx) {
 		}
 		// Per-part attribution: where publish cost concentrates.
 		for i := range pc.res[:pc.parts] {
-			ns := pc.res[i].matchNS
-			b.partNS[i].Add(ns)
-			tel.partMatch[i].ObserveDuration(time.Duration(ns))
+			tel.partMatch[i].ObserveDuration(time.Duration(pc.res[i].matchNS))
 		}
 	}
 	b.slo.Observe(time.Duration(total).Seconds())

@@ -173,13 +173,13 @@ func TestSinkDecisionRecord(t *testing.T) {
 // cancelling a subscription already packed into the base drops the group
 // by its rectangles while they sit stale in the base, and the rebuild
 // that prunes them leaves it unchanged. The rebuilder goroutine is never
-// started (rebuilderOn is set first); the test runs rebuild itself.
+// started (rebuilding is set first); the test runs rebuild itself.
 func TestSinkDecisionRecordStaleBase(t *testing.T) {
 	rec := telemetry.NewRecorder(1024)
 	br := withMinOverlay(New(Options{Recorder: rec}), 1)
 	defer br.Close()
 	br.mu.Lock()
-	br.rebuilderOn = true
+	br.rebuilding = true
 	br.mu.Unlock()
 	wide, err := br.Subscribe(geometry.NewRect(0, 1), geometry.NewRect(2, 3), geometry.NewRect(4, 5))
 	if err != nil {

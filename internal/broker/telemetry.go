@@ -147,22 +147,21 @@ func newBrokerTel(b *Broker, reg *telemetry.Registry) *brokerTel {
 	}
 	reg.GaugeFunc("pubsub_broker_shard_imbalance",
 		"Max/mean cumulative match cost over the current snapshot's parts: 1.0 is perfectly balanced, high values say one part dominates publish latency (0 until data arrives).",
-		func() float64 { return b.partImbalance() })
+		func() float64 { return t.partImbalance(b.numParts()) })
 	return t
 }
 
-// partImbalance is max/mean of cumulative per-part match cost over the
-// current snapshot's parts; 0 until a metered publish has been observed.
-func (b *Broker) partImbalance() float64 {
-	var total, maxNS int64
-	parts := b.partNS[:b.numParts()]
-	for i := range parts {
-		ns := parts[i].Load()
-		total += ns
-		maxNS = max(maxNS, ns)
+// partImbalance is max/mean of the first parts' match-cost histogram
+// sums; 0 until a metered publish has been observed.
+func (t *brokerTel) partImbalance(parts int) float64 {
+	var total, most float64
+	for _, h := range t.partMatch[:parts] {
+		sum := h.Sum()
+		total += sum
+		most = max(most, sum)
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(maxNS) * float64(len(parts)) / float64(total)
+	return most * float64(parts) / total
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -72,6 +73,52 @@ func TestBrokerMetrics(t *testing.T) {
 		t.Errorf("queue depth gauge = %g, want 1", gauges["pubsub_broker_queue_depth"])
 	}
 	_ = s
+}
+
+// TestPartImbalanceGauge publishes through four parts run by the
+// publisher: the imbalance gauge is max/mean of the parts' match-cost
+// histogram sums, so it lies in [1, 4].
+func TestPartImbalanceGauge(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	b := withMinOverlay(manualRebuilds(t, Options{Metrics: reg, DefaultBuffer: 1}, 4), 1)
+	for i := 0; i < 400; i++ {
+		if _, err := b.Subscribe(geometry.NewRect(float64(i), float64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.rebuild()
+	if n := b.numParts(); n != 4 {
+		t.Fatalf("the base is packed in %d parts, want 4", n)
+	}
+	for i := 0; i < 400; i++ {
+		if _, err := b.Publish(geometry.Point{float64(i) + 0.5}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sums []float64
+	gauge := -1.0
+	for _, f := range reg.Gather() {
+		switch f.Name {
+		case "pubsub_broker_shard_match_seconds":
+			for _, s := range f.Samples {
+				sums = append(sums, s.Hist.Sum)
+			}
+		case "pubsub_broker_shard_imbalance":
+			gauge = f.Samples[0].Value
+		}
+	}
+	if len(sums) != 4 {
+		t.Fatalf("%d part histograms, want 4", len(sums))
+	}
+	var total, most float64
+	for _, sum := range sums {
+		total += sum
+		most = max(most, sum)
+	}
+	want := most * 4 / total
+	if gauge < 1 || gauge > 4 || math.Abs(gauge-want) > 1e-9*want {
+		t.Fatalf("imbalance gauge %g; the part sums %v give %g, want it within [1, 4]", gauge, sums, want)
+	}
 }
 
 func TestBrokerMetricsNodesVisitedAfterRebuild(t *testing.T) {

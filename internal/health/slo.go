@@ -22,31 +22,28 @@ import (
 const (
 	sloSlots   = 60 // ring granularity: window/60 per slot
 	sloFastDiv = 12 // fast window = window / 12 (the SRE 1h:5m shape)
+	// sloBudget is the allowed bad-event fraction: a p99 objective.
+	sloBudget = 0.01
+	// sloFastBurn is the burn-rate multiple at which the fast window
+	// degrades the component: the SRE fast-page threshold (2% of a
+	// 30-day budget in one hour). Once the fast window has stayed above
+	// it for a fast window's length (window/12), with the long window
+	// confirming burn >= 1, the component goes Unhealthy.
+	sloFastBurn = 14.4
+	// sloMinEvents is the event count a window needs before its burn
+	// rate is trusted; below it the window reads 0.
+	sloMinEvents = 10
 )
 
-// SLOOptions configure an SLO evaluator. Zero values pick defaults.
+// SLOOptions configure an SLO evaluator.
 type SLOOptions struct {
 	// ObjectiveSeconds is the delivery-latency threshold: an
 	// end-to-end publish slower than this (or a dropped delivery)
 	// consumes error budget. Required; <= 0 disables classification
 	// (every latency observation counts good).
 	ObjectiveSeconds float64
-	// Budget is the allowed bad-event fraction. Default 0.01 — a p99
-	// objective.
-	Budget float64
-	// Window is the long evaluation window. Default 1h.
+	// Window is the long evaluation window. Zero selects 1h.
 	Window time.Duration
-	// FastBurnThreshold is the burn-rate multiple at which the fast
-	// window degrades the component. Default 14.4, the SRE fast-page
-	// threshold (2% of a 30-day budget in one hour).
-	FastBurnThreshold float64
-	// Sustain is how long the fast window must stay above the
-	// threshold (with the long window confirming burn >= 1) before
-	// the component goes Unhealthy. Default Window / 12.
-	Sustain time.Duration
-	// MinEvents is the minimum event count a window needs before its
-	// burn rate is trusted; below it the window reads 0. Default 10.
-	MinEvents uint64
 }
 
 type sloSlot struct {
@@ -60,14 +57,9 @@ type sloSlot struct {
 // hot path; evaluation happens at health-probe time. All methods are
 // nil-safe so an unconfigured SLO costs one branch.
 type SLO struct {
-	objective  float64
-	budget     float64
-	window     time.Duration
-	slotDur    int64 // ns per ring slot
-	fastSlots  int64
-	fastThresh float64
-	sustainNS  int64
-	minEvents  uint64
+	objective float64
+	window    time.Duration
+	slotDur   int64 // ns per ring slot
 
 	slots [sloSlots]sloSlot
 
@@ -79,34 +71,13 @@ type SLO struct {
 
 // NewSLO builds an SLO evaluator.
 func NewSLO(opts SLOOptions) *SLO {
-	if opts.Budget <= 0 {
-		opts.Budget = 0.01
-	}
 	if opts.Window <= 0 {
 		opts.Window = time.Hour
 	}
-	if opts.FastBurnThreshold <= 0 {
-		opts.FastBurnThreshold = 14.4
-	}
-	if opts.Sustain <= 0 {
-		opts.Sustain = opts.Window / sloFastDiv
-	}
-	if opts.MinEvents == 0 {
-		opts.MinEvents = 10
-	}
-	slot := opts.Window.Nanoseconds() / sloSlots
-	if slot < 1 {
-		slot = 1
-	}
 	return &SLO{
-		objective:  opts.ObjectiveSeconds,
-		budget:     opts.Budget,
-		window:     opts.Window,
-		slotDur:    slot,
-		fastSlots:  sloSlots / sloFastDiv,
-		fastThresh: opts.FastBurnThreshold,
-		sustainNS:  opts.Sustain.Nanoseconds(),
-		minEvents:  opts.MinEvents,
+		objective: opts.ObjectiveSeconds,
+		window:    opts.Window,
+		slotDur:   max(1, opts.Window.Nanoseconds()/sloSlots),
 	}
 }
 
@@ -210,18 +181,18 @@ func (s *SLO) evalAt(nowNS int64) (SLOStatus, State) {
 		b, t := sl.bad.Load(), sl.total.Load()
 		slowBad += b
 		slowTotal += t
-		if idx-e < s.fastSlots {
+		if idx-e < sloSlots/sloFastDiv {
 			fastBad += b
 			fastTotal += t
 		}
 	}
 	st := SLOStatus{
 		ObjectiveSeconds:  s.objective,
-		Budget:            s.budget,
+		Budget:            sloBudget,
 		WindowSeconds:     s.window.Seconds(),
 		FastWindowSeconds: (s.window / sloFastDiv).Seconds(),
-		FastBurn:          s.burnRate(fastBad, fastTotal),
-		SlowBurn:          s.burnRate(slowBad, slowTotal),
+		FastBurn:          burnRate(fastBad, fastTotal),
+		SlowBurn:          burnRate(slowBad, slowTotal),
 		FastBad:           fastBad,
 		FastTotal:         fastTotal,
 		SlowBad:           slowBad,
@@ -229,14 +200,14 @@ func (s *SLO) evalAt(nowNS int64) (SLOStatus, State) {
 	}
 
 	state := Healthy
-	if st.FastBurn >= s.fastThresh {
+	if st.FastBurn >= sloFastBurn {
 		since := s.burningSince.Load()
 		if since == 0 {
 			s.burningSince.CompareAndSwap(0, nowNS)
 			since = s.burningSince.Load()
 		}
 		st.BurningForSeconds = float64(nowNS-since) / 1e9
-		if nowNS-since >= s.sustainNS && st.SlowBurn >= 1 {
+		if nowNS-since >= (s.window/sloFastDiv).Nanoseconds() && st.SlowBurn >= 1 {
 			state = Unhealthy
 			st.Reason = fmt.Sprintf("budget burn sustained %.0fs: fast %.1fx, long %.1fx budget",
 				st.BurningForSeconds, st.FastBurn, st.SlowBurn)
@@ -253,12 +224,12 @@ func (s *SLO) evalAt(nowNS int64) (SLOStatus, State) {
 	return st, state
 }
 
-// burnRate is (bad/total)/budget, 0 when the window lacks MinEvents.
-func (s *SLO) burnRate(bad, total uint64) float64 {
-	if total < s.minEvents || total == 0 {
+// burnRate is (bad/total)/budget, 0 when the window lacks sloMinEvents.
+func burnRate(bad, total uint64) float64 {
+	if total < sloMinEvents {
 		return 0
 	}
-	return (float64(bad) / float64(total)) / s.budget
+	return (float64(bad) / float64(total)) / sloBudget
 }
 
 // Register wires the SLO into a health registry as the "slo"

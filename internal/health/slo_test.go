@@ -13,7 +13,6 @@ func newTestSLO() *SLO {
 	return NewSLO(SLOOptions{
 		ObjectiveSeconds: 0.005, // 5ms
 		Window:           60 * time.Second,
-		Sustain:          5 * time.Second,
 	})
 }
 
@@ -48,8 +47,8 @@ func TestSLOBurnRateLifecycle(t *testing.T) {
 	if state != Degraded {
 		t.Fatalf("after fast burn: state = %v (%s), want Degraded", state, st.Reason)
 	}
-	if st.FastBurn < s.fastThresh {
-		t.Fatalf("fast burn = %v, want >= %v", st.FastBurn, s.fastThresh)
+	if st.FastBurn < sloFastBurn {
+		t.Fatalf("fast burn = %v, want >= %v", st.FastBurn, sloFastBurn)
 	}
 
 	// Phase 2: the burn continues past the sustain period while the
@@ -90,11 +89,11 @@ func TestSLOBurnRateLifecycle(t *testing.T) {
 }
 
 // TestSLODegradedNeedsVolume proves a trickle of bad events below
-// MinEvents cannot flap the component.
+// sloMinEvents cannot flap the component.
 func TestSLODegradedNeedsVolume(t *testing.T) {
 	s := newTestSLO()
 	base := int64(1e12)
-	for i := 0; i < 5; i++ { // below the default MinEvents=10
+	for i := 0; i < 5; i++ { // below sloMinEvents (10)
 		s.observeAt(base+int64(i)*1e6, true)
 	}
 	if _, state := s.evalAt(base + 1e9); state != Healthy {

@@ -281,26 +281,6 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
-// ExponentialBuckets returns n upper bounds start, start*factor, ...
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // LatencyBuckets are the default upper bounds for latency histograms,
 // in seconds: a 1-2.5-5 ladder from 1µs to 2.5s. They cover both the
 // sub-millisecond matching path and multi-millisecond network writes.

@@ -58,6 +58,7 @@ go test -run 'ZeroAlloc|Allocat' ./...
 go test -race -cpu 1,2 ./internal/wal/... ./internal/faultnet/...
 go test -race -cpu 1,2,4 ./internal/broker/ ./internal/wire/ ./internal/telemetry/
 go test -race -count=20 -cpu 1 -run 'ReplayLongerThanBuffer|LongHistory|LargerThanClientBuffer|LargeHistory|WaitForTheReader' ./internal/wire/
+go test -race -count=20 -cpu 1,2,4 -run '^TestShardRectangleAccountingUnderChurn$' ./internal/broker/
 go test -run '^$' -bench . -benchtime 1x ./...
 go test ./internal/broker -run '^$' -bench PublishParts -benchtime 1x -cpu 2
 go test ./internal/wire -run '^$' -bench ClientRoundTrip -benchtime 1x -cpu 2
