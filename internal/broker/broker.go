@@ -6,7 +6,8 @@
 //
 // Index maintenance is incremental: new subscriptions enter an overlay
 // matched like a tree's leaves and periodically folded into a rebuilt
-// S-tree, so both subscribe and publish stay fast under churn.
+// S-tree, so both subscribe and publish stay fast under churn. The index
+// is the only copy of the rectangles: a rebuild reads them back out.
 //
 // The publish path is lock-free and allocation-free in steady state:
 // Publish matches against an immutable snapshot (base index + overlay)
@@ -212,9 +213,9 @@ type overlay struct {
 	subs  []*Subscription
 }
 
-// add appends s's rectangles.
-func (o *overlay) add(s *Subscription) {
-	for _, r := range s.rects {
+// add appends rects, the rectangles of s.
+func (o *overlay) add(s *Subscription, rects []geometry.Rect) {
+	for _, r := range rects {
 		o.boxes.Append(r)
 		o.subs = append(o.subs, s)
 	}
@@ -222,11 +223,13 @@ func (o *overlay) add(s *Subscription) {
 
 // keep returns a fresh overlay holding the subscriptions of o that f
 // keeps, in order; o and its backing arrays are left as they are.
-func (o *overlay) keep(f func(*Subscription) bool) overlay {
-	var k overlay
-	for i := 0; i < len(o.subs); i += len(o.subs[i].rects) {
-		if f(o.subs[i]) {
-			k.add(o.subs[i])
+func (o *overlay) keep(f func(*Subscription) bool) (k overlay) {
+	var r geometry.Rect
+	for i, s := range o.subs {
+		if f(s) {
+			r = o.boxes.Box(i, r)
+			k.boxes.Append(r)
+			k.subs = append(k.subs, s)
 		}
 	}
 	return k
@@ -404,9 +407,8 @@ func newBroker(opts Options, nparts, partMin int, workers bool) *Broker {
 // Subscription is one subscriber registration. Receive events from
 // Events(); call Cancel when done.
 type Subscription struct {
-	id    int
-	rects []geometry.Rect
-	ch    chan Event // nil for a subscription registered on a sink
+	id int
+	ch chan Event // nil for a subscription registered on a sink
 	// done is closed by closeCh before it takes sendMu, ending a Block
 	// publisher's wait on ch; nil unless ch is and the policy is Block.
 	done chan struct{}
@@ -439,9 +441,11 @@ type Subscription struct {
 	// slot says where the subscription's rectangles are: unpacked while
 	// they are in the overlay, the subscription's index in the base's
 	// slot table once a rebuild installs that table, and cancelled once
-	// Cancel has removed it. Guarded by b.mu. The bools above leave room
-	// for it in the 144-byte size class.
+	// Cancel has removed it. Guarded by b.mu.
 	slot int32
+	// nrects and width count the rectangles the subscription registered
+	// and their intervals; the index holds the rectangles themselves.
+	nrects, width int32
 }
 
 // The slot values that index no entry of the base's slot table: a new
@@ -632,7 +636,7 @@ func (s *Subscription) Cancel() {
 			// its slot becomes a tombstone in the table every snapshot
 			// shares, so nothing in the broker keeps s or its queue
 			// alive and no publish reaches it again.
-			b.stale += len(s.rects)
+			b.stale += int(s.nrects)
 			b.slots[s.slot].Store(nil)
 		}
 		s.slot = cancelled
@@ -676,8 +680,9 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	if k := opts.Sink; k != nil && k.b != b {
 		return nil, fmt.Errorf("broker: a sink subscription needs a sink of its broker")
 	}
-	owned := make([]geometry.Rect, len(rects))
+	width := 0
 	for i, r := range rects {
+		width += r.Dims()
 		if r.Empty() {
 			return nil, fmt.Errorf("broker: rectangle %d is empty", i)
 		}
@@ -686,7 +691,6 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 		if r.Dims() > wal.MaxPointDims {
 			return nil, fmt.Errorf("broker: rectangle %d has %d dimensions (max %d)", i, r.Dims(), wal.MaxPointDims)
 		}
-		owned[i] = r.Clone()
 	}
 
 	b.mu.Lock()
@@ -698,7 +702,7 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	if buffer == 0 {
 		buffer = b.opts.DefaultBuffer
 	}
-	s := &Subscription{id: b.nextID, rects: owned, b: b, slot: unpacked}
+	s := &Subscription{id: b.nextID, b: b, slot: unpacked, nrects: int32(len(rects)), width: int32(width)}
 	if k := opts.Sink; k != nil {
 		if err := k.resize(buffer, 1); err != nil {
 			return nil, err
@@ -716,12 +720,12 @@ func (b *Broker) SubscribeWith(opts SubscribeOptions, rects ...geometry.Rect) (*
 	s.deliveredAtNS.Store(b.rec.Now())
 	b.nextID++
 	b.subs[s.id] = s
-	if len(owned) > 1 {
+	if len(rects) > 1 {
 		b.multiRect = true
 	}
 	// Appending to the overlay is safe with live snapshots: readers are
 	// bounded by their snapshot's lengths.
-	b.overlay.add(s)
+	b.overlay.add(s, rects)
 	b.publishSnapshotLocked()
 	b.maybeTriggerRebuildLocked()
 	return s, nil

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/geometry"
 	"repro/internal/invariant"
 	"repro/internal/stree"
 	"repro/internal/telemetry"
@@ -106,10 +107,17 @@ func (b *Broker) rebuild() {
 }
 
 // rebuildJob is what a rebuild collected under b.mu: the live
-// subscriptions in slot order and their rectangle count.
+// subscriptions in their new slot order, their rectangle count, and the
+// immutable old base, whose slot i is new slot remap[i] (-1 once
+// cancelled), and overlay view, whose subscriptions take the new slots
+// from overlayFrom on.
 type rebuildJob struct {
-	slots []*Subscription
-	rects int
+	slots       []*Subscription
+	rects       int
+	base        []part
+	remap       []int32
+	overlay     overlay
+	overlayFrom int
 }
 
 // collect lists what a rebuild packs, or returns nil when there is
@@ -139,13 +147,22 @@ func (b *Broker) collect() *rebuildJob {
 	// under this lock), then the overlay's, which holds only live ones.
 	// Every live subscription is in exactly one of the two, so one
 	// Subscribe and Cancel sequence always packs the same trees.
-	job := &rebuildJob{slots: make([]*Subscription, 0, len(b.subs)), rects: b.rectanglesLocked()}
+	job := &rebuildJob{
+		slots:   make([]*Subscription, 0, len(b.subs)),
+		rects:   b.rectanglesLocked(),
+		base:    b.base,
+		remap:   make([]int32, len(b.slots)),
+		overlay: b.overlay,
+	}
 	for i := range b.slots {
+		job.remap[i] = -1
 		if s := b.slots[i].Load(); s != nil {
+			job.remap[i] = int32(len(job.slots))
 			job.slots = append(job.slots, s)
 		}
 	}
-	for i := 0; i < len(b.overlay.subs); i += len(b.overlay.subs[i].rects) {
+	job.overlayFrom = len(job.slots)
+	for i := 0; i < len(b.overlay.subs); i += int(b.overlay.subs[i].nrects) {
 		job.slots = append(job.slots, b.overlay.subs[i])
 	}
 	invariant.Assertf(len(job.slots) == len(b.subs), "rebuild lists %d slots for %d live subscriptions", len(job.slots), len(b.subs))
@@ -159,6 +176,7 @@ func (b *Broker) collect() *rebuildJob {
 func (b *Broker) build(job *rebuildJob) {
 	slots := job.slots
 	r0 := b.rec.Now()
+	entries, at := job.gather()
 	n := 1
 	if job.rects >= b.partMin {
 		n = min(b.nparts, len(slots))
@@ -167,14 +185,15 @@ func (b *Broker) build(job *rebuildJob) {
 	var wg sync.WaitGroup
 	for k := range base {
 		lo, hi := k*len(slots)/n, (k+1)*len(slots)/n
+		run := entries[at[lo]:at[hi]]
 		if k == n-1 {
-			base[k] = packPart(slots, lo, hi, b.tree)
+			base[k] = packPart(run, b.tree)
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			base[k] = packPart(slots, lo, hi, b.tree)
+			base[k] = packPart(run, b.tree)
 		}()
 	}
 	wg.Wait()
@@ -188,7 +207,7 @@ func (b *Broker) build(job *rebuildJob) {
 	stale := 0
 	for i, s := range slots {
 		if s.slot == cancelled {
-			stale += len(s.rects)
+			stale += int(s.nrects)
 		} else {
 			s.slot = int32(i)
 			table[i].Store(s)
@@ -208,28 +227,83 @@ func (b *Broker) build(job *rebuildJob) {
 // among its rectangles, ascending.
 type part []*stree.Tree
 
-// packPart packs the rectangles of slots[lo:hi] into one part whose
-// entry ids are those slots. A subscription's rectangles are immutable,
-// so this needs no lock; New checked the options and Subscribe the
-// rectangles, so no build fails. The stable sort keeps slot order within
-// a dimensionality: one dimensionality packs its entries in slot order.
-func packPart(slots []*Subscription, lo, hi int, opts stree.Options) (p part) {
-	rects := 0
-	for _, s := range slots[lo:hi] {
-		rects += len(s.rects)
+// gather reads the rectangles job packs out of the old trees' leaf
+// planes and the overlay's blocks, the broker's only copy of them, into
+// one buffer in new-slot order: a counting sort by slot whose counts
+// are the subscriptions' nrects and width. It is stable, so a
+// subscription's rectangles keep the order the old leaves, or the
+// overlay, held them in. The entries' Rects view the buffer, slot s's
+// from at[s] to at[s+1].
+func (job *rebuildJob) gather() (entries []stree.Entry, at []int32) {
+	// at[s+1] and iv[s+1] are where slot s's next rectangle and its
+	// intervals go; put advances them to where slot s+1 starts.
+	n := len(job.slots)
+	at, iv := make([]int32, n+2), make([]int, n+2)
+	for s, sub := range job.slots {
+		at[s+2], iv[s+2] = at[s+1]+sub.nrects, iv[s+1]+int(sub.width)
 	}
-	entries := make([]stree.Entry, 0, rects)
-	for slot := lo; slot < hi; slot++ {
-		for _, r := range slots[slot].rects {
-			entries = append(entries, stree.Entry{Rect: r, ID: slot})
+	buf, entries := make([]geometry.Interval, iv[n+1]), make([]stree.Entry, at[n+1])
+	put := func(slot, dims int) geometry.Rect {
+		r := buf[iv[slot+1]:][:dims:dims]
+		entries[at[slot+1]] = stree.Entry{Rect: r, ID: slot}
+		at[slot+1]++
+		iv[slot+1] += dims
+		return r
+	}
+	for _, p := range job.base {
+		for _, t := range p {
+			for e := range t.Len() {
+				if slot := job.remap[t.Entry(e, nil)]; slot >= 0 {
+					t.Entry(e, put(int(slot), t.Dims()))
+				}
+			}
 		}
 	}
-	slices.SortStableFunc(entries, func(x, y stree.Entry) int { return x.Rect.Dims() - y.Rect.Dims() })
-	for len(entries) > 0 {
-		next := entries[0].Rect.Dims() + 1
-		n, _ := slices.BinarySearchFunc(entries, next, func(e stree.Entry, d int) int { return e.Rect.Dims() - d })
-		p = append(p, stree.MustBuild(entries[:n], opts))
-		entries = entries[n:]
+	var box geometry.Rect
+	for j, slot, subs := 0, job.overlayFrom-1, job.overlay.subs; j < len(subs); j++ {
+		if j == 0 || subs[j] != subs[j-1] {
+			slot++
+		}
+		box = job.overlay.boxes.Box(j, box)
+		copy(put(slot, len(box)), box)
+	}
+	if invariant.Enabled {
+		for s := range n {
+			invariant.Assertf(at[s+1]-at[s] == job.slots[s].nrects, "rebuild gathered %d rectangles for slot %d, not %d", at[s+1]-at[s], s, job.slots[s].nrects)
+		}
+	}
+	return entries, at[:n+1]
+}
+
+// packPart packs entries, a run of gather's, into one part: a tree per
+// dimensionality, ascending, over that dimensionality's entries in slot
+// order. New checked the options and Subscribe the rectangles, so no
+// build fails.
+func packPart(entries []stree.Entry, opts stree.Options) (p part) {
+	var at []int // at[d+1] counts the entries of d dimensions; summed, at[d] is where they start
+	for _, e := range entries {
+		if d := e.Rect.Dims(); d+2 > len(at) {
+			at = append(at, make([]int, d+2-len(at))...)
+		}
+		at[e.Rect.Dims()+1]++
+	}
+	for d := 1; d < len(at); d++ {
+		at[d] += at[d-1]
+	}
+	if at[len(at)-2] > 0 {
+		// Several dimensionalities: a stable counting sort by
+		// dimensionality keeps each in slot order.
+		sorted, next := make([]stree.Entry, len(entries)), slices.Clone(at)
+		for _, e := range entries {
+			sorted[next[e.Rect.Dims()]] = e
+			next[e.Rect.Dims()]++
+		}
+		entries = sorted
+	}
+	for d := 1; d+1 < len(at); d++ {
+		if at[d] < at[d+1] {
+			p = append(p, stree.MustBuild(entries[at[d]:at[d+1]], opts))
+		}
 	}
 	return p
 }
@@ -251,7 +325,7 @@ func (b *Broker) finishRebuild(entries, overlayLeft int, r0 int64) {
 
 // rectanglesLocked is the live rectangle count derived from the index
 // bookkeeping. Caller holds b.mu. The invariant
-// baseLen - stale + len(overlay) == Σ len(s.rects) over b.subs holds at
+// baseLen - stale + len(overlay) == Σ s.nrects over b.subs holds at
 // every instant, including mid-rebuild (the churn test asserts it).
 func (b *Broker) rectanglesLocked() int {
 	return b.baseLen - b.stale + len(b.overlay.subs)

@@ -606,21 +606,37 @@ func TestRebuildOrderIsDeterministic(t *testing.T) {
 func TestShardRectangleAccountingUnderChurn(t *testing.T) {
 	b := withMinOverlay(newBroker(Options{}, 3, 0, false), 2)
 	defer b.Close()
-	accounted := func() (got, want int, rebuilding, due bool) {
-		b.mu.RLock()
-		defer b.mu.RUnlock()
-		for _, s := range b.subs {
-			want += len(s.rects)
-		}
-		return b.rectanglesLocked(), want, b.rebuilding, b.rebuildDueLocked()
+	// A churner keeps each of its live subscriptions with the test's own
+	// copy of its rectangles. It holds ops in read mode across an
+	// operation and its record, so accounted, holding it in write mode,
+	// reads every churner's records and the broker in agreement.
+	type liveSub struct {
+		s     *Subscription
+		rects []geometry.Rect
 	}
 	type churner struct {
 		rng  *rand.Rand
-		live []*Subscription
+		live []liveSub
+	}
+	churners := make([]churner, 4)
+	var ops sync.RWMutex
+	accounted := func() (got, want int, rebuilding, due bool) {
+		ops.Lock()
+		defer ops.Unlock()
+		b.mu.RLock()
+		defer b.mu.RUnlock()
+		for _, c := range churners {
+			for _, l := range c.live {
+				want += len(l.rects)
+			}
+		}
+		return b.rectanglesLocked(), want, b.rebuilding, b.rebuildDueLocked()
 	}
 	// A churner holds at most four subscriptions, so a rebuild comes due
 	// every few operations and the rebuilder's exit often races a trigger.
 	churn := func(c *churner) {
+		ops.RLock()
+		defer ops.RUnlock()
 		if len(c.live) < 1 || len(c.live) < 4 && c.rng.Intn(2) > 0 {
 			rects := make([]geometry.Rect, 1+c.rng.Intn(3))
 			for j := range rects {
@@ -632,14 +648,13 @@ func TestShardRectangleAccountingUnderChurn(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			c.live = append(c.live, s)
+			c.live = append(c.live, liveSub{s, rects})
 		} else {
 			i := c.rng.Intn(len(c.live))
-			c.live[i].Cancel()
+			c.live[i].s.Cancel()
 			c.live = append(c.live[:i], c.live[i+1:]...)
 		}
 	}
-	churners := make([]churner, 4)
 	for g := range churners {
 		churners[g].rng = rand.New(rand.NewSource(int64(11 + g)))
 	}
@@ -1119,9 +1134,11 @@ func TestPartPacksSlotOrderedEntries(t *testing.T) {
 			if len(snap.base) != 1 || len(snap.overlay.subs) != 0 {
 				t.Fatalf("%d parts and %d overlay rectangles, want 1 and 0", len(snap.base), len(snap.overlay.subs))
 			}
+			// One rebuild of subscriptions all in the overlay: slot i is
+			// specs[i], its rectangles in the order it gave them.
 			byDims := map[int][]stree.Entry{}
-			for slot := range snap.slots {
-				for _, r := range snap.slots[slot].Load().rects {
+			for slot, rs := range specs {
+				for _, r := range rs {
 					byDims[r.Dims()] = append(byDims[r.Dims()], stree.Entry{Rect: r, ID: slot})
 				}
 			}
@@ -1153,6 +1170,139 @@ func TestPartPacksSlotOrderedEntries(t *testing.T) {
 					}
 				}
 				walk(0)
+			}
+		})
+	}
+}
+
+// TestRepackMatchesSlotOrderedBuild runs a seeded Subscribe/Cancel
+// sequence through the background rebuilder in rounds, and after each
+// round lets the broker settle with every rectangle packed. A rebuild
+// reads the rectangles back out of the old trees and the overlay, so
+// each tree of each part must be the one stree.Build packs over the
+// live slots' rectangles in slot order, as the test's own copies give
+// them: the same shape, and the same ids and effort at every point of a
+// grid. It runs on one part, on three, and with the part count changing
+// as the population crosses the part threshold both ways. The leaves
+// hand a multi-rectangle subscription's rectangles back in their own
+// order, so in the multi-rectangle variant each slot must hold the
+// multiset of rectangles it subscribed.
+func TestRepackMatchesSlotOrderedBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		parts, partMin int
+		multi          bool
+	}{
+		{"one-part", 1, 0, false},
+		{"3-parts", 3, 0, false},
+		{"3-parts-from-80", 3, 80, false},
+		{"3-parts-from-160-multi", 3, 160, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree := match.Options{BranchFactor: 5, Skew: 0.25}
+			b := withMinOverlay(newBroker(Options{Matcher: tree}, tc.parts, tc.partMin, false), 4)
+			defer b.Close()
+			rng := rand.New(rand.NewSource(51))
+			own := map[*Subscription][]geometry.Rect{}
+			var live []*Subscription
+			subscribe := func() {
+				rs := make([]geometry.Rect, 1)
+				if tc.multi {
+					rs = make([]geometry.Rect, 1+rng.Intn(3))
+				}
+				for j := range rs {
+					rs[j] = modelRect(rng, 2)
+				}
+				s, err := b.Subscribe(rs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				own[s] = rs
+				live = append(live, s)
+			}
+			partCounts := map[int]bool{}
+			for round := 0; round < 10; round++ {
+				// Five rounds grow the population past the part threshold,
+				// five shrink it below again.
+				grow := round < 5
+				for op := 0; op < 90; op++ {
+					if len(live) == 0 || (rng.Intn(3) > 0) == grow {
+						subscribe()
+						continue
+					}
+					i := rng.Intn(len(live))
+					live[i].Cancel()
+					delete(own, live[i])
+					live = slices.Delete(live, i, i+1)
+				}
+				// Subscribe, cancelling nothing, until a rebuild that
+				// collected after the last cancel has packed everything.
+				for {
+					waitSettled(t, b)
+					b.mu.RLock()
+					packed := b.stale == 0 && len(b.overlay.subs) == 0
+					b.mu.RUnlock()
+					if packed {
+						break
+					}
+					subscribe()
+				}
+				snap := b.snap.Load()
+				n, parts := len(snap.slots), len(snap.base)
+				partCounts[parts] = true
+				for k, p := range snap.base {
+					lo, hi := k*n/parts, (k+1)*n/parts
+					if len(p) != 1 {
+						t.Fatalf("round %d: part %d packs %d trees of 2-d rectangles", round, k, len(p))
+					}
+					if tc.multi {
+						got := map[int][]string{}
+						r := make(geometry.Rect, 2)
+						for e := range p[0].Len() {
+							slot := p[0].Entry(e, r)
+							if slot < lo || slot >= hi {
+								t.Fatalf("round %d: part %d of slots [%d, %d) holds slot %d", round, k, lo, hi, slot)
+							}
+							got[slot] = append(got[slot], fmt.Sprint(r))
+						}
+						for slot := lo; slot < hi; slot++ {
+							var want []string
+							for _, r := range own[snap.slots[slot].Load()] {
+								want = append(want, fmt.Sprint(r))
+							}
+							slices.Sort(want)
+							slices.Sort(got[slot])
+							if !slices.Equal(got[slot], want) {
+								t.Fatalf("round %d: slot %d holds %v, subscribed %v", round, slot, got[slot], want)
+							}
+						}
+						continue
+					}
+					entries := make([]stree.Entry, 0, hi-lo)
+					for slot := lo; slot < hi; slot++ {
+						entries = append(entries, stree.Entry{Rect: own[snap.slots[slot].Load()][0], ID: slot})
+					}
+					want := stree.MustBuild(entries, stree.Options{BranchFactor: tree.BranchFactor, Skew: tree.Skew})
+					if dg, dw := match.Describe(p[0]), match.Describe(want); dg != dw {
+						t.Fatalf("round %d: part %d packs %+v, stree.Build %+v", round, k, dg, dw)
+					}
+					for x := 0.0; x <= 13; x += 0.5 {
+						for y := 0.0; y <= 13; y += 0.5 {
+							pt := geometry.Point{x, y}
+							ig, sg := p[0].MatchAppendStats(pt, nil)
+							iw, sw := want.MatchAppendStats(pt, nil)
+							if !slices.Equal(ig, iw) || sg != sw {
+								t.Fatalf("round %d: part %d answers %v with %v %+v, stree.Build with %v %+v", round, k, pt, ig, sg, iw, sw)
+							}
+						}
+					}
+				}
+			}
+			if r := b.Stats().IndexRebuilds; r < 5 {
+				t.Fatalf("%d rebuilds, want at least 5", r)
+			}
+			if tc.partMin > 0 && !(partCounts[1] && partCounts[tc.parts]) {
+				t.Fatalf("part counts seen %v, want 1 and %d", partCounts, tc.parts)
 			}
 		})
 	}

@@ -169,37 +169,55 @@ type IndexReport struct {
 const introspectSampleCap = 512
 
 // IndexReport snapshots the index's stat and shape and the live
-// rectangle population's selectivity. It holds the broker lock in read
-// mode while copying out up to introspectSampleCap rectangles and
-// runs the scans after releasing it.
+// rectangle population's selectivity. It reads the stat under the
+// broker lock in read mode and samples the snapshot it found after
+// releasing it.
 func (b *Broker) IndexReport() IndexReport {
 	b.mu.RLock()
 	rep := IndexReport{ShardStat: b.statLocked(), ShardCount: b.numParts()}
-	var base *stree.Tree
-	if len(b.base) > 0 {
-		base = slices.MaxFunc(b.base[0], func(x, y *stree.Tree) int { return x.Len() - y.Len() })
-	}
-	sample := make([]geometry.Rect, 0, min(len(b.subs)*2, introspectSampleCap))
-	for _, s := range b.subs {
-		if len(sample) == introspectSampleCap {
-			break
-		}
-		for _, r := range s.rects {
-			if len(sample) == introspectSampleCap {
-				break
-			}
-			sample = append(sample, r)
-		}
-	}
+	snap := b.snap.Load()
 	b.mu.RUnlock()
 
-	if base != nil {
-		rep.Shape = match.Describe(base)
+	var sample []geometry.Rect
+	if snap != nil { // nil once closed
+		if len(snap.base) > 0 {
+			rep.Shape = match.Describe(slices.MaxFunc(snap.base[0], func(x, y *stree.Tree) int { return x.Len() - y.Len() }))
+		}
+		sample = sampleRects(snap, rep.Rectangles)
 	}
 	rep.SampledRects = len(sample)
 	rep.Dims = dimSelectivity(sample)
 	rep.DuplicatePairs, rep.CoveringPairs = coveringScan(sample)
 	return rep
+}
+
+// sampleRects reads up to introspectSampleCap of snap's n live
+// rectangles out of the index, spread evenly: with m the sample's size,
+// the ⌊i·n/m⌋-th for i < m, counting the base part by part and each tree
+// in leaf order, past stale entries, then the overlay. An unchanged
+// broker samples the same rectangles.
+func sampleRects(snap *snapshot, n int) (sample []geometry.Rect) {
+	m, k := min(n, introspectSampleCap), 0
+	take := func() bool { // whether the k-th live rectangle is sampled; it passes it
+		k++
+		return len(sample) < m && k-1 == len(sample)*n/m
+	}
+	for _, p := range snap.base {
+		for _, t := range p {
+			for e := range t.Len() {
+				if snap.slots[t.Entry(e, nil)].Load() != nil && take() {
+					sample = append(sample, make(geometry.Rect, t.Dims()))
+					t.Entry(e, sample[len(sample)-1])
+				}
+			}
+		}
+	}
+	for j := range snap.overlay.boxes.Len() {
+		if take() {
+			sample = append(sample, snap.overlay.boxes.Box(j, nil))
+		}
+	}
+	return sample
 }
 
 // dimSelectivity computes per-dimension boundedness and relative width

@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -355,5 +357,41 @@ func TestDurableHeadInitialisedFromLog(t *testing.T) {
 	}
 	if rep := b2.LagReport(); rep.Subs[0].LagEvents != 0 {
 		t.Fatalf("fresh sub on recovered log should have zero lag: %+v", rep.Subs)
+	}
+}
+
+// TestIndexReportIsStable: the report samples the index, not a map, so
+// two reports of an unchanged broker agree, past the sample cap and with
+// base, stale and overlay rectangles all present.
+func TestIndexReportIsStable(t *testing.T) {
+	b := withMinOverlay(manualRebuilds(t, Options{}, 1), 1)
+	rng := rand.New(rand.NewSource(17))
+	var subs []*Subscription
+	for i := 0; i < 5000; i++ {
+		s, err := b.Subscribe(modelRect(rng, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	b.rebuild()
+	for _, s := range subs[:100] {
+		s.Cancel()
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := b.Subscribe(modelRect(rng, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := b.IndexReport()
+	if first.BaseLen != 5000 || first.Stale != 100 || first.OverlayLen != 100 || first.SampledRects != introspectSampleCap {
+		t.Fatalf("report %+v, want 5 000 in the base, 100 stale, 100 in the overlay and a full sample", first)
+	}
+	for i := 0; i < 20; i++ {
+		rep := b.IndexReport()
+		rep.SecondsSinceRebuild = first.SecondsSinceRebuild
+		if !reflect.DeepEqual(rep, first) {
+			t.Fatalf("report %d differs from the first:\n%+v\n%+v", i, rep, first)
+		}
 	}
 }

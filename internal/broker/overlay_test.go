@@ -67,7 +67,13 @@ func overlayModel(t *testing.T, b *Broker, seed int64, mixed bool) {
 		}
 		return 2
 	}
-	var live []*Subscription
+	// live holds each live subscription with the test's own copy of its
+	// rectangles.
+	type liveSub struct {
+		s     *Subscription
+		rects []geometry.Rect
+	}
+	var live []liveSub
 	for op := 0; op < 600; op++ {
 		switch c := rng.Intn(10); {
 		case c < 4 || len(live) == 0:
@@ -79,10 +85,10 @@ func overlayModel(t *testing.T, b *Broker, seed int64, mixed bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live = append(live, s)
+			live = append(live, liveSub{s, rects})
 		case c < 6:
 			i := rng.Intn(len(live))
-			live[i].Cancel()
+			live[i].s.Cancel()
 			live = slices.Delete(live, i, i+1)
 		default:
 			p := make(geometry.Point, dims())
@@ -94,9 +100,10 @@ func overlayModel(t *testing.T, b *Broker, seed int64, mixed bool) {
 				t.Fatal(err)
 			}
 			want, rects := 0, 0
-			for _, s := range live {
-				rects += len(s.rects)
-				match := slices.ContainsFunc(s.rects, func(r geometry.Rect) bool { return r.Contains(p) })
+			for _, l := range live {
+				s := l.s
+				rects += len(l.rects)
+				match := slices.ContainsFunc(l.rects, func(r geometry.Rect) bool { return r.Contains(p) })
 				got := 0
 				for len(s.Events()) > 0 {
 					<-s.Events()
@@ -106,7 +113,7 @@ func overlayModel(t *testing.T, b *Broker, seed int64, mixed bool) {
 					want++
 				}
 				if match && got != 1 || !match && got != 0 {
-					t.Fatalf("op %d: subscription %d %v received %d events of p=%v, want match=%v", op, s.id, s.rects, got, p, match)
+					t.Fatalf("op %d: subscription %d %v received %d events of p=%v, want match=%v", op, s.id, l.rects, got, p, match)
 				}
 			}
 			if n != want {

@@ -266,11 +266,11 @@ func TestSinkNextMergesOnePublication(t *testing.T) {
 }
 
 // With the overflow policy and block timeout the broker's, not each
-// subscription's, a subscription fits the 144-byte size class, one below
-// the 160 it had: 1.6 MB less heap for a 100 000-subscription broker.
+// subscription's, and its rectangles kept only in the index, a
+// subscription fits the 128-byte size class.
 func TestSubscriptionStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Subscription{}); size > 144 {
-		t.Fatalf("Subscription is %d bytes, past the 144-byte size class", size)
+	if size := unsafe.Sizeof(Subscription{}); size > 128 {
+		t.Fatalf("Subscription is %d bytes, past the 128-byte size class", size)
 	}
 }
 

@@ -66,6 +66,27 @@ func (b *Boxes) Append(r geometry.Rect) {
 	l.n++
 }
 
+// Box writes box i of the run into r's backing array, resliced to the
+// box's dimensionality, and returns it; it allocates only when r has
+// less room than that.
+func (b *Boxes) Box(i int, r geometry.Rect) geometry.Rect {
+	blk := &b.last
+	if i < blk.first {
+		// The closed blocks are in run order and none is empty: box i is
+		// in the last one that starts at or before it.
+		k, found := slices.BinarySearchFunc(b.full, i, func(x boxBlock, i int) int { return x.first - i })
+		if !found {
+			k--
+		}
+		blk = &b.full[k]
+	}
+	r, j := slices.Grow(r[:0], blk.dims)[:blk.dims], i-blk.first
+	for d := range r {
+		r[d] = geometry.Interval{Lo: blk.planes[2*d*blk.stride+j], Hi: blk.planes[(2*d+1)*blk.stride+j]}
+	}
+	return r
+}
+
 // PointAppend appends to dst, in run order, the index of every box
 // containing p under the half-open (Lo, Hi] rule, and returns it. Blocks
 // of another dimensionality than p's hold no match and are skipped

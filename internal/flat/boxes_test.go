@@ -15,8 +15,9 @@ import (
 // drawn from ±Inf, ±0 and NaN, coordinates equal to a stored Lo or Hi,
 // and points of every one of those dimensionalities. It also checks that
 // copies taken along the way still see exactly their own boxes after the
-// later appends, and that no view's planes hold more than twice the
-// floats of its boxes.
+// later appends, that Box reads every box of a view back bit for bit,
+// and that no view's planes hold more than twice the floats of its
+// boxes.
 func FuzzBoxes(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []uint16{1, 2, 63, 64, 65, 128, 129, 200, 299} {
@@ -60,8 +61,14 @@ func FuzzBoxes(f *testing.F) {
 			rects = append(rects, r)
 		}
 		views = append(views, run)
+		var box geometry.Rect
 		for _, v := range views {
 			checkPlaneBound(t, &v, rects[:v.Len()])
+			for i, r := range rects[:v.Len()] {
+				if box = v.Box(i, box); !sameBits(box, r) {
+					t.Fatalf("view of %d boxes: box %d reads %v, appended %v", v.Len(), i, box, r)
+				}
+			}
 		}
 		for q := 0; q < 24; q++ {
 			// A point of a stored box's or a palette dimensionality, each
@@ -175,4 +182,12 @@ func TestBoxesPointAppendDoesNotAllocate(t *testing.T) {
 	if len(dst) != 50 {
 		t.Fatalf("matched %d boxes, want 50", len(dst))
 	}
+}
+
+// sameBits reports whether a and b hold the same bounds bit for bit, so
+// NaN equals NaN and -0 does not equal +0.
+func sameBits(a, b geometry.Rect) bool {
+	return slices.EqualFunc(a, b, func(x, y geometry.Interval) bool {
+		return math.Float64bits(x.Lo) == math.Float64bits(y.Lo) && math.Float64bits(x.Hi) == math.Float64bits(y.Hi)
+	})
 }

@@ -211,17 +211,20 @@ func (t *Tree) Entries(i int) (start, end int) {
 
 // NodeRect returns node i's bounding rectangle in a new Rect.
 func (t *Tree) NodeRect(i int) geometry.Rect {
-	return planeRect(t.nodeBounds, t.numNodes, i, t.dims)
+	return planeRect(make(geometry.Rect, t.dims), t.nodeBounds, t.numNodes, i)
 }
 
-// Entry returns entry e's rectangle, in a new Rect, and its identifier.
-func (t *Tree) Entry(e int) (geometry.Rect, int) {
-	return planeRect(t.entryBounds, t.numEntries, e, t.dims), t.entryIDs[e]
+// Entry copies the bounds of entry e into r, one interval for each of
+// its first len(r) dimensions, and returns the entry's identifier; a nil
+// r reads the identifier alone. It does not allocate.
+func (t *Tree) Entry(e int, r geometry.Rect) int {
+	planeRect(r, t.entryBounds, t.numEntries, e)
+	return t.entryIDs[e]
 }
 
-// planeRect gathers box i of a plane layout with the given stride.
-func planeRect(planes []float64, stride, i, dims int) geometry.Rect {
-	r := make(geometry.Rect, dims)
+// planeRect copies box i of a plane layout with the given stride into r
+// and returns r.
+func planeRect(r geometry.Rect, planes []float64, stride, i int) geometry.Rect {
 	for d := range r {
 		r[d] = geometry.Interval{Lo: planes[(2*d+0)*stride+i], Hi: planes[(2*d+1)*stride+i]}
 	}

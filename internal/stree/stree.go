@@ -645,6 +645,12 @@ func (t *Tree) Len() int { return t.size }
 // Dims reports the dimensionality of the indexed rectangles, 0 when empty.
 func (t *Tree) Dims() int { return t.dims }
 
+// Entry copies the bounds of entry e, 0 <= e < Len() in leaf order, into
+// r, one interval for each of its first len(r) dimensions, and returns
+// the entry's identifier; a nil r reads the identifier alone. It does
+// not allocate.
+func (t *Tree) Entry(e int, r geometry.Rect) int { return t.flat.Entry(e, r) }
+
 // Bounds returns the minimum bounding rectangle of all indexed entries,
 // or nil for an empty tree.
 func (t *Tree) Bounds() geometry.Rect {
@@ -782,8 +788,9 @@ func (t *Tree) checkInvariants() error {
 			}
 			seen = ee
 			var union geometry.Rect
+			r := make(geometry.Rect, t.dims)
 			for e := es; e < ee; e++ {
-				r, _ := f.Entry(e)
+				f.Entry(e, r)
 				union = union.Union(r)
 			}
 			if !mbr.Equal(union) {

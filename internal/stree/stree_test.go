@@ -408,3 +408,26 @@ func TestRegionQueryBoundarySemantics(t *testing.T) {
 		t.Errorf("overlapping region missed: %v", got)
 	}
 }
+
+// TestEntryReadsBack: Entry hands back every entry of a tree, in leaf
+// order, with its id and the bounds it was built from, without
+// allocating; a nil rectangle reads the id alone.
+func TestEntryReadsBack(t *testing.T) {
+	entries := randomEntries(rand.New(rand.NewSource(7)), 300, 3)
+	tr := MustBuild(entries, Options{BranchFactor: 6})
+	seen := make([]bool, len(entries))
+	r := make(geometry.Rect, 3)
+	for e := range tr.Len() {
+		id := tr.Entry(e, r)
+		if seen[id] || !r.Equal(entries[id].Rect) {
+			t.Fatalf("entry %d reads id %d %v (seen before: %v), built from %v", e, id, r, seen[id], entries[id].Rect)
+		}
+		seen[id] = true
+		if got := tr.Entry(e, nil); got != id {
+			t.Fatalf("entry %d reads id %d alone, %d with its bounds", e, got, id)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tr.Entry(17, r) }); allocs != 0 {
+		t.Fatalf("Entry allocates %.0f objects", allocs)
+	}
+}
